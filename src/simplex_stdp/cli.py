@@ -5,8 +5,11 @@ Usage: simplex-stdp <scenario> [--config FILE] [--seed N] [--out DIR]
 
 Each scenario writes a manifest.json (config digest, seed, file list), its CSV
 outputs, and for *-verify scenarios a report.json with pass/fail checks.
-Outputs are byte-identical across reruns and across --threads settings; the
-worker pool only shards independent trajectories.
+Outputs are byte-identical across reruns. --threads is accepted and recorded
+in the manifest but has no effect: every ensemble runs as one batch in one
+thread. Ensemble member i uses the stream keyed by (seed, i), so single
+members of fig2-ensemble and correlated-figure can be reproduced in isolation
+with dynamics.run_trajectory(config, (seed, i)).
 
 Exit codes: 0 success, 2 configuration error (unknown scenario / override),
 3 precondition violation (invalid parameter values, unwritable output),
@@ -14,7 +17,6 @@ Exit codes: 0 success, 2 configuration error (unknown scenario / override),
 """
 
 import argparse
-import concurrent.futures
 import copy
 import hashlib
 import json
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .simplex import InvalidInputError, barycentric_embedding, landscape_grid
-from .dynamics import DynamicsConfig, NoiseModel, run_trajectory
+from .dynamics import DynamicsConfig, final_probabilities, run_trajectory, stream_for
 from . import theory
 from . import multi as multi_mod
 from . import mirror as mirror_mod
@@ -47,29 +49,6 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _shards(n, threads):
-    threads = max(1, min(threads, n)) if n else 1
-    base, extra = divmod(n, threads)
-    out = []
-    start = 0
-    for i in range(threads):
-        count = base + (1 if i < extra else 0)
-        if count:
-            out.append((start, count))
-        start += count
-    return out
-
-
-def _run_sharded(fn, n, threads):
-    """fn(index_start, count) -> result; shards are concatenated in order."""
-    shards = _shards(n, threads)
-    if len(shards) == 1:
-        return [fn(*shards[0])]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        futures = [pool.submit(fn, s, c) for s, c in shards]
-        return [f.result() for f in futures]
 
 
 DEFAULTS = {
@@ -169,7 +148,6 @@ DEFAULTS = {
     },
     "landscape-grid": {
         "grid_step": 0.005,
-        "loss_kind": "cubic-quartic",
         "gamma": None,
     },
 }
@@ -187,14 +165,17 @@ def _trajectory_rows(record, with_embedding=False):
 
 
 def _write_landscape(path, grid_step, gamma=None):
+    """Write the landscape values on the lattice and return them: the
+    cubic-quartic loss, or -1/2 p^T gamma p when gamma is given."""
     pts, x, y, vals = landscape_grid(grid_step)
     if gamma is not None:
         g = np.asarray(gamma, dtype=float)
         vals = -0.5 * np.einsum("ni,ij,nj->n", pts, g, pts)
     write_csv(path, ["x", "y", "value"], zip(x, y, vals))
+    return vals
 
 
-def scenario_fig2_trajectories(cfg, out, seed, threads):
+def scenario_fig2_trajectories(cfg, out, seed):
     files = []
     d = len(cfg["p0_list"][0])
     header = ["k"] + ["p_%d" % (i + 1) for i in range(d)] + ["x", "y"]
@@ -213,29 +194,17 @@ def scenario_fig2_trajectories(cfg, out, seed, threads):
     return files, None, True
 
 
-def scenario_fig2_ensemble(cfg, out, seed, threads):
+def scenario_fig2_ensemble(cfg, out, seed):
     files = []
     d = len(cfg["p0"])
     n = cfg["n_traj"]
     header = ["k"] + ["p_%d" % (i + 1) for i in range(d)]
-
-    def shard(start, count):
-        finals = np.empty((count, d))
-        for i in range(count):
-            config = DynamicsConfig(
-                alpha=cfg["alpha"], n_steps=cfg["n_steps"], p0=cfg["p0"],
-                record_stride=cfg["n_steps"],
-            )
-            rec = run_trajectory(config, (seed, start + i))
-            finals[i] = rec.states[-1]
-        return finals
-
-    finals = np.concatenate(_run_sharded(shard, n, threads), axis=0)
+    config = DynamicsConfig(
+        alpha=cfg["alpha"], n_steps=cfg["n_steps"], p0=cfg["p0"],
+        record_stride=cfg["record_stride"],
+    )
+    finals = final_probabilities(config, [(seed, i) for i in range(n)])
     for i in range(min(cfg["n_full_trajectories"], n)):
-        config = DynamicsConfig(
-            alpha=cfg["alpha"], n_steps=cfg["n_steps"], p0=cfg["p0"],
-            record_stride=cfg["record_stride"],
-        )
         rec = run_trajectory(config, (seed, i))
         path = os.path.join(out, "trajectory_%d.csv" % i)
         write_csv(path, header, _trajectory_rows(rec))
@@ -247,7 +216,7 @@ def scenario_fig2_ensemble(cfg, out, seed, threads):
     return files, None, True
 
 
-def scenario_fig3_algorithm1(cfg, out, seed, threads):
+def scenario_fig3_algorithm1(cfg, out, seed):
     lam = np.asarray(cfg["lam"], dtype=float)
     d = lam.size
     config = multi_mod.MultiRunConfig(
@@ -266,25 +235,16 @@ def scenario_fig3_algorithm1(cfg, out, seed, threads):
     return [path], {"clip_events": rec.clip_events}, True
 
 
-def scenario_correlated_figure(cfg, out, seed, threads):
+def scenario_correlated_figure(cfg, out, seed):
     files = []
     d = len(cfg["p0"])
     n = cfg["n_traj"]
     header = ["k"] + ["p_%d" % (i + 1) for i in range(d)]
-
-    def shard(start, count):
-        finals = np.empty((count, d))
-        for i in range(count):
-            config = DynamicsConfig(
-                alpha=cfg["alpha"], n_steps=cfg["n_steps"], p0=cfg["p0"],
-                variant="correlated", gamma=cfg["gamma"],
-                record_stride=cfg["n_steps"],
-            )
-            rec = run_trajectory(config, (seed, start + i))
-            finals[i] = rec.states[-1]
-        return finals
-
-    finals = np.concatenate(_run_sharded(shard, n, threads), axis=0)
+    config = DynamicsConfig(
+        alpha=cfg["alpha"], n_steps=cfg["n_steps"], p0=cfg["p0"],
+        variant="correlated", gamma=cfg["gamma"],
+    )
+    finals = final_probabilities(config, [(seed, i) for i in range(n)])
     path = os.path.join(out, "final_states.csv")
     rows = [[i] + list(finals[i]) + [int(np.argmax(finals[i]))] for i in range(n)]
     write_csv(path, ["trajectory"] + header[1:] + ["winner"], rows)
@@ -295,7 +255,7 @@ def scenario_correlated_figure(cfg, out, seed, threads):
     return files, None, True
 
 
-def scenario_priming(cfg, out, seed, threads):
+def scenario_priming(cfg, out, seed):
     lam_a = np.asarray(cfg["lam_first"], dtype=float)
     lam_b = np.asarray(cfg["lam_second"], dtype=float)
     w0 = np.asarray(cfg["w0"], dtype=float)
@@ -307,19 +267,10 @@ def scenario_priming(cfg, out, seed, threads):
     k_star = theory.iterations_for(params, cfg["alpha"], delta)
     results = {}
     for label, k_switch in (("unprimed", 0), ("primed", k_star)):
-        n_steps = k_switch + cfg["settle_steps"]
-
-        def shard(start, count):
-            p_final, _ = theory.priming_experiment(
-                lam_a, lam_b, w0, cfg["alpha"], k_switch, n_steps,
-                count, seed, index_start=start,
-            )
-            return p_final
-
-        p_final = np.concatenate(_run_sharded(shard, cfg["n_traj"], threads), axis=0)
-        winners = np.argmax(p_final, axis=1)
-        fractions = np.bincount(winners, minlength=d) / cfg["n_traj"]
-        results[label] = fractions
+        _, results[label] = theory.priming_experiment(
+            lam_a, lam_b, w0, cfg["alpha"], k_switch, k_switch + cfg["settle_steps"],
+            cfg["n_traj"], seed,
+        )
     floor = 1.0 - 2.0 * eps - cfg["slack"]
     ok = results["unprimed"][d - 1] >= floor and results["primed"][0] >= floor
     report = {
@@ -339,7 +290,7 @@ def scenario_priming(cfg, out, seed, threads):
     return [path], report, ok
 
 
-def _gap_verify(cfg, out, seed, threads, correlated):
+def _gap_verify(cfg, out, seed, correlated):
     if correlated:
         params = theory.CorrelatedParams(
             p0=cfg["p0"], gamma=cfg["gamma"], q_bound=cfg["q_bound"], epsilon=cfg["epsilon"]
@@ -353,22 +304,9 @@ def _gap_verify(cfg, out, seed, threads, correlated):
         gamma = None
         gap_params = params
 
-    def shard(start, count):
-        return theory.run_gap_ensemble(
-            cfg["p0"], alpha, cfg["n_steps"], count, seed,
-            gamma=gamma, checkpoints=cfg["checkpoints"], index_start=start,
-        )
-
-    parts = _run_sharded(shard, cfg["n_traj"], threads)
-    result = theory.EnsembleVerification(
-        checkpoints=parts[0].checkpoints,
-        p1_checkpoints=np.concatenate([p.p1_checkpoints for p in parts], axis=0),
-        martingale_checkpoints=np.concatenate(
-            [p.martingale_checkpoints for p in parts], axis=0
-        ),
-        theta_hat=np.concatenate([p.theta_hat for p in parts]),
-        ek_violations=sum(p.ek_violations for p in parts),
-        final_states=np.concatenate([p.final_states for p in parts], axis=0),
+    result = theory.run_gap_ensemble(
+        cfg["p0"], alpha, cfg["n_steps"], cfg["n_traj"], seed,
+        gamma=gamma, checkpoints=cfg["checkpoints"],
     )
     report = theory.verification_report(
         gap_params, alpha, result,
@@ -396,16 +334,16 @@ def _gap_verify(cfg, out, seed, threads, correlated):
     return [path], report, ok
 
 
-def scenario_thm22_verify(cfg, out, seed, threads):
-    return _gap_verify(cfg, out, seed, threads, correlated=False)
+def scenario_thm22_verify(cfg, out, seed):
+    return _gap_verify(cfg, out, seed, correlated=False)
 
 
-def scenario_thm_corr_verify(cfg, out, seed, threads):
-    return _gap_verify(cfg, out, seed, threads, correlated=True)
+def scenario_thm_corr_verify(cfg, out, seed):
+    return _gap_verify(cfg, out, seed, correlated=True)
 
 
-def scenario_thm23_verify(cfg, out, seed, threads):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def scenario_thm23_verify(cfg, out, seed):
+    rng = stream_for(seed)
     dims = list(cfg["dims"])
     violations = 0
     worst_margin = np.inf
@@ -442,7 +380,7 @@ def scenario_thm23_verify(cfg, out, seed, threads):
     return [path], report, ok
 
 
-def scenario_alg2_verify(cfg, out, seed, threads):
+def scenario_alg2_verify(cfg, out, seed):
     lam = np.asarray(cfg["lam"], dtype=float)
     w0 = np.asarray(cfg["w0"], dtype=float)
     d = lam.size
@@ -467,13 +405,9 @@ def scenario_alg2_verify(cfg, out, seed, threads):
     k_per_column = multi_mod.required_iterations(
         d, cfg["alpha"], gap, cfg["epsilon"], cfg["delta"]
     )
-
-    def shard(start, count):
-        return multi_mod.sequential_success_ensemble(
-            lam, w0, cfg["alpha"], k_per_column, count, seed, index_start=start
-        )
-
-    success = np.concatenate(_run_sharded(shard, cfg["n_seeds"], threads))
+    success = multi_mod.sequential_success_ensemble(
+        lam, w0, cfg["alpha"], k_per_column, cfg["n_seeds"], seed
+    )
     rate = float(success.mean())
     floor = (1.0 - cfg["epsilon"]) ** d - cfg["slack"]
     ok = rate >= floor
@@ -489,13 +423,13 @@ def scenario_alg2_verify(cfg, out, seed, threads):
     return [path], report, ok
 
 
-def scenario_spiking_validate(cfg, out, seed, threads):
+def scenario_spiking_validate(cfg, out, seed):
     lam = np.asarray(cfg["lam"], dtype=float)
     w = np.asarray(cfg["weights"], dtype=float)
     target = lam * w / float(np.dot(lam, w))
     rows = []
     ok = True
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = stream_for(seed)
     for thresh, n_events in zip(cfg["thresholds"], cfg["n_events"]):
         ids = spiking_mod.collect_triggers(lam, w, thresh, n_events, rng)
         freqs = np.bincount(ids, minlength=lam.size) / ids.size
@@ -522,8 +456,8 @@ def scenario_spiking_validate(cfg, out, seed, threads):
     return [path], report, ok
 
 
-def scenario_mirror_compare(cfg, out, seed, threads):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def scenario_mirror_compare(cfg, out, seed):
+    rng = stream_for(seed)
     alphas = np.asarray(cfg["alphas"], dtype=float)
     sup = np.zeros(alphas.size)
     for _ in range(cfg["n_points"]):
@@ -537,12 +471,11 @@ def scenario_mirror_compare(cfg, out, seed, threads):
     return [path], report, ok
 
 
-def scenario_landscape_grid(cfg, out, seed, threads):
+def scenario_landscape_grid(cfg, out, seed):
     path = os.path.join(out, "landscape.csv")
-    _write_landscape(path, cfg["grid_step"], gamma=cfg.get("gamma"))
-    pts, x, y, vals = landscape_grid(cfg["grid_step"])
+    vals = _write_landscape(path, cfg["grid_step"], gamma=cfg["gamma"])
     ok = True
-    if cfg.get("gamma") is None:
+    if cfg["gamma"] is None:
         ok = abs(float(vals.min()) - (-1.0 / 12.0)) <= 1e-5
     return [path], {"min_value": float(vals.min()), "passed": bool(ok)}, ok
 
@@ -596,7 +529,8 @@ def main(argv=None):
     parser.add_argument("--config", help="JSON file with parameter overrides")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="accepted and recorded in the manifest; has no effect")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     args = parser.parse_args(argv)
     if args.scenario not in SCENARIOS:
@@ -621,7 +555,7 @@ def main(argv=None):
         return 3
     started = time.time()
     try:
-        files, report, ok = SCENARIOS[args.scenario](cfg, out, args.seed, args.threads)
+        files, report, ok = SCENARIOS[args.scenario](cfg, out, args.seed)
     except InvalidInputError as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return 3

@@ -5,11 +5,14 @@ noise vector Z, and moves weights multiplicatively,
 w <- w * (1 + alpha * (B + Z)); the induced probabilities follow
 p <- p * (1 + alpha * Y) / (p . (1 + alpha * Y)) with Y = B + Z.
 
+`simulate` is the one stepping kernel: it runs a batch of keyed trajectories
+in lockstep, in probability or weight coordinates, with independent or
+correlated triggers and constant, time-varying or switched intensities.
 The module also provides the exact drift / martingale / residual split of a
-probability step, a correlated-trigger variant, a time-varying-intensity
-variant, and a seeded trajectory runner.
+probability step and a seeded, recorded single-trajectory runner.
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -25,8 +28,8 @@ from .simplex import (
 )
 
 # Number of steps worth of random numbers drawn from a stream at a time.
-# Both the scalar and the vectorized runners consume streams in these chunks,
-# so a trajectory is reproducible from (seed,) alone regardless of batching.
+# Every runner consumes streams in these chunks, so a trajectory is
+# reproducible from its key alone regardless of batching.
 CHUNK = 65536
 
 
@@ -63,52 +66,142 @@ class NoiseModel:
         return z
 
 
-@dataclass
-class StepSample:
-    """One step's randomness: one-hot trigger, noise, and their sum Y."""
-
-    trigger: np.ndarray
-    trigger_index: int
-    noise: np.ndarray
-
-    @property
-    def y(self):
-        return self.trigger + self.noise
+def check_rate(alpha, q_bound):
+    """Raise unless every rate in alpha lies in (0, 1/Q), the range in which
+    the update factor 1 + alpha * y stays positive for all admissible Y."""
+    a = np.asarray(alpha, dtype=float)
+    if not np.all((a > 0) & (a < 1.0 / q_bound)):
+        raise InvalidInputError(
+            "alpha=%s outside (0, 1/Q)=(0, %g)" % (np.array2string(a), 1.0 / q_bound)
+        )
 
 
-@dataclass
-class NoiseDecomposition:
-    """Exact split of a probability step into drift, martingale noise, and
-    a second-order residual:
+def stream_for(seed):
+    """Deterministic generator for a trajectory key (int or tuple of ints)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
-        p_next = p + alpha * drift - alpha * xi - theta
 
-    with |theta_i| <= alpha^2 * 2 Q^2 / (1 - Q alpha)^3 * p_i (1 - p_i)
-    almost surely.
+def draw_chunk(rngs, m, d, noise, n_pairs=0):
+    """The next m steps of randomness of every stream, drawn per stream in a
+    fixed order: m trigger uniforms, then (m, d) noise, then (m, n_pairs)
+    correlation uniforms. Returns (u, z, gu) with a leading stream axis; gu
+    is None when n_pairs is 0."""
+    n = len(rngs)
+    u = np.empty((n, m))
+    z = np.empty((n, m, d))
+    gu = np.empty((n, m, n_pairs)) if n_pairs else None
+    for i, rng in enumerate(rngs):
+        u[i] = rng.random(m)
+        z[i] = noise.sample(rng, (m, d))
+        if n_pairs:
+            gu[i] = rng.random((m, n_pairs))
+    return u, z, gu
+
+
+def _last_positive(p):
+    """Index of the last strictly positive entry along the last axis."""
+    p = np.asarray(p)
+    return p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
+
+
+def sample_triggers(p, u, top=None):
+    """Trigger indices by inverse CDF along the last axis of p: the number of
+    cumulative sums at or below u (searchsorted with side="right"), capped
+    at top.
+
+    A zero entry repeats the previous cumulative sum, so it is never picked;
+    the cap catches u at or above a total that rounding left below 1. top
+    defaults to the last positive entry of p; callers whose zero entries stay
+    zero may pass it precomputed."""
+    cum = np.cumsum(p, axis=-1)
+    idx = (cum <= np.asarray(u)[..., None]).sum(axis=-1)
+    return np.minimum(idx, _last_positive(p) if top is None else top)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_index(d):
+    """(d, d) table of the lexicographic number of each unordered pair i<j;
+    the diagonal points at pair 0."""
+    i, j = np.triu_indices(d, 1)
+    table = np.zeros((d, d), dtype=int)
+    table[i, j] = table[j, i] = np.arange(i.size)
+    return table
+
+
+def correlated_signals(idx, gu, gamma):
+    """Spike indicators S (n, d) given trigger indices idx (n,): S is the
+    trigger column of a symmetric Bernoulli matrix C with C_ij ~ Ber(gamma_ij),
+    C_ii = 1. gu (n, d(d-1)/2) supplies one uniform per unordered pair (i<j),
+    in lexicographic pair order.
+
+    The trigger itself always spikes because gamma_ii = 1 exceeds any
+    uniform in [0, 1)."""
+    rows = np.arange(idx.size)[:, None]
+    return (gu[rows, _pair_index(gamma.shape[0])[idx]] < gamma[idx]).astype(float)
+
+
+def probabilities(lam, w):
+    """Trigger probabilities lam * w / sum(lam * w) along the last axis."""
+    num = lam * w
+    return num / num.sum(axis=-1, keepdims=True)
+
+
+def _intensity(lam, k):
+    return lam(k) if callable(lam) else lam
+
+
+def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, observe=None):
+    """Run one trajectory per key in lockstep; returns the final states.
+
+    state0 (n, d) holds probabilities when lam is None and weights otherwise;
+    lam is an intensity vector, or a callable giving the intensities in force
+    at step k (time-varying intensities, switches). Row i consumes the stream
+    `stream_for(keys[i])` through `draw_chunk`, so a row does not depend on
+    the rest of the batch. Step k:
+
+        p = state                    (probability form)
+        p = lam_k * w / sum          (weight form)
+        y = B + Z, B one-hot from p  (the trigger column of C when gamma is given)
+        w = state * (1 + alpha * y), renormalised to p in the probability form
+
+    observe(k, p, y, next_state) is called after every step. The state is
+    checked for non-finite values after every chunk.
     """
-
-    drift: np.ndarray
-    xi: np.ndarray
-    theta: np.ndarray
-    theta_bound: np.ndarray
-
-
-def sample_trigger(p, rng):
-    """One-hot multinomial draw from p via inverse CDF (cumulative in index
-    order, so ties and zero entries are handled deterministically)."""
-    p = np.asarray(p, dtype=float)
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
-    idx = min(idx, p.size - 1)
-    b = np.zeros(p.size)
-    b[idx] = 1.0
-    return b, idx
-
-
-def draw_step_sample(p, noise, rng):
-    b, idx = sample_trigger(p, rng)
-    z = noise.sample(rng, p.shape[0])
-    return StepSample(trigger=b, trigger_index=idx, noise=z)
+    check_rate(alpha, noise.q_bound)
+    x = np.array(state0, dtype=float)
+    n, d = x.shape
+    if len(keys) != n:
+        raise InvalidInputError("%d keys for %d trajectories" % (len(keys), n))
+    n_pairs = 0
+    if gamma is not None:
+        gamma = validate_correlation(gamma)
+        n_pairs = d * (d - 1) // 2
+    rngs = [stream_for(key) for key in keys]
+    # zero entries stay exactly zero, so the last pickable coordinate is fixed
+    top = _last_positive(x)
+    eye_rows = np.eye(d)
+    k = 0
+    while k < n_steps:
+        m = min(CHUNK, n_steps - k)
+        u, z, gu = draw_chunk(rngs, m, d, noise, n_pairs)
+        for t in range(m):
+            p = x if lam is None else probabilities(_intensity(lam, k), x)
+            idx = sample_triggers(p, u[:, t], top)
+            sig = eye_rows[idx] if gamma is None else correlated_signals(idx, gu[:, t], gamma)
+            y = sig + z[:, t]
+            x_next = x * (1.0 + alpha * y)
+            if lam is None:
+                x_next /= x_next.sum(axis=1, keepdims=True)
+            if observe is not None:
+                observe(k, p, y, x_next)
+            x = x_next
+            k += 1
+        if not np.all(np.isfinite(x)):
+            raise InvalidInputError(
+                "state not finite after %d steps (alpha=%g too large for this horizon)"
+                % (k, alpha)
+            )
+    return x
 
 
 def step_weights(w, alpha, y):
@@ -136,8 +229,11 @@ def step_probabilities(p, alpha, y):
     return num / denom
 
 
-def decompose_step(p, alpha, y, gamma=None, q_bound=2.0):
-    """Exact drift / martingale / residual split of one probability step.
+def decompose_steps_batch(p, alpha, y, gamma=None, q_bound=2.0):
+    """Exact drift / martingale / residual split of a batch of probability
+    steps, p and y of shape (n, d):
+
+        p_next = p + alpha * drift - alpha * xi - theta
 
     With s = p.y and m = E[Y | p] (m = p for independent triggers, m = gamma @ p
     when triggers are correlated through gamma):
@@ -146,25 +242,8 @@ def decompose_step(p, alpha, y, gamma=None, q_bound=2.0):
         xi_i    = drift_i - p_i (y_i - s)          (conditionally centered)
         theta_i = alpha^2 p_i s (y_i - s) / (1 + alpha s)   (exact residual)
 
-    so that step_probabilities(p, alpha, y) == p + alpha*drift - alpha*xi - theta
-    identically.
-    """
-    p = np.asarray(p, dtype=float)
-    y = np.asarray(y, dtype=float)
-    m = p if gamma is None else np.asarray(gamma, dtype=float) @ p
-    s = float(np.dot(p, y))
-    drift = p * (m - np.dot(p, m))
-    xi = drift - p * (y - s)
-    theta = alpha * alpha * p * s * (y - s) / (1.0 + alpha * s)
-    qa = q_bound * alpha
-    bound = alpha * alpha * 2.0 * q_bound * q_bound / (1.0 - qa) ** 3 * p * (1.0 - p)
-    return NoiseDecomposition(drift=drift, xi=xi, theta=theta, theta_bound=bound)
-
-
-def decompose_steps_batch(p, alpha, y, gamma=None, q_bound=2.0):
-    """Vectorized `decompose_step` over a batch: p, y of shape (n, d).
-
-    Returns (drift, xi, theta, theta_bound, p_next) arrays."""
+    and |theta_i| <= theta_bound_i = alpha^2 2 Q^2 / (1 - Q alpha)^3 p_i (1 - p_i)
+    almost surely. Returns (drift, xi, theta, theta_bound, p_next)."""
     p = np.asarray(p, dtype=float)
     y = np.asarray(y, dtype=float)
     m = p if gamma is None else p @ np.asarray(gamma, dtype=float).T
@@ -194,40 +273,6 @@ def validate_correlation(gamma):
     if np.any(off < 0) or np.any(off > 1):
         raise InvalidInputError("off-diagonal entries must lie in [0, 1]")
     return g
-
-
-def correlated_signal(trigger_index, gamma_uniforms, gamma, d):
-    """Spike indicator vector S given the trigger index: S is the trigger
-    column of a symmetric Bernoulli matrix C with C_ij ~ Ber(gamma_ij),
-    C_ii = 1. gamma_uniforms supplies one uniform per unordered pair (i<j),
-    in lexicographic pair order."""
-    s = np.zeros(d)
-    s[trigger_index] = 1.0
-    k = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            if i == trigger_index and gamma_uniforms[k] < gamma[i, j]:
-                s[j] = 1.0
-            elif j == trigger_index and gamma_uniforms[k] < gamma[i, j]:
-                s[i] = 1.0
-            k += 1
-    return s
-
-
-def step_correlated(p, gamma, alpha, noise, rng):
-    """One probability step in the correlated-trigger model.
-
-    P(S_i = 1 | p) = (gamma @ p)_i; returns (p_next, StepSample with the
-    combined trigger-plus-correlation indicator as `trigger`)."""
-    p = np.asarray(p, dtype=float)
-    d = p.size
-    gamma = validate_correlation(gamma)
-    b, idx = sample_trigger(p, rng)
-    z = noise.sample(rng, d)
-    gu = rng.random(d * (d - 1) // 2)
-    s = correlated_signal(idx, gu, gamma, d)
-    y = s + z
-    return step_probabilities(p, alpha, y), StepSample(trigger=s, trigger_index=idx, noise=z)
 
 
 def step_inhomogeneous(w, lam_next, alpha, y):
@@ -263,10 +308,10 @@ class DynamicsConfig:
 
     def validated(self):
         errors = []
-        if not (0 < self.alpha < 1.0 / self.noise.q_bound):
-            errors.append(
-                "alpha=%g outside (0, 1/Q)=(0, %g)" % (self.alpha, 1.0 / self.noise.q_bound)
-            )
+        try:
+            check_rate(self.alpha, self.noise.q_bound)
+        except InvalidInputError as exc:
+            errors.append(str(exc))
         if self.n_steps < 0:
             errors.append("n_steps must be nonnegative")
         if self.record_stride < 1:
@@ -285,16 +330,17 @@ class DynamicsConfig:
             raise InvalidInputError("; ".join(errors))
         return self
 
-    def initial_state(self):
+    def kernel_inputs(self):
+        """(state0, lam, gamma) for `simulate`: weights and intensities (a
+        callable for the inhomogeneous variant) when lam or a schedule is
+        given, otherwise p0 in the probability form."""
+        gamma = self.gamma if self.variant == "correlated" else None
         if self.variant == "inhomogeneous":
-            lam0 = np.asarray(self.intensity_schedule(0), dtype=float)
-            w0 = validate_weights(self.w0)
-            return probabilities_from_weights(lam0, w0), w0.copy()
+            schedule = self.intensity_schedule
+            return validate_weights(self.w0), lambda k: np.asarray(schedule(k), dtype=float), gamma
         if self.p0 is not None:
-            return as_probability_vector(self.p0), None if self.w0 is None else validate_weights(self.w0).copy()
-        lam = validate_intensities(self.lam)
-        w0 = validate_weights(self.w0)
-        return probabilities_from_weights(lam, w0), w0.copy()
+            return as_probability_vector(self.p0), None, gamma
+        return validate_weights(self.w0), validate_intensities(self.lam), gamma
 
     def digest(self):
         payload = {
@@ -322,82 +368,58 @@ class TrajectoryRecord:
     states: np.ndarray
     weights: np.ndarray = None
     y_samples: np.ndarray = None
-    trigger_indices: np.ndarray = None
     seed: object = None
     config_digest: str = ""
 
 
-def stream_for(seed):
-    """Deterministic generator for a trajectory key (int or tuple of ints)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def final_probabilities(config, keys):
+    """Final probabilities of the trajectories keyed by `keys`, run as one
+    batch; row i equals `run_trajectory(config, keys[i]).states[-1]`."""
+    config.validated()
+    x0, lam, gamma = config.kernel_inputs()
+    x = simulate(np.tile(x0, (len(keys), 1)), config.alpha, config.n_steps, keys,
+                 config.noise, lam=lam, gamma=gamma)
+    return x if lam is None else probabilities(_intensity(lam, config.n_steps), x)
 
 
 def run_trajectory(config, seed):
-    """Run one seeded trajectory of the configured dynamics.
+    """Run one seeded trajectory of the configured dynamics and record it.
 
-    Randomness is consumed in fixed chunked order (trigger uniforms, noise,
-    correlation uniforms) so results depend only on (config, seed)."""
+    The trajectory is the batch-of-one run of `simulate` on stream key seed,
+    so it equals member `seed` of any batched run of the same config."""
     config.validated()
-    p, w = config.initial_state()
-    d = p.size
-    gamma = None if config.gamma is None else validate_correlation(config.gamma)
-    n_pairs = d * (d - 1) // 2
-    rng = stream_for(seed)
+    x0, lam, gamma = config.kernel_inputs()
     n = config.n_steps
-    stride = config.record_stride
-    rec_steps = list(range(0, n + 1, stride))
+    rec_steps = list(range(0, n + 1, config.record_stride))
     if rec_steps[-1] != n:
         rec_steps.append(n)
     rec_steps = np.array(rec_steps, dtype=int)
-    states = np.empty((rec_steps.size, d))
-    weights = np.empty((rec_steps.size, d)) if w is not None else None
-    y_samples = np.empty((n, d)) if config.record_samples else None
-    triggers = np.empty(n, dtype=int) if config.record_samples else None
-    rec_pos = 0
-    if rec_steps.size and rec_steps[0] == 0:
-        states[0] = p
-        if weights is not None:
-            weights[0] = w
-        rec_pos = 1
-    k = 0
-    while k < n:
-        m = min(CHUNK, n - k)
-        u = rng.random(m)
-        z = config.noise.sample(rng, (m, d))
-        gu = rng.random((m, n_pairs)) if config.variant == "correlated" else None
-        for t in range(m):
-            idx = int(np.searchsorted(np.cumsum(p), u[t], side="right"))
-            idx = min(idx, d - 1)
-            if config.variant == "correlated":
-                sig = correlated_signal(idx, gu[t], gamma, d)
-            else:
-                sig = np.zeros(d)
-                sig[idx] = 1.0
-            y = sig + z[t]
-            if config.record_samples:
-                y_samples[k] = y
-                triggers[k] = idx
-            if w is not None:
-                w = step_weights(w, config.alpha, y)
-                if config.variant == "inhomogeneous":
-                    lam = np.asarray(config.intensity_schedule(k + 1), dtype=float)
-                else:
-                    lam = np.asarray(config.lam, dtype=float)
-                p = probabilities_from_weights(lam, w)
-            else:
-                p = step_probabilities(p, config.alpha, y)
-            k += 1
-            if rec_pos < rec_steps.size and rec_steps[rec_pos] == k:
-                states[rec_pos] = p
-                if weights is not None:
-                    weights[rec_pos] = w
-                rec_pos += 1
+    states = np.empty((rec_steps.size, x0.size))
+    weights = None if lam is None else np.empty((rec_steps.size, x0.size))
+    y_samples = np.empty((n, x0.size)) if config.record_samples else None
+    pos = 0
+
+    def record(k, x):
+        nonlocal pos
+        if pos < rec_steps.size and rec_steps[pos] == k:
+            states[pos] = x if lam is None else probabilities(_intensity(lam, k), x)
+            if weights is not None:
+                weights[pos] = x
+            pos += 1
+
+    def observe(k, p, y, x_next):
+        if y_samples is not None:
+            y_samples[k] = y[0]
+        record(k + 1, x_next[0])
+
+    record(0, x0)
+    simulate(x0[None], config.alpha, n, [seed], config.noise, lam=lam, gamma=gamma,
+             observe=observe)
     return TrajectoryRecord(
         recorded_steps=rec_steps,
         states=states,
         weights=weights,
         y_samples=y_samples,
-        trigger_indices=triggers,
         seed=seed,
         config_digest=config.digest(),
     )

@@ -173,14 +173,3 @@ def flow_bound(p0, t):
     t = np.asarray(t, dtype=float)
     return 2.0 * (1.0 - p0[star]) * np.exp(-rate * t)
 
-
-def piecewise_constant_log_derivative(breakpoints, values):
-    """Adapter for intensity schedules that are constant between breakpoints:
-    the log derivative is zero inside segments (jumps are handled by the
-    caller re-reading probabilities at switch times)."""
-    d = np.asarray(values[0], dtype=float).size
-
-    def deriv(t):
-        return np.zeros(d)
-
-    return deriv

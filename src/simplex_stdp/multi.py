@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .simplex import InvalidInputError, validate_intensities
-from .dynamics import CHUNK, NoiseModel
+from .dynamics import (
+    CHUNK,
+    NoiseModel,
+    check_rate,
+    draw_chunk,
+    sample_triggers,
+    simulate,
+    stream_for,
+)
 
 
 def cosine_projection(w):
@@ -80,8 +88,10 @@ class MultiRunConfig:
             errors.append("each weight column must be nonnegative with positive sum")
         if alphas.size != w0.shape[1]:
             errors.append("one rate per output column required")
-        if np.any(alphas <= 0) or np.any(alphas >= 1.0 / self.noise.q_bound):
-            errors.append("rates must lie in (0, 1/Q)")
+        try:
+            check_rate(alphas, self.noise.q_bound)
+        except InvalidInputError as exc:
+            errors.append(str(exc))
         if self.n_steps < 0:
             errors.append("n_steps must be nonnegative")
         if errors:
@@ -96,7 +106,6 @@ class MultiRunRecord:
     probabilities: np.ndarray  # (n_rec, d, d_out)
     clip_events: int
     orthogonality_violation: float  # max |<increment, lower column>| / scale seen
-    clipped_steps: np.ndarray  # recorded-step flags: clip occurred since previous record
 
 
 def _probabilities_columns(lam, w):
@@ -132,10 +141,7 @@ def joint_run(config, seed):
     w = np.asarray(config.w0, dtype=float).copy()
     d, d_out = w.shape
     alphas = np.asarray(config.alphas, dtype=float)
-    rngs = [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, j))))
-        for j in range(d_out)
-    ]
+    rngs = [stream_for((seed, j)) for j in range(d_out)]
     n = config.n_steps
     rec = list(range(0, n + 1, config.record_stride))
     if rec[-1] != n:
@@ -143,35 +149,25 @@ def joint_run(config, seed):
     rec = np.array(rec, dtype=int)
     weights = np.empty((rec.size, d, d_out))
     probs = np.empty((rec.size, d, d_out))
-    clipped = np.zeros(rec.size, dtype=bool)
     pos = 0
     clip_events = 0
     ortho_violation = 0.0
-    clip_since_record = False
     k = 0
     while True:
         if pos < rec.size and rec[pos] == k:
             weights[pos] = w
             probs[pos] = _probabilities_columns(lam, w)
-            clipped[pos] = clip_since_record
-            clip_since_record = False
             pos += 1
         if k == n:
             break
         m = min(CHUNK, n - k)
-        u = np.empty((d_out, m))
-        z = np.empty((d_out, m, d))
-        for j in range(d_out):
-            u[j] = rngs[j].random(m)
-            z[j] = config.noise.sample(rngs[j], (m, d))
+        u, z, _ = draw_chunk(rngs, m, d, config.noise)
         for t in range(m):
             w_start = w.copy()
-            p_cols = _probabilities_columns(lam, w_start)
+            idx = sample_triggers(_probabilities_columns(lam, w_start).T, u[:, t])
             for j in range(d_out):
-                cum = np.cumsum(p_cols[:, j])
-                idx = min(int(np.searchsorted(cum, u[j, t], side="right")), d - 1)
                 y = z[j, t].copy()
-                y[idx] += 1.0
+                y[idx[j]] += 1.0
                 inc = alphas[j] * w_start[:, j] * y
                 if j > 0:
                     for ub in _orthonormal_basis([w_start[:, i] for i in range(j)]):
@@ -183,15 +179,12 @@ def joint_run(config, seed):
                 new_col = w_start[:, j] + inc
                 if np.any(new_col < 0):
                     clip_events += int(np.sum(new_col < 0))
-                    clip_since_record = True
                     np.clip(new_col, 0.0, None, out=new_col)
                 w[:, j] = new_col
             k += 1
             if pos < rec.size and rec[pos] == k and k < n:
                 weights[pos] = w
                 probs[pos] = _probabilities_columns(lam, w)
-                clipped[pos] = clip_since_record
-                clip_since_record = False
                 pos += 1
     return MultiRunRecord(
         recorded_steps=rec,
@@ -199,7 +192,6 @@ def joint_run(config, seed):
         probabilities=probs,
         clip_events=clip_events,
         orthogonality_violation=ortho_violation,
-        clipped_steps=clipped,
     )
 
 
@@ -207,37 +199,27 @@ def joint_final_errors(lam, w0, alphas, n_steps, n_seeds, seed, noise=None, inde
     """Vectorized-over-seeds joint scheme; returns the final half squared
     Frobenius error of each seed's probability matrix against the identity."""
     noise = noise or NoiseModel()
-    lam = np.asarray(lam, dtype=float)
+    lam = validate_intensities(lam)
     w0 = np.asarray(w0, dtype=float)
     d, d_out = w0.shape
     alphas = np.asarray(alphas, dtype=float)
+    check_rate(alphas, noise.q_bound)
     w = np.tile(w0, (n_seeds, 1, 1))  # (n_seeds, d, d_out)
-    rngs = [
-        [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index_start + s, j))))
-            for j in range(d_out)
-        ]
-        for s in range(n_seeds)
-    ]
+    rngs = [stream_for((seed, index_start + s, j)) for s in range(n_seeds) for j in range(d_out)]
     eye_rows = np.eye(d)
     k = 0
     while k < n_steps:
         m = min(CHUNK, n_steps - k)
-        u = np.empty((n_seeds, d_out, m))
-        z = np.empty((n_seeds, d_out, m, d))
-        for s in range(n_seeds):
-            for j in range(d_out):
-                u[s, j] = rngs[s][j].random(m)
-                z[s, j] = noise.sample(rngs[s][j], (m, d))
+        u, z, _ = draw_chunk(rngs, m, d, noise)
+        u = u.reshape(n_seeds, d_out, m)
+        z = z.reshape(n_seeds, d_out, m, d)
         for t in range(m):
             w_start = w.copy()
             num = lam[None, :, None] * w_start
             p_cols = num / num.sum(axis=1, keepdims=True)
+            idx = sample_triggers(p_cols.transpose(0, 2, 1), u[:, :, t])
             for j in range(d_out):
-                cum = np.cumsum(p_cols[:, :, j], axis=1)
-                idx = (u[:, j, t, None] > cum).sum(axis=1)
-                np.minimum(idx, d - 1, out=idx)
-                y = eye_rows[idx] + z[:, j, t]
+                y = eye_rows[idx[:, j]] + z[:, j, t]
                 inc = alphas[j] * w_start[:, :, j] * y
                 # per-seed modified Gram-Schmidt of the lower columns, then
                 # project the increment off their span
@@ -260,79 +242,48 @@ def joint_final_errors(lam, w0, alphas, n_steps, n_seeds, seed, noise=None, inde
     return 0.5 * (diff * diff).sum(axis=(1, 2))
 
 
+def _train_columns(lam, w0, alpha, k_per_column, keys, noise):
+    """The sequential scheme for a batch of runs, before projection.
+
+    Column j starts from w0 with the axes of the trained columns 0..j-1
+    zeroed (deflation against their axis-aligned outputs) and runs
+    k_per_column steps of the single-neuron rule on the streams keys(j).
+    Returns the trained columns, shape (n, d, d)."""
+    lam = validate_intensities(lam)
+    w0 = np.asarray(w0, dtype=float)
+    columns = []
+    for j in range(w0.size):
+        keys_j = keys(j)
+        w = np.tile(w0, (len(keys_j), 1))
+        for col in columns:
+            w[np.arange(len(keys_j)), np.argmax(col, axis=1)] = 0.0
+        columns.append(simulate(w, alpha, k_per_column, keys_j, noise, lam=lam))
+    return np.stack(columns, axis=2)
+
+
 def sequential_run(lam, w0, alpha, k_per_column, seed, noise=None):
     """Sequential scheme, single seeded run.
 
-    Column j starts from w0 deflated against the frozen outputs of columns
-    0..j-1 (which are axis-aligned, so deflation zeroes those coordinates),
-    runs k_per_column multiplicative steps of the single-neuron rule, and is
-    then snapped onto its dominant axis. Returns (W_star, P_star)."""
-    noise = noise or NoiseModel()
-    lam = validate_intensities(lam)
-    w0 = np.asarray(w0, dtype=float)
-    d = w0.size
-    w_star = np.zeros((d, d))
-    for j in range(d):
-        w = w0.copy()
-        for i in range(j):
-            base = w_star[:, i]
-            w = w - (np.dot(w, base) / np.dot(base, base)) * base
-        np.clip(w, 0.0, None, out=w)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, j))))
-        k = 0
-        while k < k_per_column:
-            m = min(CHUNK, k_per_column - k)
-            u = rng.random(m)
-            z = noise.sample(rng, (m, d))
-            for t in range(m):
-                num = lam * w
-                p = num / num.sum()
-                idx = min(int(np.searchsorted(np.cumsum(p), u[t], side="right")), d - 1)
-                y = z[t].copy()
-                y[idx] += 1.0
-                w = w * (1.0 + alpha * y)
-                k += 1
-        w_star[:, j] = cosine_projection(w)
-    p_star = _probabilities_columns(lam, w_star)
-    return w_star, p_star
+    Column j (stream key (seed, j)) starts from w0 with the dominant axes of
+    the frozen outputs 0..j-1 zeroed, runs k_per_column multiplicative steps
+    of the single-neuron rule, and is then snapped onto its dominant axis.
+    Returns (W_star, P_star)."""
+    trained = _train_columns(lam, w0, alpha, k_per_column, lambda j: [(seed, j)],
+                             noise or NoiseModel())[0]
+    w_star = np.stack([cosine_projection(col) for col in trained.T], axis=1)
+    return w_star, _probabilities_columns(np.asarray(lam, dtype=float), w_star)
 
 
 def sequential_success_ensemble(lam, w0, alpha, k_per_column, n_seeds, seed, noise=None, index_start=0):
-    """Vectorized-over-seeds sequential scheme.
+    """Vectorized-over-seeds sequential scheme; seed s uses the stream key
+    (seed, index_start + s, j) for column j.
 
     Returns a boolean array: seed s succeeded when its final probability
     matrix is exactly the identity (column j snapped onto axis j)."""
-    noise = noise or NoiseModel()
-    lam = np.asarray(lam, dtype=float)
-    w0 = np.asarray(w0, dtype=float)
-    d = w0.size
-    eye_rows = np.eye(d)
-    axes = np.full((n_seeds, d), -1, dtype=int)  # chosen axis per column
-    for j in range(d):
-        w = np.tile(w0, (n_seeds, 1))
-        for s in range(n_seeds):
-            for i in range(j):
-                w[s, axes[s, i]] = 0.0
-        rngs = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index_start + s, j))))
-            for s in range(n_seeds)
-        ]
-        k = 0
-        while k < k_per_column:
-            m = min(CHUNK, k_per_column - k)
-            u = np.empty((n_seeds, m))
-            z = np.empty((n_seeds, m, d))
-            for s in range(n_seeds):
-                u[s] = rngs[s].random(m)
-                z[s] = noise.sample(rngs[s], (m, d))
-            for t in range(m):
-                num = lam * w
-                p = num / num.sum(axis=1, keepdims=True)
-                cum = np.cumsum(p, axis=1)
-                idx = (u[:, t, None] > cum).sum(axis=1)
-                np.minimum(idx, d - 1, out=idx)
-                y = eye_rows[idx] + z[:, t]
-                w = w * (1.0 + alpha * y)
-                k += 1
-        axes[:, j] = np.argmax(w, axis=1)
-    return (axes == np.arange(d)).all(axis=1)
+    trained = _train_columns(
+        lam, w0, alpha, k_per_column,
+        lambda j: [(seed, index_start + s, j) for s in range(n_seeds)],
+        noise or NoiseModel(),
+    )
+    axes = np.argmax(trained, axis=1)
+    return (axes == np.arange(trained.shape[1])).all(axis=1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import InvalidInputError, as_probability_vector, probabilities_from_weights
-from .dynamics import CHUNK, NoiseModel, validate_correlation
+from .dynamics import NoiseModel, probabilities, simulate, validate_correlation
 
 BISECT_REL_TOL = 1e-12
 
@@ -106,12 +106,6 @@ def error_bound(params, alpha, k):
     g, d = params.gap, params.d
     k = np.asarray(k, dtype=float)
     return 2.0 * (1.0 - params.p0[0]) * np.exp(-(alpha / 16.0) * (4.0 * g / d + g * g) * k)
-
-
-def contraction_rate(params, alpha):
-    """Per-step contraction factor 1 - (alpha gap / (4d)) (1 + gap (d-1)/2)."""
-    g, d = params.gap, params.d
-    return 1.0 - alpha * g / (4.0 * d) * (1.0 + g * (d - 1) / 2.0)
 
 
 def iterations_for(params, alpha, delta):
@@ -314,10 +308,9 @@ def run_gap_ensemble(
     """Run n_traj seeded trajectories in lockstep while tracking the gap event,
     the stopped noise martingales, and the maximal-inequality flags.
 
-    Trajectory i uses the stream keyed by (seed, index_start + i), with the
-    same chunked consumption order as `dynamics.run_trajectory`, so ensembles
-    are order-independent, shardable across workers, and each member can be
-    reproduced in isolation."""
+    Trajectory i is the `dynamics.simulate` run on stream key
+    (seed, index_start + i), so ensembles are order-independent and each
+    member equals `dynamics.run_trajectory` with that key."""
     noise = noise or NoiseModel()
     p0 = as_probability_vector(p0)
     d = p0.size
@@ -329,15 +322,9 @@ def run_gap_ensemble(
         gap_gamma = _gap(gamma @ p0)
         ginf = float(np.abs(gamma).sum(axis=1).max())
         threshold = 0.25 * min(gap, gap_gamma / ginf)
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     else:
         threshold = gap / 4.0
     checkpoints = np.array(sorted(set(int(c) for c in checkpoints)), dtype=int)
-    p = np.tile(p0, (n_traj, 1))
-    rngs = [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index_start + i))))
-        for i in range(n_traj)
-    ]
     mart = np.zeros((n_traj, d))
     max_abs = np.zeros((n_traj, d))
     alive = np.ones(n_traj, dtype=bool)
@@ -345,56 +332,36 @@ def run_gap_ensemble(
     p1_cp = np.empty((n_traj, checkpoints.size))
     mart_cp = np.empty((n_traj, d, checkpoints.size))
     cp_pos = 0
-    while cp_pos < checkpoints.size and checkpoints[cp_pos] == 0:
-        p1_cp[:, cp_pos] = p[:, 0]
-        mart_cp[:, :, cp_pos] = mart
-        cp_pos += 1
-    k = 0
-    eye_rows = np.eye(d)
-    while k < n_steps:
-        m = min(CHUNK, n_steps - k)
-        u = np.empty((n_traj, m))
-        z = np.empty((n_traj, m, d))
+
+    def record(k, p):
+        nonlocal cp_pos
+        while cp_pos < checkpoints.size and checkpoints[cp_pos] == k:
+            p1_cp[:, cp_pos] = p[:, 0]
+            mart_cp[:, :, cp_pos] = mart
+            cp_pos += 1
+
+    def observe(k, p, y, p_next):
+        nonlocal alive, ek_violations, mart
+        s = (p * y).sum(axis=1, keepdims=True)
+        mean_y = p if gamma is None else p @ gamma.T
+        drift = p * (mean_y - (p * mean_y).sum(axis=1, keepdims=True))
+        xi = drift - p * (y - s)
+        mart += alpha * xi * alive[:, None]
+        np.maximum(max_abs, np.abs(mart), out=max_abs)
+        e_now = (max_abs <= threshold).all(axis=1)
+        ok = p_next[:, 0] - p_next[:, 1:].max(axis=1) >= gap / 2.0
         if gamma is not None:
-            gu = np.empty((n_traj, m, len(pairs)))
-        for i, rng in enumerate(rngs):
-            u[i] = rng.random(m)
-            z[i] = noise.sample(rng, (m, d))
-            if gamma is not None:
-                gu[i] = rng.random((m, len(pairs)))
-        for t in range(m):
-            cum = np.cumsum(p, axis=1)
-            idx = (u[:, t, None] > cum).sum(axis=1)
-            np.minimum(idx, d - 1, out=idx)
-            sig = eye_rows[idx]
-            if gamma is not None:
-                sig = sig.copy()
-                for ke, (i, j) in enumerate(pairs):
-                    hit = gu[:, t, ke] < gamma[i, j]
-                    sig[:, j] = np.where((idx == i) & hit, 1.0, sig[:, j])
-                    sig[:, i] = np.where((idx == j) & hit, 1.0, sig[:, i])
-            y = sig + z[:, t]
-            s = (p * y).sum(axis=1, keepdims=True)
-            mean_y = p if gamma is None else p @ gamma.T
-            drift = p * (mean_y - (p * mean_y).sum(axis=1, keepdims=True))
-            xi = drift - p * (y - s)
-            mart += alpha * xi * alive[:, None]
-            np.maximum(max_abs, np.abs(mart), out=max_abs)
-            e_now = (max_abs <= threshold).all(axis=1)
-            num = p * (1.0 + alpha * y)
-            p = num / num.sum(axis=1, keepdims=True)
-            ok = p[:, 0] - p[:, 1:].max(axis=1) >= gap / 2.0
-            if gamma is not None:
-                gp = p @ gamma.T
-                ok &= gp[:, 0] - gp[:, 1:].max(axis=1) >= gap_gamma / 2.0
-            alive_next = alive & ok
-            ek_violations += int(np.sum(e_now & ~alive_next))
-            alive = alive_next
-            k += 1
-            while cp_pos < checkpoints.size and checkpoints[cp_pos] == k:
-                p1_cp[:, cp_pos] = p[:, 0]
-                mart_cp[:, :, cp_pos] = mart
-                cp_pos += 1
+            gp = p_next @ gamma.T
+            ok &= gp[:, 0] - gp[:, 1:].max(axis=1) >= gap_gamma / 2.0
+        alive_next = alive & ok
+        ek_violations += int(np.sum(e_now & ~alive_next))
+        alive = alive_next
+        record(k + 1, p_next)
+
+    p = np.tile(p0, (n_traj, 1))
+    record(0, p)
+    keys = [(seed, index_start + i) for i in range(n_traj)]
+    p = simulate(p, alpha, n_steps, keys, noise, gamma=gamma, observe=observe)
     return EnsembleVerification(
         checkpoints=checkpoints,
         p1_checkpoints=p1_cp,
@@ -482,33 +449,10 @@ def priming_experiment(
         )
     if errors:
         raise InvalidInputError("; ".join(errors))
-    w = np.tile(w0, (n_traj, 1))
-    rngs = [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index_start + i))))
-        for i in range(n_traj)
-    ]
-    eye_rows = np.eye(d)
-    k = 0
-    while k < n_steps:
-        m = min(CHUNK, n_steps - k)
-        u = np.empty((n_traj, m))
-        z = np.empty((n_traj, m, d))
-        for i, rng in enumerate(rngs):
-            u[i] = rng.random(m)
-            z[i] = noise.sample(rng, (m, d))
-        for t in range(m):
-            lam = lam_a if k < k_switch else lam_b
-            num = lam * w
-            p = num / num.sum(axis=1, keepdims=True)
-            cum = np.cumsum(p, axis=1)
-            idx = (u[:, t, None] > cum).sum(axis=1)
-            np.minimum(idx, d - 1, out=idx)
-            y = eye_rows[idx] + z[:, t]
-            w = w * (1.0 + alpha * y)
-            k += 1
-    lam_final = lam_a if n_steps <= k_switch else lam_b
-    num = lam_final * w
-    p_final = num / num.sum(axis=1, keepdims=True)
+    keys = [(seed, index_start + i) for i in range(n_traj)]
+    w = simulate(np.tile(w0, (n_traj, 1)), alpha, n_steps, keys, noise,
+                 lam=lambda k: lam_a if k < k_switch else lam_b)
+    p_final = probabilities(lam_a if n_steps <= k_switch else lam_b, w)
     winners = np.argmax(p_final, axis=1)
     fractions = np.bincount(winners, minlength=d) / n_traj
     return p_final, fractions

@@ -90,3 +90,14 @@ def test_verify_scenario_reports(tmp_path):
     report = json.loads((tmp_path / "thm22-verify" / "report.json").read_text())
     assert report["passed"] is True
     assert report["inclusion_violations"] == 0
+
+
+@pytest.mark.parametrize("args", [
+    # a rate above 1/Q makes update factors negative; the run used to pass
+    ["alg2-verify", "--set", "alpha=1.5", "--set", "n_seeds=4"],
+    # a valid rate whose weights overflow to inf/NaN over the horizon
+    ["priming", "--set", "alpha=0.2", "--set", "n_traj=20"],
+    ["priming", "--set", "alpha=1.5"],
+])
+def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
+    assert run(args + ["--out", str(tmp_path), "--threads", "1"]) == 3

@@ -7,12 +7,28 @@ from simplex_stdp import dynamics
 from simplex_stdp.simplex import InvalidInputError, probabilities_from_weights
 
 
+def _draw_y(p, noise, rng):
+    """Y = B + Z for one step from p, drawn from rng as the kernel draws it:
+    the trigger uniform, then the noise."""
+    idx = dynamics.sample_triggers(p, rng.random())
+    return np.eye(p.size)[idx] + noise.sample(rng, p.size)
+
+
+def _draw_correlated_signal(p, gamma, noise, rng):
+    """The spike indicator S of one correlated step, drawn from rng in the
+    kernel's order: trigger uniform, noise, then one uniform per pair."""
+    idx = dynamics.sample_triggers(p[None], [rng.random()])
+    noise.sample(rng, p.size)
+    gu = rng.random((1, p.size * (p.size - 1) // 2))
+    return dynamics.correlated_signals(idx, gu, gamma)[0]
+
+
 def test_step_probabilities_preserves_zeros_and_sum():
     rng = np.random.default_rng(0)
     p = np.array([0.0, 0.4, 0.6, 0.0])
     for _ in range(100):
-        s = dynamics.draw_step_sample(p, dynamics.NoiseModel(), rng)
-        p = dynamics.step_probabilities(p, 0.05, s.y)
+        y = _draw_y(p, dynamics.NoiseModel(), rng)
+        p = dynamics.step_probabilities(p, 0.05, y)
         assert p[0] == 0.0 and p[3] == 0.0
         assert abs(p.sum() - 1.0) < 1e-14
 
@@ -22,8 +38,8 @@ def test_simplex_drift_stays_small_over_many_steps():
     p = rng.dirichlet(np.ones(3))
     noise = dynamics.NoiseModel()
     for _ in range(10000):
-        s = dynamics.draw_step_sample(p, noise, rng)
-        p = dynamics.step_probabilities(p, 0.01, s.y)
+        y = _draw_y(p, noise, rng)
+        p = dynamics.step_probabilities(p, 0.01, y)
     assert abs(p.sum() - 1.0) < 1e-10
 
 
@@ -35,9 +51,9 @@ def test_weight_and_probability_updates_agree():
     p = probabilities_from_weights(lam, w)
     noise = dynamics.NoiseModel()
     for _ in range(2000):
-        s = dynamics.draw_step_sample(p, noise, rng)
-        w = dynamics.step_weights(w, 0.01, s.y)
-        p = dynamics.step_probabilities(p, 0.01, s.y)
+        y = _draw_y(p, noise, rng)
+        w = dynamics.step_weights(w, 0.01, y)
+        p = dynamics.step_probabilities(p, 0.01, y)
         assert np.abs(probabilities_from_weights(lam, w) - p).max() < 1e-11
 
 
@@ -72,11 +88,8 @@ def test_config_validation_lists_all_violations():
 def test_trigger_frequencies_match_probabilities():
     rng = np.random.default_rng(3)
     p = np.array([0.5, 0.3, 0.2])
-    counts = np.zeros(3)
     n = 20000
-    for _ in range(n):
-        _, idx = dynamics.sample_trigger(p, rng)
-        counts[idx] += 1
+    counts = np.bincount(dynamics.sample_triggers(np.tile(p, (n, 1)), rng.random(n)), minlength=3)
     assert np.abs(counts / n - p).max() < 0.01
 
 
@@ -86,16 +99,17 @@ def test_decomposition_reconstructs_and_centers():
     for alpha in (0.1, 0.01, 0.001):
         for _ in range(200):
             p = rng.dirichlet(np.ones(4))
-            s = dynamics.draw_step_sample(p, noise, rng)
-            dec = dynamics.decompose_step(p, alpha, s.y)
-            p_next = dynamics.step_probabilities(p, alpha, s.y)
-            recon = p + alpha * dec.drift - alpha * dec.xi - dec.theta
+            y = _draw_y(p, noise, rng)
+            drift, xi, theta, theta_bound, _ = dynamics.decompose_steps_batch(
+                p[None], alpha, y[None])
+            p_next = dynamics.step_probabilities(p, alpha, y)
+            recon = p + alpha * drift[0] - alpha * xi[0] - theta[0]
             assert np.abs(recon - p_next).max() < 1e-15
-            assert np.all(np.abs(dec.theta) <= dec.theta_bound + 1e-15)
+            assert np.all(np.abs(theta) <= theta_bound + 1e-15)
     # xi vanishes identically when Y is replaced by its conditional mean
     p = rng.dirichlet(np.ones(4))
-    dec = dynamics.decompose_step(p, 0.01, p)
-    assert np.abs(dec.xi).max() < 1e-16
+    xi = dynamics.decompose_steps_batch(p[None], 0.01, p[None])[1]
+    assert np.abs(xi).max() < 1e-16
 
 
 def test_decomposition_noise_is_conditionally_centered():
@@ -105,8 +119,8 @@ def test_decomposition_noise_is_conditionally_centered():
     total = np.zeros(3)
     n = 50000
     for _ in range(n):
-        s = dynamics.draw_step_sample(p, noise, rng)
-        total += dynamics.decompose_step(p, 0.01, s.y).xi
+        y = _draw_y(p, noise, rng)
+        total += dynamics.decompose_steps_batch(p[None], 0.01, y[None])[1][0]
     assert np.abs(total / n).max() < 0.01
 
 
@@ -118,8 +132,7 @@ def test_correlated_signal_marginals():
     total = np.zeros(3)
     n = 50000
     for _ in range(n):
-        _, sample = dynamics.step_correlated(p, gamma, 0.001, noise, rng)
-        total += sample.trigger
+        total += _draw_correlated_signal(p, gamma, noise, rng)
     assert np.abs(total / n - gamma @ p).max() < 0.01
 
 
@@ -128,8 +141,7 @@ def test_correlated_identity_reduces_to_independent():
     p = np.array([0.6, 0.4])
     noise = dynamics.NoiseModel()
     for _ in range(100):
-        _, sample = dynamics.step_correlated(p, np.eye(2), 0.01, noise, rng)
-        assert sample.trigger.sum() == 1.0
+        assert _draw_correlated_signal(p, np.eye(2), noise, rng).sum() == 1.0
 
 
 def test_correlation_matrix_validation():
@@ -149,9 +161,9 @@ def test_inhomogeneous_weight_and_probability_forms_agree():
     w = np.array([0.5, 1.5, 1.0])
     noise = dynamics.NoiseModel()
     p_tilde = probabilities_from_weights(lam_next, w)
-    s = dynamics.draw_step_sample(p_tilde, noise, rng)
-    w_next, p_next = dynamics.step_inhomogeneous(w, lam_next, 0.01, s.y)
-    alt = dynamics.step_probabilities(p_tilde, 0.01, s.y)
+    y = _draw_y(p_tilde, noise, rng)
+    w_next, p_next = dynamics.step_inhomogeneous(w, lam_next, 0.01, y)
+    alt = dynamics.step_probabilities(p_tilde, 0.01, y)
     assert np.abs(p_next - alt).max() < 1e-14
 
 
