@@ -37,6 +37,8 @@ from .flow import FlowSpec, flow_bound, flow_gap, integrate
 
 
 def _fmt(v):
+    if isinstance(v, str):
+        return v
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -227,11 +229,9 @@ def scenario_fig3_algorithm1(cfg, out, seed):
         record_stride=cfg["record_stride"],
     )
     rec = multi_mod.joint_run(config, seed)
-    rows = []
-    for i, k in enumerate(rec.recorded_steps):
-        rows.append([int(k), multi_mod.frobenius_half_error(rec.probabilities[i])])
     path = os.path.join(out, "frobenius_error.csv")
-    write_csv(path, ["k", "half_squared_error"], rows)
+    write_csv(path, ["k", "half_squared_error"],
+              zip(rec.recorded_steps, multi_mod.frobenius_half_error(rec.probabilities)))
     return [path], {"clip_events": rec.clip_events}, True
 
 
@@ -282,11 +282,8 @@ def scenario_priming(cfg, out, seed):
         "passed": bool(ok),
     }
     path = os.path.join(out, "priming.csv")
-    rows = [["unprimed"] + list(results["unprimed"]), ["primed"] + list(results["primed"])]
-    with open(path, "w") as fh:
-        fh.write("phase," + ",".join("fraction_%d" % (i + 1) for i in range(d)) + "\n")
-        for row in rows:
-            fh.write(row[0] + "," + ",".join(_fmt(v) for v in row[1:]) + "\n")
+    write_csv(path, ["phase"] + ["fraction_%d" % (i + 1) for i in range(d)],
+              [[label] + list(results[label]) for label in ("unprimed", "primed")])
     return [path], report, ok
 
 

@@ -23,6 +23,7 @@ from .simplex import (
     InvalidInputError,
     as_probability_vector,
     probabilities_from_weights,
+    recorded_steps,
     validate_intensities,
     validate_weights,
 )
@@ -98,6 +99,15 @@ def draw_chunk(rngs, m, d, noise, n_pairs=0):
     return u, z, gu
 
 
+def check_finite(x, k, alpha):
+    """Raise unless the state x after k steps is finite."""
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError(
+            "state not finite after %d steps (alpha=%s too large for this horizon)"
+            % (k, alpha)
+        )
+
+
 def _last_positive(p):
     """Index of the last strictly positive entry along the last axis."""
     p = np.asarray(p)
@@ -146,6 +156,14 @@ def probabilities(lam, w):
     return num / num.sum(axis=-1, keepdims=True)
 
 
+def rescale(w):
+    """Scale each row along the last axis by the power of two that brings its
+    largest entry into [0.5, 1). The scaling is exact while entries stay
+    normal, so probabilities and updates are bit-identical up to the factor."""
+    _, exponent = np.frexp(w.max(axis=-1, keepdims=True))
+    return np.ldexp(w, -exponent)
+
+
 def _intensity(lam, k):
     return lam(k) if callable(lam) else lam
 
@@ -165,7 +183,9 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, observe=
         w = state * (1 + alpha * y), renormalised to p in the probability form
 
     observe(k, p, y, next_state) is called after every step. The state is
-    checked for non-finite values after every chunk.
+    checked for non-finite values after every chunk, and between chunks each
+    weight row is scaled by a power of two (`rescale`), so returned weights
+    are defined up to that factor per row.
     """
     check_rate(alpha, noise.q_bound)
     x = np.array(state0, dtype=float)
@@ -196,11 +216,9 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, observe=
                 observe(k, p, y, x_next)
             x = x_next
             k += 1
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError(
-                "state not finite after %d steps (alpha=%g too large for this horizon)"
-                % (k, alpha)
-            )
+        check_finite(x, k, alpha)
+        if lam is not None and k < n_steps:
+            x = rescale(x)
     return x
 
 
@@ -362,7 +380,10 @@ class DynamicsConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """Recorded trajectory: states[i] is p at step recorded_steps[i]."""
+    """Recorded trajectory: states[i] is p at step recorded_steps[i].
+
+    weights[i] (weight form only) is defined up to a power-of-two factor,
+    since `simulate` rescales the weights between chunks."""
 
     recorded_steps: np.ndarray
     states: np.ndarray
@@ -390,10 +411,7 @@ def run_trajectory(config, seed):
     config.validated()
     x0, lam, gamma = config.kernel_inputs()
     n = config.n_steps
-    rec_steps = list(range(0, n + 1, config.record_stride))
-    if rec_steps[-1] != n:
-        rec_steps.append(n)
-    rec_steps = np.array(rec_steps, dtype=int)
+    rec_steps = recorded_steps(n, config.record_stride)
     states = np.empty((rec_steps.size, x0.size))
     weights = None if lam is None else np.empty((rec_steps.size, x0.size))
     y_samples = np.empty((n, x0.size)) if config.record_samples else None

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import InvalidInputError, as_probability_vector
+from .simplex import InvalidInputError, as_probability_vector, recorded_steps
 
 
 class IntegrationError(RuntimeError):
@@ -102,10 +102,7 @@ def integrate(spec):
             return correlated_rhs(q, gamma)
         return inhomogeneous_rhs(q, t, spec.log_intensity_derivative)
 
-    rec = list(range(0, n + 1, spec.record_stride))
-    if rec[-1] != n:
-        rec.append(n)
-    rec = np.array(rec, dtype=int)
+    rec = recorded_steps(n, spec.record_stride)
     times = rec * dt
     states = np.empty((rec.size, p.size))
     corrections = np.empty(rec.size)

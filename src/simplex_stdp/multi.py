@@ -13,12 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import InvalidInputError, validate_intensities
+from . import dynamics
+from .simplex import InvalidInputError, recorded_steps, validate_intensities
 from .dynamics import (
-    CHUNK,
     NoiseModel,
+    check_finite,
     check_rate,
     draw_chunk,
+    probabilities,
+    rescale,
     sample_triggers,
     simulate,
     stream_for,
@@ -35,11 +38,12 @@ def cosine_projection(w):
 
 
 def frobenius_half_error(p_matrix, target=None):
-    """(1/2) ||P - target||_F^2; target defaults to the identity."""
+    """(1/2) ||P - target||_F^2 over the last two axes; target defaults to
+    the identity (its first d_out columns for a (d, d_out) matrix)."""
     p = np.asarray(p_matrix, dtype=float)
-    t = np.eye(p.shape[0]) if target is None else np.asarray(target, dtype=float)
+    t = np.eye(*p.shape[-2:]) if target is None else np.asarray(target, dtype=float)
     diff = p - t
-    return 0.5 * float((diff * diff).sum())
+    return 0.5 * (diff * diff).sum(axis=(-2, -1))
 
 
 def required_iterations(d, alpha, gap, epsilon, delta):
@@ -101,6 +105,8 @@ class MultiRunConfig:
 
 @dataclass
 class MultiRunRecord:
+    """Recorded joint run; weights are defined up to a power-of-two factor per column."""
+
     recorded_steps: np.ndarray
     weights: np.ndarray  # (n_rec, d, d_out)
     probabilities: np.ndarray  # (n_rec, d, d_out)
@@ -108,182 +114,157 @@ class MultiRunRecord:
     orthogonality_violation: float  # max |<increment, lower column>| / scale seen
 
 
-def _probabilities_columns(lam, w):
-    num = lam[:, None] * w
-    return num / num.sum(axis=0, keepdims=True)
+def _key_prefix(seed):
+    """A stream key prefix: an int seed is the prefix (seed,)."""
+    return seed if isinstance(seed, tuple) else (seed,)
 
 
-def _orthonormal_basis(columns):
-    """Modified Gram-Schmidt orthonormal basis of the given vectors (near-zero
-    residuals are dropped)."""
-    basis = []
-    for v in columns:
-        r = v.astype(float).copy()
-        for u in basis:
-            r -= np.dot(r, u) * u
-        norm = np.linalg.norm(r)
-        if norm > 1e-12 * max(1.0, np.linalg.norm(v)):
-            basis.append(r / norm)
-    return basis
+def _joint_steps(config, prefixes, observe=None):
+    """The joint scheme for a batch of runs; returns the final columns,
+    stored as rows: shape (n_runs, d_out, d).
+
+    Run r's column j draws from the stream prefixes[r] + (j,). Per step every
+    column's increment alpha_j * w_j * (B + Z) is projected off the span of
+    the start-of-step columns 0..j-1 (Gram-Schmidt residuals below 1e-12 of
+    their column's norm are dropped), then negative entries are clipped.
+    observe(k, w, inc, w_next) is called after every step; the columns are
+    checked after every chunk and rescaled between chunks as in `simulate`."""
+    lam = validate_intensities(config.lam)
+    alphas = np.asarray(config.alphas, dtype=float)[:, None]
+    w = np.tile(np.asarray(config.w0, dtype=float).T, (len(prefixes), 1, 1))
+    n, d_out, d = w.shape
+    rngs = [stream_for(prefix + (j,)) for prefix in prefixes for j in range(d_out)]
+    eye_rows = np.eye(d)
+    k = 0
+    while k < config.n_steps:
+        m = min(dynamics.CHUNK, config.n_steps - k)
+        u, z, _ = draw_chunk(rngs, m, d, config.noise)
+        u = u.reshape(n, d_out, m)
+        z = z.reshape(n, d_out, m, d)
+        for t in range(m):
+            idx = sample_triggers(probabilities(lam, w), u[:, :, t])
+            inc = alphas * w * (eye_rows[idx] + z[:, :, t])
+            basis = []
+            for i in range(d_out - 1):
+                r = w[:, i].copy()
+                for ub in basis:
+                    r -= (r * ub).sum(axis=-1, keepdims=True) * ub
+                norm = np.linalg.norm(r, axis=-1, keepdims=True)
+                keep = norm > 1e-12 * np.linalg.norm(w[:, i], axis=-1, keepdims=True)
+                ub = np.where(keep, r / np.maximum(norm, 1e-300), 0.0)
+                basis.append(ub)
+                higher = inc[:, i + 1:]
+                higher -= (higher * ub[:, None]).sum(axis=-1, keepdims=True) * ub[:, None]
+            w_next = np.clip(w + inc, 0.0, None)
+            if observe is not None:
+                observe(k, w, inc, w_next)
+            w = w_next
+            k += 1
+        check_finite(w, k, config.alphas)
+        if k < config.n_steps:
+            w = rescale(w)
+    return w
 
 
 def joint_run(config, seed):
-    """Joint deflation scheme, single seeded run.
-
-    Per step and column j: draw a one-hot trigger from column j's current
-    probabilities and a noise vector from that column's stream; the raw
-    increment alpha_j * w_j * (B + Z) is projected off the span of the
-    start-of-step columns 0..j-1 before being added, so the applied increment
-    is exactly orthogonal to each of them. Negative entries produced by
-    deflation are clipped to zero and counted."""
-    config.validated()
-    lam = np.asarray(config.lam, dtype=float)
-    w = np.asarray(config.w0, dtype=float).copy()
-    d, d_out = w.shape
-    alphas = np.asarray(config.alphas, dtype=float)
-    rngs = [stream_for((seed, j)) for j in range(d_out)]
-    n = config.n_steps
-    rec = list(range(0, n + 1, config.record_stride))
-    if rec[-1] != n:
-        rec.append(n)
-    rec = np.array(rec, dtype=int)
-    weights = np.empty((rec.size, d, d_out))
-    probs = np.empty((rec.size, d, d_out))
+    """Joint deflation scheme, single seeded run: the batch-of-one run of the
+    joint loop on key prefix seed (an int or a tuple), so column j uses the
+    stream prefix + (j,) and joint_run(config, (S, s)) equals member s of
+    joint_final_errors(..., seed=S). Records weights and probabilities every
+    record_stride steps, counts clipped entries and measures how far each
+    applied increment is from orthogonal to the lower columns."""
+    lam = validate_intensities(config.validated().lam)
+    rec = recorded_steps(config.n_steps, config.record_stride)
+    weights = np.empty((rec.size, *np.shape(config.w0)))
+    probs = np.empty_like(weights)
     pos = 0
     clip_events = 0
     ortho_violation = 0.0
-    k = 0
-    while True:
+
+    def record(k, w):
+        nonlocal pos
         if pos < rec.size and rec[pos] == k:
-            weights[pos] = w
-            probs[pos] = _probabilities_columns(lam, w)
+            weights[pos] = w.T
+            probs[pos] = probabilities(lam, w).T
             pos += 1
-        if k == n:
-            break
-        m = min(CHUNK, n - k)
-        u, z, _ = draw_chunk(rngs, m, d, config.noise)
-        for t in range(m):
-            w_start = w.copy()
-            idx = sample_triggers(_probabilities_columns(lam, w_start).T, u[:, t])
-            for j in range(d_out):
-                y = z[j, t].copy()
-                y[idx[j]] += 1.0
-                inc = alphas[j] * w_start[:, j] * y
-                if j > 0:
-                    for ub in _orthonormal_basis([w_start[:, i] for i in range(j)]):
-                        inc = inc - np.dot(inc, ub) * ub
-                for i in range(j):
-                    base = w_start[:, i]
-                    scale = max(np.linalg.norm(inc) * np.linalg.norm(base), 1e-300)
-                    ortho_violation = max(ortho_violation, abs(float(np.dot(inc, base))) / scale)
-                new_col = w_start[:, j] + inc
-                if np.any(new_col < 0):
-                    clip_events += int(np.sum(new_col < 0))
-                    np.clip(new_col, 0.0, None, out=new_col)
-                w[:, j] = new_col
-            k += 1
-            if pos < rec.size and rec[pos] == k and k < n:
-                weights[pos] = w
-                probs[pos] = _probabilities_columns(lam, w)
-                pos += 1
+
+    def observe(k, w, inc, w_next):
+        nonlocal clip_events, ortho_violation
+        clip_events += int(np.count_nonzero(w + inc < 0))
+        dots = np.abs(inc[0] @ w[0].T)
+        scale = np.maximum(np.outer(np.linalg.norm(inc[0], axis=-1),
+                                    np.linalg.norm(w[0], axis=-1)), 1e-300)
+        ortho_violation = np.fmax.reduce(np.tril(dots / scale, -1), axis=None,
+                                         initial=ortho_violation)
+        record(k + 1, w_next[0])
+
+    record(0, np.asarray(config.w0, dtype=float).T)
+    _joint_steps(config, [_key_prefix(seed)], observe)
     return MultiRunRecord(
         recorded_steps=rec,
         weights=weights,
         probabilities=probs,
         clip_events=clip_events,
-        orthogonality_violation=ortho_violation,
+        orthogonality_violation=float(ortho_violation),
     )
 
 
 def joint_final_errors(lam, w0, alphas, n_steps, n_seeds, seed, noise=None, index_start=0):
-    """Vectorized-over-seeds joint scheme; returns the final half squared
-    Frobenius error of each seed's probability matrix against the identity."""
-    noise = noise or NoiseModel()
-    lam = validate_intensities(lam)
-    w0 = np.asarray(w0, dtype=float)
-    d, d_out = w0.shape
-    alphas = np.asarray(alphas, dtype=float)
-    check_rate(alphas, noise.q_bound)
-    w = np.tile(w0, (n_seeds, 1, 1))  # (n_seeds, d, d_out)
-    rngs = [stream_for((seed, index_start + s, j)) for s in range(n_seeds) for j in range(d_out)]
-    eye_rows = np.eye(d)
-    k = 0
-    while k < n_steps:
-        m = min(CHUNK, n_steps - k)
-        u, z, _ = draw_chunk(rngs, m, d, noise)
-        u = u.reshape(n_seeds, d_out, m)
-        z = z.reshape(n_seeds, d_out, m, d)
-        for t in range(m):
-            w_start = w.copy()
-            num = lam[None, :, None] * w_start
-            p_cols = num / num.sum(axis=1, keepdims=True)
-            idx = sample_triggers(p_cols.transpose(0, 2, 1), u[:, :, t])
-            for j in range(d_out):
-                y = eye_rows[idx[:, j]] + z[:, j, t]
-                inc = alphas[j] * w_start[:, :, j] * y
-                # per-seed modified Gram-Schmidt of the lower columns, then
-                # project the increment off their span
-                basis = []
-                for i in range(j):
-                    r = w_start[:, :, i].copy()
-                    for ub in basis:
-                        r -= (r * ub).sum(axis=1, keepdims=True) * ub
-                    norm = np.linalg.norm(r, axis=1, keepdims=True)
-                    keep = norm > 1e-12
-                    ub = np.where(keep, r / np.maximum(norm, 1e-300), 0.0)
-                    basis.append(ub)
-                for ub in basis:
-                    inc = inc - (inc * ub).sum(axis=1, keepdims=True) * ub
-                w[:, :, j] = np.clip(w_start[:, :, j] + inc, 0.0, None)
-            k += 1
-    num = lam[None, :, None] * w
-    p = num / num.sum(axis=1, keepdims=True)
-    diff = p - np.eye(d)[None, :, :d_out]
-    return 0.5 * (diff * diff).sum(axis=(1, 2))
+    """Joint scheme for a batch of seeds; seed s runs on key prefix
+    (seed, index_start + s). Returns the final half squared Frobenius error
+    of each seed's probability matrix against the identity."""
+    config = MultiRunConfig(lam=lam, w0=w0, alphas=alphas, n_steps=n_steps,
+                            noise=noise or NoiseModel()).validated()
+    w = _joint_steps(config, [(seed, index_start + s) for s in range(n_seeds)])
+    return frobenius_half_error(probabilities(config.lam, w).transpose(0, 2, 1))
 
 
-def _train_columns(lam, w0, alpha, k_per_column, keys, noise):
+def _train_columns(lam, w0, alpha, k_per_column, prefixes, noise):
     """The sequential scheme for a batch of runs, before projection.
 
     Column j starts from w0 with the axes of the trained columns 0..j-1
     zeroed (deflation against their axis-aligned outputs) and runs
-    k_per_column steps of the single-neuron rule on the streams keys(j).
-    Returns the trained columns, shape (n, d, d)."""
+    k_per_column steps of the single-neuron rule; run r's column j uses the
+    stream keyed prefixes[r] + (j,). Returns the trained columns, shape
+    (n, d, d)."""
     lam = validate_intensities(lam)
     w0 = np.asarray(w0, dtype=float)
+    rows = np.arange(len(prefixes))
     columns = []
     for j in range(w0.size):
-        keys_j = keys(j)
-        w = np.tile(w0, (len(keys_j), 1))
+        w = np.tile(w0, (rows.size, 1))
         for col in columns:
-            w[np.arange(len(keys_j)), np.argmax(col, axis=1)] = 0.0
-        columns.append(simulate(w, alpha, k_per_column, keys_j, noise, lam=lam))
+            w[rows, np.argmax(col, axis=1)] = 0.0
+        keys = [prefix + (j,) for prefix in prefixes]
+        columns.append(simulate(w, alpha, k_per_column, keys, noise, lam=lam))
     return np.stack(columns, axis=2)
 
 
 def sequential_run(lam, w0, alpha, k_per_column, seed, noise=None):
-    """Sequential scheme, single seeded run.
+    """Sequential scheme, single seeded run on key prefix seed (an int or a
+    tuple): column j uses the stream prefix + (j,), so
+    sequential_run(..., (S, s)) is member s of
+    sequential_success_ensemble(..., seed=S).
 
-    Column j (stream key (seed, j)) starts from w0 with the dominant axes of
-    the frozen outputs 0..j-1 zeroed, runs k_per_column multiplicative steps
-    of the single-neuron rule, and is then snapped onto its dominant axis.
+    Column j starts from w0 with the dominant axes of the frozen outputs
+    0..j-1 zeroed, runs k_per_column multiplicative steps of the
+    single-neuron rule, and is then snapped onto its dominant axis.
     Returns (W_star, P_star)."""
-    trained = _train_columns(lam, w0, alpha, k_per_column, lambda j: [(seed, j)],
+    trained = _train_columns(lam, w0, alpha, k_per_column, [_key_prefix(seed)],
                              noise or NoiseModel())[0]
     w_star = np.stack([cosine_projection(col) for col in trained.T], axis=1)
-    return w_star, _probabilities_columns(np.asarray(lam, dtype=float), w_star)
+    return w_star, probabilities(np.asarray(lam, dtype=float), w_star.T).T
 
 
 def sequential_success_ensemble(lam, w0, alpha, k_per_column, n_seeds, seed, noise=None, index_start=0):
-    """Vectorized-over-seeds sequential scheme; seed s uses the stream key
-    (seed, index_start + s, j) for column j.
+    """Sequential scheme for a batch of seeds; seed s runs on key prefix
+    (seed, index_start + s).
 
     Returns a boolean array: seed s succeeded when its final probability
     matrix is exactly the identity (column j snapped onto axis j)."""
     trained = _train_columns(
         lam, w0, alpha, k_per_column,
-        lambda j: [(seed, index_start + s, j) for s in range(n_seeds)],
-        noise or NoiseModel(),
+        [(seed, index_start + s) for s in range(n_seeds)], noise or NoiseModel(),
     )
     axes = np.argmax(trained, axis=1)
     return (axes == np.arange(trained.shape[1])).all(axis=1)

@@ -60,6 +60,11 @@ def validate_weights(w):
     return w
 
 
+def recorded_steps(n, stride):
+    """The steps 0, stride, 2 stride, ... up to n that a run records, plus n."""
+    return np.unique(np.append(np.arange(0, n + 1, stride), n))
+
+
 def probabilities_from_weights(lam, w):
     """Map intensities and synaptic weights to trigger probabilities
     p_i = lam_i w_i / sum_j lam_j w_j."""

@@ -98,6 +98,7 @@ def test_verify_scenario_reports(tmp_path):
     # a valid rate whose weights overflow to inf/NaN over the horizon
     ["priming", "--set", "alpha=0.2", "--set", "n_traj=20"],
     ["priming", "--set", "alpha=1.5"],
+    ["fig3-algorithm1", "--set", "base_alpha=0.45", "--set", "n_steps=3000"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     assert run(args + ["--out", str(tmp_path), "--threads", "1"]) == 3

@@ -1,10 +1,15 @@
-"""Property tests of the batched stepping kernel `dynamics.simulate`."""
+"""Property tests of the batched stepping kernels: `dynamics.simulate` and
+the joint multi-output loop."""
+
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplex_stdp import dynamics
+from simplex_stdp import dynamics, multi
+from simplex_stdp.simplex import InvalidInputError
 
 NOISE = dynamics.NoiseModel()
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -106,3 +111,91 @@ def test_trigger_never_picks_a_zero_coordinate(p, u):
     for c in np.cumsum(p):
         if c < 1.0:
             assert p[dynamics.sample_triggers(p, c)] > 0
+
+
+@st.composite
+def weight_case(draw):
+    """Intensities and a (d, d_out) weight matrix of positive entries whose
+    columns may all be equal, as in fig3."""
+    d = draw(dims)
+    lam = draw(positive_vector(d, min_value=0.5))
+    w0 = np.stack([draw(positive_vector(d)) for _ in range(draw(st.integers(1, d)))], axis=1)
+    if draw(st.booleans()):
+        w0[:, 1:] = w0[:, :1]
+    return lam, w0
+
+
+@SETTINGS
+@given(weight_case(), seeds, alphas, steps, st.sampled_from([2.0**40, 2.0**-40]))
+def test_weight_runs_are_scale_invariant(case, seed, alpha, n_steps, scale):
+    lam, w0 = case
+    d, d_out = w0.shape
+    keys = [(seed, j) for j in range(d_out)]
+    # a short chunk makes the runs cross chunk boundaries, where weights are rescaled
+    with mock.patch.object(dynamics, "CHUNK", 16):
+        p = [dynamics.probabilities(lam, dynamics.simulate(w.T, alpha, n_steps, keys, NOISE,
+                                                           lam=lam)) for w in (w0, w0 * scale)]
+        joint = [multi.joint_final_errors(lam, w, [alpha] * d_out, n_steps, 2, seed)
+                 for w in (w0, w0 * scale)]
+        success = [multi.sequential_success_ensemble(lam, w[:, 0], alpha, n_steps, 3, seed)
+                   for w in (w0, w0 * scale)]
+    assert np.array_equal(p[0], p[1])
+    assert np.array_equal(joint[0], joint[1])
+    assert np.array_equal(success[0], success[1])
+
+
+@SETTINGS
+@given(dims.flatmap(lambda d: st.tuples(positive_vector(d, 0.5), positive_vector(d),
+                                        st.lists(st.floats(-1.0, 1.0), min_size=d,
+                                                 max_size=d).map(np.array))),
+       alphas, st.integers(min_value=-150, max_value=800))
+def test_rescale_leaves_probabilities_and_updates_unchanged(case, alpha, exponent):
+    lam, w, z = case
+    w = np.ldexp(w, exponent)[None]
+    y = np.eye(w.shape[1])[0] + z
+    w_scaled = dynamics.rescale(w)
+    assert 0.5 <= w_scaled.max() < 1.0
+    assert np.array_equal(dynamics.probabilities(lam, w_scaled), dynamics.probabilities(lam, w))
+    assert np.array_equal(dynamics.probabilities(lam, w_scaled * (1.0 + alpha * y)),
+                          dynamics.probabilities(lam, w * (1.0 + alpha * y)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rescaling_between_chunks_prevents_overflow(monkeypatch):
+    lam = np.array([10.0, 7.5, 5.0])
+    alpha, n_steps = 0.45, 3000
+    keys = [(5, 0), (5, 1)]
+    config = multi.MultiRunConfig(lam=lam, w0=np.ones((3, 3)), alphas=[alpha] * 3,
+                                  n_steps=n_steps, record_stride=n_steps)
+    # within one chunk the weights of both loops overflow over this horizon
+    with pytest.raises(InvalidInputError):
+        dynamics.simulate(np.ones((2, 3)), alpha, n_steps, keys, NOISE, lam=lam)
+    with pytest.raises(InvalidInputError):
+        multi.joint_run(config, 5)
+    monkeypatch.setattr(dynamics, "CHUNK", 256)
+    w = dynamics.simulate(np.ones((2, 3)), alpha, n_steps, keys, NOISE, lam=lam)
+    assert np.all(np.isfinite(dynamics.probabilities(lam, w)))
+    assert np.all(np.isfinite(multi.joint_run(config, 5).probabilities))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seeds, steps, st.sampled_from([2, 3]))
+def test_ensemble_members_equal_single_runs(seed, n_steps, d_out):
+    lam = np.array([10.0, 7.5, 5.0])
+    w0 = np.ones((3, d_out))
+    alphas = 0.05 * np.arange(1, d_out + 1)
+    config = multi.MultiRunConfig(lam=lam, w0=w0, alphas=alphas, n_steps=n_steps)
+    errors = multi.joint_final_errors(lam, w0, alphas, n_steps, 3, seed)
+    final = multi._joint_steps(config, [(seed, s) for s in range(3)])
+    success = multi.sequential_success_ensemble(lam, np.ones(3), 0.05, n_steps, 3, seed)
+    for s in range(3):
+        p = multi.joint_run(config, (seed, s)).probabilities[-1]
+        assert np.array_equal(p, dynamics.probabilities(lam, final[s]).T)
+        assert errors[s] == multi.frobenius_half_error(p)
+        _, p_star = multi.sequential_run(lam, np.ones(3), 0.05, n_steps, (seed, s))
+        assert success[s] == np.array_equal(p_star, np.eye(3))
+    # an int seed is the key prefix (seed,): column j keeps the stream (seed, j)
+    assert np.array_equal(multi.joint_run(config, seed).probabilities,
+                          multi.joint_run(config, (seed,)).probabilities)
+    assert np.array_equal(multi.sequential_run(lam, np.ones(3), 0.05, n_steps, seed)[0],
+                          multi.sequential_run(lam, np.ones(3), 0.05, n_steps, (seed,))[0])
