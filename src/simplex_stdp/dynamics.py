@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from .simplex import (
     InvalidInputError,
     as_probability_vector,
@@ -168,6 +169,67 @@ def _intensity(lam, k):
     return lam(k) if callable(lam) else lam
 
 
+def _gamma_dot(p, gamma):
+    """gamma @ p for each row of p, summed in numpy's pairwise order rather
+    than through BLAS, whose order the compiled step cannot reproduce."""
+    return (p[:, None, :] * gamma).sum(axis=-1)
+
+
+def _gap_of(v):
+    return v[:, 0] - v[:, 1:].max(axis=1)
+
+
+class GapTracker:
+    """Per-step tracking of `theory.run_gap_ensemble` for n probability
+    trajectories: the noise martingales M stopped when the gap event ends,
+    the running maxima of |M_j|, the gap event `alive` (the half-gap
+    condition, also on gamma @ p when correlated, held at every step so far)
+    and `ek_violations`, the steps at which the maximal-inequality event held
+    but the gap condition failed at the next step. At each checkpoint step
+    `record` stores p[:, 0] and M.
+
+    Passed to `simulate` as observe: calling it is the numpy step, and the
+    compiled step does the same arithmetic in C on the same arrays."""
+
+    def __init__(self, n, d, alpha, gap, threshold, checkpoints, gamma=None, gap_gamma=0.0):
+        self.alpha = alpha
+        self.half_gap = gap / 2.0
+        self.half_gap_gamma = gap_gamma / 2.0
+        self.threshold = threshold
+        self.gamma = None if gamma is None else np.ascontiguousarray(gamma, dtype=float)
+        self.checkpoints = checkpoints
+        self.mart = np.zeros((n, d))
+        self.max_abs = np.zeros((n, d))
+        self.alive = np.ones(n, dtype=bool)
+        self.ek_violations = 0
+        self.p1_checkpoints = np.empty((n, checkpoints.size))
+        self.martingale_checkpoints = np.empty((n, d, checkpoints.size))
+        self._pos = 0
+
+    def record(self, k, p):
+        """Store p[:, 0] and the martingales if step k is a checkpoint."""
+        while self._pos < self.checkpoints.size and self.checkpoints[self._pos] == k:
+            self.p1_checkpoints[:, self._pos] = p[:, 0]
+            self.martingale_checkpoints[:, :, self._pos] = self.mart
+            self._pos += 1
+
+    def __call__(self, k, p, y, p_next):
+        gamma = self.gamma
+        s = (p * y).sum(axis=1, keepdims=True)
+        mean_y = p if gamma is None else _gamma_dot(p, gamma)
+        drift = p * (mean_y - (p * mean_y).sum(axis=1, keepdims=True))
+        xi = drift - p * (y - s)
+        self.mart += self.alpha * xi * self.alive[:, None]
+        np.maximum(self.max_abs, np.abs(self.mart), out=self.max_abs)
+        e_now = (self.max_abs <= self.threshold).all(axis=1)
+        ok = _gap_of(p_next) >= self.half_gap
+        if gamma is not None:
+            ok &= _gap_of(_gamma_dot(p_next, gamma)) >= self.half_gap_gamma
+        self.alive &= ok
+        self.ek_violations += int(np.sum(e_now & ~self.alive))
+        self.record(k + 1, p_next)
+
+
 def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, observe=None):
     """Run one trajectory per key in lockstep; returns the final states.
 
@@ -182,20 +244,41 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, observe=
         y = B + Z, B one-hot from p  (the trigger column of C when gamma is given)
         w = state * (1 + alpha * y), renormalised to p in the probability form
 
-    observe(k, p, y, next_state) is called after every step. The state is
-    checked for non-finite values after every chunk, and between chunks each
-    weight row is scaled by a power of two (`rescale`), so returned weights
-    are defined up to that factor per row.
+    observe(k, p, y, next_state) is called after every step; a `GapTracker`
+    (probability form only) is advanced instead and records its checkpoints
+    from step 0 on.
+    The state is checked for non-finite values after every chunk, and
+    between chunks each weight row is scaled by a power of two (`rescale`),
+    so returned weights are defined up to that factor per row.
+
+    The steps of a chunk run in the compiled step of `_kernel` when it loads
+    and alpha is a scalar, lam is None or an array, and observe is None or a
+    `GapTracker`; otherwise, and as the reference, in a numpy loop. Both
+    give the same results bit for bit.
     """
     check_rate(alpha, noise.q_bound)
-    x = np.array(state0, dtype=float)
+    x = np.array(state0, dtype=float, order="C")
     n, d = x.shape
     if len(keys) != n:
         raise InvalidInputError("%d keys for %d trajectories" % (len(keys), n))
     n_pairs = 0
+    pair = None
     if gamma is not None:
         gamma = validate_correlation(gamma)
         n_pairs = d * (d - 1) // 2
+        pair = _pair_index(d)
+    tracker = observe if isinstance(observe, GapTracker) else None
+    compiled = None
+    if (np.ndim(alpha) == 0 and not callable(lam) and (observe is None or tracker is not None)
+            and (lam is None or np.shape(lam) == (d,))):
+        compiled = _kernel.library()
+    if compiled is not None:
+        lam = None if lam is None else np.ascontiguousarray(lam, dtype=float)
+        gamma = None if gamma is None else np.ascontiguousarray(gamma)
+    stops = ()
+    if tracker is not None:
+        stops = tracker.checkpoints
+        tracker.record(0, x)
     rngs = [stream_for(key) for key in keys]
     # zero entries stay exactly zero, so the last pickable coordinate is fixed
     top = _last_positive(x)
@@ -204,18 +287,30 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, observe=
     while k < n_steps:
         m = min(CHUNK, n_steps - k)
         u, z, gu = draw_chunk(rngs, m, d, noise, n_pairs)
-        for t in range(m):
-            p = x if lam is None else probabilities(_intensity(lam, k), x)
-            idx = sample_triggers(p, u[:, t], top)
-            sig = eye_rows[idx] if gamma is None else correlated_signals(idx, gu[:, t], gamma)
-            y = sig + z[:, t]
-            x_next = x * (1.0 + alpha * y)
-            if lam is None:
-                x_next /= x_next.sum(axis=1, keepdims=True)
-            if observe is not None:
-                observe(k, p, y, x_next)
-            x = x_next
-            k += 1
+        if compiled is not None:
+            # split the chunk at checkpoints, so the tracker records them
+            ends = [int(c) - k for c in stops if k < c < k + m] + [m]
+            t0 = 0
+            for t1 in ends:
+                _kernel.advance(compiled, x, float(alpha), t0, t1, u, z, gu, top,
+                                lam, gamma, pair, tracker)
+                if tracker is not None:
+                    tracker.record(k + t1, x)
+                t0 = t1
+            k += m
+        else:
+            for t in range(m):
+                p = x if lam is None else probabilities(_intensity(lam, k), x)
+                idx = sample_triggers(p, u[:, t], top)
+                sig = eye_rows[idx] if gamma is None else correlated_signals(idx, gu[:, t], gamma)
+                y = sig + z[:, t]
+                x_next = x * (1.0 + alpha * y)
+                if lam is None:
+                    x_next /= x_next.sum(axis=1, keepdims=True)
+                if observe is not None:
+                    observe(k, p, y, x_next)
+                x = x_next
+                k += 1
         check_finite(x, k, alpha)
         if lam is not None and k < n_steps:
             x = rescale(x)

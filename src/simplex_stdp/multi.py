@@ -111,7 +111,6 @@ class MultiRunRecord:
     weights: np.ndarray  # (n_rec, d, d_out)
     probabilities: np.ndarray  # (n_rec, d, d_out)
     clip_events: int
-    orthogonality_violation: float  # max |<increment, lower column>| / scale seen
 
 
 def _key_prefix(seed):
@@ -171,15 +170,13 @@ def joint_run(config, seed):
     joint loop on key prefix seed (an int or a tuple), so column j uses the
     stream prefix + (j,) and joint_run(config, (S, s)) equals member s of
     joint_final_errors(..., seed=S). Records weights and probabilities every
-    record_stride steps, counts clipped entries and measures how far each
-    applied increment is from orthogonal to the lower columns."""
+    record_stride steps and counts clipped entries."""
     lam = validate_intensities(config.validated().lam)
     rec = recorded_steps(config.n_steps, config.record_stride)
     weights = np.empty((rec.size, *np.shape(config.w0)))
     probs = np.empty_like(weights)
     pos = 0
     clip_events = 0
-    ortho_violation = 0.0
 
     def record(k, w):
         nonlocal pos
@@ -189,13 +186,8 @@ def joint_run(config, seed):
             pos += 1
 
     def observe(k, w, inc, w_next):
-        nonlocal clip_events, ortho_violation
+        nonlocal clip_events
         clip_events += int(np.count_nonzero(w + inc < 0))
-        dots = np.abs(inc[0] @ w[0].T)
-        scale = np.maximum(np.outer(np.linalg.norm(inc[0], axis=-1),
-                                    np.linalg.norm(w[0], axis=-1)), 1e-300)
-        ortho_violation = np.fmax.reduce(np.tril(dots / scale, -1), axis=None,
-                                         initial=ortho_violation)
         record(k + 1, w_next[0])
 
     record(0, np.asarray(config.w0, dtype=float).T)
@@ -205,7 +197,6 @@ def joint_run(config, seed):
         weights=weights,
         probabilities=probs,
         clip_events=clip_events,
-        orthogonality_violation=float(ortho_violation),
     )
 
 

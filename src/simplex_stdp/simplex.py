@@ -62,6 +62,8 @@ def validate_weights(w):
 
 def recorded_steps(n, stride):
     """The steps 0, stride, 2 stride, ... up to n that a run records, plus n."""
+    if stride < 1:
+        raise InvalidInputError("record_stride must be >= 1, got %r" % (stride,))
     return np.unique(np.append(np.arange(0, n + 1, stride), n))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import InvalidInputError, as_probability_vector, probabilities_from_weights
-from .dynamics import NoiseModel, probabilities, simulate, validate_correlation
+from .dynamics import GapTracker, NoiseModel, probabilities, simulate, validate_correlation
 
 BISECT_REL_TOL = 1e-12
 
@@ -310,13 +310,24 @@ def run_gap_ensemble(
 
     Trajectory i is the `dynamics.simulate` run on stream key
     (seed, index_start + i), so ensembles are order-independent and each
-    member equals `dynamics.run_trajectory` with that key."""
+    member equals `dynamics.run_trajectory` with that key. The tracking is a
+    `dynamics.GapTracker`, which `simulate` advances in its compiled step
+    when that loads (numpy otherwise, with identical results); p_1 and the
+    martingales are recorded at each checkpoint, a step in [0, n_steps]."""
     noise = noise or NoiseModel()
     p0 = as_probability_vector(p0)
     d = p0.size
     gap = _gap(p0)
     if gap <= 0:
         raise InvalidInputError("first coordinate must be strictly dominant")
+    if n_traj < 1:
+        raise InvalidInputError("n_traj must be at least 1, got %d" % n_traj)
+    checkpoints = np.array(sorted(set(int(c) for c in checkpoints)), dtype=int)
+    if checkpoints.size and (checkpoints[0] < 0 or checkpoints[-1] > n_steps):
+        raise InvalidInputError(
+            "checkpoints must lie in [0, n_steps=%d], got %s" % (n_steps, checkpoints.tolist())
+        )
+    gap_gamma = 0.0
     if gamma is not None:
         gamma = validate_correlation(gamma)
         gap_gamma = _gap(gamma @ p0)
@@ -324,50 +335,16 @@ def run_gap_ensemble(
         threshold = 0.25 * min(gap, gap_gamma / ginf)
     else:
         threshold = gap / 4.0
-    checkpoints = np.array(sorted(set(int(c) for c in checkpoints)), dtype=int)
-    mart = np.zeros((n_traj, d))
-    max_abs = np.zeros((n_traj, d))
-    alive = np.ones(n_traj, dtype=bool)
-    ek_violations = 0
-    p1_cp = np.empty((n_traj, checkpoints.size))
-    mart_cp = np.empty((n_traj, d, checkpoints.size))
-    cp_pos = 0
-
-    def record(k, p):
-        nonlocal cp_pos
-        while cp_pos < checkpoints.size and checkpoints[cp_pos] == k:
-            p1_cp[:, cp_pos] = p[:, 0]
-            mart_cp[:, :, cp_pos] = mart
-            cp_pos += 1
-
-    def observe(k, p, y, p_next):
-        nonlocal alive, ek_violations, mart
-        s = (p * y).sum(axis=1, keepdims=True)
-        mean_y = p if gamma is None else p @ gamma.T
-        drift = p * (mean_y - (p * mean_y).sum(axis=1, keepdims=True))
-        xi = drift - p * (y - s)
-        mart += alpha * xi * alive[:, None]
-        np.maximum(max_abs, np.abs(mart), out=max_abs)
-        e_now = (max_abs <= threshold).all(axis=1)
-        ok = p_next[:, 0] - p_next[:, 1:].max(axis=1) >= gap / 2.0
-        if gamma is not None:
-            gp = p_next @ gamma.T
-            ok &= gp[:, 0] - gp[:, 1:].max(axis=1) >= gap_gamma / 2.0
-        alive_next = alive & ok
-        ek_violations += int(np.sum(e_now & ~alive_next))
-        alive = alive_next
-        record(k + 1, p_next)
-
-    p = np.tile(p0, (n_traj, 1))
-    record(0, p)
+    tracker = GapTracker(n_traj, d, alpha, gap, threshold, checkpoints, gamma, gap_gamma)
     keys = [(seed, index_start + i) for i in range(n_traj)]
-    p = simulate(p, alpha, n_steps, keys, noise, gamma=gamma, observe=observe)
+    p = simulate(np.tile(p0, (n_traj, 1)), alpha, n_steps, keys, noise, gamma=gamma,
+                 observe=tracker)
     return EnsembleVerification(
         checkpoints=checkpoints,
-        p1_checkpoints=p1_cp,
-        martingale_checkpoints=mart_cp,
-        theta_hat=alive,
-        ek_violations=ek_violations,
+        p1_checkpoints=tracker.p1_checkpoints,
+        martingale_checkpoints=tracker.martingale_checkpoints,
+        theta_hat=tracker.alive,
+        ek_violations=tracker.ek_violations,
         final_states=p,
     )
 

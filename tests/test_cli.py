@@ -99,6 +99,13 @@ def test_verify_scenario_reports(tmp_path):
     ["priming", "--set", "alpha=0.2", "--set", "n_traj=20"],
     ["priming", "--set", "alpha=1.5"],
     ["fig3-algorithm1", "--set", "base_alpha=0.45", "--set", "n_steps=3000"],
+    # checkpoints past the horizon and empty ensembles used to write garbage rows
+    ["thm22-verify", "--set", "n_steps=10", "--set", "checkpoints=[0,20]"],
+    ["thm22-verify", "--set", "n_traj=0", "--set", "n_steps=10", "--set", "checkpoints=[0,10]"],
+    ["thm-corr-verify", "--set", "n_steps=10", "--set", "checkpoints=[-1,10]"],
+    # a zero record stride used to end in a ZeroDivisionError traceback
+    ["fig3-algorithm1", "--set", "record_stride=0", "--set", "n_steps=10"],
+    ["thm23-verify", "--set", "record_stride=0", "--set", "n_cases=2"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     assert run(args + ["--out", str(tmp_path), "--threads", "1"]) == 3

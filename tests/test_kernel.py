@@ -1,6 +1,7 @@
-"""Property tests of the batched stepping kernels: `dynamics.simulate` and
-the joint multi-output loop."""
+"""Property tests of the batched stepping kernels: `dynamics.simulate` (its
+compiled step against its numpy loop) and the joint multi-output loop."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplex_stdp import dynamics, multi
+from simplex_stdp import _kernel, cli, dynamics, multi, theory
 from simplex_stdp.simplex import InvalidInputError
 
 NOISE = dynamics.NoiseModel()
@@ -199,3 +200,151 @@ def test_ensemble_members_equal_single_runs(seed, n_steps, d_out):
                           multi.joint_run(config, (seed,)).probabilities)
     assert np.array_equal(multi.sequential_run(lam, np.ones(3), 0.05, n_steps, seed)[0],
                           multi.sequential_run(lam, np.ones(3), 0.05, n_steps, (seed,))[0])
+
+
+def _numpy_loop():
+    """Run simulate as on a machine without the compiled step."""
+    return mock.patch.object(_kernel, "library", lambda: None)
+
+
+def _require_compiled_step():
+    if _kernel.library() is None:
+        pytest.skip("compiled step not available")
+
+
+@st.composite
+def compiled_case(draw):
+    """A batch in the probability form with gap tracking, or in the weight
+    form with constant intensities; independent or correlated triggers,
+    zero entries, and a chunk length that makes runs cross chunk and
+    checkpoint boundaries."""
+    d = draw(st.sampled_from([2, 3, 5, 8]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    n_steps = draw(st.integers(min_value=0, max_value=120))
+    case = {
+        "d": d, "n": n, "n_steps": n_steps,
+        "alpha": draw(alphas),
+        "seed": draw(seeds),
+        "chunk": draw(st.sampled_from([1, 7, 16, 64])),
+        "gamma": draw(correlation(d)) if draw(st.booleans()) else None,
+    }
+    if draw(st.booleans()):
+        # the first coordinate stays strictly dominant; the others may be 0
+        rest = draw(simplex_point(d - 1, zeros=True)) * draw(st.floats(0.05, 0.95))
+        p0 = np.append(max(rest.max(), 1.0 - rest.sum()) + 0.05, rest)
+        case["p0"] = p0 / p0.sum()
+        case["checkpoints"] = draw(st.lists(st.integers(0, n_steps), max_size=5))
+    else:
+        mask = np.ones((n, d), dtype=bool)
+        mask[:, 1:] = draw(st.lists(st.booleans(), min_size=d - 1, max_size=d - 1))
+        case["w0"] = np.stack([draw(positive_vector(d)) for _ in range(n)]) * mask
+        case["lam"] = draw(positive_vector(d, min_value=0.5))
+    return case
+
+
+def _run_case(case):
+    with mock.patch.object(dynamics, "CHUNK", case["chunk"]):
+        if "p0" in case:
+            res = theory.run_gap_ensemble(case["p0"], case["alpha"], case["n_steps"], case["n"],
+                                          case["seed"], gamma=case["gamma"],
+                                          checkpoints=case["checkpoints"])
+            return [res.final_states, res.p1_checkpoints, res.martingale_checkpoints,
+                    res.theta_hat, res.ek_violations]
+        keys = [(case["seed"], i) for i in range(case["n"])]
+        return [dynamics.simulate(case["w0"], case["alpha"], case["n_steps"], keys, NOISE,
+                                  lam=case["lam"], gamma=case["gamma"])]
+
+
+# a rate this large ends the gap event of member 3 at its first step while the
+# martingales stay small, so both paths count inclusion violations
+VIOLATING = {"d": 2, "n": 4, "n_steps": 100, "alpha": 0.45, "seed": 8, "chunk": 16,
+             "gamma": None, "p0": np.array([0.87, 0.13]), "checkpoints": [0, 7, 60, 100]}
+
+
+@settings(max_examples=120, deadline=None)
+@given(compiled_case())
+@example(VIOLATING)
+@example({"d": 3, "n": 4, "n_steps": 120, "alpha": 0.45, "seed": 1, "chunk": 7,
+          "gamma": np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.0], [0.1, 0.0, 1.0]]),
+          "p0": np.array([0.5, 0.3, 0.2]), "checkpoints": [0, 7, 60, 120]})
+@example({"d": 8, "n": 2, "n_steps": 100, "alpha": 0.3, "seed": 2, "chunk": 16,
+          "gamma": None, "p0": np.array([0.3, 0.2, 0.0, 0.1, 0.1, 0.1, 0.2, 0.0]),
+          "checkpoints": [16, 50, 100]})
+def test_compiled_step_matches_numpy_loop(case):
+    _require_compiled_step()
+    compiled = _run_case(case)
+    with _numpy_loop():
+        reference = _run_case(case)
+    for a, b in zip(compiled, reference):
+        assert np.array_equal(a, b)
+
+
+def test_violating_example_ends_the_gap_event():
+    _, _, _, alive, violations = _run_case(VIOLATING)
+    assert not alive.all() and violations > 0
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """Forget the loaded library before and after the test, with the build
+    cache under tmp_path."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _kernel.library.cache_clear()
+    yield tmp_path
+    _kernel.library.cache_clear()
+
+
+def test_kernel_loads_when_a_compiler_is_on_path(fresh_loader):
+    # a silent fallback to the numpy loop would hide a lost speed-up
+    if _kernel.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    assert _kernel.library() is not None
+    cache = fresh_loader / "simplex-stdp"
+    assert cache.stat().st_mode & 0o777 == 0o700
+    # one library, and no temporary file left behind
+    files = list(cache.iterdir())
+    assert len(files) == 1 and files[0].name.startswith("kernel-") and files[0].suffix == ".so"
+
+
+def test_cache_writable_by_others_is_not_loaded(fresh_loader):
+    if _kernel.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    cache = fresh_loader / "simplex-stdp"
+    cache.mkdir(mode=0o700)
+    cache.chmod(0o777)
+    with pytest.warns(UserWarning, match="writable by other users"):
+        assert _kernel.library() is None
+
+
+def test_no_compiler_gives_identical_outputs(fresh_loader, tmp_path, monkeypatch):
+    if _kernel.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    runs = [
+        ["thm22-verify", "--set", "n_traj=6", "--set", "n_steps=3000",
+         "--set", "checkpoints=[0,1000,3000]"],
+        ["thm-corr-verify", "--set", "n_traj=4", "--set", "n_steps=2000",
+         "--set", "checkpoints=[0,2000]"],
+        ["alg2-verify", "--set", "alpha=0.05", "--set", "n_seeds=6"],
+        ["fig2-ensemble", "--set", "n_traj=5", "--set", "n_steps=300"],
+    ]
+    outputs = {}
+    for side in ("compiled", "numpy"):
+        if side == "numpy":
+            monkeypatch.setattr(_kernel, "compiler", lambda: None)
+            _kernel.library.cache_clear()
+            assert _kernel.library() is None
+        else:
+            assert _kernel.library() is not None
+        for args in runs:
+            assert cli.main(args + ["--seed", "5", "--out", str(tmp_path / side)]) == 0
+        outputs[side] = {
+            p.relative_to(tmp_path / side): p.read_bytes()
+            for p in sorted((tmp_path / side).rglob("*")) if p.is_file()
+        }
+        for path, data in outputs[side].items():
+            if path.name == "manifest.json":
+                # the run time is the one field that is not a result
+                manifest = json.loads(data)
+                del manifest["elapsed_seconds"]
+                outputs[side][path] = manifest
+    assert outputs["compiled"] == outputs["numpy"]

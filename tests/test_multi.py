@@ -60,8 +60,19 @@ def test_joint_increments_orthogonal_to_lower_columns():
         n_steps=2000,
         record_stride=2000,
     )
+    violation = 0.0
+
+    def observe(k, w, inc, w_next):
+        # |<increment of column j, start-of-step column i>| over their norms, i < j
+        nonlocal violation
+        dots = np.abs(inc[0] @ w[0].T)
+        scale = np.outer(np.linalg.norm(inc[0], axis=-1), np.linalg.norm(w[0], axis=-1))
+        violation = max(violation, np.tril(dots / np.maximum(scale, 1e-300), -1).max())
+
+    # the run joint_run(cfg, 11) makes, observed step by step
+    multi._joint_steps(cfg, [(11,)], observe)
+    assert violation < 1e-10
     rec = multi.joint_run(cfg, 11)
-    assert rec.orthogonality_violation < 1e-10
     assert rec.probabilities[-1].sum(axis=0) == pytest.approx(np.ones(3))
 
 
