@@ -2,8 +2,8 @@
  * Compiled chunk step of simplex_stdp.dynamics.simulate.
  *
  * simplex_advance runs steps t0..t1-1 of one pre-drawn chunk for every row
- * of a batch, with the same arithmetic in the same order as the numpy loop
- * of `simulate` and, when mart is given, of `dynamics.GapTracker`:
+ * of a batch, with the same arithmetic in the same order as
+ * `dynamics.numpy_step` and, when mart is given, `dynamics.GapTracker`:
  *
  *   p    = x, or lam * x / sum(lam * x)         (weight form)
  *   idx  = #{j : cumsum(p)_j <= u}, capped at top
@@ -11,7 +11,7 @@
  *   x    = x * (1 + alpha * y), divided by its sum in the probability form
  *
  * Every row sum uses numpy's pairwise summation order, so results are bit
- * for bit those of the numpy loop. Build without FMA contraction or
+ * for bit those of the numpy step. Build without FMA contraction or
  * fast-math (-ffp-contract=off), which would change the rounding.
  */
 
@@ -109,15 +109,16 @@ static int track(int64_t d, double alpha, const double *p, const double *y, cons
  * NULL in the probability form, gamma (d, d) and pair NULL for independent
  * triggers, mart NULL without tracking; mart and max_abs are (n, d), alive
  * (n,), and track_gamma (d, d) is the tracker's correlation matrix, NULL for
- * independent triggers. Returns the number of inclusion violations seen, or
- * -1 when out of memory.
+ * independent triggers; y_out (n, m, d), unless NULL, receives every y.
+ * Returns the number of inclusion violations seen, or -1 when out of memory.
  */
 int64_t simplex_advance(int64_t n, int64_t d, int64_t m, int64_t t0, int64_t t1, double alpha,
                         double *x, const int64_t *top, const double *u, const double *z,
                         const double *gu, int64_t n_pairs, const double *lam,
                         const double *gamma, const int64_t *pair, double *mart,
                         double *max_abs, uint8_t *alive, const double *track_gamma,
-                        double threshold, double half_gap, double half_gap_gamma)
+                        double threshold, double half_gap, double half_gap_gamma,
+                        double *y_out)
 {
     double *buf = malloc(5 * (size_t)d * sizeof(double));
     if (!buf)
@@ -153,6 +154,8 @@ int64_t simplex_advance(int64_t n, int64_t d, int64_t m, int64_t t0, int64_t t1,
                 if (gamma && j != idx)
                     sig = gu[s * n_pairs + pair[idx * d + j]] < gamma[idx * d + j];
                 y[j] = sig + zt[j];
+                if (y_out)
+                    y_out[s * d + j] = y[j];
             }
             for (int64_t j = 0; j < d; j++)
                 xn[j] = xr[j] * (1.0 + alpha * y[j]);

@@ -6,8 +6,8 @@ cached in a per-user directory ($XDG_CACHE_HOME/simplex-stdp, by default
 ~/.cache/simplex-stdp, mode 0700) under the sha256 of the compiler, the flags
 and the source, and are written to a temporary file and renamed into place,
 so concurrent processes never load a partial file. Without a compiler, or
-when the build fails, `library()` returns None and `dynamics.simulate` keeps
-its numpy loop, which gives the same results bit for bit.
+when the build fails, `library()` returns None and `dynamics.simulate` steps
+with `dynamics.numpy_step`, which gives the same results bit for bit.
 """
 
 import functools
@@ -78,14 +78,15 @@ def library():
             raise OSError("cache directory %s is writable by other users" % directory)
         fn = ctypes.CDLL(_build(cc, directory)).simplex_advance
     except (OSError, subprocess.CalledProcessError) as exc:
-        warnings.warn("compiled step unavailable, using the numpy loop: %s" % exc)
+        warnings.warn("compiled step unavailable, using the numpy step: %s" % exc)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     fn.argtypes = [i64, i64, i64, i64, i64, f64,  # n, d, m, t0, t1, alpha
                    ptr, ptr, ptr, ptr, ptr, i64,  # x, top, u, z, gu, n_pairs
                    ptr, ptr, ptr,                 # lam, gamma, pair
                    ptr, ptr, ptr, ptr,            # mart, max_abs, alive, tracker gamma
-                   f64, f64, f64]                 # threshold, half gaps
+                   f64, f64, f64,                 # threshold, half gaps
+                   ptr]                           # y_out
     fn.restype = i64
     return fn
 
@@ -101,10 +102,11 @@ def _data(a, dtype, shape):
     return a.ctypes.data
 
 
-def advance(fn, x, alpha, t0, t1, u, z, gu, top, lam=None, gamma=None, pair=None, tracker=None):
+def advance(x, alpha, t0, t1, u, z, gu, top, lam=None, gamma=None, pair=None, tracker=None,
+            y_out=None):
     """Run steps t0..t1-1 of the chunk (u, z, gu) on the state x in place;
-    with a `dynamics.GapTracker`, also advance its martingales, maxima, gap
-    event and inclusion-violation count."""
+    also advance a `dynamics.GapTracker`'s martingales, maxima, gap event and
+    inclusion-violation count, and store y of each step in y_out (n, m, d)."""
     n, d = x.shape
     m = u.shape[1]
     if not 0 <= t0 <= t1 <= m:
@@ -125,7 +127,7 @@ def advance(fn, x, alpha, t0, t1, u, z, gu, top, lam=None, gamma=None, pair=None
         args += [_data(tracker.mart, np.float64, (n, d)), _data(tracker.max_abs, np.float64, (n, d)),
                  _data(tracker.alive, np.bool_, (n,)), _data(tracker.gamma, np.float64, (d, d)),
                  tracker.threshold, tracker.half_gap, tracker.half_gap_gamma]
-    violations = fn(n, d, m, t0, t1, alpha, *args)
+    violations = library()(n, d, m, t0, t1, alpha, *args, _data(y_out, np.float64, (n, m, d)))
     if violations < 0:
         raise MemoryError("compiled step could not allocate its row buffers")
     if tracker is not None:

@@ -241,8 +241,7 @@ def scenario_correlated_figure(cfg, out, seed):
     n = cfg["n_traj"]
     header = ["k"] + ["p_%d" % (i + 1) for i in range(d)]
     config = DynamicsConfig(
-        alpha=cfg["alpha"], n_steps=cfg["n_steps"], p0=cfg["p0"],
-        variant="correlated", gamma=cfg["gamma"],
+        alpha=cfg["alpha"], n_steps=cfg["n_steps"], p0=cfg["p0"], gamma=cfg["gamma"],
     )
     finals = final_probabilities(config, [(seed, i) for i in range(n)])
     path = os.path.join(out, "final_states.csv")

@@ -7,11 +7,12 @@ p <- p * (1 + alpha * Y) / (p . (1 + alpha * Y)) with Y = B + Z.
 
 `simulate` is the one stepping kernel: it runs a batch of keyed trajectories
 in lockstep, in probability or weight coordinates, with independent or
-correlated triggers and constant, time-varying or switched intensities.
+correlated triggers and constant or switched intensities.
 The module also provides the exact drift / martingale / residual split of a
 probability step and a seeded, recorded single-trajectory runner.
 """
 
+import bisect
 import functools
 import hashlib
 import json
@@ -165,10 +166,6 @@ def rescale(w):
     return np.ldexp(w, -exponent)
 
 
-def _intensity(lam, k):
-    return lam(k) if callable(lam) else lam
-
-
 def _gamma_dot(p, gamma):
     """gamma @ p for each row of p, summed in numpy's pairwise order rather
     than through BLAS, whose order the compiled step cannot reproduce."""
@@ -179,41 +176,58 @@ def _gap_of(v):
     return v[:, 0] - v[:, 1:].max(axis=1)
 
 
-class GapTracker:
-    """Per-step tracking of `theory.run_gap_ensemble` for n probability
-    trajectories: the noise martingales M stopped when the gap event ends,
-    the running maxima of |M_j|, the gap event `alive` (the half-gap
-    condition, also on gamma @ p when correlated, held at every step so far)
-    and `ek_violations`, the steps at which the maximal-inequality event held
-    but the gap condition failed at the next step. At each checkpoint step
-    `record` stores p[:, 0] and M.
+class Recorder:
+    """What a `simulate` run reports to: at each of the increasing steps
+    `checkpoints` within [0, n_steps], record(k, x) gets the batch state
+    after k steps (this one keeps a copy in `states`). The step writes y of
+    every step into `samples` when that is an (n, n_steps, d) array, and
+    also advances a recorder that `tracks`, as a `GapTracker` does."""
 
-    Passed to `simulate` as observe: calling it is the numpy step, and the
-    compiled step does the same arithmetic in C on the same arrays."""
+    tracks = False
+
+    def __init__(self, checkpoints, samples=None):
+        self.checkpoints = np.asarray(checkpoints, dtype=int)
+        self.samples = samples
+        self.states = []
+
+    def record(self, k, x):
+        self.states.append(x.copy())
+
+
+class GapTracker(Recorder):
+    """The recorder of `theory.run_gap_ensemble` for n probability
+    trajectories. Per step it tracks the noise martingales M stopped when
+    the gap event ends, the running maxima of |M_j|, the gap event `alive`
+    (the half-gap condition, also on gamma @ p when correlated, held at
+    every step so far) and `ek_violations`, the steps at which the
+    maximal-inequality event held but the gap condition failed at the next
+    step. At each checkpoint `record` stores p[:, 0] and M.
+
+    `track` is the numpy step's arithmetic; the compiled step does the same
+    in C on the same arrays."""
+
+    tracks = True
 
     def __init__(self, n, d, alpha, gap, threshold, checkpoints, gamma=None, gap_gamma=0.0):
+        super().__init__(checkpoints)
         self.alpha = alpha
         self.half_gap = gap / 2.0
         self.half_gap_gamma = gap_gamma / 2.0
         self.threshold = threshold
         self.gamma = None if gamma is None else np.ascontiguousarray(gamma, dtype=float)
-        self.checkpoints = checkpoints
         self.mart = np.zeros((n, d))
         self.max_abs = np.zeros((n, d))
         self.alive = np.ones(n, dtype=bool)
         self.ek_violations = 0
-        self.p1_checkpoints = np.empty((n, checkpoints.size))
-        self.martingale_checkpoints = np.empty((n, d, checkpoints.size))
-        self._pos = 0
+        self.p1_checkpoints = np.empty((n, self.checkpoints.size))
+        self.martingale_checkpoints = np.empty((n, d, self.checkpoints.size))
 
     def record(self, k, p):
-        """Store p[:, 0] and the martingales if step k is a checkpoint."""
-        while self._pos < self.checkpoints.size and self.checkpoints[self._pos] == k:
-            self.p1_checkpoints[:, self._pos] = p[:, 0]
-            self.martingale_checkpoints[:, :, self._pos] = self.mart
-            self._pos += 1
+        pos = np.searchsorted(self.checkpoints, k)
+        self.p1_checkpoints[:, pos] = p[:, 0]
+        self.martingale_checkpoints[:, :, pos] = self.mart
 
-    def __call__(self, k, p, y, p_next):
+    def track(self, p, y, p_next):
         gamma = self.gamma
         s = (p * y).sum(axis=1, keepdims=True)
         mean_y = p if gamma is None else _gamma_dot(p, gamma)
@@ -227,90 +241,110 @@ class GapTracker:
             ok &= _gap_of(_gamma_dot(p_next, gamma)) >= self.half_gap_gamma
         self.alive &= ok
         self.ek_violations += int(np.sum(e_now & ~self.alive))
-        self.record(k + 1, p_next)
 
 
-def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, observe=None):
+def numpy_step(x, alpha, t0, t1, u, z, gu, top, lam=None, gamma=None, pair=None, tracker=None,
+               y_out=None):
+    """Steps t0..t1-1 of the chunk (u, z, gu) on the state x in place: the
+    numpy reference of `_kernel.advance`, with its arguments (pair unused)
+    and its results bit for bit, taken when the kernel does not load."""
+    eye_rows = np.eye(x.shape[1])
+    for t in range(t0, t1):
+        p = x if lam is None else probabilities(lam, x)
+        idx = sample_triggers(p, u[:, t], top)
+        sig = eye_rows[idx] if gamma is None else correlated_signals(idx, gu[:, t], gamma)
+        y = sig + z[:, t]
+        x_next = x * (1.0 + alpha * y)
+        if lam is None:
+            x_next /= x_next.sum(axis=1, keepdims=True)
+        if tracker is not None:
+            tracker.track(p, y, x_next)
+        if y_out is not None:
+            y_out[:, t] = y
+        x[:] = x_next
+
+
+def _intensities(lam, d):
+    """(starts, vectors) of lam: None, a (d,) vector, or piecewise-constant
+    [(from_step, vector), ...] from step 0 in nondecreasing steps."""
+    if lam is None:
+        return [0], [None]
+    pieces = lam if isinstance(lam, list) and lam and isinstance(lam[0], tuple) else [(0, lam)]
+    starts = [int(s) for s, _ in pieces]
+    vectors = [np.ascontiguousarray(v, dtype=float) for _, v in pieces]
+    if starts[0] != 0 or starts != sorted(starts) or any(v.shape != (d,) for v in vectors):
+        raise InvalidInputError("intensities must be a (%d,) vector or [(from_step, vector), "
+                                "...] from step 0 in nondecreasing steps" % d)
+    return starts, vectors
+
+
+def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=None):
     """Run one trajectory per key in lockstep; returns the final states.
 
     state0 (n, d) holds probabilities when lam is None and weights otherwise;
-    lam is an intensity vector, or a callable giving the intensities in force
-    at step k (time-varying intensities, switches). Row i consumes the stream
-    `stream_for(keys[i])` through `draw_chunk`, so a row does not depend on
-    the rest of the batch. Step k:
+    lam is an intensity vector, or piecewise-constant intensities
+    [(from_step, vector), ...] whose last entry with from_step <= k is in
+    force at step k (a switch; of two entries at one step the later wins).
+    Row i consumes the stream `stream_for(keys[i])` through `draw_chunk`, so
+    a row does not depend on the rest of the batch. Step k:
 
         p = state                    (probability form)
         p = lam_k * w / sum          (weight form)
         y = B + Z, B one-hot from p  (the trigger column of C when gamma is given)
         w = state * (1 + alpha * y), renormalised to p in the probability form
 
-    observe(k, p, y, next_state) is called after every step; a `GapTracker`
-    (probability form only) is advanced instead and records its checkpoints
-    from step 0 on.
+    record, a `Recorder`, is called at its checkpoints and may collect y or
+    track every step. Each chunk is split into segments at the checkpoints
+    and the intensity switches, and every segment goes to one step: the
+    compiled `_kernel.advance` when the kernel loads, otherwise its numpy
+    reference `numpy_step`; both give the same results bit for bit.
     The state is checked for non-finite values after every chunk, and
     between chunks each weight row is scaled by a power of two (`rescale`),
     so returned weights are defined up to that factor per row.
-
-    The steps of a chunk run in the compiled step of `_kernel` when it loads
-    and alpha is a scalar, lam is None or an array, and observe is None or a
-    `GapTracker`; otherwise, and as the reference, in a numpy loop. Both
-    give the same results bit for bit.
     """
     check_rate(alpha, noise.q_bound)
+    alpha = float(alpha)
     x = np.array(state0, dtype=float, order="C")
     n, d = x.shape
-    if len(keys) != n:
-        raise InvalidInputError("%d keys for %d trajectories" % (len(keys), n))
-    n_pairs = 0
-    pair = None
+    if n < 1 or len(keys) != n:
+        raise InvalidInputError("%d keys for %d trajectories; a batch needs at least one"
+                                % (len(keys), n))
+    if n_steps < 0:
+        raise InvalidInputError("n_steps must be nonnegative, got %d" % n_steps)
+    starts, vectors = _intensities(lam, d)
+    record = Recorder([]) if record is None else record
+    steps = record.checkpoints
+    if steps.size and (steps[0] < 0 or steps[-1] > n_steps or np.any(np.diff(steps) <= 0)):
+        raise InvalidInputError("checkpoints must be increasing steps in [0, n_steps=%d], "
+                                "got %s" % (n_steps, steps.tolist()))
     if gamma is not None:
-        gamma = validate_correlation(gamma)
-        n_pairs = d * (d - 1) // 2
-        pair = _pair_index(d)
-    tracker = observe if isinstance(observe, GapTracker) else None
-    compiled = None
-    if (np.ndim(alpha) == 0 and not callable(lam) and (observe is None or tracker is not None)
-            and (lam is None or np.shape(lam) == (d,))):
-        compiled = _kernel.library()
-    if compiled is not None:
-        lam = None if lam is None else np.ascontiguousarray(lam, dtype=float)
-        gamma = None if gamma is None else np.ascontiguousarray(gamma)
-    stops = ()
-    if tracker is not None:
-        stops = tracker.checkpoints
-        tracker.record(0, x)
+        gamma = np.ascontiguousarray(validate_correlation(gamma))
+    n_pairs = 0 if gamma is None else d * (d - 1) // 2
+    pair = None if gamma is None else _pair_index(d)
+    step = numpy_step if _kernel.library() is None else _kernel.advance
+    tracker = record if record.tracks else None
+    stops = set(steps.tolist())
+    cuts = sorted(stops.union(starts[1:]))
+    if 0 in stops:
+        record.record(0, x)
     rngs = [stream_for(key) for key in keys]
     # zero entries stay exactly zero, so the last pickable coordinate is fixed
     top = _last_positive(x)
-    eye_rows = np.eye(d)
     k = 0
     while k < n_steps:
         m = min(CHUNK, n_steps - k)
         u, z, gu = draw_chunk(rngs, m, d, noise, n_pairs)
-        if compiled is not None:
-            # split the chunk at checkpoints, so the tracker records them
-            ends = [int(c) - k for c in stops if k < c < k + m] + [m]
-            t0 = 0
-            for t1 in ends:
-                _kernel.advance(compiled, x, float(alpha), t0, t1, u, z, gu, top,
-                                lam, gamma, pair, tracker)
-                if tracker is not None:
-                    tracker.record(k + t1, x)
-                t0 = t1
-            k += m
-        else:
-            for t in range(m):
-                p = x if lam is None else probabilities(_intensity(lam, k), x)
-                idx = sample_triggers(p, u[:, t], top)
-                sig = eye_rows[idx] if gamma is None else correlated_signals(idx, gu[:, t], gamma)
-                y = sig + z[:, t]
-                x_next = x * (1.0 + alpha * y)
-                if lam is None:
-                    x_next /= x_next.sum(axis=1, keepdims=True)
-                if observe is not None:
-                    observe(k, p, y, x_next)
-                x = x_next
-                k += 1
+        y_out = None if record.samples is None else np.empty((n, m, d))
+        t0 = 0
+        for t1 in [c - k for c in cuts if k < c < k + m] + [m]:
+            lam_t = vectors[bisect.bisect_right(starts, k + t0) - 1]
+            step(x, alpha, t0, t1, u, z, gu, top, lam_t, gamma, pair, tracker, y_out)
+            if k + t1 in stops:
+                record.record(k + t1, x)
+            t0 = t1
+        if y_out is not None:
+            record.samples[:, k:k + m] = y_out
+        k += m
         check_finite(x, k, alpha)
         if lam is not None and k < n_steps:
             x = rescale(x)
@@ -401,10 +435,9 @@ def step_inhomogeneous(w, lam_next, alpha, y):
 class DynamicsConfig:
     """Configuration for a trajectory of the stochastic dynamics.
 
-    variant is one of "independent", "correlated", "inhomogeneous". For
-    weight tracking supply intensities lam and initial weights w0; otherwise
-    supply p0 directly. intensity_schedule(k) must return the intensity vector
-    in force when computing p(k) (inhomogeneous variant only).
+    Supply p0 for the probability form, or intensities lam and initial
+    weights w0 to track weights. Triggers are correlated through gamma when
+    it is given and independent otherwise.
     """
 
     alpha: float
@@ -413,9 +446,7 @@ class DynamicsConfig:
     lam: object = None
     w0: object = None
     noise: NoiseModel = field(default_factory=NoiseModel)
-    variant: str = "independent"
     gamma: object = None
-    intensity_schedule: object = None
     record_stride: int = 1
     record_samples: bool = False
 
@@ -429,14 +460,6 @@ class DynamicsConfig:
             errors.append("n_steps must be nonnegative")
         if self.record_stride < 1:
             errors.append("record_stride must be >= 1")
-        if self.variant not in ("independent", "correlated", "inhomogeneous"):
-            errors.append("unknown variant %r" % self.variant)
-        if self.variant == "correlated" and self.gamma is None:
-            errors.append("correlated variant requires gamma")
-        if self.variant == "inhomogeneous" and (
-            self.intensity_schedule is None or self.w0 is None
-        ):
-            errors.append("inhomogeneous variant requires intensity_schedule and w0")
         if self.p0 is None and (self.lam is None or self.w0 is None):
             errors.append("need either p0 or (lam, w0)")
         if errors:
@@ -444,16 +467,12 @@ class DynamicsConfig:
         return self
 
     def kernel_inputs(self):
-        """(state0, lam, gamma) for `simulate`: weights and intensities (a
-        callable for the inhomogeneous variant) when lam or a schedule is
-        given, otherwise p0 in the probability form."""
-        gamma = self.gamma if self.variant == "correlated" else None
-        if self.variant == "inhomogeneous":
-            schedule = self.intensity_schedule
-            return validate_weights(self.w0), lambda k: np.asarray(schedule(k), dtype=float), gamma
+        """(state0, lam, gamma) for `simulate` from the validated config: p0
+        in the probability form when given, otherwise weights w0 and lam."""
+        self.validated()
         if self.p0 is not None:
-            return as_probability_vector(self.p0), None, gamma
-        return validate_weights(self.w0), validate_intensities(self.lam), gamma
+            return as_probability_vector(self.p0), None, self.gamma
+        return validate_weights(self.w0), validate_intensities(self.lam), self.gamma
 
     def digest(self):
         payload = {
@@ -463,11 +482,7 @@ class DynamicsConfig:
             "lam": None if self.lam is None else list(np.asarray(self.lam, dtype=float)),
             "w0": None if self.w0 is None else list(np.asarray(self.w0, dtype=float)),
             "noise": [self.noise.kind, self.noise.half_width, self.noise.q_bound],
-            "variant": self.variant,
             "gamma": None if self.gamma is None else np.asarray(self.gamma, dtype=float).tolist(),
-            "schedule": None
-            if self.intensity_schedule is None
-            else getattr(self.intensity_schedule, "__name__", "schedule"),
             "record_stride": self.record_stride,
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -491,11 +506,10 @@ class TrajectoryRecord:
 def final_probabilities(config, keys):
     """Final probabilities of the trajectories keyed by `keys`, run as one
     batch; row i equals `run_trajectory(config, keys[i]).states[-1]`."""
-    config.validated()
     x0, lam, gamma = config.kernel_inputs()
     x = simulate(np.tile(x0, (len(keys), 1)), config.alpha, config.n_steps, keys,
                  config.noise, lam=lam, gamma=gamma)
-    return x if lam is None else probabilities(_intensity(lam, config.n_steps), x)
+    return x if lam is None else probabilities(lam, x)
 
 
 def run_trajectory(config, seed):
@@ -503,36 +517,18 @@ def run_trajectory(config, seed):
 
     The trajectory is the batch-of-one run of `simulate` on stream key seed,
     so it equals member `seed` of any batched run of the same config."""
-    config.validated()
     x0, lam, gamma = config.kernel_inputs()
     n = config.n_steps
-    rec_steps = recorded_steps(n, config.record_stride)
-    states = np.empty((rec_steps.size, x0.size))
-    weights = None if lam is None else np.empty((rec_steps.size, x0.size))
-    y_samples = np.empty((n, x0.size)) if config.record_samples else None
-    pos = 0
-
-    def record(k, x):
-        nonlocal pos
-        if pos < rec_steps.size and rec_steps[pos] == k:
-            states[pos] = x if lam is None else probabilities(_intensity(lam, k), x)
-            if weights is not None:
-                weights[pos] = x
-            pos += 1
-
-    def observe(k, p, y, x_next):
-        if y_samples is not None:
-            y_samples[k] = y[0]
-        record(k + 1, x_next[0])
-
-    record(0, x0)
+    samples = np.empty((1, n, x0.size)) if config.record_samples else None
+    recorder = Recorder(recorded_steps(n, config.record_stride), samples)
     simulate(x0[None], config.alpha, n, [seed], config.noise, lam=lam, gamma=gamma,
-             observe=observe)
+             record=recorder)
+    x = np.concatenate(recorder.states)
     return TrajectoryRecord(
-        recorded_steps=rec_steps,
-        states=states,
-        weights=weights,
-        y_samples=y_samples,
+        recorded_steps=recorder.checkpoints,
+        states=x if lam is None else probabilities(lam, x),
+        weights=None if lam is None else x,
+        y_samples=None if samples is None else samples[0],
         seed=seed,
         config_digest=config.digest(),
     )

@@ -118,6 +118,8 @@ def collect_triggers(lam, w, threshold, n_events, rng):
     which does not affect the trigger-identity distribution)."""
     lam = validate_intensities(lam)
     w = validate_weights(w)
+    if n_events < 1:
+        raise InvalidInputError("n_events must be at least 1, got %r" % (n_events,))
     config = MembraneConfig(weights=w, threshold=threshold)
     ids = []
     collected = 0

@@ -311,22 +311,15 @@ def run_gap_ensemble(
     Trajectory i is the `dynamics.simulate` run on stream key
     (seed, index_start + i), so ensembles are order-independent and each
     member equals `dynamics.run_trajectory` with that key. The tracking is a
-    `dynamics.GapTracker`, which `simulate` advances in its compiled step
-    when that loads (numpy otherwise, with identical results); p_1 and the
-    martingales are recorded at each checkpoint, a step in [0, n_steps]."""
+    `dynamics.GapTracker`, the recorder that `simulate`'s step advances;
+    p_1 and the martingales are recorded at each checkpoint, a step in
+    [0, n_steps]."""
     noise = noise or NoiseModel()
     p0 = as_probability_vector(p0)
     d = p0.size
     gap = _gap(p0)
     if gap <= 0:
         raise InvalidInputError("first coordinate must be strictly dominant")
-    if n_traj < 1:
-        raise InvalidInputError("n_traj must be at least 1, got %d" % n_traj)
-    checkpoints = np.array(sorted(set(int(c) for c in checkpoints)), dtype=int)
-    if checkpoints.size and (checkpoints[0] < 0 or checkpoints[-1] > n_steps):
-        raise InvalidInputError(
-            "checkpoints must lie in [0, n_steps=%d], got %s" % (n_steps, checkpoints.tolist())
-        )
     gap_gamma = 0.0
     if gamma is not None:
         gamma = validate_correlation(gamma)
@@ -335,12 +328,13 @@ def run_gap_ensemble(
         threshold = 0.25 * min(gap, gap_gamma / ginf)
     else:
         threshold = gap / 4.0
-    tracker = GapTracker(n_traj, d, alpha, gap, threshold, checkpoints, gamma, gap_gamma)
     keys = [(seed, index_start + i) for i in range(n_traj)]
-    p = simulate(np.tile(p0, (n_traj, 1)), alpha, n_steps, keys, noise, gamma=gamma,
-                 observe=tracker)
+    checkpoints = sorted(set(int(c) for c in checkpoints))
+    tracker = GapTracker(len(keys), d, alpha, gap, threshold, checkpoints, gamma, gap_gamma)
+    p = simulate(np.tile(p0, (len(keys), 1)), alpha, n_steps, keys, noise, gamma=gamma,
+                 record=tracker)
     return EnsembleVerification(
-        checkpoints=checkpoints,
+        checkpoints=tracker.checkpoints,
         p1_checkpoints=tracker.p1_checkpoints,
         martingale_checkpoints=tracker.martingale_checkpoints,
         theta_hat=tracker.alive,
@@ -401,7 +395,9 @@ def priming_experiment(
     noise=None,
     index_start=0,
 ):
-    """Learn under lam_first for k_switch steps, then under lam_second.
+    """Learn under lam_first for k_switch steps, then under lam_second: one
+    `dynamics.simulate` run with the piecewise-constant intensities
+    [(0, lam_first), (k_switch, lam_second)], the switch a split of its chunk.
 
     Preconditions: at w0 the first intensities make coordinate 0 strictly
     dominant and the second make the last coordinate strictly dominant.
@@ -427,8 +423,8 @@ def priming_experiment(
     if errors:
         raise InvalidInputError("; ".join(errors))
     keys = [(seed, index_start + i) for i in range(n_traj)]
-    w = simulate(np.tile(w0, (n_traj, 1)), alpha, n_steps, keys, noise,
-                 lam=lambda k: lam_a if k < k_switch else lam_b)
+    w = simulate(np.tile(w0, (len(keys), 1)), alpha, n_steps, keys, noise,
+                 lam=[(0, lam_a), (k_switch, lam_b)])
     p_final = probabilities(lam_a if n_steps <= k_switch else lam_b, w)
     winners = np.argmax(p_final, axis=1)
     fractions = np.bincount(winners, minlength=d) / n_traj

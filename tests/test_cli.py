@@ -106,6 +106,16 @@ def test_verify_scenario_reports(tmp_path):
     # a zero record stride used to end in a ZeroDivisionError traceback
     ["fig3-algorithm1", "--set", "record_stride=0", "--set", "n_steps=10"],
     ["thm23-verify", "--set", "record_stride=0", "--set", "n_cases=2"],
+    # negative horizons and empty batches used to pass, write empty files or
+    # end with NaN rates
+    ["thm22-verify", "--set", "n_steps=-1", "--set", "checkpoints=[]"],
+    ["priming", "--set", "n_traj=0"],
+    ["priming", "--set", "n_traj=-1"],
+    ["alg2-verify", "--set", "alpha=0.05", "--set", "n_seeds=0"],
+    ["correlated-figure", "--set", "n_traj=-1"],
+    ["fig2-ensemble", "--set", "n_traj=0"],
+    # no triggers to collect used to end in a ValueError traceback
+    ["spiking-validate", "--set", "n_events=[0,0]"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     assert run(args + ["--out", str(tmp_path), "--threads", "1"]) == 3

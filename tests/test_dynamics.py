@@ -78,11 +78,11 @@ def test_step_weights_rejects_destructive_rates():
 
 
 def test_config_validation_lists_all_violations():
-    cfg = dynamics.DynamicsConfig(alpha=0.7, n_steps=-1, variant="correlated")
+    cfg = dynamics.DynamicsConfig(alpha=0.7, n_steps=-1)
     with pytest.raises(InvalidInputError) as err:
         cfg.validated()
     msg = str(err.value)
-    assert "alpha" in msg and "n_steps" in msg and "gamma" in msg
+    assert "alpha" in msg and "n_steps" in msg and "p0" in msg
 
 
 def test_trigger_frequencies_match_probabilities():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplex_stdp import _kernel, cli, dynamics, multi, theory
-from simplex_stdp.simplex import InvalidInputError
+from simplex_stdp.simplex import InvalidInputError, recorded_steps
 
 NOISE = dynamics.NoiseModel()
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -215,17 +215,19 @@ def _require_compiled_step():
 @st.composite
 def compiled_case(draw):
     """A batch in the probability form with gap tracking, or in the weight
-    form with constant intensities; independent or correlated triggers,
-    zero entries, and a chunk length that makes runs cross chunk and
-    checkpoint boundaries."""
+    form with an intensity switch (none, at step 0, mid-chunk, on a chunk
+    boundary or past the horizon), recorded at a stride with its signal
+    samples; independent or correlated triggers, zero entries, and a chunk
+    length that makes runs cross chunk and checkpoint boundaries."""
     d = draw(st.sampled_from([2, 3, 5, 8]))
     n = draw(st.integers(min_value=1, max_value=4))
     n_steps = draw(st.integers(min_value=0, max_value=120))
+    chunk = draw(st.sampled_from([1, 7, 16, 64]))
     case = {
         "d": d, "n": n, "n_steps": n_steps,
         "alpha": draw(alphas),
         "seed": draw(seeds),
-        "chunk": draw(st.sampled_from([1, 7, 16, 64])),
+        "chunk": chunk,
         "gamma": draw(correlation(d)) if draw(st.booleans()) else None,
     }
     if draw(st.booleans()):
@@ -239,6 +241,11 @@ def compiled_case(draw):
         mask[:, 1:] = draw(st.lists(st.booleans(), min_size=d - 1, max_size=d - 1))
         case["w0"] = np.stack([draw(positive_vector(d)) for _ in range(n)]) * mask
         case["lam"] = draw(positive_vector(d, min_value=0.5))
+        case["lam_switched"] = draw(positive_vector(d, min_value=0.5))
+        case["switch"] = draw(st.one_of(
+            st.none(), st.just(0), st.integers(1, n_steps + 5),
+            st.integers(1, 3).map(lambda j: j * chunk), st.just(n_steps + 1)))
+        case["stride"] = draw(st.integers(1, 20))
     return case
 
 
@@ -251,8 +258,20 @@ def _run_case(case):
             return [res.final_states, res.p1_checkpoints, res.martingale_checkpoints,
                     res.theta_hat, res.ek_violations]
         keys = [(case["seed"], i) for i in range(case["n"])]
-        return [dynamics.simulate(case["w0"], case["alpha"], case["n_steps"], keys, NOISE,
-                                  lam=case["lam"], gamma=case["gamma"])]
+        lam = case["lam"]
+        if case["switch"] is not None:
+            lam = [(0, lam), (case["switch"], case["lam_switched"])]
+        recorder = dynamics.Recorder(
+            recorded_steps(case["n_steps"], case["stride"]),
+            np.empty((case["n"], case["n_steps"], case["d"])))
+        final = dynamics.simulate(case["w0"], case["alpha"], case["n_steps"], keys, NOISE,
+                                  lam=lam, gamma=case["gamma"], record=recorder)
+        config = dynamics.DynamicsConfig(
+            alpha=case["alpha"], n_steps=case["n_steps"], lam=case["lam"], w0=case["w0"][0],
+            gamma=case["gamma"], record_stride=case["stride"], record_samples=True)
+        rec = dynamics.run_trajectory(config, keys[0])
+        return [final, np.stack(recorder.states), recorder.samples,
+                rec.states, rec.weights, rec.y_samples]
 
 
 # a rate this large ends the gap event of member 3 at its first step while the
@@ -270,6 +289,11 @@ VIOLATING = {"d": 2, "n": 4, "n_steps": 100, "alpha": 0.45, "seed": 8, "chunk": 
 @example({"d": 8, "n": 2, "n_steps": 100, "alpha": 0.3, "seed": 2, "chunk": 16,
           "gamma": None, "p0": np.array([0.3, 0.2, 0.0, 0.1, 0.1, 0.1, 0.2, 0.0]),
           "checkpoints": [16, 50, 100]})
+@example({"d": 3, "n": 3, "n_steps": 100, "alpha": 0.3, "seed": 4, "chunk": 16,
+          "gamma": np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.0]]),
+          "w0": np.array([[1.0, 2.0, 0.0], [0.5, 0.5, 3.0], [2.0, 1.0, 1.0]]),
+          "lam": np.array([3.0, 1.0, 2.0]), "lam_switched": np.array([1.0, 1.0, 5.0]),
+          "switch": 32, "stride": 7})
 def test_compiled_step_matches_numpy_loop(case):
     _require_compiled_step()
     compiled = _run_case(case)
@@ -326,6 +350,8 @@ def test_no_compiler_gives_identical_outputs(fresh_loader, tmp_path, monkeypatch
          "--set", "checkpoints=[0,2000]"],
         ["alg2-verify", "--set", "alpha=0.05", "--set", "n_seeds=6"],
         ["fig2-ensemble", "--set", "n_traj=5", "--set", "n_steps=300"],
+        ["fig2-trajectories", "--set", "n_steps=200", "--set", "grid_step=0.1"],
+        ["priming", "--set", "settle_steps=2000", "--set", "n_traj=6"],
     ]
     outputs = {}
     for side in ("compiled", "numpy"):
