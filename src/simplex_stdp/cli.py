@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .simplex import InvalidInputError, barycentric_embedding, landscape_grid
-from .dynamics import DynamicsConfig, final_probabilities, run_trajectory, stream_for
+from .dynamics import DynamicsConfig, NoiseModel, final_probabilities, run_trajectory, stream_for
 from . import theory
 from . import multi as multi_mod
 from . import mirror as mirror_mod
@@ -178,6 +178,8 @@ def _write_landscape(path, grid_step, gamma=None):
 
 
 def scenario_fig2_trajectories(cfg, out, seed):
+    if not cfg["p0_list"]:
+        raise InvalidInputError("p0_list must hold at least one start")
     files = []
     d = len(cfg["p0_list"][0])
     header = ["k"] + ["p_%d" % (i + 1) for i in range(d)] + ["x", "y"]
@@ -287,6 +289,9 @@ def scenario_priming(cfg, out, seed):
 
 
 def _gap_verify(cfg, out, seed, correlated):
+    if not cfg["checkpoints"]:
+        raise InvalidInputError("checkpoints must name at least one step")
+    noise = NoiseModel(q_bound=cfg["q_bound"])
     if correlated:
         params = theory.CorrelatedParams(
             p0=cfg["p0"], gamma=cfg["gamma"], q_bound=cfg["q_bound"], epsilon=cfg["epsilon"]
@@ -302,7 +307,7 @@ def _gap_verify(cfg, out, seed, correlated):
 
     result = theory.run_gap_ensemble(
         cfg["p0"], alpha, cfg["n_steps"], cfg["n_traj"], seed,
-        gamma=gamma, checkpoints=cfg["checkpoints"],
+        noise=noise, gamma=gamma, checkpoints=cfg["checkpoints"],
     )
     report = theory.verification_report(
         gap_params, alpha, result,
@@ -341,6 +346,8 @@ def scenario_thm_corr_verify(cfg, out, seed):
 def scenario_thm23_verify(cfg, out, seed):
     rng = stream_for(seed)
     dims = list(cfg["dims"])
+    if cfg["n_cases"] < 1 or not dims:
+        raise InvalidInputError("need n_cases >= 1 and at least one dimension")
     violations = 0
     worst_margin = np.inf
     rows = []
@@ -423,6 +430,8 @@ def scenario_spiking_validate(cfg, out, seed):
     lam = np.asarray(cfg["lam"], dtype=float)
     w = np.asarray(cfg["weights"], dtype=float)
     target = lam * w / float(np.dot(lam, w))
+    if not cfg["thresholds"] or len(cfg["thresholds"]) != len(cfg["n_events"]):
+        raise InvalidInputError("need one n_events per threshold, at least one of each")
     rows = []
     ok = True
     rng = stream_for(seed)
@@ -455,6 +464,8 @@ def scenario_spiking_validate(cfg, out, seed):
 def scenario_mirror_compare(cfg, out, seed):
     rng = stream_for(seed)
     alphas = np.asarray(cfg["alphas"], dtype=float)
+    if cfg["n_points"] < 1 or alphas.size < 2:
+        raise InvalidInputError("need n_points >= 1 and two rates to compare their errors")
     sup = np.zeros(alphas.size)
     for _ in range(cfg["n_points"]):
         p = rng.dirichlet(np.ones(cfg["d"]))

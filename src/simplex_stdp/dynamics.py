@@ -14,8 +14,6 @@ probability step and a seeded, recorded single-trajectory runner.
 
 import bisect
 import functools
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,35 +36,22 @@ CHUNK = 65536
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Centered noise Z with entries in [-(q_bound - 1), q_bound - 1].
+    """Centered noise Z, Unif[-half_width, half_width] entrywise, with the
+    stated bound |Z| <= q_bound - 1 that the theorems and the rate check use.
 
-    The default is Unif[-1, 1] entrywise (q_bound = 2). A custom bounded
-    sampler may be supplied; it receives (rng, size) and must respect the
-    stated support and have zero mean.
-    """
+    The default is Unif[-1, 1] (q_bound = 2)."""
 
-    kind: str = "uniform-symmetric"
     half_width: float = 1.0
     q_bound: float = 2.0
-    sampler: object = None
 
     def __post_init__(self):
         if self.q_bound <= 1.0:
             raise InvalidInputError("q_bound must exceed 1")
         if not (0.0 < self.half_width <= self.q_bound - 1.0):
             raise InvalidInputError("half_width must lie in (0, q_bound - 1]")
-        if self.kind not in ("uniform-symmetric", "custom-bounded"):
-            raise InvalidInputError("unknown noise kind %r" % self.kind)
-        if self.kind == "custom-bounded" and self.sampler is None:
-            raise InvalidInputError("custom-bounded noise needs a sampler")
 
     def sample(self, rng, size):
-        if self.kind == "uniform-symmetric":
-            return rng.uniform(-self.half_width, self.half_width, size)
-        z = np.asarray(self.sampler(rng, size), dtype=float)
-        if np.any(np.abs(z) > self.q_bound - 1.0 + 1e-12):
-            raise InvalidInputError("custom sampler left the stated support")
-        return z
+        return rng.uniform(-self.half_width, self.half_width, size)
 
 
 def check_rate(alpha, q_bound):
@@ -177,11 +162,12 @@ def _gap_of(v):
 
 
 class Recorder:
-    """What a `simulate` run reports to: at each of the increasing steps
-    `checkpoints` within [0, n_steps], record(k, x) gets the batch state
-    after k steps (this one keeps a copy in `states`). The step writes y of
-    every step into `samples` when that is an (n, n_steps, d) array, and
-    also advances a recorder that `tracks`, as a `GapTracker` does."""
+    """What a run of the segment driver `_drive` reports to: at each of the
+    increasing steps `checkpoints` within [0, n_steps], record(k, x) gets
+    the batch state after k steps (this one keeps a copy in `states`). The
+    step writes y of every step into `samples` when that is an (n, n_steps,
+    d) array, and also advances a recorder that `tracks`, as a `GapTracker`
+    or the joint scheme's clip counter."""
 
     tracks = False
 
@@ -201,7 +187,9 @@ class GapTracker(Recorder):
     (the half-gap condition, also on gamma @ p when correlated, held at
     every step so far) and `ek_violations`, the steps at which the
     maximal-inequality event held but the gap condition failed at the next
-    step. At each checkpoint `record` stores p[:, 0] and M.
+    step. At each checkpoint `record` stores p[:, 0], the tail mass
+    sum_{j>=2} p_j (so the L1 error 2 * tail stays representable after
+    1 - p_1 rounds to 0) and M.
 
     `track` is the numpy step's arithmetic; the compiled step does the same
     in C on the same arrays."""
@@ -220,11 +208,13 @@ class GapTracker(Recorder):
         self.alive = np.ones(n, dtype=bool)
         self.ek_violations = 0
         self.p1_checkpoints = np.empty((n, self.checkpoints.size))
+        self.tail_checkpoints = np.empty((n, self.checkpoints.size))
         self.martingale_checkpoints = np.empty((n, d, self.checkpoints.size))
 
     def record(self, k, p):
         pos = np.searchsorted(self.checkpoints, k)
         self.p1_checkpoints[:, pos] = p[:, 0]
+        self.tail_checkpoints[:, pos] = p[:, 1:].sum(axis=1)
         self.martingale_checkpoints[:, :, pos] = self.mart
 
     def track(self, p, y, p_next):
@@ -294,16 +284,24 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=N
         w = state * (1 + alpha * y), renormalised to p in the probability form
 
     record, a `Recorder`, is called at its checkpoints and may collect y or
-    track every step. Each chunk is split into segments at the checkpoints
-    and the intensity switches, and every segment goes to one step: the
-    compiled `_kernel.advance` when the kernel loads, otherwise its numpy
-    reference `numpy_step`; both give the same results bit for bit.
-    The state is checked for non-finite values after every chunk, and
-    between chunks each weight row is scaled by a power of two (`rescale`),
-    so returned weights are defined up to that factor per row.
+    track every step. simulate checks the rate and hands the segment driver
+    `_drive` its step: the compiled `_kernel.advance` when the kernel loads,
+    otherwise its numpy reference `numpy_step`; both give the same results
+    bit for bit. The driver scales each weight row by a power of two between
+    chunks, so returned weights are defined up to that factor per row.
     """
     check_rate(alpha, noise.q_bound)
-    alpha = float(alpha)
+    step = numpy_step if _kernel.library() is None else _kernel.advance
+    return _drive(step, state0, float(alpha), n_steps, keys, noise, lam, gamma, record)
+
+
+def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=None):
+    """The segment driver of every learning run; returns the final state.
+    Draws each chunk of `CHUNK` steps from the streams of `keys`, splits it
+    at the checkpoints and intensity switches, and hands every segment to
+    step(x, alpha, t0, t1, u, z, gu, top, lam, gamma, pair, tracker, y_out),
+    which advances the rows of x in place. Checks x after every chunk and,
+    in the weight form, scales each row by a power of two between chunks."""
     x = np.array(state0, dtype=float, order="C")
     n, d = x.shape
     if n < 1 or len(keys) != n:
@@ -321,7 +319,6 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=N
         gamma = np.ascontiguousarray(validate_correlation(gamma))
     n_pairs = 0 if gamma is None else d * (d - 1) // 2
     pair = None if gamma is None else _pair_index(d)
-    step = numpy_step if _kernel.library() is None else _kernel.advance
     tracker = record if record.tracks else None
     stops = set(steps.tolist())
     cuts = sorted(stops.union(starts[1:]))
@@ -474,19 +471,6 @@ class DynamicsConfig:
             return as_probability_vector(self.p0), None, self.gamma
         return validate_weights(self.w0), validate_intensities(self.lam), self.gamma
 
-    def digest(self):
-        payload = {
-            "alpha": self.alpha,
-            "n_steps": self.n_steps,
-            "p0": None if self.p0 is None else list(np.asarray(self.p0, dtype=float)),
-            "lam": None if self.lam is None else list(np.asarray(self.lam, dtype=float)),
-            "w0": None if self.w0 is None else list(np.asarray(self.w0, dtype=float)),
-            "noise": [self.noise.kind, self.noise.half_width, self.noise.q_bound],
-            "gamma": None if self.gamma is None else np.asarray(self.gamma, dtype=float).tolist(),
-            "record_stride": self.record_stride,
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
 
 @dataclass
 class TrajectoryRecord:
@@ -500,7 +484,6 @@ class TrajectoryRecord:
     weights: np.ndarray = None
     y_samples: np.ndarray = None
     seed: object = None
-    config_digest: str = ""
 
 
 def final_probabilities(config, keys):
@@ -530,5 +513,4 @@ def run_trajectory(config, seed):
         weights=None if lam is None else x,
         y_samples=None if samples is None else samples[0],
         seed=seed,
-        config_digest=config.digest(),
     )

@@ -13,18 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics
 from .simplex import InvalidInputError, recorded_steps, validate_intensities
 from .dynamics import (
     NoiseModel,
-    check_finite,
+    Recorder,
+    _drive,
     check_rate,
-    draw_chunk,
     probabilities,
-    rescale,
     sample_triggers,
     simulate,
-    stream_for,
 )
 
 
@@ -96,8 +93,6 @@ class MultiRunConfig:
             check_rate(alphas, self.noise.q_bound)
         except InvalidInputError as exc:
             errors.append(str(exc))
-        if self.n_steps < 0:
-            errors.append("n_steps must be nonnegative")
         if errors:
             raise InvalidInputError("; ".join(errors))
         return self
@@ -118,51 +113,71 @@ def _key_prefix(seed):
     return seed if isinstance(seed, tuple) else (seed,)
 
 
-def _joint_steps(config, prefixes, observe=None):
+def _deflated_increments(w, alpha, y):
+    """The increments alpha_j * w_j * y_j of every column j (stored as rows:
+    w and y of shape (n, d_out, d), alpha (d_out, 1)), each projected off the
+    span of the columns 0..j-1 of w by Gram-Schmidt; residuals below 1e-12
+    of their column's norm are dropped."""
+    inc = alpha * w * y
+    basis = []
+    for i in range(w.shape[1] - 1):
+        r = w[:, i].copy()
+        for ub in basis:
+            r -= (r * ub).sum(axis=-1, keepdims=True) * ub
+        norm = np.linalg.norm(r, axis=-1, keepdims=True)
+        keep = norm > 1e-12 * np.linalg.norm(w[:, i], axis=-1, keepdims=True)
+        ub = np.where(keep, r / np.maximum(norm, 1e-300), 0.0)
+        basis.append(ub)
+        higher = inc[:, i + 1:]
+        higher -= (higher * ub[:, None]).sum(axis=-1, keepdims=True) * ub[:, None]
+    return inc
+
+
+def _joint_step(x, alpha, t0, t1, u, z, gu, top, lam=None, gamma=None, pair=None, tracker=None,
+                y_out=None):
+    """Steps t0..t1-1 of the chunk (u, z) of the joint scheme on x in place,
+    in the step signature of `dynamics.numpy_step`. The rows of x are the
+    columns of the runs, d_out per run, and alpha holds their (d_out, 1)
+    rates. Per step every column moves by its deflated increment, negative
+    entries are clipped, and a tracker's `clip_events` counts them. top is
+    not used: clipping can zero an entry, so triggers are capped every step."""
+    d_out, d = alpha.shape[0], x.shape[1]
+    w = x.reshape(-1, d_out, d)
+    u = u.reshape(w.shape[0], d_out, -1)
+    z = z.reshape(w.shape[0], d_out, u.shape[2], d)
+    eye_rows = np.eye(d)
+    for t in range(t0, t1):
+        idx = sample_triggers(probabilities(lam, w), u[:, :, t])
+        w_next = w + _deflated_increments(w, alpha, eye_rows[idx] + z[:, :, t])
+        if tracker is not None:
+            tracker.clip_events += int(np.count_nonzero(w_next < 0))
+        np.clip(w_next, 0.0, None, out=w)
+
+
+class _ClipCounter(Recorder):
+    """A `Recorder` that the joint step also hands the number of entries it
+    clips, counted in `clip_events`."""
+
+    tracks = True
+    clip_events = 0
+
+
+def _joint_steps(config, prefixes, record=None):
     """The joint scheme for a batch of runs; returns the final columns,
     stored as rows: shape (n_runs, d_out, d).
 
-    Run r's column j draws from the stream prefixes[r] + (j,). Per step every
-    column's increment alpha_j * w_j * (B + Z) is projected off the span of
-    the start-of-step columns 0..j-1 (Gram-Schmidt residuals below 1e-12 of
-    their column's norm are dropped), then negative entries are clipped.
-    observe(k, w, inc, w_next) is called after every step; the columns are
-    checked after every chunk and rescaled between chunks as in `simulate`."""
-    lam = validate_intensities(config.lam)
-    alphas = np.asarray(config.alphas, dtype=float)[:, None]
-    w = np.tile(np.asarray(config.w0, dtype=float).T, (len(prefixes), 1, 1))
-    n, d_out, d = w.shape
-    rngs = [stream_for(prefix + (j,)) for prefix in prefixes for j in range(d_out)]
-    eye_rows = np.eye(d)
-    k = 0
-    while k < config.n_steps:
-        m = min(dynamics.CHUNK, config.n_steps - k)
-        u, z, _ = draw_chunk(rngs, m, d, config.noise)
-        u = u.reshape(n, d_out, m)
-        z = z.reshape(n, d_out, m, d)
-        for t in range(m):
-            idx = sample_triggers(probabilities(lam, w), u[:, :, t])
-            inc = alphas * w * (eye_rows[idx] + z[:, :, t])
-            basis = []
-            for i in range(d_out - 1):
-                r = w[:, i].copy()
-                for ub in basis:
-                    r -= (r * ub).sum(axis=-1, keepdims=True) * ub
-                norm = np.linalg.norm(r, axis=-1, keepdims=True)
-                keep = norm > 1e-12 * np.linalg.norm(w[:, i], axis=-1, keepdims=True)
-                ub = np.where(keep, r / np.maximum(norm, 1e-300), 0.0)
-                basis.append(ub)
-                higher = inc[:, i + 1:]
-                higher -= (higher * ub[:, None]).sum(axis=-1, keepdims=True) * ub[:, None]
-            w_next = np.clip(w + inc, 0.0, None)
-            if observe is not None:
-                observe(k, w, inc, w_next)
-            w = w_next
-            k += 1
-        check_finite(w, k, config.alphas)
-        if k < config.n_steps:
-            w = rescale(w)
-    return w
+    Run r's column j draws from the stream prefixes[r] + (j,). The rows of
+    the state are the (run, column) pairs in that order, and the segment
+    driver `dynamics._drive` runs `_joint_step` on them: it draws the
+    chunks, calls record (a `Recorder`, given the state after k steps at
+    its checkpoints), checks the columns after every chunk and scales them
+    by a power of two between chunks, as for `simulate`."""
+    w0 = np.asarray(config.w0, dtype=float).T
+    keys = [prefix + (j,) for prefix in prefixes for j in range(w0.shape[0])]
+    w = _drive(_joint_step, np.tile(w0, (len(prefixes), 1)),
+               np.asarray(config.alphas, dtype=float)[:, None], config.n_steps, keys,
+               config.noise, lam=validate_intensities(config.lam), record=record)
+    return w.reshape(len(prefixes), *w0.shape)
 
 
 def joint_run(config, seed):
@@ -170,33 +185,16 @@ def joint_run(config, seed):
     joint loop on key prefix seed (an int or a tuple), so column j uses the
     stream prefix + (j,) and joint_run(config, (S, s)) equals member s of
     joint_final_errors(..., seed=S). Records weights and probabilities every
-    record_stride steps and counts clipped entries."""
+    record_stride steps through a `Recorder` and counts clipped entries."""
     lam = validate_intensities(config.validated().lam)
-    rec = recorded_steps(config.n_steps, config.record_stride)
-    weights = np.empty((rec.size, *np.shape(config.w0)))
-    probs = np.empty_like(weights)
-    pos = 0
-    clip_events = 0
-
-    def record(k, w):
-        nonlocal pos
-        if pos < rec.size and rec[pos] == k:
-            weights[pos] = w.T
-            probs[pos] = probabilities(lam, w).T
-            pos += 1
-
-    def observe(k, w, inc, w_next):
-        nonlocal clip_events
-        clip_events += int(np.count_nonzero(w + inc < 0))
-        record(k + 1, w_next[0])
-
-    record(0, np.asarray(config.w0, dtype=float).T)
-    _joint_steps(config, [_key_prefix(seed)], observe)
+    recorder = _ClipCounter(recorded_steps(config.n_steps, config.record_stride))
+    _joint_steps(config, [_key_prefix(seed)], recorder)
+    w = np.stack(recorder.states)
     return MultiRunRecord(
-        recorded_steps=rec,
-        weights=weights,
-        probabilities=probs,
-        clip_events=clip_events,
+        recorded_steps=recorder.checkpoints,
+        weights=np.ascontiguousarray(w.transpose(0, 2, 1)),
+        probabilities=np.ascontiguousarray(probabilities(lam, w).transpose(0, 2, 1)),
+        clip_events=recorder.clip_events,
     )
 
 

@@ -189,6 +189,8 @@ def landscape_grid(grid_step):
     the 2-simplex, with n = round(1/grid_step).
 
     Returns (points, x, y, values) where points has shape (m, 3)."""
+    if not grid_step > 0:
+        raise InvalidInputError("grid_step must be positive, got %r" % (grid_step,))
     n = int(round(1.0 / grid_step))
     if n < 1:
         raise InvalidInputError("grid_step must be at most 1")

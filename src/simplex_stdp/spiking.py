@@ -32,19 +32,19 @@ def gen_poisson_trains(lam, horizon, rng):
         raise InvalidInputError("horizon must be positive")
     trains = []
     for rate in lam:
-        ts = []
+        blocks = []
         t = 0.0
-        # draw gaps in blocks to keep the stream consumption predictable
+        # draw gaps in blocks to keep the stream consumption predictable;
+        # cumsum adds them one after another, as a running t += gap would
         while True:
             gaps = rng.exponential(1.0 / rate, size=max(16, int(rate * horizon * 0.1) + 16))
-            for g in gaps:
-                t += g
-                if t > horizon:
-                    break
-                ts.append(t)
-            if t > horizon:
+            ts = np.cumsum(np.concatenate(([t], gaps)))[1:]
+            kept = np.searchsorted(ts, horizon, side="right")
+            blocks.append(ts[:kept])
+            if kept < ts.size:
                 break
-        trains.append(np.array(ts))
+            t = ts[-1]
+        trains.append(np.concatenate(blocks))
     return SpikeTrains(times=trains, horizon=horizon)
 
 

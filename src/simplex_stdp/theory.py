@@ -281,13 +281,15 @@ class EnsembleVerification:
 
     theta_hat[i] says the half-gap condition held through the whole horizon
     for trajectory i. p1_checkpoints has shape (n_traj, n_checkpoints), with
-    martingale values alongside. ek_violations counts steps where the
-    maximal-inequality event held but the gap condition failed at the next
-    step (the inclusion lemma says this must be zero for admissible alpha).
+    the tail masses sum_{j>=2} p_j and martingale values alongside.
+    ek_violations counts steps where the maximal-inequality event held but
+    the gap condition failed at the next step (the inclusion lemma says this
+    must be zero for admissible alpha).
     """
 
     checkpoints: np.ndarray
     p1_checkpoints: np.ndarray
+    tail_checkpoints: np.ndarray
     martingale_checkpoints: np.ndarray
     theta_hat: np.ndarray
     ek_violations: int
@@ -312,8 +314,8 @@ def run_gap_ensemble(
     (seed, index_start + i), so ensembles are order-independent and each
     member equals `dynamics.run_trajectory` with that key. The tracking is a
     `dynamics.GapTracker`, the recorder that `simulate`'s step advances;
-    p_1 and the martingales are recorded at each checkpoint, a step in
-    [0, n_steps]."""
+    p_1, the tail mass and the martingales are recorded at each checkpoint,
+    a step in [0, n_steps]."""
     noise = noise or NoiseModel()
     p0 = as_probability_vector(p0)
     d = p0.size
@@ -336,6 +338,7 @@ def run_gap_ensemble(
     return EnsembleVerification(
         checkpoints=tracker.checkpoints,
         p1_checkpoints=tracker.p1_checkpoints,
+        tail_checkpoints=tracker.tail_checkpoints,
         martingale_checkpoints=tracker.martingale_checkpoints,
         theta_hat=tracker.alive,
         ek_violations=tracker.ek_violations,
@@ -348,7 +351,8 @@ def verification_report(params, alpha, result, correlated_params=None):
 
     Returns a JSON-ready dict with the empirical gap-event probability, the
     bound at each checkpoint next to the on-event empirical L1 error, and the
-    inclusion-violation count."""
+    inclusion-violation count. The L1 error ||p - e_1||_1 is twice the tail
+    mass sum_{j>=2} p_j, which stays positive where 1 - p_1 rounds to 0."""
     n = result.theta_hat.size
     prob = float(result.theta_hat.mean())
     rows = []
@@ -357,7 +361,7 @@ def verification_report(params, alpha, result, correlated_params=None):
             bound = float(error_bound_correlated(correlated_params, alpha, int(k)))
         else:
             bound = float(error_bound(params, alpha, int(k)))
-        err = 2.0 * (1.0 - result.p1_checkpoints[:, pos])
+        err = 2.0 * result.tail_checkpoints[:, pos]
         on_event = float((err * result.theta_hat).sum() / n)
         rows.append(
             {"k": int(k), "bound": bound, "on_event_mean_l1_error": on_event}

@@ -116,6 +116,21 @@ def test_verify_scenario_reports(tmp_path):
     ["fig2-ensemble", "--set", "n_traj=0"],
     # no triggers to collect used to end in a ValueError traceback
     ["spiking-validate", "--set", "n_events=[0,0]"],
+    # a noise bound the simulated Unif[-1, 1] noise exceeds used to pass
+    ["thm22-verify", "--set", "q_bound=1.2", "--set", "n_traj=20", "--set", "n_steps=20000",
+     "--set", "checkpoints=[0,10000,20000]"],
+    # runs that checked nothing used to pass
+    ["thm23-verify", "--set", "n_cases=0"],
+    ["spiking-validate", "--set", "thresholds=[]", "--set", "n_events=[]"],
+    ["thm22-verify", "--set", "checkpoints=[]", "--set", "n_steps=100", "--set", "n_traj=4"],
+    ["mirror-compare", "--set", "alphas=[0.01]"],
+    # these used to end in tracebacks or a failed verdict after a divide warning
+    ["landscape-grid", "--set", "grid_step=0"],
+    ["fig2-trajectories", "--set", "p0_list=[]"],
+    ["thm23-verify", "--set", "dims=[]"],
+    ["mirror-compare", "--set", "n_points=0"],
+    # thresholds without a trigger count used to be dropped by zip
+    ["spiking-validate", "--set", "thresholds=[5.0,10.0]", "--set", "n_events=[2000]"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     assert run(args + ["--out", str(tmp_path), "--threads", "1"]) == 3

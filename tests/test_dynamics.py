@@ -62,12 +62,6 @@ def test_noise_model_validation():
         dynamics.NoiseModel(q_bound=1.0)
     with pytest.raises(InvalidInputError):
         dynamics.NoiseModel(half_width=1.5, q_bound=2.0)
-    with pytest.raises(InvalidInputError):
-        dynamics.NoiseModel(kind="custom-bounded")
-    m = dynamics.NoiseModel(kind="custom-bounded", q_bound=3.0, half_width=2.0,
-                            sampler=lambda rng, size: rng.uniform(-2, 2, size))
-    z = m.sample(np.random.default_rng(0), (100,))
-    assert np.abs(z).max() <= 2.0
 
 
 def test_step_weights_rejects_destructive_rates():
@@ -174,7 +168,6 @@ def test_run_trajectory_deterministic_and_seed_sensitive():
     c = dynamics.run_trajectory(cfg, 43)
     assert np.array_equal(a.states, b.states)
     assert not np.array_equal(a.states, c.states)
-    assert a.config_digest == b.config_digest
 
 
 def test_run_trajectory_samples_replay_states():

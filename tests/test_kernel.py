@@ -1,6 +1,7 @@
 """Property tests of the batched stepping kernels: `dynamics.simulate` (its
 compiled step against its numpy loop) and the joint multi-output loop."""
 
+import dataclasses
 import json
 from unittest import mock
 
@@ -200,6 +201,43 @@ def test_ensemble_members_equal_single_runs(seed, n_steps, d_out):
                           multi.joint_run(config, (seed,)).probabilities)
     assert np.array_equal(multi.sequential_run(lam, np.ones(3), 0.05, n_steps, seed)[0],
                           multi.sequential_run(lam, np.ones(3), 0.05, n_steps, (seed,))[0])
+
+
+@st.composite
+def joint_case(draw):
+    """A joint run with d_out columns of equal or drawn starts, rates up to
+    0.45 at which deflation clips, and a chunk length that makes it cross
+    chunk and recording boundaries."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    d_out = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        w0 = np.ones((d, d_out))
+    else:
+        w0 = np.stack([draw(positive_vector(d)) for _ in range(d_out)], axis=1)
+    config = multi.MultiRunConfig(
+        lam=draw(positive_vector(d, min_value=0.5)), w0=w0,
+        alphas=draw(st.lists(alphas, min_size=d_out, max_size=d_out)),
+        n_steps=draw(st.integers(min_value=0, max_value=120)))
+    return config, draw(seeds), draw(st.sampled_from([1, 7, 16])), draw(st.integers(1, 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(joint_case())
+# equal columns at rate 0.45 clip 343 entries over these 120 steps
+@example((multi.MultiRunConfig(lam=np.array([10.0, 7.5, 5.0]), w0=np.ones((3, 3)),
+                               alphas=[0.45] * 3, n_steps=120), 5, 7, 9))
+def test_joint_recordings_do_not_depend_on_the_stride(case):
+    config, seed, chunk, stride = case
+    with mock.patch.object(dynamics, "CHUNK", chunk):
+        every = multi.joint_run(config, seed)
+        strided = multi.joint_run(dataclasses.replace(config, record_stride=stride), seed)
+        final = multi._joint_steps(config, [(seed,)])[0]
+    shared = np.searchsorted(every.recorded_steps, strided.recorded_steps)
+    assert np.array_equal(every.recorded_steps[shared], strided.recorded_steps)
+    assert np.array_equal(every.weights[shared], strided.weights)
+    assert np.array_equal(every.probabilities[shared], strided.probabilities)
+    assert every.clip_events == strided.clip_events
+    assert np.array_equal(strided.weights[-1], final.T)
 
 
 def _numpy_loop():

@@ -52,7 +52,7 @@ def test_config_validation():
         ).validated()
 
 
-def test_joint_increments_orthogonal_to_lower_columns():
+def test_joint_increments_orthogonal_to_lower_columns(monkeypatch):
     cfg = multi.MultiRunConfig(
         lam=[10.0, 7.5, 5.0],
         w0=np.ones((3, 3)),
@@ -61,18 +61,23 @@ def test_joint_increments_orthogonal_to_lower_columns():
         record_stride=2000,
     )
     violation = 0.0
+    calls = 0
+    deflated_increments = multi._deflated_increments
 
-    def observe(k, w, inc, w_next):
+    def spy(w, alpha, y):
         # |<increment of column j, start-of-step column i>| over their norms, i < j
-        nonlocal violation
+        nonlocal violation, calls
+        inc = deflated_increments(w, alpha, y)
         dots = np.abs(inc[0] @ w[0].T)
         scale = np.outer(np.linalg.norm(inc[0], axis=-1), np.linalg.norm(w[0], axis=-1))
         violation = max(violation, np.tril(dots / np.maximum(scale, 1e-300), -1).max())
+        calls += 1
+        return inc
 
-    # the run joint_run(cfg, 11) makes, observed step by step
-    multi._joint_steps(cfg, [(11,)], observe)
-    assert violation < 1e-10
+    monkeypatch.setattr(multi, "_deflated_increments", spy)
     rec = multi.joint_run(cfg, 11)
+    assert calls == 2000
+    assert violation < 1e-10
     assert rec.probabilities[-1].sum(axis=0) == pytest.approx(np.ones(3))
 
 

@@ -17,6 +17,28 @@ def test_poisson_trains_rates():
         assert abs(ts.size / 2000.0 - rate) < 0.2 * rate
 
 
+def test_poisson_trains_equal_a_running_sum():
+    def running_sum(lam, horizon, rng):
+        trains = []
+        for rate in lam:
+            ts, t = [], 0.0
+            while t <= horizon:
+                for g in rng.exponential(1.0 / rate, size=max(16, int(rate * horizon * 0.1) + 16)):
+                    t += g
+                    if t > horizon:
+                        break
+                    ts.append(t)
+            trains.append(np.array(ts))
+        return trains
+
+    for seed, lam, horizon in [(0, [10.0, 7.5, 5.0], 300.0), (1, [0.01, 50.0], 2.0),
+                               (2, [3.0], 1e-3), (3, [200.0, 1.0], 40.0)]:
+        got = spiking.gen_poisson_trains(np.array(lam), horizon, np.random.default_rng(seed))
+        oracle = running_sum(lam, horizon, np.random.default_rng(seed))
+        for a, b in zip(got.times, oracle):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_membrane_spikes_only_at_input_times_and_resets():
     rng = np.random.default_rng(1)
     lam = np.array([10.0, 7.5, 5.0])

@@ -138,6 +138,18 @@ def test_ensemble_members_reproducible_in_isolation():
     assert np.array_equal(part.final_states, res.final_states[1:])
 
 
+def test_report_measures_errors_below_double_resolution():
+    # p_2 falls far below 2^-53, so 1 - p_1 rounds to exactly 0 while the
+    # error ||p - e_1||_1 = 2 p_2 is still positive
+    p0 = [0.9, 0.1]
+    params = theory.GapParams(p0=np.array(p0), epsilon=0.5)
+    res = theory.run_gap_ensemble(p0, 0.1, 1000, 8, 4, checkpoints=[0, 1000])
+    assert np.all(res.p1_checkpoints[:, 1] == 1.0) and res.theta_hat.all()
+    row = theory.verification_report(params, 0.1, res)["checkpoints"][1]
+    assert row["on_event_mean_l1_error"] == 2.0 * res.tail_checkpoints[:, 1].sum() / 8
+    assert 0.0 < row["on_event_mean_l1_error"] <= row["bound"]
+
+
 def test_priming_delta_closed_form():
     assert abs(theory.priming_delta_max([10.0, 5.0], [5.0, 10.0]) - 0.2) < 1e-15
 
