@@ -1,8 +1,8 @@
 /*
- * Compiled chunk step of simplex_stdp.dynamics.simulate.
+ * Compiled step of simplex_stdp.dynamics.simulate.
  *
- * simplex_advance runs steps t0..t1-1 of one pre-drawn chunk for every row
- * of a batch, with the same arithmetic in the same order as
+ * simplex_advance runs steps k0..k1-1 for every row of a batch, drawing as
+ * it steps, with the same draws, arithmetic and order as
  * `dynamics.numpy_step` and, when mart is given, `dynamics.GapTracker`:
  *
  *   p    = x, or lam * x / sum(lam * x)         (weight form)
@@ -103,33 +103,60 @@ static int track(int64_t d, double alpha, const double *p, const double *y, cons
 }
 
 /*
- * x (n, d) is the state, updated in place; top (n,) the last pickable
- * coordinate of each row. u (n, m), z (n, m, d) and gu (n, m, n_pairs) are
- * the chunk's draws; pair (d, d) numbers each unordered pair. lam (d,) is
- * NULL in the probability form, gamma (d, d) and pair NULL for independent
+ * Everything fixed for one run of dynamics.simulate. x (n, d) is the state,
+ * updated in place; top (n,) the last pickable coordinate of each row.
+ * streams (n, 3) holds, per row, the state addresses of the numpy bit
+ * generators positioned at the chunk's trigger uniforms, noise values and
+ * pair uniforms (NULL without pairs); next_double is their shared draw
+ * function, one 64-bit output per double. pair (d, d)
+ * numbers each unordered pair. gamma and pair are NULL for independent
  * triggers, mart NULL without tracking; mart and max_abs are (n, d), alive
- * (n,), and track_gamma (d, d) is the tracker's correlation matrix, NULL for
- * independent triggers; y_out (n, m, d), unless NULL, receives every y.
- * Returns the number of inclusion violations seen, or -1 when out of memory.
+ * (n,), and track_gamma (d, d) is the tracker's correlation matrix, NULL
+ * for independent triggers. y_out (n, n_steps, d), unless NULL, receives y
+ * of every step. Every field is 8 bytes wide, so the layout has no padding.
  */
-int64_t simplex_advance(int64_t n, int64_t d, int64_t m, int64_t t0, int64_t t1, double alpha,
-                        double *x, const int64_t *top, const double *u, const double *z,
-                        const double *gu, int64_t n_pairs, const double *lam,
-                        const double *gamma, const int64_t *pair, double *mart,
-                        double *max_abs, uint8_t *alive, const double *track_gamma,
-                        double threshold, double half_gap, double half_gap_gamma,
-                        double *y_out)
+struct simplex_run {
+    int64_t n, d, n_pairs, n_steps;
+    double alpha, half_width;
+    double *x;
+    const int64_t *top;
+    void *const *streams;
+    double (*next_double)(void *);
+    const double *gamma;
+    const int64_t *pair;
+    double *mart, *max_abs;
+    uint8_t *alive;
+    const double *track_gamma;
+    double threshold, half_gap, half_gap_gamma;
+    double *y_out;
+};
+
+/*
+ * Runs steps k0..k1-1 of r under the intensities lam (d,), NULL in the
+ * probability form. Each step of a row reads one trigger uniform, d noise
+ * values -h + 2h * r (numpy's uniform(-h, h)) and n_pairs pair uniforms
+ * from the row's three generators. Returns the number of inclusion
+ * violations seen, or -1 when out of memory.
+ */
+int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam)
 {
-    double *buf = malloc(5 * (size_t)d * sizeof(double));
+    const int64_t d = r->d, n_pairs = r->n_pairs;
+    const double lo = -r->half_width, span = r->half_width - lo;
+    double *buf = malloc((6 * (size_t)d + (size_t)n_pairs) * sizeof(double));
     if (!buf)
         return -1;
     double *pb = buf, *y = buf + d, *xn = buf + 2 * d, *tmp = buf + 3 * d, *gp = buf + 4 * d;
+    double *z = buf + 5 * d, *gu = buf + 6 * d;
     int64_t violations = 0;
-    for (int64_t i = 0; i < n; i++) {
-        double *xr = x + i * d;
-        for (int64_t t = t0; t < t1; t++) {
-            const int64_t s = i * m + t;
-            const double *zt = z + s * d;
+    for (int64_t i = 0; i < r->n; i++) {
+        double *xr = r->x + i * d;
+        void *const *st = r->streams + 3 * i;
+        for (int64_t t = k0; t < k1; t++) {
+            const double u = r->next_double(st[0]);
+            for (int64_t j = 0; j < d; j++)
+                z[j] = lo + span * r->next_double(st[1]);
+            for (int64_t q = 0; q < n_pairs; q++)
+                gu[q] = r->next_double(st[2]);
             const double *p = xr;
             if (lam) {
                 for (int64_t j = 0; j < d; j++)
@@ -144,30 +171,30 @@ int64_t simplex_advance(int64_t n, int64_t d, int64_t m, int64_t t0, int64_t t1,
             for (int64_t j = 0; j < d; j++) {
                 if (j)
                     cum += p[j];
-                idx += cum <= u[s];
+                idx += cum <= u;
             }
-            if (idx > top[i])
-                idx = top[i];
+            if (idx > r->top[i])
+                idx = r->top[i];
             for (int64_t j = 0; j < d; j++) {
                 /* gamma_ii = 1 exceeds every uniform, so the trigger spikes */
                 double sig = j == idx;
-                if (gamma && j != idx)
-                    sig = gu[s * n_pairs + pair[idx * d + j]] < gamma[idx * d + j];
-                y[j] = sig + zt[j];
-                if (y_out)
-                    y_out[s * d + j] = y[j];
+                if (r->gamma && j != idx)
+                    sig = gu[r->pair[idx * d + j]] < r->gamma[idx * d + j];
+                y[j] = sig + z[j];
+                if (r->y_out)
+                    r->y_out[(i * r->n_steps + t) * d + j] = y[j];
             }
             for (int64_t j = 0; j < d; j++)
-                xn[j] = xr[j] * (1.0 + alpha * y[j]);
+                xn[j] = xr[j] * (1.0 + r->alpha * y[j]);
             if (!lam) {
                 const double total = pairwise_sum(xn, d);
                 for (int64_t j = 0; j < d; j++)
                     xn[j] /= total;
             }
-            if (mart)
-                violations += track(d, alpha, p, y, xn, track_gamma, tmp, gp, mart + i * d,
-                                    max_abs + i * d, alive + i, threshold, half_gap,
-                                    half_gap_gamma);
+            if (r->mart)
+                violations += track(d, r->alpha, p, y, xn, r->track_gamma, tmp, gp,
+                                    r->mart + i * d, r->max_abs + i * d, r->alive + i,
+                                    r->threshold, r->half_gap, r->half_gap_gamma);
             for (int64_t j = 0; j < d; j++)
                 xr[j] = xn[j];
         }

@@ -1,4 +1,4 @@
-"""Build, cache and load the compiled chunk step `_kernel.c`.
+"""Build, cache and load the compiled step `_kernel.c`.
 
 The library is built on first use with the C compiler on PATH and loaded
 through ctypes; importing this module builds and loads nothing. Builds are
@@ -80,15 +80,27 @@ def library():
     except (OSError, subprocess.CalledProcessError) as exc:
         warnings.warn("compiled step unavailable, using the numpy step: %s" % exc)
         return None
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [i64, i64, i64, i64, i64, f64,  # n, d, m, t0, t1, alpha
-                   ptr, ptr, ptr, ptr, ptr, i64,  # x, top, u, z, gu, n_pairs
-                   ptr, ptr, ptr,                 # lam, gamma, pair
-                   ptr, ptr, ptr, ptr,            # mart, max_abs, alive, tracker gamma
-                   f64, f64, f64,                 # threshold, half gaps
-                   ptr]                           # y_out
-    fn.restype = i64
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]  # run, k0, k1, lam
+    fn.restype = ctypes.c_int64
     return fn
+
+
+@functools.lru_cache(maxsize=None)
+def _run_type():
+    """The ctypes mirror of `struct simplex_run`."""
+    import ctypes
+
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+
+    class Run(ctypes.Structure):
+        _fields_ = [(name, i64) for name in ("n", "d", "n_pairs", "n_steps")]
+        _fields_ += [("alpha", f64), ("half_width", f64)]
+        _fields_ += [(name, ptr) for name in ("x", "top", "streams", "next_double", "gamma",
+                                              "pair", "mart", "max_abs", "alive", "track_gamma")]
+        _fields_ += [(name, f64) for name in ("threshold", "half_gap", "half_gap_gamma")]
+        _fields_ += [("y_out", ptr)]
+
+    return Run
 
 
 def _data(a, dtype, shape):
@@ -102,33 +114,44 @@ def _data(a, dtype, shape):
     return a.ctypes.data
 
 
-def advance(x, alpha, t0, t1, u, z, gu, top, lam=None, gamma=None, pair=None, tracker=None,
-            y_out=None):
-    """Run steps t0..t1-1 of the chunk (u, z, gu) on the state x in place;
-    also advance a `dynamics.GapTracker`'s martingales, maxima, gap event and
-    inclusion-violation count, and store y of each step in y_out (n, m, d)."""
+def prepare(x, alpha, streams, top, lams, gamma=None, pair=None, tracker=None, samples=None):
+    """Check the arrays of one run once and return advance(k0, k1, piece),
+    which runs steps k0..k1-1 on the state x in place under the intensities
+    lams[piece], drawing from the `dynamics.Streams` streams as it steps. It
+    also advances a `dynamics.GapTracker`'s martingales, maxima, gap event
+    and inclusion-violation count, and stores y of step k in samples[:, k]."""
+    import ctypes
+
     n, d = x.shape
-    m = u.shape[1]
-    if not 0 <= t0 <= t1 <= m:
-        raise ValueError("steps %d..%d outside a chunk of %d" % (t0, t1, m))
-    n_pairs = 0 if gu is None else gu.shape[2]
-    args = [
-        _data(x, np.float64, (n, d)), _data(top, np.int64, (n,)),
-        _data(u, np.float64, (n, m)), _data(z, np.float64, (n, m, d)),
-        _data(gu, np.float64, (n, m, n_pairs)), n_pairs,
-        _data(lam, np.float64, (d,)), _data(gamma, np.float64, (d, d)),
-        _data(pair, np.int64, (d, d)),
-    ]
+    n_steps = 0 if samples is None else samples.shape[1]
     if gamma is not None and pair is None:
         raise ValueError("correlated triggers need the pair table")
-    if tracker is None:
-        args += [None, None, None, None, 0.0, 0.0, 0.0]
-    else:
-        args += [_data(tracker.mart, np.float64, (n, d)), _data(tracker.max_abs, np.float64, (n, d)),
-                 _data(tracker.alive, np.bool_, (n,)), _data(tracker.gamma, np.float64, (d, d)),
-                 tracker.threshold, tracker.half_gap, tracker.half_gap_gamma]
-    violations = library()(n, d, m, t0, t1, alpha, *args, _data(y_out, np.float64, (n, m, d)))
-    if violations < 0:
-        raise MemoryError("compiled step could not allocate its row buffers")
+    run = _run_type()(
+        n=n, d=d, n_pairs=streams.n_pairs, n_steps=n_steps,
+        alpha=alpha, half_width=streams.noise.half_width,
+        x=_data(x, np.float64, (n, d)), top=_data(top, np.int64, (n,)),
+        streams=_data(streams.addresses, np.uintp, (n, 3)),
+        next_double=streams.next_double,
+        gamma=_data(gamma, np.float64, (d, d)), pair=_data(pair, np.int64, (d, d)),
+        y_out=_data(samples, np.float64, (n, n_steps, d)),
+    )
     if tracker is not None:
-        tracker.ek_violations += violations
+        run.mart = _data(tracker.mart, np.float64, (n, d))
+        run.max_abs = _data(tracker.max_abs, np.float64, (n, d))
+        run.alive = _data(tracker.alive, np.bool_, (n,))
+        run.track_gamma = _data(tracker.gamma, np.float64, (d, d))
+        run.threshold = tracker.threshold
+        run.half_gap, run.half_gap_gamma = tracker.half_gap, tracker.half_gap_gamma
+    lam_data = [_data(v, np.float64, (d,)) for v in lams]
+    # the struct points into these; advance keeps them alive through it
+    run.arrays = (x, top, streams, gamma, pair, tracker, samples, lams)
+    fn, ref = library(), ctypes.byref(run)
+
+    def advance(k0, k1, piece):
+        violations = fn(ref, k0, k1, lam_data[piece])
+        if violations < 0:
+            raise MemoryError("compiled step could not allocate its row buffers")
+        if tracker is not None:
+            tracker.ek_violations += violations
+
+    return advance

@@ -343,21 +343,31 @@ def scenario_thm_corr_verify(cfg, out, seed):
     return _gap_verify(cfg, out, seed, correlated=True)
 
 
+# starts drawn per thm23-verify case before its min_gap counts as unreachable
+MAX_START_DRAWS = 100000
+
+
 def scenario_thm23_verify(cfg, out, seed):
     rng = stream_for(seed)
     dims = list(cfg["dims"])
     if cfg["n_cases"] < 1 or not dims:
         raise InvalidInputError("need n_cases >= 1 and at least one dimension")
+    if not 0.0 <= cfg["min_gap"] < 1.0:
+        raise InvalidInputError("min_gap=%s outside [0, 1)" % cfg["min_gap"])
     violations = 0
     worst_margin = np.inf
     rows = []
     for case in range(cfg["n_cases"]):
         d = dims[case % len(dims)]
-        while True:
+        # rejection sampling of a uniform start with gap >= min_gap
+        for _ in range(MAX_START_DRAWS):
             p0 = rng.dirichlet(np.ones(d))
             gap, star = flow_gap(p0)
             if gap >= cfg["min_gap"]:
                 break
+        else:
+            raise InvalidInputError("no start with gap >= min_gap=%g in %d draws for d=%d"
+                                    % (cfg["min_gap"], MAX_START_DRAWS, d))
         spec = FlowSpec(
             p0=p0, horizon=cfg["horizon"], dt=cfg["dt"], record_stride=cfg["record_stride"]
         )
@@ -584,12 +594,13 @@ def main(argv=None):
         "config_digest": digest,
         "version": __version__,
         "files": [os.path.basename(f) for f in files],
-        "elapsed_seconds": round(time.time() - started, 3),
     }
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    summary = "%s: wrote %d file(s) to %s" % (args.scenario, len(files) + 1, out)
+    # the run time varies between runs, so it is printed, not written to out
+    summary = "%s: wrote %d file(s) to %s in %.3f s" % (
+        args.scenario, len(files) + 1, out, time.time() - started)
     if report is not None and "passed" in report:
         summary += "; passed=%s" % report["passed"]
     print(summary)

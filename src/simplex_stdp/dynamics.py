@@ -28,9 +28,9 @@ from .simplex import (
     validate_weights,
 )
 
-# Number of steps worth of random numbers drawn from a stream at a time.
-# Every runner consumes streams in these chunks, so a trajectory is
-# reproducible from its key alone regardless of batching.
+# Number of steps in the stream layout of one chunk (see `Streams`). Every
+# runner consumes streams in these chunks, so a trajectory is reproducible
+# from its key alone regardless of batching.
 CHUNK = 65536
 
 
@@ -69,21 +69,56 @@ def stream_for(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def draw_chunk(rngs, m, d, noise, n_pairs=0):
-    """The next m steps of randomness of every stream, drawn per stream in a
-    fixed order: m trigger uniforms, then (m, d) noise, then (m, n_pairs)
-    correlation uniforms. Returns (u, z, gu) with a leading stream axis; gu
-    is None when n_pairs is 0."""
-    n = len(rngs)
-    u = np.empty((n, m))
-    z = np.empty((n, m, d))
-    gu = np.empty((n, m, n_pairs)) if n_pairs else None
-    for i, rng in enumerate(rngs):
-        u[i] = rng.random(m)
-        z[i] = noise.sample(rng, (m, d))
-        if n_pairs:
-            gu[i] = rng.random((m, n_pairs))
-    return u, z, gu
+class Streams:
+    """The draws of a batch, row i from the stream `stream_for(keys[i])`.
+
+    Per chunk of m steps a row's stream yields m trigger uniforms, then
+    m x d noise values (`noise.sample`), then m x n_pairs pair uniforms.
+    `position(m)` sets the readers of each row, copies of its stream
+    advanced to the offsets 0, m and m(1 + d) of the chunk (the last only
+    with pairs), and moves the stream past the chunk. A step then reads each
+    kind of draw in step order from its reader: the compiled step through
+    the bit generators' state `addresses` (n, 3; 0 for no reader) and their
+    shared `next_double`, the numpy steps through `segment`. Nothing larger
+    than one segment's draws is held."""
+
+    def __init__(self, keys, d, noise, n_pairs=0):
+        import ctypes
+
+        self.d, self.noise, self.n_pairs = d, noise, n_pairs
+        self.streams = [stream_for(key).bit_generator for key in keys]
+        kinds = 3 if n_pairs else 2
+        # readers are positioned before every chunk, so this seed is never read
+        seed = np.random.SeedSequence(0)
+        self.readers = [[np.random.Generator(np.random.PCG64(seed)) for _ in range(kinds)]
+                        for _ in keys]
+        self.addresses = np.zeros((len(keys), 3), dtype=np.uintp)
+        self.addresses[:, :kinds] = [[r.bit_generator.ctypes.state_address for r in row]
+                                     for row in self.readers]
+        self.next_double = ctypes.cast(self.readers[0][0].bit_generator.ctypes.next_double,
+                                       ctypes.c_void_p).value
+
+    def position(self, m):
+        offsets = (0, m, m * (1 + self.d))
+        for stream, row in zip(self.streams, self.readers):
+            state = stream.state
+            for reader, offset in zip(row, offsets):
+                reader.bit_generator.state = state
+                reader.bit_generator.advance(offset)
+            stream.advance(m * (1 + self.d + self.n_pairs))
+
+    def segment(self, s):
+        """The draws of the next s steps of every row: u (n, s), z (n, s, d)
+        and gu (n, s, n_pairs), None without pairs."""
+        n = len(self.readers)
+        u, z = np.empty((n, s)), np.empty((n, s, self.d))
+        gu = np.empty((n, s, self.n_pairs)) if self.n_pairs else None
+        for i, row in enumerate(self.readers):
+            u[i] = row[0].random(s)
+            z[i] = self.noise.sample(row[1], (s, self.d))
+            if gu is not None:
+                gu[i] = row[2].random((s, self.n_pairs))
+        return u, z, gu
 
 
 def check_finite(x, k, alpha):
@@ -165,9 +200,9 @@ class Recorder:
     """What a run of the segment driver `_drive` reports to: at each of the
     increasing steps `checkpoints` within [0, n_steps], record(k, x) gets
     the batch state after k steps (this one keeps a copy in `states`). The
-    step writes y of every step into `samples` when that is an (n, n_steps,
-    d) array, and also advances a recorder that `tracks`, as a `GapTracker`
-    or the joint scheme's clip counter."""
+    step writes y of step k into `samples[:, k]` when that is an (n,
+    n_steps, d) C-contiguous array, and also advances a recorder that
+    `tracks`, as a `GapTracker` or the joint scheme's clip counter."""
 
     tracks = False
 
@@ -233,25 +268,33 @@ class GapTracker(Recorder):
         self.ek_violations += int(np.sum(e_now & ~self.alive))
 
 
-def numpy_step(x, alpha, t0, t1, u, z, gu, top, lam=None, gamma=None, pair=None, tracker=None,
-               y_out=None):
-    """Steps t0..t1-1 of the chunk (u, z, gu) on the state x in place: the
-    numpy reference of `_kernel.advance`, with its arguments (pair unused)
-    and its results bit for bit, taken when the kernel does not load."""
+def numpy_step(x, alpha, streams, top, lams, gamma=None, pair=None, tracker=None,
+               samples=None):
+    """The numpy reference of `_kernel.prepare`, with its arguments (pair
+    unused) and its results bit for bit, taken when the kernel does not
+    load: returns advance(k0, k1, piece), which runs steps k0..k1-1 on the
+    state x in place under the intensities lams[piece], drawing them from
+    streams one segment at a time."""
     eye_rows = np.eye(x.shape[1])
-    for t in range(t0, t1):
-        p = x if lam is None else probabilities(lam, x)
-        idx = sample_triggers(p, u[:, t], top)
-        sig = eye_rows[idx] if gamma is None else correlated_signals(idx, gu[:, t], gamma)
-        y = sig + z[:, t]
-        x_next = x * (1.0 + alpha * y)
-        if lam is None:
-            x_next /= x_next.sum(axis=1, keepdims=True)
-        if tracker is not None:
-            tracker.track(p, y, x_next)
-        if y_out is not None:
-            y_out[:, t] = y
-        x[:] = x_next
+
+    def advance(k0, k1, piece):
+        lam = lams[piece]
+        u, z, gu = streams.segment(k1 - k0)
+        for t in range(k1 - k0):
+            p = x if lam is None else probabilities(lam, x)
+            idx = sample_triggers(p, u[:, t], top)
+            sig = eye_rows[idx] if gamma is None else correlated_signals(idx, gu[:, t], gamma)
+            y = sig + z[:, t]
+            x_next = x * (1.0 + alpha * y)
+            if lam is None:
+                x_next /= x_next.sum(axis=1, keepdims=True)
+            if tracker is not None:
+                tracker.track(p, y, x_next)
+            if samples is not None:
+                samples[:, k0 + t] = y
+            x[:] = x_next
+
+    return advance
 
 
 def _intensities(lam, d):
@@ -275,8 +318,8 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=N
     lam is an intensity vector, or piecewise-constant intensities
     [(from_step, vector), ...] whose last entry with from_step <= k is in
     force at step k (a switch; of two entries at one step the later wins).
-    Row i consumes the stream `stream_for(keys[i])` through `draw_chunk`, so
-    a row does not depend on the rest of the batch. Step k:
+    Row i draws from the stream `stream_for(keys[i])` in the layout of
+    `Streams`, so a row does not depend on the rest of the batch. Step k:
 
         p = state                    (probability form)
         p = lam_k * w / sum          (weight form)
@@ -285,23 +328,27 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=N
 
     record, a `Recorder`, is called at its checkpoints and may collect y or
     track every step. simulate checks the rate and hands the segment driver
-    `_drive` its step: the compiled `_kernel.advance` when the kernel loads,
+    `_drive` its step: the compiled `_kernel.prepare` when the kernel loads,
     otherwise its numpy reference `numpy_step`; both give the same results
     bit for bit. The driver scales each weight row by a power of two between
     chunks, so returned weights are defined up to that factor per row.
     """
     check_rate(alpha, noise.q_bound)
-    step = numpy_step if _kernel.library() is None else _kernel.advance
+    step = numpy_step if _kernel.library() is None else _kernel.prepare
     return _drive(step, state0, float(alpha), n_steps, keys, noise, lam, gamma, record)
 
 
 def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=None):
     """The segment driver of every learning run; returns the final state.
-    Draws each chunk of `CHUNK` steps from the streams of `keys`, splits it
-    at the checkpoints and intensity switches, and hands every segment to
-    step(x, alpha, t0, t1, u, z, gu, top, lam, gamma, pair, tracker, y_out),
-    which advances the rows of x in place. Checks x after every chunk and,
-    in the weight form, scales each row by a power of two between chunks."""
+
+    step(x, alpha, streams, top, lams, gamma, pair, tracker, samples) is
+    called once and returns advance(k0, k1, piece), which runs steps
+    k0..k1-1 on the rows of x in place under the intensities lams[piece],
+    drawing from streams (a `Streams` of `keys`) as it steps. Per chunk of
+    `CHUNK` steps the driver positions the streams, splits the chunk at the
+    checkpoints and intensity switches, hands every segment to advance,
+    checks x after the chunk and, in the weight form, scales each row by a
+    power of two. No randomness is drawn ahead of its segment."""
     x = np.array(state0, dtype=float, order="C")
     n, d = x.shape
     if n < 1 or len(keys) != n:
@@ -315,36 +362,37 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     if steps.size and (steps[0] < 0 or steps[-1] > n_steps or np.any(np.diff(steps) <= 0)):
         raise InvalidInputError("checkpoints must be increasing steps in [0, n_steps=%d], "
                                 "got %s" % (n_steps, steps.tolist()))
+    if record.samples is not None and record.samples.shape != (n, n_steps, d):
+        raise InvalidInputError("samples must have shape %s, got %s"
+                                % ((n, n_steps, d), record.samples.shape))
     if gamma is not None:
         gamma = np.ascontiguousarray(validate_correlation(gamma))
     n_pairs = 0 if gamma is None else d * (d - 1) // 2
     pair = None if gamma is None else _pair_index(d)
-    tracker = record if record.tracks else None
     stops = set(steps.tolist())
     cuts = sorted(stops.union(starts[1:]))
     if 0 in stops:
         record.record(0, x)
-    rngs = [stream_for(key) for key in keys]
+    streams = Streams(keys, d, noise, n_pairs)
     # zero entries stay exactly zero, so the last pickable coordinate is fixed
     top = _last_positive(x)
+    advance = step(x, alpha, streams, top, vectors, gamma, pair,
+                   record if record.tracks else None, record.samples)
     k = 0
     while k < n_steps:
         m = min(CHUNK, n_steps - k)
-        u, z, gu = draw_chunk(rngs, m, d, noise, n_pairs)
-        y_out = None if record.samples is None else np.empty((n, m, d))
-        t0 = 0
-        for t1 in [c - k for c in cuts if k < c < k + m] + [m]:
-            lam_t = vectors[bisect.bisect_right(starts, k + t0) - 1]
-            step(x, alpha, t0, t1, u, z, gu, top, lam_t, gamma, pair, tracker, y_out)
-            if k + t1 in stops:
-                record.record(k + t1, x)
-            t0 = t1
-        if y_out is not None:
-            record.samples[:, k:k + m] = y_out
+        streams.position(m)
+        k0 = k
+        for k1 in [c for c in cuts if k < c < k + m] + [k + m]:
+            advance(k0, k1, bisect.bisect_right(starts, k0) - 1)
+            if k1 in stops:
+                record.record(k1, x)
+            k0 = k1
         k += m
         check_finite(x, k, alpha)
         if lam is not None and k < n_steps:
-            x = rescale(x)
+            # in place: the step holds x
+            x[:] = rescale(x)
     return x
 
 

@@ -133,25 +133,32 @@ def _deflated_increments(w, alpha, y):
     return inc
 
 
-def _joint_step(x, alpha, t0, t1, u, z, gu, top, lam=None, gamma=None, pair=None, tracker=None,
-                y_out=None):
-    """Steps t0..t1-1 of the chunk (u, z) of the joint scheme on x in place,
-    in the step signature of `dynamics.numpy_step`. The rows of x are the
-    columns of the runs, d_out per run, and alpha holds their (d_out, 1)
-    rates. Per step every column moves by its deflated increment, negative
-    entries are clipped, and a tracker's `clip_events` counts them. top is
-    not used: clipping can zero an entry, so triggers are capped every step."""
+def _joint_step(x, alpha, streams, top, lams, gamma=None, pair=None, tracker=None,
+                samples=None):
+    """The joint scheme's step, in the signature of `dynamics.numpy_step`:
+    returns advance(k0, k1, piece), which runs steps k0..k1-1 on x in place.
+    The rows of x are the columns of the runs, d_out per run, and alpha
+    holds their (d_out, 1) rates. Per step every column moves by its
+    deflated increment, negative entries are clipped, and a tracker's
+    `clip_events` counts them. top is not used: clipping can zero an entry,
+    so triggers are capped every step."""
     d_out, d = alpha.shape[0], x.shape[1]
     w = x.reshape(-1, d_out, d)
-    u = u.reshape(w.shape[0], d_out, -1)
-    z = z.reshape(w.shape[0], d_out, u.shape[2], d)
     eye_rows = np.eye(d)
-    for t in range(t0, t1):
-        idx = sample_triggers(probabilities(lam, w), u[:, :, t])
-        w_next = w + _deflated_increments(w, alpha, eye_rows[idx] + z[:, :, t])
-        if tracker is not None:
-            tracker.clip_events += int(np.count_nonzero(w_next < 0))
-        np.clip(w_next, 0.0, None, out=w)
+
+    def advance(k0, k1, piece):
+        lam = lams[piece]
+        u, z, _ = streams.segment(k1 - k0)
+        u = u.reshape(w.shape[0], d_out, -1)
+        z = z.reshape(w.shape[0], d_out, -1, d)
+        for t in range(k1 - k0):
+            idx = sample_triggers(probabilities(lam, w), u[:, :, t])
+            w_next = w + _deflated_increments(w, alpha, eye_rows[idx] + z[:, :, t])
+            if tracker is not None:
+                tracker.clip_events += int(np.count_nonzero(w_next < 0))
+            np.clip(w_next, 0.0, None, out=w)
+
+    return advance
 
 
 class _ClipCounter(Recorder):
@@ -168,8 +175,8 @@ def _joint_steps(config, prefixes, record=None):
 
     Run r's column j draws from the stream prefixes[r] + (j,). The rows of
     the state are the (run, column) pairs in that order, and the segment
-    driver `dynamics._drive` runs `_joint_step` on them: it draws the
-    chunks, calls record (a `Recorder`, given the state after k steps at
+    driver `dynamics._drive` runs `_joint_step` on them: it positions the
+    streams, calls record (a `Recorder`, given the state after k steps at
     its checkpoints), checks the columns after every chunk and scales them
     by a power of two between chunks, as for `simulate`."""
     w0 = np.asarray(config.w0, dtype=float).T

@@ -2,10 +2,14 @@
 
 import json
 import os
+import signal
 
 import pytest
 
 from simplex_stdp import cli
+
+# seconds a scenario that should stop at a precondition may run
+LIMIT_S = 120
 
 
 def run(args):
@@ -131,6 +135,20 @@ def test_verify_scenario_reports(tmp_path):
     ["mirror-compare", "--set", "n_points=0"],
     # thresholds without a trigger count used to be dropped by zip
     ["spiking-validate", "--set", "thresholds=[5.0,10.0]", "--set", "n_events=[2000]"],
+    # a gap no start reaches used to loop forever drawing starts
+    ["thm23-verify", "--set", "min_gap=1.0", "--set", "n_cases=1"],
+    ["thm23-verify", "--set", "min_gap=0.999", "--set", "dims=[8]", "--set", "n_cases=1"],
+    ["thm23-verify", "--set", "min_gap=-0.1", "--set", "n_cases=1"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
-    assert run(args + ["--out", str(tmp_path), "--threads", "1"]) == 3
+    # a run that does not end fails here instead of hanging the suite
+    def expire(signum, frame):
+        raise TimeoutError("%s did not end within %d s" % (args[0], LIMIT_S))
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(LIMIT_S)
+    try:
+        assert run(args + ["--out", str(tmp_path), "--threads", "1"]) == 3
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

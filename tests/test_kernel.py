@@ -1,8 +1,9 @@
 """Property tests of the batched stepping kernels: `dynamics.simulate` (its
 compiled step against its numpy loop) and the joint multi-output loop."""
 
+import contextlib
 import dataclasses
-import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -401,14 +402,118 @@ def test_no_compiler_gives_identical_outputs(fresh_loader, tmp_path, monkeypatch
             assert _kernel.library() is not None
         for args in runs:
             assert cli.main(args + ["--seed", "5", "--out", str(tmp_path / side)]) == 0
+        # manifest.json included: it holds no run time
         outputs[side] = {
             p.relative_to(tmp_path / side): p.read_bytes()
             for p in sorted((tmp_path / side).rglob("*")) if p.is_file()
         }
-        for path, data in outputs[side].items():
-            if path.name == "manifest.json":
-                # the run time is the one field that is not a result
-                manifest = json.loads(data)
-                del manifest["elapsed_seconds"]
-                outputs[side][path] = manifest
     assert outputs["compiled"] == outputs["numpy"]
+
+
+def test_compiled_runs_hold_no_chunk_of_draws():
+    """Peak traced memory of compiled runs over two chunks stays far below
+    one chunk of pre-drawn randomness (n x CHUNK x (1 + d + pairs) doubles,
+    315 MB for the first run): the step draws as it steps."""
+    _require_compiled_step()
+    n_steps = 2 * dynamics.CHUNK
+    gamma = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.0], [0.1, 0.0, 1.0]])
+    lam = np.array([3.0, 2.0, 1.0])
+
+    def gap_run(n, p0, **kwargs):
+        tracker = dynamics.GapTracker(n, p0.size, 1e-3, 0.1, 0.5, [0, n_steps // 3, n_steps],
+                                      **kwargs)
+        dynamics.simulate(np.tile(p0, (n, 1)), 1e-3, n_steps, [(1, i) for i in range(n)],
+                          NOISE, gamma=kwargs.get("gamma"), record=tracker)
+
+    runs = [
+        lambda: gap_run(200, np.array([0.6, 0.4])),
+        lambda: gap_run(50, np.array([0.5, 0.3, 0.2]), gamma=gamma, gap_gamma=0.05),
+        lambda: dynamics.simulate(np.ones((50, 3)), 1e-3, n_steps, [(2, i) for i in range(50)],
+                                  NOISE, lam=[(0, lam), (dynamics.CHUNK + 1000, lam[::-1])]),
+    ]
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def _draw_chunk(rngs, m, d, n_pairs):
+    """The stream layout, drawn ahead: per stream m trigger uniforms, then
+    (m, d) noise values, then (m, n_pairs) pair uniforms."""
+    u, z, gu = np.empty((len(rngs), m)), np.empty((len(rngs), m, d)), []
+    for i, rng in enumerate(rngs):
+        u[i] = rng.random(m)
+        z[i] = rng.uniform(-NOISE.half_width, NOISE.half_width, (m, d))
+        gu.append(rng.random((m, n_pairs)))
+    return u, z, np.stack(gu)
+
+
+def _layout_oracle(state0, alpha, n_steps, keys, lam=None, gamma=None):
+    """A per-step loop over chunks of `dynamics.CHUNK` steps from
+    `_draw_chunk`; returns the probabilities after every step (n_steps + 1,
+    n, d) and every y (n, n_steps, d)."""
+    x = np.array(state0, dtype=float)
+    n, d = x.shape
+    rngs = [dynamics.stream_for(key) for key in keys]
+    top = d - 1 - np.argmax(x[:, ::-1] > 0, axis=1)
+    p_of = (lambda w: w) if lam is None else (lambda w: dynamics.probabilities(lam, w))
+    states, ys = [p_of(x)], []
+    k = 0
+    while k < n_steps:
+        m = min(dynamics.CHUNK, n_steps - k)
+        u, z, gu = _draw_chunk(rngs, m, d, 0 if gamma is None else d * (d - 1) // 2)
+        for t in range(m):
+            p = p_of(x)
+            idx = dynamics.sample_triggers(p, u[:, t], top)
+            sig = np.eye(d)[idx] if gamma is None else dynamics.correlated_signals(
+                idx, gu[:, t], gamma)
+            ys.append(sig + z[:, t])
+            x = x * (1.0 + alpha * ys[-1])
+            if lam is None:
+                x = x / x.sum(axis=1, keepdims=True)
+            states.append(p_of(x))
+        k += m
+    return np.stack(states), np.stack(ys, axis=1)
+
+
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+@pytest.mark.parametrize("chunk", [1, 7, 16])
+@pytest.mark.parametrize("form", ["probability", "correlated", "weight"])
+def test_draws_follow_the_stream_layout(path, chunk, form):
+    """simulate and run_trajectory read each chunk's draws in the layout
+    of `dynamics.Streams`, checked against draws made ahead per chunk."""
+    if path == "compiled":
+        _require_compiled_step()
+    d, n, n_steps, alpha = 3, 3, 40, 0.3
+    keys = [(11, i) for i in range(n)]
+    checkpoints = [0, 5, 16, 33, 40]
+    kwargs = {}
+    if form == "weight":
+        state0 = np.array([[1.0, 2.0, 0.5], [3.0, 1.0, 1.0], [0.2, 0.2, 4.0]])
+        kwargs["lam"] = np.array([3.0, 1.0, 2.0])
+        config = dynamics.DynamicsConfig(alpha=alpha, n_steps=n_steps, lam=kwargs["lam"],
+                                         w0=state0[0], record_samples=True)
+    else:
+        p0 = np.array([0.5, 0.3, 0.2])
+        state0 = np.tile(p0, (n, 1))
+        if form == "correlated":
+            kwargs["gamma"] = np.array([[1.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.0]])
+        config = dynamics.DynamicsConfig(alpha=alpha, n_steps=n_steps, p0=p0,
+                                         gamma=kwargs.get("gamma"), record_samples=True)
+    p_of = (lambda w: w) if form != "weight" else (
+        lambda w: dynamics.probabilities(kwargs["lam"], w))
+    with mock.patch.object(dynamics, "CHUNK", chunk), \
+            (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
+        states, ys = _layout_oracle(state0, alpha, n_steps, keys, **kwargs)
+        recorder = dynamics.Recorder(checkpoints, np.empty((n, n_steps, d)))
+        final = dynamics.simulate(state0, alpha, n_steps, keys, NOISE, record=recorder, **kwargs)
+        rec = dynamics.run_trajectory(config, keys[0])
+    assert np.array_equal(p_of(final), states[-1])
+    assert np.array_equal(p_of(np.stack(recorder.states)), states[checkpoints])
+    assert np.array_equal(recorder.samples, ys)
+    assert np.array_equal(rec.states, states[:, 0])
+    assert np.array_equal(rec.y_samples, ys[0])
