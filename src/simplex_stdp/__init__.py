@@ -2,9 +2,9 @@
 
 Subpackages:
   simplex   - simplex primitives, the cubic-quartic potential, critical points
-  dynamics  - stochastic multiplicative updates and trajectory running
+  dynamics  - stochastic multiplicative updates, the stepping kernel, gap tracking
   flow      - deterministic replicator-type flows and RK4 integration
-  theory    - convergence constants, event tracking, ensemble verification
+  theory    - convergence constants and tracked ensemble verification
   multi     - multi-output (deflation-based) learning schemes
   spiking   - event-driven integrate-and-fire model with timing-kernel updates
   mirror    - entropic mirror descent comparison

@@ -66,11 +66,40 @@ static double lead_gap(const double *v, int64_t d)
     return v[0] - mx;
 }
 
-/* One step of GapTracker for one row; returns 1 on an inclusion violation. */
-static int track(int64_t d, double alpha, const double *p, const double *y, const double *pn,
-                 const double *gamma, double *tmp, double *gp, double *mart, double *max_abs,
-                 uint8_t *alive, double threshold, double half_gap, double half_gap_gamma)
+/*
+ * Everything fixed for one run of dynamics.simulate. x (n, d) is the state,
+ * updated in place; top (n,) the last pickable coordinate of each row.
+ * streams (n, 3) holds, per row, the state addresses of the numpy bit
+ * generators positioned at the chunk's trigger uniforms, noise values and
+ * pair uniforms (NULL without pairs); next_double is their shared draw
+ * function, one 64-bit output per double. pair (d, d)
+ * numbers each unordered pair. gamma and pair are NULL for independent
+ * triggers, mart NULL without tracking; mart and max_abs are (n, d) and
+ * alive (n,). Every field is 8 bytes wide, so the layout has no padding.
+ */
+struct simplex_run {
+    int64_t n, d, n_pairs;
+    double alpha, half_width;
+    double *x;
+    const int64_t *top;
+    void *const *streams;
+    double (*next_double)(void *);
+    const double *gamma;
+    const int64_t *pair;
+    double *mart, *max_abs;
+    uint8_t *alive;
+    double threshold, half_gap, half_gap_gamma;
+};
+
+/* One step of GapTracker for row i, checking the gap of gamma @ p too when the
+ * run has correlated triggers; returns 1 on an inclusion violation. */
+static int track(const struct simplex_run *r, int64_t i, const double *p, const double *y,
+                 const double *pn, double *tmp, double *gp)
 {
+    const int64_t d = r->d;
+    const double *gamma = r->gamma;
+    double *mart = r->mart + i * d, *max_abs = r->max_abs + i * d;
+    uint8_t *alive = r->alive + i;
     for (int64_t j = 0; j < d; j++)
         tmp[j] = p[j] * y[j];
     const double s = pairwise_sum(tmp, d);
@@ -87,49 +116,20 @@ static int track(int64_t d, double alpha, const double *p, const double *y, cons
         const double drift = p[j] * (mean[j] - pm);
         const double xi = drift - p[j] * (y[j] - s);
         if (*alive)
-            mart[j] += alpha * xi;
+            mart[j] += r->alpha * xi;
         const double a = fabs(mart[j]);
         if (a > max_abs[j])
             max_abs[j] = a;
-        e_now &= max_abs[j] <= threshold;
+        e_now &= max_abs[j] <= r->threshold;
     }
-    int ok = lead_gap(pn, d) >= half_gap;
+    int ok = lead_gap(pn, d) >= r->half_gap;
     if (gamma) {
         gamma_dot(gamma, pn, d, tmp, gp);
-        ok &= lead_gap(gp, d) >= half_gap_gamma;
+        ok &= lead_gap(gp, d) >= r->half_gap_gamma;
     }
     *alive = *alive && ok;
     return e_now && !*alive;
 }
-
-/*
- * Everything fixed for one run of dynamics.simulate. x (n, d) is the state,
- * updated in place; top (n,) the last pickable coordinate of each row.
- * streams (n, 3) holds, per row, the state addresses of the numpy bit
- * generators positioned at the chunk's trigger uniforms, noise values and
- * pair uniforms (NULL without pairs); next_double is their shared draw
- * function, one 64-bit output per double. pair (d, d)
- * numbers each unordered pair. gamma and pair are NULL for independent
- * triggers, mart NULL without tracking; mart and max_abs are (n, d), alive
- * (n,), and track_gamma (d, d) is the tracker's correlation matrix, NULL
- * for independent triggers. y_out (n, n_steps, d), unless NULL, receives y
- * of every step. Every field is 8 bytes wide, so the layout has no padding.
- */
-struct simplex_run {
-    int64_t n, d, n_pairs, n_steps;
-    double alpha, half_width;
-    double *x;
-    const int64_t *top;
-    void *const *streams;
-    double (*next_double)(void *);
-    const double *gamma;
-    const int64_t *pair;
-    double *mart, *max_abs;
-    uint8_t *alive;
-    const double *track_gamma;
-    double threshold, half_gap, half_gap_gamma;
-    double *y_out;
-};
 
 /*
  * Runs steps k0..k1-1 of r under the intensities lam (d,), NULL in the
@@ -181,8 +181,6 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, con
                 if (r->gamma && j != idx)
                     sig = gu[r->pair[idx * d + j]] < r->gamma[idx * d + j];
                 y[j] = sig + z[j];
-                if (r->y_out)
-                    r->y_out[(i * r->n_steps + t) * d + j] = y[j];
             }
             for (int64_t j = 0; j < d; j++)
                 xn[j] = xr[j] * (1.0 + r->alpha * y[j]);
@@ -192,9 +190,7 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, con
                     xn[j] /= total;
             }
             if (r->mart)
-                violations += track(d, r->alpha, p, y, xn, r->track_gamma, tmp, gp,
-                                    r->mart + i * d, r->max_abs + i * d, r->alive + i,
-                                    r->threshold, r->half_gap, r->half_gap_gamma);
+                violations += track(r, i, p, y, xn, tmp, gp);
             for (int64_t j = 0; j < d; j++)
                 xr[j] = xn[j];
         }

@@ -93,12 +93,11 @@ def _run_type():
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
     class Run(ctypes.Structure):
-        _fields_ = [(name, i64) for name in ("n", "d", "n_pairs", "n_steps")]
+        _fields_ = [(name, i64) for name in ("n", "d", "n_pairs")]
         _fields_ += [("alpha", f64), ("half_width", f64)]
         _fields_ += [(name, ptr) for name in ("x", "top", "streams", "next_double", "gamma",
-                                              "pair", "mart", "max_abs", "alive", "track_gamma")]
+                                              "pair", "mart", "max_abs", "alive")]
         _fields_ += [(name, f64) for name in ("threshold", "half_gap", "half_gap_gamma")]
-        _fields_ += [("y_out", ptr)]
 
     return Run
 
@@ -114,37 +113,34 @@ def _data(a, dtype, shape):
     return a.ctypes.data
 
 
-def prepare(x, alpha, streams, top, lams, gamma=None, pair=None, tracker=None, samples=None):
+def prepare(x, alpha, streams, top, lams, gamma, pair, tracker):
     """Check the arrays of one run once and return advance(k0, k1, piece),
     which runs steps k0..k1-1 on the state x in place under the intensities
     lams[piece], drawing from the `dynamics.Streams` streams as it steps. It
     also advances a `dynamics.GapTracker`'s martingales, maxima, gap event
-    and inclusion-violation count, and stores y of step k in samples[:, k]."""
+    (on gamma @ p too when gamma is given) and inclusion-violation count."""
     import ctypes
 
     n, d = x.shape
-    n_steps = 0 if samples is None else samples.shape[1]
     if gamma is not None and pair is None:
         raise ValueError("correlated triggers need the pair table")
     run = _run_type()(
-        n=n, d=d, n_pairs=streams.n_pairs, n_steps=n_steps,
+        n=n, d=d, n_pairs=streams.n_pairs,
         alpha=alpha, half_width=streams.noise.half_width,
         x=_data(x, np.float64, (n, d)), top=_data(top, np.int64, (n,)),
         streams=_data(streams.addresses, np.uintp, (n, 3)),
         next_double=streams.next_double,
         gamma=_data(gamma, np.float64, (d, d)), pair=_data(pair, np.int64, (d, d)),
-        y_out=_data(samples, np.float64, (n, n_steps, d)),
     )
     if tracker is not None:
         run.mart = _data(tracker.mart, np.float64, (n, d))
         run.max_abs = _data(tracker.max_abs, np.float64, (n, d))
         run.alive = _data(tracker.alive, np.bool_, (n,))
-        run.track_gamma = _data(tracker.gamma, np.float64, (d, d))
         run.threshold = tracker.threshold
         run.half_gap, run.half_gap_gamma = tracker.half_gap, tracker.half_gap_gamma
     lam_data = [_data(v, np.float64, (d,)) for v in lams]
     # the struct points into these; advance keeps them alive through it
-    run.arrays = (x, top, streams, gamma, pair, tracker, samples, lams)
+    run.arrays = (x, top, streams, gamma, pair, tracker, lams)
     fn, ref = library(), ctypes.byref(run)
 
     def advance(k0, k1, piece):

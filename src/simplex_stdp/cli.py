@@ -155,6 +155,15 @@ DEFAULTS = {
 }
 
 
+def _vectors(cfg, *names):
+    """cfg[name] for each of names as float arrays, vectors of one length."""
+    vectors = [np.asarray(cfg[name], dtype=float) for name in names]
+    if any(v.ndim != 1 or v.size != vectors[0].size for v in vectors):
+        raise InvalidInputError("%s must be vectors of one length, got shapes %s"
+                                % (", ".join(names), [v.shape for v in vectors]))
+    return vectors
+
+
 def _trajectory_rows(record, with_embedding=False):
     rows = []
     for i, k in enumerate(record.recorded_steps):
@@ -172,6 +181,8 @@ def _write_landscape(path, grid_step, gamma=None):
     pts, x, y, vals = landscape_grid(grid_step)
     if gamma is not None:
         g = np.asarray(gamma, dtype=float)
+        if g.shape != (3, 3):
+            raise InvalidInputError("gamma must be 3 x 3, got shape %s" % (g.shape,))
         vals = -0.5 * np.einsum("ni,ij,nj->n", pts, g, pts)
     write_csv(path, ["x", "y", "value"], zip(x, y, vals))
     return vals
@@ -257,9 +268,7 @@ def scenario_correlated_figure(cfg, out, seed):
 
 
 def scenario_priming(cfg, out, seed):
-    lam_a = np.asarray(cfg["lam_first"], dtype=float)
-    lam_b = np.asarray(cfg["lam_second"], dtype=float)
-    w0 = np.asarray(cfg["w0"], dtype=float)
+    lam_a, lam_b, w0 = _vectors(cfg, "lam_first", "lam_second", "w0")
     d = w0.size
     eps = cfg["epsilon"]
     p_a = lam_a * w0 / float(np.dot(lam_a, w0))
@@ -350,8 +359,8 @@ MAX_START_DRAWS = 100000
 def scenario_thm23_verify(cfg, out, seed):
     rng = stream_for(seed)
     dims = list(cfg["dims"])
-    if cfg["n_cases"] < 1 or not dims:
-        raise InvalidInputError("need n_cases >= 1 and at least one dimension")
+    if cfg["n_cases"] < 1 or not dims or min(dims) < 2:
+        raise InvalidInputError("need n_cases >= 1 and at least one dimension, each >= 2")
     if not 0.0 <= cfg["min_gap"] < 1.0:
         raise InvalidInputError("min_gap=%s outside [0, 1)" % cfg["min_gap"])
     violations = 0
@@ -394,8 +403,7 @@ def scenario_thm23_verify(cfg, out, seed):
 
 
 def scenario_alg2_verify(cfg, out, seed):
-    lam = np.asarray(cfg["lam"], dtype=float)
-    w0 = np.asarray(cfg["w0"], dtype=float)
+    lam, w0 = _vectors(cfg, "lam", "w0")
     d = lam.size
     delta_cap = multi_mod.admissible_delta(lam)
     if not cfg["delta"] < delta_cap:
@@ -437,8 +445,7 @@ def scenario_alg2_verify(cfg, out, seed):
 
 
 def scenario_spiking_validate(cfg, out, seed):
-    lam = np.asarray(cfg["lam"], dtype=float)
-    w = np.asarray(cfg["weights"], dtype=float)
+    lam, w = _vectors(cfg, "lam", "weights")
     target = lam * w / float(np.dot(lam, w))
     if not cfg["thresholds"] or len(cfg["thresholds"]) != len(cfg["n_events"]):
         raise InvalidInputError("need one n_events per threshold, at least one of each")
@@ -474,8 +481,8 @@ def scenario_spiking_validate(cfg, out, seed):
 def scenario_mirror_compare(cfg, out, seed):
     rng = stream_for(seed)
     alphas = np.asarray(cfg["alphas"], dtype=float)
-    if cfg["n_points"] < 1 or alphas.size < 2:
-        raise InvalidInputError("need n_points >= 1 and two rates to compare their errors")
+    if cfg["n_points"] < 1 or alphas.size < 2 or cfg["d"] < 2:
+        raise InvalidInputError("need n_points >= 1, d >= 2 and two rates to compare")
     sup = np.zeros(alphas.size)
     for _ in range(cfg["n_points"]):
         p = rng.dirichlet(np.ones(cfg["d"]))

@@ -196,19 +196,27 @@ def _gap_of(v):
     return v[:, 0] - v[:, 1:].max(axis=1)
 
 
+def _increments(p, y, gamma):
+    """(s, drift, xi) of the probability steps p, y of shape (n, d): s = p.y,
+    drift = p (m - p.m) and the martingale increment xi = drift - p (y - s),
+    with m = E[Y | p], that is p, or gamma @ p for correlated triggers."""
+    s = (p * y).sum(axis=1, keepdims=True)
+    m = p if gamma is None else _gamma_dot(p, gamma)
+    drift = p * (m - (p * m).sum(axis=1, keepdims=True))
+    return s, drift, drift - p * (y - s)
+
+
 class Recorder:
     """What a run of the segment driver `_drive` reports to: at each of the
     increasing steps `checkpoints` within [0, n_steps], record(k, x) gets
     the batch state after k steps (this one keeps a copy in `states`). The
-    step writes y of step k into `samples[:, k]` when that is an (n,
-    n_steps, d) C-contiguous array, and also advances a recorder that
-    `tracks`, as a `GapTracker` or the joint scheme's clip counter."""
+    step also advances a recorder that `tracks`, as a `GapTracker` or the
+    joint scheme's clip counter."""
 
     tracks = False
 
-    def __init__(self, checkpoints, samples=None):
+    def __init__(self, checkpoints):
         self.checkpoints = np.asarray(checkpoints, dtype=int)
-        self.samples = samples
         self.states = []
 
     def record(self, k, x):
@@ -219,8 +227,9 @@ class GapTracker(Recorder):
     """The recorder of `theory.run_gap_ensemble` for n probability
     trajectories. Per step it tracks the noise martingales M stopped when
     the gap event ends, the running maxima of |M_j|, the gap event `alive`
-    (the half-gap condition, also on gamma @ p when correlated, held at
-    every step so far) and `ek_violations`, the steps at which the
+    (the half-gap condition held at every step so far; in a run with
+    correlated triggers also the half-gap_gamma condition on gamma @ p, with
+    the run's gamma) and `ek_violations`, the steps at which the
     maximal-inequality event held but the gap condition failed at the next
     step. At each checkpoint `record` stores p[:, 0], the tail mass
     sum_{j>=2} p_j (so the L1 error 2 * tail stays representable after
@@ -231,13 +240,12 @@ class GapTracker(Recorder):
 
     tracks = True
 
-    def __init__(self, n, d, alpha, gap, threshold, checkpoints, gamma=None, gap_gamma=0.0):
+    def __init__(self, n, d, alpha, gap, threshold, checkpoints, gap_gamma=0.0):
         super().__init__(checkpoints)
         self.alpha = alpha
         self.half_gap = gap / 2.0
         self.half_gap_gamma = gap_gamma / 2.0
         self.threshold = threshold
-        self.gamma = None if gamma is None else np.ascontiguousarray(gamma, dtype=float)
         self.mart = np.zeros((n, d))
         self.max_abs = np.zeros((n, d))
         self.alive = np.ones(n, dtype=bool)
@@ -252,12 +260,8 @@ class GapTracker(Recorder):
         self.tail_checkpoints[:, pos] = p[:, 1:].sum(axis=1)
         self.martingale_checkpoints[:, :, pos] = self.mart
 
-    def track(self, p, y, p_next):
-        gamma = self.gamma
-        s = (p * y).sum(axis=1, keepdims=True)
-        mean_y = p if gamma is None else _gamma_dot(p, gamma)
-        drift = p * (mean_y - (p * mean_y).sum(axis=1, keepdims=True))
-        xi = drift - p * (y - s)
+    def track(self, p, y, p_next, gamma):
+        xi = _increments(p, y, gamma)[2]
         self.mart += self.alpha * xi * self.alive[:, None]
         np.maximum(self.max_abs, np.abs(self.mart), out=self.max_abs)
         e_now = (self.max_abs <= self.threshold).all(axis=1)
@@ -268,8 +272,7 @@ class GapTracker(Recorder):
         self.ek_violations += int(np.sum(e_now & ~self.alive))
 
 
-def numpy_step(x, alpha, streams, top, lams, gamma=None, pair=None, tracker=None,
-               samples=None):
+def numpy_step(x, alpha, streams, top, lams, gamma, pair, tracker):
     """The numpy reference of `_kernel.prepare`, with its arguments (pair
     unused) and its results bit for bit, taken when the kernel does not
     load: returns advance(k0, k1, piece), which runs steps k0..k1-1 on the
@@ -289,9 +292,7 @@ def numpy_step(x, alpha, streams, top, lams, gamma=None, pair=None, tracker=None
             if lam is None:
                 x_next /= x_next.sum(axis=1, keepdims=True)
             if tracker is not None:
-                tracker.track(p, y, x_next)
-            if samples is not None:
-                samples[:, k0 + t] = y
+                tracker.track(p, y, x_next, gamma)
             x[:] = x_next
 
     return advance
@@ -326,12 +327,13 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=N
         y = B + Z, B one-hot from p  (the trigger column of C when gamma is given)
         w = state * (1 + alpha * y), renormalised to p in the probability form
 
-    record, a `Recorder`, is called at its checkpoints and may collect y or
-    track every step. simulate checks the rate and hands the segment driver
-    `_drive` its step: the compiled `_kernel.prepare` when the kernel loads,
-    otherwise its numpy reference `numpy_step`; both give the same results
-    bit for bit. The driver scales each weight row by a power of two between
-    chunks, so returned weights are defined up to that factor per row.
+    record, a `Recorder`, is called at its checkpoints and may track every
+    step, as a `GapTracker` does with the run's gamma. simulate checks the
+    rate and hands the segment driver `_drive` its step: the compiled
+    `_kernel.prepare` when the kernel loads, otherwise its numpy reference
+    `numpy_step`; both give the same results bit for bit. The driver scales
+    each weight row by a power of two between chunks, so returned weights
+    are defined up to that factor per row.
     """
     check_rate(alpha, noise.q_bound)
     step = numpy_step if _kernel.library() is None else _kernel.prepare
@@ -341,10 +343,12 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=N
 def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=None):
     """The segment driver of every learning run; returns the final state.
 
-    step(x, alpha, streams, top, lams, gamma, pair, tracker, samples) is
-    called once and returns advance(k0, k1, piece), which runs steps
-    k0..k1-1 on the rows of x in place under the intensities lams[piece],
-    drawing from streams (a `Streams` of `keys`) as it steps. Per chunk of
+    step(x, alpha, streams, top, lams, gamma, pair, tracker) is called once
+    and returns advance(k0, k1, piece), which runs steps k0..k1-1 on the
+    rows of x in place under the intensities lams[piece], drawing from
+    streams (a `Streams` of `keys`) as it steps, and advances tracker, the
+    recorder when it `tracks` (else None); a `GapTracker` checks the gap of
+    gamma @ p with the run's validated gamma. Per chunk of
     `CHUNK` steps the driver positions the streams, splits the chunk at the
     checkpoints and intensity switches, hands every segment to advance,
     checks x after the chunk and, in the weight form, scales each row by a
@@ -362,11 +366,8 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     if steps.size and (steps[0] < 0 or steps[-1] > n_steps or np.any(np.diff(steps) <= 0)):
         raise InvalidInputError("checkpoints must be increasing steps in [0, n_steps=%d], "
                                 "got %s" % (n_steps, steps.tolist()))
-    if record.samples is not None and record.samples.shape != (n, n_steps, d):
-        raise InvalidInputError("samples must have shape %s, got %s"
-                                % ((n, n_steps, d), record.samples.shape))
     if gamma is not None:
-        gamma = np.ascontiguousarray(validate_correlation(gamma))
+        gamma = np.ascontiguousarray(validate_correlation(gamma, d))
     n_pairs = 0 if gamma is None else d * (d - 1) // 2
     pair = None if gamma is None else _pair_index(d)
     stops = set(steps.tolist())
@@ -377,7 +378,7 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     # zero entries stay exactly zero, so the last pickable coordinate is fixed
     top = _last_positive(x)
     advance = step(x, alpha, streams, top, vectors, gamma, pair,
-                   record if record.tracks else None, record.samples)
+                   record if record.tracks else None)
     k = 0
     while k < n_steps:
         m = min(CHUNK, n_steps - k)
@@ -438,11 +439,7 @@ def decompose_steps_batch(p, alpha, y, gamma=None, q_bound=2.0):
     almost surely. Returns (drift, xi, theta, theta_bound, p_next)."""
     p = np.asarray(p, dtype=float)
     y = np.asarray(y, dtype=float)
-    m = p if gamma is None else p @ np.asarray(gamma, dtype=float).T
-    s = (p * y).sum(axis=1, keepdims=True)
-    pm = (p * m).sum(axis=1, keepdims=True)
-    drift = p * (m - pm)
-    xi = drift - p * (y - s)
+    s, drift, xi = _increments(p, y, None if gamma is None else np.asarray(gamma, dtype=float))
     theta = alpha * alpha * p * s * (y - s) / (1.0 + alpha * s)
     qa = q_bound * alpha
     bound = alpha * alpha * 2.0 * q_bound * q_bound / (1.0 - qa) ** 3 * p * (1.0 - p)
@@ -451,12 +448,13 @@ def decompose_steps_batch(p, alpha, y, gamma=None, q_bound=2.0):
     return drift, xi, theta, bound, p_next
 
 
-def validate_correlation(gamma):
-    """Validate a trigger-correlation matrix: symmetric, unit diagonal,
-    off-diagonal entries in [0, 1]."""
+def validate_correlation(gamma, d):
+    """Validate a trigger-correlation matrix for d coordinates: shape (d, d),
+    symmetric, unit diagonal, off-diagonal entries in [0, 1]."""
     g = np.asarray(gamma, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise InvalidInputError("correlation matrix must be square")
+    if g.shape != (d, d):
+        raise InvalidInputError("correlation matrix must be %d x %d, got shape %s"
+                                % (d, d, g.shape))
     if not np.allclose(g, g.T, atol=0.0):
         raise InvalidInputError("correlation matrix must be symmetric")
     if not np.all(np.diag(g) == 1.0):
@@ -493,7 +491,6 @@ class DynamicsConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
     gamma: object = None
     record_stride: int = 1
-    record_samples: bool = False
 
     def validated(self):
         errors = []
@@ -530,7 +527,6 @@ class TrajectoryRecord:
     recorded_steps: np.ndarray
     states: np.ndarray
     weights: np.ndarray = None
-    y_samples: np.ndarray = None
     seed: object = None
 
 
@@ -550,8 +546,7 @@ def run_trajectory(config, seed):
     so it equals member `seed` of any batched run of the same config."""
     x0, lam, gamma = config.kernel_inputs()
     n = config.n_steps
-    samples = np.empty((1, n, x0.size)) if config.record_samples else None
-    recorder = Recorder(recorded_steps(n, config.record_stride), samples)
+    recorder = Recorder(recorded_steps(n, config.record_stride))
     simulate(x0[None], config.alpha, n, [seed], config.noise, lam=lam, gamma=gamma,
              record=recorder)
     x = np.concatenate(recorder.states)
@@ -559,6 +554,5 @@ def run_trajectory(config, seed):
         recorded_steps=recorder.checkpoints,
         states=x if lam is None else probabilities(lam, x),
         weights=None if lam is None else x,
-        y_samples=None if samples is None else samples[0],
         seed=seed,
     )

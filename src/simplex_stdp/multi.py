@@ -117,15 +117,19 @@ def _deflated_increments(w, alpha, y):
     """The increments alpha_j * w_j * y_j of every column j (stored as rows:
     w and y of shape (n, d_out, d), alpha (d_out, 1)), each projected off the
     span of the columns 0..j-1 of w by Gram-Schmidt; residuals below 1e-12
-    of their column's norm are dropped."""
+    of their column's norm are dropped. A column norm that overflows (entries
+    past about 1.3e154) would drop the projection silently, so it raises."""
     inc = alpha * w * y
     basis = []
     for i in range(w.shape[1] - 1):
+        scale = np.linalg.norm(w[:, i], axis=-1, keepdims=True)
+        if not np.isfinite(scale).all():
+            raise InvalidInputError("weight column norm not finite (alpha too large)")
         r = w[:, i].copy()
         for ub in basis:
             r -= (r * ub).sum(axis=-1, keepdims=True) * ub
         norm = np.linalg.norm(r, axis=-1, keepdims=True)
-        keep = norm > 1e-12 * np.linalg.norm(w[:, i], axis=-1, keepdims=True)
+        keep = norm > 1e-12 * scale
         ub = np.where(keep, r / np.maximum(norm, 1e-300), 0.0)
         basis.append(ub)
         higher = inc[:, i + 1:]
@@ -133,8 +137,7 @@ def _deflated_increments(w, alpha, y):
     return inc
 
 
-def _joint_step(x, alpha, streams, top, lams, gamma=None, pair=None, tracker=None,
-                samples=None):
+def _joint_step(x, alpha, streams, top, lams, gamma, pair, tracker):
     """The joint scheme's step, in the signature of `dynamics.numpy_step`:
     returns advance(k0, k1, piece), which runs steps k0..k1-1 on x in place.
     The rows of x are the columns of the runs, d_out per run, and alpha

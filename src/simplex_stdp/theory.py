@@ -9,8 +9,9 @@ coordinate (gap = p_1(0) - max_{i>=2} p_i(0) > 0) and noise bound Q:
 * the exponential L1 error bound along the dynamics,
 * the iteration count sufficient to reach a target error with the stated
   confidence,
-* the gap-maintenance event, the per-coordinate noise martingales, and the
-  maximal-inequality events whose intersection forces the gap to persist,
+* ensemble runs tracking the gap-maintenance event, the per-coordinate
+  stopped noise martingales and the maximal-inequality events whose
+  intersection forces the gap to persist (`dynamics.GapTracker`),
 * the correlated-trigger counterparts (which reduce exactly to the
   independent ones when the correlation matrix is the identity),
 * a priming experiment: learn under one intensity vector, switch to another.
@@ -129,7 +130,7 @@ class CorrelatedParams:
 
     def __post_init__(self):
         p0 = as_probability_vector(self.p0)
-        gamma = validate_correlation(self.gamma)
+        gamma = validate_correlation(self.gamma, p0.size)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "gamma", gamma)
         if not 0 < self.epsilon < 1:
@@ -217,65 +218,6 @@ def iterations_for_correlated(params, alpha, delta):
 
 
 @dataclass
-class EventRecord:
-    """Per-step event tracking along one trajectory.
-
-    omega[k] is True when the half-gap condition held at every step u <= k
-    (omega[0] is True by convention). martingales[k, j] accumulates the
-    stopped noise martingale M_j(k); e_flags[k] is True when the running
-    maximum of |M_j| stayed below the threshold for every coordinate.
-    """
-
-    omega: np.ndarray
-    martingales: np.ndarray
-    e_flags: np.ndarray
-    threshold: float
-
-
-def track_events(states, y_samples, alpha, gap, gamma=None, gap_gamma=None, threshold=None):
-    """Compute gap events, noise martingales, and maximal-inequality flags from
-    a fully recorded trajectory (states at every step, Y samples).
-
-    For correlated triggers supply gamma and the initial gap of gamma @ p(0);
-    the gap condition then also applies to gamma @ p and the default
-    martingale threshold becomes min(gap, gap_gamma/||gamma||_inf)/4."""
-    states = np.asarray(states, dtype=float)
-    y = np.asarray(y_samples, dtype=float)
-    n = y.shape[0]
-    d = states.shape[1]
-    if states.shape[0] != n + 1:
-        raise InvalidInputError("need states at every step: %d states for %d samples" % (states.shape[0], n))
-    if threshold is None:
-        if gamma is None:
-            threshold = gap / 4.0
-        else:
-            ginf = float(np.abs(np.asarray(gamma)).sum(axis=1).max())
-            threshold = 0.25 * min(gap, gap_gamma / ginf)
-    omega = np.empty(n + 1, dtype=bool)
-    omega[0] = True
-    mart = np.zeros((n + 1, d))
-    e_flags = np.empty(n + 1, dtype=bool)
-    max_abs = np.zeros(d)
-    e_flags[0] = True
-    alive = True
-    for k in range(n):
-        p = states[k]
-        m = p if gamma is None else np.asarray(gamma, dtype=float) @ p
-        s = float(np.dot(p, y[k]))
-        xi = p * (m - np.dot(p, m)) - p * (y[k] - s)
-        mart[k + 1] = mart[k] + (alpha * xi if alive else 0.0)
-        np.maximum(max_abs, np.abs(mart[k + 1]), out=max_abs)
-        e_flags[k + 1] = bool(max_abs.max() <= threshold)
-        p_next = states[k + 1]
-        ok = _gap(p_next) >= gap / 2.0
-        if gamma is not None:
-            ok = ok and _gap(np.asarray(gamma, dtype=float) @ p_next) >= gap_gamma / 2.0
-        alive = alive and ok
-        omega[k + 1] = alive
-    return EventRecord(omega=omega, martingales=mart, e_flags=e_flags, threshold=threshold)
-
-
-@dataclass
 class EnsembleVerification:
     """Vectorized ensemble run with event tracking.
 
@@ -313,7 +255,8 @@ def run_gap_ensemble(
     Trajectory i is the `dynamics.simulate` run on stream key
     (seed, index_start + i), so ensembles are order-independent and each
     member equals `dynamics.run_trajectory` with that key. The tracking is a
-    `dynamics.GapTracker`, the recorder that `simulate`'s step advances;
+    `dynamics.GapTracker`, the recorder that `simulate`'s step advances and
+    that checks the gamma @ p gap with the run's gamma when it is given;
     p_1, the tail mass and the martingales are recorded at each checkpoint,
     a step in [0, n_steps]."""
     noise = noise or NoiseModel()
@@ -324,7 +267,7 @@ def run_gap_ensemble(
         raise InvalidInputError("first coordinate must be strictly dominant")
     gap_gamma = 0.0
     if gamma is not None:
-        gamma = validate_correlation(gamma)
+        gamma = validate_correlation(gamma, d)
         gap_gamma = _gap(gamma @ p0)
         ginf = float(np.abs(gamma).sum(axis=1).max())
         threshold = 0.25 * min(gap, gap_gamma / ginf)
@@ -332,7 +275,7 @@ def run_gap_ensemble(
         threshold = gap / 4.0
     keys = [(seed, index_start + i) for i in range(n_traj)]
     checkpoints = sorted(set(int(c) for c in checkpoints))
-    tracker = GapTracker(len(keys), d, alpha, gap, threshold, checkpoints, gamma, gap_gamma)
+    tracker = GapTracker(len(keys), d, alpha, gap, threshold, checkpoints, gap_gamma)
     p = simulate(np.tile(p0, (len(keys), 1)), alpha, n_steps, keys, noise, gamma=gamma,
                  record=tracker)
     return EnsembleVerification(

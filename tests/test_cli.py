@@ -139,6 +139,22 @@ def test_verify_scenario_reports(tmp_path):
     ["thm23-verify", "--set", "min_gap=1.0", "--set", "n_cases=1"],
     ["thm23-verify", "--set", "min_gap=0.999", "--set", "dims=[8]", "--set", "n_cases=1"],
     ["thm23-verify", "--set", "min_gap=-0.1", "--set", "n_cases=1"],
+    # a gamma for another dimension used to end in a ValueError traceback
+    ["correlated-figure", "--set", "gamma=[[1,0],[0,1]]"],
+    ["thm-corr-verify", "--set", "gamma=[[1,0],[0,1]]", "--set", "n_steps=10",
+     "--set", "checkpoints=[0,10]"],
+    # inputs of mismatched length used to end in tracebacks, or in a failed
+    # verdict after a divide warning
+    ["priming", "--set", "w0=[1,1,1]"],
+    ["alg2-verify", "--set", "w0=[1,1]"],
+    ["spiking-validate", "--set", "weights=[1,1]"],
+    ["landscape-grid", "--set", "gamma=[[1,0],[0,1]]"],
+    ["thm23-verify", "--set", "dims=[1]"],
+    ["mirror-compare", "--set", "d=1"],
+    # weights past 1.3e154 overflow the column norms, which used to skip the
+    # joint scheme's projection silently and pass
+    ["fig3-algorithm1", "--set", "base_alpha=0.45", "--set", "n_steps=1200",
+     "--set", "record_stride=1200"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     # a run that does not end fails here instead of hanging the suite

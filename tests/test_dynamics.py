@@ -140,11 +140,15 @@ def test_correlated_identity_reduces_to_independent():
 
 def test_correlation_matrix_validation():
     with pytest.raises(InvalidInputError):
-        dynamics.validate_correlation(np.array([[1.0, 0.2], [0.3, 1.0]]))
+        dynamics.validate_correlation(np.array([[1.0, 0.2], [0.3, 1.0]]), 2)
     with pytest.raises(InvalidInputError):
-        dynamics.validate_correlation(np.array([[0.9, 0.2], [0.2, 1.0]]))
+        dynamics.validate_correlation(np.array([[0.9, 0.2], [0.2, 1.0]]), 2)
     with pytest.raises(InvalidInputError):
-        dynamics.validate_correlation(np.array([[1.0, 1.2], [1.2, 1.0]]))
+        dynamics.validate_correlation(np.array([[1.0, 1.2], [1.2, 1.0]]), 2)
+    # a valid matrix for another dimension
+    with pytest.raises(InvalidInputError, match="must be 3 x 3"):
+        dynamics.validate_correlation(np.eye(2), 3)
+    assert np.array_equal(dynamics.validate_correlation([[1, 0], [0, 1]], 2), np.eye(2))
 
 
 def test_inhomogeneous_weight_and_probability_forms_agree():
@@ -168,17 +172,6 @@ def test_run_trajectory_deterministic_and_seed_sensitive():
     c = dynamics.run_trajectory(cfg, 43)
     assert np.array_equal(a.states, b.states)
     assert not np.array_equal(a.states, c.states)
-
-
-def test_run_trajectory_samples_replay_states():
-    cfg = dynamics.DynamicsConfig(
-        alpha=0.02, n_steps=300, p0=[0.2, 0.5, 0.3], record_samples=True
-    )
-    rec = dynamics.run_trajectory(cfg, 9)
-    p = rec.states[0].copy()
-    for k in range(cfg.n_steps):
-        p = dynamics.step_probabilities(p, cfg.alpha, rec.y_samples[k])
-    assert np.abs(p - rec.states[-1]).max() < 1e-12
 
 
 def test_run_trajectory_record_stride():

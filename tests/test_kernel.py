@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplex_stdp import _kernel, cli, dynamics, multi, theory
-from simplex_stdp.simplex import InvalidInputError, recorded_steps
+from simplex_stdp.simplex import InvalidInputError
 
 NOISE = dynamics.NoiseModel()
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -255,9 +255,10 @@ def _require_compiled_step():
 def compiled_case(draw):
     """A batch in the probability form with gap tracking, or in the weight
     form with an intensity switch (none, at step 0, mid-chunk, on a chunk
-    boundary or past the horizon), recorded at a stride with its signal
-    samples; independent or correlated triggers, zero entries, and a chunk
-    length that makes runs cross chunk and checkpoint boundaries."""
+    boundary or past the horizon), recorded at every step and, as a single
+    trajectory, at a stride; independent or correlated triggers, zero
+    entries, and a chunk length that makes runs cross chunk and checkpoint
+    boundaries."""
     d = draw(st.sampled_from([2, 3, 5, 8]))
     n = draw(st.integers(min_value=1, max_value=4))
     n_steps = draw(st.integers(min_value=0, max_value=120))
@@ -300,17 +301,14 @@ def _run_case(case):
         lam = case["lam"]
         if case["switch"] is not None:
             lam = [(0, lam), (case["switch"], case["lam_switched"])]
-        recorder = dynamics.Recorder(
-            recorded_steps(case["n_steps"], case["stride"]),
-            np.empty((case["n"], case["n_steps"], case["d"])))
+        recorder = dynamics.Recorder(range(case["n_steps"] + 1))
         final = dynamics.simulate(case["w0"], case["alpha"], case["n_steps"], keys, NOISE,
                                   lam=lam, gamma=case["gamma"], record=recorder)
         config = dynamics.DynamicsConfig(
             alpha=case["alpha"], n_steps=case["n_steps"], lam=case["lam"], w0=case["w0"][0],
-            gamma=case["gamma"], record_stride=case["stride"], record_samples=True)
+            gamma=case["gamma"], record_stride=case["stride"])
         rec = dynamics.run_trajectory(config, keys[0])
-        return [final, np.stack(recorder.states), recorder.samples,
-                rec.states, rec.weights, rec.y_samples]
+        return [final, np.stack(recorder.states), rec.states, rec.weights]
 
 
 # a rate this large ends the gap event of member 3 at its first step while the
@@ -419,15 +417,15 @@ def test_compiled_runs_hold_no_chunk_of_draws():
     gamma = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.0], [0.1, 0.0, 1.0]])
     lam = np.array([3.0, 2.0, 1.0])
 
-    def gap_run(n, p0, **kwargs):
+    def gap_run(n, p0, gamma=None, gap_gamma=0.0):
         tracker = dynamics.GapTracker(n, p0.size, 1e-3, 0.1, 0.5, [0, n_steps // 3, n_steps],
-                                      **kwargs)
+                                      gap_gamma)
         dynamics.simulate(np.tile(p0, (n, 1)), 1e-3, n_steps, [(1, i) for i in range(n)],
-                          NOISE, gamma=kwargs.get("gamma"), record=tracker)
+                          NOISE, gamma=gamma, record=tracker)
 
     runs = [
         lambda: gap_run(200, np.array([0.6, 0.4])),
-        lambda: gap_run(50, np.array([0.5, 0.3, 0.2]), gamma=gamma, gap_gamma=0.05),
+        lambda: gap_run(50, np.array([0.5, 0.3, 0.2]), gamma, 0.05),
         lambda: dynamics.simulate(np.ones((50, 3)), 1e-3, n_steps, [(2, i) for i in range(50)],
                                   NOISE, lam=[(0, lam), (dynamics.CHUNK + 1000, lam[::-1])]),
     ]
@@ -488,32 +486,77 @@ def test_draws_follow_the_stream_layout(path, chunk, form):
     of `dynamics.Streams`, checked against draws made ahead per chunk."""
     if path == "compiled":
         _require_compiled_step()
-    d, n, n_steps, alpha = 3, 3, 40, 0.3
+    n, n_steps, alpha = 3, 40, 0.3
     keys = [(11, i) for i in range(n)]
-    checkpoints = [0, 5, 16, 33, 40]
     kwargs = {}
     if form == "weight":
         state0 = np.array([[1.0, 2.0, 0.5], [3.0, 1.0, 1.0], [0.2, 0.2, 4.0]])
         kwargs["lam"] = np.array([3.0, 1.0, 2.0])
         config = dynamics.DynamicsConfig(alpha=alpha, n_steps=n_steps, lam=kwargs["lam"],
-                                         w0=state0[0], record_samples=True)
+                                         w0=state0[0])
     else:
         p0 = np.array([0.5, 0.3, 0.2])
         state0 = np.tile(p0, (n, 1))
         if form == "correlated":
             kwargs["gamma"] = np.array([[1.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.0]])
         config = dynamics.DynamicsConfig(alpha=alpha, n_steps=n_steps, p0=p0,
-                                         gamma=kwargs.get("gamma"), record_samples=True)
+                                         gamma=kwargs.get("gamma"))
     p_of = (lambda w: w) if form != "weight" else (
         lambda w: dynamics.probabilities(kwargs["lam"], w))
     with mock.patch.object(dynamics, "CHUNK", chunk), \
             (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
-        states, ys = _layout_oracle(state0, alpha, n_steps, keys, **kwargs)
-        recorder = dynamics.Recorder(checkpoints, np.empty((n, n_steps, d)))
+        states, _ = _layout_oracle(state0, alpha, n_steps, keys, **kwargs)
+        recorder = dynamics.Recorder(range(n_steps + 1))
         final = dynamics.simulate(state0, alpha, n_steps, keys, NOISE, record=recorder, **kwargs)
         rec = dynamics.run_trajectory(config, keys[0])
     assert np.array_equal(p_of(final), states[-1])
-    assert np.array_equal(p_of(np.stack(recorder.states)), states[checkpoints])
-    assert np.array_equal(recorder.samples, ys)
+    assert np.array_equal(p_of(np.stack(recorder.states)), states)
     assert np.array_equal(rec.states, states[:, 0])
-    assert np.array_equal(rec.y_samples, ys[0])
+
+
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+# the gap event ends for two members in the independent case; in the
+# correlated one the gamma @ p condition alone ends it for member 1
+@pytest.mark.parametrize("case", [
+    VIOLATING,
+    {"d": 2, "n": 4, "n_steps": 90, "alpha": 0.2, "seed": 2, "chunk": 7,
+     "gamma": None, "p0": np.array([0.7, 0.3]), "checkpoints": [0, 7, 50, 90]},
+    {"d": 3, "n": 4, "n_steps": 120, "alpha": 0.1, "seed": 0, "chunk": 7,
+     "gamma": np.array([[1.0, 0.6, 0.1], [0.6, 1.0, 0.3], [0.1, 0.3, 1.0]]),
+     "p0": np.array([0.5, 0.3, 0.2]), "checkpoints": [0, 7, 60, 120]},
+], ids=["violating", "independent", "correlated"])
+def test_gap_tracker_matches_step_oracle(path, case):
+    """The martingales, gap event and inclusion violations of
+    `theory.run_gap_ensemble` against their definition: the states and y of
+    every step rebuilt by `_layout_oracle`, xi from `decompose_steps_batch`,
+    and alpha * xi summed while the half-gap conditions (on gamma @ p too
+    when correlated) held at every step so far."""
+    if path == "compiled":
+        _require_compiled_step()
+    n, d, alpha, gamma, p0 = case["n"], case["d"], case["alpha"], case["gamma"], case["p0"]
+    keys = [(case["seed"], i) for i in range(n)]
+    gap_of = lambda v: v[..., 0] - v[..., 1:].max(axis=-1)
+    threshold = gap_of(p0) / 4.0
+    if gamma is not None:
+        gap_gamma = gap_of(gamma @ p0)
+        threshold = 0.25 * min(gap_of(p0), gap_gamma / np.abs(gamma).sum(axis=1).max())
+    with mock.patch.object(dynamics, "CHUNK", case["chunk"]), \
+            (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
+        res = _run_case(case)
+        states, ys = _layout_oracle(np.tile(p0, (n, 1)), alpha, case["n_steps"], keys,
+                                    gamma=gamma)
+    mart, max_abs = np.zeros((n, d)), np.zeros((n, d))
+    alive, violations, marts = np.ones(n, dtype=bool), 0, [mart]
+    for k in range(case["n_steps"]):
+        xi = dynamics.decompose_steps_batch(states[k], alpha, ys[:, k], gamma)[1]
+        mart = np.where(alive[:, None], mart + alpha * xi, mart)
+        max_abs = np.maximum(max_abs, np.abs(mart))
+        held = (max_abs <= threshold).all(axis=1)
+        alive = alive & (gap_of(states[k + 1]) >= gap_of(p0) / 2.0)
+        if gamma is not None:
+            alive &= gap_of(states[k + 1] @ gamma.T) >= gap_gamma / 2.0
+        violations += int(np.sum(held & ~alive))
+        marts.append(mart)
+    assert np.abs(res[2] - np.stack(marts, axis=-1)[:, :, case["checkpoints"]]).max() < 1e-12
+    assert np.array_equal(res[3], alive)
+    assert res[4] == violations

@@ -92,30 +92,6 @@ def test_correlated_params_reject_excessive_correlation():
         theory.CorrelatedParams(p0=np.array([0.6, 0.4]), gamma=gamma, epsilon=0.1)
 
 
-def test_track_events_matches_ensemble_runner():
-    p0 = [0.9, 0.1]
-    params = theory.GapParams(p0=np.array(p0), epsilon=0.5)
-    alpha = theory.max_alpha(params)
-    n = 2000
-    cfg = dynamics.DynamicsConfig(alpha=alpha, n_steps=n, p0=p0, record_samples=True)
-    rec = dynamics.run_trajectory(cfg, (77, 0))
-    events = theory.track_events(rec.states, rec.y_samples, alpha, params.gap)
-    res = theory.run_gap_ensemble(p0, alpha, n, 1, 77, checkpoints=[n])
-    assert events.omega[-1] == res.theta_hat[0]
-    assert np.abs(events.martingales[-1] - res.martingale_checkpoints[0, :, 0]).max() < 1e-12
-    assert abs(rec.states[-1, 0] - res.p1_checkpoints[0, 0]) < 1e-15
-
-
-def test_event_flags_are_monotone():
-    rng_cfg = dynamics.DynamicsConfig(alpha=0.2, n_steps=500, p0=[0.55, 0.45],
-                                      record_samples=True)
-    rec = dynamics.run_trajectory(rng_cfg, 5)
-    events = theory.track_events(rec.states, rec.y_samples, 0.2, 0.1)
-    assert np.all(np.diff(events.omega.astype(int)) <= 0)
-    assert np.all(np.diff(events.e_flags.astype(int)) <= 0)
-    assert events.omega[0] and events.e_flags[0]
-
-
 def test_martingale_has_zero_mean():
     p0 = [0.9, 0.1]
     params = theory.GapParams(p0=np.array(p0), epsilon=0.5)
