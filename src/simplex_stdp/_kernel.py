@@ -113,7 +113,7 @@ def _data(a, dtype, shape):
     return a.ctypes.data
 
 
-def prepare(x, alpha, streams, top, lams, gamma, pair, tracker):
+def prepare(x, alpha, streams, top, lams, gamma, tracker):
     """Check the arrays of one run once and return advance(k0, k1, piece),
     which runs steps k0..k1-1 on the state x in place under the intensities
     lams[piece], drawing from the `dynamics.Streams` streams as it steps. It
@@ -121,9 +121,11 @@ def prepare(x, alpha, streams, top, lams, gamma, pair, tracker):
     (on gamma @ p too when gamma is given) and inclusion-violation count."""
     import ctypes
 
+    # imported here: dynamics imports this module
+    from .dynamics import _pair_index
+
     n, d = x.shape
-    if gamma is not None and pair is None:
-        raise ValueError("correlated triggers need the pair table")
+    pair = None if gamma is None else _pair_index(d)
     run = _run_type()(
         n=n, d=d, n_pairs=streams.n_pairs,
         alpha=alpha, half_width=streams.noise.half_width,

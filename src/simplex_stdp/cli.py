@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .simplex import InvalidInputError, barycentric_embedding, landscape_grid
+from .simplex import InvalidInputError, as_float_array, barycentric_embedding, landscape_grid
 from .dynamics import DynamicsConfig, NoiseModel, final_probabilities, run_trajectory, stream_for
 from . import theory
 from . import multi as multi_mod
@@ -157,7 +157,7 @@ DEFAULTS = {
 
 def _vectors(cfg, *names):
     """cfg[name] for each of names as float arrays, vectors of one length."""
-    vectors = [np.asarray(cfg[name], dtype=float) for name in names]
+    vectors = [as_float_array(cfg[name], name) for name in names]
     if any(v.ndim != 1 or v.size != vectors[0].size for v in vectors):
         raise InvalidInputError("%s must be vectors of one length, got shapes %s"
                                 % (", ".join(names), [v.shape for v in vectors]))
@@ -180,7 +180,7 @@ def _write_landscape(path, grid_step, gamma=None):
     cubic-quartic loss, or -1/2 p^T gamma p when gamma is given."""
     pts, x, y, vals = landscape_grid(grid_step)
     if gamma is not None:
-        g = np.asarray(gamma, dtype=float)
+        g = as_float_array(gamma, "gamma")
         if g.shape != (3, 3):
             raise InvalidInputError("gamma must be 3 x 3, got shape %s" % (g.shape,))
         vals = -0.5 * np.einsum("ni,ij,nj->n", pts, g, pts)
@@ -232,12 +232,12 @@ def scenario_fig2_ensemble(cfg, out, seed):
 
 
 def scenario_fig3_algorithm1(cfg, out, seed):
-    lam = np.asarray(cfg["lam"], dtype=float)
+    lam = as_float_array(cfg["lam"], "lam")
     d = lam.size
     config = multi_mod.MultiRunConfig(
         lam=lam,
         w0=np.ones((d, d)),
-        alphas=cfg["base_alpha"] * np.asarray(cfg["rate_scale"], dtype=float),
+        alphas=cfg["base_alpha"] * as_float_array(cfg["rate_scale"], "rate_scale"),
         n_steps=cfg["n_steps"],
         record_stride=cfg["record_stride"],
     )
@@ -297,31 +297,18 @@ def scenario_priming(cfg, out, seed):
     return [path], report, ok
 
 
-def _gap_verify(cfg, out, seed, correlated):
+def _gap_verify(cfg, out, seed):
     if not cfg["checkpoints"]:
         raise InvalidInputError("checkpoints must name at least one step")
-    noise = NoiseModel(q_bound=cfg["q_bound"])
-    if correlated:
-        params = theory.CorrelatedParams(
-            p0=cfg["p0"], gamma=cfg["gamma"], q_bound=cfg["q_bound"], epsilon=cfg["epsilon"]
-        )
-        alpha = theory.max_alpha_correlated(params)
-        gamma = params.gamma
-        gap_params = None
-    else:
-        params = theory.GapParams(p0=cfg["p0"], q_bound=cfg["q_bound"], epsilon=cfg["epsilon"])
-        alpha = theory.max_alpha(params)
-        gamma = None
-        gap_params = params
-
+    params = theory.GapParams(p0=cfg["p0"], gamma=cfg.get("gamma"), q_bound=cfg["q_bound"],
+                              epsilon=cfg["epsilon"])
+    alpha = theory.max_alpha(params)
     result = theory.run_gap_ensemble(
-        cfg["p0"], alpha, cfg["n_steps"], cfg["n_traj"], seed,
-        noise=noise, gamma=gamma, checkpoints=cfg["checkpoints"],
+        params.p0, alpha, cfg["n_steps"], cfg["n_traj"], seed,
+        noise=NoiseModel(q_bound=cfg["q_bound"]), gamma=params.gamma,
+        checkpoints=cfg["checkpoints"],
     )
-    report = theory.verification_report(
-        gap_params, alpha, result,
-        correlated_params=params if correlated else None,
-    )
+    report = theory.verification_report(params, alpha, result)
     prob_floor = 1.0 - cfg["epsilon"] / 2.0 - cfg["probability_slack"]
     checks = {
         "gap_event_probability": report["empirical_gap_event_probability"] >= prob_floor,
@@ -344,12 +331,10 @@ def _gap_verify(cfg, out, seed, correlated):
     return [path], report, ok
 
 
-def scenario_thm22_verify(cfg, out, seed):
-    return _gap_verify(cfg, out, seed, correlated=False)
-
-
 def scenario_thm_corr_verify(cfg, out, seed):
-    return _gap_verify(cfg, out, seed, correlated=True)
+    if cfg["gamma"] is None:
+        raise InvalidInputError("thm-corr-verify needs a correlation matrix gamma")
+    return _gap_verify(cfg, out, seed)
 
 
 # starts drawn per thm23-verify case before its min_gap counts as unreachable
@@ -480,7 +465,7 @@ def scenario_spiking_validate(cfg, out, seed):
 
 def scenario_mirror_compare(cfg, out, seed):
     rng = stream_for(seed)
-    alphas = np.asarray(cfg["alphas"], dtype=float)
+    alphas = as_float_array(cfg["alphas"], "alphas")
     if cfg["n_points"] < 1 or alphas.size < 2 or cfg["d"] < 2:
         raise InvalidInputError("need n_points >= 1, d >= 2 and two rates to compare")
     sup = np.zeros(alphas.size)
@@ -510,7 +495,7 @@ SCENARIOS = {
     "fig3-algorithm1": scenario_fig3_algorithm1,
     "correlated-figure": scenario_correlated_figure,
     "priming": scenario_priming,
-    "thm22-verify": scenario_thm22_verify,
+    "thm22-verify": _gap_verify,
     "thm23-verify": scenario_thm23_verify,
     "thm-corr-verify": scenario_thm_corr_verify,
     "alg2-verify": scenario_alg2_verify,

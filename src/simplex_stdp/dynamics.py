@@ -21,6 +21,7 @@ import numpy as np
 from . import _kernel
 from .simplex import (
     InvalidInputError,
+    as_float_array,
     as_probability_vector,
     probabilities_from_weights,
     recorded_steps,
@@ -272,12 +273,12 @@ class GapTracker(Recorder):
         self.ek_violations += int(np.sum(e_now & ~self.alive))
 
 
-def numpy_step(x, alpha, streams, top, lams, gamma, pair, tracker):
-    """The numpy reference of `_kernel.prepare`, with its arguments (pair
-    unused) and its results bit for bit, taken when the kernel does not
-    load: returns advance(k0, k1, piece), which runs steps k0..k1-1 on the
-    state x in place under the intensities lams[piece], drawing them from
-    streams one segment at a time."""
+def numpy_step(x, alpha, streams, top, lams, gamma, tracker):
+    """The numpy reference of `_kernel.prepare`, with its arguments and its
+    results bit for bit, taken when the kernel does not load: returns
+    advance(k0, k1, piece), which runs steps k0..k1-1 on the state x in
+    place under the intensities lams[piece], drawing them from streams one
+    segment at a time."""
     eye_rows = np.eye(x.shape[1])
 
     def advance(k0, k1, piece):
@@ -343,7 +344,7 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=N
 def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=None):
     """The segment driver of every learning run; returns the final state.
 
-    step(x, alpha, streams, top, lams, gamma, pair, tracker) is called once
+    step(x, alpha, streams, top, lams, gamma, tracker) is called once
     and returns advance(k0, k1, piece), which runs steps k0..k1-1 on the
     rows of x in place under the intensities lams[piece], drawing from
     streams (a `Streams` of `keys`) as it steps, and advances tracker, the
@@ -369,7 +370,6 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     if gamma is not None:
         gamma = np.ascontiguousarray(validate_correlation(gamma, d))
     n_pairs = 0 if gamma is None else d * (d - 1) // 2
-    pair = None if gamma is None else _pair_index(d)
     stops = set(steps.tolist())
     cuts = sorted(stops.union(starts[1:]))
     if 0 in stops:
@@ -377,8 +377,7 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     streams = Streams(keys, d, noise, n_pairs)
     # zero entries stay exactly zero, so the last pickable coordinate is fixed
     top = _last_positive(x)
-    advance = step(x, alpha, streams, top, vectors, gamma, pair,
-                   record if record.tracks else None)
+    advance = step(x, alpha, streams, top, vectors, gamma, record if record.tracks else None)
     k = 0
     while k < n_steps:
         m = min(CHUNK, n_steps - k)
@@ -451,7 +450,7 @@ def decompose_steps_batch(p, alpha, y, gamma=None, q_bound=2.0):
 def validate_correlation(gamma, d):
     """Validate a trigger-correlation matrix for d coordinates: shape (d, d),
     symmetric, unit diagonal, off-diagonal entries in [0, 1]."""
-    g = np.asarray(gamma, dtype=float)
+    g = as_float_array(gamma, "correlation matrix")
     if g.shape != (d, d):
         raise InvalidInputError("correlation matrix must be %d x %d, got shape %s"
                                 % (d, d, g.shape))

@@ -1,17 +1,20 @@
 """Deterministic mean-field flows of the learning dynamics.
 
-The baseline flow is the replicator equation dp/dt = p * (p - ||p||^2 1),
-which is the negative gradient flow of the cubic-quartic potential on the
-simplex. Variants cover a correlation matrix acting on the fitness and a
-time-varying intensity term. Integration is fixed-step classical RK4 with a
-post-step renormalization whose size is logged.
+Every flow is the replicator equation dp/dt = p * (f - p.f 1)
+(`simplex.replicator_field`) with fitness f = p, or gamma @ p when a
+correlation matrix is given, plus the log derivative of a time-varying
+intensity schedule when one is given. With f = p it is the negative gradient
+flow of the cubic-quartic potential on the simplex. Integration is
+fixed-step classical RK4 with a post-step renormalization whose size is
+logged.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import InvalidInputError, as_probability_vector, recorded_steps
+from .dynamics import validate_correlation
+from .simplex import InvalidInputError, as_probability_vector, recorded_steps, replicator_field
 
 
 class IntegrationError(RuntimeError):
@@ -20,17 +23,13 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class FlowSpec:
-    """A flow on the simplex.
-
-    fitness_kind: "self" (replicator / negative potential gradient),
-    "correlated" (fitness gamma @ p), or "inhomogeneous" (adds the log
-    derivative of the intensity schedule to the fitness).
-    """
+    """A flow on the simplex: fitness p (the replicator flow), gamma @ p when
+    gamma is given, or p + d/dt log intensity(t) when
+    log_intensity_derivative is given; at most one of the two."""
 
     p0: object
     horizon: float
     dt: float = 1e-3
-    fitness_kind: str = "self"
     gamma: object = None
     log_intensity_derivative: object = None
     record_stride: int = 1
@@ -41,33 +40,11 @@ class FlowSpec:
             errors.append("dt must be positive")
         if self.horizon < 0:
             errors.append("horizon must be nonnegative")
-        if self.fitness_kind not in ("self", "correlated", "inhomogeneous"):
-            errors.append("unknown fitness_kind %r" % self.fitness_kind)
-        if self.fitness_kind == "correlated" and self.gamma is None:
-            errors.append("correlated flow requires gamma")
-        if self.fitness_kind == "inhomogeneous" and self.log_intensity_derivative is None:
-            errors.append("inhomogeneous flow requires log_intensity_derivative")
+        if self.gamma is not None and self.log_intensity_derivative is not None:
+            errors.append("give gamma or log_intensity_derivative, not both")
         if errors:
             raise InvalidInputError("; ".join(errors))
         return self
-
-
-def replicator_rhs(p):
-    """dp/dt = p * (p - ||p||^2 1)."""
-    return p * (p - np.dot(p, p))
-
-
-def correlated_rhs(p, gamma):
-    """dp/dt = p * (gamma p - p.gamma p 1)."""
-    f = gamma @ p
-    return p * (f - np.dot(p, f))
-
-
-def inhomogeneous_rhs(p, t, log_intensity_derivative):
-    """dp/dt = p * (g + p - p.(g + p) 1) with g = d/dt log intensity(t)."""
-    g = np.asarray(log_intensity_derivative(t), dtype=float)
-    f = g + p
-    return p * (f - np.dot(p, f))
 
 
 @dataclass
@@ -89,18 +66,16 @@ def integrate(spec):
     """
     spec.validated()
     p = as_probability_vector(spec.p0).copy()
-    gamma = None
-    if spec.fitness_kind == "correlated":
-        gamma = np.asarray(spec.gamma, dtype=float)
+    gamma = None if spec.gamma is None else validate_correlation(spec.gamma, p.size)
+    log_derivative = spec.log_intensity_derivative
     n = int(round(spec.horizon / spec.dt))
     dt = spec.dt
 
     def rhs(t, q):
-        if spec.fitness_kind == "self":
-            return replicator_rhs(q)
-        if spec.fitness_kind == "correlated":
-            return correlated_rhs(q, gamma)
-        return inhomogeneous_rhs(q, t, spec.log_intensity_derivative)
+        f = q if gamma is None else gamma @ q
+        if log_derivative is not None:
+            f = np.asarray(log_derivative(t), dtype=float) + f
+        return replicator_field(q, f)
 
     rec = recorded_steps(n, spec.record_stride)
     times = rec * dt

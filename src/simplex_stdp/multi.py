@@ -137,7 +137,7 @@ def _deflated_increments(w, alpha, y):
     return inc
 
 
-def _joint_step(x, alpha, streams, top, lams, gamma, pair, tracker):
+def _joint_step(x, alpha, streams, top, lams, gamma, tracker):
     """The joint scheme's step, in the signature of `dynamics.numpy_step`:
     returns advance(k0, k1, piece), which runs steps k0..k1-1 on x in place.
     The rows of x are the columns of the runs, d_out per run, and alpha

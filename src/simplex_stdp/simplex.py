@@ -18,6 +18,15 @@ class InvalidInputError(ValueError):
     """Raised when a vector fails simplex / positivity validation."""
 
 
+def as_float_array(x, name="input"):
+    """x (outside input: a list, a JSON value, an array) as a float array;
+    ragged or non-numeric input raises InvalidInputError."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError("%s must be a numeric array: %s" % (name, exc)) from None
+
+
 def as_probability_vector(p, renormalize=True):
     """Validate (and possibly renormalize) a vector as a simplex point.
 
@@ -25,7 +34,7 @@ def as_probability_vector(p, renormalize=True):
     totals within SUM_TOL are accepted as-is, larger (but tolerable) drift is
     fixed by dividing by the sum.
     """
-    p = np.asarray(p, dtype=float)
+    p = as_float_array(p, "probability vector")
     if p.ndim != 1 or p.size == 0:
         raise InvalidInputError("expected a nonempty 1-d vector, got shape %s" % (p.shape,))
     if np.any(p < 0):
@@ -40,7 +49,7 @@ def as_probability_vector(p, renormalize=True):
 
 def validate_intensities(lam):
     """Check that an intensity vector is 1-d with strictly positive entries."""
-    lam = np.asarray(lam, dtype=float)
+    lam = as_float_array(lam, "intensities")
     if lam.ndim != 1 or lam.size == 0:
         raise InvalidInputError("intensities must be a nonempty 1-d vector")
     if np.any(lam <= 0):
@@ -50,7 +59,7 @@ def validate_intensities(lam):
 
 def validate_weights(w):
     """Check that a weight vector is 1-d, nonnegative, and not identically zero."""
-    w = np.asarray(w, dtype=float)
+    w = as_float_array(w, "weights")
     if w.ndim != 1 or w.size == 0:
         raise InvalidInputError("weights must be a nonempty 1-d vector")
     if np.any(w < 0):

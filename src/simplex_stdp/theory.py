@@ -2,7 +2,10 @@
 verification.
 
 Quantities implemented here, for an initial p with a strictly dominant first
-coordinate (gap = p_1(0) - max_{i>=2} p_i(0) > 0) and noise bound Q:
+coordinate (gap = p_1(0) - max_{i>=2} p_i(0) > 0), noise bound Q and
+triggers correlated through a matrix gamma (`GapParams`; independent
+triggers are the gamma = I case, given as gamma None, where every formula
+reduces to its independent-trigger form):
 
 * the largest admissible step size (an implicit inequality in alpha, solved
   by bisection on (0, 1/Q)),
@@ -12,8 +15,6 @@ coordinate (gap = p_1(0) - max_{i>=2} p_i(0) > 0) and noise bound Q:
 * ensemble runs tracking the gap-maintenance event, the per-coordinate
   stopped noise martingales and the maximal-inequality events whose
   intersection forces the gap to persist (`dynamics.GapTracker`),
-* the correlated-trigger counterparts (which reduce exactly to the
-  independent ones when the correlation matrix is the identity),
 * a priming experiment: learn under one intensity vector, switch to another.
 
 Ensemble verification is vectorized across trajectories; every trajectory
@@ -37,29 +38,73 @@ def _gap(p0):
 
 @dataclass(frozen=True)
 class GapParams:
-    """Inputs of the single-neuron convergence theorem."""
+    """Inputs of the convergence theorem: triggers correlated through gamma,
+    or independent (gamma None, the gamma = I case).
+
+    gap_gamma is the gap of gamma @ p(0), nu the largest off-diagonal entry
+    of gamma and c_star = gap gap_gamma / 4 - nu (1 + gap gap_gamma / 4).
+    With independent triggers gap_gamma = gap, nu = 0 and ||gamma||_inf = 1,
+    so c_star = gap^2 / 4 and the theorem's formulas reduce to
+
+        alpha <= (gap^2 / (16 Q^2)) min((1 - Q alpha)^3,
+                 epsilon (4 gap / d + gap^2) / (256 (1 - p_1(0)))),
+        E[||p(k) - e_1||_1 on the gap event] <=
+                 2 (1 - p_1(0)) exp(-(alpha / 16)(4 gap / d + gap^2) k),
+        k >= (16 d / (alpha gap (4 + d gap))) log(4 (1 - p_1(0)) / (epsilon delta)),
+
+    with martingale threshold gap / 4."""
 
     p0: np.ndarray
+    gamma: np.ndarray = None
     q_bound: float = 2.0
     epsilon: float = 0.1
 
     def __post_init__(self):
         p0 = as_probability_vector(self.p0)
         object.__setattr__(self, "p0", p0)
-        if _gap(p0) <= 0:
-            raise InvalidInputError("first coordinate must be strictly dominant")
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", validate_correlation(self.gamma, p0.size))
         if not 0 < self.epsilon < 1:
             raise InvalidInputError("epsilon must lie in (0, 1)")
         if self.q_bound <= 1:
             raise InvalidInputError("q_bound must exceed 1")
+        if self.gap <= 0:
+            raise InvalidInputError("first coordinate must be strictly dominant")
+
+    @property
+    def _gamma(self):
+        # the identity is exact here: gamma @ p0 = p0, no off-diagonal, norm 1
+        return np.eye(self.d) if self.gamma is None else self.gamma
+
+    @property
+    def d(self):
+        return self.p0.size
 
     @property
     def gap(self):
         return _gap(self.p0)
 
     @property
-    def d(self):
-        return self.p0.size
+    def gap_gamma(self):
+        return _gap(self._gamma @ self.p0)
+
+    @property
+    def nu(self):
+        off = self._gamma[~np.eye(self.d, dtype=bool)]
+        return float(off.max()) if off.size else 0.0
+
+    @property
+    def c_star(self):
+        q = self.gap * self.gap_gamma / 4.0
+        return q - self.nu * (1.0 + q)
+
+    @property
+    def gamma_inf_norm(self):
+        return float(np.abs(self._gamma).sum(axis=1).max())
+
+    @property
+    def martingale_threshold(self):
+        return 0.25 * min(self.gap, self.gap_gamma / self.gamma_inf_norm)
 
 
 def _bisect_alpha(rhs, q_bound):
@@ -79,14 +124,31 @@ def _bisect_alpha(rhs, q_bound):
 def max_alpha(params):
     """Largest step size satisfying
 
-    alpha <= (gap^2 / (16 Q^2)) * min((1 - Q alpha)^3,
-             epsilon (4 gap / d + gap^2) / (256 (1 - p_1(0))))."""
-    g, q, d = params.gap, params.q_bound, params.d
+    alpha <= (1/(4 Q^2)) min((1 - Q alpha)^3 c_star,
+             epsilon min(gap, gap_gamma/||gamma||_inf)^2 gap_gamma (4/d + gap)
+             / (1024 (1 - p_1(0)))),
+
+    which needs c_star > 0: correlation weak enough for the gaps (and so
+    a strictly dominant first coordinate of gamma @ p(0))."""
+    c_star = params.c_star
+    if c_star <= 0:
+        raise InvalidInputError(
+            "correlation level too high for the stated gaps (c_star = %g <= 0)" % c_star
+        )
+    q, d = params.q_bound, params.d
     p1 = params.p0[0]
-    c2 = params.epsilon * (4.0 * g / d + g * g) / (256.0 * (1.0 - p1))
+    m = min(params.gap, params.gap_gamma / params.gamma_inf_norm)
+    c2 = (
+        params.epsilon
+        * m
+        * m
+        * params.gap_gamma
+        * (4.0 / d + params.gap)
+        / (1024.0 * (1.0 - p1))
+    )
 
     def rhs(a):
-        return g * g / (16.0 * q * q) * min((1.0 - q * a) ** 3, c2)
+        return 1.0 / (4.0 * q * q) * min((1.0 - q * a) ** 3 * c_star, c2)
 
     return _bisect_alpha(rhs, q)
 
@@ -103,117 +165,19 @@ def max_alpha_gap_only(gap, q_bound=2.0):
 
 def error_bound(params, alpha, k):
     """E[||p(k) - e_1||_1 on the gap event] <=
-    2 (1 - p_1(0)) exp(-(alpha/16)(4 gap/d + gap^2) k)."""
-    g, d = params.gap, params.d
+    2 (1 - p_1(0)) exp(-(alpha gap_gamma / 16)(4/d + gap) k)."""
     k = np.asarray(k, dtype=float)
-    return 2.0 * (1.0 - params.p0[0]) * np.exp(-(alpha / 16.0) * (4.0 * g / d + g * g) * k)
+    rate = (alpha * params.gap_gamma / 16.0) * (4.0 / params.d + params.gap)
+    return 2.0 * (1.0 - params.p0[0]) * np.exp(-rate * k)
 
 
 def iterations_for(params, alpha, delta):
     """Steps sufficient for E[||p(k) - e_1||_1 on the gap event] <= eps*delta/2,
-    i.e. k >= (16 d / (alpha gap (4 + d gap))) log(4 (1 - p_1(0)) / (eps delta))."""
-    g, d = params.gap, params.d
+    i.e. k >= (16 d / (alpha gap_gamma (4 + d gap))) log(4 (1 - p_1(0)) / (eps delta))."""
     if not 0 < delta < 1:
         raise InvalidInputError("delta must lie in (0, 1)")
     arg = 4.0 * (1.0 - params.p0[0]) / (params.epsilon * delta)
-    return int(np.ceil(16.0 * d / (alpha * g * (4.0 + d * g)) * np.log(arg)))
-
-
-@dataclass(frozen=True)
-class CorrelatedParams:
-    """Inputs of the correlated-trigger convergence theorem."""
-
-    p0: np.ndarray
-    gamma: np.ndarray
-    q_bound: float = 2.0
-    epsilon: float = 0.1
-
-    def __post_init__(self):
-        p0 = as_probability_vector(self.p0)
-        gamma = validate_correlation(self.gamma, p0.size)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "gamma", gamma)
-        if not 0 < self.epsilon < 1:
-            raise InvalidInputError("epsilon must lie in (0, 1)")
-        if _gap(p0) <= 0:
-            raise InvalidInputError("first coordinate must be strictly dominant")
-        if self.gap_gamma <= 0:
-            raise InvalidInputError("first coordinate of gamma p(0) must be strictly dominant")
-        if self.c_star <= 0:
-            raise InvalidInputError(
-                "correlation level too high for the stated gaps (c_star = %g <= 0)" % self.c_star
-            )
-
-    @property
-    def d(self):
-        return self.p0.size
-
-    @property
-    def gap_p(self):
-        return _gap(self.p0)
-
-    @property
-    def gap_gamma(self):
-        return _gap(self.gamma @ self.p0)
-
-    @property
-    def nu(self):
-        off = self.gamma[~np.eye(self.d, dtype=bool)]
-        return float(off.max()) if off.size else 0.0
-
-    @property
-    def c_star(self):
-        q = self.gap_p * self.gap_gamma / 4.0
-        return q - self.nu * (1.0 + q)
-
-    @property
-    def gamma_inf_norm(self):
-        return float(np.abs(self.gamma).sum(axis=1).max())
-
-    @property
-    def martingale_threshold(self):
-        return 0.25 * min(self.gap_p, self.gap_gamma / self.gamma_inf_norm)
-
-
-def max_alpha_correlated(params):
-    """Largest step size satisfying
-
-    alpha <= (1/(4 Q^2)) min((1 - Q alpha)^3 c_star,
-             epsilon min(gap_p, gap_gamma/||gamma||_inf)^2 gap_gamma (4/d + gap_p)
-             / (1024 (1 - p_1(0)))).
-
-    With gamma = I this coincides with `max_alpha` exactly."""
-    q, d = params.q_bound, params.d
-    p1 = params.p0[0]
-    m = min(params.gap_p, params.gap_gamma / params.gamma_inf_norm)
-    c2 = (
-        params.epsilon
-        * m
-        * m
-        * params.gap_gamma
-        * (4.0 / d + params.gap_p)
-        / (1024.0 * (1.0 - p1))
-    )
-
-    def rhs(a):
-        return 1.0 / (4.0 * q * q) * min((1.0 - q * a) ** 3 * params.c_star, c2)
-
-    return _bisect_alpha(rhs, q)
-
-
-def error_bound_correlated(params, alpha, k):
-    """2 (1 - p_1(0)) exp(-(alpha gap_gamma / 16)(4/d + gap_p) k)."""
-    k = np.asarray(k, dtype=float)
-    rate = (alpha * params.gap_gamma / 16.0) * (4.0 / params.d + params.gap_p)
-    return 2.0 * (1.0 - params.p0[0]) * np.exp(-rate * k)
-
-
-def iterations_for_correlated(params, alpha, delta):
-    """k >= (16 d / (alpha gap_gamma (4 + d gap_p))) log(4 (1 - p_1(0)) / (eps delta))."""
-    if not 0 < delta < 1:
-        raise InvalidInputError("delta must lie in (0, 1)")
-    arg = 4.0 * (1.0 - params.p0[0]) / (params.epsilon * delta)
-    denom = alpha * params.gap_gamma * (4.0 + params.d * params.gap_p)
+    denom = alpha * params.gap_gamma * (4.0 + params.d * params.gap)
     return int(np.ceil(16.0 * params.d / denom * np.log(arg)))
 
 
@@ -260,24 +224,13 @@ def run_gap_ensemble(
     p_1, the tail mass and the martingales are recorded at each checkpoint,
     a step in [0, n_steps]."""
     noise = noise or NoiseModel()
-    p0 = as_probability_vector(p0)
-    d = p0.size
-    gap = _gap(p0)
-    if gap <= 0:
-        raise InvalidInputError("first coordinate must be strictly dominant")
-    gap_gamma = 0.0
-    if gamma is not None:
-        gamma = validate_correlation(gamma, d)
-        gap_gamma = _gap(gamma @ p0)
-        ginf = float(np.abs(gamma).sum(axis=1).max())
-        threshold = 0.25 * min(gap, gap_gamma / ginf)
-    else:
-        threshold = gap / 4.0
+    params = GapParams(p0, gamma, q_bound=noise.q_bound)
     keys = [(seed, index_start + i) for i in range(n_traj)]
     checkpoints = sorted(set(int(c) for c in checkpoints))
-    tracker = GapTracker(len(keys), d, alpha, gap, threshold, checkpoints, gap_gamma)
-    p = simulate(np.tile(p0, (len(keys), 1)), alpha, n_steps, keys, noise, gamma=gamma,
-                 record=tracker)
+    tracker = GapTracker(len(keys), params.d, alpha, params.gap, params.martingale_threshold,
+                         checkpoints, params.gap_gamma)
+    p = simulate(np.tile(params.p0, (len(keys), 1)), alpha, n_steps, keys, noise,
+                 gamma=params.gamma, record=tracker)
     return EnsembleVerification(
         checkpoints=tracker.checkpoints,
         p1_checkpoints=tracker.p1_checkpoints,
@@ -289,7 +242,7 @@ def run_gap_ensemble(
     )
 
 
-def verification_report(params, alpha, result, correlated_params=None):
+def verification_report(params, alpha, result):
     """Summarize an ensemble verification against the theorem's guarantees.
 
     Returns a JSON-ready dict with the empirical gap-event probability, the
@@ -300,22 +253,18 @@ def verification_report(params, alpha, result, correlated_params=None):
     prob = float(result.theta_hat.mean())
     rows = []
     for pos, k in enumerate(result.checkpoints):
-        if correlated_params is not None:
-            bound = float(error_bound_correlated(correlated_params, alpha, int(k)))
-        else:
-            bound = float(error_bound(params, alpha, int(k)))
+        bound = float(error_bound(params, alpha, int(k)))
         err = 2.0 * result.tail_checkpoints[:, pos]
         on_event = float((err * result.theta_hat).sum() / n)
         rows.append(
             {"k": int(k), "bound": bound, "on_event_mean_l1_error": on_event}
         )
-    eps = correlated_params.epsilon if correlated_params is not None else params.epsilon
     return {
         "n_trajectories": int(n),
         "alpha": float(alpha),
-        "epsilon": float(eps),
+        "epsilon": float(params.epsilon),
         "empirical_gap_event_probability": prob,
-        "guaranteed_gap_event_probability": 1.0 - eps / 2.0,
+        "guaranteed_gap_event_probability": 1.0 - params.epsilon / 2.0,
         "checkpoints": rows,
         "inclusion_violations": int(result.ek_violations),
     }

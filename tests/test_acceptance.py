@@ -189,27 +189,26 @@ def test_criterion_08_mirror_order():
 def test_criterion_09_correlated_desk_scale():
     p0 = np.array([0.8, 0.1, 0.1])
     gamma = np.array([[1.0, 0.1, 0.1], [0.1, 1.0, 0.0], [0.1, 0.0, 1.0]])
-    params = theory.CorrelatedParams(p0=p0, gamma=gamma, epsilon=0.5)
-    assert abs(params.gap_p - 0.7) < 1e-15
+    params = theory.GapParams(p0=p0, gamma=gamma, epsilon=0.5)
+    assert abs(params.gap - 0.7) < 1e-15
     assert abs(params.gap_gamma - 0.64) < 1e-15
     assert abs(params.nu - 0.1) < 1e-15
     assert abs(params.c_star - 8e-4) < 1e-15
 
     # identity correlation must reduce to the independent-trigger constants
-    ident = theory.CorrelatedParams(p0=p0, gamma=np.eye(3), epsilon=0.5)
+    ident = theory.GapParams(p0=p0, gamma=np.eye(3), epsilon=0.5)
     base = theory.GapParams(p0=p0, epsilon=0.5)
-    a_corr = theory.max_alpha_correlated(ident)
+    a_corr = theory.max_alpha(ident)
     a_base = theory.max_alpha(base)
     assert abs(a_corr - a_base) < 1e-10 * a_base
 
-    alpha = theory.max_alpha_correlated(params)
+    alpha = theory.max_alpha(params)
     assert abs(alpha - 5e-5) < 1e-5
     n_steps = 2_500_000
     checkpoints = list(range(0, n_steps + 1, 500_000))
     result = theory.run_gap_ensemble(p0, alpha, n_steps, 50, seed=909,
                                      gamma=gamma, checkpoints=checkpoints)
-    report = theory.verification_report(None, alpha, result,
-                                        correlated_params=params)
+    report = theory.verification_report(params, alpha, result)
     prob = report["empirical_gap_event_probability"]
     assert prob >= 1.0 - 0.25 - 0.07
     for row in report["checkpoints"]:

@@ -155,6 +155,17 @@ def test_verify_scenario_reports(tmp_path):
     # joint scheme's projection silently and pass
     ["fig3-algorithm1", "--set", "base_alpha=0.45", "--set", "n_steps=1200",
      "--set", "record_stride=1200"],
+    # ragged or non-numeric array overrides used to end in tracebacks
+    ["correlated-figure", "--set", "gamma=[[1,0,0],[0,1]]"],
+    ["thm-corr-verify", "--set", "gamma=[[1,0.1,0.1],[0.1,1]]"],
+    ["thm22-verify", "--set", "p0=[[0.9],[0.1,0]]"],
+    ["thm22-verify", "--set", "p0=abc"],
+    ["priming", "--set", "w0=[[1],[1,2]]"],
+    ["alg2-verify", "--set", "lam=[10,[7.5],5]"],
+    ["fig3-algorithm1", "--set", "lam=[[10,1],[7.5]]"],
+    ["landscape-grid", "--set", "gamma=[[1,0],[0]]"],
+    # without gamma the correlated scenario would check independent triggers
+    ["thm-corr-verify", "--set", "gamma=null"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     # a run that does not end fails here instead of hanging the suite

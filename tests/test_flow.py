@@ -83,29 +83,43 @@ def test_flow_bound_dominates_trajectory():
     assert np.all(err <= flow.flow_bound(p0, traj.times) + 1e-12)
 
 
-def test_correlated_rhs_identity_reduces_to_replicator():
-    p = np.array([0.2, 0.5, 0.3])
-    assert np.allclose(flow.correlated_rhs(p, np.eye(3)), flow.replicator_rhs(p), atol=1e-16)
-
-
-def test_inhomogeneous_rhs_zero_derivative_reduces_to_replicator():
-    p = np.array([0.2, 0.5, 0.3])
-    deriv = lambda t: np.zeros(3)
-    assert np.allclose(flow.inhomogeneous_rhs(p, 1.0, deriv), flow.replicator_rhs(p), atol=1e-16)
+@pytest.mark.parametrize("reducing", [
+    {"gamma": np.eye(3)},
+    {"log_intensity_derivative": lambda t: np.zeros(3)},
+], ids=["gamma", "log_derivative"])
+def test_reducing_fitness_gives_replicator_flow(reducing):
+    # gamma = I and a zero log derivative leave the fitness p: the same flow
+    p0 = [0.2, 0.5, 0.3]
+    plain = flow.integrate(flow.FlowSpec(p0=p0, horizon=2.0, dt=1e-2))
+    reduced = flow.integrate(flow.FlowSpec(p0=p0, horizon=2.0, dt=1e-2, **reducing))
+    assert np.array_equal(reduced.states, plain.states)
 
 
 def test_correlated_flow_converges_to_dominant_vertex():
     gamma = np.array([[1.0, 0.1, 0.1], [0.1, 1.0, 0.0], [0.1, 0.0, 1.0]])
     spec = flow.FlowSpec(p0=[0.8, 0.1, 0.1], horizon=40.0, dt=1e-2,
-                         fitness_kind="correlated", gamma=gamma, record_stride=100)
+                         gamma=gamma, record_stride=100)
     traj = flow.integrate(spec)
     assert traj.states[-1, 0] > 0.999
+
+
+def test_correlated_flow_uses_gamma():
+    # the fitness gamma @ p slows the lead's growth, so the states differ
+    gamma = np.array([[1.0, 0.9], [0.9, 1.0]])
+    p0 = [0.55, 0.45]
+    plain = flow.integrate(flow.FlowSpec(p0=p0, horizon=5.0, dt=1e-2))
+    bent = flow.integrate(flow.FlowSpec(p0=p0, horizon=5.0, dt=1e-2, gamma=gamma))
+    assert np.all(bent.states[1:, 0] < plain.states[1:, 0])
 
 
 def test_spec_validation():
     with pytest.raises(InvalidInputError):
         flow.FlowSpec(p0=[0.5, 0.5], horizon=1.0, dt=0.0).validated()
     with pytest.raises(InvalidInputError):
-        flow.FlowSpec(p0=[0.5, 0.5], horizon=1.0, fitness_kind="correlated").validated()
+        flow.FlowSpec(p0=[0.5, 0.5], horizon=1.0, gamma=np.eye(2),
+                      log_intensity_derivative=lambda t: np.zeros(2)).validated()
+    with pytest.raises(InvalidInputError):
+        flow.integrate(flow.FlowSpec(p0=[0.5, 0.5], horizon=1.0,
+                                     gamma=np.array([[1.0, 0.2], [0.3, 1.0]])))
     with pytest.raises(InvalidInputError):
         flow.exact_d2(0.4, 1.0)

@@ -57,39 +57,35 @@ def test_iterations_for_formula():
     assert theory.error_bound(params, 1e-3, k) <= 0.5 * 0.1 / 2
 
 
-def test_correlated_params_worked_example():
+def test_correlated_gap_params_worked_example():
     gamma = np.array([[1.0, 0.1, 0.1], [0.1, 1.0, 0.0], [0.1, 0.0, 1.0]])
-    cp = theory.CorrelatedParams(p0=np.array([0.8, 0.1, 0.1]), gamma=gamma, epsilon=0.5)
-    assert abs(cp.gap_p - 0.7) < 1e-12
+    cp = theory.GapParams(p0=np.array([0.8, 0.1, 0.1]), gamma=gamma, epsilon=0.5)
+    assert abs(cp.gap - 0.7) < 1e-12
     assert abs(cp.gap_gamma - 0.64) < 1e-12
     assert abs(cp.nu - 0.1) < 1e-15
     assert abs(cp.c_star - 8e-4) < 1e-15
-    a = theory.max_alpha_correlated(cp)
+    a = theory.max_alpha(cp)
     # the gap branch binds: alpha ~ c_star / 16 up to the (1 - 2 alpha)^3 factor
     assert abs(a - 8e-4 / 16) / (8e-4 / 16) < 1e-3
 
 
 def test_correlated_identity_reduces_exactly():
+    # gamma None means independent triggers, the gamma = I case, bit for bit
     p0 = np.array([0.85, 0.1, 0.05])
     params = theory.GapParams(p0=p0, epsilon=0.4)
-    cparams = theory.CorrelatedParams(p0=p0, gamma=np.eye(3), epsilon=0.4)
+    ident = theory.GapParams(p0=p0, gamma=np.eye(3), epsilon=0.4)
     a = theory.max_alpha(params)
-    ac = theory.max_alpha_correlated(cparams)
-    assert abs(a - ac) / a < 1e-10
-    assert np.allclose(
-        theory.error_bound(params, a, np.arange(5) * 100),
-        theory.error_bound_correlated(cparams, a, np.arange(5) * 100),
-        rtol=1e-12,
-    )
-    assert theory.iterations_for(params, a, 0.2) == theory.iterations_for_correlated(
-        cparams, a, 0.2
-    )
+    assert theory.max_alpha(ident) == a
+    ks = np.arange(5) * 100
+    assert np.array_equal(theory.error_bound(params, a, ks), theory.error_bound(ident, a, ks))
+    assert theory.iterations_for(params, a, 0.2) == theory.iterations_for(ident, a, 0.2)
+    assert params.martingale_threshold == ident.martingale_threshold == params.gap / 4
 
 
-def test_correlated_params_reject_excessive_correlation():
+def test_correlated_gap_params_reject_excessive_correlation():
     gamma = np.array([[1.0, 0.9], [0.9, 1.0]])
     with pytest.raises(InvalidInputError):
-        theory.CorrelatedParams(p0=np.array([0.6, 0.4]), gamma=gamma, epsilon=0.1)
+        theory.max_alpha(theory.GapParams(p0=np.array([0.6, 0.4]), gamma=gamma, epsilon=0.1))
 
 
 def test_martingale_has_zero_mean():
