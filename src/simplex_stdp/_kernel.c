@@ -1,5 +1,6 @@
 /*
- * Compiled step of simplex_stdp.dynamics.simulate.
+ * Compiled loops of simplex_stdp: the step of dynamics.simulate and the
+ * membrane of spiking.simulate_membrane.
  *
  * simplex_advance runs steps k0..k1-1 for every row of a batch, drawing as
  * it steps, with the same draws, arithmetic and order as
@@ -92,7 +93,8 @@ struct simplex_run {
 };
 
 /* One step of GapTracker for row i, checking the gap of gamma @ p too when the
- * run has correlated triggers; returns 1 on an inclusion violation. */
+ * run has correlated triggers; returns 1 on an inclusion violation. With
+ * gamma, gp holds gamma @ p on entry and gamma @ pn on return. */
 static int track(const struct simplex_run *r, int64_t i, const double *p, const double *y,
                  const double *pn, double *tmp, double *gp)
 {
@@ -103,11 +105,7 @@ static int track(const struct simplex_run *r, int64_t i, const double *p, const 
     for (int64_t j = 0; j < d; j++)
         tmp[j] = p[j] * y[j];
     const double s = pairwise_sum(tmp, d);
-    const double *mean = p;
-    if (gamma) {
-        gamma_dot(gamma, p, d, tmp, gp);
-        mean = gp;
-    }
+    const double *mean = gamma ? gp : p;
     for (int64_t j = 0; j < d; j++)
         tmp[j] = p[j] * mean[j];
     const double pm = pairwise_sum(tmp, d);
@@ -151,6 +149,7 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, con
     for (int64_t i = 0; i < r->n; i++) {
         double *xr = r->x + i * d;
         void *const *st = r->streams + 3 * i;
+        int have_gp = 0; /* gp holds gamma @ p of this step */
         for (int64_t t = k0; t < k1; t++) {
             const double u = r->next_double(st[0]);
             for (int64_t j = 0; j < d; j++)
@@ -189,12 +188,80 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, con
                 for (int64_t j = 0; j < d; j++)
                     xn[j] /= total;
             }
-            if (r->mart)
+            if (r->mart) {
+                if (r->gamma && !have_gp)
+                    gamma_dot(r->gamma, p, d, tmp, gp);
                 violations += track(r, i, p, y, xn, tmp, gp);
+                /* in the probability form xn is the next step's p */
+                have_gp = !lam;
+            }
             for (int64_t j = 0; j < d; j++)
                 xr[j] = xn[j];
         }
     }
     free(buf);
     return violations;
+}
+
+/*
+ * The membrane of spiking.simulate_membrane over d presynaptic trains:
+ * times[j] holds the sizes[j] spike times of neuron j, which must be finite
+ * and nondecreasing from 0. The trains are merged as they are walked, the
+ * smallest head time first and the lowest neuron index on ties (the order
+ * of np.lexsort((ids, times))), and each event does
+ *
+ *   y = y * exp(t_prev - t);  y = y + w[j];  y >= threshold: spike, y = 0
+ *
+ * with libm's exp, the function math.exp calls. Spike times and trigger ids
+ * go to spike_times and trigger_ids (cap entries each); when potentials is
+ * given, every event's time and its y after any reset go to event_times and
+ * potentials (one entry per event). Returns the number of spikes, -1 when a
+ * train is not finite and nondecreasing from 0, -2 when more than cap
+ * spikes occur and -3 when out of memory.
+ */
+int64_t simplex_membrane(int64_t d, const double *const *times, const int64_t *sizes,
+                         const double *w, double threshold, int64_t cap,
+                         double *spike_times, int64_t *trigger_ids,
+                         double *event_times, double *potentials)
+{
+    int64_t *pos = calloc((size_t)d, sizeof(int64_t));
+    if (!pos)
+        return -3;
+    int64_t n_events = 0, n_spikes = 0;
+    for (int64_t j = 0; j < d; j++)
+        n_events += sizes[j];
+    double y = 0.0, t_prev = 0.0;
+    for (int64_t e = 0; e < n_events; e++) {
+        int64_t j = -1;
+        double t = 0.0;
+        for (int64_t k = 0; k < d; k++)
+            if (pos[k] < sizes[k] && (j < 0 || times[k][pos[k]] < t)) {
+                j = k;
+                t = times[k][pos[k]];
+            }
+        /* a NaN head is taken sooner or later and fails here too */
+        if (!isfinite(t) || !(t >= (pos[j] ? times[j][pos[j] - 1] : 0.0))) {
+            n_spikes = -1;
+            break;
+        }
+        pos[j]++;
+        y = y * exp(t_prev - t);
+        y = y + w[j];
+        t_prev = t;
+        if (y >= threshold) {
+            if (n_spikes == cap) {
+                n_spikes = -2;
+                break;
+            }
+            spike_times[n_spikes] = t;
+            trigger_ids[n_spikes++] = j;
+            y = 0.0;
+        }
+        if (potentials) {
+            event_times[e] = t;
+            potentials[e] = y;
+        }
+    }
+    free(pos);
+    return n_spikes;
 }

@@ -1,4 +1,5 @@
-"""Build, cache and load the compiled step `_kernel.c`.
+"""Build, cache and load the compiled loops `_kernel.c`: the step of
+`dynamics.simulate` and the membrane of `spiking.simulate_membrane`.
 
 The library is built on first use with the C compiler on PATH and loaded
 through ctypes; importing this module builds and loads nothing. Builds are
@@ -6,8 +7,9 @@ cached in a per-user directory ($XDG_CACHE_HOME/simplex-stdp, by default
 ~/.cache/simplex-stdp, mode 0700) under the sha256 of the compiler, the flags
 and the source, and are written to a temporary file and renamed into place,
 so concurrent processes never load a partial file. Without a compiler, or
-when the build fails, `library()` returns None and `dynamics.simulate` steps
-with `dynamics.numpy_step`, which gives the same results bit for bit.
+when the build fails, `library()` returns None: `dynamics.simulate` then
+steps with `dynamics.numpy_step` and `spiking.simulate_membrane` walks the
+events in Python, which give the same results bit for bit.
 """
 
 import functools
@@ -16,12 +18,16 @@ import warnings
 
 import numpy as np
 
+from .simplex import InvalidInputError
+
 # ctypes, hashlib, shutil, subprocess and tempfile are imported on first
 # use, so that importing the package (every CLI start) does not pay for them.
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 # No FMA contraction, fast-math or -march: the kernel must round like numpy.
 FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off")
+# libm, for the membrane's exp; after the source, where the linker wants it
+LIBS = ("-lm",)
 
 
 def compiler():
@@ -44,14 +50,14 @@ def _build(cc, directory):
 
     with open(SOURCE, "rb") as fh:
         source = fh.read()
-    key = hashlib.sha256("\0".join((cc,) + FLAGS).encode() + b"\0" + source).hexdigest()
+    key = hashlib.sha256("\0".join((cc,) + FLAGS + LIBS).encode() + b"\0" + source).hexdigest()
     path = os.path.join(directory, "kernel-%s.so" % key[:32])
     if os.path.exists(path):
         return path
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
     os.close(fd)
     try:
-        subprocess.run([cc, *FLAGS, "-o", tmp, SOURCE], check=True, capture_output=True)
+        subprocess.run([cc, *FLAGS, "-o", tmp, SOURCE, *LIBS], check=True, capture_output=True)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -61,8 +67,9 @@ def _build(cc, directory):
 
 @functools.lru_cache(maxsize=None)
 def library():
-    """The kernel's `simplex_advance`, built and loaded on first call; None
-    when there is no C compiler or the build fails."""
+    """The kernel library, with `simplex_advance` and `simplex_membrane`
+    typed, built and loaded on first call; None when there is no C compiler
+    or the build fails."""
     import ctypes
     import subprocess
 
@@ -76,13 +83,18 @@ def library():
         # a library loaded from a directory others can write runs their code
         if st.st_uid != os.getuid() or st.st_mode & 0o022:
             raise OSError("cache directory %s is writable by other users" % directory)
-        fn = ctypes.CDLL(_build(cc, directory)).simplex_advance
+        lib = ctypes.CDLL(_build(cc, directory))
     except (OSError, subprocess.CalledProcessError) as exc:
-        warnings.warn("compiled step unavailable, using the numpy step: %s" % exc)
+        warnings.warn("compiled kernel unavailable, using the numpy step and the Python "
+                      "membrane: %s" % exc)
         return None
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]  # run, k0, k1, lam
-    fn.restype = ctypes.c_int64
-    return fn
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.simplex_advance.argtypes = [ptr, i64, i64, ptr]  # run, k0, k1, lam
+    lib.simplex_advance.restype = i64
+    # d, times, sizes, w, threshold, cap, spike_times, trigger_ids, event_times, potentials
+    lib.simplex_membrane.argtypes = [i64, ptr, ptr, ptr, f64, i64, ptr, ptr, ptr, ptr]
+    lib.simplex_membrane.restype = i64
+    return lib
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,7 +155,7 @@ def prepare(x, alpha, streams, top, lams, gamma, tracker):
     lam_data = [_data(v, np.float64, (d,)) for v in lams]
     # the struct points into these; advance keeps them alive through it
     run.arrays = (x, top, streams, gamma, pair, tracker, lams)
-    fn, ref = library(), ctypes.byref(run)
+    fn, ref = library().simplex_advance, ctypes.byref(run)
 
     def advance(k0, k1, piece):
         violations = fn(ref, k0, k1, lam_data[piece])
@@ -153,3 +165,34 @@ def prepare(x, alpha, streams, top, lams, gamma, tracker):
             tracker.ek_violations += violations
 
     return advance
+
+
+def membrane(times, w, threshold, cap, record_potential):
+    """Run `simplex_membrane` over the trains `times` (d float64 arrays) with
+    the weights w (d,), room for cap spikes and, when record_potential is
+    set, every event's time and potential; returns (spike_times,
+    trigger_ids, event_times, potentials), the last two None unless
+    recorded. A train that is not finite and nondecreasing from 0 raises
+    InvalidInputError, more than cap spikes RuntimeError."""
+    import ctypes
+
+    d = len(times)
+    trains = [np.ascontiguousarray(t, dtype=np.float64) for t in times]
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    sizes = np.array([t.size for t in trains], dtype=np.int64)
+    n_events = int(sizes.sum())
+    spikes, ids = np.empty(cap), np.empty(cap, dtype=np.int64)
+    event_times = potentials = None
+    if record_potential:
+        event_times, potentials = np.empty(n_events), np.empty(n_events)
+    count = library().simplex_membrane(
+        d, (ctypes.c_void_p * d)(*[t.ctypes.data for t in trains]), sizes.ctypes.data,
+        _data(w, np.float64, (d,)), threshold, cap, spikes.ctypes.data, ids.ctypes.data,
+        _data(event_times, np.float64, (n_events,)), _data(potentials, np.float64, (n_events,)))
+    if count == -1:
+        raise InvalidInputError("spike trains must be finite and nondecreasing from 0")
+    if count == -2:
+        raise RuntimeError("more than %d postsynaptic spikes, the most the events allow" % cap)
+    if count < 0:
+        raise MemoryError("compiled membrane could not allocate its train positions")
+    return spikes[:count].copy(), ids[:count].copy(), event_times, potentials

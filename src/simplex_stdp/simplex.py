@@ -58,10 +58,13 @@ def validate_intensities(lam):
 
 
 def validate_weights(w):
-    """Check that a weight vector is 1-d, nonnegative, and not identically zero."""
+    """Check that a weight vector is 1-d, finite, nonnegative, and not
+    identically zero."""
     w = as_float_array(w, "weights")
     if w.ndim != 1 or w.size == 0:
         raise InvalidInputError("weights must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(w)):
+        raise InvalidInputError("weights must be finite, got %s" % w)
     if np.any(w < 0):
         raise InvalidInputError("weights must be nonnegative, got %s" % w)
     if not np.any(w > 0):

@@ -7,14 +7,25 @@ threshold emits a postsynaptic spike at that presynaptic spike time and resets
 the potential to zero. Between consecutive postsynaptic spikes the weights
 update multiplicatively from the pre/post timing kernel
 exp(-(t_next - tau)) - exp(-(tau - t_prev)) summed over the window's spikes.
+
+The membrane takes the presynaptic events in time order, the lower neuron
+index first on equal times (the order of np.lexsort((ids, times))). It runs
+in the compiled `_kernel.c` when the kernel loads, which merges the sorted
+trains as it walks them, and otherwise in Python over `merge_events`; both
+give the same record bit for bit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .simplex import InvalidInputError, validate_intensities, validate_weights
+from . import _kernel
+from .simplex import (InvalidInputError, as_float_array, validate_intensities,
+                      validate_weights)
+
+# uniforms drawn at a time by centered_noise_stats
+NOISE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -55,10 +66,12 @@ class MembraneConfig:
     record_potential: bool = False
 
     def validated(self):
+        """A copy with the weights as a checked float array."""
         w = validate_weights(self.weights)
-        if self.threshold <= 0:
-            raise InvalidInputError("threshold must be positive")
-        return self
+        if not 0 < self.threshold < math.inf:
+            raise InvalidInputError("threshold must be positive and finite, got %r"
+                                    % (self.threshold,))
+        return replace(self, weights=w)
 
 
 @dataclass
@@ -69,26 +82,50 @@ class PostsynapticRecord:
     potentials: np.ndarray = None  # value just after each presynaptic jump
 
 
-def merge_events(trains):
-    """All presynaptic events as (times, neuron_ids), ordered by time with
-    neuron index breaking ties."""
-    times = np.concatenate([t for t in trains.times])
-    ids = np.concatenate(
-        [np.full(t.size, j, dtype=int) for j, t in enumerate(trains.times)]
-    )
+def merge_events(times):
+    """All presynaptic events of the per-neuron spike times as (times,
+    neuron_ids), ordered by time with neuron index breaking ties."""
+    ids = np.concatenate([np.full(t.size, j, dtype=int) for j, t in enumerate(times)])
+    times = np.concatenate(times)
     order = np.lexsort((ids, times))
     return times[order], ids[order]
 
 
 def simulate_membrane(config, trains):
-    """Run the membrane over fixed spike trains with fixed weights.
+    """Run the membrane over fixed spike trains with fixed weights, one
+    weight per train; each train must be finite and nondecreasing from 0.
 
     Postsynaptic spikes can only occur at presynaptic spike times; the
     potential never exceeds the threshold between events and resets to zero
     on each postsynaptic spike."""
-    config.validated()
-    w = np.asarray(config.weights, dtype=float)
-    times, ids = merge_events(trains)
+    config = config.validated()
+    w = config.weights
+    times = [as_float_array(t, "spike train") for t in trains.times]
+    if len(times) != w.size or any(t.ndim != 1 for t in times):
+        raise InvalidInputError("need one 1-d spike train per weight: %d weights, %d trains"
+                                % (w.size, len(times)))
+    if _kernel.library() is None:
+        return _membrane_loop(config, times)
+    n_events = sum(t.size for t in times)
+    # y grows by at most max(w) per event, so a spike takes at least
+    # ceil(threshold / max(w)) events; one fewer leaves room for rounding in
+    # y. The ratio may overflow to inf; past n_events + 1 no spike fits.
+    ratio = min(config.threshold / float(w.max()), n_events + 2.0)
+    cap = n_events // max(math.ceil(ratio) - 1, 1)
+    spikes, triggers, event_times, potentials = _kernel.membrane(
+        times, w, config.threshold, cap, config.record_potential)
+    return PostsynapticRecord(spike_times=spikes, trigger_ids=triggers,
+                              potential_times=event_times, potentials=potentials)
+
+
+def _membrane_loop(config, times):
+    """simulate_membrane in Python, over the merged events: the reference of
+    the compiled membrane, taken when the kernel does not load."""
+    for t in times:
+        if t.size and not (t[0] >= 0 and np.isfinite(t[-1]) and np.all(t[1:] >= t[:-1])):
+            raise InvalidInputError("spike trains must be finite and nondecreasing from 0")
+    w = config.weights
+    times, ids = merge_events(times)
     spikes = []
     triggers = []
     pot_vals = [] if config.record_potential else None
@@ -159,9 +196,15 @@ def stdp_update(w_j, window_spikes, t_prev, t_next, alpha):
 
 def centered_noise_stats(t_prev, t_next, n_samples, rng):
     """Monte Carlo mean and bounds of the pair kernel under a uniformly placed
-    spike in the window; the mean is zero by antisymmetry."""
-    tau = rng.uniform(t_prev, t_next, n_samples)
-    vals = pair_kernel(tau, t_prev, t_next)
+    spike in the window; the mean is zero by antisymmetry.
+
+    The uniforms are drawn NOISE_BLOCK at a time, each taking one 64-bit
+    output as in a single draw, so only the kernel values grow with
+    n_samples and the statistics equal those of one draw of n_samples."""
+    vals = np.empty(n_samples)
+    for start in range(0, n_samples, NOISE_BLOCK):
+        block = vals[start:start + NOISE_BLOCK]
+        block[:] = pair_kernel(rng.uniform(t_prev, t_next, block.size), t_prev, t_next)
     return float(vals.mean()), float(vals.min()), float(vals.max())
 
 

@@ -70,6 +70,9 @@ class GapParams:
             raise InvalidInputError("q_bound must exceed 1")
         if self.gap <= 0:
             raise InvalidInputError("first coordinate must be strictly dominant")
+        # else the martingale threshold is <= 0 and a run's gap event is dead
+        if self.gap_gamma <= 0:
+            raise InvalidInputError("first coordinate of gamma @ p0 must be strictly dominant")
 
     @property
     def _gamma(self):

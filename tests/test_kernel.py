@@ -8,11 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simplex_stdp import _kernel, cli, dynamics, multi, theory
-from simplex_stdp.simplex import InvalidInputError
+from simplex_stdp.simplex import InvalidInputError, as_probability_vector
 
 NOISE = dynamics.NoiseModel()
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -276,6 +276,10 @@ def compiled_case(draw):
         p0 = np.append(max(rest.max(), 1.0 - rest.sum()) + 0.05, rest)
         case["p0"] = p0 / p0.sum()
         case["checkpoints"] = draw(st.lists(st.integers(0, n_steps), max_size=5))
+        if case["gamma"] is not None:
+            # GapParams refuses a gamma @ p0 without a dominant first coordinate
+            gp = case["gamma"] @ as_probability_vector(case["p0"])
+            assume(gp[0] - gp[1:].max() > 0)
     else:
         mask = np.ones((n, d), dtype=bool)
         mask[:, 1:] = draw(st.lists(st.booleans(), min_size=d - 1, max_size=d - 1))

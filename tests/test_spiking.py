@@ -1,10 +1,28 @@
 """Tests for the event-driven spiking model."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from simplex_stdp import spiking
+from simplex_stdp import _kernel, spiking
 from simplex_stdp.simplex import InvalidInputError
+
+
+def _python_loop():
+    """Run simulate_membrane as on a machine without the compiled kernel."""
+    return mock.patch.object(_kernel, "library", lambda: None)
+
+
+def _require_compiled_membrane():
+    if _kernel.library() is None:
+        pytest.skip("compiled membrane not available")
+
+
+PATHS = {"compiled": contextlib.nullcontext, "python": _python_loop}
 
 
 def test_poisson_trains_rates():
@@ -52,6 +70,87 @@ def test_membrane_spikes_only_at_input_times_and_resets():
     assert rec.spike_times.size > 0
 
 
+@st.composite
+def membrane_case(draw):
+    """Trains of dyadic times (ties across and within neurons, empty trains)
+    with weights that may be 0, and a threshold that may lie below every
+    weight, so that every event fires."""
+    d = draw(st.sampled_from([1, 2, 3, 5]))
+    times = [np.sort(np.array(draw(st.lists(st.integers(0, 40), max_size=30)), dtype=float)) / 8
+             for _ in range(d)]
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]),
+                               min_size=d, max_size=d)))
+    w[draw(st.integers(0, d - 1))] = draw(st.sampled_from([0.25, 1.0, 3.0]))
+    threshold = draw(st.one_of(st.floats(0.01, 6.0), st.just(w[w > 0].min() / 2)))
+    return times, w, threshold
+
+
+@settings(max_examples=150, deadline=None)
+@given(membrane_case(), st.booleans())
+@example(([np.array([0.0, 0.5, 0.5, 1.0]), np.array([0.5, 1.0]), np.array([])],
+          np.array([1.0, 2.0, 0.5]), 0.25), True)
+@example(([np.array([0.125, 0.25]), np.array([0.125, 0.25])], np.array([0.0, 1.0]), 1.5), True)
+@example(([np.array([0.25, 0.5]), np.array([0.5]), np.array([0.125])],
+          np.array([1.0, 9.0, 2.0, 9.0, 0.5, 9.0])[::2], 1.75), False)  # strided weights
+def test_compiled_membrane_matches_python_loop(case, record_potential):
+    _require_compiled_membrane()
+    times, w, threshold = case
+    trains = spiking.SpikeTrains(times=times, horizon=5.0)
+    config = spiking.MembraneConfig(weights=w, threshold=threshold,
+                                    record_potential=record_potential)
+    compiled = spiking.simulate_membrane(config, trains)
+    with _python_loop():
+        reference = spiking.simulate_membrane(config, trains)
+    for field in ("spike_times", "trigger_ids", "potential_times", "potentials"):
+        a, b = getattr(compiled, field), getattr(reference, field)
+        if not record_potential and field.startswith("potential"):
+            assert a is None and b is None
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    if threshold < w.min():
+        assert compiled.spike_times.size == sum(t.size for t in times)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("weights, train", [
+    (np.ones(2), np.array([0.5])),  # fewer weights than trains
+    (np.ones(4), np.array([0.5])),  # more weights than trains
+    (np.ones(3), np.array([0.5, 0.25])),  # unsorted
+    (np.ones(3), np.array([0.25, np.nan, 0.5])),
+    (np.ones(3), np.array([0.25, np.inf])),
+    (np.ones(3), np.array([-0.25, 0.5])),  # before the membrane starts at 0
+], ids=["short-weights", "long-weights", "unsorted", "nan", "inf", "negative"])
+def test_membrane_rejects_mismatched_or_bad_trains(path, weights, train):
+    if path == "compiled":
+        _require_compiled_membrane()
+    trains = spiking.SpikeTrains(times=[np.array([0.1, 0.2]), train, np.array([0.3])],
+                                 horizon=1.0)
+    config = spiking.MembraneConfig(weights=weights, threshold=1.5)
+    with PATHS[path](), pytest.raises(InvalidInputError):
+        spiking.simulate_membrane(config, trains)
+
+
+def test_membrane_config_validated_keeps_the_checked_weights():
+    config = spiking.MembraneConfig(weights=[1, 2], threshold=3)
+    checked = config.validated()
+    assert checked.weights.dtype == float and np.array_equal(checked.weights, [1.0, 2.0])
+    assert config.weights == [1, 2]
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            spiking.MembraneConfig(weights=[1.0], threshold=bad).validated()
+    with pytest.raises(InvalidInputError):
+        spiking.MembraneConfig(weights=[1.0, np.nan], threshold=1.0).validated()
+
+
+def test_full_spike_buffer_is_an_error():
+    # every one of the three events fires; room for two spikes is refused
+    _require_compiled_membrane()
+    times, w = [np.array([0.25, 0.5, 0.75])], np.array([1.0])
+    assert _kernel.membrane(times, w, 0.5, 3, False)[0].size == 3
+    with pytest.raises(RuntimeError):
+        _kernel.membrane(times, w, 0.5, 2, False)
+
+
 def test_equal_weights_trigger_distribution():
     rng = np.random.default_rng(2)
     lam = np.array([10.0, 7.5, 5.0])
@@ -76,6 +175,18 @@ def test_centered_noise_statistics():
     mean, lo, hi = spiking.centered_noise_stats(0.0, 2.0, 200000, rng)
     assert abs(mean) < 0.005
     assert lo >= -1.0 and hi <= 1.0
+
+
+@pytest.mark.parametrize("n", [1, spiking.NOISE_BLOCK - 1, spiking.NOISE_BLOCK,
+                               spiking.NOISE_BLOCK + 1, 10**6])
+def test_blocked_noise_stats_equal_one_draw(n):
+    rng = np.random.default_rng(11)
+    tau = rng.uniform(1.5, 4.0, n)
+    vals = np.exp(tau - 4.0) - np.exp(1.5 - tau)
+    expected = (float(vals.mean()), float(vals.min()), float(vals.max()), rng.random())
+    blocked = np.random.default_rng(11)
+    got = spiking.centered_noise_stats(1.5, 4.0, n, blocked) + (blocked.random(),)
+    assert got == expected
 
 
 def test_stdp_update_window_validation_and_trigger_term():

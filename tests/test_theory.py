@@ -88,6 +88,16 @@ def test_correlated_gap_params_reject_excessive_correlation():
         theory.max_alpha(theory.GapParams(p0=np.array([0.6, 0.4]), gamma=gamma, epsilon=0.1))
 
 
+def test_gap_params_refuse_a_dead_gap_event():
+    # gamma @ p0 = (0.4, 0.6, 0.6): the gap event would end before the first step
+    p0 = np.array([0.4, 0.35, 0.25])
+    gamma = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(InvalidInputError, match="gamma @ p0"):
+        theory.GapParams(p0=p0, gamma=gamma)
+    with pytest.raises(InvalidInputError, match="gamma @ p0"):
+        theory.run_gap_ensemble(p0, 1e-3, 10, 2, 0, gamma=gamma)
+
+
 def test_martingale_has_zero_mean():
     p0 = [0.9, 0.1]
     params = theory.GapParams(p0=np.array(p0), epsilon=0.5)
