@@ -1,6 +1,7 @@
 /*
- * Compiled loops of simplex_stdp: the step of dynamics.simulate and the
- * membrane of spiking.simulate_membrane.
+ * Compiled loops of simplex_stdp: the step of dynamics.simulate, the joint
+ * multi-output step of multi._joint_steps and the membrane of
+ * spiking.simulate_membrane.
  *
  * simplex_advance runs steps k0..k1-1 for every row of a batch, drawing as
  * it steps, with the same draws, arithmetic and order as
@@ -11,8 +12,11 @@
  *   y    = S + z, S one-hot at idx or, with gamma, the idx column of C
  *   x    = x * (1 + alpha * y), divided by its sum in the probability form
  *
+ * simplex_joint does the same for the joint scheme, with the arithmetic of
+ * its numpy reference `multi._joint_step`.
+ *
  * Every row sum uses numpy's pairwise summation order, so results are bit
- * for bit those of the numpy step. Build without FMA contraction or
+ * for bit those of the numpy steps. Build without FMA contraction or
  * fast-math (-ffp-contract=off), which would change the rounding.
  */
 
@@ -57,6 +61,14 @@ static void gamma_dot(const double *gamma, const double *p, int64_t d, double *t
     }
 }
 
+static int all_finite(const double *v, int64_t d)
+{
+    for (int64_t j = 0; j < d; j++)
+        if (!isfinite(v[j]))
+            return 0;
+    return 1;
+}
+
 /* v[0] - max(v[1:]) */
 static double lead_gap(const double *v, int64_t d)
 {
@@ -76,7 +88,10 @@ static double lead_gap(const double *v, int64_t d)
  * function, one 64-bit output per double. pair (d, d)
  * numbers each unordered pair. gamma and pair are NULL for independent
  * triggers, mart NULL without tracking; mart and max_abs are (n, d) and
- * alive (n,). Every field is 8 bytes wide, so the layout has no padding.
+ * alive (n,). In a joint run the rows are the columns of the runs, row
+ * run * d_out + j holding column j, and alphas (d_out,) their rates; alpha,
+ * top, gamma and the tracking fields are unused. Every field is 8 bytes
+ * wide, so the layout has no padding.
  */
 struct simplex_run {
     int64_t n, d, n_pairs;
@@ -90,6 +105,8 @@ struct simplex_run {
     double *mart, *max_abs;
     uint8_t *alive;
     double threshold, half_gap, half_gap_gamma;
+    int64_t d_out;
+    const double *alphas;
 };
 
 /* One step of GapTracker for row i, checking the gap of gamma @ p too when the
@@ -133,10 +150,13 @@ static int track(const struct simplex_run *r, int64_t i, const double *p, const 
  * Runs steps k0..k1-1 of r under the intensities lam (d,), NULL in the
  * probability form. Each step of a row reads one trigger uniform, d noise
  * values -h + 2h * r (numpy's uniform(-h, h)) and n_pairs pair uniforms
- * from the row's three generators. Returns the number of inclusion
- * violations seen, or -1 when out of memory.
+ * from the row's three generators. In the weight form a row stops at its
+ * first state that is not finite; *stop gets the earliest step after which
+ * a row is not finite, or k1. Returns the number of inclusion violations seen, or -1
+ * when out of memory.
  */
-int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam)
+int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam,
+                        int64_t *stop)
 {
     const int64_t d = r->d, n_pairs = r->n_pairs;
     const double lo = -r->half_width, span = r->half_width - lo;
@@ -146,6 +166,7 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, con
     double *pb = buf, *y = buf + d, *xn = buf + 2 * d, *tmp = buf + 3 * d, *gp = buf + 4 * d;
     double *z = buf + 5 * d, *gu = buf + 6 * d;
     int64_t violations = 0;
+    *stop = k1;
     for (int64_t i = 0; i < r->n; i++) {
         double *xr = r->x + i * d;
         void *const *st = r->streams + 3 * i;
@@ -197,10 +218,129 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, con
             }
             for (int64_t j = 0; j < d; j++)
                 xr[j] = xn[j];
+            /* a probability row stays on the simplex; weights can overflow */
+            if (lam && !all_finite(xr, d)) {
+                if (t + 1 < *stop)
+                    *stop = t + 1;
+                break;
+            }
         }
     }
     free(buf);
     return violations;
+}
+
+/* v -= sum(v * ub) * ub, the sum over tmp */
+static void project_off(double *v, const double *ub, int64_t d, double *tmp)
+{
+    for (int64_t k = 0; k < d; k++)
+        tmp[k] = v[k] * ub[k];
+    const double dot = pairwise_sum(tmp, d);
+    for (int64_t k = 0; k < d; k++)
+        v[k] -= dot * ub[k];
+}
+
+/* sqrt(sum(v * v)), the sum over tmp: np.linalg.norm */
+static double norm2(const double *v, int64_t d, double *tmp)
+{
+    for (int64_t k = 0; k < d; k++)
+        tmp[k] = v[k] * v[k];
+    return sqrt(pairwise_sum(tmp, d));
+}
+
+/*
+ * Runs steps k0..k1-1 of the joint scheme under the intensities lam (d,).
+ * Per step, each column j of a run reads one trigger uniform and d noise
+ * values from its row's generators and takes the increment
+ * (alphas[j] * w_j) * (e_idx + z), idx capped at the last positive
+ * probability; the increments of columns i+1.. are then projected off the
+ * unit vector of column i after its own projection off columns 0..i-1
+ * (none when that residual is at most 1e-12 of the column norm), and
+ * w = max(w + inc, 0) as np.clip does. A run stops at its first state that
+ * is not finite, or at a column norm that is not finite; *stop gets the
+ * earliest step after which a run is not finite, or k1. Returns the number
+ * of clipped entries, -1 when out of memory and -2 when a column norm is
+ * not finite before the earliest such step (where the numpy step raises).
+ */
+int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam,
+                      int64_t *stop)
+{
+    const int64_t d = r->d, d_out = r->d_out, size = d_out * d;
+    const double lo = -r->half_width, span = r->half_width - lo;
+    double *buf = malloc((2 * (size_t)size + 3 * (size_t)d) * sizeof(double));
+    if (!buf)
+        return -1;
+    double *inc = buf, *basis = buf + size, *z = buf + 2 * size, *tmp = z + d, *p = tmp + d;
+    int64_t clips = 0, bad_norm = k1;
+    *stop = k1;
+    for (int64_t run = 0; run < r->n / d_out; run++) {
+        double *w = r->x + run * size;
+        void *const *st = r->streams + 3 * run * d_out;
+        for (int64_t t = k0; t < k1; t++) {
+            for (int64_t j = 0; j < d_out; j++) {
+                const double *wj = w + j * d;
+                const double u = r->next_double(st[3 * j]);
+                for (int64_t k = 0; k < d; k++)
+                    z[k] = lo + span * r->next_double(st[3 * j + 1]);
+                for (int64_t k = 0; k < d; k++)
+                    tmp[k] = lam[k] * wj[k];
+                const double total = pairwise_sum(tmp, d);
+                for (int64_t k = 0; k < d; k++)
+                    p[k] = tmp[k] / total;
+                int64_t idx = 0, top = d - 1;
+                double cum = p[0];
+                for (int64_t k = 0; k < d; k++) {
+                    if (k)
+                        cum += p[k];
+                    idx += cum <= u;
+                }
+                while (top > 0 && !(p[top] > 0.0))
+                    top--;
+                if (!(p[top] > 0.0))
+                    top = d - 1;
+                if (idx > top)
+                    idx = top;
+                for (int64_t k = 0; k < d; k++)
+                    inc[j * d + k] = r->alphas[j] * wj[k] * ((k == idx) + z[k]);
+            }
+            int64_t i = 0;
+            for (; i + 1 < d_out; i++) {
+                const double scale = norm2(w + i * d, d, tmp);
+                if (!isfinite(scale))
+                    break;
+                double *ub = basis + i * d;
+                for (int64_t k = 0; k < d; k++)
+                    ub[k] = w[i * d + k];
+                for (int64_t b = 0; b < i; b++)
+                    project_off(ub, basis + b * d, d, tmp);
+                const double norm = norm2(ub, d, tmp);
+                const int keep = norm > 1e-12 * scale;
+                const double div = norm < 1e-300 ? 1e-300 : norm;
+                for (int64_t k = 0; k < d; k++)
+                    ub[k] = keep ? ub[k] / div : 0.0;
+                for (int64_t h = i + 1; h < d_out; h++)
+                    project_off(inc + h * d, ub, d, tmp);
+            }
+            if (i + 1 < d_out) {
+                if (t < bad_norm)
+                    bad_norm = t;
+                break;
+            }
+            for (int64_t k = 0; k < size; k++) {
+                const double next = w[k] + inc[k];
+                clips += next < 0.0;
+                /* np.clip(next, 0, None): -0.0 becomes 0.0, NaN stays */
+                w[k] = next > 0.0 || isnan(next) ? next : 0.0;
+            }
+            if (!all_finite(w, size)) {
+                if (t + 1 < *stop)
+                    *stop = t + 1;
+                break;
+            }
+        }
+    }
+    free(buf);
+    return bad_norm < *stop ? -2 : clips;
 }
 
 /*

@@ -1,5 +1,6 @@
 """Build, cache and load the compiled loops `_kernel.c`: the step of
-`dynamics.simulate` and the membrane of `spiking.simulate_membrane`.
+`dynamics.simulate`, the joint multi-output step of `multi._joint_steps`
+and the membrane of `spiking.simulate_membrane`.
 
 The library is built on first use with the C compiler on PATH and loaded
 through ctypes; importing this module builds and loads nothing. Builds are
@@ -8,8 +9,9 @@ cached in a per-user directory ($XDG_CACHE_HOME/simplex-stdp, by default
 and the source, and are written to a temporary file and renamed into place,
 so concurrent processes never load a partial file. Without a compiler, or
 when the build fails, `library()` returns None: `dynamics.simulate` then
-steps with `dynamics.numpy_step` and `spiking.simulate_membrane` walks the
-events in Python, which give the same results bit for bit.
+steps with `dynamics.numpy_step`, `multi._joint_steps` with
+`multi._joint_step` and `spiking.simulate_membrane` walks the events in
+Python, which give the same results bit for bit.
 """
 
 import functools
@@ -67,9 +69,9 @@ def _build(cc, directory):
 
 @functools.lru_cache(maxsize=None)
 def library():
-    """The kernel library, with `simplex_advance` and `simplex_membrane`
-    typed, built and loaded on first call; None when there is no C compiler
-    or the build fails."""
+    """The kernel library, with `simplex_advance`, `simplex_joint` and
+    `simplex_membrane` typed, built and loaded on first call; None when
+    there is no C compiler or the build fails."""
     import ctypes
     import subprocess
 
@@ -89,8 +91,10 @@ def library():
                       "membrane: %s" % exc)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.simplex_advance.argtypes = [ptr, i64, i64, ptr]  # run, k0, k1, lam
+    lib.simplex_advance.argtypes = [ptr, i64, i64, ptr, ptr]  # run, k0, k1, lam, stop
     lib.simplex_advance.restype = i64
+    lib.simplex_joint.argtypes = [ptr, i64, i64, ptr, ptr]  # run, k0, k1, lam, stop
+    lib.simplex_joint.restype = i64
     # d, times, sizes, w, threshold, cap, spike_times, trigger_ids, event_times, potentials
     lib.simplex_membrane.argtypes = [i64, ptr, ptr, ptr, f64, i64, ptr, ptr, ptr, ptr]
     lib.simplex_membrane.restype = i64
@@ -110,6 +114,7 @@ def _run_type():
         _fields_ += [(name, ptr) for name in ("x", "top", "streams", "next_double", "gamma",
                                               "pair", "mart", "max_abs", "alive")]
         _fields_ += [(name, f64) for name in ("threshold", "half_gap", "half_gap_gamma")]
+        _fields_ += [("d_out", i64), ("alphas", ptr)]
 
     return Run
 
@@ -125,44 +130,86 @@ def _data(a, dtype, shape):
     return a.ctypes.data
 
 
+def _segments(fn, x, streams, lams, keep, **fields):
+    """The `struct simplex_run` of the state x (n, d) drawing from the
+    `dynamics.Streams` streams, with the other fields given, and
+    call(k0, k1, piece), which runs fn over steps k0..k1-1 under the
+    intensities lams[piece] and returns its result and the earliest step
+    after which a row is not finite, or None. keep holds the arrays the
+    fields point into, kept alive through call."""
+    import ctypes
+
+    n, d = x.shape
+    run = _run_type()(
+        n=n, d=d, n_pairs=streams.n_pairs, half_width=streams.noise.half_width,
+        x=_data(x, np.float64, (n, d)), streams=_data(streams.addresses, np.uintp, (n, 3)),
+        next_double=streams.next_double, **fields)
+    lam_data = [_data(v, np.float64, (d,)) for v in lams]
+    run.arrays = (x, streams, lams, keep)
+    ref, stop = ctypes.byref(run), ctypes.c_int64()
+
+    def call(k0, k1, piece):
+        result = fn(ref, k0, k1, lam_data[piece], ctypes.byref(stop))
+        return result, stop.value if stop.value < k1 else None
+
+    return call
+
+
 def prepare(x, alpha, streams, top, lams, gamma, tracker):
     """Check the arrays of one run once and return advance(k0, k1, piece),
     which runs steps k0..k1-1 on the state x in place under the intensities
     lams[piece], drawing from the `dynamics.Streams` streams as it steps. It
     also advances a `dynamics.GapTracker`'s martingales, maxima, gap event
-    (on gamma @ p too when gamma is given) and inclusion-violation count."""
-    import ctypes
-
+    (on gamma @ p too when gamma is given) and inclusion-violation count.
+    In the weight form a row stops at its first state that is not finite,
+    and advance returns the earliest step after which a row is not finite,
+    or None."""
     # imported here: dynamics imports this module
     from .dynamics import _pair_index
 
     n, d = x.shape
     pair = None if gamma is None else _pair_index(d)
-    run = _run_type()(
-        n=n, d=d, n_pairs=streams.n_pairs,
-        alpha=alpha, half_width=streams.noise.half_width,
-        x=_data(x, np.float64, (n, d)), top=_data(top, np.int64, (n,)),
-        streams=_data(streams.addresses, np.uintp, (n, 3)),
-        next_double=streams.next_double,
-        gamma=_data(gamma, np.float64, (d, d)), pair=_data(pair, np.int64, (d, d)),
-    )
+    fields = dict(alpha=alpha, top=_data(top, np.int64, (n,)),
+                  gamma=_data(gamma, np.float64, (d, d)), pair=_data(pair, np.int64, (d, d)))
     if tracker is not None:
-        run.mart = _data(tracker.mart, np.float64, (n, d))
-        run.max_abs = _data(tracker.max_abs, np.float64, (n, d))
-        run.alive = _data(tracker.alive, np.bool_, (n,))
-        run.threshold = tracker.threshold
-        run.half_gap, run.half_gap_gamma = tracker.half_gap, tracker.half_gap_gamma
-    lam_data = [_data(v, np.float64, (d,)) for v in lams]
-    # the struct points into these; advance keeps them alive through it
-    run.arrays = (x, top, streams, gamma, pair, tracker, lams)
-    fn, ref = library().simplex_advance, ctypes.byref(run)
+        fields.update(
+            mart=_data(tracker.mart, np.float64, (n, d)),
+            max_abs=_data(tracker.max_abs, np.float64, (n, d)),
+            alive=_data(tracker.alive, np.bool_, (n,)), threshold=tracker.threshold,
+            half_gap=tracker.half_gap, half_gap_gamma=tracker.half_gap_gamma)
+    call = _segments(library().simplex_advance, x, streams, lams, (top, gamma, pair, tracker),
+                     **fields)
 
     def advance(k0, k1, piece):
-        violations = fn(ref, k0, k1, lam_data[piece])
+        violations, stop = call(k0, k1, piece)
         if violations < 0:
             raise MemoryError("compiled step could not allocate its row buffers")
         if tracker is not None:
             tracker.ek_violations += violations
+        return stop
+
+    return advance
+
+
+def joint(x, alpha, streams, top, lams, gamma, tracker):
+    """The compiled `multi._joint_step`, with its arguments and its results
+    bit for bit: returns advance(k0, k1, piece), which runs steps k0..k1-1
+    of the joint scheme on x in place, adding the clipped entries to a
+    tracker's `clip_events`, and returns the earliest step after which a
+    run is not finite, or None. top and gamma are not used."""
+    alphas = np.ascontiguousarray(alpha, dtype=np.float64).reshape(-1)
+    call = _segments(library().simplex_joint, x, streams, lams, alphas, d_out=alphas.size,
+                     alphas=_data(alphas, np.float64, alphas.shape))
+
+    def advance(k0, k1, piece):
+        clips, stop = call(k0, k1, piece)
+        if clips == -2:
+            raise InvalidInputError("weight column norm not finite (alpha too large)")
+        if clips < 0:
+            raise MemoryError("compiled joint step could not allocate its buffers")
+        if tracker is not None:
+            tracker.clip_events += clips
+        return stop
 
     return advance
 

@@ -278,7 +278,9 @@ def numpy_step(x, alpha, streams, top, lams, gamma, tracker):
     results bit for bit, taken when the kernel does not load: returns
     advance(k0, k1, piece), which runs steps k0..k1-1 on the state x in
     place under the intensities lams[piece], drawing them from streams one
-    segment at a time."""
+    segment at a time. In the weight form it stops at the first state that
+    is not finite and returns the number of steps after which it was
+    reached, or None; a probability state stays on the simplex."""
     eye_rows = np.eye(x.shape[1])
 
     def advance(k0, k1, piece):
@@ -295,6 +297,9 @@ def numpy_step(x, alpha, streams, top, lams, gamma, tracker):
             if tracker is not None:
                 tracker.track(p, y, x_next, gamma)
             x[:] = x_next
+            if lam is not None and not np.isfinite(x_next).all():
+                return k0 + t + 1
+        return None
 
     return advance
 
@@ -349,7 +354,8 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     rows of x in place under the intensities lams[piece], drawing from
     streams (a `Streams` of `keys`) as it steps, and advances tracker, the
     recorder when it `tracks` (else None); a `GapTracker` checks the gap of
-    gamma @ p with the run's validated gamma. Per chunk of
+    gamma @ p with the run's validated gamma. advance may return the step
+    after which a row first is not finite, where the run stops. Per chunk of
     `CHUNK` steps the driver positions the streams, splits the chunk at the
     checkpoints and intensity switches, hands every segment to advance,
     checks x after the chunk and, in the weight form, scales each row by a
@@ -384,7 +390,9 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
         streams.position(m)
         k0 = k
         for k1 in [c for c in cuts if k < c < k + m] + [k + m]:
-            advance(k0, k1, bisect.bisect_right(starts, k0) - 1)
+            stop = advance(k0, k1, bisect.bisect_right(starts, k0) - 1)
+            if stop is not None:
+                check_finite(x, stop, alpha)
             if k1 in stops:
                 record.record(k1, x)
             k0 = k1

@@ -7,7 +7,7 @@ first order in alpha; their gap shrinks quadratically."""
 
 import numpy as np
 
-from .simplex import InvalidInputError, as_probability_vector
+from .simplex import as_probability_vector
 
 
 def entropic_step(p, alpha, grad=None):
@@ -26,16 +26,6 @@ def multiplicative_step(p, alpha, grad=None):
     g = -p if grad is None else np.asarray(grad, dtype=float)
     num = p * (1.0 - alpha * g)
     return num / num.sum()
-
-
-def kl_divergence(p, q):
-    """KL(p || q) with the 0 log 0 = 0 convention."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0
-    if np.any(q[mask] <= 0):
-        raise InvalidInputError("first argument not absolutely continuous w.r.t. second")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
 def order_comparison(p, alphas):

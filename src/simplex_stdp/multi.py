@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from .simplex import InvalidInputError, recorded_steps, validate_intensities
 from .dynamics import (
     NoiseModel,
@@ -138,13 +139,16 @@ def _deflated_increments(w, alpha, y):
 
 
 def _joint_step(x, alpha, streams, top, lams, gamma, tracker):
-    """The joint scheme's step, in the signature of `dynamics.numpy_step`:
-    returns advance(k0, k1, piece), which runs steps k0..k1-1 on x in place.
-    The rows of x are the columns of the runs, d_out per run, and alpha
-    holds their (d_out, 1) rates. Per step every column moves by its
-    deflated increment, negative entries are clipped, and a tracker's
-    `clip_events` counts them. top is not used: clipping can zero an entry,
-    so triggers are capped every step."""
+    """The joint scheme's numpy step, in the signature of
+    `dynamics.numpy_step`: returns advance(k0, k1, piece), which runs steps
+    k0..k1-1 on x in place. The rows of x are the columns of the runs, d_out
+    per run, and alpha holds their (d_out, 1) rates. Per step every column
+    moves by its deflated increment, negative entries are clipped, and a
+    tracker's `clip_events` counts them. top is not used: clipping can zero
+    an entry, so triggers are capped every step. advance stops at the first
+    state that is not finite and returns the number of steps after which it
+    was reached, or None. This is the reference of the compiled
+    `_kernel.joint`, and runs when the kernel does not load."""
     d_out, d = alpha.shape[0], x.shape[1]
     w = x.reshape(-1, d_out, d)
     eye_rows = np.eye(d)
@@ -160,6 +164,9 @@ def _joint_step(x, alpha, streams, top, lams, gamma, tracker):
             if tracker is not None:
                 tracker.clip_events += int(np.count_nonzero(w_next < 0))
             np.clip(w_next, 0.0, None, out=w)
+            if not np.isfinite(w).all():
+                return k0 + t + 1
+        return None
 
     return advance
 
@@ -177,14 +184,17 @@ def _joint_steps(config, prefixes, record=None):
     stored as rows: shape (n_runs, d_out, d).
 
     Run r's column j draws from the stream prefixes[r] + (j,). The rows of
-    the state are the (run, column) pairs in that order, and the segment
-    driver `dynamics._drive` runs `_joint_step` on them: it positions the
-    streams, calls record (a `Recorder`, given the state after k steps at
-    its checkpoints), checks the columns after every chunk and scales them
-    by a power of two between chunks, as for `simulate`."""
+    the state are the (run, column) pairs in that order, and
+    `dynamics._drive` runs the step on them: the compiled `_kernel.joint`
+    when the kernel loads, otherwise its numpy reference `_joint_step`, with
+    the same results bit for bit. `_drive` positions
+    the streams, calls record (a `Recorder`, given the state after k steps
+    at its checkpoints), checks the columns after every chunk and scales
+    them by a power of two between chunks, as for `simulate`."""
     w0 = np.asarray(config.w0, dtype=float).T
     keys = [prefix + (j,) for prefix in prefixes for j in range(w0.shape[0])]
-    w = _drive(_joint_step, np.tile(w0, (len(prefixes), 1)),
+    step = _joint_step if _kernel.library() is None else _kernel.joint
+    w = _drive(step, np.tile(w0, (len(prefixes), 1)),
                np.asarray(config.alphas, dtype=float)[:, None], config.n_steps, keys,
                config.noise, lam=validate_intensities(config.lam), record=record)
     return w.reshape(len(prefixes), *w0.shape)

@@ -1,5 +1,5 @@
-"""Property tests of the batched stepping kernels: `dynamics.simulate` (its
-compiled step against its numpy loop) and the joint multi-output loop."""
+"""Property tests of the batched stepping kernels: `dynamics.simulate` and
+the joint multi-output loop, each compiled step against its numpy loop."""
 
 import contextlib
 import dataclasses
@@ -164,21 +164,48 @@ def test_rescale_leaves_probabilities_and_updates_unchanged(case, alpha, exponen
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_rescaling_between_chunks_prevents_overflow(monkeypatch):
+def test_rescaling_between_chunks_prevents_overflow():
     lam = np.array([10.0, 7.5, 5.0])
     alpha, n_steps = 0.45, 3000
     keys = [(5, 0), (5, 1)]
     config = multi.MultiRunConfig(lam=lam, w0=np.ones((3, 3)), alphas=[alpha] * 3,
                                   n_steps=n_steps, record_stride=n_steps)
-    # within one chunk the weights of both loops overflow over this horizon
-    with pytest.raises(InvalidInputError):
-        dynamics.simulate(np.ones((2, 3)), alpha, n_steps, keys, NOISE, lam=lam)
-    with pytest.raises(InvalidInputError):
-        multi.joint_run(config, 5)
-    monkeypatch.setattr(dynamics, "CHUNK", 256)
-    w = dynamics.simulate(np.ones((2, 3)), alpha, n_steps, keys, NOISE, lam=lam)
-    assert np.all(np.isfinite(dynamics.probabilities(lam, w)))
-    assert np.all(np.isfinite(multi.joint_run(config, 5).probabilities))
+    # the compiled steps where the kernel loads, then the numpy steps
+    for path in (contextlib.nullcontext, _numpy_loop):
+        with path():
+            # within one chunk the weights of both loops overflow over this horizon
+            with pytest.raises(InvalidInputError):
+                dynamics.simulate(np.ones((2, 3)), alpha, n_steps, keys, NOISE, lam=lam)
+            with pytest.raises(InvalidInputError):
+                multi.joint_run(config, 5)
+            with mock.patch.object(dynamics, "CHUNK", 256):
+                w = dynamics.simulate(np.ones((2, 3)), alpha, n_steps, keys, NOISE, lam=lam)
+                joint = multi.joint_run(config, 5)
+            assert np.all(np.isfinite(dynamics.probabilities(lam, w)))
+            assert np.all(np.isfinite(joint.probabilities))
+
+
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_runs_stop_at_the_first_state_that_is_not_finite(path):
+    """The weights of member 0 overflow at step 2020 of this run, and so
+    do those of a joint run with the one column on its stream; each run
+    stops there instead of stepping on to the end of its chunk."""
+    if path == "compiled":
+        _require_compiled_step()
+    lam = np.array([10.0, 7.5, 5.0])
+    config = multi.MultiRunConfig(lam=lam, w0=np.ones((3, 1)), alphas=[0.45], n_steps=3000)
+    runs = [
+        lambda record: dynamics.simulate(np.ones((2, 3)), 0.45, 3000, [(5, 0), (5, 1)], NOISE,
+                                         lam=lam, record=record),
+        lambda record: multi._joint_steps(config, [(5,)], record),
+    ]
+    for run in runs:
+        recorder = dynamics.Recorder(range(2020))
+        with (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
+            with pytest.raises(InvalidInputError, match="not finite after 2020 steps"):
+                run(recorder)
+        assert np.all(np.isfinite(recorder.states[-1]))
 
 
 @settings(max_examples=15, deadline=None)
@@ -242,7 +269,8 @@ def test_joint_recordings_do_not_depend_on_the_stride(case):
 
 
 def _numpy_loop():
-    """Run simulate as on a machine without the compiled step."""
+    """Run simulate and the joint scheme as on a machine without the
+    compiled steps."""
     return mock.patch.object(_kernel, "library", lambda: None)
 
 
@@ -347,6 +375,33 @@ def test_compiled_step_matches_numpy_loop(case):
 def test_violating_example_ends_the_gap_event():
     _, _, _, alive, violations = _run_case(VIOLATING)
     assert not alive.all() and violations > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(joint_case(), st.integers(min_value=2, max_value=3))
+# equal columns at rate 0.45 clip entries in every run of the batch
+@example((multi.MultiRunConfig(lam=np.array([10.0, 7.5, 5.0]), w0=np.ones((3, 3)),
+                               alphas=[0.45] * 3, n_steps=120), 5, 7, 9), 2)
+def test_compiled_joint_step_matches_numpy_loop(case, n_runs):
+    """The compiled joint step against `multi._joint_step`, bit for bit: a
+    batch of runs recorded at a stride with its clipped entries counted, its
+    final columns, and a single run recorded at every step."""
+    _require_compiled_step()
+    config, seed, chunk, stride = case
+
+    def run():
+        recorder = multi._ClipCounter(range(0, config.n_steps + 1, stride))
+        with mock.patch.object(dynamics, "CHUNK", chunk):
+            final = multi._joint_steps(config, [(seed, s) for s in range(n_runs)], recorder)
+            single = multi.joint_run(config, seed)
+        return [final, np.stack(recorder.states), recorder.clip_events, single.weights,
+                single.probabilities, single.clip_events]
+
+    compiled = run()
+    with _numpy_loop():
+        reference = run()
+    for a, b in zip(compiled, reference):
+        assert np.array_equal(a, b)
 
 
 @pytest.fixture

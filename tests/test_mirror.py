@@ -1,10 +1,8 @@
 """Tests for the mirror-descent comparison."""
 
 import numpy as np
-import pytest
 
 from simplex_stdp import dynamics, mirror
-from simplex_stdp.simplex import InvalidInputError
 
 
 def test_steps_stay_on_simplex_and_fix_uniform():
@@ -49,12 +47,3 @@ def test_quadratic_order_gap():
         sup = np.maximum(sup, mirror.order_comparison(p, alphas))
     ratios = sup[:-1] / sup[1:]
     assert np.all(ratios >= 80) and np.all(ratios <= 120)
-
-
-def test_kl_divergence():
-    p = np.array([0.5, 0.5, 0.0])
-    q = np.array([0.25, 0.25, 0.5])
-    assert mirror.kl_divergence(p, p) == 0.0
-    assert mirror.kl_divergence(p, q) > 0
-    with pytest.raises(InvalidInputError):
-        mirror.kl_divergence(q, p)

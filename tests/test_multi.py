@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from simplex_stdp import dynamics, multi
+from simplex_stdp import _kernel, dynamics, multi
 from simplex_stdp.simplex import InvalidInputError
 
 
@@ -75,6 +75,8 @@ def test_joint_increments_orthogonal_to_lower_columns(monkeypatch):
         return inc
 
     monkeypatch.setattr(multi, "_deflated_increments", spy)
+    # the spy sees the numpy step; test_kernel checks the compiled one against it
+    monkeypatch.setattr(_kernel, "library", lambda: None)
     rec = multi.joint_run(cfg, 11)
     assert calls == 2000
     assert violation < 1e-10
