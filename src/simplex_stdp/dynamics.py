@@ -23,7 +23,6 @@ from .simplex import (
     InvalidInputError,
     as_float_array,
     as_probability_vector,
-    probabilities_from_weights,
     recorded_steps,
     validate_intensities,
     validate_weights,
@@ -123,11 +122,13 @@ class Streams:
 
 
 def check_finite(x, k, alpha):
-    """Raise unless the state x after k steps is finite."""
+    """Raise unless the state x after k steps is finite; a column of rates,
+    as the joint scheme passes, is printed flat."""
     if not np.all(np.isfinite(x)):
+        a = np.asarray(alpha, dtype=float)
         raise InvalidInputError(
             "state not finite after %d steps (alpha=%s too large for this horizon)"
-            % (k, alpha)
+            % (k, np.array2string(a.ravel() if a.ndim > 1 else a))
         )
 
 
@@ -404,31 +405,6 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     return x
 
 
-def step_weights(w, alpha, y):
-    """Multiplicative weight update w * (1 + alpha * y)."""
-    w = np.asarray(w, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if alpha <= 0:
-        raise InvalidInputError("alpha must be positive")
-    factors = 1.0 + alpha * y
-    if np.any(factors <= 0):
-        raise InvalidInputError("update factor not positive; alpha too large for this noise")
-    return w * factors
-
-
-def step_probabilities(p, alpha, y):
-    """Probability update p * (1 + alpha y) / (p . (1 + alpha y)).
-
-    Zero entries stay exactly zero and the output sums to 1 up to rounding."""
-    p = np.asarray(p, dtype=float)
-    y = np.asarray(y, dtype=float)
-    num = p * (1.0 + alpha * y)
-    denom = num.sum()
-    if denom <= 0:
-        raise InvalidInputError("step denominator not positive")
-    return num / denom
-
-
 def decompose_steps_batch(p, alpha, y, gamma=None, q_bound=2.0):
     """Exact drift / martingale / residual split of a batch of probability
     steps, p and y of shape (n, d):
@@ -470,15 +446,6 @@ def validate_correlation(gamma, d):
     if np.any(off < 0) or np.any(off > 1):
         raise InvalidInputError("off-diagonal entries must lie in [0, 1]")
     return g
-
-
-def step_inhomogeneous(w, lam_next, alpha, y):
-    """Weight update under time-varying intensities: weights move as usual and
-    the next probabilities are read out with the next intensity vector.
-
-    Returns (w_next, p_next)."""
-    w_next = step_weights(w, alpha, y)
-    return w_next, probabilities_from_weights(lam_next, w_next)
 
 
 @dataclass

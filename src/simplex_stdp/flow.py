@@ -2,9 +2,8 @@
 
 Every flow is the replicator equation dp/dt = p * (f - p.f 1)
 (`simplex.replicator_field`) with fitness f = p, or gamma @ p when a
-correlation matrix is given, plus the log derivative of a time-varying
-intensity schedule when one is given. With f = p it is the negative gradient
-flow of the cubic-quartic potential on the simplex. Integration is
+correlation matrix is given. With f = p it is the negative gradient flow of
+the cubic-quartic potential on the simplex. Integration is
 fixed-step classical RK4 with a post-step renormalization whose size is
 logged.
 """
@@ -23,15 +22,13 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class FlowSpec:
-    """A flow on the simplex: fitness p (the replicator flow), gamma @ p when
-    gamma is given, or p + d/dt log intensity(t) when
-    log_intensity_derivative is given; at most one of the two."""
+    """A flow on the simplex: fitness p (the replicator flow), or gamma @ p
+    when gamma is given."""
 
     p0: object
     horizon: float
     dt: float = 1e-3
     gamma: object = None
-    log_intensity_derivative: object = None
     record_stride: int = 1
 
     def validated(self):
@@ -40,8 +37,6 @@ class FlowSpec:
             errors.append("dt must be positive")
         if self.horizon < 0:
             errors.append("horizon must be nonnegative")
-        if self.gamma is not None and self.log_intensity_derivative is not None:
-            errors.append("give gamma or log_intensity_derivative, not both")
         if errors:
             raise InvalidInputError("; ".join(errors))
         return self
@@ -67,15 +62,11 @@ def integrate(spec):
     spec.validated()
     p = as_probability_vector(spec.p0).copy()
     gamma = None if spec.gamma is None else validate_correlation(spec.gamma, p.size)
-    log_derivative = spec.log_intensity_derivative
     n = int(round(spec.horizon / spec.dt))
     dt = spec.dt
 
-    def rhs(t, q):
-        f = q if gamma is None else gamma @ q
-        if log_derivative is not None:
-            f = np.asarray(log_derivative(t), dtype=float) + f
-        return replicator_field(q, f)
+    def rhs(q):
+        return replicator_field(q, q if gamma is None else gamma @ q)
 
     rec = recorded_steps(n, spec.record_stride)
     times = rec * dt
@@ -92,16 +83,15 @@ def integrate(spec):
             pos += 1
         if k == n:
             break
-        t = k * dt
-        k1 = rhs(t, p)
-        k2 = rhs(t + 0.5 * dt, p + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, p + 0.5 * dt * k2)
-        k4 = rhs(t + dt, p + dt * k3)
+        k1 = rhs(p)
+        k2 = rhs(p + 0.5 * dt * k1)
+        k3 = rhs(p + 0.5 * dt * k2)
+        k4 = rhs(p + dt * k3)
         p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
             raise IntegrationError(
                 "state left the simplex at t=%.6g (min %.3g, max %.3g); reduce dt"
-                % (t + dt, p.min(), p.max())
+                % ((k + 1) * dt, p.min(), p.max())
             )
         np.clip(p, 0.0, None, out=p)
         s = p.sum()

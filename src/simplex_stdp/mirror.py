@@ -10,21 +10,20 @@ import numpy as np
 from .simplex import as_probability_vector
 
 
-def entropic_step(p, alpha, grad=None):
-    """Exact mirror-descent step with entropy mirror map:
-    p_i exp(-alpha g_i) / sum_j p_j exp(-alpha g_j). Default gradient is -p."""
+def entropic_step(p, alpha):
+    """Exact mirror-descent step with entropy mirror map for the gradient
+    g = -p: p_i exp(-alpha g_i) / sum_j p_j exp(-alpha g_j)."""
     p = as_probability_vector(p)
-    g = -p if grad is None else np.asarray(grad, dtype=float)
-    num = p * np.exp(-alpha * g)
+    num = p * np.exp(alpha * p)
     return num / num.sum()
 
 
-def multiplicative_step(p, alpha, grad=None):
-    """First-order surrogate p_i (1 - alpha g_i) / sum_j p_j (1 - alpha g_j),
-    matching the mean motion of the stochastic rule. Default gradient is -p."""
+def multiplicative_step(p, alpha):
+    """First-order surrogate for the gradient g = -p,
+    p_i (1 - alpha g_i) / sum_j p_j (1 - alpha g_j), matching the mean motion
+    of the stochastic rule."""
     p = as_probability_vector(p)
-    g = -p if grad is None else np.asarray(grad, dtype=float)
-    num = p * (1.0 - alpha * g)
+    num = p * (1.0 + alpha * p)
     return num / num.sum()
 
 

@@ -60,14 +60,6 @@ def admissible_delta(lam):
     return kappa / (1.0 + kappa)
 
 
-def runner_up_weight_bound(lam, delta):
-    """If 1 - p_1 < delta then every other weight is at most
-    w_1 * (max lam / min lam) * delta / (1 - delta) (relative bound)."""
-    lam = validate_intensities(lam)
-    kappa = float(lam.min() / lam.max())
-    return delta / (kappa * (1.0 - delta))
-
-
 @dataclass
 class MultiRunConfig:
     """Joint multi-output run: d_out columns, per-column rates alphas."""

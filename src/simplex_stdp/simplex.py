@@ -27,8 +27,8 @@ def as_float_array(x, name="input"):
         raise InvalidInputError("%s must be a numeric array: %s" % (name, exc)) from None
 
 
-def as_probability_vector(p, renormalize=True):
-    """Validate (and possibly renormalize) a vector as a simplex point.
+def as_probability_vector(p):
+    """Validate a vector as a simplex point.
 
     Entries must be nonnegative and the total must be within RENORM_TOL of 1;
     totals within SUM_TOL are accepted as-is, larger (but tolerable) drift is
@@ -42,7 +42,7 @@ def as_probability_vector(p, renormalize=True):
     s = float(p.sum())
     if abs(s - 1.0) <= SUM_TOL:
         return p
-    if renormalize and abs(s - 1.0) <= RENORM_TOL:
+    if abs(s - 1.0) <= RENORM_TOL:
         return p / s
     raise InvalidInputError("entries sum to %.17g, not 1 (tolerance %g)" % (s, RENORM_TOL))
 
@@ -164,24 +164,6 @@ def critical_points(d):
             )
         )
     return out
-
-
-def critical_point_hessian_eigenvalues(d, n):
-    """Eigenvalues of `loss_hessian` at a critical point with support size n
-    inside dimension d, as (eigenvalue, multiplicity) pairs.
-
-    1/n with multiplicity 1 (the all-ones direction on the support),
-    -1/n with multiplicity n - 1 (within-support), and
-    1/n with multiplicity d - n (off-support coordinates).
-    """
-    if not (1 <= n <= d):
-        raise InvalidInputError("need 1 <= n <= d")
-    pairs = [(1.0 / n, 1)]
-    if n > 1:
-        pairs.append((-1.0 / n, n - 1))
-    if d > n:
-        pairs.append((1.0 / n, d - n))
-    return pairs
 
 
 def barycentric_embedding(p):

@@ -156,16 +156,6 @@ def max_alpha(params):
     return _bisect_alpha(rhs, q)
 
 
-def max_alpha_gap_only(gap, q_bound=2.0):
-    """Largest alpha with alpha <= gap^2 (1 - Q alpha)^3 / (16 Q^2); under this
-    constraint the maximal-inequality events force the gap to persist."""
-
-    def rhs(a):
-        return gap * gap * (1.0 - q_bound * a) ** 3 / (16.0 * q_bound * q_bound)
-
-    return _bisect_alpha(rhs, q_bound)
-
-
 def error_bound(params, alpha, k):
     """E[||p(k) - e_1||_1 on the gap event] <=
     2 (1 - p_1(0)) exp(-(alpha gap_gamma / 16)(4/d + gap) k)."""

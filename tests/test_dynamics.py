@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simplex_stdp import dynamics
-from simplex_stdp.simplex import InvalidInputError, probabilities_from_weights
+from simplex_stdp.simplex import InvalidInputError
 
 
 def _draw_y(p, noise, rng):
@@ -23,38 +23,34 @@ def _draw_correlated_signal(p, gamma, noise, rng):
     return dynamics.correlated_signals(idx, gu, gamma)[0]
 
 
+def _recorded(state0, alpha, n_steps, key, lam=None):
+    """The states of a one-row `simulate` run on stream key after each of
+    its n_steps steps, step 0 included."""
+    recorder = dynamics.Recorder(range(n_steps + 1))
+    dynamics.simulate(np.asarray(state0, dtype=float)[None], alpha, n_steps, [key],
+                      dynamics.NoiseModel(), lam=lam, record=recorder)
+    return np.concatenate(recorder.states)
+
+
 def test_step_probabilities_preserves_zeros_and_sum():
-    rng = np.random.default_rng(0)
-    p = np.array([0.0, 0.4, 0.6, 0.0])
-    for _ in range(100):
-        y = _draw_y(p, dynamics.NoiseModel(), rng)
-        p = dynamics.step_probabilities(p, 0.05, y)
+    for p in _recorded([0.0, 0.4, 0.6, 0.0], 0.05, 100, 0):
         assert p[0] == 0.0 and p[3] == 0.0
         assert abs(p.sum() - 1.0) < 1e-14
 
 
 def test_simplex_drift_stays_small_over_many_steps():
-    rng = np.random.default_rng(1)
-    p = rng.dirichlet(np.ones(3))
-    noise = dynamics.NoiseModel()
-    for _ in range(10000):
-        y = _draw_y(p, noise, rng)
-        p = dynamics.step_probabilities(p, 0.01, y)
+    p0 = np.random.default_rng(1).dirichlet(np.ones(3))
+    p = dynamics.simulate(p0[None], 0.01, 10000, [1], dynamics.NoiseModel())[0]
     assert abs(p.sum() - 1.0) < 1e-10
 
 
 def test_weight_and_probability_updates_agree():
-    # pushing the same Y through weights must induce the probability rule
-    rng = np.random.default_rng(2)
+    # pushing the same draws through weights must induce the probability rule
     lam = np.array([10.0, 7.5, 5.0])
-    w = np.array([1.0, 2.0, 0.5])
-    p = probabilities_from_weights(lam, w)
-    noise = dynamics.NoiseModel()
-    for _ in range(2000):
-        y = _draw_y(p, noise, rng)
-        w = dynamics.step_weights(w, 0.01, y)
-        p = dynamics.step_probabilities(p, 0.01, y)
-        assert np.abs(probabilities_from_weights(lam, w) - p).max() < 1e-11
+    w0 = np.array([1.0, 2.0, 0.5])
+    w = _recorded(w0, 0.01, 2000, 2, lam=lam)
+    p = _recorded(dynamics.probabilities(lam, w0), 0.01, 2000, 2)
+    assert np.abs(dynamics.probabilities(lam, w) - p).max() < 1e-11
 
 
 def test_noise_model_validation():
@@ -65,10 +61,10 @@ def test_noise_model_validation():
 
 
 def test_step_weights_rejects_destructive_rates():
-    with pytest.raises(InvalidInputError):
-        dynamics.step_weights(np.ones(2), 0.6, np.array([1.0, -2.0]))
-    with pytest.raises(InvalidInputError):
-        dynamics.step_weights(np.ones(2), -0.1, np.zeros(2))
+    for alpha in (0.6, -0.1):
+        with pytest.raises(InvalidInputError, match="outside"):
+            dynamics.simulate(np.ones((1, 2)), alpha, 1, [0], dynamics.NoiseModel(),
+                              lam=np.ones(2))
 
 
 def test_config_validation_lists_all_violations():
@@ -94,11 +90,12 @@ def test_decomposition_reconstructs_and_centers():
         for _ in range(200):
             p = rng.dirichlet(np.ones(4))
             y = _draw_y(p, noise, rng)
-            drift, xi, theta, theta_bound, _ = dynamics.decompose_steps_batch(
+            drift, xi, theta, theta_bound, p_next = dynamics.decompose_steps_batch(
                 p[None], alpha, y[None])
-            p_next = dynamics.step_probabilities(p, alpha, y)
+            num = p * (1.0 + alpha * y)
+            assert np.abs(p_next[0] - num / num.sum()).max() < 1e-15
             recon = p + alpha * drift[0] - alpha * xi[0] - theta[0]
-            assert np.abs(recon - p_next).max() < 1e-15
+            assert np.abs(recon - p_next[0]).max() < 1e-15
             assert np.all(np.abs(theta) <= theta_bound + 1e-15)
     # xi vanishes identically when Y is replaced by its conditional mean
     p = rng.dirichlet(np.ones(4))
@@ -152,17 +149,15 @@ def test_correlation_matrix_validation():
 
 
 def test_inhomogeneous_weight_and_probability_forms_agree():
-    # the weight-form step equals the probability-form step computed from the
-    # intensities in force after the switch
-    rng = np.random.default_rng(8)
+    # the weight-form step, read out with the intensities in force after the
+    # switch, equals the probability-form step from those intensities
     lam_next = np.array([3.0, 1.0, 2.0])
     w = np.array([0.5, 1.5, 1.0])
     noise = dynamics.NoiseModel()
-    p_tilde = probabilities_from_weights(lam_next, w)
-    y = _draw_y(p_tilde, noise, rng)
-    w_next, p_next = dynamics.step_inhomogeneous(w, lam_next, 0.01, y)
-    alt = dynamics.step_probabilities(p_tilde, 0.01, y)
-    assert np.abs(p_next - alt).max() < 1e-14
+    w_next = dynamics.simulate(w[None], 0.01, 1, [8], noise, lam=lam_next)
+    p_tilde = dynamics.probabilities(lam_next, w)
+    alt = dynamics.simulate(p_tilde[None], 0.01, 1, [8], noise)
+    assert np.abs(dynamics.probabilities(lam_next, w_next) - alt).max() < 1e-14
 
 
 def test_run_trajectory_deterministic_and_seed_sensitive():

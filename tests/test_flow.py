@@ -83,15 +83,11 @@ def test_flow_bound_dominates_trajectory():
     assert np.all(err <= flow.flow_bound(p0, traj.times) + 1e-12)
 
 
-@pytest.mark.parametrize("reducing", [
-    {"gamma": np.eye(3)},
-    {"log_intensity_derivative": lambda t: np.zeros(3)},
-], ids=["gamma", "log_derivative"])
-def test_reducing_fitness_gives_replicator_flow(reducing):
-    # gamma = I and a zero log derivative leave the fitness p: the same flow
+def test_identity_gamma_gives_replicator_flow():
+    # gamma = I leaves the fitness p: the same flow
     p0 = [0.2, 0.5, 0.3]
     plain = flow.integrate(flow.FlowSpec(p0=p0, horizon=2.0, dt=1e-2))
-    reduced = flow.integrate(flow.FlowSpec(p0=p0, horizon=2.0, dt=1e-2, **reducing))
+    reduced = flow.integrate(flow.FlowSpec(p0=p0, horizon=2.0, dt=1e-2, gamma=np.eye(3)))
     assert np.array_equal(reduced.states, plain.states)
 
 
@@ -115,9 +111,6 @@ def test_correlated_flow_uses_gamma():
 def test_spec_validation():
     with pytest.raises(InvalidInputError):
         flow.FlowSpec(p0=[0.5, 0.5], horizon=1.0, dt=0.0).validated()
-    with pytest.raises(InvalidInputError):
-        flow.FlowSpec(p0=[0.5, 0.5], horizon=1.0, gamma=np.eye(2),
-                      log_intensity_derivative=lambda t: np.zeros(2)).validated()
     with pytest.raises(InvalidInputError):
         flow.integrate(flow.FlowSpec(p0=[0.5, 0.5], horizon=1.0,
                                      gamma=np.array([[1.0, 0.2], [0.3, 1.0]])))

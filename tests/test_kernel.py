@@ -190,20 +190,22 @@ def test_rescaling_between_chunks_prevents_overflow():
 def test_runs_stop_at_the_first_state_that_is_not_finite(path):
     """The weights of member 0 overflow at step 2020 of this run, and so
     do those of a joint run with the one column on its stream; each run
-    stops there instead of stepping on to the end of its chunk."""
+    stops there instead of stepping on to the end of its chunk, and names
+    its rate flat (the joint step gets it as a column)."""
     if path == "compiled":
         _require_compiled_step()
     lam = np.array([10.0, 7.5, 5.0])
     config = multi.MultiRunConfig(lam=lam, w0=np.ones((3, 1)), alphas=[0.45], n_steps=3000)
     runs = [
-        lambda record: dynamics.simulate(np.ones((2, 3)), 0.45, 3000, [(5, 0), (5, 1)], NOISE,
-                                         lam=lam, record=record),
-        lambda record: multi._joint_steps(config, [(5,)], record),
+        (lambda record: dynamics.simulate(np.ones((2, 3)), 0.45, 3000, [(5, 0), (5, 1)],
+                                          NOISE, lam=lam, record=record), r"0\.45"),
+        (lambda record: multi._joint_steps(config, [(5,)], record), r"\[0\.45\]"),
     ]
-    for run in runs:
+    for run, rate in runs:
         recorder = dynamics.Recorder(range(2020))
         with (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
-            with pytest.raises(InvalidInputError, match="not finite after 2020 steps"):
+            with pytest.raises(InvalidInputError,
+                               match=r"not finite after 2020 steps \(alpha=%s too large" % rate):
                 run(recorder)
         assert np.all(np.isfinite(recorder.states[-1]))
 
@@ -448,6 +450,10 @@ def test_no_compiler_gives_identical_outputs(fresh_loader, tmp_path, monkeypatch
         ["fig2-ensemble", "--set", "n_traj=5", "--set", "n_steps=300"],
         ["fig2-trajectories", "--set", "n_steps=200", "--set", "grid_step=0.1"],
         ["priming", "--set", "settle_steps=2000", "--set", "n_traj=6"],
+        ["fig3-algorithm1", "--set", "n_steps=500"],
+        ["correlated-figure", "--set", "n_steps=300", "--set", "n_traj=6",
+         "--set", "grid_step=0.1"],
+        ["spiking-validate", "--set", "n_events=[2000,1000]", "--set", "tolerance=0.05"],
     ]
     outputs = {}
     for side in ("compiled", "numpy"):

@@ -26,7 +26,7 @@ def test_multiplicative_step_equals_mean_stochastic_update():
     a = 0.02
     assert np.allclose(
         mirror.multiplicative_step(p, a),
-        dynamics.step_probabilities(p, a, p),
+        dynamics.decompose_steps_batch(p[None], a, p[None])[4][0],
         atol=1e-16,
     )
 

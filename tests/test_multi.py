@@ -29,10 +29,14 @@ def test_frobenius_half_error_values():
 
 def test_admissible_delta_and_weight_bound():
     lam = np.array([10.0, 7.5, 5.0])
-    assert abs(multi.admissible_delta(lam) - (0.5 / 1.5)) < 1e-15
-    # with delta below the cap the runner-up weight ratio stays below 1
+    cap = multi.admissible_delta(lam)
+    assert abs(cap - (0.5 / 1.5)) < 1e-15
+    # with 1 - p_1 < delta every other weight is at most
+    # w_1 delta / (kappa (1 - delta)); the cap is where that bound reaches w_1
+    kappa = lam.min() / lam.max()
+    assert abs(cap / (kappa * (1.0 - cap)) - 1.0) < 1e-15
     delta = 0.25
-    assert multi.runner_up_weight_bound(lam, delta) < 1.0
+    assert delta / (kappa * (1.0 - delta)) < 1.0
 
 
 def test_required_iterations_formula():

@@ -69,18 +69,6 @@ def test_critical_point_count_grows_as_two_to_d_minus_one():
         assert len(simplex.critical_points(d)) == 2 ** d - 1
 
 
-def test_hessian_eigenvalues_at_critical_points():
-    d = 4
-    for cp in simplex.critical_points(d):
-        n = len(cp.support)
-        h = simplex.loss_hessian(cp.point)
-        eig = np.sort(np.linalg.eigvalsh(h))
-        expected = []
-        for value, mult in simplex.critical_point_hessian_eigenvalues(d, n):
-            expected += [value] * mult
-        assert np.allclose(eig, np.sort(expected), atol=1e-12)
-
-
 def test_hessian_classification_saddle_directions():
     # non-vertex critical points have a strictly negative in-simplex curvature
     for cp in simplex.critical_points(3):

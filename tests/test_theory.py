@@ -34,11 +34,6 @@ def test_max_alpha_is_tight():
     assert a * (1 + 1e-6) > rhs(a * (1 + 1e-6))
 
 
-def test_gap_only_alpha_constraint():
-    a = theory.max_alpha_gap_only(0.8, q_bound=2.0)
-    assert a <= 0.64 * (1 - 2 * a) ** 3 / 64
-
-
 def test_error_bound_initial_value_and_rate():
     params = theory.GapParams(p0=np.array([0.9, 0.1]), epsilon=0.5)
     assert abs(theory.error_bound(params, 1e-3, 0) - 0.2) < 1e-15
