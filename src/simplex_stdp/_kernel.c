@@ -152,7 +152,7 @@ static int track(const struct simplex_run *r, int64_t i, const double *p, const 
  * values -h + 2h * r (numpy's uniform(-h, h)) and n_pairs pair uniforms
  * from the row's three generators. In the weight form a row stops at its
  * first state that is not finite; *stop gets the earliest step after which
- * a row is not finite, or k1. Returns the number of inclusion violations seen, or -1
+ * a row is not finite, or k1 + 1. Returns the number of inclusion violations seen, or -1
  * when out of memory.
  */
 int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam,
@@ -166,7 +166,7 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, con
     double *pb = buf, *y = buf + d, *xn = buf + 2 * d, *tmp = buf + 3 * d, *gp = buf + 4 * d;
     double *z = buf + 5 * d, *gu = buf + 6 * d;
     int64_t violations = 0;
-    *stop = k1;
+    *stop = k1 + 1;
     for (int64_t i = 0; i < r->n; i++) {
         double *xr = r->x + i * d;
         void *const *st = r->streams + 3 * i;
@@ -258,7 +258,7 @@ static double norm2(const double *v, int64_t d, double *tmp)
  * (none when that residual is at most 1e-12 of the column norm), and
  * w = max(w + inc, 0) as np.clip does. A run stops at its first state that
  * is not finite, or at a column norm that is not finite; *stop gets the
- * earliest step after which a run is not finite, or k1. Returns the number
+ * earliest step after which a run is not finite, or k1 + 1. Returns the number
  * of clipped entries, -1 when out of memory and -2 when a column norm is
  * not finite before the earliest such step (where the numpy step raises).
  */
@@ -271,8 +271,8 @@ int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const
     if (!buf)
         return -1;
     double *inc = buf, *basis = buf + size, *z = buf + 2 * size, *tmp = z + d, *p = tmp + d;
-    int64_t clips = 0, bad_norm = k1;
-    *stop = k1;
+    int64_t clips = 0, bad_norm = k1 + 1;
+    *stop = k1 + 1;
     for (int64_t run = 0; run < r->n / d_out; run++) {
         double *w = r->x + run * size;
         void *const *st = r->streams + 3 * run * d_out;

@@ -150,7 +150,7 @@ def _segments(fn, x, streams, lams, keep, **fields):
 
     def call(k0, k1, piece):
         result = fn(ref, k0, k1, lam_data[piece], ctypes.byref(stop))
-        return result, stop.value if stop.value < k1 else None
+        return result, stop.value if stop.value <= k1 else None
 
     return call
 

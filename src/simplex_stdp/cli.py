@@ -11,9 +11,9 @@ thread. Ensemble member i uses the stream keyed by (seed, i), so single
 members of fig2-ensemble and correlated-figure can be reproduced in isolation
 with dynamics.run_trajectory(config, (seed, i)).
 
-Exit codes: 0 success, 2 configuration error (unknown scenario / override),
-3 precondition violation (invalid parameter values, unwritable output),
-4 verification failure.
+Exit codes: 0 success, 2 configuration error (unknown scenario / override,
+a non-integral value for an integer key), 3 precondition violation (invalid
+parameter values, unwritable output), 4 verification failure.
 """
 
 import argparse
@@ -27,7 +27,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .simplex import InvalidInputError, as_float_array, barycentric_embedding, landscape_grid
+from .simplex import (InvalidInputError, as_float_array, barycentric_embedding, landscape_grid,
+                      validate_weights)
 from .dynamics import DynamicsConfig, NoiseModel, final_probabilities, run_trajectory, stream_for
 from . import theory
 from . import multi as multi_mod
@@ -389,7 +390,10 @@ def scenario_thm23_verify(cfg, out, seed):
 
 def scenario_alg2_verify(cfg, out, seed):
     lam, w0 = _vectors(cfg, "lam", "w0")
+    w0 = validate_weights(w0)
     d = lam.size
+    if d < 2:
+        raise InvalidInputError("alg2-verify needs at least two inputs, got %d" % d)
     delta_cap = multi_mod.admissible_delta(lam)
     if not cfg["delta"] < delta_cap:
         raise InvalidInputError(
@@ -401,6 +405,9 @@ def scenario_alg2_verify(cfg, out, seed):
     w = w0.copy()
     for j in range(d):
         num = lam * w
+        if not np.any(num > 0):
+            raise InvalidInputError("deflated subproblem %d of w0=%s has no weight left"
+                                    % (j, cfg["w0"]))
         p = num / num.sum()
         order = np.argsort(p)[::-1]
         gaps.append(p[order[0]] - p[order[1]])
@@ -516,19 +523,40 @@ def _parse_set(item):
     return key, value
 
 
+def _integral(key, value):
+    """value as an int when it is an integral number such as 1000, 1e3 or
+    200.0; anything else, a bool included, raises ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError("%s must be an integer, got %r" % (key, value))
+
+
+def _typed(key, value, default):
+    """value for a key with this default: an int default, or a list of ints,
+    takes integers only (`_integral`); other values pass unchanged."""
+    if type(default) is int:
+        return _integral(key, value)
+    if isinstance(default, list) and default and all(type(v) is int for v in default):
+        if not isinstance(value, list):
+            raise ValueError("%s must be a list of integers, got %r" % (key, value))
+        return [_integral(key, v) for v in value]
+    return value
+
+
 def build_config(scenario, config_path, overrides):
     cfg = copy.deepcopy(DEFAULTS[scenario])
+    items = {}
     if config_path:
         with open(config_path) as fh:
-            file_cfg = json.load(fh)
-        for key, value in file_cfg.items():
-            if key not in cfg:
-                raise KeyError("unknown config key %r for %s" % (key, scenario))
-            cfg[key] = value
-    for key, value in overrides:
+            items = json.load(fh)
+        if not isinstance(items, dict):
+            raise ValueError("config file %s must hold a JSON object" % config_path)
+    for key, value in list(items.items()) + list(overrides):
         if key not in cfg:
             raise KeyError("unknown config key %r for %s" % (key, scenario))
-        cfg[key] = value
+        cfg[key] = _typed(key, value, DEFAULTS[scenario][key])
     return cfg
 
 

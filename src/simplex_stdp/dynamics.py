@@ -54,16 +54,6 @@ class NoiseModel:
         return rng.uniform(-self.half_width, self.half_width, size)
 
 
-def check_rate(alpha, q_bound):
-    """Raise unless every rate in alpha lies in (0, 1/Q), the range in which
-    the update factor 1 + alpha * y stays positive for all admissible Y."""
-    a = np.asarray(alpha, dtype=float)
-    if not np.all((a > 0) & (a < 1.0 / q_bound)):
-        raise InvalidInputError(
-            "alpha=%s outside (0, 1/Q)=(0, %g)" % (np.array2string(a), 1.0 / q_bound)
-        )
-
-
 def stream_for(seed):
     """Deterministic generator for a trajectory key (int or tuple of ints)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -121,15 +111,18 @@ class Streams:
         return u, z, gu
 
 
+def _rates(alpha):
+    """alpha for a message: a rate, or the joint scheme's column of rates
+    printed flat."""
+    a = np.asarray(alpha, dtype=float)
+    return np.array2string(a.ravel() if a.ndim > 1 else a)
+
+
 def check_finite(x, k, alpha):
-    """Raise unless the state x after k steps is finite; a column of rates,
-    as the joint scheme passes, is printed flat."""
+    """Raise unless the state x after k steps is finite."""
     if not np.all(np.isfinite(x)):
-        a = np.asarray(alpha, dtype=float)
-        raise InvalidInputError(
-            "state not finite after %d steps (alpha=%s too large for this horizon)"
-            % (k, np.array2string(a.ravel() if a.ndim > 1 else a))
-        )
+        raise InvalidInputError("state not finite after %d steps (alpha=%s too large for "
+                                "this horizon)" % (k, _rates(alpha)))
 
 
 def _last_positive(p):
@@ -312,7 +305,7 @@ def _intensities(lam, d):
         return [0], [None]
     pieces = lam if isinstance(lam, list) and lam and isinstance(lam[0], tuple) else [(0, lam)]
     starts = [int(s) for s, _ in pieces]
-    vectors = [np.ascontiguousarray(v, dtype=float) for _, v in pieces]
+    vectors = [np.ascontiguousarray(validate_intensities(v)) for _, v in pieces]
     if starts[0] != 0 or starts != sorted(starts) or any(v.shape != (d,) for v in vectors):
         raise InvalidInputError("intensities must be a (%d,) vector or [(from_step, vector), "
                                 "...] from step 0 in nondecreasing steps" % d)
@@ -335,37 +328,51 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=N
         w = state * (1 + alpha * y), renormalised to p in the probability form
 
     record, a `Recorder`, is called at its checkpoints and may track every
-    step, as a `GapTracker` does with the run's gamma. simulate checks the
-    rate and hands the segment driver `_drive` its step: the compiled
+    step, as a `GapTracker` does with the run's gamma. simulate hands the
+    segment driver `_drive`, which checks the inputs, its step: the compiled
     `_kernel.prepare` when the kernel loads, otherwise its numpy reference
     `numpy_step`; both give the same results bit for bit. The driver scales
     each weight row by a power of two between chunks, so returned weights
     are defined up to that factor per row.
     """
-    check_rate(alpha, noise.q_bound)
     step = numpy_step if _kernel.library() is None else _kernel.prepare
     return _drive(step, state0, float(alpha), n_steps, keys, noise, lam, gamma, record)
 
 
 def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=None):
-    """The segment driver of every learning run; returns the final state.
+    """The segment driver of every learning run, and the one place its
+    inputs are checked; returns the final state.
+
+    Each rate must lie in (0, 1/Q), the range in which the update factor
+    1 + alpha * y stays positive for all admissible Y. Each row of state0 is
+    a probability vector (`as_probability_vector`, which may renormalise
+    it) when lam is None and a weight vector (`validate_weights`)
+    otherwise; each intensity piece is a positive (d,) vector, gamma a
+    correlation matrix and the checkpoints increasing steps in [0, n_steps].
+    The first failing check raises InvalidInputError.
 
     step(x, alpha, streams, top, lams, gamma, tracker) is called once
     and returns advance(k0, k1, piece), which runs steps k0..k1-1 on the
     rows of x in place under the intensities lams[piece], drawing from
     streams (a `Streams` of `keys`) as it steps, and advances tracker, the
     recorder when it `tracks` (else None); a `GapTracker` checks the gap of
-    gamma @ p with the run's validated gamma. advance may return the step
+    gamma @ p with the run's checked gamma. advance may return the step
     after which a row first is not finite, where the run stops. Per chunk of
     `CHUNK` steps the driver positions the streams, splits the chunk at the
     checkpoints and intensity switches, hands every segment to advance,
     checks x after the chunk and, in the weight form, scales each row by a
     power of two. No randomness is drawn ahead of its segment."""
-    x = np.array(state0, dtype=float, order="C")
+    a = np.asarray(alpha, dtype=float)
+    if not np.all((a > 0) & (a < 1.0 / noise.q_bound)):
+        raise InvalidInputError("alpha=%s outside (0, 1/Q)=(0, %g)"
+                                % (_rates(alpha), 1.0 / noise.q_bound))
+    x = as_float_array(state0, "state")
+    if x.ndim != 2 or len(x) < 1 or len(keys) != len(x):
+        raise InvalidInputError("%d keys for a state of shape %s; a batch needs at least "
+                                "one (n, d) row" % (len(keys), x.shape))
+    check_row = as_probability_vector if lam is None else validate_weights
+    x = np.array([check_row(row) for row in x], order="C")
     n, d = x.shape
-    if n < 1 or len(keys) != n:
-        raise InvalidInputError("%d keys for %d trajectories; a batch needs at least one"
-                                % (len(keys), n))
     if n_steps < 0:
         raise InvalidInputError("n_steps must be nonnegative, got %d" % n_steps)
     starts, vectors = _intensities(lam, d)
@@ -385,23 +392,28 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     # zero entries stay exactly zero, so the last pickable coordinate is fixed
     top = _last_positive(x)
     advance = step(x, alpha, streams, top, vectors, gamma, record if record.tracks else None)
+    # in the weight form, weights past the float range (and their NaN
+    # probabilities) are what stops the run: the numpy steps compute them
+    # without a warning, as the compiled steps do
+    quiet = None if lam is None else "ignore"
     k = 0
-    while k < n_steps:
-        m = min(CHUNK, n_steps - k)
-        streams.position(m)
-        k0 = k
-        for k1 in [c for c in cuts if k < c < k + m] + [k + m]:
-            stop = advance(k0, k1, bisect.bisect_right(starts, k0) - 1)
-            if stop is not None:
-                check_finite(x, stop, alpha)
-            if k1 in stops:
-                record.record(k1, x)
-            k0 = k1
-        k += m
-        check_finite(x, k, alpha)
-        if lam is not None and k < n_steps:
-            # in place: the step holds x
-            x[:] = rescale(x)
+    with np.errstate(over=quiet, invalid=quiet):
+        while k < n_steps:
+            m = min(CHUNK, n_steps - k)
+            streams.position(m)
+            k0 = k
+            for k1 in [c for c in cuts if k < c < k + m] + [k + m]:
+                stop = advance(k0, k1, bisect.bisect_right(starts, k0) - 1)
+                if stop is not None:
+                    check_finite(x, stop, alpha)
+                if k1 in stops:
+                    record.record(k1, x)
+                k0 = k1
+            k += m
+            check_finite(x, k, alpha)
+            if lam is not None and k < n_steps:
+                # in place: the step holds x
+                x[:] = rescale(x)
     return x
 
 
@@ -466,29 +478,14 @@ class DynamicsConfig:
     gamma: object = None
     record_stride: int = 1
 
-    def validated(self):
-        errors = []
-        try:
-            check_rate(self.alpha, self.noise.q_bound)
-        except InvalidInputError as exc:
-            errors.append(str(exc))
-        if self.n_steps < 0:
-            errors.append("n_steps must be nonnegative")
-        if self.record_stride < 1:
-            errors.append("record_stride must be >= 1")
-        if self.p0 is None and (self.lam is None or self.w0 is None):
-            errors.append("need either p0 or (lam, w0)")
-        if errors:
-            raise InvalidInputError("; ".join(errors))
-        return self
-
     def kernel_inputs(self):
-        """(state0, lam, gamma) for `simulate` from the validated config: p0
-        in the probability form when given, otherwise weights w0 and lam."""
-        self.validated()
+        """(state0, lam, gamma) for `simulate`, which checks them: p0 in the
+        probability form when given, otherwise weights w0 and lam."""
         if self.p0 is not None:
-            return as_probability_vector(self.p0), None, self.gamma
-        return validate_weights(self.w0), validate_intensities(self.lam), self.gamma
+            return as_float_array(self.p0, "p0"), None, self.gamma
+        if self.lam is None or self.w0 is None:
+            raise InvalidInputError("need either p0 or (lam, w0)")
+        return as_float_array(self.w0, "w0"), as_float_array(self.lam, "lam"), self.gamma
 
 
 @dataclass
@@ -508,7 +505,7 @@ def final_probabilities(config, keys):
     """Final probabilities of the trajectories keyed by `keys`, run as one
     batch; row i equals `run_trajectory(config, keys[i]).states[-1]`."""
     x0, lam, gamma = config.kernel_inputs()
-    x = simulate(np.tile(x0, (len(keys), 1)), config.alpha, config.n_steps, keys,
+    x = simulate(np.repeat(x0[None], len(keys), axis=0), config.alpha, config.n_steps, keys,
                  config.noise, lam=lam, gamma=gamma)
     return x if lam is None else probabilities(lam, x)
 

@@ -31,16 +31,6 @@ class FlowSpec:
     gamma: object = None
     record_stride: int = 1
 
-    def validated(self):
-        errors = []
-        if self.dt <= 0:
-            errors.append("dt must be positive")
-        if self.horizon < 0:
-            errors.append("horizon must be nonnegative")
-        if errors:
-            raise InvalidInputError("; ".join(errors))
-        return self
-
 
 @dataclass
 class FlowTrajectory:
@@ -59,7 +49,9 @@ def integrate(spec):
     correction |sum - 1| is logged. A state leaving [0, 1] by more than 1e-9
     aborts with IntegrationError (step size too coarse for the data).
     """
-    spec.validated()
+    if not spec.dt > 0 or not spec.horizon >= 0:
+        raise InvalidInputError("need dt > 0 and horizon >= 0, got dt=%r, horizon=%r"
+                                % (spec.dt, spec.horizon))
     p = as_probability_vector(spec.p0).copy()
     gamma = None if spec.gamma is None else validate_correlation(spec.gamma, p.size)
     n = int(round(spec.horizon / spec.dt))

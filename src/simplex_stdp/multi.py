@@ -14,16 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .simplex import InvalidInputError, recorded_steps, validate_intensities
-from .dynamics import (
-    NoiseModel,
-    Recorder,
-    _drive,
-    check_rate,
-    probabilities,
-    sample_triggers,
-    simulate,
-)
+from .simplex import InvalidInputError, as_float_array, recorded_steps, validate_intensities
+from .dynamics import NoiseModel, Recorder, _drive, probabilities, sample_triggers, simulate
 
 
 def cosine_projection(w):
@@ -49,6 +41,9 @@ def required_iterations(d, alpha, gap, epsilon, delta):
     K >= (16 d / (alpha gap (4 + d gap))) log(4 / (epsilon delta))."""
     if not 0 < delta < 1 or not 0 < epsilon < 1:
         raise InvalidInputError("epsilon and delta must lie in (0, 1)")
+    if not alpha > 0 or not 0 < gap < np.inf:
+        raise InvalidInputError("need alpha > 0 and a finite positive gap, got alpha=%r, gap=%r"
+                                % (alpha, gap))
     return int(np.ceil(16.0 * d / (alpha * gap * (4.0 + d * gap)) * np.log(4.0 / (epsilon * delta))))
 
 
@@ -70,25 +65,6 @@ class MultiRunConfig:
     n_steps: int
     noise: NoiseModel = field(default_factory=NoiseModel)
     record_stride: int = 1
-
-    def validated(self):
-        lam = validate_intensities(self.lam)
-        w0 = np.asarray(self.w0, dtype=float)
-        alphas = np.asarray(self.alphas, dtype=float)
-        errors = []
-        if w0.ndim != 2 or w0.shape[0] != lam.size:
-            errors.append("w0 must be (d, d_out) with d matching intensities")
-        if np.any(w0 < 0) or np.any(w0.sum(axis=0) <= 0):
-            errors.append("each weight column must be nonnegative with positive sum")
-        if alphas.size != w0.shape[1]:
-            errors.append("one rate per output column required")
-        try:
-            check_rate(alphas, self.noise.q_bound)
-        except InvalidInputError as exc:
-            errors.append(str(exc))
-        if errors:
-            raise InvalidInputError("; ".join(errors))
-        return self
 
 
 @dataclass
@@ -179,16 +155,20 @@ def _joint_steps(config, prefixes, record=None):
     the state are the (run, column) pairs in that order, and
     `dynamics._drive` runs the step on them: the compiled `_kernel.joint`
     when the kernel loads, otherwise its numpy reference `_joint_step`, with
-    the same results bit for bit. `_drive` positions
-    the streams, calls record (a `Recorder`, given the state after k steps
-    at its checkpoints), checks the columns after every chunk and scales
-    them by a power of two between chunks, as for `simulate`."""
-    w0 = np.asarray(config.w0, dtype=float).T
+    the same results bit for bit. Here w0 must be (d, d_out) with one rate
+    per column; `_drive` checks the rest of the inputs as for `simulate`,
+    positions the streams, calls record (a `Recorder`, given the state
+    after k steps at its checkpoints), checks the columns after every chunk
+    and scales them by a power of two between chunks."""
+    w0 = as_float_array(config.w0, "w0").T
+    alphas = as_float_array(config.alphas, "alphas")
+    if w0.ndim != 2 or alphas.shape != w0.shape[:1]:
+        raise InvalidInputError("w0 must be (d, d_out) with one rate per output column, got "
+                                "shapes %s and %s" % (w0.T.shape, alphas.shape))
     keys = [prefix + (j,) for prefix in prefixes for j in range(w0.shape[0])]
     step = _joint_step if _kernel.library() is None else _kernel.joint
-    w = _drive(step, np.tile(w0, (len(prefixes), 1)),
-               np.asarray(config.alphas, dtype=float)[:, None], config.n_steps, keys,
-               config.noise, lam=validate_intensities(config.lam), record=record)
+    w = _drive(step, np.tile(w0, (len(prefixes), 1)), alphas[:, None], config.n_steps, keys,
+               config.noise, lam=as_float_array(config.lam, "intensities"), record=record)
     return w.reshape(len(prefixes), *w0.shape)
 
 
@@ -198,10 +178,10 @@ def joint_run(config, seed):
     stream prefix + (j,) and joint_run(config, (S, s)) equals member s of
     joint_final_errors(..., seed=S). Records weights and probabilities every
     record_stride steps through a `Recorder` and counts clipped entries."""
-    lam = validate_intensities(config.validated().lam)
     recorder = _ClipCounter(recorded_steps(config.n_steps, config.record_stride))
     _joint_steps(config, [_key_prefix(seed)], recorder)
     w = np.stack(recorder.states)
+    lam = np.asarray(config.lam, dtype=float)  # checked by the run
     return MultiRunRecord(
         recorded_steps=recorder.checkpoints,
         weights=np.ascontiguousarray(w.transpose(0, 2, 1)),
@@ -215,7 +195,7 @@ def joint_final_errors(lam, w0, alphas, n_steps, n_seeds, seed, noise=None, inde
     (seed, index_start + s). Returns the final half squared Frobenius error
     of each seed's probability matrix against the identity."""
     config = MultiRunConfig(lam=lam, w0=w0, alphas=alphas, n_steps=n_steps,
-                            noise=noise or NoiseModel()).validated()
+                            noise=noise or NoiseModel())
     w = _joint_steps(config, [(seed, index_start + s) for s in range(n_seeds)])
     return frobenius_half_error(probabilities(config.lam, w).transpose(0, 2, 1))
 
@@ -228,7 +208,6 @@ def _train_columns(lam, w0, alpha, k_per_column, prefixes, noise):
     k_per_column steps of the single-neuron rule; run r's column j uses the
     stream keyed prefixes[r] + (j,). Returns the trained columns, shape
     (n, d, d)."""
-    lam = validate_intensities(lam)
     w0 = np.asarray(w0, dtype=float)
     rows = np.arange(len(prefixes))
     columns = []

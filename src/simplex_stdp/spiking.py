@@ -16,7 +16,7 @@ give the same record bit for bit.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,14 +65,6 @@ class MembraneConfig:
     threshold: float
     record_potential: bool = False
 
-    def validated(self):
-        """A copy with the weights as a checked float array."""
-        w = validate_weights(self.weights)
-        if not 0 < self.threshold < math.inf:
-            raise InvalidInputError("threshold must be positive and finite, got %r"
-                                    % (self.threshold,))
-        return replace(self, weights=w)
-
 
 @dataclass
 class PostsynapticRecord:
@@ -98,14 +90,16 @@ def simulate_membrane(config, trains):
     Postsynaptic spikes can only occur at presynaptic spike times; the
     potential never exceeds the threshold between events and resets to zero
     on each postsynaptic spike."""
-    config = config.validated()
-    w = config.weights
+    w = validate_weights(config.weights)
+    if not 0 < config.threshold < math.inf:
+        raise InvalidInputError("threshold must be positive and finite, got %r"
+                                % (config.threshold,))
     times = [as_float_array(t, "spike train") for t in trains.times]
     if len(times) != w.size or any(t.ndim != 1 for t in times):
         raise InvalidInputError("need one 1-d spike train per weight: %d weights, %d trains"
                                 % (w.size, len(times)))
     if _kernel.library() is None:
-        return _membrane_loop(config, times)
+        return _membrane_loop(config, w, times)
     n_events = sum(t.size for t in times)
     # y grows by at most max(w) per event, so a spike takes at least
     # ceil(threshold / max(w)) events; one fewer leaves room for rounding in
@@ -118,13 +112,13 @@ def simulate_membrane(config, trains):
                               potential_times=event_times, potentials=potentials)
 
 
-def _membrane_loop(config, times):
+def _membrane_loop(config, w, times):
     """simulate_membrane in Python, over the merged events: the reference of
-    the compiled membrane, taken when the kernel does not load."""
+    the compiled membrane, taken when the kernel does not load; w are the
+    checked weights."""
     for t in times:
         if t.size and not (t[0] >= 0 and np.isfinite(t[-1]) and np.all(t[1:] >= t[:-1])):
             raise InvalidInputError("spike trains must be finite and nondecreasing from 0")
-    w = config.weights
     times, ids = merge_events(times)
     spikes = []
     triggers = []
@@ -201,6 +195,8 @@ def centered_noise_stats(t_prev, t_next, n_samples, rng):
     The uniforms are drawn NOISE_BLOCK at a time, each taking one 64-bit
     output as in a single draw, so only the kernel values grow with
     n_samples and the statistics equal those of one draw of n_samples."""
+    if n_samples < 1:
+        raise InvalidInputError("n_samples must be at least 1, got %r" % (n_samples,))
     vals = np.empty(n_samples)
     for start in range(0, n_samples, NOISE_BLOCK):
         block = vals[start:start + NOISE_BLOCK]

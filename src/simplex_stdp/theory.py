@@ -166,9 +166,11 @@ def error_bound(params, alpha, k):
 
 def iterations_for(params, alpha, delta):
     """Steps sufficient for E[||p(k) - e_1||_1 on the gap event] <= eps*delta/2,
-    i.e. k >= (16 d / (alpha gap_gamma (4 + d gap))) log(4 (1 - p_1(0)) / (eps delta))."""
-    if not 0 < delta < 1:
-        raise InvalidInputError("delta must lie in (0, 1)")
+    i.e. k >= (16 d / (alpha gap_gamma (4 + d gap))) log(4 (1 - p_1(0)) / (eps delta)).
+    `GapParams` makes both gaps finite and positive."""
+    if not 0 < delta < 1 or not alpha > 0:
+        raise InvalidInputError("need delta in (0, 1) and alpha > 0, got delta=%r, alpha=%r"
+                                % (delta, alpha))
     arg = 4.0 * (1.0 - params.p0[0]) / (params.epsilon * delta)
     denom = alpha * params.gap_gamma * (4.0 + params.d * params.gap)
     return int(np.ceil(16.0 * params.d / denom * np.log(arg)))

@@ -29,6 +29,37 @@ def test_unknown_override_key_exits_2(tmp_path):
     assert run(["landscape-grid", "--out", str(tmp_path), "--set", "bogus=1"]) == 2
 
 
+def test_config_file_that_is_no_object_exits_2(tmp_path):
+    # a JSON list used to end in an AttributeError traceback
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text("[1]")
+    assert run(["landscape-grid", "--out", str(tmp_path), "--config", str(cfg_file)]) == 2
+
+
+@pytest.mark.parametrize("scenario, sets", [
+    ("fig2-ensemble", ["n_steps={}", "n_traj=4", "n_full_trajectories=2.0"]),
+    ("thm22-verify", ["n_steps={}", "checkpoints=[0,{}]", "n_traj=4.0"]),
+])
+def test_integral_numbers_are_taken_for_integer_keys(tmp_path, scenario, sets):
+    written = []
+    for number in ("1000", "1e3", "1000.0"):
+        args = [scenario, "--out", str(tmp_path / number), "--threads", "1"]
+        for item in sets:
+            args += ["--set", item.format(number)]
+        assert run(args) in (0, 4)
+        out = tmp_path / number / scenario
+        written.append({name: read_bytes(out / name) for name in sorted(os.listdir(out))})
+    assert written[1] == written[0] and written[2] == written[0]
+    assert json.loads(written[0]["manifest.json"])["config"]["n_steps"] == 1000
+
+
+@pytest.mark.parametrize("value", ["1.5", "true", "abc", "[1]", "1e400"])
+def test_non_integral_values_for_integer_keys_exit_2(tmp_path, value):
+    assert run(["thm22-verify", "--out", str(tmp_path), "--set", "n_traj=" + value]) == 2
+    assert run(["thm22-verify", "--out", str(tmp_path),
+                "--set", "checkpoints=[0,%s]" % value]) == 2
+
+
 def test_precondition_violation_exits_3(tmp_path):
     # first coordinate not dominant
     code = run([
@@ -166,6 +197,19 @@ def test_verify_scenario_reports(tmp_path):
     ["landscape-grid", "--set", "gamma=[[1,0],[0]]"],
     # without gamma the correlated scenario would check independent triggers
     ["thm-corr-verify", "--set", "gamma=null"],
+    # a zero rate or a w0 with no usable gap used to end in a traceback
+    # before any run, computing the iteration count
+    ["priming", "--set", "alpha=0", "--set", "n_traj=4"],
+    ["alg2-verify", "--set", "alpha=0", "--set", "n_seeds=4"],
+    ["alg2-verify", "--set", "w0=[0,0,0]", "--set", "n_seeds=4"],
+    ["alg2-verify", "--set", "w0=[1,1,1e400]", "--set", "alpha=0.05", "--set", "n_seeds=4"],
+    ["alg2-verify", "--set", "lam=[10]", "--set", "w0=[1]"],
+    # negative weights, or a deflated column with no weight left, used to run
+    # and end in a failed verdict
+    ["alg2-verify", "--set", "w0=[1,1,-1]", "--set", "alpha=0.05", "--set", "n_seeds=4"],
+    ["alg2-verify", "--set", "w0=[1,0,0]", "--set", "alpha=0.05", "--set", "n_seeds=4"],
+    # no noise samples used to end in a ValueError traceback
+    ["spiking-validate", "--set", "noise_samples=0", "--set", "n_events=[200,100]"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     # a run that does not end fails here instead of hanging the suite

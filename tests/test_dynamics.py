@@ -1,10 +1,12 @@
 """Tests for the stochastic multiplicative dynamics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from simplex_stdp import dynamics
-from simplex_stdp.simplex import InvalidInputError
+from simplex_stdp.simplex import InvalidInputError, as_probability_vector
 
 
 def _draw_y(p, noise, rng):
@@ -67,12 +69,37 @@ def test_step_weights_rejects_destructive_rates():
                               lam=np.ones(2))
 
 
-def test_config_validation_lists_all_violations():
-    cfg = dynamics.DynamicsConfig(alpha=0.7, n_steps=-1)
-    with pytest.raises(InvalidInputError) as err:
-        cfg.validated()
-    msg = str(err.value)
-    assert "alpha" in msg and "n_steps" in msg and "p0" in msg
+@pytest.mark.parametrize("config, match", [
+    # the rate is checked first
+    (dict(alpha=0.7, n_steps=-1, p0=[0.5, 0.5]), "outside"),
+    (dict(alpha=0.01, n_steps=-1, p0=[0.5, 0.5]), "n_steps"),
+    (dict(alpha=0.01, n_steps=10), "need either p0"),
+    (dict(alpha=0.01, n_steps=10, p0=[0.5, 0.6]), "sum"),
+    (dict(alpha=0.01, n_steps=10, p0=[1.2, -0.2]), "negative"),
+    (dict(alpha=0.01, n_steps=10, p0=[[0.5, 0.5]]), "keys for a state"),
+    (dict(alpha=0.01, n_steps=10, lam=[1.0, 2.0], w0=[1.0, -1.0]), "nonnegative"),
+    (dict(alpha=0.01, n_steps=10, lam=[1.0, 2.0], w0=[0.0, 0.0]), "positive entry"),
+    (dict(alpha=0.01, n_steps=10, lam=[1.0, 2.0], w0=[1.0, np.inf]), "finite"),
+    (dict(alpha=0.01, n_steps=10, lam=[1.0, 0.0], w0=[1.0, 1.0]), "strictly positive"),
+    (dict(alpha=0.01, n_steps=10, lam=[1.0, 2.0, 3.0], w0=[1.0, 1.0]), r"a \(2,\) vector"),
+    (dict(alpha=0.01, n_steps=10, p0=[0.5, 0.5], gamma=[[1.0, 0.2], [0.3, 1.0]]),
+     "symmetric"),
+])
+def test_run_trajectory_checks_its_inputs(config, match):
+    config = dynamics.DynamicsConfig(**config)
+    with pytest.raises(InvalidInputError, match=match):
+        dynamics.run_trajectory(config, 0)
+    with pytest.raises(InvalidInputError, match=match):
+        dynamics.final_probabilities(config, [0, 1])
+
+
+def test_probability_rows_are_taken_as_the_simplex_check_returns_them():
+    p0 = np.array([[0.5, 0.5 + 2e-10], [0.25, 0.75]])
+    x = dynamics.simulate(p0, 0.01, 0, [0, 1], dynamics.NoiseModel())
+    assert np.array_equal(x, [as_probability_vector(p) for p in p0])
+    assert not np.array_equal(x[0], p0[0])
+    with pytest.raises(InvalidInputError, match="sum"):
+        dynamics.simulate(np.array([[0.5, 0.6]]), 0.01, 0, [0], dynamics.NoiseModel())
 
 
 def test_trigger_frequencies_match_probabilities():
@@ -174,3 +201,5 @@ def test_run_trajectory_record_stride():
     rec = dynamics.run_trajectory(cfg, 1)
     assert rec.recorded_steps[0] == 0 and rec.recorded_steps[-1] == 103
     assert rec.states.shape == (rec.recorded_steps.size, 2)
+    with pytest.raises(InvalidInputError, match="record_stride"):
+        dynamics.run_trajectory(dataclasses.replace(cfg, record_stride=0), 1)

@@ -110,7 +110,9 @@ def test_correlated_flow_uses_gamma():
 
 def test_spec_validation():
     with pytest.raises(InvalidInputError):
-        flow.FlowSpec(p0=[0.5, 0.5], horizon=1.0, dt=0.0).validated()
+        flow.integrate(flow.FlowSpec(p0=[0.5, 0.5], horizon=1.0, dt=0.0))
+    with pytest.raises(InvalidInputError):
+        flow.integrate(flow.FlowSpec(p0=[0.5, 0.5], horizon=-1.0))
     with pytest.raises(InvalidInputError):
         flow.integrate(flow.FlowSpec(p0=[0.5, 0.5], horizon=1.0,
                                      gamma=np.array([[1.0, 0.2], [0.3, 1.0]])))

@@ -3,6 +3,7 @@ the joint multi-output loop, each compiled step against its numpy loop."""
 
 import contextlib
 import dataclasses
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -201,13 +202,14 @@ def test_runs_stop_at_the_first_state_that_is_not_finite(path):
                                           NOISE, lam=lam, record=record), r"0\.45"),
         (lambda record: multi._joint_steps(config, [(5,)], record), r"\[0\.45\]"),
     ]
-    for run, rate in runs:
-        recorder = dynamics.Recorder(range(2020))
+    # recorded every step, the first state that is not finite ends a segment
+    for (run, rate), checkpoints in itertools.product(runs, (range(2020), range(3001))):
+        recorder = dynamics.Recorder(checkpoints)
         with (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
             with pytest.raises(InvalidInputError,
                                match=r"not finite after 2020 steps \(alpha=%s too large" % rate):
                 run(recorder)
-        assert np.all(np.isfinite(recorder.states[-1]))
+        assert len(recorder.states) == 2020 and np.all(np.isfinite(recorder.states[-1]))
 
 
 @settings(max_examples=15, deadline=None)
@@ -404,6 +406,54 @@ def test_compiled_joint_step_matches_numpy_loop(case, n_runs):
         reference = run()
     for a, b in zip(compiled, reference):
         assert np.array_equal(a, b)
+
+
+class _ScriptedStreams:
+    """A stand-in for `dynamics.Streams` whose rows draw scripted uniforms,
+    u (n, s) for the triggers and v (n, s, d) for the noise: the compiled
+    step reads them through the ctypes callback `next_double`, the numpy
+    step through `segment`, which turns v into noise as the kernel does."""
+
+    n_pairs = 0
+    noise = NOISE
+
+    def __init__(self, u, v):
+        import ctypes
+
+        self.u, self.v = u, v
+        # any distinct nonzero address: the callback, not the kernel, reads it
+        self.addresses = np.zeros((len(u), 3), dtype=np.uintp)
+        self.addresses[:, :2] = np.arange(1, 2 * len(u) + 1).reshape(-1, 2)
+        draws = {2 * i + 1: iter(u[i]) for i in range(len(u))}
+        draws.update({2 * i + 2: iter(v[i].ravel()) for i in range(len(u))})
+        self.callback = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(
+            lambda address: next(draws[address]))
+        self.next_double = ctypes.cast(self.callback, ctypes.c_void_p).value
+
+    def segment(self, s):
+        lo = -self.noise.half_width
+        return self.u[:, :s], lo + (self.noise.half_width - lo) * self.v[:, :s], None
+
+
+def test_joint_step_caps_triggers_at_the_last_positive_probability():
+    """The probabilities of w sum to 1 - 2^-53 before its trailing zero, so
+    u = 1 - 2^-53 lies at or above every cumulative sum: both joint steps
+    must cap the trigger at the last positive entry, not at d - 1, whose
+    zero weight would take no increment."""
+    _require_compiled_step()
+    lam, w = np.ones(4), np.array([[16.0, 4.0, 4.0, 0.0]])
+    u = np.nextafter(1.0, 0.0)
+    assert np.cumsum(dynamics.probabilities(lam, w), axis=1)[0, 2] == u
+    alpha = np.array([[0.1]])
+    finals = []
+    for step in (_kernel.joint, multi._joint_step):
+        x = w.copy()
+        # noise uniforms of 1/2 are zero noise
+        streams = _ScriptedStreams(np.array([[u]]), np.full((1, 1, 4), 0.5))
+        step(x, alpha, streams, None, [lam], None, None)(0, 1, 0)
+        finals.append(x)
+    expected = w + 0.1 * w * np.array([0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(finals[0], expected) and np.array_equal(finals[1], expected)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Tests for the multi-output deflation schemes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,17 +45,45 @@ def test_required_iterations_formula():
     k = multi.required_iterations(3, 1e-3, 1 / 9, 0.2, 0.25)
     manual = int(np.ceil(16 * 3 / (1e-3 * (1 / 9) * (4 + 3 / 9)) * np.log(4 / 0.05)))
     assert k == manual
+    # a zero rate or gap used to divide by zero
+    for alpha, gap in ((0.0, 0.1), (-1e-3, 0.1), (1e-3, 0.0), (1e-3, np.nan), (1e-3, np.inf)):
+        with pytest.raises(InvalidInputError):
+            multi.required_iterations(3, alpha, gap, 0.2, 0.25)
 
 
 def test_config_validation():
-    with pytest.raises(InvalidInputError):
-        multi.MultiRunConfig(
-            lam=[10.0, 5.0], w0=np.ones((2, 2)), alphas=[0.6, 0.1], n_steps=10
-        ).validated()
-    with pytest.raises(InvalidInputError):
-        multi.MultiRunConfig(
-            lam=[10.0, 5.0], w0=-np.ones((2, 2)), alphas=[0.01, 0.01], n_steps=10
-        ).validated()
+    # a joint run's inputs are checked by `_joint_steps` and `dynamics._drive`
+    base = multi.MultiRunConfig(lam=[10.0, 5.0], w0=np.ones((2, 2)), alphas=[0.01, 0.01],
+                                n_steps=10)
+    for change, match in [
+        (dict(alphas=[0.6, 0.1]), "outside"),
+        (dict(alphas=[0.01]), "one rate per output column"),
+        (dict(w0=np.ones(2)), "one rate per output column"),
+        (dict(w0=-np.ones((2, 2))), "nonnegative"),
+        (dict(w0=np.array([[1.0, 0.0], [1.0, 0.0]])), "positive entry"),
+        (dict(w0=np.ones((3, 2))), r"a \(3,\) vector"),
+        (dict(lam=[10.0, 0.0]), "strictly positive"),
+        (dict(n_steps=-1), "n_steps"),
+    ]:
+        config = dataclasses.replace(base, **change)
+        with pytest.raises(InvalidInputError, match=match):
+            multi.joint_run(config, 0)
+        with pytest.raises(InvalidInputError, match=match):
+            multi.joint_final_errors(config.lam, config.w0, config.alphas, config.n_steps, 2, 0)
+
+
+@pytest.mark.parametrize("w0, alpha, match", [
+    ([1.0, 1.0, -1.0], 0.05, "nonnegative"),
+    # the second column starts with the first column's axis zeroed: no weight
+    ([1.0, 0.0, 0.0], 0.05, "positive entry"),
+    ([1.0, 1.0, 1.0], 0.0, "outside"),
+])
+def test_sequential_runs_are_checked(w0, alpha, match):
+    lam = np.array([10.0, 7.5, 5.0])
+    with pytest.raises(InvalidInputError, match=match):
+        multi.sequential_run(lam, w0, alpha, 10, 0)
+    with pytest.raises(InvalidInputError, match=match):
+        multi.sequential_success_ensemble(lam, w0, alpha, 10, 2, 0)
 
 
 def test_joint_increments_orthogonal_to_lower_columns(monkeypatch):

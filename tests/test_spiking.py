@@ -130,16 +130,19 @@ def test_membrane_rejects_mismatched_or_bad_trains(path, weights, train):
         spiking.simulate_membrane(config, trains)
 
 
-def test_membrane_config_validated_keeps_the_checked_weights():
-    config = spiking.MembraneConfig(weights=[1, 2], threshold=3)
-    checked = config.validated()
-    assert checked.weights.dtype == float and np.array_equal(checked.weights, [1.0, 2.0])
-    assert config.weights == [1, 2]
-    for bad in (0.0, np.nan, np.inf):
-        with pytest.raises(InvalidInputError):
-            spiking.MembraneConfig(weights=[1.0], threshold=bad).validated()
-    with pytest.raises(InvalidInputError):
-        spiking.MembraneConfig(weights=[1.0, np.nan], threshold=1.0).validated()
+def test_membrane_checks_its_weights_and_threshold():
+    # both paths check them before any event is walked
+    trains = spiking.SpikeTrains(times=[np.array([0.25]), np.array([0.5])], horizon=1.0)
+    config = spiking.MembraneConfig(weights=[1, 2], threshold=2.5)
+    for path in PATHS.values():
+        with path():
+            assert spiking.simulate_membrane(config, trains).trigger_ids.tolist() == [1]
+            assert config.weights == [1, 2]
+            for bad in (0.0, np.nan, np.inf):
+                with pytest.raises(InvalidInputError, match="threshold"):
+                    spiking.simulate_membrane(spiking.MembraneConfig([1.0, 1.0], bad), trains)
+            with pytest.raises(InvalidInputError, match="finite"):
+                spiking.simulate_membrane(spiking.MembraneConfig([1.0, np.nan], 1.0), trains)
 
 
 def test_full_spike_buffer_is_an_error():
@@ -175,6 +178,8 @@ def test_centered_noise_statistics():
     mean, lo, hi = spiking.centered_noise_stats(0.0, 2.0, 200000, rng)
     assert abs(mean) < 0.005
     assert lo >= -1.0 and hi <= 1.0
+    with pytest.raises(InvalidInputError):
+        spiking.centered_noise_stats(0.0, 2.0, 0, rng)
 
 
 @pytest.mark.parametrize("n", [1, spiking.NOISE_BLOCK - 1, spiking.NOISE_BLOCK,

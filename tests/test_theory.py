@@ -50,6 +50,10 @@ def test_iterations_for_formula():
     )
     assert k == int(manual)
     assert theory.error_bound(params, 1e-3, k) <= 0.5 * 0.1 / 2
+    # a zero rate used to end in an OverflowError
+    for alpha in (0.0, -1e-3, np.nan):
+        with pytest.raises(InvalidInputError):
+            theory.iterations_for(params, alpha, 0.1)
 
 
 def test_correlated_gap_params_worked_example():
