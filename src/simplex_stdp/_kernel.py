@@ -1,6 +1,7 @@
 """Build, cache and load the compiled loops `_kernel.c`: the step of
-`dynamics.simulate`, the joint multi-output step of `multi._joint_steps`
-and the membrane of `spiking.simulate_membrane`.
+`dynamics.simulate`, the joint multi-output step of `multi._joint_steps`,
+the membrane of `spiking.simulate_membrane` and the RK4 flow of
+`flow.integrate`.
 
 The library is built on first use with the C compiler on PATH and loaded
 through ctypes; importing this module builds and loads nothing. Builds are
@@ -10,8 +11,9 @@ and the source, and are written to a temporary file and renamed into place,
 so concurrent processes never load a partial file. Without a compiler, or
 when the build fails, `library()` returns None: `dynamics.simulate` then
 steps with `dynamics.numpy_step`, `multi._joint_steps` with
-`multi._joint_step` and `spiking.simulate_membrane` walks the events in
-Python, which give the same results bit for bit.
+`multi._joint_step`, `spiking.simulate_membrane` walks the events in
+Python and `flow.integrate` runs `flow._rk4`, which give the same results
+bit for bit.
 """
 
 import functools
@@ -45,10 +47,9 @@ def cache_dir():
 
 
 def _build(cc, directory):
-    """Path of the cached library, compiling it when it is not there yet."""
+    """Path of the cached library, compiling it when it is not there yet; a
+    failed compile raises OSError."""
     import hashlib
-    import subprocess
-    import tempfile
 
     with open(SOURCE, "rb") as fh:
         source = fh.read()
@@ -56,11 +57,18 @@ def _build(cc, directory):
     path = os.path.join(directory, "kernel-%s.so" % key[:32])
     if os.path.exists(path):
         return path
+    # only a build needs these: importing subprocess costs more than loading
+    # a cached library
+    import subprocess
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
     os.close(fd)
     try:
         subprocess.run([cc, *FLAGS, "-o", tmp, SOURCE, *LIBS], check=True, capture_output=True)
         os.replace(tmp, path)
+    except subprocess.CalledProcessError as exc:
+        raise OSError("%s: %s" % (exc, exc.stderr.decode(errors="replace").strip())) from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -69,11 +77,10 @@ def _build(cc, directory):
 
 @functools.lru_cache(maxsize=None)
 def library():
-    """The kernel library, with `simplex_advance`, `simplex_joint` and
-    `simplex_membrane` typed, built and loaded on first call; None when
-    there is no C compiler or the build fails."""
+    """The kernel library, with `simplex_advance`, `simplex_joint`,
+    `simplex_membrane` and `simplex_flow` typed, built and loaded on first
+    call; None when there is no C compiler or the build fails."""
     import ctypes
-    import subprocess
 
     cc = compiler()
     if cc is None:
@@ -86,9 +93,9 @@ def library():
         if st.st_uid != os.getuid() or st.st_mode & 0o022:
             raise OSError("cache directory %s is writable by other users" % directory)
         lib = ctypes.CDLL(_build(cc, directory))
-    except (OSError, subprocess.CalledProcessError) as exc:
-        warnings.warn("compiled kernel unavailable, using the numpy step and the Python "
-                      "membrane: %s" % exc)
+    except OSError as exc:
+        warnings.warn("compiled kernel unavailable, using the numpy and Python loops: %s"
+                      % exc)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.simplex_advance.argtypes = [ptr, i64, i64, ptr, ptr]  # run, k0, k1, lam, stop
@@ -98,6 +105,9 @@ def library():
     # d, times, sizes, w, threshold, cap, spike_times, trigger_ids, event_times, potentials
     lib.simplex_membrane.argtypes = [i64, ptr, ptr, ptr, f64, i64, ptr, ptr, ptr, ptr]
     lib.simplex_membrane.restype = i64
+    # d, p, gamma, dt, n, rec, n_rec, states, corrections, sumsq
+    lib.simplex_flow.argtypes = [i64, ptr, ptr, f64, i64, ptr, i64, ptr, ptr, ptr]
+    lib.simplex_flow.restype = i64
     return lib
 
 
@@ -243,3 +253,20 @@ def membrane(times, w, threshold, cap, record_potential):
     if count < 0:
         raise MemoryError("compiled membrane could not allocate its train positions")
     return spikes[:count].copy(), ids[:count].copy(), event_times, potentials
+
+
+def flow(p, gamma, dt, n, rec, states, corrections, sumsq):
+    """The compiled `flow._rk4`, with its arguments and its results bit for
+    bit: n RK4 steps of dt from p (d,), updated in place, recording at the
+    steps rec into states, corrections and sumsq; returns the step after
+    which the state left the simplex, p then holding that state, or None."""
+    d, n_rec = p.size, rec.size
+    if gamma is not None:
+        gamma = np.ascontiguousarray(gamma, dtype=np.float64)
+    left = library().simplex_flow(
+        d, _data(p, np.float64, (d,)), _data(gamma, np.float64, (d, d)), float(dt), n,
+        _data(rec, np.int64, (n_rec,)), n_rec, _data(states, np.float64, (n_rec, d)),
+        _data(corrections, np.float64, (n_rec,)), _data(sumsq, np.float64, (n_rec,)))
+    if left < 0:
+        raise MemoryError("compiled flow could not allocate its stage buffers")
+    return left or None

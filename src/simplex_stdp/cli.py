@@ -351,6 +351,7 @@ def scenario_thm23_verify(cfg, out, seed):
         raise InvalidInputError("min_gap=%s outside [0, 1)" % cfg["min_gap"])
     violations = 0
     worst_margin = np.inf
+    max_correction = 0.0
     rows = []
     for case in range(cfg["n_cases"]):
         d = dims[case % len(dims)]
@@ -375,6 +376,7 @@ def scenario_thm23_verify(cfg, out, seed):
         # the bound is an equality at t = 0, so allow rounding noise there
         violations += int(np.sum(err > bound + 1e-12))
         worst_margin = min(worst_margin, margin)
+        max_correction = max(max_correction, float(traj.renorm_corrections.max()))
         rows.append([case, d, gap, margin])
     path = os.path.join(out, "cases.csv")
     write_csv(path, ["case", "d", "gap", "min_bound_margin"], rows)
@@ -383,6 +385,7 @@ def scenario_thm23_verify(cfg, out, seed):
         "n_cases": cfg["n_cases"],
         "violations": int(violations),
         "worst_margin": worst_margin,
+        "max_renorm_correction": max_correction,
         "passed": bool(ok),
     }
     return [path], report, ok

@@ -5,19 +5,25 @@ Every flow is the replicator equation dp/dt = p * (f - p.f 1)
 correlation matrix is given. With f = p it is the negative gradient flow of
 the cubic-quartic potential on the simplex. Integration is
 fixed-step classical RK4 with a post-step renormalization whose size is
-logged.
+logged. `integrate` runs the steps in the compiled `_kernel.c` when the
+kernel loads, otherwise in `_rk4`, its reference: both sum in numpy's
+pairwise order rather than through BLAS, so their results agree bit for
+bit on every machine.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import validate_correlation
+from . import _kernel
+from .dynamics import _gamma_dot, validate_correlation
 from .simplex import InvalidInputError, as_probability_vector, recorded_steps, replicator_field
 
 
-class IntegrationError(RuntimeError):
-    """Raised when the integrator state leaves the simplex beyond tolerance."""
+class IntegrationError(InvalidInputError):
+    """Raised when the integrator state leaves the simplex beyond tolerance:
+    the step size is too coarse for the data."""
 
 
 @dataclass
@@ -46,52 +52,67 @@ def integrate(spec):
     """Fixed-step RK4 integration of the specified flow.
 
     After each step the state is renormalized to unit sum and the applied
-    correction |sum - 1| is logged. A state leaving [0, 1] by more than 1e-9
-    aborts with IntegrationError (step size too coarse for the data).
+    correction |sum - 1| is logged. A state leaving [0, 1] by more than 1e-9,
+    or not finite, aborts with IntegrationError (step size too coarse for
+    the data).
     """
-    if not spec.dt > 0 or not spec.horizon >= 0:
-        raise InvalidInputError("need dt > 0 and horizon >= 0, got dt=%r, horizon=%r"
+    if not (spec.dt > 0 and spec.horizon >= 0 and math.isfinite(spec.horizon / spec.dt)):
+        raise InvalidInputError("need dt > 0 and a finite horizon >= 0, got dt=%r, horizon=%r"
                                 % (spec.dt, spec.horizon))
     p = as_probability_vector(spec.p0).copy()
     gamma = None if spec.gamma is None else validate_correlation(spec.gamma, p.size)
     n = int(round(spec.horizon / spec.dt))
-    dt = spec.dt
-
-    def rhs(q):
-        return replicator_field(q, q if gamma is None else gamma @ q)
-
     rec = recorded_steps(n, spec.record_stride)
-    times = rec * dt
     states = np.empty((rec.size, p.size))
     corrections = np.empty(rec.size)
     sumsq = np.empty(rec.size)
+    run = _rk4 if _kernel.library() is None else _kernel.flow
+    left = run(p, gamma, spec.dt, n, rec, states, corrections, sumsq)
+    if left is not None:
+        raise IntegrationError(
+            "state left the simplex at t=%.6g (min %.3g, max %.3g); reduce dt"
+            % (left * spec.dt, p.min(), p.max())
+        )
+    return FlowTrajectory(
+        times=rec * spec.dt, states=states, renorm_corrections=corrections, sum_squares=sumsq
+    )
+
+
+def _rk4(p, gamma, dt, n, rec, states, corrections, sumsq):
+    """n RK4 steps of dt from p, updated in place: at each step in rec the
+    state, the last renormalization correction and sum(p * p) go to the
+    next row of states, corrections and sumsq. Returns the step after which
+    the state left the simplex, p then holding that unclipped state, or
+    None. The reference of the compiled `_kernel.flow`, taken when the
+    kernel does not load."""
+
+    def rhs(q):
+        return replicator_field(q, q if gamma is None else _gamma_dot(q[None], gamma)[0])
+
     pos = 0
     correction = 0.0
-    for k in range(n + 1):
-        if pos < rec.size and rec[pos] == k:
-            states[pos] = p
-            corrections[pos] = correction
-            sumsq[pos] = np.dot(p, p)
-            pos += 1
-        if k == n:
-            break
-        k1 = rhs(p)
-        k2 = rhs(p + 0.5 * dt * k1)
-        k3 = rhs(p + 0.5 * dt * k2)
-        k4 = rhs(p + dt * k3)
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
-            raise IntegrationError(
-                "state left the simplex at t=%.6g (min %.3g, max %.3g); reduce dt"
-                % ((k + 1) * dt, p.min(), p.max())
-            )
-        np.clip(p, 0.0, None, out=p)
-        s = p.sum()
-        correction = abs(s - 1.0)
-        p = p / s
-    return FlowTrajectory(
-        times=times, states=states, renorm_corrections=corrections, sum_squares=sumsq
-    )
+    # a coarse step may overflow; the range check below stops the run
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n + 1):
+            if pos < rec.size and rec[pos] == k:
+                states[pos] = p
+                corrections[pos] = correction
+                sumsq[pos] = (p * p).sum()
+                pos += 1
+            if k == n:
+                return None
+            k1 = rhs(p)
+            k2 = rhs(p + 0.5 * dt * k1)
+            k3 = rhs(p + 0.5 * dt * k2)
+            k4 = rhs(p + dt * k3)
+            p += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # written so that NaN fails it too
+            if not np.all((p >= -1e-9) & (p <= 1.0 + 1e-9)):
+                return k + 1
+            np.clip(p, 0.0, None, out=p)
+            s = p.sum()
+            correction = abs(s - 1.0)
+            p /= s
 
 
 def exact_d2(p1_initial, t):

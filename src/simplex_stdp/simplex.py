@@ -114,10 +114,12 @@ def loss_hessian(p):
 
 
 def replicator_field(p, fitness=None):
-    """Replicator vector field p * (f - p.f); with f = p this is -loss_gradient."""
+    """Replicator vector field p * (f - p.f); with f = p this is -loss_gradient.
+    p.f is summed in numpy's pairwise order, as the compiled flow sums it,
+    not through BLAS, whose order depends on the build."""
     p = np.asarray(p, dtype=float)
     f = p if fitness is None else np.asarray(fitness, dtype=float)
-    return p * (f - np.dot(p, f))
+    return p * (f - (p * f).sum())
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,12 @@ def test_verify_scenario_reports(tmp_path):
     ["alg2-verify", "--set", "w0=[1,0,0]", "--set", "alpha=0.05", "--set", "n_seeds=4"],
     # no noise samples used to end in a ValueError traceback
     ["spiking-validate", "--set", "noise_samples=0", "--set", "n_events=[200,100]"],
+    # a flow step too coarse for the data, or an unbounded horizon, used to
+    # end in a traceback; a NaN flow state used to pass
+    ["thm23-verify", "--set", "n_cases=3", "--set", "dt=20", "--set", "horizon=60"],
+    ["thm23-verify", "--set", "n_cases=3", "--set", "horizon=Infinity"],
+    ["thm23-verify", "--set", "n_cases=3", "--set", "dt=1e30", "--set", "horizon=2e30",
+     "--set", "record_stride=1"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     # a run that does not end fails here instead of hanging the suite

@@ -113,6 +113,9 @@ def test_spec_validation():
         flow.integrate(flow.FlowSpec(p0=[0.5, 0.5], horizon=1.0, dt=0.0))
     with pytest.raises(InvalidInputError):
         flow.integrate(flow.FlowSpec(p0=[0.5, 0.5], horizon=-1.0))
+    for horizon in (np.inf, np.nan, 1e300):
+        with pytest.raises(InvalidInputError, match="finite horizon"):
+            flow.integrate(flow.FlowSpec(p0=[0.5, 0.5], horizon=horizon, dt=1e-10))
     with pytest.raises(InvalidInputError):
         flow.integrate(flow.FlowSpec(p0=[0.5, 0.5], horizon=1.0,
                                      gamma=np.array([[1.0, 0.2], [0.3, 1.0]])))

@@ -1,5 +1,5 @@
-"""Property tests of the batched stepping kernels: `dynamics.simulate` and
-the joint multi-output loop, each compiled step against its numpy loop."""
+"""Property tests of the compiled loops: `dynamics.simulate`, the joint
+multi-output loop and the RK4 flow, each against its numpy loop."""
 
 import contextlib
 import dataclasses
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from simplex_stdp import _kernel, cli, dynamics, multi, theory
+from simplex_stdp import _kernel, cli, dynamics, flow, multi, theory
 from simplex_stdp.simplex import InvalidInputError, as_probability_vector
 
 NOISE = dynamics.NoiseModel()
@@ -456,6 +456,63 @@ def test_joint_step_caps_triggers_at_the_last_positive_probability():
     assert np.array_equal(finals[0], expected) and np.array_equal(finals[1], expected)
 
 
+@st.composite
+def flow_case(draw):
+    """A flow spec in d = 2..12 (past 8 the pairwise sums take their
+    unrolled branch), with or without gamma, recorded at every step or at a
+    stride, over 0 to 150 steps."""
+    d = draw(st.integers(min_value=2, max_value=12))
+    dt = draw(st.sampled_from([1e-3, 0.01, 0.1, 0.5]))
+    return flow.FlowSpec(
+        p0=draw(simplex_point(d)), horizon=draw(st.integers(0, 150)) * dt, dt=dt,
+        gamma=draw(st.none() | correlation(d)), record_stride=draw(st.sampled_from([1, 3, 10])))
+
+
+def _integrated(spec):
+    """The trajectory fields of integrate(spec), or its error message."""
+    try:
+        traj = flow.integrate(spec)
+    except flow.IntegrationError as exc:
+        return str(exc)
+    return [traj.times, traj.states, traj.renorm_corrections, traj.sum_squares]
+
+
+@settings(max_examples=80, deadline=None)
+@given(flow_case())
+@example(flow.FlowSpec(p0=np.full(12, 1 / 12), horizon=0.0, dt=0.01))
+@example(flow.FlowSpec(p0=np.arange(1.0, 11.0) / 55.0, horizon=2.0, dt=0.01,
+                       gamma=np.full((10, 10), 0.3) + 0.7 * np.eye(10), record_stride=7))
+def test_compiled_flow_matches_numpy_loop(spec):
+    """The compiled RK4 flow against `flow._rk4`, bit for bit: times,
+    states, renormalization corrections and sums of squares."""
+    _require_compiled_step()
+    compiled = _integrated(spec)
+    with _numpy_loop():
+        reference = _integrated(spec)
+    assert type(compiled) is type(reference)
+    if isinstance(compiled, str):
+        assert compiled == reference
+    else:
+        for a, b in zip(compiled, reference):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec", [
+    flow.FlowSpec(p0=[0.5, 0.3, 0.2], horizon=60.0, dt=20.0),
+    # overflows to NaN within the first step, which both p < lo and p > hi let through
+    flow.FlowSpec(p0=[0.5, 0.3, 0.2], horizon=2e30, dt=1e30, record_stride=1),
+], ids=["coarse", "nan"])
+def test_flow_leaving_the_simplex_fails_alike_on_both_paths(spec):
+    _require_compiled_step()
+    messages = []
+    for path in (contextlib.nullcontext, _numpy_loop):
+        with path(), pytest.raises(flow.IntegrationError,
+                                   match=r"left the simplex at t=") as info:
+            flow.integrate(spec)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path):
     """Forget the loaded library before and after the test, with the build
@@ -488,6 +545,18 @@ def test_cache_writable_by_others_is_not_loaded(fresh_loader):
         assert _kernel.library() is None
 
 
+def test_failed_build_falls_back_with_the_compiler_message(fresh_loader, monkeypatch):
+    if _kernel.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    broken = fresh_loader / "broken.c"
+    broken.write_text("int simplex_advance(void) { return }\n")
+    monkeypatch.setattr(_kernel, "SOURCE", str(broken))
+    with pytest.warns(UserWarning, match=r"(?s)compiled kernel unavailable.*exit status 1.*error"):
+        assert _kernel.library() is None
+    # no partial library left in the cache
+    assert list((fresh_loader / "simplex-stdp").iterdir()) == []
+
+
 def test_no_compiler_gives_identical_outputs(fresh_loader, tmp_path, monkeypatch):
     if _kernel.compiler() is None:
         pytest.skip("no C compiler on PATH")
@@ -504,6 +573,7 @@ def test_no_compiler_gives_identical_outputs(fresh_loader, tmp_path, monkeypatch
         ["correlated-figure", "--set", "n_steps=300", "--set", "n_traj=6",
          "--set", "grid_step=0.1"],
         ["spiking-validate", "--set", "n_events=[2000,1000]", "--set", "tolerance=0.05"],
+        ["thm23-verify", "--set", "n_cases=6", "--set", "horizon=2.0"],
     ]
     outputs = {}
     for side in ("compiled", "numpy"):
