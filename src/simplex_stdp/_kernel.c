@@ -62,12 +62,12 @@ static void gamma_dot(const double *gamma, const double *p, int64_t d, double *t
     }
 }
 
-static int all_finite(const double *v, int64_t d)
+/* sum(lam * x) over tmp, which keeps lam * x */
+static double lam_sum(const double *lam, const double *x, int64_t d, double *tmp)
 {
     for (int64_t j = 0; j < d; j++)
-        if (!isfinite(v[j]))
-            return 0;
-    return 1;
+        tmp[j] = lam[j] * x[j];
+    return pairwise_sum(tmp, d);
 }
 
 /* v[0] - max(v[1:]) */
@@ -152,9 +152,10 @@ static int track(const struct simplex_run *r, int64_t i, const double *p, const 
  * probability form. Each step of a row reads one trigger uniform, d noise
  * values -h + 2h * r (numpy's uniform(-h, h)) and n_pairs pair uniforms
  * from the row's three generators. In the weight form a row stops at its
- * first state that is not finite; *stop gets the earliest step after which
- * a row is not finite, or k1 + 1. Returns the number of inclusion violations seen, or -1
- * when out of memory.
+ * first state among those after k0..k1 steps whose sum(lam * x) is not
+ * finite, before a trigger is drawn from it; *stop gets the earliest such
+ * step of any row, or k1 + 1. Returns the number of inclusion violations
+ * seen, or -1 when out of memory.
  */
 int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam,
                         int64_t *stop)
@@ -172,21 +173,27 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, con
         double *xr = r->x + i * d;
         void *const *st = r->streams + 3 * i;
         int have_gp = 0; /* gp holds gamma @ p of this step */
-        for (int64_t t = k0; t < k1; t++) {
+        for (int64_t t = k0;; t++) {
+            const double *p = xr;
+            if (lam) {
+                /* lam * x overflows before x does */
+                const double total = lam_sum(lam, xr, d, tmp);
+                if (!isfinite(total)) {
+                    if (t < *stop)
+                        *stop = t;
+                    break;
+                }
+                for (int64_t j = 0; j < d; j++)
+                    pb[j] = tmp[j] / total;
+                p = pb;
+            }
+            if (t == k1)
+                break;
             const double u = r->next_double(st[0]);
             for (int64_t j = 0; j < d; j++)
                 z[j] = lo + span * r->next_double(st[1]);
             for (int64_t q = 0; q < n_pairs; q++)
                 gu[q] = r->next_double(st[2]);
-            const double *p = xr;
-            if (lam) {
-                for (int64_t j = 0; j < d; j++)
-                    tmp[j] = lam[j] * xr[j];
-                const double total = pairwise_sum(tmp, d);
-                for (int64_t j = 0; j < d; j++)
-                    pb[j] = tmp[j] / total;
-                p = pb;
-            }
             int64_t idx = 0;
             double cum = p[0];
             for (int64_t j = 0; j < d; j++) {
@@ -219,12 +226,6 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, con
             }
             for (int64_t j = 0; j < d; j++)
                 xr[j] = xn[j];
-            /* a probability row stays on the simplex; weights can overflow */
-            if (lam && !all_finite(xr, d)) {
-                if (t + 1 < *stop)
-                    *stop = t + 1;
-                break;
-            }
         }
     }
     free(buf);
@@ -257,11 +258,13 @@ static double norm2(const double *v, int64_t d, double *tmp)
  * probability; the increments of columns i+1.. are then projected off the
  * unit vector of column i after its own projection off columns 0..i-1
  * (none when that residual is at most 1e-12 of the column norm), and
- * w = max(w + inc, 0) as np.clip does. A run stops at its first state that
- * is not finite, or at a column norm that is not finite; *stop gets the
- * earliest step after which a run is not finite, or k1 + 1. Returns the number
- * of clipped entries, -1 when out of memory and -2 when a column norm is
- * not finite before the earliest such step (where the numpy step raises).
+ * w = max(w + inc, 0) as np.clip does. A run stops at its first state
+ * among those after k0..k1 steps with a column whose sum(lam * w_j) is not
+ * finite, before a trigger is drawn from it, or at a column norm that is
+ * not finite; *stop gets the earliest such state's step of any run, or
+ * k1 + 1. Returns the number of clipped entries, -1 when out of memory and
+ * -2 when a column norm is not finite before the earliest such step (where
+ * the numpy step raises).
  */
 int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam,
                       int64_t *stop)
@@ -277,15 +280,18 @@ int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const
     for (int64_t run = 0; run < r->n / d_out; run++) {
         double *w = r->x + run * size;
         void *const *st = r->streams + 3 * run * d_out;
-        for (int64_t t = k0; t < k1; t++) {
-            for (int64_t j = 0; j < d_out; j++) {
+        for (int64_t t = k0;; t++) {
+            int over = 0;
+            for (int64_t j = 0; j < d_out && !over; j++) {
                 const double *wj = w + j * d;
+                /* lam * w_j overflows before w_j does */
+                const double total = lam_sum(lam, wj, d, tmp);
+                over = !isfinite(total);
+                if (over || t == k1)
+                    continue;
                 const double u = r->next_double(st[3 * j]);
                 for (int64_t k = 0; k < d; k++)
                     z[k] = lo + span * r->next_double(st[3 * j + 1]);
-                for (int64_t k = 0; k < d; k++)
-                    tmp[k] = lam[k] * wj[k];
-                const double total = pairwise_sum(tmp, d);
                 for (int64_t k = 0; k < d; k++)
                     p[k] = tmp[k] / total;
                 int64_t idx = 0, top = d - 1;
@@ -304,6 +310,13 @@ int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const
                 for (int64_t k = 0; k < d; k++)
                     inc[j * d + k] = r->alphas[j] * wj[k] * ((k == idx) + z[k]);
             }
+            if (over) {
+                if (t < *stop)
+                    *stop = t;
+                break;
+            }
+            if (t == k1)
+                break;
             int64_t i = 0;
             for (; i + 1 < d_out; i++) {
                 const double scale = norm2(w + i * d, d, tmp);
@@ -332,11 +345,6 @@ int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const
                 clips += next < 0.0;
                 /* np.clip(next, 0, None): -0.0 becomes 0.0, NaN stays */
                 w[k] = next > 0.0 || isnan(next) ? next : 0.0;
-            }
-            if (!all_finite(w, size)) {
-                if (t + 1 < *stop)
-                    *stop = t + 1;
-                break;
             }
         }
     }

@@ -144,8 +144,8 @@ def _segments(fn, x, streams, lams, keep, **fields):
     """The `struct simplex_run` of the state x (n, d) drawing from the
     `dynamics.Streams` streams, with the other fields given, and
     call(k0, k1, piece), which runs fn over steps k0..k1-1 under the
-    intensities lams[piece] and returns its result and the earliest step
-    after which a row is not finite, or None. keep holds the arrays the
+    intensities lams[piece] and returns its result and the earliest step at
+    which a row stops, or None. keep holds the arrays the
     fields point into, kept alive through call."""
     import ctypes
 
@@ -171,9 +171,9 @@ def prepare(x, alpha, streams, top, lams, gamma, tracker):
     lams[piece], drawing from the `dynamics.Streams` streams as it steps. It
     also advances a `dynamics.GapTracker`'s martingales, maxima, gap event
     (on gamma @ p too when gamma is given) and inclusion-violation count.
-    In the weight form a row stops at its first state that is not finite,
-    and advance returns the earliest step after which a row is not finite,
-    or None."""
+    In the weight form a row stops at its first state whose lam * x row sum
+    is not finite, before a trigger is drawn from it, and advance returns
+    the earliest such state's step, or None."""
     # imported here: dynamics imports this module
     from .dynamics import _pair_index
 
@@ -205,8 +205,8 @@ def joint(x, alpha, streams, top, lams, gamma, tracker):
     """The compiled `multi._joint_step`, with its arguments and its results
     bit for bit: returns advance(k0, k1, piece), which runs steps k0..k1-1
     of the joint scheme on x in place, adding the clipped entries to a
-    tracker's `clip_events`, and returns the earliest step after which a
-    run is not finite, or None. top and gamma are not used."""
+    tracker's `clip_events`, and returns the earliest step at which a run
+    stops, or None. top and gamma are not used."""
     alphas = np.ascontiguousarray(alpha, dtype=np.float64).reshape(-1)
     call = _segments(library().simplex_joint, x, streams, lams, alphas, d_out=alphas.size,
                      alphas=_data(alphas, np.float64, alphas.shape))

@@ -118,11 +118,11 @@ def _rates(alpha):
     return np.array2string(a.ravel() if a.ndim > 1 else a)
 
 
-def check_finite(x, k, alpha):
-    """Raise unless the state x after k steps is finite."""
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("state not finite after %d steps (alpha=%s too large for "
-                                "this horizon)" % (k, _rates(alpha)))
+def _overflow_error(k, alpha):
+    """The error of a run whose state, or in the weight form its lam * w
+    row sum, is not finite after k steps."""
+    return InvalidInputError("state (or its lam * w sum) not finite after %d steps (alpha=%s "
+                             "too large for this horizon)" % (k, _rates(alpha)))
 
 
 def _last_positive(p):
@@ -272,16 +272,26 @@ def numpy_step(x, alpha, streams, top, lams, gamma, tracker):
     results bit for bit, taken when the kernel does not load: returns
     advance(k0, k1, piece), which runs steps k0..k1-1 on the state x in
     place under the intensities lams[piece], drawing them from streams one
-    segment at a time. In the weight form it stops at the first state that
-    is not finite and returns the number of steps after which it was
-    reached, or None; a probability state stays on the simplex."""
+    segment at a time. In the weight form it stops at the first of the
+    states after k0..k1 steps whose lam * x row sum is not finite, before a
+    trigger is drawn from its NaN probabilities, and returns that state's
+    step, or None; a probability state stays on the simplex."""
     eye_rows = np.eye(x.shape[1])
 
     def advance(k0, k1, piece):
         lam = lams[piece]
         u, z, gu = streams.segment(k1 - k0)
-        for t in range(k1 - k0):
-            p = x if lam is None else probabilities(lam, x)
+        for t in range(k1 - k0 + 1):
+            p = x
+            if lam is not None:
+                # lam * x overflows before x does
+                num = lam * x
+                total = num.sum(axis=1, keepdims=True)
+                if not np.isfinite(total).all():
+                    return k0 + t
+                p = num / total
+            if k0 + t == k1:
+                return None
             idx = sample_triggers(p, u[:, t], top)
             sig = eye_rows[idx] if gamma is None else correlated_signals(idx, gu[:, t], gamma)
             y = sig + z[:, t]
@@ -291,9 +301,6 @@ def numpy_step(x, alpha, streams, top, lams, gamma, tracker):
             if tracker is not None:
                 tracker.track(p, y, x_next, gamma)
             x[:] = x_next
-            if lam is not None and not np.isfinite(x_next).all():
-                return k0 + t + 1
-        return None
 
     return advance
 
@@ -357,7 +364,8 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     streams (a `Streams` of `keys`) as it steps, and advances tracker, the
     recorder when it `tracks` (else None); a `GapTracker` checks the gap of
     gamma @ p with the run's checked gamma. advance may return the step
-    after which a row first is not finite, where the run stops. Per chunk of
+    after which a row's state, or in the weight form its lam * w row sum,
+    first is not finite, where the run stops. Per chunk of
     `CHUNK` steps the driver positions the streams, splits the chunk at the
     checkpoints and intensity switches, hands every segment to advance,
     checks x after the chunk and, in the weight form, scales each row by a
@@ -392,9 +400,9 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     # zero entries stay exactly zero, so the last pickable coordinate is fixed
     top = _last_positive(x)
     advance = step(x, alpha, streams, top, vectors, gamma, record if record.tracks else None)
-    # in the weight form, weights past the float range (and their NaN
-    # probabilities) are what stops the run: the numpy steps compute them
-    # without a warning, as the compiled steps do
+    # in the weight form, a lam * w sum past the float range is what stops
+    # the run: the numpy steps compute it without a warning, as the
+    # compiled steps do
     quiet = None if lam is None else "ignore"
     k = 0
     with np.errstate(over=quiet, invalid=quiet):
@@ -405,12 +413,13 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
             for k1 in [c for c in cuts if k < c < k + m] + [k + m]:
                 stop = advance(k0, k1, bisect.bisect_right(starts, k0) - 1)
                 if stop is not None:
-                    check_finite(x, stop, alpha)
+                    raise _overflow_error(stop, alpha)
                 if k1 in stops:
                     record.record(k1, x)
                 k0 = k1
             k += m
-            check_finite(x, k, alpha)
+            if not np.isfinite(x).all():
+                raise _overflow_error(k, alpha)
             if lam is not None and k < n_steps:
                 # in place: the step holds x
                 x[:] = rescale(x)

@@ -114,9 +114,10 @@ def _joint_step(x, alpha, streams, top, lams, gamma, tracker):
     moves by its deflated increment, negative entries are clipped, and a
     tracker's `clip_events` counts them. top is not used: clipping can zero
     an entry, so triggers are capped every step. advance stops at the first
-    state that is not finite and returns the number of steps after which it
-    was reached, or None. This is the reference of the compiled
-    `_kernel.joint`, and runs when the kernel does not load."""
+    of the states after k0..k1 steps with a column whose lam * w row sum is
+    not finite, before a trigger is drawn from it, and returns that state's
+    step, or None. This is the reference of the compiled `_kernel.joint`,
+    and runs when the kernel does not load."""
     d_out, d = alpha.shape[0], x.shape[1]
     w = x.reshape(-1, d_out, d)
     eye_rows = np.eye(d)
@@ -126,15 +127,19 @@ def _joint_step(x, alpha, streams, top, lams, gamma, tracker):
         u, z, _ = streams.segment(k1 - k0)
         u = u.reshape(w.shape[0], d_out, -1)
         z = z.reshape(w.shape[0], d_out, -1, d)
-        for t in range(k1 - k0):
-            idx = sample_triggers(probabilities(lam, w), u[:, :, t])
+        for t in range(k1 - k0 + 1):
+            # lam * w overflows before w does
+            num = lam * w
+            total = num.sum(axis=-1, keepdims=True)
+            if not np.isfinite(total).all():
+                return k0 + t
+            if k0 + t == k1:
+                return None
+            idx = sample_triggers(num / total, u[:, :, t])
             w_next = w + _deflated_increments(w, alpha, eye_rows[idx] + z[:, :, t])
             if tracker is not None:
                 tracker.clip_events += int(np.count_nonzero(w_next < 0))
             np.clip(w_next, 0.0, None, out=w)
-            if not np.isfinite(w).all():
-                return k0 + t + 1
-        return None
 
     return advance
 

@@ -72,10 +72,21 @@ def validate_weights(w):
     return w
 
 
+# Most rows a run may record, counted as n // stride + 2. The largest
+# recording of the tests and CLI defaults has 5002 rows; a recording of 10^6
+# rows of one d = 3 trajectory peaks at about 300 MiB in fig2-trajectories
+# and its CSV takes 54 MB, while a larger request used to end in a failed
+# allocation (728 TiB for a flow horizon of 1e12 at stride 1).
+MAX_RECORDED_ROWS = 10**6
+
+
 def recorded_steps(n, stride):
     """The steps 0, stride, 2 stride, ... up to n that a run records, plus n."""
     if stride < 1:
         raise InvalidInputError("record_stride must be >= 1, got %r" % (stride,))
+    if n // stride + 2 > MAX_RECORDED_ROWS:
+        raise InvalidInputError("recording every %d of %d steps takes more than %d rows; raise "
+                                "record_stride" % (stride, n, MAX_RECORDED_ROWS))
     return np.unique(np.append(np.arange(0, n + 1, stride), n))
 
 

@@ -1,11 +1,15 @@
 """Tests for the command-line front end."""
 
+import csv
 import json
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
+import simplex_stdp
 from simplex_stdp import cli
 
 # seconds a scenario that should stop at a precondition may run
@@ -127,6 +131,39 @@ def test_verify_scenario_reports(tmp_path):
     assert report["inclusion_violations"] == 0
 
 
+def test_thm23_margins_of_a_passing_run_are_nonnegative(tmp_path):
+    # at the defaults the margin at t = 0 used to read -2.2e-16 on a pass
+    assert run(["thm23-verify", "--out", str(tmp_path)]) == 0
+    out = tmp_path / "thm23-verify"
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is True and report["worst_margin"] >= 0.0
+    with open(out / "cases.csv") as fh:
+        margins = [float(row["min_bound_margin"]) for row in csv.DictReader(fh)]
+    assert len(margins) == report["n_cases"] and min(margins) == report["worst_margin"]
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_importing_the_package_pins_openblas_to_one_thread(preset, expected):
+    """Idle OpenBLAS workers busy-wait after numpy's import; importing the
+    package first leaves numpy one thread, unless the variable is set."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    root = os.path.dirname(os.path.dirname(simplex_stdp.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = ("import os, simplex_stdp.cli, numpy as np; np.dot(np.ones(3), np.ones(3)); "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    threads, value = done.stdout.split()
+    assert value == expected
+    if preset is None:
+        assert threads == "1"
+
+
 @pytest.mark.parametrize("args", [
     # a rate above 1/Q makes update factors negative; the run used to pass
     ["alg2-verify", "--set", "alpha=1.5", "--set", "n_seeds=4"],
@@ -216,6 +253,8 @@ def test_verify_scenario_reports(tmp_path):
     ["thm23-verify", "--set", "n_cases=3", "--set", "horizon=Infinity"],
     ["thm23-verify", "--set", "n_cases=3", "--set", "dt=1e30", "--set", "horizon=2e30",
      "--set", "record_stride=1"],
+    # a recording of 1e14 rows used to fail to allocate 728 TiB, a traceback
+    ["thm23-verify", "--set", "n_cases=1", "--set", "horizon=1e12", "--set", "record_stride=1"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     # a run that does not end fails here instead of hanging the suite

@@ -189,10 +189,12 @@ def test_rescaling_between_chunks_prevents_overflow():
 @pytest.mark.parametrize("path", ["compiled", "numpy"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_runs_stop_at_the_first_state_that_is_not_finite(path):
-    """The weights of member 0 overflow at step 2020 of this run, and so
-    do those of a joint run with the one column on its stream; each run
-    stops there instead of stepping on to the end of its chunk, and names
-    its rate flat (the joint step gets it as a column)."""
+    """lam * w of member 0 of this run sums past the float range at step
+    2014, six steps before the weights themselves overflow, and so does
+    that of a joint run with the one column on its stream; each run stops
+    there, before a trigger is drawn from NaN probabilities, instead of
+    stepping on to the end of its chunk, and names its rate flat (the joint
+    step gets it as a column)."""
     if path == "compiled":
         _require_compiled_step()
     lam = np.array([10.0, 7.5, 5.0])
@@ -202,14 +204,15 @@ def test_runs_stop_at_the_first_state_that_is_not_finite(path):
                                           NOISE, lam=lam, record=record), r"0\.45"),
         (lambda record: multi._joint_steps(config, [(5,)], record), r"\[0\.45\]"),
     ]
-    # recorded every step, the first state that is not finite ends a segment
-    for (run, rate), checkpoints in itertools.product(runs, (range(2020), range(3001))):
+    # recorded every step, the first such state ends a segment
+    for (run, rate), checkpoints in itertools.product(runs, (range(2014), range(3001))):
         recorder = dynamics.Recorder(checkpoints)
         with (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
             with pytest.raises(InvalidInputError,
-                               match=r"not finite after 2020 steps \(alpha=%s too large" % rate):
+                               match=r"not finite after 2014 steps \(alpha=%s too large" % rate):
                 run(recorder)
-        assert len(recorder.states) == 2020 and np.all(np.isfinite(recorder.states[-1]))
+        assert len(recorder.states) == 2014
+        assert np.all(np.isfinite((lam * recorder.states[-1]).sum(axis=-1)))
 
 
 @settings(max_examples=15, deadline=None)
