@@ -14,7 +14,10 @@
  *
  * simplex_joint does the same for the joint scheme, with the arithmetic of
  * its numpy reference `multi._joint_step`, and simplex_flow for the RK4
- * loop of `flow._rk4`.
+ * loop of `flow._rk4`. In the weight form a row whose sum(lam * x) leaves
+ * [2^-256, 2^256] is first scaled by a power of two, as `dynamics.rescale`
+ * does, so the weights cannot overflow; the scaling is exact while entries
+ * stay normal, so the probabilities do not change.
  *
  * Every row sum uses numpy's pairwise summation order, so results are bit
  * for bit those of the numpy steps. Build without FMA contraction or
@@ -63,11 +66,43 @@ static void gamma_dot(const double *gamma, const double *p, int64_t d, double *t
 }
 
 /* sum(lam * x) over tmp, which keeps lam * x */
-static double lam_sum(const double *lam, const double *x, int64_t d, double *tmp)
+static double products_sum(const double *lam, const double *x, int64_t d, double *tmp)
 {
     for (int64_t j = 0; j < d; j++)
         tmp[j] = lam[j] * x[j];
     return pairwise_sum(tmp, d);
+}
+
+/* sum(lam * x) over tmp, as products_sum, after scaling x in place by the
+ * power of two that brings its largest entry into [0.5, 1) when the sum lies
+ * outside [2^-256, 2^256]: the arithmetic of dynamics._weight_sums */
+static double weight_sum(const double *lam, double *x, int64_t d, double *tmp)
+{
+    const double total = products_sum(lam, x, d, tmp);
+    if (total >= 0x1p-256 && total <= 0x1p256)
+        return total;
+    double mx = x[0];
+    int e;
+    for (int64_t j = 1; j < d; j++)
+        if (x[j] > mx)
+            mx = x[j];
+    frexp(mx, &e);
+    for (int64_t j = 0; j < d; j++)
+        x[j] = ldexp(x[j], -e);
+    return products_sum(lam, x, d, tmp);
+}
+
+/* The trigger of the probabilities p (d,) for the uniform u: the number of
+ * cumulative sums at or below u, capped at top (dynamics.sample_triggers) */
+static int64_t trigger(const double *p, int64_t d, double u, int64_t top)
+{
+    int64_t idx = 0;
+    double cum = 0.0;
+    for (int64_t j = 0; j < d; j++) {
+        cum += p[j];
+        idx += cum <= u;
+    }
+    return idx < top ? idx : top;
 }
 
 /* v[0] - max(v[1:]) */
@@ -151,14 +186,10 @@ static int track(const struct simplex_run *r, int64_t i, const double *p, const 
  * Runs steps k0..k1-1 of r under the intensities lam (d,), NULL in the
  * probability form. Each step of a row reads one trigger uniform, d noise
  * values -h + 2h * r (numpy's uniform(-h, h)) and n_pairs pair uniforms
- * from the row's three generators. In the weight form a row stops at its
- * first state among those after k0..k1 steps whose sum(lam * x) is not
- * finite, before a trigger is drawn from it; *stop gets the earliest such
- * step of any row, or k1 + 1. Returns the number of inclusion violations
- * seen, or -1 when out of memory.
+ * from the row's three generators. Returns the number of inclusion
+ * violations seen, or -1 when out of memory.
  */
-int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam,
-                        int64_t *stop)
+int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam)
 {
     const int64_t d = r->d, n_pairs = r->n_pairs;
     const double lo = -r->half_width, span = r->half_width - lo;
@@ -168,41 +199,24 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, con
     double *pb = buf, *y = buf + d, *xn = buf + 2 * d, *tmp = buf + 3 * d, *gp = buf + 4 * d;
     double *z = buf + 5 * d, *gu = buf + 6 * d;
     int64_t violations = 0;
-    *stop = k1 + 1;
     for (int64_t i = 0; i < r->n; i++) {
         double *xr = r->x + i * d;
         void *const *st = r->streams + 3 * i;
         int have_gp = 0; /* gp holds gamma @ p of this step */
-        for (int64_t t = k0;; t++) {
+        for (int64_t t = k0; t < k1; t++) {
             const double *p = xr;
             if (lam) {
-                /* lam * x overflows before x does */
-                const double total = lam_sum(lam, xr, d, tmp);
-                if (!isfinite(total)) {
-                    if (t < *stop)
-                        *stop = t;
-                    break;
-                }
+                const double total = weight_sum(lam, xr, d, tmp);
                 for (int64_t j = 0; j < d; j++)
                     pb[j] = tmp[j] / total;
                 p = pb;
             }
-            if (t == k1)
-                break;
             const double u = r->next_double(st[0]);
             for (int64_t j = 0; j < d; j++)
                 z[j] = lo + span * r->next_double(st[1]);
             for (int64_t q = 0; q < n_pairs; q++)
                 gu[q] = r->next_double(st[2]);
-            int64_t idx = 0;
-            double cum = p[0];
-            for (int64_t j = 0; j < d; j++) {
-                if (j)
-                    cum += p[j];
-                idx += cum <= u;
-            }
-            if (idx > r->top[i])
-                idx = r->top[i];
+            const int64_t idx = trigger(p, d, u, r->top[i]);
             for (int64_t j = 0; j < d; j++) {
                 /* gamma_ii = 1 exceeds every uniform, so the trigger spikes */
                 double sig = j == idx;
@@ -258,16 +272,11 @@ static double norm2(const double *v, int64_t d, double *tmp)
  * probability; the increments of columns i+1.. are then projected off the
  * unit vector of column i after its own projection off columns 0..i-1
  * (none when that residual is at most 1e-12 of the column norm), and
- * w = max(w + inc, 0) as np.clip does. A run stops at its first state
- * among those after k0..k1 steps with a column whose sum(lam * w_j) is not
- * finite, before a trigger is drawn from it, or at a column norm that is
- * not finite; *stop gets the earliest such state's step of any run, or
- * k1 + 1. Returns the number of clipped entries, -1 when out of memory and
- * -2 when a column norm is not finite before the earliest such step (where
- * the numpy step raises).
+ * w = max(w + inc, 0) as np.clip does. Scaling a column by a power of two
+ * scales its increment alike and leaves every unit vector as it is.
+ * Returns the number of clipped entries, or -1 when out of memory.
  */
-int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam,
-                      int64_t *stop)
+int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam)
 {
     const int64_t d = r->d, d_out = r->d_out, size = d_out * d;
     const double lo = -r->half_width, span = r->half_width - lo;
@@ -275,53 +284,30 @@ int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const
     if (!buf)
         return -1;
     double *inc = buf, *basis = buf + size, *z = buf + 2 * size, *tmp = z + d, *p = tmp + d;
-    int64_t clips = 0, bad_norm = k1 + 1;
-    *stop = k1 + 1;
+    int64_t clips = 0;
     for (int64_t run = 0; run < r->n / d_out; run++) {
         double *w = r->x + run * size;
         void *const *st = r->streams + 3 * run * d_out;
-        for (int64_t t = k0;; t++) {
-            int over = 0;
-            for (int64_t j = 0; j < d_out && !over; j++) {
-                const double *wj = w + j * d;
-                /* lam * w_j overflows before w_j does */
-                const double total = lam_sum(lam, wj, d, tmp);
-                over = !isfinite(total);
-                if (over || t == k1)
-                    continue;
+        for (int64_t t = k0; t < k1; t++) {
+            for (int64_t j = 0; j < d_out; j++) {
+                double *wj = w + j * d;
+                const double total = weight_sum(lam, wj, d, tmp);
                 const double u = r->next_double(st[3 * j]);
                 for (int64_t k = 0; k < d; k++)
                     z[k] = lo + span * r->next_double(st[3 * j + 1]);
                 for (int64_t k = 0; k < d; k++)
                     p[k] = tmp[k] / total;
-                int64_t idx = 0, top = d - 1;
-                double cum = p[0];
-                for (int64_t k = 0; k < d; k++) {
-                    if (k)
-                        cum += p[k];
-                    idx += cum <= u;
-                }
+                int64_t top = d - 1;
                 while (top > 0 && !(p[top] > 0.0))
                     top--;
                 if (!(p[top] > 0.0))
                     top = d - 1;
-                if (idx > top)
-                    idx = top;
+                const int64_t idx = trigger(p, d, u, top);
                 for (int64_t k = 0; k < d; k++)
                     inc[j * d + k] = r->alphas[j] * wj[k] * ((k == idx) + z[k]);
             }
-            if (over) {
-                if (t < *stop)
-                    *stop = t;
-                break;
-            }
-            if (t == k1)
-                break;
-            int64_t i = 0;
-            for (; i + 1 < d_out; i++) {
+            for (int64_t i = 0; i + 1 < d_out; i++) {
                 const double scale = norm2(w + i * d, d, tmp);
-                if (!isfinite(scale))
-                    break;
                 double *ub = basis + i * d;
                 for (int64_t k = 0; k < d; k++)
                     ub[k] = w[i * d + k];
@@ -335,11 +321,6 @@ int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const
                 for (int64_t h = i + 1; h < d_out; h++)
                     project_off(inc + h * d, ub, d, tmp);
             }
-            if (i + 1 < d_out) {
-                if (t < bad_norm)
-                    bad_norm = t;
-                break;
-            }
             for (int64_t k = 0; k < size; k++) {
                 const double next = w[k] + inc[k];
                 clips += next < 0.0;
@@ -349,7 +330,7 @@ int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const
         }
     }
     free(buf);
-    return bad_norm < *stop ? -2 : clips;
+    return clips;
 }
 
 /*

@@ -98,9 +98,9 @@ def library():
                       % exc)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.simplex_advance.argtypes = [ptr, i64, i64, ptr, ptr]  # run, k0, k1, lam, stop
+    lib.simplex_advance.argtypes = [ptr, i64, i64, ptr]  # run, k0, k1, lam
     lib.simplex_advance.restype = i64
-    lib.simplex_joint.argtypes = [ptr, i64, i64, ptr, ptr]  # run, k0, k1, lam, stop
+    lib.simplex_joint.argtypes = [ptr, i64, i64, ptr]  # run, k0, k1, lam
     lib.simplex_joint.restype = i64
     # d, times, sizes, w, threshold, cap, spike_times, trigger_ids, event_times, potentials
     lib.simplex_membrane.argtypes = [i64, ptr, ptr, ptr, f64, i64, ptr, ptr, ptr, ptr]
@@ -144,9 +144,8 @@ def _segments(fn, x, streams, lams, keep, **fields):
     """The `struct simplex_run` of the state x (n, d) drawing from the
     `dynamics.Streams` streams, with the other fields given, and
     call(k0, k1, piece), which runs fn over steps k0..k1-1 under the
-    intensities lams[piece] and returns its result and the earliest step at
-    which a row stops, or None. keep holds the arrays the
-    fields point into, kept alive through call."""
+    intensities lams[piece] and returns its result. keep holds the arrays
+    the fields point into, kept alive through call."""
     import ctypes
 
     n, d = x.shape
@@ -156,11 +155,10 @@ def _segments(fn, x, streams, lams, keep, **fields):
         next_double=streams.next_double, **fields)
     lam_data = [_data(v, np.float64, (d,)) for v in lams]
     run.arrays = (x, streams, lams, keep)
-    ref, stop = ctypes.byref(run), ctypes.c_int64()
+    ref = ctypes.byref(run)
 
     def call(k0, k1, piece):
-        result = fn(ref, k0, k1, lam_data[piece], ctypes.byref(stop))
-        return result, stop.value if stop.value <= k1 else None
+        return fn(ref, k0, k1, lam_data[piece])
 
     return call
 
@@ -171,9 +169,9 @@ def prepare(x, alpha, streams, top, lams, gamma, tracker):
     lams[piece], drawing from the `dynamics.Streams` streams as it steps. It
     also advances a `dynamics.GapTracker`'s martingales, maxima, gap event
     (on gamma @ p too when gamma is given) and inclusion-violation count.
-    In the weight form a row stops at its first state whose lam * x row sum
-    is not finite, before a trigger is drawn from it, and advance returns
-    the earliest such state's step, or None."""
+    In the weight form a row whose lam * x sum leaves [2^-256, 2^256] is
+    scaled by a power of two before the step (`dynamics._weight_sums`), so
+    the weights cannot overflow."""
     # imported here: dynamics imports this module
     from .dynamics import _pair_index
 
@@ -191,12 +189,11 @@ def prepare(x, alpha, streams, top, lams, gamma, tracker):
                      **fields)
 
     def advance(k0, k1, piece):
-        violations, stop = call(k0, k1, piece)
+        violations = call(k0, k1, piece)
         if violations < 0:
             raise MemoryError("compiled step could not allocate its row buffers")
         if tracker is not None:
             tracker.ek_violations += violations
-        return stop
 
     return advance
 
@@ -205,21 +202,18 @@ def joint(x, alpha, streams, top, lams, gamma, tracker):
     """The compiled `multi._joint_step`, with its arguments and its results
     bit for bit: returns advance(k0, k1, piece), which runs steps k0..k1-1
     of the joint scheme on x in place, adding the clipped entries to a
-    tracker's `clip_events`, and returns the earliest step at which a run
-    stops, or None. top and gamma are not used."""
+    tracker's `clip_events`. Each column is scaled by a power of two as in
+    `prepare`, so the weights cannot overflow. top and gamma are not used."""
     alphas = np.ascontiguousarray(alpha, dtype=np.float64).reshape(-1)
     call = _segments(library().simplex_joint, x, streams, lams, alphas, d_out=alphas.size,
                      alphas=_data(alphas, np.float64, alphas.shape))
 
     def advance(k0, k1, piece):
-        clips, stop = call(k0, k1, piece)
-        if clips == -2:
-            raise InvalidInputError("weight column norm not finite (alpha too large)")
+        clips = call(k0, k1, piece)
         if clips < 0:
             raise MemoryError("compiled joint step could not allocate its buffers")
         if tracker is not None:
             tracker.clip_events += clips
-        return stop
 
     return advance
 

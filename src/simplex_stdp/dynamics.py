@@ -118,13 +118,6 @@ def _rates(alpha):
     return np.array2string(a.ravel() if a.ndim > 1 else a)
 
 
-def _overflow_error(k, alpha):
-    """The error of a run whose state, or in the weight form its lam * w
-    row sum, is not finite after k steps."""
-    return InvalidInputError("state (or its lam * w sum) not finite after %d steps (alpha=%s "
-                             "too large for this horizon)" % (k, _rates(alpha)))
-
-
 def _last_positive(p):
     """Index of the last strictly positive entry along the last axis."""
     p = np.asarray(p)
@@ -179,6 +172,20 @@ def rescale(w):
     normal, so probabilities and updates are bit-identical up to the factor."""
     _, exponent = np.frexp(w.max(axis=-1, keepdims=True))
     return np.ldexp(w, -exponent)
+
+
+def _weight_sums(lam, w):
+    """lam * w and its sums along the last axis, after scaling in place by
+    `rescale` every row of w whose sum lies outside [2^-256, 2^256]. With lam
+    rescaled too, as `_drive` does, neither w nor lam * w can overflow."""
+    num = lam * w
+    total = num.sum(axis=-1, keepdims=True)
+    out = ((total < 2.0**-256) | (total > 2.0**256))[..., 0]
+    if out.any():
+        w[out] = rescale(w[out])
+        num[out] = lam * w[out]
+        total[out] = num[out].sum(axis=-1, keepdims=True)
+    return num, total
 
 
 def _gamma_dot(p, gamma):
@@ -272,26 +279,19 @@ def numpy_step(x, alpha, streams, top, lams, gamma, tracker):
     results bit for bit, taken when the kernel does not load: returns
     advance(k0, k1, piece), which runs steps k0..k1-1 on the state x in
     place under the intensities lams[piece], drawing them from streams one
-    segment at a time. In the weight form it stops at the first of the
-    states after k0..k1 steps whose lam * x row sum is not finite, before a
-    trigger is drawn from its NaN probabilities, and returns that state's
-    step, or None; a probability state stays on the simplex."""
+    segment at a time. In the weight form each step first scales the rows
+    whose lam * x sum leaves [2^-256, 2^256] (`_weight_sums`), so the
+    weights cannot overflow; a probability state stays on the simplex."""
     eye_rows = np.eye(x.shape[1])
 
     def advance(k0, k1, piece):
         lam = lams[piece]
         u, z, gu = streams.segment(k1 - k0)
-        for t in range(k1 - k0 + 1):
+        for t in range(k1 - k0):
             p = x
             if lam is not None:
-                # lam * x overflows before x does
-                num = lam * x
-                total = num.sum(axis=1, keepdims=True)
-                if not np.isfinite(total).all():
-                    return k0 + t
+                num, total = _weight_sums(lam, x)
                 p = num / total
-            if k0 + t == k1:
-                return None
             idx = sample_triggers(p, u[:, t], top)
             sig = eye_rows[idx] if gamma is None else correlated_signals(idx, gu[:, t], gamma)
             y = sig + z[:, t]
@@ -307,12 +307,13 @@ def numpy_step(x, alpha, streams, top, lams, gamma, tracker):
 
 def _intensities(lam, d):
     """(starts, vectors) of lam: None, a (d,) vector, or piecewise-constant
-    [(from_step, vector), ...] from step 0 in nondecreasing steps."""
+    [(from_step, vector), ...] from step 0 in nondecreasing steps; each
+    vector is scaled by `rescale`, which leaves the probabilities as they are."""
     if lam is None:
         return [0], [None]
     pieces = lam if isinstance(lam, list) and lam and isinstance(lam[0], tuple) else [(0, lam)]
     starts = [int(s) for s, _ in pieces]
-    vectors = [np.ascontiguousarray(validate_intensities(v)) for _, v in pieces]
+    vectors = [rescale(validate_intensities(v)) for _, v in pieces]
     if starts[0] != 0 or starts != sorted(starts) or any(v.shape != (d,) for v in vectors):
         raise InvalidInputError("intensities must be a (%d,) vector or [(from_step, vector), "
                                 "...] from step 0 in nondecreasing steps" % d)
@@ -338,8 +339,9 @@ def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=N
     step, as a `GapTracker` does with the run's gamma. simulate hands the
     segment driver `_drive`, which checks the inputs, its step: the compiled
     `_kernel.prepare` when the kernel loads, otherwise its numpy reference
-    `numpy_step`; both give the same results bit for bit. The driver scales
-    each weight row by a power of two between chunks, so returned weights
+    `numpy_step`; both give the same results bit for bit. In the weight form
+    the step scales a row by a power of two whenever its lam * w sum leaves
+    [2^-256, 2^256], so the weights cannot overflow, and returned weights
     are defined up to that factor per row.
     """
     step = numpy_step if _kernel.library() is None else _kernel.prepare
@@ -363,13 +365,13 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     rows of x in place under the intensities lams[piece], drawing from
     streams (a `Streams` of `keys`) as it steps, and advances tracker, the
     recorder when it `tracks` (else None); a `GapTracker` checks the gap of
-    gamma @ p with the run's checked gamma. advance may return the step
-    after which a row's state, or in the weight form its lam * w row sum,
-    first is not finite, where the run stops. Per chunk of
+    gamma @ p with the run's checked gamma. In the weight form the step
+    scales each row by a power of two when its lam * w sum leaves
+    [2^-256, 2^256], and the intensity vectors are each scaled once
+    (`_intensities`), so neither w nor lam * w can overflow. Per chunk of
     `CHUNK` steps the driver positions the streams, splits the chunk at the
-    checkpoints and intensity switches, hands every segment to advance,
-    checks x after the chunk and, in the weight form, scales each row by a
-    power of two. No randomness is drawn ahead of its segment."""
+    checkpoints and intensity switches and hands every segment to advance.
+    No randomness is drawn ahead of its segment."""
     a = np.asarray(alpha, dtype=float)
     if not np.all((a > 0) & (a < 1.0 / noise.q_bound)):
         raise InvalidInputError("alpha=%s outside (0, 1/Q)=(0, %g)"
@@ -400,29 +402,15 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     # zero entries stay exactly zero, so the last pickable coordinate is fixed
     top = _last_positive(x)
     advance = step(x, alpha, streams, top, vectors, gamma, record if record.tracks else None)
-    # in the weight form, a lam * w sum past the float range is what stops
-    # the run: the numpy steps compute it without a warning, as the
-    # compiled steps do
-    quiet = None if lam is None else "ignore"
-    k = 0
-    with np.errstate(over=quiet, invalid=quiet):
-        while k < n_steps:
-            m = min(CHUNK, n_steps - k)
-            streams.position(m)
-            k0 = k
-            for k1 in [c for c in cuts if k < c < k + m] + [k + m]:
-                stop = advance(k0, k1, bisect.bisect_right(starts, k0) - 1)
-                if stop is not None:
-                    raise _overflow_error(stop, alpha)
-                if k1 in stops:
-                    record.record(k1, x)
-                k0 = k1
-            k += m
-            if not np.isfinite(x).all():
-                raise _overflow_error(k, alpha)
-            if lam is not None and k < n_steps:
-                # in place: the step holds x
-                x[:] = rescale(x)
+    for k in range(0, n_steps, CHUNK):
+        m = min(CHUNK, n_steps - k)
+        streams.position(m)
+        k0 = k
+        for k1 in [c for c in cuts if k < c < k + m] + [k + m]:
+            advance(k0, k1, bisect.bisect_right(starts, k0) - 1)
+            if k1 in stops:
+                record.record(k1, x)
+            k0 = k1
     return x
 
 
@@ -502,7 +490,7 @@ class TrajectoryRecord:
     """Recorded trajectory: states[i] is p at step recorded_steps[i].
 
     weights[i] (weight form only) is defined up to a power-of-two factor,
-    since `simulate` rescales the weights between chunks."""
+    since `simulate` rescales weight rows that leave its range."""
 
     recorded_steps: np.ndarray
     states: np.ndarray

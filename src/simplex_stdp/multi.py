@@ -15,7 +15,8 @@ import numpy as np
 
 from . import _kernel
 from .simplex import InvalidInputError, as_float_array, recorded_steps, validate_intensities
-from .dynamics import NoiseModel, Recorder, _drive, probabilities, sample_triggers, simulate
+from .dynamics import (NoiseModel, Recorder, _drive, _weight_sums, probabilities,
+                       sample_triggers, simulate)
 
 
 def cosine_projection(w):
@@ -86,14 +87,12 @@ def _deflated_increments(w, alpha, y):
     """The increments alpha_j * w_j * y_j of every column j (stored as rows:
     w and y of shape (n, d_out, d), alpha (d_out, 1)), each projected off the
     span of the columns 0..j-1 of w by Gram-Schmidt; residuals below 1e-12
-    of their column's norm are dropped. A column norm that overflows (entries
-    past about 1.3e154) would drop the projection silently, so it raises."""
+    of their column's norm are dropped. Scaling a column of w by a power of
+    two scales its increment alike and leaves the unit vectors as they are."""
     inc = alpha * w * y
     basis = []
     for i in range(w.shape[1] - 1):
         scale = np.linalg.norm(w[:, i], axis=-1, keepdims=True)
-        if not np.isfinite(scale).all():
-            raise InvalidInputError("weight column norm not finite (alpha too large)")
         r = w[:, i].copy()
         for ub in basis:
             r -= (r * ub).sum(axis=-1, keepdims=True) * ub
@@ -113,11 +112,11 @@ def _joint_step(x, alpha, streams, top, lams, gamma, tracker):
     per run, and alpha holds their (d_out, 1) rates. Per step every column
     moves by its deflated increment, negative entries are clipped, and a
     tracker's `clip_events` counts them. top is not used: clipping can zero
-    an entry, so triggers are capped every step. advance stops at the first
-    of the states after k0..k1 steps with a column whose lam * w row sum is
-    not finite, before a trigger is drawn from it, and returns that state's
-    step, or None. This is the reference of the compiled `_kernel.joint`,
-    and runs when the kernel does not load."""
+    an entry, so triggers are capped every step. Each step first scales the
+    columns whose lam * w sum leaves [2^-256, 2^256]
+    (`dynamics._weight_sums`), so the weights cannot overflow. This is the
+    reference of the compiled `_kernel.joint`, and runs when the kernel
+    does not load."""
     d_out, d = alpha.shape[0], x.shape[1]
     w = x.reshape(-1, d_out, d)
     eye_rows = np.eye(d)
@@ -127,14 +126,8 @@ def _joint_step(x, alpha, streams, top, lams, gamma, tracker):
         u, z, _ = streams.segment(k1 - k0)
         u = u.reshape(w.shape[0], d_out, -1)
         z = z.reshape(w.shape[0], d_out, -1, d)
-        for t in range(k1 - k0 + 1):
-            # lam * w overflows before w does
-            num = lam * w
-            total = num.sum(axis=-1, keepdims=True)
-            if not np.isfinite(total).all():
-                return k0 + t
-            if k0 + t == k1:
-                return None
+        for t in range(k1 - k0):
+            num, total = _weight_sums(lam, w)
             idx = sample_triggers(num / total, u[:, :, t])
             w_next = w + _deflated_increments(w, alpha, eye_rows[idx] + z[:, :, t])
             if tracker is not None:
@@ -162,9 +155,9 @@ def _joint_steps(config, prefixes, record=None):
     when the kernel loads, otherwise its numpy reference `_joint_step`, with
     the same results bit for bit. Here w0 must be (d, d_out) with one rate
     per column; `_drive` checks the rest of the inputs as for `simulate`,
-    positions the streams, calls record (a `Recorder`, given the state
-    after k steps at its checkpoints), checks the columns after every chunk
-    and scales them by a power of two between chunks."""
+    positions the streams and calls record (a `Recorder`, given the state
+    after k steps at its checkpoints), and the step scales a column by a
+    power of two when its lam * w sum leaves [2^-256, 2^256]."""
     w0 = as_float_array(config.w0, "w0").T
     alphas = as_float_array(config.alphas, "alphas")
     if w0.ndim != 2 or alphas.shape != w0.shape[:1]:
@@ -195,17 +188,16 @@ def joint_run(config, seed):
     )
 
 
-def joint_final_errors(lam, w0, alphas, n_steps, n_seeds, seed, noise=None, index_start=0):
+def joint_final_errors(lam, w0, alphas, n_steps, n_seeds, seed):
     """Joint scheme for a batch of seeds; seed s runs on key prefix
-    (seed, index_start + s). Returns the final half squared Frobenius error
-    of each seed's probability matrix against the identity."""
-    config = MultiRunConfig(lam=lam, w0=w0, alphas=alphas, n_steps=n_steps,
-                            noise=noise or NoiseModel())
-    w = _joint_steps(config, [(seed, index_start + s) for s in range(n_seeds)])
+    (seed, s). Returns the final half squared Frobenius error of each
+    seed's probability matrix against the identity."""
+    config = MultiRunConfig(lam=lam, w0=w0, alphas=alphas, n_steps=n_steps)
+    w = _joint_steps(config, [(seed, s) for s in range(n_seeds)])
     return frobenius_half_error(probabilities(config.lam, w).transpose(0, 2, 1))
 
 
-def _train_columns(lam, w0, alpha, k_per_column, prefixes, noise):
+def _train_columns(lam, w0, alpha, k_per_column, prefixes):
     """The sequential scheme for a batch of runs, before projection.
 
     Column j starts from w0 with the axes of the trained columns 0..j-1
@@ -221,11 +213,11 @@ def _train_columns(lam, w0, alpha, k_per_column, prefixes, noise):
         for col in columns:
             w[rows, np.argmax(col, axis=1)] = 0.0
         keys = [prefix + (j,) for prefix in prefixes]
-        columns.append(simulate(w, alpha, k_per_column, keys, noise, lam=lam))
+        columns.append(simulate(w, alpha, k_per_column, keys, NoiseModel(), lam=lam))
     return np.stack(columns, axis=2)
 
 
-def sequential_run(lam, w0, alpha, k_per_column, seed, noise=None):
+def sequential_run(lam, w0, alpha, k_per_column, seed):
     """Sequential scheme, single seeded run on key prefix seed (an int or a
     tuple): column j uses the stream prefix + (j,), so
     sequential_run(..., (S, s)) is member s of
@@ -235,21 +227,17 @@ def sequential_run(lam, w0, alpha, k_per_column, seed, noise=None):
     0..j-1 zeroed, runs k_per_column multiplicative steps of the
     single-neuron rule, and is then snapped onto its dominant axis.
     Returns (W_star, P_star)."""
-    trained = _train_columns(lam, w0, alpha, k_per_column, [_key_prefix(seed)],
-                             noise or NoiseModel())[0]
+    trained = _train_columns(lam, w0, alpha, k_per_column, [_key_prefix(seed)])[0]
     w_star = np.stack([cosine_projection(col) for col in trained.T], axis=1)
     return w_star, probabilities(np.asarray(lam, dtype=float), w_star.T).T
 
 
-def sequential_success_ensemble(lam, w0, alpha, k_per_column, n_seeds, seed, noise=None, index_start=0):
+def sequential_success_ensemble(lam, w0, alpha, k_per_column, n_seeds, seed):
     """Sequential scheme for a batch of seeds; seed s runs on key prefix
-    (seed, index_start + s).
+    (seed, s).
 
     Returns a boolean array: seed s succeeded when its final probability
     matrix is exactly the identity (column j snapped onto axis j)."""
-    trained = _train_columns(
-        lam, w0, alpha, k_per_column,
-        [(seed, index_start + s) for s in range(n_seeds)], noise or NoiseModel(),
-    )
+    trained = _train_columns(lam, w0, alpha, k_per_column, [(seed, s) for s in range(n_seeds)])
     axes = np.argmax(trained, axis=1)
     return (axes == np.arange(trained.shape[1])).all(axis=1)

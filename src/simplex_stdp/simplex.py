@@ -48,12 +48,13 @@ def as_probability_vector(p):
 
 
 def validate_intensities(lam):
-    """Check that an intensity vector is 1-d with strictly positive entries."""
+    """Check that an intensity vector is 1-d with finite, strictly positive
+    entries."""
     lam = as_float_array(lam, "intensities")
     if lam.ndim != 1 or lam.size == 0:
         raise InvalidInputError("intensities must be a nonempty 1-d vector")
-    if np.any(lam <= 0):
-        raise InvalidInputError("intensities must be strictly positive, got %s" % lam)
+    if not np.all((lam > 0) & (lam < np.inf)):
+        raise InvalidInputError("intensities must be finite and strictly positive, got %s" % lam)
     return lam
 
 

@@ -206,13 +206,12 @@ def run_gap_ensemble(
     noise=None,
     gamma=None,
     checkpoints=(),
-    index_start=0,
 ):
     """Run n_traj seeded trajectories in lockstep while tracking the gap event,
     the stopped noise martingales, and the maximal-inequality flags.
 
     Trajectory i is the `dynamics.simulate` run on stream key
-    (seed, index_start + i), so ensembles are order-independent and each
+    (seed, i), so ensembles are order-independent and each
     member equals `dynamics.run_trajectory` with that key. The tracking is a
     `dynamics.GapTracker`, the recorder that `simulate`'s step advances and
     that checks the gamma @ p gap with the run's gamma when it is given;
@@ -220,7 +219,7 @@ def run_gap_ensemble(
     a step in [0, n_steps]."""
     noise = noise or NoiseModel()
     params = GapParams(p0, gamma, q_bound=noise.q_bound)
-    keys = [(seed, index_start + i) for i in range(n_traj)]
+    keys = [(seed, i) for i in range(n_traj)]
     checkpoints = sorted(set(int(c) for c in checkpoints))
     tracker = GapTracker(len(keys), params.d, alpha, params.gap, params.martingale_threshold,
                          checkpoints, params.gap_gamma)
@@ -283,8 +282,6 @@ def priming_experiment(
     n_steps,
     n_traj,
     seed,
-    noise=None,
-    index_start=0,
 ):
     """Learn under lam_first for k_switch steps, then under lam_second: one
     `dynamics.simulate` run with the piecewise-constant intensities
@@ -294,7 +291,6 @@ def priming_experiment(
     dominant and the second make the last coordinate strictly dominant.
     Returns final probabilities (n_traj, d) and the fraction of trajectories
     whose final argmax is each coordinate."""
-    noise = noise or NoiseModel()
     lam_a = np.asarray(lam_first, dtype=float)
     lam_b = np.asarray(lam_second, dtype=float)
     w0 = np.asarray(w0, dtype=float)
@@ -313,8 +309,8 @@ def priming_experiment(
         )
     if errors:
         raise InvalidInputError("; ".join(errors))
-    keys = [(seed, index_start + i) for i in range(n_traj)]
-    w = simulate(np.tile(w0, (len(keys), 1)), alpha, n_steps, keys, noise,
+    keys = [(seed, i) for i in range(n_traj)]
+    w = simulate(np.tile(w0, (len(keys), 1)), alpha, n_steps, keys, NoiseModel(),
                  lam=[(0, lam_a), (k_switch, lam_b)])
     p_final = probabilities(lam_a if n_steps <= k_switch else lam_b, w)
     winners = np.argmax(p_final, axis=1)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import signal
 import subprocess
@@ -167,10 +168,11 @@ def test_importing_the_package_pins_openblas_to_one_thread(preset, expected):
 @pytest.mark.parametrize("args", [
     # a rate above 1/Q makes update factors negative; the run used to pass
     ["alg2-verify", "--set", "alpha=1.5", "--set", "n_seeds=4"],
-    # a valid rate whose weights overflow to inf/NaN over the horizon
-    ["priming", "--set", "alpha=0.2", "--set", "n_traj=20"],
+    # non-finite intensities used to pass the intensity check and stop the
+    # weight runs at their first step, or reach a cap check as NaN
+    ["fig3-algorithm1", "--set", "lam=[1e400,7.5,5]", "--set", "n_steps=10"],
     ["priming", "--set", "alpha=1.5"],
-    ["fig3-algorithm1", "--set", "base_alpha=0.45", "--set", "n_steps=3000"],
+    ["fig3-algorithm1", "--set", "lam=[NaN,7.5,5]", "--set", "n_steps=10"],
     # checkpoints past the horizon and empty ensembles used to write garbage rows
     ["thm22-verify", "--set", "n_steps=10", "--set", "checkpoints=[0,20]"],
     ["thm22-verify", "--set", "n_traj=0", "--set", "n_steps=10", "--set", "checkpoints=[0,10]"],
@@ -219,10 +221,8 @@ def test_importing_the_package_pins_openblas_to_one_thread(preset, expected):
     ["landscape-grid", "--set", "gamma=[[1,0],[0,1]]"],
     ["thm23-verify", "--set", "dims=[1]"],
     ["mirror-compare", "--set", "d=1"],
-    # weights past 1.3e154 overflow the column norms, which used to skip the
-    # joint scheme's projection silently and pass
-    ["fig3-algorithm1", "--set", "base_alpha=0.45", "--set", "n_steps=1200",
-     "--set", "record_stride=1200"],
+    # a NaN intensity used to reach the delta check as a NaN cap
+    ["alg2-verify", "--set", "lam=[10,NaN,5]", "--set", "n_seeds=4"],
     # ragged or non-numeric array overrides used to end in tracebacks
     ["correlated-figure", "--set", "gamma=[[1,0,0],[0,1]]"],
     ["thm-corr-verify", "--set", "gamma=[[1,0.1,0.1],[0.1,1]]"],
@@ -268,3 +268,27 @@ def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("args, code", [
+    # each used to exit 3 when its weights overflowed: alg2-verify after 14498
+    # steps of its first column, the others through the lam * w sums or the
+    # joint scheme's column norms. They now run to their last step; the
+    # exit codes are those measured, alg2-verify failing its success-rate gate.
+    (["alg2-verify", "--set", "alpha=0.05", "--set", "epsilon=0.01", "--set", "n_seeds=8"], 4),
+    (["priming", "--set", "alpha=0.2", "--set", "n_traj=20"], 0),
+    (["fig3-algorithm1", "--set", "base_alpha=0.45", "--set", "n_steps=3000"], 0),
+    (["fig3-algorithm1", "--set", "base_alpha=0.45", "--set", "n_steps=1200",
+      "--set", "record_stride=1200"], 0),
+])
+def test_weight_runs_past_the_old_overflow_step_finish(tmp_path, args, code):
+    assert run(args + ["--out", str(tmp_path), "--threads", "1"]) == code
+    out = tmp_path / args[0]
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".csv"):
+            with open(out / name) as fh:
+                rows = list(csv.reader(fh))[1:]
+            # every cell but the priming phase labels is a number
+            values = [float(cell) for row in rows for cell in row
+                      if cell not in ("unprimed", "primed")]
+            assert rows and all(math.isfinite(v) for v in values), name

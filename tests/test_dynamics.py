@@ -84,6 +84,8 @@ def test_step_weights_rejects_destructive_rates():
     (dict(alpha=0.01, n_steps=10, lam=[1.0, 2.0, 3.0], w0=[1.0, 1.0]), r"a \(2,\) vector"),
     (dict(alpha=0.01, n_steps=10, p0=[0.5, 0.5], gamma=[[1.0, 0.2], [0.3, 1.0]]),
      "symmetric"),
+    # used to pass and end in an overflow error before the first step
+    (dict(alpha=0.01, n_steps=10, lam=[np.inf, 1.0], w0=[1.0, 1.0]), "intensities must be finite"),
 ])
 def test_run_trajectory_checks_its_inputs(config, match):
     config = dynamics.DynamicsConfig(**config)

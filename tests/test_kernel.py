@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simplex_stdp import _kernel, cli, dynamics, flow, multi, theory
-from simplex_stdp.simplex import InvalidInputError, as_probability_vector
+from simplex_stdp.simplex import as_probability_vector
 
 NOISE = dynamics.NoiseModel()
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -130,21 +130,28 @@ def weight_case(draw):
 
 
 @SETTINGS
-@given(weight_case(), seeds, alphas, steps, st.sampled_from([2.0**40, 2.0**-40]))
+# 2^±1000 keeps every entry of w0 in [0.05, 10] normal; the scaled rows
+# leave the range the step keeps lam * w sums in at their first step
+@given(weight_case(), seeds, alphas, steps,
+       st.sampled_from([2.0**40, 2.0**-40, 2.0**1000, 2.0**-1000]))
 def test_weight_runs_are_scale_invariant(case, seed, alpha, n_steps, scale):
     lam, w0 = case
     d, d_out = w0.shape
     keys = [(seed, j) for j in range(d_out)]
-    # a short chunk makes the runs cross chunk boundaries, where weights are rescaled
+    # every column scaled, then every other column: the joint scheme is
+    # scale-invariant column by column
+    scaled = (w0, w0 * scale, w0 * scale ** (np.arange(d_out) % 2))
+    # a short chunk makes the runs cross chunk boundaries too
     with mock.patch.object(dynamics, "CHUNK", 16):
         p = [dynamics.probabilities(lam, dynamics.simulate(w.T, alpha, n_steps, keys, NOISE,
-                                                           lam=lam)) for w in (w0, w0 * scale)]
+                                                           lam=lam)) for w in scaled]
         joint = [multi.joint_final_errors(lam, w, [alpha] * d_out, n_steps, 2, seed)
-                 for w in (w0, w0 * scale)]
+                 for w in scaled]
         success = [multi.sequential_success_ensemble(lam, w[:, 0], alpha, n_steps, 3, seed)
-                   for w in (w0, w0 * scale)]
-    assert np.array_equal(p[0], p[1])
-    assert np.array_equal(joint[0], joint[1])
+                   for w in scaled[:2]]
+    for other in (1, 2):
+        assert np.array_equal(p[0], p[other])
+        assert np.array_equal(joint[0], joint[other])
     assert np.array_equal(success[0], success[1])
 
 
@@ -164,55 +171,56 @@ def test_rescale_leaves_probabilities_and_updates_unchanged(case, alpha, exponen
                           dynamics.probabilities(lam, w * (1.0 + alpha * y)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_rescaling_between_chunks_prevents_overflow():
+def _overflow_runs():
+    """lam and the alpha=0.45 runs, each run(record), whose lam * w used to
+    leave the float range: lam * w of member 0 of a two-member run summed
+    past it at step 2014, and so did that of a joint run with the one column
+    on its stream; a three-column joint run overflowed its column norms."""
     lam = np.array([10.0, 7.5, 5.0])
-    alpha, n_steps = 0.45, 3000
-    keys = [(5, 0), (5, 1)]
-    config = multi.MultiRunConfig(lam=lam, w0=np.ones((3, 3)), alphas=[alpha] * 3,
-                                  n_steps=n_steps, record_stride=n_steps)
-    # the compiled steps where the kernel loads, then the numpy steps
-    for path in (contextlib.nullcontext, _numpy_loop):
-        with path():
-            # within one chunk the weights of both loops overflow over this horizon
-            with pytest.raises(InvalidInputError):
-                dynamics.simulate(np.ones((2, 3)), alpha, n_steps, keys, NOISE, lam=lam)
-            with pytest.raises(InvalidInputError):
-                multi.joint_run(config, 5)
-            with mock.patch.object(dynamics, "CHUNK", 256):
-                w = dynamics.simulate(np.ones((2, 3)), alpha, n_steps, keys, NOISE, lam=lam)
-                joint = multi.joint_run(config, 5)
-            assert np.all(np.isfinite(dynamics.probabilities(lam, w)))
-            assert np.all(np.isfinite(joint.probabilities))
+    configs = [multi.MultiRunConfig(lam=lam, w0=np.ones((3, d_out)), alphas=[0.45] * d_out,
+                                    n_steps=3000) for d_out in (1, 3)]
+    runs = [
+        lambda record: dynamics.simulate(np.ones((2, 3)), 0.45, 3000, [(5, 0), (5, 1)], NOISE,
+                                         lam=lam, record=record),
+    ] + [lambda record, config=config: multi._joint_steps(config, [(5,)], record)
+         for config in configs]
+    return lam, runs
+
+
+def test_rescaling_between_chunks_prevents_overflow():
+    """These runs used to overflow within one chunk of the default length
+    and finished only with the weights rescaled between shorter chunks. The
+    step now scales a row whose lam * w sum leaves [2^-256, 2^256], so at
+    every chunk length they finish with finite probabilities, the same bit
+    for bit on the compiled and numpy paths."""
+    lam, runs = _overflow_runs()
+    paths = [_numpy_loop] + ([] if _kernel.library() is None else [contextlib.nullcontext])
+    for run, chunk in itertools.product(runs, (dynamics.CHUNK, 256, 16)):
+        finals = []
+        for path in paths:
+            with path(), mock.patch.object(dynamics, "CHUNK", chunk):
+                finals.append(run(None))
+        assert np.all(np.isfinite(dynamics.probabilities(lam, finals[0])))
+        assert np.array_equal(finals[0], finals[-1])
 
 
 @pytest.mark.parametrize("path", ["compiled", "numpy"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_runs_stop_at_the_first_state_that_is_not_finite(path):
-    """lam * w of member 0 of this run sums past the float range at step
-    2014, six steps before the weights themselves overflow, and so does
-    that of a joint run with the one column on its stream; each run stops
-    there, before a trigger is drawn from NaN probabilities, instead of
-    stepping on to the end of its chunk, and names its rate flat (the joint
-    step gets it as a column)."""
+    """No weight-form state is non-finite any more, so no run stops: these
+    runs used to stop at step 2014. Recorded every step, each now reaches
+    step 3000 with finite lam * w sums and ends where its unrecorded run
+    ends."""
     if path == "compiled":
         _require_compiled_step()
-    lam = np.array([10.0, 7.5, 5.0])
-    config = multi.MultiRunConfig(lam=lam, w0=np.ones((3, 1)), alphas=[0.45], n_steps=3000)
-    runs = [
-        (lambda record: dynamics.simulate(np.ones((2, 3)), 0.45, 3000, [(5, 0), (5, 1)],
-                                          NOISE, lam=lam, record=record), r"0\.45"),
-        (lambda record: multi._joint_steps(config, [(5,)], record), r"\[0\.45\]"),
-    ]
-    # recorded every step, the first such state ends a segment
-    for (run, rate), checkpoints in itertools.product(runs, (range(2014), range(3001))):
-        recorder = dynamics.Recorder(checkpoints)
+    lam, runs = _overflow_runs()
+    for run in runs:
+        recorder = dynamics.Recorder(range(3001))
         with (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
-            with pytest.raises(InvalidInputError,
-                               match=r"not finite after 2014 steps \(alpha=%s too large" % rate):
-                run(recorder)
-        assert len(recorder.states) == 2014
-        assert np.all(np.isfinite((lam * recorder.states[-1]).sum(axis=-1)))
+            run(recorder)
+            final = run(None)
+        assert len(recorder.states) == 3001
+        assert np.all(np.isfinite((lam * np.stack(recorder.states)).sum(axis=-1)))
+        assert np.array_equal(recorder.states[-1], final.reshape(recorder.states[-1].shape))
 
 
 @settings(max_examples=15, deadline=None)

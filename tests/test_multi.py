@@ -147,17 +147,3 @@ def test_sequential_success_ensemble_small():
     success = multi.sequential_success_ensemble(lam, np.ones(3), 1e-3, 20000, 8, seed=13)
     assert success.shape == (8,)
     assert success.mean() >= 0.5
-    # sharding is consistent with the full run
-    tail = multi.sequential_success_ensemble(
-        lam, np.ones(3), 1e-3, 20000, 3, seed=13, index_start=5
-    )
-    assert np.array_equal(tail, success[5:])
-
-
-def test_joint_final_errors_sharding_consistent():
-    lam = np.array([10.0, 7.5, 5.0])
-    alphas = 1e-3 * np.array([1.0, 0.75, 0.5])
-    full = multi.joint_final_errors(lam, np.ones((3, 3)), alphas, 2000, 4, seed=2)
-    tail = multi.joint_final_errors(lam, np.ones((3, 3)), alphas, 2000, 2, seed=2,
-                                    index_start=2)
-    assert np.allclose(full[2:], tail, atol=0.0)
