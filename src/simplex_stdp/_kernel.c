@@ -3,21 +3,21 @@
  * multi-output step of multi._joint_steps, the membrane of
  * spiking.simulate_membrane and the RK4 flow of flow.integrate.
  *
- * simplex_advance runs steps k0..k1-1 for every row of a batch, drawing as
- * it steps, with the same draws, arithmetic and order as
+ * simplex_advance runs steps k0..k1-1 for every probability row of a batch,
+ * drawing as it steps, with the same draws, arithmetic and order as
  * `dynamics.numpy_step` and, when mart is given, `dynamics.GapTracker`:
  *
- *   p    = x, or lam * x / sum(lam * x)         (weight form)
  *   idx  = #{j : cumsum(p)_j <= u}, capped at top
  *   y    = S + z, S one-hot at idx or, with gamma, the idx column of C
- *   x    = x * (1 + alpha * y), divided by its sum in the probability form
+ *   p    = p * (1 + alpha * y), divided by its sum
  *
- * simplex_joint does the same for the joint scheme, with the arithmetic of
- * its numpy reference `multi._joint_step`, and simplex_flow for the RK4
- * loop of `flow._rk4`. In the weight form a row whose sum(lam * x) leaves
- * [2^-256, 2^256] is first scaled by a power of two, as `dynamics.rescale`
- * does, so the weights cannot overflow; the scaling is exact while entries
- * stay normal, so the probabilities do not change.
+ * simplex_joint does the same for the joint scheme, which steps weights,
+ * with the arithmetic of its numpy reference `multi._joint_step`, and
+ * simplex_flow for the RK4 loop of `flow._rk4`. In the joint scheme a weight
+ * row whose sum(lam * x) leaves [2^-256, 2^256] is first scaled by a power
+ * of two, as `dynamics.rescale` does, so the weights cannot overflow; the
+ * scaling is exact while entries stay normal, so the probabilities do not
+ * change.
  *
  * Every row sum uses numpy's pairwise summation order, so results are bit
  * for bit those of the numpy steps. Build without FMA contraction or
@@ -117,7 +117,8 @@ static double lead_gap(const double *v, int64_t d)
 
 /*
  * Everything fixed for one run of dynamics.simulate. x (n, d) is the state,
- * updated in place; top (n,) the last pickable coordinate of each row.
+ * probability rows updated in place (weight rows in a joint run); top (n,)
+ * the last pickable coordinate of each row.
  * streams (n, 3) holds, per row, the state addresses of the numpy bit
  * generators positioned at the chunk's trigger uniforms, noise values and
  * pair uniforms (NULL without pairs); next_double is their shared draw
@@ -147,7 +148,8 @@ struct simplex_run {
 
 /* One step of GapTracker for row i, checking the gap of gamma @ p too when the
  * run has correlated triggers; returns 1 on an inclusion violation. With
- * gamma, gp holds gamma @ p on entry and gamma @ pn on return. */
+ * gamma, gp holds gamma @ p on entry and gamma @ pn, the next step's
+ * gamma @ p, on return. */
 static int track(const struct simplex_run *r, int64_t i, const double *p, const double *y,
                  const double *pn, double *tmp, double *gp)
 {
@@ -183,34 +185,28 @@ static int track(const struct simplex_run *r, int64_t i, const double *p, const 
 }
 
 /*
- * Runs steps k0..k1-1 of r under the intensities lam (d,), NULL in the
- * probability form. Each step of a row reads one trigger uniform, d noise
- * values -h + 2h * r (numpy's uniform(-h, h)) and n_pairs pair uniforms
- * from the row's three generators. Returns the number of inclusion
+ * Runs steps k0..k1-1 of r. Each step of a row reads one trigger uniform, d
+ * noise values -h + 2h * r (numpy's uniform(-h, h)) and n_pairs pair
+ * uniforms from the row's three generators. Returns the number of inclusion
  * violations seen, or -1 when out of memory.
  */
-int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam)
+int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1)
 {
     const int64_t d = r->d, n_pairs = r->n_pairs;
     const double lo = -r->half_width, span = r->half_width - lo;
-    double *buf = malloc((6 * (size_t)d + (size_t)n_pairs) * sizeof(double));
+    double *buf = malloc((5 * (size_t)d + (size_t)n_pairs) * sizeof(double));
     if (!buf)
         return -1;
-    double *pb = buf, *y = buf + d, *xn = buf + 2 * d, *tmp = buf + 3 * d, *gp = buf + 4 * d;
-    double *z = buf + 5 * d, *gu = buf + 6 * d;
+    double *y = buf, *xn = buf + d, *tmp = buf + 2 * d, *gp = buf + 3 * d;
+    double *z = buf + 4 * d, *gu = buf + 5 * d;
     int64_t violations = 0;
     for (int64_t i = 0; i < r->n; i++) {
-        double *xr = r->x + i * d;
+        double *p = r->x + i * d;
         void *const *st = r->streams + 3 * i;
-        int have_gp = 0; /* gp holds gamma @ p of this step */
+        /* track keeps gp at gamma @ p from here on */
+        if (r->mart && r->gamma)
+            gamma_dot(r->gamma, p, d, tmp, gp);
         for (int64_t t = k0; t < k1; t++) {
-            const double *p = xr;
-            if (lam) {
-                const double total = weight_sum(lam, xr, d, tmp);
-                for (int64_t j = 0; j < d; j++)
-                    pb[j] = tmp[j] / total;
-                p = pb;
-            }
             const double u = r->next_double(st[0]);
             for (int64_t j = 0; j < d; j++)
                 z[j] = lo + span * r->next_double(st[1]);
@@ -225,21 +221,14 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1, con
                 y[j] = sig + z[j];
             }
             for (int64_t j = 0; j < d; j++)
-                xn[j] = xr[j] * (1.0 + r->alpha * y[j]);
-            if (!lam) {
-                const double total = pairwise_sum(xn, d);
-                for (int64_t j = 0; j < d; j++)
-                    xn[j] /= total;
-            }
-            if (r->mart) {
-                if (r->gamma && !have_gp)
-                    gamma_dot(r->gamma, p, d, tmp, gp);
-                violations += track(r, i, p, y, xn, tmp, gp);
-                /* in the probability form xn is the next step's p */
-                have_gp = !lam;
-            }
+                xn[j] = p[j] * (1.0 + r->alpha * y[j]);
+            const double total = pairwise_sum(xn, d);
             for (int64_t j = 0; j < d; j++)
-                xr[j] = xn[j];
+                xn[j] /= total;
+            if (r->mart)
+                violations += track(r, i, p, y, xn, tmp, gp);
+            for (int64_t j = 0; j < d; j++)
+                p[j] = xn[j];
         }
     }
     free(buf);

@@ -98,7 +98,7 @@ def library():
                       % exc)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.simplex_advance.argtypes = [ptr, i64, i64, ptr]  # run, k0, k1, lam
+    lib.simplex_advance.argtypes = [ptr, i64, i64]  # run, k0, k1
     lib.simplex_advance.restype = i64
     lib.simplex_joint.argtypes = [ptr, i64, i64, ptr]  # run, k0, k1, lam
     lib.simplex_joint.restype = i64
@@ -140,12 +140,12 @@ def _data(a, dtype, shape):
     return a.ctypes.data
 
 
-def _segments(fn, x, streams, lams, keep, **fields):
+def _segments(fn, x, streams, keep, args=(), **fields):
     """The `struct simplex_run` of the state x (n, d) drawing from the
     `dynamics.Streams` streams, with the other fields given, and
-    call(k0, k1, piece), which runs fn over steps k0..k1-1 under the
-    intensities lams[piece] and returns its result. keep holds the arrays
-    the fields point into, kept alive through call."""
+    call(k0, k1), which runs fn over steps k0..k1-1, passing args after the
+    steps, and returns its result. keep holds the arrays the fields and
+    args point into, kept alive through call."""
     import ctypes
 
     n, d = x.shape
@@ -153,25 +153,22 @@ def _segments(fn, x, streams, lams, keep, **fields):
         n=n, d=d, n_pairs=streams.n_pairs, half_width=streams.noise.half_width,
         x=_data(x, np.float64, (n, d)), streams=_data(streams.addresses, np.uintp, (n, 3)),
         next_double=streams.next_double, **fields)
-    lam_data = [_data(v, np.float64, (d,)) for v in lams]
-    run.arrays = (x, streams, lams, keep)
+    run.arrays = (x, streams, keep)
     ref = ctypes.byref(run)
 
-    def call(k0, k1, piece):
-        return fn(ref, k0, k1, lam_data[piece])
+    def call(k0, k1):
+        return fn(ref, k0, k1, *args)
 
     return call
 
 
-def prepare(x, alpha, streams, top, lams, gamma, tracker):
-    """Check the arrays of one run once and return advance(k0, k1, piece),
-    which runs steps k0..k1-1 on the state x in place under the intensities
-    lams[piece], drawing from the `dynamics.Streams` streams as it steps. It
-    also advances a `dynamics.GapTracker`'s martingales, maxima, gap event
-    (on gamma @ p too when gamma is given) and inclusion-violation count.
-    In the weight form a row whose lam * x sum leaves [2^-256, 2^256] is
-    scaled by a power of two before the step (`dynamics._weight_sums`), so
-    the weights cannot overflow."""
+def prepare(x, alpha, streams, top, lam, gamma, tracker):
+    """Check the arrays of one run once and return advance(k0, k1), which
+    runs steps k0..k1-1 on the probability rows x in place, drawing from the
+    `dynamics.Streams` streams as it steps. It also advances a
+    `dynamics.GapTracker`'s martingales, maxima, gap event (on gamma @ p too
+    when gamma is given) and inclusion-violation count. lam is None: the
+    single-neuron runs step probabilities, which stay on the simplex."""
     # imported here: dynamics imports this module
     from .dynamics import _pair_index
 
@@ -185,11 +182,11 @@ def prepare(x, alpha, streams, top, lams, gamma, tracker):
             max_abs=_data(tracker.max_abs, np.float64, (n, d)),
             alive=_data(tracker.alive, np.bool_, (n,)), threshold=tracker.threshold,
             half_gap=tracker.half_gap, half_gap_gamma=tracker.half_gap_gamma)
-    call = _segments(library().simplex_advance, x, streams, lams, (top, gamma, pair, tracker),
+    call = _segments(library().simplex_advance, x, streams, (top, gamma, pair, tracker),
                      **fields)
 
-    def advance(k0, k1, piece):
-        violations = call(k0, k1, piece)
+    def advance(k0, k1):
+        violations = call(k0, k1)
         if violations < 0:
             raise MemoryError("compiled step could not allocate its row buffers")
         if tracker is not None:
@@ -198,18 +195,21 @@ def prepare(x, alpha, streams, top, lams, gamma, tracker):
     return advance
 
 
-def joint(x, alpha, streams, top, lams, gamma, tracker):
+def joint(x, alpha, streams, top, lam, gamma, tracker):
     """The compiled `multi._joint_step`, with its arguments and its results
-    bit for bit: returns advance(k0, k1, piece), which runs steps k0..k1-1
-    of the joint scheme on x in place, adding the clipped entries to a
-    tracker's `clip_events`. Each column is scaled by a power of two as in
-    `prepare`, so the weights cannot overflow. top and gamma are not used."""
+    bit for bit: returns advance(k0, k1), which runs steps k0..k1-1 of the
+    joint scheme on the weights x in place under the intensities lam, adding
+    the clipped entries to a tracker's `clip_events`. Before each step a
+    column whose lam * w sum leaves [2^-256, 2^256] is scaled by a power of
+    two (`dynamics._weight_sums`), so the weights cannot overflow. top and
+    gamma are not used."""
     alphas = np.ascontiguousarray(alpha, dtype=np.float64).reshape(-1)
-    call = _segments(library().simplex_joint, x, streams, lams, alphas, d_out=alphas.size,
+    call = _segments(library().simplex_joint, x, streams, (alphas, lam),
+                     (_data(lam, np.float64, x.shape[1:]),), d_out=alphas.size,
                      alphas=_data(alphas, np.float64, alphas.shape))
 
-    def advance(k0, k1, piece):
-        clips = call(k0, k1, piece)
+    def advance(k0, k1):
+        clips = call(k0, k1)
         if clips < 0:
             raise MemoryError("compiled joint step could not allocate its buffers")
         if tracker is not None:

@@ -427,10 +427,9 @@ def scenario_alg2_verify(cfg, out, seed):
         if not np.any(num > 0):
             raise InvalidInputError("deflated subproblem %d of w0=%s has no weight left"
                                     % (j, cfg["w0"]))
-        p = num / num.sum()
-        order = np.argsort(p)[::-1]
-        gaps.append(p[order[0]] - p[order[1]])
-        w[order[0]] = 0.0
+        gap, star = flow_gap(num / num.sum())
+        gaps.append(gap)
+        w[star] = 0.0
         if j == d - 2:
             break
     gap = min(gaps)

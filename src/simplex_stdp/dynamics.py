@@ -1,20 +1,23 @@
-"""Stochastic multiplicative learning dynamics on weights and probabilities.
+"""Stochastic multiplicative learning dynamics on the trigger probabilities.
 
 One step draws a one-hot trigger B ~ Multinomial(1, p), a centered bounded
 noise vector Z, and moves weights multiplicatively,
-w <- w * (1 + alpha * (B + Z)); the induced probabilities follow
-p <- p * (1 + alpha * Y) / (p . (1 + alpha * Y)) with Y = B + Z.
+w <- w * (1 + alpha * (B + Z)). The trigger probabilities p = lam * w /
+(lam . w) then follow their own closed rule,
+p <- p * (1 + alpha * Y) / (p . (1 + alpha * Y)) with Y = B + Z, and a switch
+of intensities lam_a -> lam_b is p <- p * (lam_b / lam_a), renormalised.
 
-`simulate` is the one stepping kernel: it runs a batch of keyed trajectories
-in lockstep, in probability or weight coordinates, with independent or
-correlated triggers and constant or switched intensities.
-The module also provides the exact drift / martingale / residual split of a
-probability step and a seeded, recorded single-trajectory runner.
+`simulate` is the one stepping kernel of single-neuron runs: it runs a batch
+of keyed probability trajectories in lockstep, with independent or
+correlated triggers and an optional intensity switch. The weight form is
+left to the joint multi-output scheme (`multi`), whose Gram-Schmidt step
+acts on weights. The module also provides the exact drift / martingale /
+residual split of a probability step and a seeded, recorded
+single-trajectory runner.
 """
 
-import bisect
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,7 +198,8 @@ def _gamma_dot(p, gamma):
 
 
 def _gap_of(v):
-    return v[:, 0] - v[:, 1:].max(axis=1)
+    """v_1 - max_{j>=2} v_j along the last axis."""
+    return v[..., 0] - v[..., 1:].max(axis=-1)
 
 
 def _increments(p, y, gamma):
@@ -274,104 +278,82 @@ class GapTracker(Recorder):
         self.ek_violations += int(np.sum(e_now & ~self.alive))
 
 
-def numpy_step(x, alpha, streams, top, lams, gamma, tracker):
+def numpy_step(x, alpha, streams, top, lam, gamma, tracker):
     """The numpy reference of `_kernel.prepare`, with its arguments and its
     results bit for bit, taken when the kernel does not load: returns
-    advance(k0, k1, piece), which runs steps k0..k1-1 on the state x in
-    place under the intensities lams[piece], drawing them from streams one
-    segment at a time. In the weight form each step first scales the rows
-    whose lam * x sum leaves [2^-256, 2^256] (`_weight_sums`), so the
-    weights cannot overflow; a probability state stays on the simplex."""
+    advance(k0, k1), which runs steps k0..k1-1 on the probability rows x in
+    place, drawing them from streams one segment at a time. The rows stay
+    on the simplex; lam is None, the single-neuron runs having no weights."""
     eye_rows = np.eye(x.shape[1])
 
-    def advance(k0, k1, piece):
-        lam = lams[piece]
+    def advance(k0, k1):
         u, z, gu = streams.segment(k1 - k0)
         for t in range(k1 - k0):
-            p = x
-            if lam is not None:
-                num, total = _weight_sums(lam, x)
-                p = num / total
-            idx = sample_triggers(p, u[:, t], top)
+            idx = sample_triggers(x, u[:, t], top)
             sig = eye_rows[idx] if gamma is None else correlated_signals(idx, gu[:, t], gamma)
             y = sig + z[:, t]
             x_next = x * (1.0 + alpha * y)
-            if lam is None:
-                x_next /= x_next.sum(axis=1, keepdims=True)
+            x_next /= x_next.sum(axis=1, keepdims=True)
             if tracker is not None:
-                tracker.track(p, y, x_next, gamma)
+                tracker.track(x, y, x_next, gamma)
             x[:] = x_next
 
     return advance
 
 
-def _intensities(lam, d):
-    """(starts, vectors) of lam: None, a (d,) vector, or piecewise-constant
-    [(from_step, vector), ...] from step 0 in nondecreasing steps; each
-    vector is scaled by `rescale`, which leaves the probabilities as they are."""
-    if lam is None:
-        return [0], [None]
-    pieces = lam if isinstance(lam, list) and lam and isinstance(lam[0], tuple) else [(0, lam)]
-    starts = [int(s) for s, _ in pieces]
-    vectors = [rescale(validate_intensities(v)) for _, v in pieces]
-    if starts[0] != 0 or starts != sorted(starts) or any(v.shape != (d,) for v in vectors):
-        raise InvalidInputError("intensities must be a (%d,) vector or [(from_step, vector), "
-                                "...] from step 0 in nondecreasing steps" % d)
-    return starts, vectors
+def simulate(p0, alpha, n_steps, keys, noise, gamma=None, record=None, switch=None):
+    """Run one probability trajectory per key in lockstep; returns the final
+    probabilities.
 
+    Row i of p0 (n, d) starts trajectory i, which draws from the stream
+    `stream_for(keys[i])` in the layout of `Streams`, so a row does not
+    depend on the rest of the batch. Step k:
 
-def simulate(state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=None):
-    """Run one trajectory per key in lockstep; returns the final states.
-
-    state0 (n, d) holds probabilities when lam is None and weights otherwise;
-    lam is an intensity vector, or piecewise-constant intensities
-    [(from_step, vector), ...] whose last entry with from_step <= k is in
-    force at step k (a switch; of two entries at one step the later wins).
-    Row i draws from the stream `stream_for(keys[i])` in the layout of
-    `Streams`, so a row does not depend on the rest of the batch. Step k:
-
-        p = state                    (probability form)
-        p = lam_k * w / sum          (weight form)
         y = B + Z, B one-hot from p  (the trigger column of C when gamma is given)
-        w = state * (1 + alpha * y), renormalised to p in the probability form
+        p = p * (1 + alpha * y), divided by its sum
+
+    switch=(k, ratio) switches the intensities before step k: every row is
+    multiplied by ratio = lam_b / lam_a and divided by its sum, the
+    probabilities of the same weights under lam_b. A checkpoint at k records
+    the switched state, and a switch at k >= n_steps does nothing.
 
     record, a `Recorder`, is called at its checkpoints and may track every
     step, as a `GapTracker` does with the run's gamma. simulate hands the
     segment driver `_drive`, which checks the inputs, its step: the compiled
     `_kernel.prepare` when the kernel loads, otherwise its numpy reference
-    `numpy_step`; both give the same results bit for bit. In the weight form
-    the step scales a row by a power of two whenever its lam * w sum leaves
-    [2^-256, 2^256], so the weights cannot overflow, and returned weights
-    are defined up to that factor per row.
+    `numpy_step`; both give the same results bit for bit.
     """
     step = numpy_step if _kernel.library() is None else _kernel.prepare
-    return _drive(step, state0, float(alpha), n_steps, keys, noise, lam, gamma, record)
+    return _drive(step, p0, float(alpha), n_steps, keys, noise, gamma=gamma, record=record,
+                  switch=switch)
 
 
-def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=None):
+def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=None,
+           switch=None):
     """The segment driver of every learning run, and the one place its
     inputs are checked; returns the final state.
 
     Each rate must lie in (0, 1/Q), the range in which the update factor
-    1 + alpha * y stays positive for all admissible Y. Each row of state0 is
-    a probability vector (`as_probability_vector`, which may renormalise
-    it) when lam is None and a weight vector (`validate_weights`)
-    otherwise; each intensity piece is a positive (d,) vector, gamma a
-    correlation matrix and the checkpoints increasing steps in [0, n_steps].
-    The first failing check raises InvalidInputError.
+    1 + alpha * y stays positive for all admissible Y. Without lam each row
+    of state0 is a probability vector (`as_probability_vector`, which may
+    renormalise it); with lam, the joint scheme's intensities, a positive
+    (d,) vector, each row is a weight vector (`validate_weights`). A switch
+    (probability form only) is a step >= 0 and a positive (d,) ratio, gamma
+    a correlation matrix and the checkpoints increasing steps in
+    [0, n_steps]. The first failing check raises InvalidInputError.
 
-    step(x, alpha, streams, top, lams, gamma, tracker) is called once
-    and returns advance(k0, k1, piece), which runs steps k0..k1-1 on the
-    rows of x in place under the intensities lams[piece], drawing from
-    streams (a `Streams` of `keys`) as it steps, and advances tracker, the
-    recorder when it `tracks` (else None); a `GapTracker` checks the gap of
-    gamma @ p with the run's checked gamma. In the weight form the step
-    scales each row by a power of two when its lam * w sum leaves
-    [2^-256, 2^256], and the intensity vectors are each scaled once
-    (`_intensities`), so neither w nor lam * w can overflow. Per chunk of
-    `CHUNK` steps the driver positions the streams, splits the chunk at the
-    checkpoints and intensity switches and hands every segment to advance.
-    No randomness is drawn ahead of its segment."""
+    step(x, alpha, streams, top, lam, gamma, tracker) is called once and
+    returns advance(k0, k1), which runs steps k0..k1-1 on the rows of x in
+    place, drawing from streams (a `Streams` of `keys`) as it steps, and
+    advances tracker, the recorder when it `tracks` (else None); a
+    `GapTracker` checks the gap of gamma @ p with the run's checked gamma.
+    lam is scaled once by `rescale`, which leaves the probabilities as they
+    are; the joint step scales each weight row by a power of two when its
+    lam * w sum leaves [2^-256, 2^256], so neither w nor lam * w can
+    overflow. Per chunk of `CHUNK` steps the driver positions the streams,
+    splits the chunk at the checkpoints and the switch, and hands every
+    segment to advance; the switch itself is applied here, between
+    segments, for both paths. No randomness is drawn ahead of its segment."""
     a = np.asarray(alpha, dtype=float)
     if not np.all((a > 0) & (a < 1.0 / noise.q_bound)):
         raise InvalidInputError("alpha=%s outside (0, 1/Q)=(0, %g)"
@@ -385,7 +367,13 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     n, d = x.shape
     if n_steps < 0:
         raise InvalidInputError("n_steps must be nonnegative, got %d" % n_steps)
-    starts, vectors = _intensities(lam, d)
+    if lam is not None:
+        lam = rescale(_vector_of(lam, d, "intensities"))
+    k_switch = n_steps
+    if switch is not None:
+        k_switch, ratio = int(switch[0]), _vector_of(switch[1], d, "switch ratio")
+        if k_switch < 0:
+            raise InvalidInputError("switch step must be nonnegative, got %d" % k_switch)
     record = Recorder([]) if record is None else record
     steps = record.checkpoints
     if steps.size and (steps[0] < 0 or steps[-1] > n_steps or np.any(np.diff(steps) <= 0)):
@@ -395,23 +383,39 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
         gamma = np.ascontiguousarray(validate_correlation(gamma, d))
     n_pairs = 0 if gamma is None else d * (d - 1) // 2
     stops = set(steps.tolist())
-    cuts = sorted(stops.union(starts[1:]))
+    cuts = sorted(stops | {k_switch})
+
+    def switch_at(k):
+        if k == k_switch < n_steps:
+            x[:] *= ratio
+            x[:] /= x.sum(axis=1, keepdims=True)
+
+    switch_at(0)
     if 0 in stops:
         record.record(0, x)
     streams = Streams(keys, d, noise, n_pairs)
     # zero entries stay exactly zero, so the last pickable coordinate is fixed
     top = _last_positive(x)
-    advance = step(x, alpha, streams, top, vectors, gamma, record if record.tracks else None)
+    advance = step(x, alpha, streams, top, lam, gamma, record if record.tracks else None)
     for k in range(0, n_steps, CHUNK):
         m = min(CHUNK, n_steps - k)
         streams.position(m)
         k0 = k
         for k1 in [c for c in cuts if k < c < k + m] + [k + m]:
-            advance(k0, k1, bisect.bisect_right(starts, k0) - 1)
+            advance(k0, k1)
+            switch_at(k1)
             if k1 in stops:
                 record.record(k1, x)
             k0 = k1
     return x
+
+
+def _vector_of(v, d, name):
+    """v as a finite, strictly positive (d,) vector (`validate_intensities`)."""
+    v = validate_intensities(v)
+    if v.shape != (d,):
+        raise InvalidInputError("%s must be a (%d,) vector, got shape %s" % (name, d, v.shape))
+    return v
 
 
 def decompose_steps_batch(p, alpha, y, gamma=None, q_bound=2.0):
@@ -459,52 +463,32 @@ def validate_correlation(gamma, d):
 
 @dataclass
 class DynamicsConfig:
-    """Configuration for a trajectory of the stochastic dynamics.
-
-    Supply p0 for the probability form, or intensities lam and initial
-    weights w0 to track weights. Triggers are correlated through gamma when
-    it is given and independent otherwise.
-    """
+    """Configuration for a probability trajectory of the stochastic
+    dynamics from p0. Triggers are correlated through gamma when it is given
+    and independent otherwise."""
 
     alpha: float
     n_steps: int
-    p0: object = None
-    lam: object = None
-    w0: object = None
-    noise: NoiseModel = field(default_factory=NoiseModel)
+    p0: object
     gamma: object = None
     record_stride: int = 1
-
-    def kernel_inputs(self):
-        """(state0, lam, gamma) for `simulate`, which checks them: p0 in the
-        probability form when given, otherwise weights w0 and lam."""
-        if self.p0 is not None:
-            return as_float_array(self.p0, "p0"), None, self.gamma
-        if self.lam is None or self.w0 is None:
-            raise InvalidInputError("need either p0 or (lam, w0)")
-        return as_float_array(self.w0, "w0"), as_float_array(self.lam, "lam"), self.gamma
 
 
 @dataclass
 class TrajectoryRecord:
-    """Recorded trajectory: states[i] is p at step recorded_steps[i].
-
-    weights[i] (weight form only) is defined up to a power-of-two factor,
-    since `simulate` rescales weight rows that leave its range."""
+    """Recorded trajectory: states[i] is p at step recorded_steps[i]."""
 
     recorded_steps: np.ndarray
     states: np.ndarray
-    weights: np.ndarray = None
     seed: object = None
 
 
 def final_probabilities(config, keys):
     """Final probabilities of the trajectories keyed by `keys`, run as one
     batch; row i equals `run_trajectory(config, keys[i]).states[-1]`."""
-    x0, lam, gamma = config.kernel_inputs()
-    x = simulate(np.repeat(x0[None], len(keys), axis=0), config.alpha, config.n_steps, keys,
-                 config.noise, lam=lam, gamma=gamma)
-    return x if lam is None else probabilities(lam, x)
+    p0 = as_float_array(config.p0, "p0")
+    return simulate(np.repeat(p0[None], len(keys), axis=0), config.alpha, config.n_steps, keys,
+                    NoiseModel(), gamma=config.gamma)
 
 
 def run_trajectory(config, seed):
@@ -512,15 +496,8 @@ def run_trajectory(config, seed):
 
     The trajectory is the batch-of-one run of `simulate` on stream key seed,
     so it equals member `seed` of any batched run of the same config."""
-    x0, lam, gamma = config.kernel_inputs()
-    n = config.n_steps
-    recorder = Recorder(recorded_steps(n, config.record_stride))
-    simulate(x0[None], config.alpha, n, [seed], config.noise, lam=lam, gamma=gamma,
-             record=recorder)
-    x = np.concatenate(recorder.states)
-    return TrajectoryRecord(
-        recorded_steps=recorder.checkpoints,
-        states=x if lam is None else probabilities(lam, x),
-        weights=None if lam is None else x,
-        seed=seed,
-    )
+    recorder = Recorder(recorded_steps(config.n_steps, config.record_stride))
+    simulate(as_float_array(config.p0, "p0")[None], config.alpha, config.n_steps, [seed],
+             NoiseModel(), gamma=config.gamma, record=recorder)
+    return TrajectoryRecord(recorded_steps=recorder.checkpoints,
+                            states=np.concatenate(recorder.states), seed=seed)

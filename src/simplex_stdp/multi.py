@@ -9,13 +9,14 @@ the already-frozen outputs, and snaps each trained column onto its dominant
 axis (a "cosine" projection that keeps the norm).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernel
-from .simplex import InvalidInputError, as_float_array, recorded_steps, validate_intensities
-from .dynamics import (NoiseModel, Recorder, _drive, _weight_sums, probabilities,
+from .simplex import (InvalidInputError, as_float_array, probabilities_from_weights,
+                      recorded_steps, validate_intensities)
+from .dynamics import (NoiseModel, Recorder, _drive, _vector_of, _weight_sums, probabilities,
                        sample_triggers, simulate)
 
 
@@ -64,7 +65,6 @@ class MultiRunConfig:
     w0: np.ndarray  # (d, d_out) columns are the output neurons
     alphas: np.ndarray
     n_steps: int
-    noise: NoiseModel = field(default_factory=NoiseModel)
     record_stride: int = 1
 
 
@@ -105,24 +105,23 @@ def _deflated_increments(w, alpha, y):
     return inc
 
 
-def _joint_step(x, alpha, streams, top, lams, gamma, tracker):
+def _joint_step(x, alpha, streams, top, lam, gamma, tracker):
     """The joint scheme's numpy step, in the signature of
-    `dynamics.numpy_step`: returns advance(k0, k1, piece), which runs steps
-    k0..k1-1 on x in place. The rows of x are the columns of the runs, d_out
-    per run, and alpha holds their (d_out, 1) rates. Per step every column
-    moves by its deflated increment, negative entries are clipped, and a
-    tracker's `clip_events` counts them. top is not used: clipping can zero
-    an entry, so triggers are capped every step. Each step first scales the
-    columns whose lam * w sum leaves [2^-256, 2^256]
-    (`dynamics._weight_sums`), so the weights cannot overflow. This is the
-    reference of the compiled `_kernel.joint`, and runs when the kernel
-    does not load."""
+    `dynamics.numpy_step`: returns advance(k0, k1), which runs steps k0..k1-1
+    on the weights x in place under the intensities lam. The rows of x are
+    the columns of the runs, d_out per run, and alpha holds their (d_out, 1)
+    rates. Per step every column moves by its deflated increment, negative
+    entries are clipped, and a tracker's `clip_events` counts them. top and
+    gamma are not used: clipping can zero an entry, so triggers are capped
+    every step. Each step first scales the columns whose lam * w sum leaves
+    [2^-256, 2^256] (`dynamics._weight_sums`), so the weights cannot
+    overflow. This is the reference of the compiled `_kernel.joint`, and
+    runs when the kernel does not load."""
     d_out, d = alpha.shape[0], x.shape[1]
     w = x.reshape(-1, d_out, d)
     eye_rows = np.eye(d)
 
-    def advance(k0, k1, piece):
-        lam = lams[piece]
+    def advance(k0, k1):
         u, z, _ = streams.segment(k1 - k0)
         u = u.reshape(w.shape[0], d_out, -1)
         z = z.reshape(w.shape[0], d_out, -1, d)
@@ -166,7 +165,7 @@ def _joint_steps(config, prefixes, record=None):
     keys = [prefix + (j,) for prefix in prefixes for j in range(w0.shape[0])]
     step = _joint_step if _kernel.library() is None else _kernel.joint
     w = _drive(step, np.tile(w0, (len(prefixes), 1)), alphas[:, None], config.n_steps, keys,
-               config.noise, lam=as_float_array(config.lam, "intensities"), record=record)
+               NoiseModel(), lam=as_float_array(config.lam, "intensities"), record=record)
     return w.reshape(len(prefixes), *w0.shape)
 
 
@@ -201,19 +200,22 @@ def _train_columns(lam, w0, alpha, k_per_column, prefixes):
     """The sequential scheme for a batch of runs, before projection.
 
     Column j starts from w0 with the axes of the trained columns 0..j-1
-    zeroed (deflation against their axis-aligned outputs) and runs
+    zeroed (deflation against their axis-aligned outputs), is checked as
+    weights and converted to its trigger probabilities, and runs
     k_per_column steps of the single-neuron rule; run r's column j uses the
-    stream keyed prefixes[r] + (j,). Returns the trained columns, shape
-    (n, d, d)."""
+    stream keyed prefixes[r] + (j,). Returns the trained columns as p / lam,
+    the weights up to a positive factor per column, shape (n, d, d)."""
     w0 = np.asarray(w0, dtype=float)
+    lam = _vector_of(lam, w0.size, "intensities")
     rows = np.arange(len(prefixes))
     columns = []
     for j in range(w0.size):
         w = np.tile(w0, (rows.size, 1))
         for col in columns:
             w[rows, np.argmax(col, axis=1)] = 0.0
+        p0 = [probabilities_from_weights(lam, row) for row in w]
         keys = [prefix + (j,) for prefix in prefixes]
-        columns.append(simulate(w, alpha, k_per_column, keys, NoiseModel(), lam=lam))
+        columns.append(simulate(p0, alpha, k_per_column, keys, NoiseModel()) / lam)
     return np.stack(columns, axis=2)
 
 
@@ -225,8 +227,10 @@ def sequential_run(lam, w0, alpha, k_per_column, seed):
 
     Column j starts from w0 with the dominant axes of the frozen outputs
     0..j-1 zeroed, runs k_per_column multiplicative steps of the
-    single-neuron rule, and is then snapped onto its dominant axis.
-    Returns (W_star, P_star)."""
+    single-neuron rule, and is then snapped onto its dominant axis, the
+    argmax of p / lam. Returns (W_star, P_star); the single-neuron run
+    steps probabilities, so each column of W_star is defined up to a
+    positive factor."""
     trained = _train_columns(lam, w0, alpha, k_per_column, [_key_prefix(seed)])[0]
     w_star = np.stack([cosine_projection(col) for col in trained.T], axis=1)
     return w_star, probabilities(np.asarray(lam, dtype=float), w_star.T).T

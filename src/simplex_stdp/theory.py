@@ -26,14 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import InvalidInputError, as_probability_vector, probabilities_from_weights
-from .dynamics import GapTracker, NoiseModel, probabilities, simulate, validate_correlation
+from .dynamics import GapTracker, NoiseModel, _gap_of, simulate, validate_correlation
 
 BISECT_REL_TOL = 1e-12
-
-
-def _gap(p0):
-    p0 = np.asarray(p0, dtype=float)
-    return p0[0] - p0[1:].max()
 
 
 @dataclass(frozen=True)
@@ -85,11 +80,11 @@ class GapParams:
 
     @property
     def gap(self):
-        return _gap(self.p0)
+        return _gap_of(self.p0)
 
     @property
     def gap_gamma(self):
-        return _gap(self._gamma @ self.p0)
+        return _gap_of(self._gamma @ self.p0)
 
     @property
     def nu(self):
@@ -284,8 +279,10 @@ def priming_experiment(
     seed,
 ):
     """Learn under lam_first for k_switch steps, then under lam_second: one
-    `dynamics.simulate` run with the piecewise-constant intensities
-    [(0, lam_first), (k_switch, lam_second)], the switch a split of its chunk.
+    `dynamics.simulate` run from the probabilities of w0 under lam_first,
+    switched to lam_second at k_switch (the ratio lam_second / lam_first), the
+    switch a split of its chunk. With n_steps <= k_switch the run ends under
+    lam_first.
 
     Preconditions: at w0 the first intensities make coordinate 0 strictly
     dominant and the second make the last coordinate strictly dominant.
@@ -298,7 +295,7 @@ def priming_experiment(
     pa = probabilities_from_weights(lam_a, w0)
     pb = probabilities_from_weights(lam_b, w0)
     errors = []
-    if np.argmax(pa) != 0 or _gap(pa) <= 0:
+    if np.argmax(pa) != 0 or _gap_of(pa) <= 0:
         errors.append("first intensities do not strictly favor coordinate 0 at w0")
     proportional = np.allclose(pb, pa, rtol=1e-12, atol=0.0)
     if not proportional and (
@@ -310,9 +307,8 @@ def priming_experiment(
     if errors:
         raise InvalidInputError("; ".join(errors))
     keys = [(seed, i) for i in range(n_traj)]
-    w = simulate(np.tile(w0, (len(keys), 1)), alpha, n_steps, keys, NoiseModel(),
-                 lam=[(0, lam_a), (k_switch, lam_b)])
-    p_final = probabilities(lam_a if n_steps <= k_switch else lam_b, w)
+    p_final = simulate(np.tile(pa, (len(keys), 1)), alpha, n_steps, keys, NoiseModel(),
+                       switch=(k_switch, lam_b / lam_a))
     winners = np.argmax(p_final, axis=1)
     fractions = np.bincount(winners, minlength=d) / n_traj
     return p_final, fractions

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from simplex_stdp import dynamics
+from simplex_stdp import dynamics, multi
 from simplex_stdp.simplex import InvalidInputError, as_probability_vector
 
 
@@ -25,13 +25,29 @@ def _draw_correlated_signal(p, gamma, noise, rng):
     return dynamics.correlated_signals(idx, gu, gamma)[0]
 
 
-def _recorded(state0, alpha, n_steps, key, lam=None):
+def _recorded(p0, alpha, n_steps, key, switch=None):
     """The states of a one-row `simulate` run on stream key after each of
     its n_steps steps, step 0 included."""
     recorder = dynamics.Recorder(range(n_steps + 1))
-    dynamics.simulate(np.asarray(state0, dtype=float)[None], alpha, n_steps, [key],
-                      dynamics.NoiseModel(), lam=lam, record=recorder)
+    dynamics.simulate(np.asarray(p0, dtype=float)[None], alpha, n_steps, [key],
+                      dynamics.NoiseModel(), record=recorder, switch=switch)
     return np.concatenate(recorder.states)
+
+
+def _weight_rule(lam, w0, alpha, n_steps, key):
+    """The weight rule w <- w (1 + alpha (B + Z)), B drawn from
+    p = lam * w / (lam . w), on the draws of stream key in the layout of one
+    chunk (`dynamics.Streams`): the probabilities after each step, step 0
+    included."""
+    assert n_steps <= dynamics.CHUNK
+    rng = dynamics.stream_for(key)
+    u, z = rng.random(n_steps), rng.uniform(-1.0, 1.0, (n_steps, w0.size))
+    w, states = w0, [dynamics.probabilities(lam, w0)]
+    for t in range(n_steps):
+        idx = dynamics.sample_triggers(states[-1], u[t])
+        w = w * (1.0 + alpha * (np.eye(w.size)[idx] + z[t]))
+        states.append(dynamics.probabilities(lam, w))
+    return np.array(states)
 
 
 def test_step_probabilities_preserves_zeros_and_sum():
@@ -50,9 +66,8 @@ def test_weight_and_probability_updates_agree():
     # pushing the same draws through weights must induce the probability rule
     lam = np.array([10.0, 7.5, 5.0])
     w0 = np.array([1.0, 2.0, 0.5])
-    w = _recorded(w0, 0.01, 2000, 2, lam=lam)
     p = _recorded(dynamics.probabilities(lam, w0), 0.01, 2000, 2)
-    assert np.abs(dynamics.probabilities(lam, w) - p).max() < 1e-11
+    assert np.abs(_weight_rule(lam, w0, 0.01, 2000, 2) - p).max() < 1e-11
 
 
 def test_noise_model_validation():
@@ -65,18 +80,18 @@ def test_noise_model_validation():
 def test_step_weights_rejects_destructive_rates():
     for alpha in (0.6, -0.1):
         with pytest.raises(InvalidInputError, match="outside"):
-            dynamics.simulate(np.ones((1, 2)), alpha, 1, [0], dynamics.NoiseModel(),
-                              lam=np.ones(2))
+            dynamics.simulate(np.full((1, 2), 0.5), alpha, 1, [0], dynamics.NoiseModel())
 
 
 @pytest.mark.parametrize("config, match", [
     # the rate is checked first
     (dict(alpha=0.7, n_steps=-1, p0=[0.5, 0.5]), "outside"),
     (dict(alpha=0.01, n_steps=-1, p0=[0.5, 0.5]), "n_steps"),
-    (dict(alpha=0.01, n_steps=10), "need either p0"),
+    (dict(alpha=0.01, n_steps=10, p0=[]), "nonempty"),
     (dict(alpha=0.01, n_steps=10, p0=[0.5, 0.6]), "sum"),
     (dict(alpha=0.01, n_steps=10, p0=[1.2, -0.2]), "negative"),
     (dict(alpha=0.01, n_steps=10, p0=[[0.5, 0.5]]), "keys for a state"),
+    # weights enter the single-neuron runs through the sequential scheme
     (dict(alpha=0.01, n_steps=10, lam=[1.0, 2.0], w0=[1.0, -1.0]), "nonnegative"),
     (dict(alpha=0.01, n_steps=10, lam=[1.0, 2.0], w0=[0.0, 0.0]), "positive entry"),
     (dict(alpha=0.01, n_steps=10, lam=[1.0, 2.0], w0=[1.0, np.inf]), "finite"),
@@ -88,6 +103,13 @@ def test_step_weights_rejects_destructive_rates():
     (dict(alpha=0.01, n_steps=10, lam=[np.inf, 1.0], w0=[1.0, 1.0]), "intensities must be finite"),
 ])
 def test_run_trajectory_checks_its_inputs(config, match):
+    if "w0" in config:
+        args = (config["lam"], config["w0"], config["alpha"], config["n_steps"])
+        with pytest.raises(InvalidInputError, match=match):
+            multi.sequential_run(*args, 0)
+        with pytest.raises(InvalidInputError, match=match):
+            multi.sequential_success_ensemble(*args, 2, 0)
+        return
     config = dynamics.DynamicsConfig(**config)
     with pytest.raises(InvalidInputError, match=match):
         dynamics.run_trajectory(config, 0)
@@ -178,15 +200,12 @@ def test_correlation_matrix_validation():
 
 
 def test_inhomogeneous_weight_and_probability_forms_agree():
-    # the weight-form step, read out with the intensities in force after the
-    # switch, equals the probability-form step from those intensities
-    lam_next = np.array([3.0, 1.0, 2.0])
+    # the weight-rule step under the intensities in force after a switch at
+    # step 0 equals the probability-form step switched by the ratio
+    lam, lam_next = np.array([1.0, 4.0, 2.0]), np.array([3.0, 1.0, 2.0])
     w = np.array([0.5, 1.5, 1.0])
-    noise = dynamics.NoiseModel()
-    w_next = dynamics.simulate(w[None], 0.01, 1, [8], noise, lam=lam_next)
-    p_tilde = dynamics.probabilities(lam_next, w)
-    alt = dynamics.simulate(p_tilde[None], 0.01, 1, [8], noise)
-    assert np.abs(dynamics.probabilities(lam_next, w_next) - alt).max() < 1e-14
+    p = _recorded(dynamics.probabilities(lam, w), 0.01, 1, 8, switch=(0, lam_next / lam))
+    assert np.abs(_weight_rule(lam_next, w, 0.01, 1, 8) - p).max() < 1e-14
 
 
 def test_run_trajectory_deterministic_and_seed_sensitive():

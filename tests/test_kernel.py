@@ -55,15 +55,13 @@ def batch_case(draw):
     """A batch of 1-4 trajectories in one of the three forms."""
     d = draw(dims)
     n = draw(st.integers(min_value=1, max_value=4))
-    form = draw(st.sampled_from(["probability", "weight", "correlated"]))
+    form = draw(st.sampled_from(["probability", "switched", "correlated"]))
     kwargs = {}
-    if form == "weight":
-        state0 = np.stack([draw(positive_vector(d)) for _ in range(n)])
-        kwargs["lam"] = draw(positive_vector(d, min_value=0.5))
-    else:
-        state0 = np.stack([draw(simplex_point(d)) for _ in range(n)])
-        if form == "correlated":
-            kwargs["gamma"] = draw(correlation(d))
+    state0 = np.stack([draw(simplex_point(d)) for _ in range(n)])
+    if form == "switched":
+        kwargs["switch"] = (draw(st.integers(0, 65)), draw(positive_vector(d, min_value=0.5)))
+    elif form == "correlated":
+        kwargs["gamma"] = draw(correlation(d))
     keys = [(draw(seeds), i) for i in range(n)]
     return state0, keys, kwargs
 
@@ -88,16 +86,24 @@ def test_zero_entries_stay_zero_and_rows_sum_to_one(p0, seed, alpha, n_steps):
 
 
 @SETTINGS
-@given(dims.flatmap(lambda d: st.tuples(positive_vector(d, 0.5), positive_vector(d))),
+@given(dims.flatmap(lambda d: st.tuples(positive_vector(d, 0.5), positive_vector(d),
+                                        positive_vector(d, 0.5))),
        seeds, st.floats(min_value=1e-3, max_value=0.05),
-       st.integers(min_value=0, max_value=300))
-def test_weight_and_probability_forms_agree(lam_w0, seed, alpha, n_steps):
-    lam, w0 = lam_w0
+       st.integers(min_value=0, max_value=300), st.none() | st.integers(0, 300))
+# a switch at the horizon does nothing
+@example((np.array([1.0, 2.0]), np.ones(2), np.array([2.0, 1.0])), 0, 0.05, 10, 10)
+def test_weight_and_probability_forms_agree(case, seed, alpha, n_steps, k_switch):
+    """The probability run, switched by the ratio of two intensity vectors,
+    against the weight rule stepped under those intensities."""
+    lam, w0, lam_switched = case
     keys = [(seed, 0), (seed, 1)]
-    w = dynamics.simulate(np.tile(w0, (2, 1)), alpha, n_steps, keys, NOISE, lam=lam)
-    p = dynamics.simulate(np.tile(dynamics.probabilities(lam, w0), (2, 1)), alpha, n_steps,
-                          keys, NOISE)
-    assert np.abs(dynamics.probabilities(lam, w) - p).max() < 1e-11
+    switch = None if k_switch is None else (k_switch, lam_switched / lam)
+    with mock.patch.object(dynamics, "CHUNK", 64):
+        p = dynamics.simulate(np.tile(dynamics.probabilities(lam, w0), (2, 1)), alpha, n_steps,
+                              keys, NOISE, switch=switch)
+        states, _ = _layout_oracle(np.tile(w0, (2, 1)), alpha, n_steps, keys, lam=lam,
+                                   switch=switch)
+    assert np.abs(states[-1] - p).max() < 1e-11
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,21 +142,17 @@ def weight_case(draw):
        st.sampled_from([2.0**40, 2.0**-40, 2.0**1000, 2.0**-1000]))
 def test_weight_runs_are_scale_invariant(case, seed, alpha, n_steps, scale):
     lam, w0 = case
-    d, d_out = w0.shape
-    keys = [(seed, j) for j in range(d_out)]
+    d_out = w0.shape[1]
     # every column scaled, then every other column: the joint scheme is
     # scale-invariant column by column
     scaled = (w0, w0 * scale, w0 * scale ** (np.arange(d_out) % 2))
     # a short chunk makes the runs cross chunk boundaries too
     with mock.patch.object(dynamics, "CHUNK", 16):
-        p = [dynamics.probabilities(lam, dynamics.simulate(w.T, alpha, n_steps, keys, NOISE,
-                                                           lam=lam)) for w in scaled]
         joint = [multi.joint_final_errors(lam, w, [alpha] * d_out, n_steps, 2, seed)
                  for w in scaled]
         success = [multi.sequential_success_ensemble(lam, w[:, 0], alpha, n_steps, 3, seed)
                    for w in scaled[:2]]
     for other in (1, 2):
-        assert np.array_equal(p[0], p[other])
         assert np.array_equal(joint[0], joint[other])
     assert np.array_equal(success[0], success[1])
 
@@ -172,27 +174,24 @@ def test_rescale_leaves_probabilities_and_updates_unchanged(case, alpha, exponen
 
 
 def _overflow_runs():
-    """lam and the alpha=0.45 runs, each run(record), whose lam * w used to
-    leave the float range: lam * w of member 0 of a two-member run summed
-    past it at step 2014, and so did that of a joint run with the one column
-    on its stream; a three-column joint run overflowed its column norms."""
+    """lam and the alpha=0.45 joint runs, each run(record), whose weights
+    used to leave the float range: lam * w of a run with one column summed
+    past it at step 2014, and a three-column run overflowed its column
+    norms."""
     lam = np.array([10.0, 7.5, 5.0])
     configs = [multi.MultiRunConfig(lam=lam, w0=np.ones((3, d_out)), alphas=[0.45] * d_out,
                                     n_steps=3000) for d_out in (1, 3)]
-    runs = [
-        lambda record: dynamics.simulate(np.ones((2, 3)), 0.45, 3000, [(5, 0), (5, 1)], NOISE,
-                                         lam=lam, record=record),
-    ] + [lambda record, config=config: multi._joint_steps(config, [(5,)], record)
-         for config in configs]
+    runs = [lambda record, config=config: multi._joint_steps(config, [(5,)], record)
+            for config in configs]
     return lam, runs
 
 
 def test_rescaling_between_chunks_prevents_overflow():
-    """These runs used to overflow within one chunk of the default length
-    and finished only with the weights rescaled between shorter chunks. The
-    step now scales a row whose lam * w sum leaves [2^-256, 2^256], so at
-    every chunk length they finish with finite probabilities, the same bit
-    for bit on the compiled and numpy paths."""
+    """These joint runs used to overflow within one chunk of the default
+    length and finished only with the weights rescaled between shorter
+    chunks. The step now scales a column whose lam * w sum leaves
+    [2^-256, 2^256], so at every chunk length they finish with finite
+    probabilities, the same bit for bit on the compiled and numpy paths."""
     lam, runs = _overflow_runs()
     paths = [_numpy_loop] + ([] if _kernel.library() is None else [contextlib.nullcontext])
     for run, chunk in itertools.product(runs, (dynamics.CHUNK, 256, 16)):
@@ -206,10 +205,10 @@ def test_rescaling_between_chunks_prevents_overflow():
 
 @pytest.mark.parametrize("path", ["compiled", "numpy"])
 def test_runs_stop_at_the_first_state_that_is_not_finite(path):
-    """No weight-form state is non-finite any more, so no run stops: these
-    runs used to stop at step 2014. Recorded every step, each now reaches
-    step 3000 with finite lam * w sums and ends where its unrecorded run
-    ends."""
+    """No joint-scheme state is non-finite any more, so no run stops: the
+    one-column run used to stop at step 2014. Recorded every step, each now
+    reaches step 3000 with finite lam * w sums and ends where its unrecorded
+    run ends."""
     if path == "compiled":
         _require_compiled_step()
     lam, runs = _overflow_runs()
@@ -296,12 +295,12 @@ def _require_compiled_step():
 
 @st.composite
 def compiled_case(draw):
-    """A batch in the probability form with gap tracking, or in the weight
-    form with an intensity switch (none, at step 0, mid-chunk, on a chunk
-    boundary or past the horizon), recorded at every step and, as a single
-    trajectory, at a stride; independent or correlated triggers, zero
-    entries, and a chunk length that makes runs cross chunk and checkpoint
-    boundaries."""
+    """A batch with gap tracking, or started from the probabilities of
+    weights w0 under lam with an intensity switch to lam_switched (none, at
+    step 0, mid-chunk, on a chunk boundary, at n_steps or past the horizon),
+    recorded at every step and, as a single trajectory without the switch,
+    at a stride; independent or correlated triggers, zero entries, and a
+    chunk length that makes runs cross chunk and checkpoint boundaries."""
     d = draw(st.sampled_from([2, 3, 5, 8]))
     n = draw(st.integers(min_value=1, max_value=4))
     n_steps = draw(st.integers(min_value=0, max_value=120))
@@ -331,7 +330,7 @@ def compiled_case(draw):
         case["lam_switched"] = draw(positive_vector(d, min_value=0.5))
         case["switch"] = draw(st.one_of(
             st.none(), st.just(0), st.integers(1, n_steps + 5),
-            st.integers(1, 3).map(lambda j: j * chunk), st.just(n_steps + 1)))
+            st.integers(1, 3).map(lambda j: j * chunk), st.just(n_steps), st.just(n_steps + 1)))
         case["stride"] = draw(st.integers(1, 20))
     return case
 
@@ -345,17 +344,18 @@ def _run_case(case):
             return [res.final_states, res.p1_checkpoints, res.martingale_checkpoints,
                     res.theta_hat, res.ek_violations]
         keys = [(case["seed"], i) for i in range(case["n"])]
-        lam = case["lam"]
+        p0 = dynamics.probabilities(case["lam"], case["w0"])
+        switch = None
         if case["switch"] is not None:
-            lam = [(0, lam), (case["switch"], case["lam_switched"])]
+            switch = (case["switch"], case["lam_switched"] / case["lam"])
         recorder = dynamics.Recorder(range(case["n_steps"] + 1))
-        final = dynamics.simulate(case["w0"], case["alpha"], case["n_steps"], keys, NOISE,
-                                  lam=lam, gamma=case["gamma"], record=recorder)
+        final = dynamics.simulate(p0, case["alpha"], case["n_steps"], keys, NOISE,
+                                  gamma=case["gamma"], record=recorder, switch=switch)
         config = dynamics.DynamicsConfig(
-            alpha=case["alpha"], n_steps=case["n_steps"], lam=case["lam"], w0=case["w0"][0],
-            gamma=case["gamma"], record_stride=case["stride"])
+            alpha=case["alpha"], n_steps=case["n_steps"], p0=p0[0], gamma=case["gamma"],
+            record_stride=case["stride"])
         rec = dynamics.run_trajectory(config, keys[0])
-        return [final, np.stack(recorder.states), rec.states, rec.weights]
+        return [final, np.stack(recorder.states), rec.states]
 
 
 # a rate this large ends the gap event of member 3 at its first step while the
@@ -461,7 +461,7 @@ def test_joint_step_caps_triggers_at_the_last_positive_probability():
         x = w.copy()
         # noise uniforms of 1/2 are zero noise
         streams = _ScriptedStreams(np.array([[u]]), np.full((1, 1, 4), 0.5))
-        step(x, alpha, streams, None, [lam], None, None)(0, 1, 0)
+        step(x, alpha, streams, None, lam, None, None)(0, 1)
         finals.append(x)
     expected = w + 0.1 * w * np.array([0.0, 0.0, 1.0, 0.0])
     assert np.array_equal(finals[0], expected) and np.array_equal(finals[1], expected)
@@ -612,6 +612,7 @@ def test_compiled_runs_hold_no_chunk_of_draws():
     n_steps = 2 * dynamics.CHUNK
     gamma = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.0], [0.1, 0.0, 1.0]])
     lam = np.array([3.0, 2.0, 1.0])
+    p0 = np.tile(dynamics.probabilities(lam, np.ones(3)), (50, 1))
 
     def gap_run(n, p0, gamma=None, gap_gamma=0.0):
         tracker = dynamics.GapTracker(n, p0.size, 1e-3, 0.1, 0.5, [0, n_steps // 3, n_steps],
@@ -622,8 +623,8 @@ def test_compiled_runs_hold_no_chunk_of_draws():
     runs = [
         lambda: gap_run(200, np.array([0.6, 0.4])),
         lambda: gap_run(50, np.array([0.5, 0.3, 0.2]), gamma, 0.05),
-        lambda: dynamics.simulate(np.ones((50, 3)), 1e-3, n_steps, [(2, i) for i in range(50)],
-                                  NOISE, lam=[(0, lam), (dynamics.CHUNK + 1000, lam[::-1])]),
+        lambda: dynamics.simulate(p0, 1e-3, n_steps, [(2, i) for i in range(50)], NOISE,
+                                  switch=(dynamics.CHUNK + 1000, lam[::-1] / lam)),
     ]
     for run in runs:
         tracemalloc.start()
@@ -646,32 +647,47 @@ def _draw_chunk(rngs, m, d, n_pairs):
     return u, z, np.stack(gu)
 
 
-def _layout_oracle(state0, alpha, n_steps, keys, lam=None, gamma=None):
+def _layout_oracle(state0, alpha, n_steps, keys, lam=None, gamma=None, switch=None):
     """A per-step loop over chunks of `dynamics.CHUNK` steps from
-    `_draw_chunk`; returns the probabilities after every step (n_steps + 1,
-    n, d) and every y (n, n_steps, d)."""
+    `_draw_chunk`, stepping probabilities or, given lam, weights; returns
+    the probabilities after every step (n_steps + 1, n, d) and every y
+    (n, n_steps, d). switch=(k, ratio), k < n_steps, multiplies the
+    intensities by ratio before step k: the probabilities by ratio,
+    renormalised, or lam by ratio; the state after k steps is the switched
+    one."""
     x = np.array(state0, dtype=float)
     n, d = x.shape
     rngs = [dynamics.stream_for(key) for key in keys]
     top = d - 1 - np.argmax(x[:, ::-1] > 0, axis=1)
-    p_of = (lambda w: w) if lam is None else (lambda w: dynamics.probabilities(lam, w))
-    states, ys = [p_of(x)], []
+    k_switch, ratio = (n_steps, None) if switch is None else switch
+    states, ys = [], []
+
+    def after(k):
+        nonlocal x, lam
+        if k == k_switch < n_steps:
+            if lam is None:
+                x = x * ratio
+                x = x / x.sum(axis=1, keepdims=True)
+            else:
+                lam = lam * ratio
+        states.append(x if lam is None else dynamics.probabilities(lam, x))
+
+    after(0)
     k = 0
     while k < n_steps:
         m = min(dynamics.CHUNK, n_steps - k)
         u, z, gu = _draw_chunk(rngs, m, d, 0 if gamma is None else d * (d - 1) // 2)
         for t in range(m):
-            p = p_of(x)
-            idx = dynamics.sample_triggers(p, u[:, t], top)
+            idx = dynamics.sample_triggers(states[-1], u[:, t], top)
             sig = np.eye(d)[idx] if gamma is None else dynamics.correlated_signals(
                 idx, gu[:, t], gamma)
             ys.append(sig + z[:, t])
             x = x * (1.0 + alpha * ys[-1])
             if lam is None:
                 x = x / x.sum(axis=1, keepdims=True)
-            states.append(p_of(x))
+            after(k + t + 1)
         k += m
-    return np.stack(states), np.stack(ys, axis=1)
+    return np.stack(states), np.reshape(ys, (n_steps, n, d)).swapaxes(0, 1)
 
 
 @pytest.mark.parametrize("path", ["compiled", "numpy"])
@@ -679,35 +695,36 @@ def _layout_oracle(state0, alpha, n_steps, keys, lam=None, gamma=None):
 @pytest.mark.parametrize("form", ["probability", "correlated", "weight"])
 def test_draws_follow_the_stream_layout(path, chunk, form):
     """simulate and run_trajectory read each chunk's draws in the layout
-    of `dynamics.Streams`, checked against draws made ahead per chunk."""
+    of `dynamics.Streams`, checked against draws made ahead per chunk. The
+    weight form starts from the probabilities of weights under intensities
+    and switches them at step 17, as a priming run does."""
     if path == "compiled":
         _require_compiled_step()
     n, n_steps, alpha = 3, 40, 0.3
     keys = [(11, i) for i in range(n)]
     kwargs = {}
     if form == "weight":
-        state0 = np.array([[1.0, 2.0, 0.5], [3.0, 1.0, 1.0], [0.2, 0.2, 4.0]])
-        kwargs["lam"] = np.array([3.0, 1.0, 2.0])
-        config = dynamics.DynamicsConfig(alpha=alpha, n_steps=n_steps, lam=kwargs["lam"],
-                                         w0=state0[0])
+        lam = np.array([3.0, 1.0, 2.0])
+        w0 = np.array([[1.0, 2.0, 0.5], [3.0, 1.0, 1.0], [0.2, 0.2, 4.0]])
+        state0 = dynamics.probabilities(lam, w0)
+        kwargs["switch"] = (17, np.array([0.5, 2.0, 1.0]))
     else:
-        p0 = np.array([0.5, 0.3, 0.2])
-        state0 = np.tile(p0, (n, 1))
+        state0 = np.tile([0.5, 0.3, 0.2], (n, 1))
         if form == "correlated":
             kwargs["gamma"] = np.array([[1.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.0]])
-        config = dynamics.DynamicsConfig(alpha=alpha, n_steps=n_steps, p0=p0,
-                                         gamma=kwargs.get("gamma"))
-    p_of = (lambda w: w) if form != "weight" else (
-        lambda w: dynamics.probabilities(kwargs["lam"], w))
+    config = dynamics.DynamicsConfig(alpha=alpha, n_steps=n_steps, p0=state0[0],
+                                     gamma=kwargs.get("gamma"))
     with mock.patch.object(dynamics, "CHUNK", chunk), \
             (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
         states, _ = _layout_oracle(state0, alpha, n_steps, keys, **kwargs)
         recorder = dynamics.Recorder(range(n_steps + 1))
         final = dynamics.simulate(state0, alpha, n_steps, keys, NOISE, record=recorder, **kwargs)
         rec = dynamics.run_trajectory(config, keys[0])
-    assert np.array_equal(p_of(final), states[-1])
-    assert np.array_equal(p_of(np.stack(recorder.states)), states)
-    assert np.array_equal(rec.states, states[:, 0])
+    assert np.array_equal(final, states[-1])
+    assert np.array_equal(np.stack(recorder.states), states)
+    # run_trajectory has no switch: its states agree up to the switch step
+    k = kwargs["switch"][0] if "switch" in kwargs else n_steps + 1
+    assert np.array_equal(rec.states[:k], states[:k, 0])
 
 
 @pytest.mark.parametrize("path", ["compiled", "numpy"])

@@ -118,18 +118,19 @@ def test_joint_increments_orthogonal_to_lower_columns(monkeypatch):
 
 
 def test_joint_first_column_matches_single_neuron_run():
-    # column 0 gets no deflation, so it must reproduce the single-neuron
-    # weight dynamic driven by the same stream
-    lam = [10.0, 7.5, 5.0]
+    # column 0 gets no deflation, so it steps the weight rule, and its
+    # probabilities must reproduce the single-neuron probability run driven
+    # by the same stream
+    lam = np.array([10.0, 7.5, 5.0])
     cfg = multi.MultiRunConfig(
         lam=lam, w0=np.ones((3, 3)), alphas=[1e-3] * 3, n_steps=1500, record_stride=1500
     )
     rec = multi.joint_run(cfg, 21)
     single_cfg = dynamics.DynamicsConfig(
-        alpha=1e-3, n_steps=1500, lam=lam, w0=np.ones(3), record_stride=1500
+        alpha=1e-3, n_steps=1500, p0=dynamics.probabilities(lam, np.ones(3)), record_stride=1500
     )
     single = dynamics.run_trajectory(single_cfg, (21, 0))
-    assert np.abs(rec.weights[-1][:, 0] - single.weights[-1]).max() < 1e-12
+    assert np.abs(rec.probabilities[-1][:, 0] - single.states[-1]).max() < 1e-12
 
 
 def test_sequential_run_produces_basis_columns():
