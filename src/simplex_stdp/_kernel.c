@@ -7,7 +7,8 @@
  * drawing as it steps, with the same draws, arithmetic and order as
  * `dynamics.numpy_step` and, when mart is given, `dynamics.GapTracker`:
  *
- *   idx  = #{j : cumsum(p)_j <= u}, capped at top
+ *   idx  = #{j : cumsum(p)_j <= u}, the last positive entry if that is d
+ *   z    = -1 + 2 * r for d uniforms r, numpy's uniform(-1, 1)
  *   y    = S + z, S one-hot at idx or, with gamma, the idx column of C
  *   p    = p * (1 + alpha * y), divided by its sum
  *
@@ -92,9 +93,12 @@ static double weight_sum(const double *lam, double *x, int64_t d, double *tmp)
     return products_sum(lam, x, d, tmp);
 }
 
-/* The trigger of the probabilities p (d,) for the uniform u: the number of
- * cumulative sums at or below u, capped at top (dynamics.sample_triggers) */
-static int64_t trigger(const double *p, int64_t d, double u, int64_t top)
+/* The trigger of the probabilities p (d,) for the uniform u, the rule of
+ * dynamics.sample_triggers: the number of cumulative sums at or below u. A
+ * zero entry repeats the previous sum, so a count below d is a positive
+ * entry. A count of d means u lies at or above a total that rounding left
+ * below 1; the trigger is then the last positive entry (d - 1 if none). */
+static int64_t trigger(const double *p, int64_t d, double u)
 {
     int64_t idx = 0;
     double cum = 0.0;
@@ -102,7 +106,12 @@ static int64_t trigger(const double *p, int64_t d, double u, int64_t top)
         cum += p[j];
         idx += cum <= u;
     }
-    return idx < top ? idx : top;
+    if (idx < d)
+        return idx;
+    for (int64_t j = d - 1; j >= 0; j--)
+        if (p[j] > 0.0)
+            return j;
+    return d - 1;
 }
 
 /* v[0] - max(v[1:]) */
@@ -116,9 +125,9 @@ static double lead_gap(const double *v, int64_t d)
 }
 
 /*
- * Everything fixed for one run of dynamics.simulate. x (n, d) is the state,
- * probability rows updated in place (weight rows in a joint run); top (n,)
- * the last pickable coordinate of each row.
+ * Everything fixed for one run of dynamics.simulate: what the run varies
+ * and nothing more. x (n, d) is the state, probability rows updated in
+ * place (weight rows in a joint run), stepped at the rate alpha.
  * streams (n, 3) holds, per row, the state addresses of the numpy bit
  * generators positioned at the chunk's trigger uniforms, noise values and
  * pair uniforms (NULL without pairs); next_double is their shared draw
@@ -127,14 +136,13 @@ static double lead_gap(const double *v, int64_t d)
  * triggers, mart NULL without tracking; mart and max_abs are (n, d) and
  * alive (n,). In a joint run the rows are the columns of the runs, row
  * run * d_out + j holding column j, and alphas (d_out,) their rates; alpha,
- * top, gamma and the tracking fields are unused. Every field is 8 bytes
- * wide, so the layout has no padding.
+ * gamma and the tracking fields are unused. Every field is 8 bytes wide, so
+ * the layout has no padding.
  */
 struct simplex_run {
     int64_t n, d, n_pairs;
-    double alpha, half_width;
+    double alpha;
     double *x;
-    const int64_t *top;
     void *const *streams;
     double (*next_double)(void *);
     const double *gamma;
@@ -186,14 +194,13 @@ static int track(const struct simplex_run *r, int64_t i, const double *p, const 
 
 /*
  * Runs steps k0..k1-1 of r. Each step of a row reads one trigger uniform, d
- * noise values -h + 2h * r (numpy's uniform(-h, h)) and n_pairs pair
+ * noise values -1 + 2 * r (numpy's uniform(-1, 1)) and n_pairs pair
  * uniforms from the row's three generators. Returns the number of inclusion
  * violations seen, or -1 when out of memory.
  */
 int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1)
 {
     const int64_t d = r->d, n_pairs = r->n_pairs;
-    const double lo = -r->half_width, span = r->half_width - lo;
     double *buf = malloc((5 * (size_t)d + (size_t)n_pairs) * sizeof(double));
     if (!buf)
         return -1;
@@ -209,10 +216,10 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1)
         for (int64_t t = k0; t < k1; t++) {
             const double u = r->next_double(st[0]);
             for (int64_t j = 0; j < d; j++)
-                z[j] = lo + span * r->next_double(st[1]);
+                z[j] = -1.0 + 2.0 * r->next_double(st[1]);
             for (int64_t q = 0; q < n_pairs; q++)
                 gu[q] = r->next_double(st[2]);
-            const int64_t idx = trigger(p, d, u, r->top[i]);
+            const int64_t idx = trigger(p, d, u);
             for (int64_t j = 0; j < d; j++) {
                 /* gamma_ii = 1 exceeds every uniform, so the trigger spikes */
                 double sig = j == idx;
@@ -257,18 +264,17 @@ static double norm2(const double *v, int64_t d, double *tmp)
  * Runs steps k0..k1-1 of the joint scheme under the intensities lam (d,).
  * Per step, each column j of a run reads one trigger uniform and d noise
  * values from its row's generators and takes the increment
- * (alphas[j] * w_j) * (e_idx + z), idx capped at the last positive
- * probability; the increments of columns i+1.. are then projected off the
- * unit vector of column i after its own projection off columns 0..i-1
- * (none when that residual is at most 1e-12 of the column norm), and
- * w = max(w + inc, 0) as np.clip does. Scaling a column by a power of two
- * scales its increment alike and leaves every unit vector as it is.
+ * (alphas[j] * w_j) * (e_idx + z), idx the trigger of its probabilities;
+ * the increments of columns i+1.. are then projected off the unit vector of
+ * column i after its own projection off columns 0..i-1 (none when that
+ * residual is at most 1e-12 of the column norm), and w = max(w + inc, 0) as
+ * np.clip does. Scaling a column by a power of two scales its increment
+ * alike and leaves every unit vector as it is.
  * Returns the number of clipped entries, or -1 when out of memory.
  */
 int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const double *lam)
 {
     const int64_t d = r->d, d_out = r->d_out, size = d_out * d;
-    const double lo = -r->half_width, span = r->half_width - lo;
     double *buf = malloc((2 * (size_t)size + 3 * (size_t)d) * sizeof(double));
     if (!buf)
         return -1;
@@ -283,15 +289,10 @@ int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const
                 const double total = weight_sum(lam, wj, d, tmp);
                 const double u = r->next_double(st[3 * j]);
                 for (int64_t k = 0; k < d; k++)
-                    z[k] = lo + span * r->next_double(st[3 * j + 1]);
+                    z[k] = -1.0 + 2.0 * r->next_double(st[3 * j + 1]);
                 for (int64_t k = 0; k < d; k++)
                     p[k] = tmp[k] / total;
-                int64_t top = d - 1;
-                while (top > 0 && !(p[top] > 0.0))
-                    top--;
-                if (!(p[top] > 0.0))
-                    top = d - 1;
-                const int64_t idx = trigger(p, d, u, top);
+                const int64_t idx = trigger(p, d, u);
                 for (int64_t k = 0; k < d; k++)
                     inc[j * d + k] = r->alphas[j] * wj[k] * ((k == idx) + z[k]);
             }

@@ -120,9 +120,9 @@ def _run_type():
 
     class Run(ctypes.Structure):
         _fields_ = [(name, i64) for name in ("n", "d", "n_pairs")]
-        _fields_ += [("alpha", f64), ("half_width", f64)]
-        _fields_ += [(name, ptr) for name in ("x", "top", "streams", "next_double", "gamma",
-                                              "pair", "mart", "max_abs", "alive")]
+        _fields_ += [("alpha", f64)]
+        _fields_ += [(name, ptr) for name in ("x", "streams", "next_double", "gamma", "pair",
+                                              "mart", "max_abs", "alive")]
         _fields_ += [(name, f64) for name in ("threshold", "half_gap", "half_gap_gamma")]
         _fields_ += [("d_out", i64), ("alphas", ptr)]
 
@@ -150,8 +150,8 @@ def _segments(fn, x, streams, keep, args=(), **fields):
 
     n, d = x.shape
     run = _run_type()(
-        n=n, d=d, n_pairs=streams.n_pairs, half_width=streams.noise.half_width,
-        x=_data(x, np.float64, (n, d)), streams=_data(streams.addresses, np.uintp, (n, 3)),
+        n=n, d=d, n_pairs=streams.n_pairs, x=_data(x, np.float64, (n, d)),
+        streams=_data(streams.addresses, np.uintp, (n, 3)),
         next_double=streams.next_double, **fields)
     run.arrays = (x, streams, keep)
     ref = ctypes.byref(run)
@@ -162,7 +162,7 @@ def _segments(fn, x, streams, keep, args=(), **fields):
     return call
 
 
-def prepare(x, alpha, streams, top, lam, gamma, tracker):
+def prepare(x, alpha, streams, lam, gamma, tracker):
     """Check the arrays of one run once and return advance(k0, k1), which
     runs steps k0..k1-1 on the probability rows x in place, drawing from the
     `dynamics.Streams` streams as it steps. It also advances a
@@ -174,16 +174,15 @@ def prepare(x, alpha, streams, top, lam, gamma, tracker):
 
     n, d = x.shape
     pair = None if gamma is None else _pair_index(d)
-    fields = dict(alpha=alpha, top=_data(top, np.int64, (n,)),
-                  gamma=_data(gamma, np.float64, (d, d)), pair=_data(pair, np.int64, (d, d)))
+    fields = dict(alpha=alpha, gamma=_data(gamma, np.float64, (d, d)),
+                  pair=_data(pair, np.int64, (d, d)))
     if tracker is not None:
         fields.update(
             mart=_data(tracker.mart, np.float64, (n, d)),
             max_abs=_data(tracker.max_abs, np.float64, (n, d)),
             alive=_data(tracker.alive, np.bool_, (n,)), threshold=tracker.threshold,
             half_gap=tracker.half_gap, half_gap_gamma=tracker.half_gap_gamma)
-    call = _segments(library().simplex_advance, x, streams, (top, gamma, pair, tracker),
-                     **fields)
+    call = _segments(library().simplex_advance, x, streams, (gamma, pair, tracker), **fields)
 
     def advance(k0, k1):
         violations = call(k0, k1)
@@ -195,14 +194,14 @@ def prepare(x, alpha, streams, top, lam, gamma, tracker):
     return advance
 
 
-def joint(x, alpha, streams, top, lam, gamma, tracker):
+def joint(x, alpha, streams, lam, gamma, tracker):
     """The compiled `multi._joint_step`, with its arguments and its results
     bit for bit: returns advance(k0, k1), which runs steps k0..k1-1 of the
     joint scheme on the weights x in place under the intensities lam, adding
     the clipped entries to a tracker's `clip_events`. Before each step a
     column whose lam * w sum leaves [2^-256, 2^256] is scaled by a power of
-    two (`dynamics._weight_sums`), so the weights cannot overflow. top and
-    gamma are not used."""
+    two (`dynamics._weight_sums`), so the weights cannot overflow. gamma is
+    not used."""
     alphas = np.ascontiguousarray(alpha, dtype=np.float64).reshape(-1)
     call = _segments(library().simplex_joint, x, streams, (alphas, lam),
                      (_data(lam, np.float64, x.shape[1:]),), d_out=alphas.size,

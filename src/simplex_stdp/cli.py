@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .simplex import (InvalidInputError, as_float_array, barycentric_embedding, landscape_grid,
                       validate_weights)
-from .dynamics import DynamicsConfig, NoiseModel, final_probabilities, run_trajectory, stream_for
+from .dynamics import DynamicsConfig, final_probabilities, run_trajectory, stream_for
 from . import theory
 from . import multi as multi_mod
 from . import mirror as mirror_mod
@@ -318,8 +318,7 @@ def _gap_verify(cfg, out, seed):
                               epsilon=cfg["epsilon"])
     alpha = theory.max_alpha(params)
     result = theory.run_gap_ensemble(
-        params.p0, alpha, cfg["n_steps"], cfg["n_traj"], seed,
-        noise=NoiseModel(q_bound=cfg["q_bound"]), gamma=params.gamma,
+        params.p0, alpha, cfg["n_steps"], cfg["n_traj"], seed, gamma=params.gamma,
         checkpoints=cfg["checkpoints"],
     )
     report = theory.verification_report(params, alpha, result)

@@ -1,7 +1,7 @@
 """Stochastic multiplicative learning dynamics on the trigger probabilities.
 
-One step draws a one-hot trigger B ~ Multinomial(1, p), a centered bounded
-noise vector Z, and moves weights multiplicatively,
+One step draws a one-hot trigger B ~ Multinomial(1, p), a centered noise
+vector Z ~ Unif[-1, 1]^d, and moves weights multiplicatively,
 w <- w * (1 + alpha * (B + Z)). The trigger probabilities p = lam * w /
 (lam . w) then follow their own closed rule,
 p <- p * (1 + alpha * Y) / (p . (1 + alpha * Y)) with Y = B + Z, and a switch
@@ -37,24 +37,12 @@ from .simplex import (
 CHUNK = 65536
 
 
-@dataclass(frozen=True)
 class NoiseModel:
-    """Centered noise Z, Unif[-half_width, half_width] entrywise, with the
-    stated bound |Z| <= q_bound - 1 that the theorems and the rate check use.
-
-    The default is Unif[-1, 1] (q_bound = 2)."""
-
-    half_width: float = 1.0
-    q_bound: float = 2.0
-
-    def __post_init__(self):
-        if self.q_bound <= 1.0:
-            raise InvalidInputError("q_bound must exceed 1")
-        if not (0.0 < self.half_width <= self.q_bound - 1.0):
-            raise InvalidInputError("half_width must lie in (0, q_bound - 1]")
+    """The centered noise Z of the rule, Unif[-1, 1] entrywise, so that
+    |B + Z| <= 2."""
 
     def sample(self, rng, size):
-        return rng.uniform(-self.half_width, self.half_width, size)
+        return rng.uniform(-1.0, 1.0, size)
 
 
 def stream_for(seed):
@@ -66,7 +54,7 @@ class Streams:
     """The draws of a batch, row i from the stream `stream_for(keys[i])`.
 
     Per chunk of m steps a row's stream yields m trigger uniforms, then
-    m x d noise values (`noise.sample`), then m x n_pairs pair uniforms.
+    m x d noise values (`NoiseModel.sample`), then m x n_pairs pair uniforms.
     `position(m)` sets the readers of each row, copies of its stream
     advanced to the offsets 0, m and m(1 + d) of the chunk (the last only
     with pairs), and moves the stream past the chunk. A step then reads each
@@ -75,10 +63,10 @@ class Streams:
     shared `next_double`, the numpy steps through `segment`. Nothing larger
     than one segment's draws is held."""
 
-    def __init__(self, keys, d, noise, n_pairs=0):
+    def __init__(self, keys, d, n_pairs=0):
         import ctypes
 
-        self.d, self.noise, self.n_pairs = d, noise, n_pairs
+        self.d, self.n_pairs = d, n_pairs
         self.streams = [stream_for(key).bit_generator for key in keys]
         kinds = 3 if n_pairs else 2
         # readers are positioned before every chunk, so this seed is never read
@@ -106,9 +94,10 @@ class Streams:
         n = len(self.readers)
         u, z = np.empty((n, s)), np.empty((n, s, self.d))
         gu = np.empty((n, s, self.n_pairs)) if self.n_pairs else None
+        noise = NoiseModel()
         for i, row in enumerate(self.readers):
             u[i] = row[0].random(s)
-            z[i] = self.noise.sample(row[1], (s, self.d))
+            z[i] = noise.sample(row[1], (s, self.d))
             if gu is not None:
                 gu[i] = row[2].random((s, self.n_pairs))
         return u, z, gu
@@ -127,18 +116,18 @@ def _last_positive(p):
     return p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
 
 
-def sample_triggers(p, u, top=None):
+def sample_triggers(p, u):
     """Trigger indices by inverse CDF along the last axis of p: the number of
-    cumulative sums at or below u (searchsorted with side="right"), capped
-    at top.
+    cumulative sums at or below u (searchsorted with side="right"), or the
+    last positive entry of p when that number is d.
 
-    A zero entry repeats the previous cumulative sum, so it is never picked;
-    the cap catches u at or above a total that rounding left below 1. top
-    defaults to the last positive entry of p; callers whose zero entries stay
-    zero may pass it precomputed."""
+    A zero entry repeats the previous cumulative sum, so a count below d
+    never picks it; a count of d means u lies at or above a total that
+    rounding left below 1. As a count below d is at most the last positive
+    entry, the rule is their minimum, which only a count of d needs."""
     cum = np.cumsum(p, axis=-1)
     idx = (cum <= np.asarray(u)[..., None]).sum(axis=-1)
-    return np.minimum(idx, _last_positive(p) if top is None else top)
+    return np.minimum(idx, _last_positive(p)) if idx.max() == cum.shape[-1] else idx
 
 
 @functools.lru_cache(maxsize=None)
@@ -241,14 +230,13 @@ class GapTracker(Recorder):
     sum_{j>=2} p_j (so the L1 error 2 * tail stays representable after
     1 - p_1 rounds to 0) and M.
 
-    `track` is the numpy step's arithmetic; the compiled step does the same
-    in C on the same arrays."""
+    `track` is the numpy step's arithmetic, at the rate of the run it
+    steps; the compiled step does the same in C on the same arrays."""
 
     tracks = True
 
-    def __init__(self, n, d, alpha, gap, threshold, checkpoints, gap_gamma=0.0):
+    def __init__(self, n, d, gap, threshold, checkpoints, gap_gamma=0.0):
         super().__init__(checkpoints)
-        self.alpha = alpha
         self.half_gap = gap / 2.0
         self.half_gap_gamma = gap_gamma / 2.0
         self.threshold = threshold
@@ -266,9 +254,9 @@ class GapTracker(Recorder):
         self.tail_checkpoints[:, pos] = p[:, 1:].sum(axis=1)
         self.martingale_checkpoints[:, :, pos] = self.mart
 
-    def track(self, p, y, p_next, gamma):
+    def track(self, p, y, p_next, alpha, gamma):
         xi = _increments(p, y, gamma)[2]
-        self.mart += self.alpha * xi * self.alive[:, None]
+        self.mart += alpha * xi * self.alive[:, None]
         np.maximum(self.max_abs, np.abs(self.mart), out=self.max_abs)
         e_now = (self.max_abs <= self.threshold).all(axis=1)
         ok = _gap_of(p_next) >= self.half_gap
@@ -278,7 +266,7 @@ class GapTracker(Recorder):
         self.ek_violations += int(np.sum(e_now & ~self.alive))
 
 
-def numpy_step(x, alpha, streams, top, lam, gamma, tracker):
+def numpy_step(x, alpha, streams, lam, gamma, tracker):
     """The numpy reference of `_kernel.prepare`, with its arguments and its
     results bit for bit, taken when the kernel does not load: returns
     advance(k0, k1), which runs steps k0..k1-1 on the probability rows x in
@@ -289,19 +277,19 @@ def numpy_step(x, alpha, streams, top, lam, gamma, tracker):
     def advance(k0, k1):
         u, z, gu = streams.segment(k1 - k0)
         for t in range(k1 - k0):
-            idx = sample_triggers(x, u[:, t], top)
+            idx = sample_triggers(x, u[:, t])
             sig = eye_rows[idx] if gamma is None else correlated_signals(idx, gu[:, t], gamma)
             y = sig + z[:, t]
             x_next = x * (1.0 + alpha * y)
             x_next /= x_next.sum(axis=1, keepdims=True)
             if tracker is not None:
-                tracker.track(x, y, x_next, gamma)
+                tracker.track(x, y, x_next, alpha, gamma)
             x[:] = x_next
 
     return advance
 
 
-def simulate(p0, alpha, n_steps, keys, noise, gamma=None, record=None, switch=None):
+def simulate(p0, alpha, n_steps, keys, gamma=None, record=None, switch=None):
     """Run one probability trajectory per key in lockstep; returns the final
     probabilities.
 
@@ -324,29 +312,29 @@ def simulate(p0, alpha, n_steps, keys, noise, gamma=None, record=None, switch=No
     `numpy_step`; both give the same results bit for bit.
     """
     step = numpy_step if _kernel.library() is None else _kernel.prepare
-    return _drive(step, p0, float(alpha), n_steps, keys, noise, gamma=gamma, record=record,
+    return _drive(step, p0, float(alpha), n_steps, keys, gamma=gamma, record=record,
                   switch=switch)
 
 
-def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, record=None,
-           switch=None):
+def _drive(step, state0, alpha, n_steps, keys, lam=None, gamma=None, record=None, switch=None):
     """The segment driver of every learning run, and the one place its
     inputs are checked; returns the final state.
 
-    Each rate must lie in (0, 1/Q), the range in which the update factor
-    1 + alpha * y stays positive for all admissible Y. Without lam each row
-    of state0 is a probability vector (`as_probability_vector`, which may
-    renormalise it); with lam, the joint scheme's intensities, a positive
-    (d,) vector, each row is a weight vector (`validate_weights`). A switch
-    (probability form only) is a step >= 0 and a positive (d,) ratio, gamma
-    a correlation matrix and the checkpoints increasing steps in
-    [0, n_steps]. The first failing check raises InvalidInputError.
+    Each rate must lie in (0, 1/2), that is (0, 1/Q) for the bound Q = 2 of
+    |B + Z|: there 1 + alpha * y stays positive for every |y| <= Q. Without
+    lam each row of state0 is a probability vector (`as_probability_vector`,
+    which may renormalise it); with lam, the joint scheme's intensities, a
+    positive (d,) vector, each row is a weight vector (`validate_weights`).
+    A switch (probability form only) is a step >= 0 and a positive (d,)
+    ratio, gamma a correlation matrix and the checkpoints increasing steps
+    in [0, n_steps]. The first failing check raises InvalidInputError.
 
-    step(x, alpha, streams, top, lam, gamma, tracker) is called once and
+    step(x, alpha, streams, lam, gamma, tracker) is called once and
     returns advance(k0, k1), which runs steps k0..k1-1 on the rows of x in
     place, drawing from streams (a `Streams` of `keys`) as it steps, and
     advances tracker, the recorder when it `tracks` (else None); a
-    `GapTracker` checks the gap of gamma @ p with the run's checked gamma.
+    `GapTracker` sums its martingales at the run's alpha and checks the gap
+    of gamma @ p with the run's checked gamma.
     lam is scaled once by `rescale`, which leaves the probabilities as they
     are; the joint step scales each weight row by a power of two when its
     lam * w sum leaves [2^-256, 2^256], so neither w nor lam * w can
@@ -355,9 +343,8 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     segment to advance; the switch itself is applied here, between
     segments, for both paths. No randomness is drawn ahead of its segment."""
     a = np.asarray(alpha, dtype=float)
-    if not np.all((a > 0) & (a < 1.0 / noise.q_bound)):
-        raise InvalidInputError("alpha=%s outside (0, 1/Q)=(0, %g)"
-                                % (_rates(alpha), 1.0 / noise.q_bound))
+    if not np.all((a > 0) & (a < 0.5)):
+        raise InvalidInputError("alpha=%s outside (0, 1/2)" % _rates(alpha))
     x = as_float_array(state0, "state")
     if x.ndim != 2 or len(x) < 1 or len(keys) != len(x):
         raise InvalidInputError("%d keys for a state of shape %s; a batch needs at least "
@@ -393,10 +380,8 @@ def _drive(step, state0, alpha, n_steps, keys, noise, lam=None, gamma=None, reco
     switch_at(0)
     if 0 in stops:
         record.record(0, x)
-    streams = Streams(keys, d, noise, n_pairs)
-    # zero entries stay exactly zero, so the last pickable coordinate is fixed
-    top = _last_positive(x)
-    advance = step(x, alpha, streams, top, lam, gamma, record if record.tracks else None)
+    streams = Streams(keys, d, n_pairs)
+    advance = step(x, alpha, streams, lam, gamma, record if record.tracks else None)
     for k in range(0, n_steps, CHUNK):
         m = min(CHUNK, n_steps - k)
         streams.position(m)
@@ -488,7 +473,7 @@ def final_probabilities(config, keys):
     batch; row i equals `run_trajectory(config, keys[i]).states[-1]`."""
     p0 = as_float_array(config.p0, "p0")
     return simulate(np.repeat(p0[None], len(keys), axis=0), config.alpha, config.n_steps, keys,
-                    NoiseModel(), gamma=config.gamma)
+                    gamma=config.gamma)
 
 
 def run_trajectory(config, seed):
@@ -498,6 +483,6 @@ def run_trajectory(config, seed):
     so it equals member `seed` of any batched run of the same config."""
     recorder = Recorder(recorded_steps(config.n_steps, config.record_stride))
     simulate(as_float_array(config.p0, "p0")[None], config.alpha, config.n_steps, [seed],
-             NoiseModel(), gamma=config.gamma, record=recorder)
+             gamma=config.gamma, record=recorder)
     return TrajectoryRecord(recorded_steps=recorder.checkpoints,
                             states=np.concatenate(recorder.states), seed=seed)

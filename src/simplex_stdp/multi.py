@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernel
 from .simplex import (InvalidInputError, as_float_array, probabilities_from_weights,
                       recorded_steps, validate_intensities)
-from .dynamics import (NoiseModel, Recorder, _drive, _vector_of, _weight_sums, probabilities,
+from .dynamics import (Recorder, _drive, _vector_of, _weight_sums, probabilities,
                        sample_triggers, simulate)
 
 
@@ -105,15 +105,14 @@ def _deflated_increments(w, alpha, y):
     return inc
 
 
-def _joint_step(x, alpha, streams, top, lam, gamma, tracker):
+def _joint_step(x, alpha, streams, lam, gamma, tracker):
     """The joint scheme's numpy step, in the signature of
     `dynamics.numpy_step`: returns advance(k0, k1), which runs steps k0..k1-1
     on the weights x in place under the intensities lam. The rows of x are
     the columns of the runs, d_out per run, and alpha holds their (d_out, 1)
     rates. Per step every column moves by its deflated increment, negative
-    entries are clipped, and a tracker's `clip_events` counts them. top and
-    gamma are not used: clipping can zero an entry, so triggers are capped
-    every step. Each step first scales the columns whose lam * w sum leaves
+    entries are clipped, and a tracker's `clip_events` counts them. gamma
+    is not used. Each step first scales the columns whose lam * w sum leaves
     [2^-256, 2^256] (`dynamics._weight_sums`), so the weights cannot
     overflow. This is the reference of the compiled `_kernel.joint`, and
     runs when the kernel does not load."""
@@ -165,7 +164,7 @@ def _joint_steps(config, prefixes, record=None):
     keys = [prefix + (j,) for prefix in prefixes for j in range(w0.shape[0])]
     step = _joint_step if _kernel.library() is None else _kernel.joint
     w = _drive(step, np.tile(w0, (len(prefixes), 1)), alphas[:, None], config.n_steps, keys,
-               NoiseModel(), lam=as_float_array(config.lam, "intensities"), record=record)
+               lam=as_float_array(config.lam, "intensities"), record=record)
     return w.reshape(len(prefixes), *w0.shape)
 
 
@@ -215,7 +214,7 @@ def _train_columns(lam, w0, alpha, k_per_column, prefixes):
             w[rows, np.argmax(col, axis=1)] = 0.0
         p0 = [probabilities_from_weights(lam, row) for row in w]
         keys = [prefix + (j,) for prefix in prefixes]
-        columns.append(simulate(p0, alpha, k_per_column, keys, NoiseModel()) / lam)
+        columns.append(simulate(p0, alpha, k_per_column, keys) / lam)
     return np.stack(columns, axis=2)
 
 

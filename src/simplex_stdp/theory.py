@@ -2,10 +2,10 @@
 verification.
 
 Quantities implemented here, for an initial p with a strictly dominant first
-coordinate (gap = p_1(0) - max_{i>=2} p_i(0) > 0), noise bound Q and
-triggers correlated through a matrix gamma (`GapParams`; independent
-triggers are the gamma = I case, given as gamma None, where every formula
-reduces to its independent-trigger form):
+coordinate (gap = p_1(0) - max_{i>=2} p_i(0) > 0), a stated bound Q >= 2 of
+|B + Z| and triggers correlated through a matrix gamma (`GapParams`;
+independent triggers are the gamma = I case, given as gamma None, where every
+formula reduces to its independent-trigger form):
 
 * the largest admissible step size (an implicit inequality in alpha, solved
   by bisection on (0, 1/Q)),
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import InvalidInputError, as_probability_vector, probabilities_from_weights
-from .dynamics import GapTracker, NoiseModel, _gap_of, simulate, validate_correlation
+from .dynamics import GapTracker, _gap_of, simulate, validate_correlation
 
 BISECT_REL_TOL = 1e-12
 
@@ -61,8 +61,8 @@ class GapParams:
             object.__setattr__(self, "gamma", validate_correlation(self.gamma, p0.size))
         if not 0 < self.epsilon < 1:
             raise InvalidInputError("epsilon must lie in (0, 1)")
-        if self.q_bound <= 1:
-            raise InvalidInputError("q_bound must exceed 1")
+        if not self.q_bound >= 2:
+            raise InvalidInputError("q_bound must be at least 2, the bound of |B + Z|")
         if self.gap <= 0:
             raise InvalidInputError("first coordinate must be strictly dominant")
         # else the martingale threshold is <= 0 and a run's gap event is dead
@@ -198,7 +198,6 @@ def run_gap_ensemble(
     n_steps,
     n_traj,
     seed,
-    noise=None,
     gamma=None,
     checkpoints=(),
 ):
@@ -212,14 +211,13 @@ def run_gap_ensemble(
     that checks the gamma @ p gap with the run's gamma when it is given;
     p_1, the tail mass and the martingales are recorded at each checkpoint,
     a step in [0, n_steps]."""
-    noise = noise or NoiseModel()
-    params = GapParams(p0, gamma, q_bound=noise.q_bound)
+    params = GapParams(p0, gamma)
     keys = [(seed, i) for i in range(n_traj)]
     checkpoints = sorted(set(int(c) for c in checkpoints))
-    tracker = GapTracker(len(keys), params.d, alpha, params.gap, params.martingale_threshold,
+    tracker = GapTracker(len(keys), params.d, params.gap, params.martingale_threshold,
                          checkpoints, params.gap_gamma)
-    p = simulate(np.tile(params.p0, (len(keys), 1)), alpha, n_steps, keys, noise,
-                 gamma=params.gamma, record=tracker)
+    p = simulate(np.tile(params.p0, (len(keys), 1)), alpha, n_steps, keys, gamma=params.gamma,
+                 record=tracker)
     return EnsembleVerification(
         checkpoints=tracker.checkpoints,
         p1_checkpoints=tracker.p1_checkpoints,
@@ -285,7 +283,8 @@ def priming_experiment(
     lam_first.
 
     Preconditions: at w0 the first intensities make coordinate 0 strictly
-    dominant and the second make the last coordinate strictly dominant.
+    dominant, and the second match the first or make the last coordinate
+    strictly dominant; the first that fails raises InvalidInputError.
     Returns final probabilities (n_traj, d) and the fraction of trajectories
     whose final argmax is each coordinate."""
     lam_a = np.asarray(lam_first, dtype=float)
@@ -294,20 +293,13 @@ def priming_experiment(
     d = w0.size
     pa = probabilities_from_weights(lam_a, w0)
     pb = probabilities_from_weights(lam_b, w0)
-    errors = []
-    if np.argmax(pa) != 0 or _gap_of(pa) <= 0:
-        errors.append("first intensities do not strictly favor coordinate 0 at w0")
-    proportional = np.allclose(pb, pa, rtol=1e-12, atol=0.0)
-    if not proportional and (
-        np.argmax(pb) != d - 1 or pb[d - 1] - np.delete(pb, d - 1).max() <= 0
-    ):
-        errors.append(
-            "second intensities neither match the first nor strictly favor the last coordinate"
-        )
-    if errors:
-        raise InvalidInputError("; ".join(errors))
+    if _gap_of(pa) <= 0:
+        raise InvalidInputError("first intensities do not strictly favor coordinate 0 at w0")
+    if not np.allclose(pb, pa, rtol=1e-12, atol=0.0) and pb[d - 1] - pb[:d - 1].max() <= 0:
+        raise InvalidInputError(
+            "second intensities neither match the first nor strictly favor the last coordinate")
     keys = [(seed, i) for i in range(n_traj)]
-    p_final = simulate(np.tile(pa, (len(keys), 1)), alpha, n_steps, keys, NoiseModel(),
+    p_final = simulate(np.tile(pa, (len(keys), 1)), alpha, n_steps, keys,
                        switch=(k_switch, lam_b / lam_a))
     winners = np.argmax(p_final, axis=1)
     fractions = np.bincount(winners, minlength=d) / n_traj

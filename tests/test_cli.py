@@ -166,7 +166,7 @@ def test_importing_the_package_pins_openblas_to_one_thread(preset, expected):
 
 
 @pytest.mark.parametrize("args", [
-    # a rate above 1/Q makes update factors negative; the run used to pass
+    # a rate above 1/2 makes update factors negative; the run used to pass
     ["alg2-verify", "--set", "alpha=1.5", "--set", "n_seeds=4"],
     # non-finite intensities used to pass the intensity check and stop the
     # weight runs at their first step, or reach a cap check as NaN

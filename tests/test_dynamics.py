@@ -29,8 +29,8 @@ def _recorded(p0, alpha, n_steps, key, switch=None):
     """The states of a one-row `simulate` run on stream key after each of
     its n_steps steps, step 0 included."""
     recorder = dynamics.Recorder(range(n_steps + 1))
-    dynamics.simulate(np.asarray(p0, dtype=float)[None], alpha, n_steps, [key],
-                      dynamics.NoiseModel(), record=recorder, switch=switch)
+    dynamics.simulate(np.asarray(p0, dtype=float)[None], alpha, n_steps, [key], record=recorder,
+                      switch=switch)
     return np.concatenate(recorder.states)
 
 
@@ -58,7 +58,7 @@ def test_step_probabilities_preserves_zeros_and_sum():
 
 def test_simplex_drift_stays_small_over_many_steps():
     p0 = np.random.default_rng(1).dirichlet(np.ones(3))
-    p = dynamics.simulate(p0[None], 0.01, 10000, [1], dynamics.NoiseModel())[0]
+    p = dynamics.simulate(p0[None], 0.01, 10000, [1])[0]
     assert abs(p.sum() - 1.0) < 1e-10
 
 
@@ -70,17 +70,10 @@ def test_weight_and_probability_updates_agree():
     assert np.abs(_weight_rule(lam, w0, 0.01, 2000, 2) - p).max() < 1e-11
 
 
-def test_noise_model_validation():
-    with pytest.raises(InvalidInputError):
-        dynamics.NoiseModel(q_bound=1.0)
-    with pytest.raises(InvalidInputError):
-        dynamics.NoiseModel(half_width=1.5, q_bound=2.0)
-
-
 def test_step_weights_rejects_destructive_rates():
     for alpha in (0.6, -0.1):
         with pytest.raises(InvalidInputError, match="outside"):
-            dynamics.simulate(np.full((1, 2), 0.5), alpha, 1, [0], dynamics.NoiseModel())
+            dynamics.simulate(np.full((1, 2), 0.5), alpha, 1, [0])
 
 
 @pytest.mark.parametrize("config, match", [
@@ -119,11 +112,11 @@ def test_run_trajectory_checks_its_inputs(config, match):
 
 def test_probability_rows_are_taken_as_the_simplex_check_returns_them():
     p0 = np.array([[0.5, 0.5 + 2e-10], [0.25, 0.75]])
-    x = dynamics.simulate(p0, 0.01, 0, [0, 1], dynamics.NoiseModel())
+    x = dynamics.simulate(p0, 0.01, 0, [0, 1])
     assert np.array_equal(x, [as_probability_vector(p) for p in p0])
     assert not np.array_equal(x[0], p0[0])
     with pytest.raises(InvalidInputError, match="sum"):
-        dynamics.simulate(np.array([[0.5, 0.6]]), 0.01, 0, [0], dynamics.NoiseModel())
+        dynamics.simulate(np.array([[0.5, 0.6]]), 0.01, 0, [0])
 
 
 def test_trigger_frequencies_match_probabilities():

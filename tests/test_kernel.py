@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from simplex_stdp import _kernel, cli, dynamics, flow, multi, theory
 from simplex_stdp.simplex import as_probability_vector
 
-NOISE = dynamics.NoiseModel()
 SETTINGS = settings(max_examples=40, deadline=None)
 
 dims = st.integers(min_value=2, max_value=5)
@@ -70,17 +69,16 @@ def batch_case(draw):
 @given(batch_case(), alphas, steps)
 def test_batch_members_equal_solo_runs(case, alpha, n_steps):
     state0, keys, kwargs = case
-    batch = dynamics.simulate(state0, alpha, n_steps, keys, NOISE, **kwargs)
+    batch = dynamics.simulate(state0, alpha, n_steps, keys, **kwargs)
     for i, key in enumerate(keys):
-        solo = dynamics.simulate(state0[i:i + 1], alpha, n_steps, [key], NOISE, **kwargs)
+        solo = dynamics.simulate(state0[i:i + 1], alpha, n_steps, [key], **kwargs)
         assert np.array_equal(batch[i], solo[0])
 
 
 @SETTINGS
 @given(dims.flatmap(lambda d: simplex_point(d, zeros=True)), seeds, alphas, steps)
 def test_zero_entries_stay_zero_and_rows_sum_to_one(p0, seed, alpha, n_steps):
-    p = dynamics.simulate(np.tile(p0, (3, 1)), alpha, n_steps, [(seed, i) for i in range(3)],
-                          NOISE)
+    p = dynamics.simulate(np.tile(p0, (3, 1)), alpha, n_steps, [(seed, i) for i in range(3)])
     assert np.all(p[:, p0 == 0.0] == 0.0)
     assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -100,7 +98,7 @@ def test_weight_and_probability_forms_agree(case, seed, alpha, n_steps, k_switch
     switch = None if k_switch is None else (k_switch, lam_switched / lam)
     with mock.patch.object(dynamics, "CHUNK", 64):
         p = dynamics.simulate(np.tile(dynamics.probabilities(lam, w0), (2, 1)), alpha, n_steps,
-                              keys, NOISE, switch=switch)
+                              keys, switch=switch)
         states, _ = _layout_oracle(np.tile(w0, (2, 1)), alpha, n_steps, keys, lam=lam,
                                    switch=switch)
     assert np.abs(states[-1] - p).max() < 1e-11
@@ -349,8 +347,8 @@ def _run_case(case):
         if case["switch"] is not None:
             switch = (case["switch"], case["lam_switched"] / case["lam"])
         recorder = dynamics.Recorder(range(case["n_steps"] + 1))
-        final = dynamics.simulate(p0, case["alpha"], case["n_steps"], keys, NOISE,
-                                  gamma=case["gamma"], record=recorder, switch=switch)
+        final = dynamics.simulate(p0, case["alpha"], case["n_steps"], keys, gamma=case["gamma"],
+                                  record=recorder, switch=switch)
         config = dynamics.DynamicsConfig(
             alpha=case["alpha"], n_steps=case["n_steps"], p0=p0[0], gamma=case["gamma"],
             record_stride=case["stride"])
@@ -426,7 +424,6 @@ class _ScriptedStreams:
     step through `segment`, which turns v into noise as the kernel does."""
 
     n_pairs = 0
-    noise = NOISE
 
     def __init__(self, u, v):
         import ctypes
@@ -442,29 +439,34 @@ class _ScriptedStreams:
         self.next_double = ctypes.cast(self.callback, ctypes.c_void_p).value
 
     def segment(self, s):
-        lo = -self.noise.half_width
-        return self.u[:, :s], lo + (self.noise.half_width - lo) * self.v[:, :s], None
+        return self.u[:, :s], -1.0 + 2.0 * self.v[:, :s], None
 
 
 def test_joint_step_caps_triggers_at_the_last_positive_probability():
-    """The probabilities of w sum to 1 - 2^-53 before its trailing zero, so
-    u = 1 - 2^-53 lies at or above every cumulative sum: both joint steps
-    must cap the trigger at the last positive entry, not at d - 1, whose
-    zero weight would take no increment."""
+    """The probabilities p of w sum to 1 - 2^-53 before its trailing zero, so
+    u = 1 - 2^-53 lies at or above every cumulative sum: both joint steps,
+    on w, and both probability steps, on p, must trigger the last positive
+    entry, not d - 1, whose zero weight would take no increment."""
     _require_compiled_step()
     lam, w = np.ones(4), np.array([[16.0, 4.0, 4.0, 0.0]])
+    p = dynamics.probabilities(lam, w)
     u = np.nextafter(1.0, 0.0)
-    assert np.cumsum(dynamics.probabilities(lam, w), axis=1)[0, 2] == u
-    alpha = np.array([[0.1]])
+    assert np.cumsum(p, axis=1)[0, 2] == u
+    rate = np.array([[0.1]])
+    runs = [(_kernel.joint, w, rate, lam), (multi._joint_step, w, rate, lam),
+            (_kernel.prepare, p, 0.1, None), (dynamics.numpy_step, p, 0.1, None)]
     finals = []
-    for step in (_kernel.joint, multi._joint_step):
-        x = w.copy()
+    for step, x0, alpha, step_lam in runs:
+        x = x0.copy()
         # noise uniforms of 1/2 are zero noise
         streams = _ScriptedStreams(np.array([[u]]), np.full((1, 1, 4), 0.5))
-        step(x, alpha, streams, None, lam, None, None)(0, 1)
+        step(x, alpha, streams, step_lam, None, None)(0, 1)
         finals.append(x)
-    expected = w + 0.1 * w * np.array([0.0, 0.0, 1.0, 0.0])
-    assert np.array_equal(finals[0], expected) and np.array_equal(finals[1], expected)
+    y = np.array([0.0, 0.0, 1.0, 0.0])
+    moved = p * (1.0 + 0.1 * y)
+    expected = [w + 0.1 * w * y] * 2 + [moved / moved.sum(axis=1, keepdims=True)] * 2
+    for final, want in zip(finals, expected):
+        assert np.array_equal(final, want)
 
 
 @st.composite
@@ -615,15 +617,14 @@ def test_compiled_runs_hold_no_chunk_of_draws():
     p0 = np.tile(dynamics.probabilities(lam, np.ones(3)), (50, 1))
 
     def gap_run(n, p0, gamma=None, gap_gamma=0.0):
-        tracker = dynamics.GapTracker(n, p0.size, 1e-3, 0.1, 0.5, [0, n_steps // 3, n_steps],
-                                      gap_gamma)
+        tracker = dynamics.GapTracker(n, p0.size, 0.1, 0.5, [0, n_steps // 3, n_steps], gap_gamma)
         dynamics.simulate(np.tile(p0, (n, 1)), 1e-3, n_steps, [(1, i) for i in range(n)],
-                          NOISE, gamma=gamma, record=tracker)
+                          gamma=gamma, record=tracker)
 
     runs = [
         lambda: gap_run(200, np.array([0.6, 0.4])),
         lambda: gap_run(50, np.array([0.5, 0.3, 0.2]), gamma, 0.05),
-        lambda: dynamics.simulate(p0, 1e-3, n_steps, [(2, i) for i in range(50)], NOISE,
+        lambda: dynamics.simulate(p0, 1e-3, n_steps, [(2, i) for i in range(50)],
                                   switch=(dynamics.CHUNK + 1000, lam[::-1] / lam)),
     ]
     for run in runs:
@@ -642,7 +643,7 @@ def _draw_chunk(rngs, m, d, n_pairs):
     u, z, gu = np.empty((len(rngs), m)), np.empty((len(rngs), m, d)), []
     for i, rng in enumerate(rngs):
         u[i] = rng.random(m)
-        z[i] = rng.uniform(-NOISE.half_width, NOISE.half_width, (m, d))
+        z[i] = rng.uniform(-1.0, 1.0, (m, d))
         gu.append(rng.random((m, n_pairs)))
     return u, z, np.stack(gu)
 
@@ -658,7 +659,6 @@ def _layout_oracle(state0, alpha, n_steps, keys, lam=None, gamma=None, switch=No
     x = np.array(state0, dtype=float)
     n, d = x.shape
     rngs = [dynamics.stream_for(key) for key in keys]
-    top = d - 1 - np.argmax(x[:, ::-1] > 0, axis=1)
     k_switch, ratio = (n_steps, None) if switch is None else switch
     states, ys = [], []
 
@@ -678,7 +678,7 @@ def _layout_oracle(state0, alpha, n_steps, keys, lam=None, gamma=None, switch=No
         m = min(dynamics.CHUNK, n_steps - k)
         u, z, gu = _draw_chunk(rngs, m, d, 0 if gamma is None else d * (d - 1) // 2)
         for t in range(m):
-            idx = dynamics.sample_triggers(states[-1], u[:, t], top)
+            idx = dynamics.sample_triggers(states[-1], u[:, t])
             sig = np.eye(d)[idx] if gamma is None else dynamics.correlated_signals(
                 idx, gu[:, t], gamma)
             ys.append(sig + z[:, t])
@@ -718,7 +718,7 @@ def test_draws_follow_the_stream_layout(path, chunk, form):
             (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
         states, _ = _layout_oracle(state0, alpha, n_steps, keys, **kwargs)
         recorder = dynamics.Recorder(range(n_steps + 1))
-        final = dynamics.simulate(state0, alpha, n_steps, keys, NOISE, record=recorder, **kwargs)
+        final = dynamics.simulate(state0, alpha, n_steps, keys, record=recorder, **kwargs)
         rec = dynamics.run_trajectory(config, keys[0])
     assert np.array_equal(final, states[-1])
     assert np.array_equal(np.stack(recorder.states), states)

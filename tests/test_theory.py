@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from simplex_stdp import dynamics, theory
+from simplex_stdp import cli, dynamics, theory
 from simplex_stdp.simplex import InvalidInputError
 
 
@@ -97,6 +97,35 @@ def test_gap_params_refuse_a_dead_gap_event():
         theory.run_gap_ensemble(p0, 1e-3, 10, 2, 0, gamma=gamma)
 
 
+def test_gap_params_refuse_a_bound_below_that_of_the_noise():
+    # |B + Z| reaches 2 under the Unif[-1, 1] noise, so a stated Q below 2
+    # would admit rates at which the update factor can turn negative
+    for q_bound in (1.5, np.nan):
+        with pytest.raises(InvalidInputError, match="q_bound"):
+            theory.GapParams(p0=np.array([0.9, 0.1]), q_bound=q_bound)
+    assert theory.GapParams(p0=np.array([0.9, 0.1]), q_bound=2.0).q_bound == 2.0
+
+
+def test_gap_event_probability_check_can_fail_on_its_own():
+    """At p0 = (0.55, 0.45) the rate 0.05, far above max_alpha (1.4e-7)
+    but below 1/Q, ends the gap event of most members within 5000 steps:
+    the empirical gap-event probability (0.37, 0.445 and 0.485 for seeds 0
+    to 2) falls under the floor of thm22-verify at epsilon = 0.5, while the
+    error bound holds and no inclusion violation occurs. At thm22's own
+    p0 = (0.9, 0.1) it stays at or above 0.985 even at the rate 0.45."""
+    cfg = cli.DEFAULTS["thm22-verify"]
+    p0, alpha, n_steps = [0.55, 0.45], 0.05, 5000
+    params = theory.GapParams(p0=np.array(p0), epsilon=cfg["epsilon"])
+    floor = 1.0 - cfg["epsilon"] / 2.0 - cfg["probability_slack"]
+    for seed in range(3):
+        res = theory.run_gap_ensemble(p0, alpha, n_steps, 200, seed, checkpoints=[0, n_steps])
+        report = theory.verification_report(params, alpha, res)
+        assert report["empirical_gap_event_probability"] < floor
+        assert report["inclusion_violations"] == 0
+        assert all(row["on_event_mean_l1_error"] <= cfg["bound_slack"] * row["bound"]
+                   for row in report["checkpoints"])
+
+
 def test_martingale_has_zero_mean():
     p0 = [0.9, 0.1]
     params = theory.GapParams(p0=np.array(p0), epsilon=0.5)
@@ -133,8 +162,13 @@ def test_priming_delta_closed_form():
 
 
 def test_priming_preconditions():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="first intensities"):
         theory.priming_experiment([5.0, 10.0], [5.0, 10.0], np.ones(2),
+                                  1e-3, 0, 10, 2, 0)
+    # valid first intensities; the second neither match them nor favour the
+    # last coordinate
+    with pytest.raises(InvalidInputError, match="second intensities"):
+        theory.priming_experiment([10.0, 5.0], [10.0, 6.0], np.ones(2),
                                   1e-3, 0, 10, 2, 0)
 
 
