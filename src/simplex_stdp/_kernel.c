@@ -5,7 +5,9 @@
  *
  * simplex_advance runs steps k0..k1-1 for every probability row of a batch,
  * drawing as it steps, with the same draws, arithmetic and order as
- * `dynamics.numpy_step` and, when mart is given, `dynamics.GapTracker`:
+ * `dynamics.numpy_step` and, when mart is given, `dynamics.GapTracker`. Each
+ * step of a row reads its own stream in step order: the trigger uniform u, d
+ * uniforms r for the noise, then one uniform per pair with gamma:
  *
  *   idx  = #{j : cumsum(p)_j <= u}, the last positive entry if that is d
  *   z    = -1 + 2 * r for d uniforms r, numpy's uniform(-1, 1)
@@ -128,16 +130,14 @@ static double lead_gap(const double *v, int64_t d)
  * Everything fixed for one run of dynamics.simulate: what the run varies
  * and nothing more. x (n, d) is the state, probability rows updated in
  * place (weight rows in a joint run), stepped at the rate alpha.
- * streams (n, 3) holds, per row, the state addresses of the numpy bit
- * generators positioned at the chunk's trigger uniforms, noise values and
- * pair uniforms (NULL without pairs); next_double is their shared draw
- * function, one 64-bit output per double. pair (d, d)
- * numbers each unordered pair. gamma and pair are NULL for independent
- * triggers, mart NULL without tracking; mart and max_abs are (n, d) and
- * alive (n,). In a joint run the rows are the columns of the runs, row
- * run * d_out + j holding column j, and alphas (d_out,) their rates; alpha,
- * gamma and the tracking fields are unused. Every field is 8 bytes wide, so
- * the layout has no padding.
+ * streams (n,) holds the state address of each row's numpy bit generator,
+ * read in step order; next_double is their shared draw function, one
+ * 64-bit output per double. pair (d, d) numbers each unordered pair. gamma
+ * and pair are NULL for independent triggers, mart NULL without tracking;
+ * mart and max_abs are (n, d) and alive (n,). In a joint run the rows are
+ * the columns of the runs, row run * d_out + j holding column j, and alphas
+ * (d_out,) their rates; alpha, gamma and the tracking fields are unused.
+ * Every field is 8 bytes wide, so the layout has no padding.
  */
 struct simplex_run {
     int64_t n, d, n_pairs;
@@ -195,8 +195,8 @@ static int track(const struct simplex_run *r, int64_t i, const double *p, const 
 /*
  * Runs steps k0..k1-1 of r. Each step of a row reads one trigger uniform, d
  * noise values -1 + 2 * r (numpy's uniform(-1, 1)) and n_pairs pair
- * uniforms from the row's three generators. Returns the number of inclusion
- * violations seen, or -1 when out of memory.
+ * uniforms, in that order, from the row's generator. Returns the number of
+ * inclusion violations seen, or -1 when out of memory.
  */
 int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1)
 {
@@ -209,16 +209,16 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1)
     int64_t violations = 0;
     for (int64_t i = 0; i < r->n; i++) {
         double *p = r->x + i * d;
-        void *const *st = r->streams + 3 * i;
+        void *const st = r->streams[i];
         /* track keeps gp at gamma @ p from here on */
         if (r->mart && r->gamma)
             gamma_dot(r->gamma, p, d, tmp, gp);
         for (int64_t t = k0; t < k1; t++) {
-            const double u = r->next_double(st[0]);
+            const double u = r->next_double(st);
             for (int64_t j = 0; j < d; j++)
-                z[j] = -1.0 + 2.0 * r->next_double(st[1]);
+                z[j] = -1.0 + 2.0 * r->next_double(st);
             for (int64_t q = 0; q < n_pairs; q++)
-                gu[q] = r->next_double(st[2]);
+                gu[q] = r->next_double(st);
             const int64_t idx = trigger(p, d, u);
             for (int64_t j = 0; j < d; j++) {
                 /* gamma_ii = 1 exceeds every uniform, so the trigger spikes */
@@ -262,8 +262,8 @@ static double norm2(const double *v, int64_t d, double *tmp)
 
 /*
  * Runs steps k0..k1-1 of the joint scheme under the intensities lam (d,).
- * Per step, each column j of a run reads one trigger uniform and d noise
- * values from its row's generators and takes the increment
+ * Per step, each column j of a run reads one trigger uniform, then d noise
+ * values, from its row's generator and takes the increment
  * (alphas[j] * w_j) * (e_idx + z), idx the trigger of its probabilities;
  * the increments of columns i+1.. are then projected off the unit vector of
  * column i after its own projection off columns 0..i-1 (none when that
@@ -282,14 +282,14 @@ int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const
     int64_t clips = 0;
     for (int64_t run = 0; run < r->n / d_out; run++) {
         double *w = r->x + run * size;
-        void *const *st = r->streams + 3 * run * d_out;
+        void *const *st = r->streams + run * d_out;
         for (int64_t t = k0; t < k1; t++) {
             for (int64_t j = 0; j < d_out; j++) {
                 double *wj = w + j * d;
                 const double total = weight_sum(lam, wj, d, tmp);
-                const double u = r->next_double(st[3 * j]);
+                const double u = r->next_double(st[j]);
                 for (int64_t k = 0; k < d; k++)
-                    z[k] = -1.0 + 2.0 * r->next_double(st[3 * j + 1]);
+                    z[k] = -1.0 + 2.0 * r->next_double(st[j]);
                 for (int64_t k = 0; k < d; k++)
                     p[k] = tmp[k] / total;
                 const int64_t idx = trigger(p, d, u);

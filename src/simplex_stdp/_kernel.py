@@ -151,7 +151,7 @@ def _segments(fn, x, streams, keep, args=(), **fields):
     n, d = x.shape
     run = _run_type()(
         n=n, d=d, n_pairs=streams.n_pairs, x=_data(x, np.float64, (n, d)),
-        streams=_data(streams.addresses, np.uintp, (n, 3)),
+        streams=_data(streams.addresses, np.uintp, (n,)),
         next_double=streams.next_double, **fields)
     run.arrays = (x, streams, keep)
     ref = ctypes.byref(run)

@@ -31,15 +31,15 @@ from .simplex import (
     validate_weights,
 )
 
-# Number of steps in the stream layout of one chunk (see `Streams`). Every
-# runner consumes streams in these chunks, so a trajectory is reproducible
-# from its key alone regardless of batching.
+# The longest segment `_drive` hands a step, which bounds the draws the numpy
+# step holds at once. The draws of a row do not depend on it.
 CHUNK = 65536
 
 
 class NoiseModel:
     """The centered noise Z of the rule, Unif[-1, 1] entrywise, so that
-    |B + Z| <= 2."""
+    |B + Z| <= 2. The steps draw Z inline from their streams (`Streams`),
+    with the arithmetic of `sample`."""
 
     def sample(self, rng, size):
         return rng.uniform(-1.0, 1.0, size)
@@ -51,56 +51,34 @@ def stream_for(seed):
 
 
 class Streams:
-    """The draws of a batch, row i from the stream `stream_for(keys[i])`.
-
-    Per chunk of m steps a row's stream yields m trigger uniforms, then
-    m x d noise values (`NoiseModel.sample`), then m x n_pairs pair uniforms.
-    `position(m)` sets the readers of each row, copies of its stream
-    advanced to the offsets 0, m and m(1 + d) of the chunk (the last only
-    with pairs), and moves the stream past the chunk. A step then reads each
-    kind of draw in step order from its reader: the compiled step through
-    the bit generators' state `addresses` (n, 3; 0 for no reader) and their
-    shared `next_double`, the numpy steps through `segment`. Nothing larger
-    than one segment's draws is held."""
+    """The draws of a batch, row i from the stream `stream_for(keys[i])` in
+    step order: each step of a row reads one trigger uniform u, then d
+    uniforms r, the noise z = -1 + 2 * r (numpy's uniform(-1, 1)), then
+    n_pairs pair uniforms. The compiled step reads the streams through the
+    bit generators' state `addresses` (n,) and their shared `next_double`,
+    the numpy steps through `segment`, so the draws of a row do not depend
+    on how a run is cut into segments."""
 
     def __init__(self, keys, d, n_pairs=0):
         import ctypes
 
         self.d, self.n_pairs = d, n_pairs
-        self.streams = [stream_for(key).bit_generator for key in keys]
-        kinds = 3 if n_pairs else 2
-        # readers are positioned before every chunk, so this seed is never read
-        seed = np.random.SeedSequence(0)
-        self.readers = [[np.random.Generator(np.random.PCG64(seed)) for _ in range(kinds)]
-                        for _ in keys]
-        self.addresses = np.zeros((len(keys), 3), dtype=np.uintp)
-        self.addresses[:, :kinds] = [[r.bit_generator.ctypes.state_address for r in row]
-                                     for row in self.readers]
-        self.next_double = ctypes.cast(self.readers[0][0].bit_generator.ctypes.next_double,
+        self.streams = [stream_for(key) for key in keys]
+        self.addresses = np.array([g.bit_generator.ctypes.state_address for g in self.streams],
+                                  dtype=np.uintp)
+        self.next_double = ctypes.cast(self.streams[0].bit_generator.ctypes.next_double,
                                        ctypes.c_void_p).value
-
-    def position(self, m):
-        offsets = (0, m, m * (1 + self.d))
-        for stream, row in zip(self.streams, self.readers):
-            state = stream.state
-            for reader, offset in zip(row, offsets):
-                reader.bit_generator.state = state
-                reader.bit_generator.advance(offset)
-            stream.advance(m * (1 + self.d + self.n_pairs))
 
     def segment(self, s):
         """The draws of the next s steps of every row: u (n, s), z (n, s, d)
-        and gu (n, s, n_pairs), None without pairs."""
-        n = len(self.readers)
-        u, z = np.empty((n, s)), np.empty((n, s, self.d))
-        gu = np.empty((n, s, self.n_pairs)) if self.n_pairs else None
-        noise = NoiseModel()
-        for i, row in enumerate(self.readers):
-            u[i] = row[0].random(s)
-            z[i] = noise.sample(row[1], (s, self.d))
-            if gu is not None:
-                gu[i] = row[2].random((s, self.n_pairs))
-        return u, z, gu
+        and gu (n, s, n_pairs), None without pairs, all views of one array."""
+        draws = np.empty((len(self.streams), s, 1 + self.d + self.n_pairs))
+        for rng, row in zip(self.streams, draws):
+            rng.random(out=row)
+        z = draws[:, :, 1:1 + self.d]
+        z *= 2.0
+        z -= 1.0
+        return draws[:, :, 0], z, draws[:, :, 1 + self.d:] if self.n_pairs else None
 
 
 def _rates(alpha):
@@ -204,18 +182,23 @@ def _increments(p, y, gamma):
 class Recorder:
     """What a run of the segment driver `_drive` reports to: at each of the
     increasing steps `checkpoints` within [0, n_steps], record(k, x) gets
-    the batch state after k steps (this one keeps a copy in `states`). The
-    step also advances a recorder that `tracks`, as a `GapTracker` or the
-    joint scheme's clip counter."""
+    the batch state after k steps, at each checkpoint once and in order
+    (this one writes it to the next row of `states`, an array of shape
+    (len(checkpoints), n, d) allocated at the first call). The step also
+    advances a recorder that `tracks`, as a `GapTracker` or the joint
+    scheme's clip counter."""
 
     tracks = False
 
     def __init__(self, checkpoints):
         self.checkpoints = np.asarray(checkpoints, dtype=int)
-        self.states = []
+        self.states, self.filled = None, 0
 
     def record(self, k, x):
-        self.states.append(x.copy())
+        if self.states is None:
+            self.states = np.empty((self.checkpoints.size,) + x.shape)
+        self.states[self.filled] = x
+        self.filled += 1
 
 
 class GapTracker(Recorder):
@@ -294,7 +277,7 @@ def simulate(p0, alpha, n_steps, keys, gamma=None, record=None, switch=None):
     probabilities.
 
     Row i of p0 (n, d) starts trajectory i, which draws from the stream
-    `stream_for(keys[i])` in the layout of `Streams`, so a row does not
+    `stream_for(keys[i])` in the step order of `Streams`, so a row does not
     depend on the rest of the batch. Step k:
 
         y = B + Z, B one-hot from p  (the trigger column of C when gamma is given)
@@ -338,10 +321,10 @@ def _drive(step, state0, alpha, n_steps, keys, lam=None, gamma=None, record=None
     lam is scaled once by `rescale`, which leaves the probabilities as they
     are; the joint step scales each weight row by a power of two when its
     lam * w sum leaves [2^-256, 2^256], so neither w nor lam * w can
-    overflow. Per chunk of `CHUNK` steps the driver positions the streams,
-    splits the chunk at the checkpoints and the switch, and hands every
-    segment to advance; the switch itself is applied here, between
-    segments, for both paths. No randomness is drawn ahead of its segment."""
+    overflow. The driver cuts the run at the checkpoints, the switch and
+    every multiple of `CHUNK`, and hands each segment to advance; the switch
+    itself is applied here, between segments, for both paths. A row's draws
+    follow its stream in step order, whatever the cuts."""
     a = np.asarray(alpha, dtype=float)
     if not np.all((a > 0) & (a < 0.5)):
         raise InvalidInputError("alpha=%s outside (0, 1/2)" % _rates(alpha))
@@ -369,8 +352,11 @@ def _drive(step, state0, alpha, n_steps, keys, lam=None, gamma=None, record=None
     if gamma is not None:
         gamma = np.ascontiguousarray(validate_correlation(gamma, d))
     n_pairs = 0 if gamma is None else d * (d - 1) // 2
-    stops = set(steps.tolist())
-    cuts = sorted(stops | {k_switch})
+    # the segment ends in (0, n_steps], each once, and which are checkpoints;
+    # not np.unique, which imports numpy.ma (1.7 MiB with numpy 2.4)
+    cuts = np.sort(np.concatenate([steps, [k_switch, n_steps], np.arange(CHUNK, n_steps, CHUNK)]))
+    cuts = cuts[(cuts > 0) & (cuts <= n_steps) & (np.diff(cuts, prepend=-1) > 0)]
+    recorded = np.isin(cuts, steps)
 
     def switch_at(k):
         if k == k_switch < n_steps:
@@ -378,20 +364,17 @@ def _drive(step, state0, alpha, n_steps, keys, lam=None, gamma=None, record=None
             x[:] /= x.sum(axis=1, keepdims=True)
 
     switch_at(0)
-    if 0 in stops:
+    if steps.size and steps[0] == 0:
         record.record(0, x)
     streams = Streams(keys, d, n_pairs)
     advance = step(x, alpha, streams, lam, gamma, record if record.tracks else None)
-    for k in range(0, n_steps, CHUNK):
-        m = min(CHUNK, n_steps - k)
-        streams.position(m)
-        k0 = k
-        for k1 in [c for c in cuts if k < c < k + m] + [k + m]:
-            advance(k0, k1)
-            switch_at(k1)
-            if k1 in stops:
-                record.record(k1, x)
-            k0 = k1
+    k0 = 0
+    for k1, at_checkpoint in zip(cuts.tolist(), recorded):
+        advance(k0, k1)
+        switch_at(k1)
+        if at_checkpoint:
+            record.record(k1, x)
+        k0 = k1
     return x
 
 
@@ -484,5 +467,5 @@ def run_trajectory(config, seed):
     recorder = Recorder(recorded_steps(config.n_steps, config.record_stride))
     simulate(as_float_array(config.p0, "p0")[None], config.alpha, config.n_steps, [seed],
              gamma=config.gamma, record=recorder)
-    return TrajectoryRecord(recorded_steps=recorder.checkpoints,
-                            states=np.concatenate(recorder.states), seed=seed)
+    return TrajectoryRecord(recorded_steps=recorder.checkpoints, states=recorder.states[:, 0],
+                            seed=seed)

@@ -152,10 +152,10 @@ def _joint_steps(config, prefixes, record=None):
     `dynamics._drive` runs the step on them: the compiled `_kernel.joint`
     when the kernel loads, otherwise its numpy reference `_joint_step`, with
     the same results bit for bit. Here w0 must be (d, d_out) with one rate
-    per column; `_drive` checks the rest of the inputs as for `simulate`,
-    positions the streams and calls record (a `Recorder`, given the state
-    after k steps at its checkpoints), and the step scales a column by a
-    power of two when its lam * w sum leaves [2^-256, 2^256]."""
+    per column; `_drive` checks the rest of the inputs as for `simulate`
+    and calls record (a `Recorder`, given the state after k steps at its
+    checkpoints), and the step scales a column by a power of two when its
+    lam * w sum leaves [2^-256, 2^256]."""
     w0 = as_float_array(config.w0, "w0").T
     alphas = as_float_array(config.alphas, "alphas")
     if w0.ndim != 2 or alphas.shape != w0.shape[:1]:
@@ -176,7 +176,7 @@ def joint_run(config, seed):
     record_stride steps through a `Recorder` and counts clipped entries."""
     recorder = _ClipCounter(recorded_steps(config.n_steps, config.record_stride))
     _joint_steps(config, [_key_prefix(seed)], recorder)
-    w = np.stack(recorder.states)
+    w = recorder.states
     lam = np.asarray(config.lam, dtype=float)  # checked by the run
     return MultiRunRecord(
         recorded_steps=recorder.checkpoints,

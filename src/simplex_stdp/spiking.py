@@ -91,9 +91,7 @@ def simulate_membrane(config, trains):
     potential never exceeds the threshold between events and resets to zero
     on each postsynaptic spike."""
     w = validate_weights(config.weights)
-    if not 0 < config.threshold < math.inf:
-        raise InvalidInputError("threshold must be positive and finite, got %r"
-                                % (config.threshold,))
+    _check_threshold(config.threshold)
     times = [as_float_array(t, "spike train") for t in trains.times]
     if len(times) != w.size or any(t.ndim != 1 for t in times):
         raise InvalidInputError("need one 1-d spike train per weight: %d weights, %d trains"
@@ -110,6 +108,11 @@ def simulate_membrane(config, trains):
         times, w, config.threshold, cap, config.record_potential)
     return PostsynapticRecord(spike_times=spikes, trigger_ids=triggers,
                               potential_times=event_times, potentials=potentials)
+
+
+def _check_threshold(threshold):
+    if not 0 < threshold < math.inf:
+        raise InvalidInputError("threshold must be positive and finite, got %r" % (threshold,))
 
 
 def _membrane_loop(config, w, times):
@@ -151,6 +154,8 @@ def collect_triggers(lam, w, threshold, n_events, rng):
     w = validate_weights(w)
     if n_events < 1:
         raise InvalidInputError("n_events must be at least 1, got %r" % (n_events,))
+    # before the horizon, which a NaN or infinite threshold would make one too
+    _check_threshold(threshold)
     config = MembraneConfig(weights=w, threshold=threshold)
     ids = []
     collected = 0

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -346,3 +347,14 @@ def test_criterion_13_determinism(tmp_path):
             assert other == runs[0], "%s not deterministic" % scenario
     _report("criterion 13 PASS: all %d scenarios byte-identical across "
             "reruns and thread counts" % len(scenarios))
+
+
+def test_outputs_do_not_depend_on_the_segment_length(tmp_path):
+    """Every row reads its stream in step order, so cutting the runs into
+    segments of at most 7 steps, not `dynamics.CHUNK`, changes no output
+    file of any scenario."""
+    for scenario in sorted(SMALL_OVERRIDES):
+        default = _run_scenario(scenario, tmp_path / (scenario + "-default"), 1)
+        with mock.patch.object(dynamics, "CHUNK", 7):
+            short = _run_scenario(scenario, tmp_path / (scenario + "-short"), 1)
+        assert short == default, "%s depends on the segment length" % scenario

@@ -8,10 +8,12 @@ import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import simplex_stdp
-from simplex_stdp import cli
+from simplex_stdp import _kernel, cli, dynamics, flow, multi
+from simplex_stdp.simplex import probabilities_from_weights, replicator_field
 
 # seconds a scenario that should stop at a precondition may run
 LIMIT_S = 120
@@ -255,6 +257,9 @@ def test_importing_the_package_pins_openblas_to_one_thread(preset, expected):
      "--set", "record_stride=1"],
     # a recording of 1e14 rows used to fail to allocate 728 TiB, a traceback
     ["thm23-verify", "--set", "n_cases=1", "--set", "horizon=1e12", "--set", "record_stride=1"],
+    # these thresholds used to reach int() through the Poisson horizon, a traceback
+    ["spiking-validate", "--set", "thresholds=[NaN]", "--set", "n_events=[1000]"],
+    ["spiking-validate", "--set", "thresholds=[Infinity]", "--set", "n_events=[1000]"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     # a run that does not end fails here instead of hanging the suite
@@ -292,3 +297,47 @@ def test_weight_runs_past_the_old_overflow_step_finish(tmp_path, args, code):
             values = [float(cell) for row in rows for cell in row
                       if cell not in ("unprimed", "primed")]
             assert rows and all(math.isfinite(v) for v in values), name
+
+
+def _planted(tmp_path, monkeypatch, args, patches):
+    """The reports of args at seed 3, run as it is and then with the
+    (module, name, replacement) patches applied."""
+    reports = []
+    for side in ("plain", "planted"):
+        if side == "planted":
+            for module, name, value in patches:
+                monkeypatch.setattr(module, name, value)
+        code = run(args + ["--seed", "3", "--out", str(tmp_path / side), "--threads", "1"])
+        reports.append((code, json.loads((tmp_path / side / args[0] / "report.json").read_text())))
+    return reports
+
+
+def test_thm23_gate_fails_when_the_flow_runs_backwards(tmp_path, monkeypatch):
+    """The numpy flow with the replicator field negated: every recorded step
+    of the 6 cases breaks the bound, and the gate fails."""
+    (code, plain), (bad_code, bad) = _planted(
+        tmp_path, monkeypatch, ["thm23-verify", "--set", "n_cases=6", "--set", "horizon=2.0"],
+        [(_kernel, "library", lambda: None),
+         (flow, "replicator_field", lambda p, fitness=None: -replicator_field(p, fitness))])
+    assert code == 0 and plain["passed"] is True and plain["violations"] == 0
+    assert bad_code == 4 and bad["passed"] is False
+    assert bad["violations"] == 120 and bad["worst_margin"] < 0.0
+
+
+def test_alg2_gate_fails_without_deflation(tmp_path, monkeypatch):
+    """Algorithm 2 with every column trained from w0 itself, no axis of a
+    trained column zeroed: the columns find the same axis, so no member
+    succeeds and the success-rate gate fails."""
+    def undeflated(lam, w0, alpha, k_per_column, prefixes):
+        lam = np.asarray(lam, dtype=float)
+        p0 = [probabilities_from_weights(lam, w0)] * len(prefixes)
+        return np.stack([dynamics.simulate(p0, alpha, k_per_column,
+                                           [prefix + (j,) for prefix in prefixes]) / lam
+                         for j in range(len(w0))], axis=2)
+
+    (code, plain), (bad_code, bad) = _planted(
+        tmp_path, monkeypatch, ["alg2-verify", "--set", "alpha=0.05", "--set", "n_seeds=10"],
+        [(multi, "_train_columns", undeflated)])
+    assert code == 0 and plain["passed"] is True
+    assert plain["success_rate"] >= plain["required_rate"]
+    assert bad_code == 4 and bad["passed"] is False and bad["success_rate"] == 0.0

@@ -36,16 +36,15 @@ def _recorded(p0, alpha, n_steps, key, switch=None):
 
 def _weight_rule(lam, w0, alpha, n_steps, key):
     """The weight rule w <- w (1 + alpha (B + Z)), B drawn from
-    p = lam * w / (lam . w), on the draws of stream key in the layout of one
-    chunk (`dynamics.Streams`): the probabilities after each step, step 0
-    included."""
-    assert n_steps <= dynamics.CHUNK
+    p = lam * w / (lam . w), on the draws of stream key in step order
+    (`dynamics.Streams`): per step a trigger uniform, then the noise. Returns
+    the probabilities after each step, step 0 included."""
     rng = dynamics.stream_for(key)
-    u, z = rng.random(n_steps), rng.uniform(-1.0, 1.0, (n_steps, w0.size))
+    draws = [(rng.random(), rng.uniform(-1.0, 1.0, w0.size)) for _ in range(n_steps)]
     w, states = w0, [dynamics.probabilities(lam, w0)]
-    for t in range(n_steps):
-        idx = dynamics.sample_triggers(states[-1], u[t])
-        w = w * (1.0 + alpha * (np.eye(w.size)[idx] + z[t]))
+    for u, z in draws:
+        idx = dynamics.sample_triggers(states[-1], u)
+        w = w * (1.0 + alpha * (np.eye(w.size)[idx] + z))
         states.append(dynamics.probabilities(lam, w))
     return np.array(states)
 
