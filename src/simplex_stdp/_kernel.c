@@ -7,11 +7,12 @@
  * drawing as it steps, with the same draws, arithmetic and order as
  * `dynamics.numpy_step` and, when mart is given, `dynamics.GapTracker`. Each
  * step of a row reads its own stream in step order: the trigger uniform u, d
- * uniforms r for the noise, then one uniform per pair with gamma:
+ * uniforms r for the noise, then, with gamma, d uniforms g:
  *
  *   idx  = #{j : cumsum(p)_j <= u}, the last positive entry if that is d
  *   z    = -1 + 2 * r for d uniforms r, numpy's uniform(-1, 1)
- *   y    = S + z, S one-hot at idx or, with gamma, the idx column of C
+ *   y    = S + z, S one-hot at idx or, with gamma, S_j = [g_j < gamma_idx,j],
+ *          the idx column of C, whose entries are independent Ber(gamma_idx,j)
  *   p    = p * (1 + alpha * y), divided by its sum
  *
  * simplex_joint does the same for the joint scheme, which steps weights,
@@ -132,21 +133,20 @@ static double lead_gap(const double *v, int64_t d)
  * place (weight rows in a joint run), stepped at the rate alpha.
  * streams (n,) holds the state address of each row's numpy bit generator,
  * read in step order; next_double is their shared draw function, one
- * 64-bit output per double. pair (d, d) numbers each unordered pair. gamma
- * and pair are NULL for independent triggers, mart NULL without tracking;
- * mart and max_abs are (n, d) and alive (n,). In a joint run the rows are
- * the columns of the runs, row run * d_out + j holding column j, and alphas
- * (d_out,) their rates; alpha, gamma and the tracking fields are unused.
+ * 64-bit output per double. gamma (d, d) is NULL for independent
+ * triggers, mart NULL without tracking; mart and max_abs are (n, d) and
+ * alive (n,). In a joint run the rows are the columns of the runs, row
+ * run * d_out + j holding column j, and alphas (d_out,) their rates; alpha,
+ * gamma and the tracking fields are unused.
  * Every field is 8 bytes wide, so the layout has no padding.
  */
 struct simplex_run {
-    int64_t n, d, n_pairs;
+    int64_t n, d;
     double alpha;
     double *x;
     void *const *streams;
     double (*next_double)(void *);
     const double *gamma;
-    const int64_t *pair;
     double *mart, *max_abs;
     uint8_t *alive;
     double threshold, half_gap, half_gap_gamma;
@@ -194,18 +194,18 @@ static int track(const struct simplex_run *r, int64_t i, const double *p, const 
 
 /*
  * Runs steps k0..k1-1 of r. Each step of a row reads one trigger uniform, d
- * noise values -1 + 2 * r (numpy's uniform(-1, 1)) and n_pairs pair
+ * noise values -1 + 2 * r (numpy's uniform(-1, 1)) and, with gamma, d column
  * uniforms, in that order, from the row's generator. Returns the number of
  * inclusion violations seen, or -1 when out of memory.
  */
 int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1)
 {
-    const int64_t d = r->d, n_pairs = r->n_pairs;
-    double *buf = malloc((5 * (size_t)d + (size_t)n_pairs) * sizeof(double));
+    const int64_t d = r->d;
+    double *buf = malloc(6 * (size_t)d * sizeof(double));
     if (!buf)
         return -1;
     double *y = buf, *xn = buf + d, *tmp = buf + 2 * d, *gp = buf + 3 * d;
-    double *z = buf + 4 * d, *gu = buf + 5 * d;
+    double *z = buf + 4 * d, *g = buf + 5 * d;
     int64_t violations = 0;
     for (int64_t i = 0; i < r->n; i++) {
         double *p = r->x + i * d;
@@ -217,14 +217,13 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1)
             const double u = r->next_double(st);
             for (int64_t j = 0; j < d; j++)
                 z[j] = -1.0 + 2.0 * r->next_double(st);
-            for (int64_t q = 0; q < n_pairs; q++)
-                gu[q] = r->next_double(st);
+            if (r->gamma)
+                for (int64_t j = 0; j < d; j++)
+                    g[j] = r->next_double(st);
             const int64_t idx = trigger(p, d, u);
             for (int64_t j = 0; j < d; j++) {
                 /* gamma_ii = 1 exceeds every uniform, so the trigger spikes */
-                double sig = j == idx;
-                if (r->gamma && j != idx)
-                    sig = gu[r->pair[idx * d + j]] < r->gamma[idx * d + j];
+                const double sig = r->gamma ? g[j] < r->gamma[idx * d + j] : j == idx;
                 y[j] = sig + z[j];
             }
             for (int64_t j = 0; j < d; j++)

@@ -119,10 +119,10 @@ def _run_type():
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
     class Run(ctypes.Structure):
-        _fields_ = [(name, i64) for name in ("n", "d", "n_pairs")]
+        _fields_ = [(name, i64) for name in ("n", "d")]
         _fields_ += [("alpha", f64)]
-        _fields_ += [(name, ptr) for name in ("x", "streams", "next_double", "gamma", "pair",
-                                              "mart", "max_abs", "alive")]
+        _fields_ += [(name, ptr) for name in ("x", "streams", "next_double", "gamma", "mart",
+                                              "max_abs", "alive")]
         _fields_ += [(name, f64) for name in ("threshold", "half_gap", "half_gap_gamma")]
         _fields_ += [("d_out", i64), ("alphas", ptr)]
 
@@ -150,8 +150,7 @@ def _segments(fn, x, streams, keep, args=(), **fields):
 
     n, d = x.shape
     run = _run_type()(
-        n=n, d=d, n_pairs=streams.n_pairs, x=_data(x, np.float64, (n, d)),
-        streams=_data(streams.addresses, np.uintp, (n,)),
+        n=n, d=d, x=_data(x, np.float64, (n, d)), streams=_data(streams.addresses, np.uintp, (n,)),
         next_double=streams.next_double, **fields)
     run.arrays = (x, streams, keep)
     ref = ctypes.byref(run)
@@ -169,20 +168,15 @@ def prepare(x, alpha, streams, lam, gamma, tracker):
     `dynamics.GapTracker`'s martingales, maxima, gap event (on gamma @ p too
     when gamma is given) and inclusion-violation count. lam is None: the
     single-neuron runs step probabilities, which stay on the simplex."""
-    # imported here: dynamics imports this module
-    from .dynamics import _pair_index
-
     n, d = x.shape
-    pair = None if gamma is None else _pair_index(d)
-    fields = dict(alpha=alpha, gamma=_data(gamma, np.float64, (d, d)),
-                  pair=_data(pair, np.int64, (d, d)))
+    fields = dict(alpha=alpha, gamma=_data(gamma, np.float64, (d, d)))
     if tracker is not None:
         fields.update(
             mart=_data(tracker.mart, np.float64, (n, d)),
             max_abs=_data(tracker.max_abs, np.float64, (n, d)),
             alive=_data(tracker.alive, np.bool_, (n,)), threshold=tracker.threshold,
             half_gap=tracker.half_gap, half_gap_gamma=tracker.half_gap_gamma)
-    call = _segments(library().simplex_advance, x, streams, (gamma, pair, tracker), **fields)
+    call = _segments(library().simplex_advance, x, streams, (gamma, tracker), **fields)
 
     def advance(k0, k1):
         violations = call(k0, k1)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .simplex import (InvalidInputError, as_float_array, barycentric_embedding, landscape_grid,
-                      validate_weights)
+                      probabilities_from_weights, validate_weights)
 from .dynamics import DynamicsConfig, final_probabilities, run_trajectory, stream_for
 from . import theory
 from . import multi as multi_mod
@@ -284,7 +284,7 @@ def scenario_priming(cfg, out, seed):
     lam_a, lam_b, w0 = _vectors(cfg, "lam_first", "lam_second", "w0")
     d = w0.size
     eps = cfg["epsilon"]
-    p_a = lam_a * w0 / float(np.dot(lam_a, w0))
+    p_a = probabilities_from_weights(lam_a, w0)
     delta = 0.99 * theory.priming_delta_max(lam_a, lam_b)
     params = theory.GapParams(p0=p_a, epsilon=eps)
     k_star = theory.iterations_for(params, cfg["alpha"], delta)
@@ -455,7 +455,7 @@ def scenario_alg2_verify(cfg, out, seed):
 
 def scenario_spiking_validate(cfg, out, seed):
     lam, w = _vectors(cfg, "lam", "weights")
-    target = lam * w / float(np.dot(lam, w))
+    target = probabilities_from_weights(lam, w)
     if not cfg["thresholds"] or len(cfg["thresholds"]) != len(cfg["n_events"]):
         raise InvalidInputError("need one n_events per threshold, at least one of each")
     rows = []
@@ -507,10 +507,11 @@ def scenario_mirror_compare(cfg, out, seed):
 def scenario_landscape_grid(cfg, out, seed):
     path = os.path.join(out, "landscape.csv")
     vals = _write_landscape(path, cfg["grid_step"], gamma=cfg["gamma"])
-    ok = True
+    # the correlated landscape has no check, so it reports passed as null
+    passed = None
     if cfg["gamma"] is None:
-        ok = abs(float(vals.min()) - (-1.0 / 12.0)) <= 1e-5
-    return [path], {"min_value": float(vals.min()), "passed": bool(ok)}, ok
+        passed = abs(float(vals.min()) - (-1.0 / 12.0)) <= 1e-5
+    return [path], {"min_value": float(vals.min()), "passed": passed}, passed is not False
 
 
 SCENARIOS = {

@@ -16,7 +16,6 @@ residual split of a probability step and a seeded, recorded
 single-trajectory runner.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,16 +52,17 @@ def stream_for(seed):
 class Streams:
     """The draws of a batch, row i from the stream `stream_for(keys[i])` in
     step order: each step of a row reads one trigger uniform u, then d
-    uniforms r, the noise z = -1 + 2 * r (numpy's uniform(-1, 1)), then
-    n_pairs pair uniforms. The compiled step reads the streams through the
-    bit generators' state `addresses` (n,) and their shared `next_double`,
-    the numpy steps through `segment`, so the draws of a row do not depend
-    on how a run is cut into segments."""
+    uniforms r, the noise z = -1 + 2 * r (numpy's uniform(-1, 1)), then, in
+    a correlated run, d uniforms g, one per coordinate of the trigger's
+    column of C. The compiled step reads the streams through the bit
+    generators' state `addresses` (n,) and their shared `next_double`, the
+    numpy steps through `segment`, so the draws of a row do not depend on
+    how a run is cut into segments."""
 
-    def __init__(self, keys, d, n_pairs=0):
+    def __init__(self, keys, d, correlated=False):
         import ctypes
 
-        self.d, self.n_pairs = d, n_pairs
+        self.d, self.correlated = d, correlated
         self.streams = [stream_for(key) for key in keys]
         self.addresses = np.array([g.bit_generator.ctypes.state_address for g in self.streams],
                                   dtype=np.uintp)
@@ -71,14 +71,15 @@ class Streams:
 
     def segment(self, s):
         """The draws of the next s steps of every row: u (n, s), z (n, s, d)
-        and gu (n, s, n_pairs), None without pairs, all views of one array."""
-        draws = np.empty((len(self.streams), s, 1 + self.d + self.n_pairs))
+        and g (n, s, d), None unless correlated, all views of one array."""
+        d = self.d
+        draws = np.empty((len(self.streams), s, 1 + d + d * self.correlated))
         for rng, row in zip(self.streams, draws):
             rng.random(out=row)
-        z = draws[:, :, 1:1 + self.d]
+        z = draws[:, :, 1:1 + d]
         z *= 2.0
         z -= 1.0
-        return draws[:, :, 0], z, draws[:, :, 1 + self.d:] if self.n_pairs else None
+        return draws[:, :, 0], z, draws[:, :, 1 + d:] if self.correlated else None
 
 
 def _rates(alpha):
@@ -108,26 +109,15 @@ def sample_triggers(p, u):
     return np.minimum(idx, _last_positive(p)) if idx.max() == cum.shape[-1] else idx
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_index(d):
-    """(d, d) table of the lexicographic number of each unordered pair i<j;
-    the diagonal points at pair 0."""
-    i, j = np.triu_indices(d, 1)
-    table = np.zeros((d, d), dtype=int)
-    table[i, j] = table[j, i] = np.arange(i.size)
-    return table
-
-
-def correlated_signals(idx, gu, gamma):
+def correlated_signals(idx, g, gamma):
     """Spike indicators S (n, d) given trigger indices idx (n,): S is the
     trigger column of a symmetric Bernoulli matrix C with C_ij ~ Ber(gamma_ij),
-    C_ii = 1. gu (n, d(d-1)/2) supplies one uniform per unordered pair (i<j),
-    in lexicographic pair order.
+    C_ii = 1, whose entries are independent Ber(gamma_idx,j). g (n, d)
+    supplies one uniform per coordinate, and S_j = [g_j < gamma_idx,j].
 
     The trigger itself always spikes because gamma_ii = 1 exceeds any
     uniform in [0, 1)."""
-    rows = np.arange(idx.size)[:, None]
-    return (gu[rows, _pair_index(gamma.shape[0])[idx]] < gamma[idx]).astype(float)
+    return (g < gamma[idx]).astype(float)
 
 
 def probabilities(lam, w):
@@ -258,10 +248,10 @@ def numpy_step(x, alpha, streams, lam, gamma, tracker):
     eye_rows = np.eye(x.shape[1])
 
     def advance(k0, k1):
-        u, z, gu = streams.segment(k1 - k0)
+        u, z, g = streams.segment(k1 - k0)
         for t in range(k1 - k0):
             idx = sample_triggers(x, u[:, t])
-            sig = eye_rows[idx] if gamma is None else correlated_signals(idx, gu[:, t], gamma)
+            sig = eye_rows[idx] if gamma is None else correlated_signals(idx, g[:, t], gamma)
             y = sig + z[:, t]
             x_next = x * (1.0 + alpha * y)
             x_next /= x_next.sum(axis=1, keepdims=True)
@@ -351,7 +341,6 @@ def _drive(step, state0, alpha, n_steps, keys, lam=None, gamma=None, record=None
                                 "got %s" % (n_steps, steps.tolist()))
     if gamma is not None:
         gamma = np.ascontiguousarray(validate_correlation(gamma, d))
-    n_pairs = 0 if gamma is None else d * (d - 1) // 2
     # the segment ends in (0, n_steps], each once, and which are checkpoints;
     # not np.unique, which imports numpy.ma (1.7 MiB with numpy 2.4)
     cuts = np.sort(np.concatenate([steps, [k_switch, n_steps], np.arange(CHUNK, n_steps, CHUNK)]))
@@ -366,7 +355,7 @@ def _drive(step, state0, alpha, n_steps, keys, lam=None, gamma=None, record=None
     switch_at(0)
     if steps.size and steps[0] == 0:
         record.record(0, x)
-    streams = Streams(keys, d, n_pairs)
+    streams = Streams(keys, d, gamma is not None)
     advance = step(x, alpha, streams, lam, gamma, record if record.tracks else None)
     k0 = 0
     for k1, at_checkpoint in zip(cuts.tolist(), recorded):

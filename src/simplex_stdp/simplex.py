@@ -75,7 +75,7 @@ def validate_weights(w):
 
 # Most rows a run may record, counted as n // stride + 2. The largest
 # recording of the tests and CLI defaults has 5002 rows; a recording of 10^6
-# rows of one d = 3 trajectory peaks at about 300 MiB in fig2-trajectories
+# rows of one d = 3 trajectory peaks at about 160 MiB in fig2-trajectories
 # and its CSV takes 54 MB, while a larger request used to end in a failed
 # allocation (728 TiB for a flow horizon of 1e12 at stride 1).
 MAX_RECORDED_ROWS = 10**6
@@ -88,7 +88,9 @@ def recorded_steps(n, stride):
     if n // stride + 2 > MAX_RECORDED_ROWS:
         raise InvalidInputError("recording every %d of %d steps takes more than %d rows; raise "
                                 "record_stride" % (stride, n, MAX_RECORDED_ROWS))
-    return np.unique(np.append(np.arange(0, n + 1, stride), n))
+    # not np.unique, which imports numpy.ma (1.7 MiB with numpy 2.4)
+    steps = np.arange(0, n + 1, stride)
+    return steps if n % stride == 0 else np.append(steps, n)
 
 
 def probabilities_from_weights(lam, w):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .simplex import (InvalidInputError, as_float_array, validate_intensities,
-                      validate_weights)
+from .simplex import (InvalidInputError, as_float_array, probabilities_from_weights,
+                      validate_intensities, validate_weights)
 
 # uniforms drawn at a time by centered_noise_stats
 NOISE_BLOCK = 1 << 16
@@ -233,7 +233,7 @@ def spiking_learning_run(lam, w0, threshold, alpha, n_spikes, rng):
     d = lam.size
     if alpha <= 0 or alpha >= 0.5:
         raise InvalidInputError("alpha must lie in (0, 1/2) for the bounded kernel")
-    probs = [lam * w / float(np.dot(lam, w))]
+    probs = [probabilities_from_weights(lam, w)]
     triggers = np.empty(n_spikes, dtype=int)
     durations = np.empty(n_spikes)
     increments = np.empty((n_spikes, d))
@@ -261,7 +261,7 @@ def spiking_learning_run(lam, w0, threshold, alpha, n_spikes, rng):
             durations[spike_count] = t - t_window_start
             t_window_start = t
             y = 0.0
-            probs.append(lam * w / float(np.dot(lam, w)))
+            probs.append(probabilities_from_weights(lam, w))
             spike_count += 1
     return LearningRunRecord(
         probabilities=np.array(probs),

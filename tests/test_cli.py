@@ -88,6 +88,16 @@ def test_landscape_grid_outputs(tmp_path):
     assert report["passed"] is True
 
 
+def test_correlated_landscape_grid_reports_no_verdict(tmp_path):
+    """The correlated landscape has no check: the run exits 0 and its report
+    says passed is null, not true."""
+    gamma = "gamma=[[1,0.2,0.1],[0.2,1,0.3],[0.1,0.3,1]]"
+    assert run(["landscape-grid", "--out", str(tmp_path), "--set", "grid_step=0.05",
+                "--set", gamma]) == 0
+    report = json.loads((tmp_path / "landscape-grid" / "report.json").read_text())
+    assert report["passed"] is None
+
+
 def test_config_file_and_set_override(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"grid_step": 0.5}))
@@ -165,6 +175,26 @@ def test_importing_the_package_pins_openblas_to_one_thread(preset, expected):
     assert value == expected
     if preset is None:
         assert threads == "1"
+
+
+def test_recording_runs_do_not_import_numpy_ma():
+    """Recorded runs build their steps without np.unique, which imports
+    numpy.ma (1.7 MiB with numpy 2.4) into every process that records."""
+    root = os.path.dirname(os.path.dirname(simplex_stdp.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from simplex_stdp import dynamics, flow, multi\n"
+        "dynamics.run_trajectory(dynamics.DynamicsConfig(alpha=0.1, n_steps=10, p0=[0.6, 0.4],"
+        " record_stride=3), 0)\n"
+        "multi.joint_run(multi.MultiRunConfig(lam=[2.0, 1.0], w0=[[1.0, 0.5], [0.5, 1.0]],"
+        " alphas=[0.1, 0.05], n_steps=10, record_stride=3), 0)\n"
+        "flow.integrate(flow.FlowSpec(p0=[0.6, 0.4], horizon=1.0, dt=0.1, record_stride=3))\n"
+        "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("args", [

@@ -1,6 +1,7 @@
 """Tests for the stochastic multiplicative dynamics."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ def _draw_y(p, noise, rng):
 
 def _draw_correlated_signal(p, gamma, noise, rng):
     """The spike indicator S of one correlated step, drawn from rng in the
-    kernel's order: trigger uniform, noise, then one uniform per pair."""
+    kernel's order: trigger uniform, noise, then one uniform per coordinate."""
     idx = dynamics.sample_triggers(p[None], [rng.random()])
     noise.sample(rng, p.size)
-    gu = rng.random((1, p.size * (p.size - 1) // 2))
-    return dynamics.correlated_signals(idx, gu, gamma)[0]
+    g = rng.random((1, p.size))
+    return dynamics.correlated_signals(idx, g, gamma)[0]
 
 
 def _recorded(p0, alpha, n_steps, key, switch=None):
@@ -168,6 +169,24 @@ def test_correlated_signal_marginals():
     for _ in range(n):
         total += _draw_correlated_signal(p, gamma, noise, rng)
     assert np.abs(total / n - gamma @ p).max() < 0.01
+    # Given the trigger idx, S is the idx column of C: S_idx = 1 and the
+    # other entries independent Ber(gamma[idx, j]). At d = 4, with p one-hot
+    # at idx so that idx triggers, the empirical E[S_j] and E[S_j S_k] over n
+    # steps must lie within 5 binomial standard errors sqrt(q (1 - q) / n) of
+    # q = gamma[idx, j] and gamma[idx, j] * gamma[idx, k], j != k, both != idx.
+    gamma = np.array([[1.0, 0.5, 0.1, 0.7], [0.5, 1.0, 0.3, 0.2],
+                      [0.1, 0.3, 1.0, 0.6], [0.7, 0.2, 0.6, 1.0]])
+    n = 10000
+    for idx in range(4):
+        s = np.array([_draw_correlated_signal(np.eye(4)[idx], gamma, noise, rng)
+                      for _ in range(n)])
+        assert np.all(s[:, idx] == 1.0)
+        others = [j for j in range(4) if j != idx]
+        checks = [(s[:, j], gamma[idx, j]) for j in others]
+        checks += [(s[:, j] * s[:, k], gamma[idx, j] * gamma[idx, k])
+                   for j, k in itertools.combinations(others, 2)]
+        for hits, q in checks:
+            assert abs(hits.mean() - q) <= 5.0 * np.sqrt(q * (1.0 - q) / n)
 
 
 def test_correlated_identity_reduces_to_independent():

@@ -424,8 +424,6 @@ class _ScriptedStreams:
     `next_double`, the numpy step through `segment`, which turns v into
     noise as the kernel does."""
 
-    n_pairs = 0
-
     def __init__(self, u, v):
         import ctypes
 
@@ -609,8 +607,8 @@ def test_no_compiler_gives_identical_outputs(fresh_loader, tmp_path, monkeypatch
 
 def test_compiled_runs_hold_no_chunk_of_draws():
     """Peak traced memory of compiled runs over two chunks stays far below
-    one chunk of pre-drawn randomness (n x CHUNK x (1 + d + pairs) doubles,
-    315 MB for the first run): the step draws as it steps."""
+    one chunk of pre-drawn randomness (n x CHUNK x (1 + d) doubles, 1 + 2d
+    when correlated, 315 MB for the first run): the step draws as it steps."""
     _require_compiled_step()
     n_steps = 2 * dynamics.CHUNK
     gamma = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.0], [0.1, 0.0, 1.0]])
@@ -638,20 +636,20 @@ def test_compiled_runs_hold_no_chunk_of_draws():
         assert peak < 4 * 2**20
 
 
-def _draw_run(keys, n_steps, d, n_pairs):
+def _draw_run(keys, n_steps, d, correlated):
     """The draws of a whole run, made ahead one step at a time from each
-    key's stream: a trigger uniform, d noise values Unif[-1, 1], then
-    n_pairs pair uniforms. Returns u (n, n_steps), z (n, n_steps, d) and gu
-    (n, n_steps, n_pairs)."""
-    n = len(keys)
-    u, z, gu = np.empty((n, n_steps)), np.empty((n, n_steps, d)), np.empty((n, n_steps, n_pairs))
+    key's stream: a trigger uniform, d noise values Unif[-1, 1], then, when
+    correlated, d column uniforms. Returns u (n, n_steps), z (n, n_steps, d)
+    and g (n, n_steps, d), of width 0 unless correlated."""
+    n, width = len(keys), d if correlated else 0
+    u, z, g = np.empty((n, n_steps)), np.empty((n, n_steps, d)), np.empty((n, n_steps, width))
     for i, key in enumerate(keys):
         rng = dynamics.stream_for(key)
         for t in range(n_steps):
             u[i, t] = rng.random()
             z[i, t] = rng.uniform(-1.0, 1.0, d)
-            gu[i, t] = rng.random(n_pairs)
-    return u, z, gu
+            g[i, t] = rng.random(width)
+    return u, z, g
 
 
 def _layout_oracle(state0, alpha, n_steps, keys, lam=None, gamma=None, switch=None):
@@ -660,10 +658,11 @@ def _layout_oracle(state0, alpha, n_steps, keys, lam=None, gamma=None, switch=No
     (n_steps + 1, n, d) and every y (n, n_steps, d). switch=(k, ratio),
     k < n_steps, multiplies the intensities by ratio before step k: the
     probabilities by ratio, renormalised, or lam by ratio; the state after k
-    steps is the switched one."""
+    steps is the switched one. With gamma, coordinate j spikes when its
+    column uniform lies below gamma[idx, j], the trigger idx included."""
     x = np.array(state0, dtype=float)
     n, d = x.shape
-    u, z, gu = _draw_run(keys, n_steps, d, 0 if gamma is None else d * (d - 1) // 2)
+    u, z, g = _draw_run(keys, n_steps, d, gamma is not None)
     k_switch, ratio = (n_steps, None) if switch is None else switch
     states, ys = [], []
 
@@ -680,8 +679,7 @@ def _layout_oracle(state0, alpha, n_steps, keys, lam=None, gamma=None, switch=No
     after(0)
     for t in range(n_steps):
         idx = dynamics.sample_triggers(states[-1], u[:, t])
-        sig = np.eye(d)[idx] if gamma is None else dynamics.correlated_signals(
-            idx, gu[:, t], gamma)
+        sig = np.eye(d)[idx] if gamma is None else np.where(g[:, t] < gamma[idx], 1.0, 0.0)
         ys.append(sig + z[:, t])
         x = x * (1.0 + alpha * ys[-1])
         if lam is None:
@@ -690,15 +688,27 @@ def _layout_oracle(state0, alpha, n_steps, keys, lam=None, gamma=None, switch=No
     return np.stack(states), np.reshape(ys, (n_steps, n, d)).swapaxes(0, 1)
 
 
+# the start and gamma of each correlated form, at d = 2, 3 and 4: a step
+# reads d column uniforms whatever d, where one uniform per pair would read
+# 1, 3 and 6
+CORRELATED = {
+    "correlated-d2": ([0.6, 0.4], [[1.0, 0.5], [0.5, 1.0]]),
+    "correlated": ([0.5, 0.3, 0.2], [[1.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.0]]),
+    "correlated-d4": ([0.4, 0.3, 0.2, 0.1], [[1.0, 0.5, 0.1, 0.7], [0.5, 1.0, 0.3, 0.2],
+                                             [0.1, 0.3, 1.0, 0.6], [0.7, 0.2, 0.6, 1.0]]),
+}
+
+
 @pytest.mark.parametrize("path", ["compiled", "numpy"])
 @pytest.mark.parametrize("chunk", [1, 7, 16])
-@pytest.mark.parametrize("form", ["probability", "correlated", "weight"])
+@pytest.mark.parametrize("form", ["probability", "weight", *CORRELATED])
 def test_draws_follow_the_stream_layout(path, chunk, form):
     """simulate and run_trajectory read each row's stream in the step order
     of `dynamics.Streams`, checked against draws made ahead for the whole
     run: cutting the run into segments of at most chunk steps does not
     change them. The weight form starts from the probabilities of weights
-    under intensities and switches them at step 17, as a priming run does."""
+    under intensities and switches them at step 17, as a priming run does;
+    the correlated forms run at d = 2, 3 and 4."""
     if path == "compiled":
         _require_compiled_step()
     n, n_steps, alpha = 3, 40, 0.3
@@ -709,10 +719,11 @@ def test_draws_follow_the_stream_layout(path, chunk, form):
         w0 = np.array([[1.0, 2.0, 0.5], [3.0, 1.0, 1.0], [0.2, 0.2, 4.0]])
         state0 = dynamics.probabilities(lam, w0)
         kwargs["switch"] = (17, np.array([0.5, 2.0, 1.0]))
+    elif form in CORRELATED:
+        p0, kwargs["gamma"] = (np.array(v) for v in CORRELATED[form])
+        state0 = np.tile(p0, (n, 1))
     else:
         state0 = np.tile([0.5, 0.3, 0.2], (n, 1))
-        if form == "correlated":
-            kwargs["gamma"] = np.array([[1.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.0]])
     config = dynamics.DynamicsConfig(alpha=alpha, n_steps=n_steps, p0=state0[0],
                                      gamma=kwargs.get("gamma"))
     states, _ = _layout_oracle(state0, alpha, n_steps, keys, **kwargs)
