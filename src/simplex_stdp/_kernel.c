@@ -32,15 +32,13 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-/* numpy's order for the sum of n contiguous doubles (pairwise_sum) */
-static double pairwise_sum(const double *a, int64_t n)
+/* Forced inline, so that with a constant d every loop over j unrolls */
+#define INLINE static inline __attribute__((always_inline))
+
+/* numpy's pairwise_sum order for n >= 8 contiguous doubles; its halves
+ * have at least 64 entries each */
+static double pairwise_blocks(const double *a, int64_t n)
 {
-    if (n < 8) {
-        double res = 0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
     if (n <= 128) {
         double r[8], res;
         int64_t i;
@@ -56,11 +54,23 @@ static double pairwise_sum(const double *a, int64_t n)
     }
     int64_t n2 = n / 2;
     n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+    return pairwise_blocks(a, n2) + pairwise_blocks(a + n2, n - n2);
+}
+
+/* numpy's order for the sum of n contiguous doubles (pairwise_sum), left to
+ * right below 8 entries; only pairwise_blocks recurses, so this inlines */
+INLINE double pairwise_sum(const double *a, int64_t n)
+{
+    if (n >= 8)
+        return pairwise_blocks(a, n);
+    double res = 0.0;
+    for (int64_t i = 0; i < n; i++)
+        res += a[i];
+    return res;
 }
 
 /* out = gamma @ p, each entry summed in pairwise order over tmp */
-static void gamma_dot(const double *gamma, const double *p, int64_t d, double *tmp, double *out)
+INLINE void gamma_dot(const double *gamma, const double *p, int64_t d, double *tmp, double *out)
 {
     for (int64_t r = 0; r < d; r++) {
         for (int64_t k = 0; k < d; k++)
@@ -101,7 +111,7 @@ static double weight_sum(const double *lam, double *x, int64_t d, double *tmp)
  * zero entry repeats the previous sum, so a count below d is a positive
  * entry. A count of d means u lies at or above a total that rounding left
  * below 1; the trigger is then the last positive entry (d - 1 if none). */
-static int64_t trigger(const double *p, int64_t d, double u)
+INLINE int64_t trigger(const double *p, int64_t d, double u)
 {
     int64_t idx = 0;
     double cum = 0.0;
@@ -118,7 +128,7 @@ static int64_t trigger(const double *p, int64_t d, double u)
 }
 
 /* v[0] - max(v[1:]) */
-static double lead_gap(const double *v, int64_t d)
+INLINE double lead_gap(const double *v, int64_t d)
 {
     double mx = v[1];
     for (int64_t j = 2; j < d; j++)
@@ -154,14 +164,13 @@ struct simplex_run {
     const double *alphas;
 };
 
-/* One step of GapTracker for row i, checking the gap of gamma @ p too when the
- * run has correlated triggers; returns 1 on an inclusion violation. With
- * gamma, gp holds gamma @ p on entry and gamma @ pn, the next step's
- * gamma @ p, on return. */
-static int track(const struct simplex_run *r, int64_t i, const double *p, const double *y,
-                 const double *pn, double *tmp, double *gp)
+/* One step of GapTracker for row i of r, whose rows have d entries, checking
+ * the gap of gamma @ p too when the run has correlated triggers; returns 1
+ * on an inclusion violation. With gamma, gp holds gamma @ p on entry and
+ * gamma @ pn, the next step's gamma @ p, on return. */
+INLINE int track(const struct simplex_run *r, int64_t d, int64_t i, const double *p,
+                 const double *y, const double *pn, double *tmp, double *gp)
 {
-    const int64_t d = r->d;
     const double *gamma = r->gamma;
     double *mart = r->mart + i * d, *max_abs = r->max_abs + i * d;
     uint8_t *alive = r->alive + i;
@@ -193,17 +202,17 @@ static int track(const struct simplex_run *r, int64_t i, const double *p, const 
 }
 
 /*
- * Runs steps k0..k1-1 of r. Each step of a row reads one trigger uniform, d
- * noise values -1 + 2 * r (numpy's uniform(-1, 1)) and, with gamma, d column
+ * Runs steps k0..k1-1 of r, whose rows have d entries, over the buffer buf
+ * of 6 * d doubles. Each step of a row reads one trigger uniform, d noise
+ * values -1 + 2 * r (numpy's uniform(-1, 1)) and, with gamma, d column
  * uniforms, in that order, from the row's generator. Returns the number of
- * inclusion violations seen, or -1 when out of memory.
+ * inclusion violations seen. simplex_advance calls it with d a constant
+ * where it can, so that the compiler unrolls every loop over j.
  */
-int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1)
+INLINE int64_t advance(const struct simplex_run *r, int64_t d, int64_t k0, int64_t k1,
+                       double *buf)
 {
-    const int64_t d = r->d;
-    double *buf = malloc(6 * (size_t)d * sizeof(double));
-    if (!buf)
-        return -1;
+    const double alpha = r->alpha, *gamma = r->gamma;
     double *y = buf, *xn = buf + d, *tmp = buf + 2 * d, *gp = buf + 3 * d;
     double *z = buf + 4 * d, *g = buf + 5 * d;
     int64_t violations = 0;
@@ -211,31 +220,53 @@ int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1)
         double *p = r->x + i * d;
         void *const st = r->streams[i];
         /* track keeps gp at gamma @ p from here on */
-        if (r->mart && r->gamma)
-            gamma_dot(r->gamma, p, d, tmp, gp);
+        if (r->mart && gamma)
+            gamma_dot(gamma, p, d, tmp, gp);
         for (int64_t t = k0; t < k1; t++) {
             const double u = r->next_double(st);
             for (int64_t j = 0; j < d; j++)
                 z[j] = -1.0 + 2.0 * r->next_double(st);
-            if (r->gamma)
+            if (gamma)
                 for (int64_t j = 0; j < d; j++)
                     g[j] = r->next_double(st);
             const int64_t idx = trigger(p, d, u);
             for (int64_t j = 0; j < d; j++) {
                 /* gamma_ii = 1 exceeds every uniform, so the trigger spikes */
-                const double sig = r->gamma ? g[j] < r->gamma[idx * d + j] : j == idx;
+                const double sig = gamma ? g[j] < gamma[idx * d + j] : j == idx;
                 y[j] = sig + z[j];
             }
             for (int64_t j = 0; j < d; j++)
-                xn[j] = p[j] * (1.0 + r->alpha * y[j]);
+                xn[j] = p[j] * (1.0 + alpha * y[j]);
             const double total = pairwise_sum(xn, d);
             for (int64_t j = 0; j < d; j++)
                 xn[j] /= total;
             if (r->mart)
-                violations += track(r, i, p, y, xn, tmp, gp);
+                violations += track(r, d, i, p, y, xn, tmp, gp);
             for (int64_t j = 0; j < d; j++)
                 p[j] = xn[j];
         }
+    }
+    return violations;
+}
+
+/* advance over steps k0..k1-1 of r, compiled apart for d = 2 and d = 3, the
+ * dimensions of every single-neuron scenario at its defaults; returns -1
+ * when out of memory. */
+int64_t simplex_advance(const struct simplex_run *r, int64_t k0, int64_t k1)
+{
+    double *buf = malloc(6 * (size_t)r->d * sizeof(double));
+    if (!buf)
+        return -1;
+    int64_t violations;
+    switch (r->d) {
+    case 2:
+        violations = advance(r, 2, k0, k1, buf);
+        break;
+    case 3:
+        violations = advance(r, 3, k0, k1, buf);
+        break;
+    default:
+        violations = advance(r, r->d, k0, k1, buf);
     }
     free(buf);
     return violations;

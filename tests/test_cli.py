@@ -43,6 +43,14 @@ def test_config_file_that_is_no_object_exits_2(tmp_path):
     assert run(["landscape-grid", "--out", str(tmp_path), "--config", str(cfg_file)]) == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(tmp_path, threads):
+    # --threads -3 used to exit 0 and write "threads": -3 to the manifest;
+    # the flag runs no threads, so neither does this test
+    assert run(["landscape-grid", "--out", str(tmp_path), "--threads", threads]) == 2
+    assert not (tmp_path / "landscape-grid").exists()
+
+
 @pytest.mark.parametrize("scenario, sets", [
     ("fig2-ensemble", ["n_steps={}", "n_traj=4", "n_full_trajectories=2.0"]),
     ("thm22-verify", ["n_steps={}", "checkpoints=[0,{}]", "n_traj=4.0"]),
@@ -145,7 +153,8 @@ def test_verify_scenario_reports(tmp_path):
 
 
 def test_thm23_margins_of_a_passing_run_are_nonnegative(tmp_path):
-    # at the defaults the margin at t = 0 used to read -2.2e-16 on a pass
+    # at the defaults the margin at t = 0 used to read -2.2e-16 on a pass;
+    # it is now read past t = 0, where the bound has room
     assert run(["thm23-verify", "--out", str(tmp_path)]) == 0
     out = tmp_path / "thm23-verify"
     report = json.loads((out / "report.json").read_text())
@@ -153,6 +162,8 @@ def test_thm23_margins_of_a_passing_run_are_nonnegative(tmp_path):
     with open(out / "cases.csv") as fh:
         margins = [float(row["min_bound_margin"]) for row in csv.DictReader(fh)]
     assert len(margins) == report["n_cases"] and min(margins) == report["worst_margin"]
+    # read at t = 0, every margin was the gate's 1e-12 allowance
+    assert max(margins) > 1e-3
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
@@ -175,6 +186,30 @@ def test_importing_the_package_pins_openblas_to_one_thread(preset, expected):
     assert value == expected
     if preset is None:
         assert threads == "1"
+
+
+def test_importing_the_cli_freezes_the_import_time_objects():
+    """Importing the CLI moves the objects made so far to the permanent
+    generation, which the collector skips; a reference cycle made afterwards
+    is still collected."""
+    root = os.path.dirname(os.path.dirname(simplex_stdp.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = (
+        "import gc, weakref\n"
+        "import simplex_stdp.cli\n"
+        "frozen = gc.get_freeze_count()\n"
+        "class Node:\n"
+        "    pass\n"
+        "node = Node()\n"
+        "node.self = node\n"
+        "ref = weakref.ref(node)\n"
+        "del node\n"
+        "gc.collect()\n"
+        "print(frozen > 0, ref() is None)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["True", "True"]
 
 
 def test_recording_runs_do_not_import_numpy_ma():
@@ -290,6 +325,9 @@ def test_recording_runs_do_not_import_numpy_ma():
     # these thresholds used to reach int() through the Poisson horizon, a traceback
     ["spiking-validate", "--set", "thresholds=[NaN]", "--set", "n_events=[1000]"],
     ["spiking-validate", "--set", "thresholds=[Infinity]", "--set", "n_events=[1000]"],
+    # a horizon shorter than half a step checks the bound at t = 0 only,
+    # where it holds with equality, and used to pass
+    ["thm23-verify", "--set", "n_cases=2", "--set", "horizon=0"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     # a run that does not end fails here instead of hanging the suite

@@ -376,6 +376,23 @@ VIOLATING = {"d": 2, "n": 4, "n_steps": 100, "alpha": 0.45, "seed": 316, "chunk"
           "w0": np.array([[1.0, 2.0, 0.0], [0.5, 0.5, 3.0], [2.0, 1.0, 1.0]]),
           "lam": np.array([3.0, 1.0, 2.0]), "lam_switched": np.array([1.0, 1.0, 5.0]),
           "switch": 32, "stride": 7})
+# d = 2 and d = 3 have their own compiled instantiations of the step: each
+# takes the weight form with a switch (untracked) and the tracked form, with
+# a zero coordinate
+@example({"d": 2, "n": 3, "n_steps": 100, "alpha": 0.3, "seed": 5, "chunk": 16, "gamma": None,
+          "w0": np.array([[1.0, 2.0], [3.0, 0.0], [0.5, 0.5]]), "lam": np.array([2.0, 1.0]),
+          "lam_switched": np.array([1.0, 4.0]), "switch": 40, "stride": 9})
+@example({"d": 2, "n": 3, "n_steps": 100, "alpha": 0.3, "seed": 6, "chunk": 7,
+          "gamma": np.array([[1.0, 0.3], [0.3, 1.0]]), "p0": np.array([0.7, 0.3]),
+          "checkpoints": [0, 50, 100]})
+@example({"d": 2, "n": 2, "n_steps": 60, "alpha": 0.2, "seed": 7, "chunk": 16, "gamma": None,
+          "p0": np.array([1.0, 0.0]), "checkpoints": [0, 60]})
+@example({"d": 3, "n": 3, "n_steps": 100, "alpha": 0.3, "seed": 8, "chunk": 16, "gamma": None,
+          "w0": np.array([[1.0, 2.0, 0.0], [0.5, 0.5, 3.0], [2.0, 1.0, 1.0]]),
+          "lam": np.array([3.0, 1.0, 2.0]), "lam_switched": np.array([1.0, 1.0, 5.0]),
+          "switch": 32, "stride": 7})
+@example({"d": 3, "n": 3, "n_steps": 120, "alpha": 0.3, "seed": 9, "chunk": 16, "gamma": None,
+          "p0": np.array([0.6, 0.4, 0.0]), "checkpoints": [0, 64, 120]})
 def test_compiled_step_matches_numpy_loop(case):
     _require_compiled_step()
     compiled = _run_case(case)
@@ -441,30 +458,36 @@ class _ScriptedStreams:
 
 
 def test_joint_step_caps_triggers_at_the_last_positive_probability():
-    """The probabilities p of w sum to 1 - 2^-53 before its trailing zero, so
+    """The probabilities p of w sum to 1 - 2^-53 before any trailing zero, so
     u = 1 - 2^-53 lies at or above every cumulative sum: both joint steps,
     on w, and both probability steps, on p, must trigger the last positive
-    entry, not d - 1, whose zero weight would take no increment."""
+    entry, not d - 1, whose zero weight would take no increment. The case
+    runs at d = 4 and, for the compiled step's own instantiations, at d = 2
+    and at d = 3 with a trailing zero. The d = 2 and d = 3 weights are a row
+    of default_rng(0).random((1000, 2)); about one row in twenty sums so."""
     _require_compiled_step()
-    lam, w = np.ones(4), np.array([[16.0, 4.0, 4.0, 0.0]])
-    p = dynamics.probabilities(lam, w)
     u = np.nextafter(1.0, 0.0)
-    assert np.cumsum(p, axis=1)[0, 2] == u
-    rate = np.array([[0.1]])
-    runs = [(_kernel.joint, w, rate, lam), (multi._joint_step, w, rate, lam),
-            (_kernel.prepare, p, 0.1, None), (dynamics.numpy_step, p, 0.1, None)]
-    finals = []
-    for step, x0, alpha, step_lam in runs:
-        x = x0.copy()
-        # noise uniforms of 1/2 are zero noise
-        streams = _ScriptedStreams(np.array([[u]]), np.full((1, 1, 4), 0.5))
-        step(x, alpha, streams, step_lam, None, None)(0, 1)
-        finals.append(x)
-    y = np.array([0.0, 0.0, 1.0, 0.0])
-    moved = p * (1.0 + 0.1 * y)
-    expected = [w + 0.1 * w * y] * 2 + [moved / moved.sum(axis=1, keepdims=True)] * 2
-    for final, want in zip(finals, expected):
-        assert np.array_equal(final, want)
+    a, b = 0.8097107759127777, 0.5604759520061858
+    for w, last in [([16.0, 4.0, 4.0, 0.0], 2), ([a, b], 1), ([a, b, 0.0], 1)]:
+        d = len(w)
+        lam, w = np.ones(d), np.array([w])
+        p = dynamics.probabilities(lam, w)
+        assert np.cumsum(p, axis=1)[0, last] == u
+        rate = np.array([[0.1]])
+        runs = [(_kernel.joint, w, rate, lam), (multi._joint_step, w, rate, lam),
+                (_kernel.prepare, p, 0.1, None), (dynamics.numpy_step, p, 0.1, None)]
+        finals = []
+        for step, x0, alpha, step_lam in runs:
+            x = x0.copy()
+            # noise uniforms of 1/2 are zero noise
+            streams = _ScriptedStreams(np.array([[u]]), np.full((1, 1, d), 0.5))
+            step(x, alpha, streams, step_lam, None, None)(0, 1)
+            finals.append(x)
+        y = np.eye(d)[last]
+        moved = p * (1.0 + 0.1 * y)
+        expected = [w + 0.1 * w * y] * 2 + [moved / moved.sum(axis=1, keepdims=True)] * 2
+        for final, want in zip(finals, expected):
+            assert np.array_equal(final, want), (d, final, want)
 
 
 @st.composite
