@@ -38,7 +38,8 @@ import numpy as np
 from . import __version__
 from .simplex import (InvalidInputError, as_float_array, barycentric_embedding, landscape_grid,
                       probabilities_from_weights, validate_weights)
-from .dynamics import DynamicsConfig, final_probabilities, run_trajectory, stream_for
+from .dynamics import (DynamicsConfig, final_probabilities, run_trajectory, stream_for,
+                       validate_correlation)
 from . import theory
 from . import multi as multi_mod
 from . import mirror as mirror_mod
@@ -122,7 +123,6 @@ DEFAULTS = {
     "thm22-verify": {
         "p0": [0.9, 0.1],
         "epsilon": 0.5,
-        "q_bound": 2.0,
         "n_traj": 200,
         "n_steps": 200000,
         "checkpoints": [0, 50000, 100000, 150000, 200000],
@@ -141,7 +141,6 @@ DEFAULTS = {
         "p0": [0.8, 0.1, 0.1],
         "gamma": [[1.0, 0.1, 0.1], [0.1, 1.0, 0.0], [0.1, 0.0, 1.0]],
         "epsilon": 0.5,
-        "q_bound": 2.0,
         "n_traj": 50,
         "n_steps": 2500000,
         "checkpoints": [0, 500000, 1000000, 1500000, 2000000, 2500000],
@@ -205,10 +204,7 @@ def _write_landscape(path, grid_step, gamma=None):
     cubic-quartic loss, or -1/2 p^T gamma p when gamma is given."""
     pts, x, y, vals = landscape_grid(grid_step)
     if gamma is not None:
-        g = as_float_array(gamma, "gamma")
-        if g.shape != (3, 3):
-            raise InvalidInputError("gamma must be 3 x 3, got shape %s" % (g.shape,))
-        vals = -0.5 * np.einsum("ni,ij,nj->n", pts, g, pts)
+        vals = -0.5 * np.einsum("ni,ij,nj->n", pts, validate_correlation(gamma, 3), pts)
     write_csv(path, ["x", "y", "value"], [x, y, vals])
     return vals
 
@@ -295,8 +291,8 @@ def scenario_priming(cfg, out, seed):
     d = w0.size
     eps = cfg["epsilon"]
     p_a = probabilities_from_weights(lam_a, w0)
-    delta = 0.99 * theory.priming_delta_max(lam_a, lam_b)
     params = theory.GapParams(p0=p_a, epsilon=eps)
+    delta = 0.99 * theory.priming_delta_max(lam_a, lam_b)
     k_star = theory.iterations_for(params, cfg["alpha"], delta)
     results = {}
     labels = ("unprimed", "primed")
@@ -324,14 +320,13 @@ def scenario_priming(cfg, out, seed):
 def _gap_verify(cfg, out, seed):
     if not cfg["checkpoints"]:
         raise InvalidInputError("checkpoints must name at least one step")
-    params = theory.GapParams(p0=cfg["p0"], gamma=cfg.get("gamma"), q_bound=cfg["q_bound"],
-                              epsilon=cfg["epsilon"])
+    params = theory.GapParams(p0=cfg["p0"], gamma=cfg.get("gamma"), epsilon=cfg["epsilon"])
     alpha = theory.max_alpha(params)
-    result = theory.run_gap_ensemble(
+    _, tracker = theory.run_gap_ensemble(
         params.p0, alpha, cfg["n_steps"], cfg["n_traj"], seed, gamma=params.gamma,
         checkpoints=cfg["checkpoints"],
     )
-    report = theory.verification_report(params, alpha, result)
+    report = theory.verification_report(params, alpha, tracker)
     prob_floor = 1.0 - cfg["epsilon"] / 2.0 - cfg["probability_slack"]
     checks = {
         "gap_event_probability": report["empirical_gap_event_probability"] >= prob_floor,
@@ -339,7 +334,7 @@ def _gap_verify(cfg, out, seed):
             row["on_event_mean_l1_error"] <= cfg["bound_slack"] * row["bound"]
             for row in report["checkpoints"]
         ),
-        "inclusion": result.ek_violations == 0,
+        "inclusion": tracker.ek_violations == 0,
     }
     report["probability_floor"] = prob_floor
     report["checks"] = checks

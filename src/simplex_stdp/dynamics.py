@@ -34,10 +34,14 @@ from .simplex import (
 # step holds at once. The draws of a row do not depend on it.
 CHUNK = 65536
 
+# Q, the bound of |B + Z| for a one-hot B and Z in [-1, 1]^d: every rate lies
+# in (0, 1/Q), where each update factor 1 + alpha * (B + Z) stays positive.
+Q_BOUND = 2.0
+
 
 class NoiseModel:
     """The centered noise Z of the rule, Unif[-1, 1] entrywise, so that
-    |B + Z| <= 2. The steps draw Z inline from their streams (`Streams`),
+    |B + Z| <= Q_BOUND. The steps draw Z inline from their streams (`Streams`),
     with the arithmetic of `sample`."""
 
     def sample(self, rng, size):
@@ -199,9 +203,9 @@ class GapTracker(Recorder):
     correlated triggers also the half-gap_gamma condition on gamma @ p, with
     the run's gamma) and `ek_violations`, the steps at which the
     maximal-inequality event held but the gap condition failed at the next
-    step. At each checkpoint `record` stores p[:, 0], the tail mass
-    sum_{j>=2} p_j (so the L1 error 2 * tail stays representable after
-    1 - p_1 rounds to 0) and M.
+    step. At each checkpoint `record` stores M in the next row of
+    `martingales`, of shape (len(checkpoints), n, d), and the state in
+    `states`, like every `Recorder`.
 
     `track` is the numpy step's arithmetic, at the rate of the run it
     steps; the compiled step does the same in C on the same arrays."""
@@ -217,15 +221,11 @@ class GapTracker(Recorder):
         self.max_abs = np.zeros((n, d))
         self.alive = np.ones(n, dtype=bool)
         self.ek_violations = 0
-        self.p1_checkpoints = np.empty((n, self.checkpoints.size))
-        self.tail_checkpoints = np.empty((n, self.checkpoints.size))
-        self.martingale_checkpoints = np.empty((n, d, self.checkpoints.size))
+        self.martingales = np.empty((self.checkpoints.size, n, d))
 
     def record(self, k, p):
-        pos = np.searchsorted(self.checkpoints, k)
-        self.p1_checkpoints[:, pos] = p[:, 0]
-        self.tail_checkpoints[:, pos] = p[:, 1:].sum(axis=1)
-        self.martingale_checkpoints[:, :, pos] = self.mart
+        self.martingales[self.filled] = self.mart
+        super().record(k, p)
 
     def track(self, p, y, p_next, alpha, gamma):
         xi = _increments(p, y, gamma)[2]
@@ -293,8 +293,8 @@ def _drive(step, state0, alpha, n_steps, keys, lam=None, gamma=None, record=None
     """The segment driver of every learning run, and the one place its
     inputs are checked; returns the final state.
 
-    Each rate must lie in (0, 1/2), that is (0, 1/Q) for the bound Q = 2 of
-    |B + Z|: there 1 + alpha * y stays positive for every |y| <= Q. Without
+    Each rate must lie in (0, 1/Q), Q = `Q_BOUND`: there 1 + alpha * y stays
+    positive for every |y| <= Q. Without
     lam each row of state0 is a probability vector (`as_probability_vector`,
     which may renormalise it); with lam, the joint scheme's intensities, a
     positive (d,) vector, each row is a weight vector (`validate_weights`).
@@ -316,7 +316,7 @@ def _drive(step, state0, alpha, n_steps, keys, lam=None, gamma=None, record=None
     itself is applied here, between segments, for both paths. A row's draws
     follow its stream in step order, whatever the cuts."""
     a = np.asarray(alpha, dtype=float)
-    if not np.all((a > 0) & (a < 0.5)):
+    if not np.all((a > 0) & (a < 1.0 / Q_BOUND)):
         raise InvalidInputError("alpha=%s outside (0, 1/2)" % _rates(alpha))
     x = as_float_array(state0, "state")
     if x.ndim != 2 or len(x) < 1 or len(keys) != len(x):
@@ -375,7 +375,7 @@ def _vector_of(v, d, name):
     return v
 
 
-def decompose_steps_batch(p, alpha, y, gamma=None, q_bound=2.0):
+def decompose_steps_batch(p, alpha, y, gamma=None):
     """Exact drift / martingale / residual split of a batch of probability
     steps, p and y of shape (n, d):
 
@@ -389,13 +389,12 @@ def decompose_steps_batch(p, alpha, y, gamma=None, q_bound=2.0):
         theta_i = alpha^2 p_i s (y_i - s) / (1 + alpha s)   (exact residual)
 
     and |theta_i| <= theta_bound_i = alpha^2 2 Q^2 / (1 - Q alpha)^3 p_i (1 - p_i)
-    almost surely. Returns (drift, xi, theta, theta_bound, p_next)."""
+    almost surely, Q = `Q_BOUND`. Returns (drift, xi, theta, theta_bound, p_next)."""
     p = np.asarray(p, dtype=float)
     y = np.asarray(y, dtype=float)
     s, drift, xi = _increments(p, y, None if gamma is None else np.asarray(gamma, dtype=float))
     theta = alpha * alpha * p * s * (y - s) / (1.0 + alpha * s)
-    qa = q_bound * alpha
-    bound = alpha * alpha * 2.0 * q_bound * q_bound / (1.0 - qa) ** 3 * p * (1.0 - p)
+    bound = alpha * alpha * 2.0 * Q_BOUND * Q_BOUND / (1.0 - Q_BOUND * alpha) ** 3 * p * (1.0 - p)
     num = p * (1.0 + alpha * y)
     p_next = num / num.sum(axis=1, keepdims=True)
     return drift, xi, theta, bound, p_next

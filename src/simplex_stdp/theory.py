@@ -2,10 +2,11 @@
 verification.
 
 Quantities implemented here, for an initial p with a strictly dominant first
-coordinate (gap = p_1(0) - max_{i>=2} p_i(0) > 0), a stated bound Q >= 2 of
-|B + Z| and triggers correlated through a matrix gamma (`GapParams`;
-independent triggers are the gamma = I case, given as gamma None, where every
-formula reduces to its independent-trigger form):
+coordinate (gap = p_1(0) - max_{i>=2} p_i(0) > 0) and triggers correlated
+through a matrix gamma (`GapParams`; independent triggers are the gamma = I
+case, given as gamma None, where every formula reduces to its
+independent-trigger form), with Q = `dynamics.Q_BOUND` = 2, the bound of
+|B + Z|:
 
 * the largest admissible step size (an implicit inequality in alpha, solved
   by bisection on (0, 1/Q)),
@@ -14,7 +15,8 @@ formula reduces to its independent-trigger form):
   confidence,
 * ensemble runs tracking the gap-maintenance event, the per-coordinate
   stopped noise martingales and the maximal-inequality events whose
-  intersection forces the gap to persist (`dynamics.GapTracker`),
+  intersection forces the gap to persist (`run_gap_ensemble` returns its
+  `dynamics.GapTracker`, which `verification_report` summarizes),
 * a priming experiment: learn under one intensity vector, switch to another.
 
 Ensemble verification is vectorized across trajectories; every trajectory
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplex import InvalidInputError, as_probability_vector, probabilities_from_weights
-from .dynamics import GapTracker, _gap_of, simulate, validate_correlation
+from .dynamics import Q_BOUND, GapTracker, _gap_of, simulate, validate_correlation
 
 BISECT_REL_TOL = 1e-12
 
@@ -34,7 +36,8 @@ BISECT_REL_TOL = 1e-12
 @dataclass(frozen=True)
 class GapParams:
     """Inputs of the convergence theorem: triggers correlated through gamma,
-    or independent (gamma None, the gamma = I case).
+    or independent (gamma None, the gamma = I case), for d >= 2 coordinates.
+    Q is `dynamics.Q_BOUND` = 2, the bound of |B + Z|, not an input.
 
     gap_gamma is the gap of gamma @ p(0), nu the largest off-diagonal entry
     of gamma and c_star = gap gap_gamma / 4 - nu (1 + gap gap_gamma / 4).
@@ -51,18 +54,17 @@ class GapParams:
 
     p0: np.ndarray
     gamma: np.ndarray = None
-    q_bound: float = 2.0
     epsilon: float = 0.1
 
     def __post_init__(self):
         p0 = as_probability_vector(self.p0)
+        if p0.size < 2:
+            raise InvalidInputError("need at least two coordinates, got %d" % p0.size)
         object.__setattr__(self, "p0", p0)
         if self.gamma is not None:
             object.__setattr__(self, "gamma", validate_correlation(self.gamma, p0.size))
         if not 0 < self.epsilon < 1:
             raise InvalidInputError("epsilon must lie in (0, 1)")
-        if not self.q_bound >= 2:
-            raise InvalidInputError("q_bound must be at least 2, the bound of |B + Z|")
         if self.gap <= 0:
             raise InvalidInputError("first coordinate must be strictly dominant")
         # else the martingale threshold is <= 0 and a run's gap event is dead
@@ -105,9 +107,9 @@ class GapParams:
         return 0.25 * min(self.gap, self.gap_gamma / self.gamma_inf_norm)
 
 
-def _bisect_alpha(rhs, q_bound):
+def _bisect_alpha(rhs):
     """Largest alpha in (0, 1/Q) with alpha <= rhs(alpha), rhs decreasing."""
-    lo, hi = 0.0, 1.0 / q_bound
+    lo, hi = 0.0, 1.0 / Q_BOUND
     if hi <= rhs(hi):
         return hi
     while hi - lo > BISECT_REL_TOL * max(hi, 1e-300):
@@ -133,7 +135,7 @@ def max_alpha(params):
         raise InvalidInputError(
             "correlation level too high for the stated gaps (c_star = %g <= 0)" % c_star
         )
-    q, d = params.q_bound, params.d
+    q, d = Q_BOUND, params.d
     p1 = params.p0[0]
     m = min(params.gap, params.gap_gamma / params.gamma_inf_norm)
     c2 = (
@@ -148,7 +150,7 @@ def max_alpha(params):
     def rhs(a):
         return 1.0 / (4.0 * q * q) * min((1.0 - q * a) ** 3 * c_star, c2)
 
-    return _bisect_alpha(rhs, q)
+    return _bisect_alpha(rhs)
 
 
 def error_bound(params, alpha, k):
@@ -171,27 +173,6 @@ def iterations_for(params, alpha, delta):
     return int(np.ceil(16.0 * params.d / denom * np.log(arg)))
 
 
-@dataclass
-class EnsembleVerification:
-    """Vectorized ensemble run with event tracking.
-
-    theta_hat[i] says the half-gap condition held through the whole horizon
-    for trajectory i. p1_checkpoints has shape (n_traj, n_checkpoints), with
-    the tail masses sum_{j>=2} p_j and martingale values alongside.
-    ek_violations counts steps where the maximal-inequality event held but
-    the gap condition failed at the next step (the inclusion lemma says this
-    must be zero for admissible alpha).
-    """
-
-    checkpoints: np.ndarray
-    p1_checkpoints: np.ndarray
-    tail_checkpoints: np.ndarray
-    martingale_checkpoints: np.ndarray
-    theta_hat: np.ndarray
-    ek_violations: int
-    final_states: np.ndarray
-
-
 def run_gap_ensemble(
     p0,
     alpha,
@@ -202,15 +183,16 @@ def run_gap_ensemble(
     checkpoints=(),
 ):
     """Run n_traj seeded trajectories in lockstep while tracking the gap event,
-    the stopped noise martingales, and the maximal-inequality flags.
+    the stopped noise martingales, and the maximal-inequality flags; returns
+    the final states (n_traj, d) and the tracker.
 
     Trajectory i is the `dynamics.simulate` run on stream key
     (seed, i), so ensembles are order-independent and each
-    member equals `dynamics.run_trajectory` with that key. The tracking is a
+    member equals `dynamics.run_trajectory` with that key. The tracker is a
     `dynamics.GapTracker`, the recorder that `simulate`'s step advances and
-    that checks the gamma @ p gap with the run's gamma when it is given;
-    p_1, the tail mass and the martingales are recorded at each checkpoint,
-    a step in [0, n_steps]."""
+    that checks the gamma @ p gap with the run's gamma when it is given; it
+    records the states and martingales at each checkpoint, a step in
+    [0, n_steps] (sorted, each once)."""
     params = GapParams(p0, gamma)
     keys = [(seed, i) for i in range(n_traj)]
     checkpoints = sorted(set(int(c) for c in checkpoints))
@@ -218,31 +200,24 @@ def run_gap_ensemble(
                          checkpoints, params.gap_gamma)
     p = simulate(np.tile(params.p0, (len(keys), 1)), alpha, n_steps, keys, gamma=params.gamma,
                  record=tracker)
-    return EnsembleVerification(
-        checkpoints=tracker.checkpoints,
-        p1_checkpoints=tracker.p1_checkpoints,
-        tail_checkpoints=tracker.tail_checkpoints,
-        martingale_checkpoints=tracker.martingale_checkpoints,
-        theta_hat=tracker.alive,
-        ek_violations=tracker.ek_violations,
-        final_states=p,
-    )
+    return p, tracker
 
 
-def verification_report(params, alpha, result):
-    """Summarize an ensemble verification against the theorem's guarantees.
+def verification_report(params, alpha, tracker):
+    """Summarize the `GapTracker` of an ensemble run against the theorem's
+    guarantees.
 
     Returns a JSON-ready dict with the empirical gap-event probability, the
     bound at each checkpoint next to the on-event empirical L1 error, and the
     inclusion-violation count. The L1 error ||p - e_1||_1 is twice the tail
     mass sum_{j>=2} p_j, which stays positive where 1 - p_1 rounds to 0."""
-    n = result.theta_hat.size
-    prob = float(result.theta_hat.mean())
+    alive = tracker.alive
+    n = alive.size
     rows = []
-    for pos, k in enumerate(result.checkpoints):
+    for pos, k in enumerate(tracker.checkpoints):
         bound = float(error_bound(params, alpha, int(k)))
-        err = 2.0 * result.tail_checkpoints[:, pos]
-        on_event = float((err * result.theta_hat).sum() / n)
+        err = 2.0 * tracker.states[pos][:, 1:].sum(axis=1)
+        on_event = float((err * alive).sum() / n)
         rows.append(
             {"k": int(k), "bound": bound, "on_event_mean_l1_error": on_event}
         )
@@ -250,10 +225,10 @@ def verification_report(params, alpha, result):
         "n_trajectories": int(n),
         "alpha": float(alpha),
         "epsilon": float(params.epsilon),
-        "empirical_gap_event_probability": prob,
+        "empirical_gap_event_probability": float(alive.mean()),
         "guaranteed_gap_event_probability": 1.0 - params.epsilon / 2.0,
         "checkpoints": rows,
-        "inclusion_violations": int(result.ek_violations),
+        "inclusion_violations": int(tracker.ek_violations),
     }
 
 

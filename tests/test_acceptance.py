@@ -124,9 +124,9 @@ def test_criterion_05_gap_event_desk_scale():
     alpha = theory.max_alpha(params)
     assert abs(alpha - 4.4e-4) < 1e-4
     checkpoints = [0, 50_000, 100_000, 150_000, 200_000]
-    result = theory.run_gap_ensemble(params.p0, alpha, 200_000, 200, seed=505,
-                                     checkpoints=checkpoints)
-    report = theory.verification_report(params, alpha, result)
+    _, tracker = theory.run_gap_ensemble(params.p0, alpha, 200_000, 200, seed=505,
+                                         checkpoints=checkpoints)
+    report = theory.verification_report(params, alpha, tracker)
     prob = report["empirical_gap_event_probability"]
     assert prob >= 0.70
     for row in report["checkpoints"]:
@@ -207,9 +207,9 @@ def test_criterion_09_correlated_desk_scale():
     assert abs(alpha - 5e-5) < 1e-5
     n_steps = 2_500_000
     checkpoints = list(range(0, n_steps + 1, 500_000))
-    result = theory.run_gap_ensemble(p0, alpha, n_steps, 50, seed=909,
-                                     gamma=gamma, checkpoints=checkpoints)
-    report = theory.verification_report(params, alpha, result)
+    _, tracker = theory.run_gap_ensemble(p0, alpha, n_steps, 50, seed=909,
+                                         gamma=gamma, checkpoints=checkpoints)
+    report = theory.verification_report(params, alpha, tracker)
     prob = report["empirical_gap_event_probability"]
     assert prob >= 1.0 - 0.25 - 0.07
     for row in report["checkpoints"]:

@@ -34,6 +34,9 @@ def test_unknown_scenario_exits_2(tmp_path):
 
 def test_unknown_override_key_exits_2(tmp_path):
     assert run(["landscape-grid", "--out", str(tmp_path), "--set", "bogus=1"]) == 2
+    # Q is the constant dynamics.Q_BOUND, not a key of the gap scenarios
+    for scenario in ("thm22-verify", "thm-corr-verify"):
+        assert run([scenario, "--out", str(tmp_path), "--set", "q_bound=2"]) == 2
 
 
 def test_config_file_that_is_no_object_exits_2(tmp_path):
@@ -257,9 +260,6 @@ def test_recording_runs_do_not_import_numpy_ma():
     ["fig2-ensemble", "--set", "n_traj=0"],
     # no triggers to collect used to end in a ValueError traceback
     ["spiking-validate", "--set", "n_events=[0,0]"],
-    # a noise bound the simulated Unif[-1, 1] noise exceeds used to pass
-    ["thm22-verify", "--set", "q_bound=1.2", "--set", "n_traj=20", "--set", "n_steps=20000",
-     "--set", "checkpoints=[0,10000,20000]"],
     # runs that checked nothing used to pass
     ["thm23-verify", "--set", "n_cases=0"],
     ["spiking-validate", "--set", "thresholds=[]", "--set", "n_events=[]"],
@@ -328,6 +328,12 @@ def test_recording_runs_do_not_import_numpy_ma():
     # a horizon shorter than half a step checks the bound at t = 0 only,
     # where it holds with equality, and used to pass
     ["thm23-verify", "--set", "n_cases=2", "--set", "horizon=0"],
+    # one coordinate has no gap to keep: these used to end in a ValueError traceback
+    ["thm22-verify", "--set", "p0=[1]"],
+    ["thm-corr-verify", "--set", "p0=[1]", "--set", "gamma=[[1]]"],
+    ["priming", "--set", "lam_first=[1]", "--set", "lam_second=[1]", "--set", "w0=[1]"],
+    # a gamma that is no correlation matrix used to give a landscape
+    ["landscape-grid", "--set", "gamma=[[1,2,0],[-1,1,0],[0,0,5]]", "--set", "grid_step=0.1"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     # a run that does not end fails here instead of hanging the suite

@@ -335,11 +335,11 @@ def compiled_case(draw):
 def _run_case(case):
     with mock.patch.object(dynamics, "CHUNK", case["chunk"]):
         if "p0" in case:
-            res = theory.run_gap_ensemble(case["p0"], case["alpha"], case["n_steps"], case["n"],
-                                          case["seed"], gamma=case["gamma"],
-                                          checkpoints=case["checkpoints"])
-            return [res.final_states, res.p1_checkpoints, res.martingale_checkpoints,
-                    res.theta_hat, res.ek_violations]
+            final, tracker = theory.run_gap_ensemble(
+                case["p0"], case["alpha"], case["n_steps"], case["n"], case["seed"],
+                gamma=case["gamma"], checkpoints=case["checkpoints"])
+            return [final, tracker.states, tracker.martingales, tracker.alive,
+                    tracker.ek_violations]
         keys = [(case["seed"], i) for i in range(case["n"])]
         p0 = dynamics.probabilities(case["lam"], case["w0"])
         switch = None
@@ -804,6 +804,32 @@ def test_gap_tracker_matches_step_oracle(path, case):
             alive &= gap_of(states[k + 1] @ gamma.T) >= gap_gamma / 2.0
         violations += int(np.sum(held & ~alive))
         marts.append(mart)
-    assert np.abs(res[2] - np.stack(marts, axis=-1)[:, :, case["checkpoints"]]).max() < 1e-12
+    assert np.abs(res[2] - np.stack(marts)[case["checkpoints"]]).max() < 1e-12
     assert np.array_equal(res[3], alive)
     assert res[4] == violations
+
+
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+@pytest.mark.parametrize("form", ["independent", "correlated"])
+def test_gap_tracking_leaves_the_trajectory_alone(path, form):
+    """The states the `GapTracker` of `theory.run_gap_ensemble` records are,
+    bit for bit, those a plain `Recorder` records through `dynamics.simulate`
+    with the same keys and checkpoints, and so are the final states: the
+    tracking reads the steps and changes none. At the rate 0.3 the gap event
+    ends for some members."""
+    if path == "compiled":
+        _require_compiled_step()
+    p0, gamma = np.array([0.5, 0.3, 0.2]), None
+    if form == "correlated":
+        p0, gamma = (np.array(v) for v in CORRELATED["correlated"])
+    n, n_steps, alpha, seed, checkpoints = 4, 120, 0.3, 13, [0, 7, 60, 120]
+    recorder = dynamics.Recorder(checkpoints)
+    with mock.patch.object(dynamics, "CHUNK", 16), \
+            (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
+        final, tracker = theory.run_gap_ensemble(p0, alpha, n_steps, n, seed, gamma=gamma,
+                                                 checkpoints=checkpoints)
+        plain = dynamics.simulate(np.tile(p0, (n, 1)), alpha, n_steps,
+                                  [(seed, i) for i in range(n)], gamma=gamma, record=recorder)
+    assert not tracker.alive.all()
+    assert np.array_equal(tracker.states, recorder.states)
+    assert np.array_equal(final, plain)

@@ -27,7 +27,7 @@ def test_max_alpha_desk_scale_value():
 def test_max_alpha_is_tight():
     params = theory.GapParams(p0=np.array([0.7, 0.3]), epsilon=0.3)
     a = theory.max_alpha(params)
-    g, q = params.gap, params.q_bound
+    g, q = params.gap, dynamics.Q_BOUND
     c2 = params.epsilon * (4 * g / 2 + g * g) / (256 * (1 - 0.7))
     rhs = lambda x: g * g / (16 * q * q) * min((1 - q * x) ** 3, c2)
     assert a <= rhs(a)
@@ -97,15 +97,6 @@ def test_gap_params_refuse_a_dead_gap_event():
         theory.run_gap_ensemble(p0, 1e-3, 10, 2, 0, gamma=gamma)
 
 
-def test_gap_params_refuse_a_bound_below_that_of_the_noise():
-    # |B + Z| reaches 2 under the Unif[-1, 1] noise, so a stated Q below 2
-    # would admit rates at which the update factor can turn negative
-    for q_bound in (1.5, np.nan):
-        with pytest.raises(InvalidInputError, match="q_bound"):
-            theory.GapParams(p0=np.array([0.9, 0.1]), q_bound=q_bound)
-    assert theory.GapParams(p0=np.array([0.9, 0.1]), q_bound=2.0).q_bound == 2.0
-
-
 def test_gap_event_probability_check_can_fail_on_its_own():
     """At p0 = (0.55, 0.45) the rate 0.05, far above max_alpha (1.4e-7)
     but below 1/Q, ends the gap event of most members within 5000 steps:
@@ -118,8 +109,9 @@ def test_gap_event_probability_check_can_fail_on_its_own():
     params = theory.GapParams(p0=np.array(p0), epsilon=cfg["epsilon"])
     floor = 1.0 - cfg["epsilon"] / 2.0 - cfg["probability_slack"]
     for seed in range(3):
-        res = theory.run_gap_ensemble(p0, alpha, n_steps, 200, seed, checkpoints=[0, n_steps])
-        report = theory.verification_report(params, alpha, res)
+        _, tracker = theory.run_gap_ensemble(p0, alpha, n_steps, 200, seed,
+                                             checkpoints=[0, n_steps])
+        report = theory.verification_report(params, alpha, tracker)
         assert report["empirical_gap_event_probability"] < floor
         assert report["inclusion_violations"] == 0
         assert all(row["on_event_mean_l1_error"] <= cfg["bound_slack"] * row["bound"]
@@ -131,18 +123,18 @@ def test_martingale_has_zero_mean():
     params = theory.GapParams(p0=np.array(p0), epsilon=0.5)
     alpha = theory.max_alpha(params)
     k = 5000
-    res = theory.run_gap_ensemble(p0, alpha, k, 200, 123, checkpoints=[k])
-    m = res.martingale_checkpoints[:, 0, 0]
+    _, tracker = theory.run_gap_ensemble(p0, alpha, k, 200, 123, checkpoints=[k])
+    m = tracker.martingales[0, :, 0]
     assert abs(m.mean()) <= 4 * m.std() / np.sqrt(m.size) + 1e-12
 
 
 def test_ensemble_members_reproducible_in_isolation():
     p0 = [0.9, 0.1]
-    res = theory.run_gap_ensemble(p0, 1e-3, 1000, 3, 9, checkpoints=[1000])
+    final, _ = theory.run_gap_ensemble(p0, 1e-3, 1000, 3, 9, checkpoints=[1000])
     cfg = dynamics.DynamicsConfig(alpha=1e-3, n_steps=1000, p0=p0, record_stride=1000)
     for i in range(3):
         solo = dynamics.run_trajectory(cfg, (9, i))
-        assert np.abs(solo.states[-1] - res.final_states[i]).max() < 1e-15
+        assert np.abs(solo.states[-1] - final[i]).max() < 1e-15
 
 
 def test_report_measures_errors_below_double_resolution():
@@ -150,10 +142,10 @@ def test_report_measures_errors_below_double_resolution():
     # error ||p - e_1||_1 = 2 p_2 is still positive
     p0 = [0.9, 0.1]
     params = theory.GapParams(p0=np.array(p0), epsilon=0.5)
-    res = theory.run_gap_ensemble(p0, 0.1, 1000, 8, 4, checkpoints=[0, 1000])
-    assert np.all(res.p1_checkpoints[:, 1] == 1.0) and res.theta_hat.all()
-    row = theory.verification_report(params, 0.1, res)["checkpoints"][1]
-    assert row["on_event_mean_l1_error"] == 2.0 * res.tail_checkpoints[:, 1].sum() / 8
+    _, tracker = theory.run_gap_ensemble(p0, 0.1, 1000, 8, 4, checkpoints=[0, 1000])
+    assert np.all(tracker.states[1][:, 0] == 1.0) and tracker.alive.all()
+    row = theory.verification_report(params, 0.1, tracker)["checkpoints"][1]
+    assert row["on_event_mean_l1_error"] == 2.0 * tracker.states[1][:, 1].sum() / 8
     assert 0.0 < row["on_event_mean_l1_error"] <= row["bound"]
 
 
@@ -186,8 +178,8 @@ def test_verification_report_shape():
     p0 = [0.9, 0.1]
     params = theory.GapParams(p0=np.array(p0), epsilon=0.5)
     alpha = theory.max_alpha(params)
-    res = theory.run_gap_ensemble(p0, alpha, 2000, 20, 5, checkpoints=[0, 2000])
-    rep = theory.verification_report(params, alpha, res)
+    _, tracker = theory.run_gap_ensemble(p0, alpha, 2000, 20, 5, checkpoints=[0, 2000])
+    rep = theory.verification_report(params, alpha, tracker)
     assert rep["checkpoints"][0]["k"] == 0
     assert rep["checkpoints"][0]["bound"] == pytest.approx(0.2)
     assert 0.0 <= rep["empirical_gap_event_probability"] <= 1.0
