@@ -144,10 +144,11 @@ INLINE double lead_gap(const double *v, int64_t d)
  * streams (n,) holds the state address of each row's numpy bit generator,
  * read in step order; next_double is their shared draw function, one
  * 64-bit output per double. gamma (d, d) is NULL for independent
- * triggers, mart NULL without tracking; mart and max_abs are (n, d) and
- * alive (n,). In a joint run the rows are the columns of the runs, row
- * run * d_out + j holding column j, and alphas (d_out,) their rates; alpha,
- * gamma and the tracking fields are unused.
+ * triggers, mart NULL without tracking; mart is (n, d), bounded and
+ * alive (n,) the flags of each row's maximal-inequality and gap events. In a
+ * joint run the rows are the columns of the runs, row run * d_out + j
+ * holding column j, and alphas (d_out,) their rates; alpha, gamma and the
+ * tracking fields are unused.
  * Every field is 8 bytes wide, so the layout has no padding.
  */
 struct simplex_run {
@@ -157,23 +158,25 @@ struct simplex_run {
     void *const *streams;
     double (*next_double)(void *);
     const double *gamma;
-    double *mart, *max_abs;
-    uint8_t *alive;
+    double *mart;
+    uint8_t *bounded, *alive;
     double threshold, half_gap, half_gap_gamma;
     int64_t d_out;
     const double *alphas;
 };
 
-/* One step of GapTracker for row i of r, whose rows have d entries, checking
- * the gap of gamma @ p too when the run has correlated triggers; returns 1
- * on an inclusion violation. With gamma, gp holds gamma @ p on entry and
+/* One step of GapTracker for row i of r, whose rows have d entries: M moves
+ * while the gap event holds, bounded clears at the first |M_j| above the
+ * threshold, and the gap is checked, that of gamma @ p too when the run has
+ * correlated triggers. Returns 1 on an inclusion violation, bounded still
+ * set after the gap event ended. With gamma, gp holds gamma @ p on entry and
  * gamma @ pn, the next step's gamma @ p, on return. */
 INLINE int track(const struct simplex_run *r, int64_t d, int64_t i, const double *p,
                  const double *y, const double *pn, double *tmp, double *gp)
 {
     const double *gamma = r->gamma;
-    double *mart = r->mart + i * d, *max_abs = r->max_abs + i * d;
-    uint8_t *alive = r->alive + i;
+    double *mart = r->mart + i * d;
+    uint8_t *bounded = r->bounded + i, *alive = r->alive + i;
     for (int64_t j = 0; j < d; j++)
         tmp[j] = p[j] * y[j];
     const double s = pairwise_sum(tmp, d);
@@ -181,24 +184,22 @@ INLINE int track(const struct simplex_run *r, int64_t d, int64_t i, const double
     for (int64_t j = 0; j < d; j++)
         tmp[j] = p[j] * mean[j];
     const double pm = pairwise_sum(tmp, d);
-    int e_now = 1;
+    int held = 1;
     for (int64_t j = 0; j < d; j++) {
         const double drift = p[j] * (mean[j] - pm);
         const double xi = drift - p[j] * (y[j] - s);
         if (*alive)
             mart[j] += r->alpha * xi;
-        const double a = fabs(mart[j]);
-        if (a > max_abs[j])
-            max_abs[j] = a;
-        e_now &= max_abs[j] <= r->threshold;
+        held &= fabs(mart[j]) <= r->threshold;
     }
+    *bounded = *bounded && held;
     int ok = lead_gap(pn, d) >= r->half_gap;
     if (gamma) {
         gamma_dot(gamma, pn, d, tmp, gp);
         ok &= lead_gap(gp, d) >= r->half_gap_gamma;
     }
     *alive = *alive && ok;
-    return e_now && !*alive;
+    return *bounded && !*alive;
 }
 
 /*
@@ -362,17 +363,15 @@ int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const
  *
  *   y = y * exp(t_prev - t);  y = y + w[j];  y >= threshold: spike, y = 0
  *
- * with libm's exp, the function math.exp calls. Spike times and trigger ids
- * go to spike_times and trigger_ids (cap entries each); when potentials is
- * given, every event's time and its y after any reset go to event_times and
- * potentials (one entry per event). Returns the number of spikes, -1 when a
- * train is not finite and nondecreasing from 0, -2 when more than cap
- * spikes occur and -3 when out of memory.
+ * with libm's exp, the function math.exp calls. Only the spikes are
+ * recorded: their times and trigger ids go to spike_times and trigger_ids
+ * (cap entries each). Returns the number of spikes, -1 when a train is not
+ * finite and nondecreasing from 0, -2 when more than cap spikes occur and
+ * -3 when out of memory.
  */
 int64_t simplex_membrane(int64_t d, const double *const *times, const int64_t *sizes,
                          const double *w, double threshold, int64_t cap,
-                         double *spike_times, int64_t *trigger_ids,
-                         double *event_times, double *potentials)
+                         double *spike_times, int64_t *trigger_ids)
 {
     int64_t *pos = calloc((size_t)d, sizeof(int64_t));
     if (!pos)
@@ -406,10 +405,6 @@ int64_t simplex_membrane(int64_t d, const double *const *times, const int64_t *s
             spike_times[n_spikes] = t;
             trigger_ids[n_spikes++] = j;
             y = 0.0;
-        }
-        if (potentials) {
-            event_times[e] = t;
-            potentials[e] = y;
         }
     }
     free(pos);

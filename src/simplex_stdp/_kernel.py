@@ -102,8 +102,8 @@ def library():
     lib.simplex_advance.restype = i64
     lib.simplex_joint.argtypes = [ptr, i64, i64, ptr]  # run, k0, k1, lam
     lib.simplex_joint.restype = i64
-    # d, times, sizes, w, threshold, cap, spike_times, trigger_ids, event_times, potentials
-    lib.simplex_membrane.argtypes = [i64, ptr, ptr, ptr, f64, i64, ptr, ptr, ptr, ptr]
+    # d, times, sizes, w, threshold, cap, spike_times, trigger_ids
+    lib.simplex_membrane.argtypes = [i64, ptr, ptr, ptr, f64, i64, ptr, ptr]
     lib.simplex_membrane.restype = i64
     # d, p, gamma, dt, n, rec, n_rec, states, corrections, sumsq
     lib.simplex_flow.argtypes = [i64, ptr, ptr, f64, i64, ptr, i64, ptr, ptr, ptr]
@@ -122,7 +122,7 @@ def _run_type():
         _fields_ = [(name, i64) for name in ("n", "d")]
         _fields_ += [("alpha", f64)]
         _fields_ += [(name, ptr) for name in ("x", "streams", "next_double", "gamma", "mart",
-                                              "max_abs", "alive")]
+                                              "bounded", "alive")]
         _fields_ += [(name, f64) for name in ("threshold", "half_gap", "half_gap_gamma")]
         _fields_ += [("d_out", i64), ("alphas", ptr)]
 
@@ -165,15 +165,16 @@ def prepare(x, alpha, streams, lam, gamma, tracker):
     """Check the arrays of one run once and return advance(k0, k1), which
     runs steps k0..k1-1 on the probability rows x in place, drawing from the
     `dynamics.Streams` streams as it steps. It also advances a
-    `dynamics.GapTracker`'s martingales, maxima, gap event (on gamma @ p too
-    when gamma is given) and inclusion-violation count. lam is None: the
-    single-neuron runs step probabilities, which stay on the simplex."""
+    `dynamics.GapTracker`'s martingales, maximal-inequality event, gap event
+    (on gamma @ p too when gamma is given) and inclusion-violation count.
+    lam is None: the single-neuron runs step probabilities, which stay on
+    the simplex."""
     n, d = x.shape
     fields = dict(alpha=alpha, gamma=_data(gamma, np.float64, (d, d)))
     if tracker is not None:
         fields.update(
             mart=_data(tracker.mart, np.float64, (n, d)),
-            max_abs=_data(tracker.max_abs, np.float64, (n, d)),
+            bounded=_data(tracker.bounded, np.bool_, (n,)),
             alive=_data(tracker.alive, np.bool_, (n,)), threshold=tracker.threshold,
             half_gap=tracker.half_gap, half_gap_gamma=tracker.half_gap_gamma)
     call = _segments(library().simplex_advance, x, streams, (gamma, tracker), **fields)
@@ -211,35 +212,29 @@ def joint(x, alpha, streams, lam, gamma, tracker):
     return advance
 
 
-def membrane(times, w, threshold, cap, record_potential):
+def membrane(times, w, threshold, cap):
     """Run `simplex_membrane` over the trains `times` (d float64 arrays) with
-    the weights w (d,), room for cap spikes and, when record_potential is
-    set, every event's time and potential; returns (spike_times,
-    trigger_ids, event_times, potentials), the last two None unless
-    recorded. A train that is not finite and nondecreasing from 0 raises
-    InvalidInputError, more than cap spikes RuntimeError."""
+    the weights w (d,) and room for cap spikes; returns (spike_times,
+    trigger_ids), the membrane recording only its spikes. A train that is
+    not finite and nondecreasing from 0 raises InvalidInputError, more than
+    cap spikes RuntimeError."""
     import ctypes
 
     d = len(times)
     trains = [np.ascontiguousarray(t, dtype=np.float64) for t in times]
     w = np.ascontiguousarray(w, dtype=np.float64)
     sizes = np.array([t.size for t in trains], dtype=np.int64)
-    n_events = int(sizes.sum())
     spikes, ids = np.empty(cap), np.empty(cap, dtype=np.int64)
-    event_times = potentials = None
-    if record_potential:
-        event_times, potentials = np.empty(n_events), np.empty(n_events)
     count = library().simplex_membrane(
         d, (ctypes.c_void_p * d)(*[t.ctypes.data for t in trains]), sizes.ctypes.data,
-        _data(w, np.float64, (d,)), threshold, cap, spikes.ctypes.data, ids.ctypes.data,
-        _data(event_times, np.float64, (n_events,)), _data(potentials, np.float64, (n_events,)))
+        _data(w, np.float64, (d,)), threshold, cap, spikes.ctypes.data, ids.ctypes.data)
     if count == -1:
         raise InvalidInputError("spike trains must be finite and nondecreasing from 0")
     if count == -2:
         raise RuntimeError("more than %d postsynaptic spikes, the most the events allow" % cap)
     if count < 0:
         raise MemoryError("compiled membrane could not allocate its train positions")
-    return spikes[:count].copy(), ids[:count].copy(), event_times, potentials
+    return spikes[:count].copy(), ids[:count].copy()
 
 
 def flow(p, gamma, dt, n, rec, states, corrections, sumsq):

@@ -107,7 +107,6 @@ DEFAULTS = {
         "n_traj": 50,
         "p0": [0.3, 0.3, 0.4],
         "gamma": [[1.0, 0.1, 0.1], [0.1, 1.0, 0.0], [0.1, 0.0, 1.0]],
-        "record_stride": 20,
         "grid_step": 0.01,
     },
     "priming": {
@@ -269,6 +268,9 @@ def scenario_fig3_algorithm1(cfg, out, seed):
 
 
 def scenario_correlated_figure(cfg, out, seed):
+    # the landscape needs a 3 x 3 gamma; check it before the ensemble runs
+    if cfg["gamma"] is not None:
+        validate_correlation(cfg["gamma"], 3)
     files = []
     d = len(cfg["p0"])
     n = cfg["n_traj"]

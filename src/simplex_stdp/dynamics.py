@@ -198,7 +198,8 @@ class Recorder:
 class GapTracker(Recorder):
     """The recorder of `theory.run_gap_ensemble` for n probability
     trajectories. Per step it tracks the noise martingales M stopped when
-    the gap event ends, the running maxima of |M_j|, the gap event `alive`
+    the gap event ends, the maximal-inequality event `bounded` (every |M_j|
+    at or below the threshold at every step so far), the gap event `alive`
     (the half-gap condition held at every step so far; in a run with
     correlated triggers also the half-gap_gamma condition on gamma @ p, with
     the run's gamma) and `ek_violations`, the steps at which the
@@ -218,7 +219,7 @@ class GapTracker(Recorder):
         self.half_gap_gamma = gap_gamma / 2.0
         self.threshold = threshold
         self.mart = np.zeros((n, d))
-        self.max_abs = np.zeros((n, d))
+        self.bounded = np.ones(n, dtype=bool)
         self.alive = np.ones(n, dtype=bool)
         self.ek_violations = 0
         self.martingales = np.empty((self.checkpoints.size, n, d))
@@ -230,13 +231,12 @@ class GapTracker(Recorder):
     def track(self, p, y, p_next, alpha, gamma):
         xi = _increments(p, y, gamma)[2]
         self.mart += alpha * xi * self.alive[:, None]
-        np.maximum(self.max_abs, np.abs(self.mart), out=self.max_abs)
-        e_now = (self.max_abs <= self.threshold).all(axis=1)
+        self.bounded &= (np.abs(self.mart) <= self.threshold).all(axis=1)
         ok = _gap_of(p_next) >= self.half_gap
         if gamma is not None:
             ok &= _gap_of(_gamma_dot(p_next, gamma)) >= self.half_gap_gamma
         self.alive &= ok
-        self.ek_violations += int(np.sum(e_now & ~self.alive))
+        self.ek_violations += int(np.sum(self.bounded & ~self.alive))
 
 
 def numpy_step(x, alpha, streams, lam, gamma, tracker):
@@ -436,7 +436,6 @@ class TrajectoryRecord:
 
     recorded_steps: np.ndarray
     states: np.ndarray
-    seed: object = None
 
 
 def final_probabilities(config, keys):
@@ -455,5 +454,4 @@ def run_trajectory(config, seed):
     recorder = Recorder(recorded_steps(config.n_steps, config.record_stride))
     simulate(as_float_array(config.p0, "p0")[None], config.alpha, config.n_steps, [seed],
              gamma=config.gamma, record=recorder)
-    return TrajectoryRecord(recorded_steps=recorder.checkpoints, states=recorder.states[:, 0],
-                            seed=seed)
+    return TrajectoryRecord(recorded_steps=recorder.checkpoints, states=recorder.states[:, 0])

@@ -105,13 +105,14 @@ def probabilities_from_weights(lam, w):
 
 
 def loss(p):
-    """Potential L(p) = -(1/3) sum p_i^3 + (1/4) (sum p_i^2)^2.
+    """Potential L(p) = -(1/3) sum p_i^3 + (1/4) (sum p_i^2)^2 along the last
+    axis of p.
 
     Its negative Euclidean gradient restricted to the simplex is the
     replicator field p * (p - ||p||^2)."""
     p = np.asarray(p, dtype=float)
-    sq = float(np.dot(p, p))
-    return -(p ** 3).sum() / 3.0 + 0.25 * sq * sq
+    sq = (p ** 2).sum(axis=-1)
+    return -(p ** 3).sum(axis=-1) / 3.0 + 0.25 * sq * sq
 
 
 def loss_gradient(p):
@@ -209,7 +210,5 @@ def landscape_grid(grid_step):
         for j in range(n + 1 - i):
             pts.append((i / n, j / n, (n - i - j) / n))
     pts = np.array(pts)
-    sq = (pts ** 2).sum(axis=1)
-    vals = -(pts ** 3).sum(axis=1) / 3.0 + 0.25 * sq * sq
     x, y = barycentric_embedding(pts)
-    return pts, x, y, vals
+    return pts, x, y, loss(pts)

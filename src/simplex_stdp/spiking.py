@@ -63,15 +63,12 @@ def gen_poisson_trains(lam, horizon, rng):
 class MembraneConfig:
     weights: np.ndarray
     threshold: float
-    record_potential: bool = False
 
 
 @dataclass
 class PostsynapticRecord:
     spike_times: np.ndarray
     trigger_ids: np.ndarray
-    potential_times: np.ndarray = None
-    potentials: np.ndarray = None  # value just after each presynaptic jump
 
 
 def merge_events(times):
@@ -104,10 +101,8 @@ def simulate_membrane(config, trains):
     # y. The ratio may overflow to inf; past n_events + 1 no spike fits.
     ratio = min(config.threshold / float(w.max()), n_events + 2.0)
     cap = n_events // max(math.ceil(ratio) - 1, 1)
-    spikes, triggers, event_times, potentials = _kernel.membrane(
-        times, w, config.threshold, cap, config.record_potential)
-    return PostsynapticRecord(spike_times=spikes, trigger_ids=triggers,
-                              potential_times=event_times, potentials=potentials)
+    spikes, triggers = _kernel.membrane(times, w, config.threshold, cap)
+    return PostsynapticRecord(spike_times=spikes, trigger_ids=triggers)
 
 
 def _check_threshold(threshold):
@@ -125,7 +120,6 @@ def _membrane_loop(config, w, times):
     times, ids = merge_events(times)
     spikes = []
     triggers = []
-    pot_vals = [] if config.record_potential else None
     y = 0.0
     t_prev = 0.0
     for t, j in zip(times, ids):
@@ -136,14 +130,8 @@ def _membrane_loop(config, w, times):
             spikes.append(t)
             triggers.append(j)
             y = 0.0
-        if pot_vals is not None:
-            pot_vals.append(y)
-    return PostsynapticRecord(
-        spike_times=np.array(spikes),
-        trigger_ids=np.array(triggers, dtype=int),
-        potential_times=times if config.record_potential else None,
-        potentials=None if pot_vals is None else np.array(pot_vals),
-    )
+    return PostsynapticRecord(spike_times=np.array(spikes),
+                              trigger_ids=np.array(triggers, dtype=int))
 
 
 def collect_triggers(lam, w, threshold, n_events, rng):

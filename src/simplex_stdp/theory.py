@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import InvalidInputError, as_probability_vector, probabilities_from_weights
+from .simplex import (InvalidInputError, as_probability_vector, probabilities_from_weights,
+                      validate_intensities)
 from .dynamics import Q_BOUND, GapTracker, _gap_of, simulate, validate_correlation
 
 BISECT_REL_TOL = 1e-12
@@ -234,9 +235,12 @@ def verification_report(params, alpha, tracker):
 
 def priming_delta_max(lam_first, lam_second):
     """Largest delta with max_{i>1} (lam2_i lam1_1 / (lam1_i lam2_1)) * delta/(1-delta) < 1,
-    in closed form: 1 / (1 + max ratio)."""
-    a = np.asarray(lam_first, dtype=float)
-    b = np.asarray(lam_second, dtype=float)
+    in closed form: 1 / (1 + max ratio). Both intensity vectors must pass
+    `validate_intensities` and share one shape with d >= 2 coordinates."""
+    a, b = validate_intensities(lam_first), validate_intensities(lam_second)
+    if a.shape != b.shape or a.size < 2:
+        raise InvalidInputError("intensities must share one shape with d >= 2, got shapes "
+                                "%s and %s" % (a.shape, b.shape))
     r = float(np.max(b[1:] * a[0] / (a[1:] * b[0])))
     return 1.0 / (1.0 + r)
 

@@ -349,6 +349,37 @@ def test_criterion_13_determinism(tmp_path):
             "reruns and thread counts" % len(scenarios))
 
 
+class _ReadKeys(dict):
+    """A scenario config that adds each key a scenario reads to `read`."""
+
+    def __init__(self, cfg, read):
+        super().__init__(cfg)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_every_config_key_is_read(tmp_path):
+    """Every scenario reads every key of its config: a key that nothing
+    reads is an option that does nothing but change the manifest."""
+    build = cli.build_config
+    unread = {}
+    for scenario in sorted(SMALL_OVERRIDES):
+        read = set()
+        with mock.patch.object(cli, "build_config", lambda *a: _ReadKeys(build(*a), read)):
+            _run_scenario(scenario, tmp_path / scenario, 1)
+        missing = sorted(set(cli.DEFAULTS[scenario]) - read)
+        if missing:
+            unread[scenario] = missing
+    assert unread == {}
+
+
 def test_outputs_do_not_depend_on_the_segment_length(tmp_path):
     """Every row reads its stream in step order, so cutting the runs into
     segments of at most 7 steps, not `dynamics.CHUNK`, changes no output

@@ -88,6 +88,15 @@ def test_precondition_violation_exits_3(tmp_path):
     assert code == 3
 
 
+def test_correlated_figure_checks_gamma_before_its_ensemble(tmp_path):
+    """The landscape needs a 3 x 3 gamma: a 4 x 4 one stops the run before
+    the ensemble writes final_states.csv, which it used to do before exiting 3."""
+    gamma = json.dumps(np.eye(4).tolist())
+    assert run(["correlated-figure", "--out", str(tmp_path), "--set", "p0=[0.25,0.25,0.25,0.25]",
+                "--set", "gamma=" + gamma, "--set", "n_steps=200", "--set", "n_traj=2"]) == 3
+    assert not list((tmp_path / "correlated-figure").glob("*.csv"))
+
+
 def test_landscape_grid_outputs(tmp_path):
     assert run(["landscape-grid", "--out", str(tmp_path), "--set", "grid_step=0.02"]) == 0
     out = tmp_path / "landscape-grid"

@@ -153,6 +153,17 @@ def test_priming_delta_closed_form():
     assert abs(theory.priming_delta_max([10.0, 5.0], [5.0, 10.0]) - 0.2) < 1e-15
 
 
+@pytest.mark.parametrize("lam_first, lam_second", [
+    ([1.0], [1.0]),  # used to end in numpy's ValueError on an empty maximum
+    ([1.0, 2.0], [1.0, 2.0, 3.0]),  # used to return a number
+    ([1.0, 2.0], [1.0, 0.0]),
+    ([1.0, np.nan], [1.0, 2.0]),
+])
+def test_priming_delta_refuses_mismatched_or_invalid_intensities(lam_first, lam_second):
+    with pytest.raises(InvalidInputError):
+        theory.priming_delta_max(lam_first, lam_second)
+
+
 def test_priming_preconditions():
     with pytest.raises(InvalidInputError, match="first intensities"):
         theory.priming_experiment([5.0, 10.0], [5.0, 10.0], np.ones(2),
