@@ -435,14 +435,13 @@ static void replicator(const double *q, const double *gamma, int64_t d, double *
  * each step a state outside [-1e-9, 1 + 1e-9] (NaN included) stops the
  * run; otherwise it is clipped at 0 and divided by its sum s, and |s - 1|
  * is the step's correction. At each of the n_rec increasing steps rec,
- * the state goes to a row of states (n_rec, d), the last correction (0
- * before the first step) to corrections and sum(p * p) to sumsq. Returns 0,
- * the step after which the state left the range, with p holding that
- * unclipped state, or -1 when out of memory.
+ * the state goes to a row of states (n_rec, d) and the last correction (0
+ * before the first step) to corrections. Returns 0, the step after which
+ * the state left the range, with p holding that unclipped state, or -1
+ * when out of memory.
  */
 int64_t simplex_flow(int64_t d, double *p, const double *gamma, double dt, int64_t n,
-                     const int64_t *rec, int64_t n_rec, double *states, double *corrections,
-                     double *sumsq)
+                     const int64_t *rec, int64_t n_rec, double *states, double *corrections)
 {
     double *buf = malloc(7 * (size_t)d * sizeof(double));
     if (!buf)
@@ -454,12 +453,9 @@ int64_t simplex_flow(int64_t d, double *p, const double *gamma, double dt, int64
     int64_t pos = 0, left = 0;
     for (int64_t k = 0; k <= n; k++) {
         if (pos < n_rec && rec[pos] == k) {
-            for (int64_t j = 0; j < d; j++) {
+            for (int64_t j = 0; j < d; j++)
                 states[pos * d + j] = p[j];
-                tmp[j] = p[j] * p[j];
-            }
-            corrections[pos] = correction;
-            sumsq[pos++] = pairwise_sum(tmp, d);
+            corrections[pos++] = correction;
         }
         if (k == n)
             break;

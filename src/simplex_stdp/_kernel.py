@@ -105,8 +105,8 @@ def library():
     # d, times, sizes, w, threshold, cap, spike_times, trigger_ids
     lib.simplex_membrane.argtypes = [i64, ptr, ptr, ptr, f64, i64, ptr, ptr]
     lib.simplex_membrane.restype = i64
-    # d, p, gamma, dt, n, rec, n_rec, states, corrections, sumsq
-    lib.simplex_flow.argtypes = [i64, ptr, ptr, f64, i64, ptr, i64, ptr, ptr, ptr]
+    # d, p, gamma, dt, n, rec, n_rec, states, corrections
+    lib.simplex_flow.argtypes = [i64, ptr, ptr, f64, i64, ptr, i64, ptr, ptr]
     lib.simplex_flow.restype = i64
     return lib
 
@@ -237,10 +237,10 @@ def membrane(times, w, threshold, cap):
     return spikes[:count].copy(), ids[:count].copy()
 
 
-def flow(p, gamma, dt, n, rec, states, corrections, sumsq):
+def flow(p, gamma, dt, n, rec, states, corrections):
     """The compiled `flow._rk4`, with its arguments and its results bit for
     bit: n RK4 steps of dt from p (d,), updated in place, recording at the
-    steps rec into states, corrections and sumsq; returns the step after
+    steps rec into states and corrections; returns the step after
     which the state left the simplex, p then holding that state, or None."""
     d, n_rec = p.size, rec.size
     if gamma is not None:
@@ -248,7 +248,7 @@ def flow(p, gamma, dt, n, rec, states, corrections, sumsq):
     left = library().simplex_flow(
         d, _data(p, np.float64, (d,)), _data(gamma, np.float64, (d, d)), float(dt), n,
         _data(rec, np.int64, (n_rec,)), n_rec, _data(states, np.float64, (n_rec, d)),
-        _data(corrections, np.float64, (n_rec,)), _data(sumsq, np.float64, (n_rec,)))
+        _data(corrections, np.float64, (n_rec,)))
     if left < 0:
         raise MemoryError("compiled flow could not allocate its stage buffers")
     return left or None

@@ -3,25 +3,30 @@
 Usage: simplex-stdp <scenario> [--config FILE] [--seed N] [--out DIR]
                     [--threads N] [--set key=value]...
 
-Each scenario writes a manifest.json (config digest, seed, file list), its CSV
-outputs, and for *-verify scenarios a report.json with pass/fail checks.
-Outputs are byte-identical across reruns. --threads is accepted and recorded
-in the manifest but has no effect: every ensemble runs as one batch in one
-thread. ROADMAP item 7 decides whether it runs row blocks in parallel or
-goes; on a 2-core VM, two threads over thm22-verify's rows measured the
-benchmark's gap-verify wall time -1.7% and CPU time +12.3% (6 alternating
-pairs), so it runs none. The package pins numpy's OpenBLAS to one thread as
-well (OPENBLAS_NUM_THREADS=1 unless already set), which works only when
-simplex_stdp is imported before numpy, as this command does; an idle
-OpenBLAS worker busy-waits for about 0.1 s of CPU per process otherwise.
-Ensemble member i uses the stream keyed by (seed, i), so single
-members of fig2-ensemble and correlated-figure can be reproduced in isolation
-with dynamics.run_trajectory(config, (seed, i)).
+Each scenario writes a manifest.json (config digest, seed, file list) and its
+CSV outputs. The eight verification scenarios (priming, thm22-verify,
+thm23-verify, thm-corr-verify, alg2-verify, spiking-validate, mirror-compare
+and landscape-grid) also write a report.json whose `checks` maps each check
+to true or false. Only main() turns them into the verdict: `passed` is true
+when every check holds, false when one fails, and null when the scenario
+names no check (landscape-grid with gamma set); the run exits 4 exactly when
+`passed` is false. Outputs are byte-identical across reruns. --threads is
+accepted and recorded in the manifest but has no effect: every ensemble runs
+as one batch in one thread. ROADMAP item 10 decides whether it runs row
+blocks in parallel or goes; on a 2-core VM, two threads over thm22-verify's
+rows measured the benchmark's gap-verify wall time -1.7% and CPU time +12.3%
+(6 alternating pairs), so it runs none. The package pins numpy's OpenBLAS
+to one thread as well (OPENBLAS_NUM_THREADS=1 unless already set), which
+works only when simplex_stdp is imported before numpy, as this command does;
+an idle OpenBLAS worker busy-waits for about 0.1 s of CPU per process
+otherwise. Ensemble member i uses the stream keyed by (seed, i), so single
+members of fig2-ensemble and correlated-figure can be reproduced in
+isolation with dynamics.run_trajectory(config, (seed, i)).
 
 Exit codes: 0 success, 2 configuration error (unknown scenario / override,
 a non-integral value for an integer key, --threads below 1), 3 precondition
 violation (invalid parameter values, unwritable output), 4 verification
-failure.
+failure (`passed` false).
 """
 
 import argparse
@@ -226,7 +231,7 @@ def scenario_fig2_trajectories(cfg, out, seed):
     path = os.path.join(out, "landscape.csv")
     _write_landscape(path, cfg["grid_step"])
     files.append(path)
-    return files, None, True
+    return files, None
 
 
 def scenario_fig2_ensemble(cfg, out, seed):
@@ -247,7 +252,7 @@ def scenario_fig2_ensemble(cfg, out, seed):
     path = os.path.join(out, "final_states.csv")
     write_csv(path, ["trajectory"] + header[1:] + ["winner"], _final_columns(finals))
     files.append(path)
-    return files, None, True
+    return files, None
 
 
 def scenario_fig3_algorithm1(cfg, out, seed):
@@ -264,13 +269,14 @@ def scenario_fig3_algorithm1(cfg, out, seed):
     path = os.path.join(out, "frobenius_error.csv")
     write_csv(path, ["k", "half_squared_error"],
               [rec.recorded_steps, multi_mod.frobenius_half_error(rec.probabilities)])
-    return [path], {"clip_events": rec.clip_events}, True
+    return [path], {"clip_events": rec.clip_events}
 
 
 def scenario_correlated_figure(cfg, out, seed):
     # the landscape needs a 3 x 3 gamma; check it before the ensemble runs
-    if cfg["gamma"] is not None:
-        validate_correlation(cfg["gamma"], 3)
+    if cfg["gamma"] is None:
+        raise InvalidInputError("correlated-figure needs a correlation matrix gamma")
+    validate_correlation(cfg["gamma"], 3)
     files = []
     d = len(cfg["p0"])
     n = cfg["n_traj"]
@@ -285,7 +291,7 @@ def scenario_correlated_figure(cfg, out, seed):
     path = os.path.join(out, "landscape_shahshahani.csv")
     _write_landscape(path, cfg["grid_step"], gamma=cfg["gamma"])
     files.append(path)
-    return files, None, True
+    return files, None
 
 
 def scenario_priming(cfg, out, seed):
@@ -304,19 +310,21 @@ def scenario_priming(cfg, out, seed):
             cfg["n_traj"], seed,
         )
     floor = 1.0 - 2.0 * eps - cfg["slack"]
-    ok = results["unprimed"][d - 1] >= floor and results["primed"][0] >= floor
     report = {
         "delta": delta,
         "k_star": int(k_star),
         "required_frequency": floor,
         "unprimed_fractions": list(results["unprimed"]),
         "primed_fractions": list(results["primed"]),
-        "passed": bool(ok),
+        "checks": {
+            "unprimed_to_last": results["unprimed"][d - 1] >= floor,
+            "primed_to_first": results["primed"][0] >= floor,
+        },
     }
     path = os.path.join(out, "priming.csv")
     write_csv(path, ["phase"] + ["fraction_%d" % (i + 1) for i in range(d)],
               [labels] + list(zip(*(results[label] for label in labels))))
-    return [path], report, ok
+    return [path], report
 
 
 def _gap_verify(cfg, out, seed):
@@ -340,8 +348,6 @@ def _gap_verify(cfg, out, seed):
     }
     report["probability_floor"] = prob_floor
     report["checks"] = checks
-    ok = all(checks.values())
-    report["passed"] = bool(ok)
     path = os.path.join(out, "checkpoints.csv")
     write_csv(
         path,
@@ -349,7 +355,7 @@ def _gap_verify(cfg, out, seed):
         [[r[key] for r in report["checkpoints"]]
          for key in ("k", "bound", "on_event_mean_l1_error")],
     )
-    return [path], report, ok
+    return [path], report
 
 
 def scenario_thm_corr_verify(cfg, out, seed):
@@ -407,15 +413,14 @@ def scenario_thm23_verify(cfg, out, seed):
         rows.append([case, d, gap, margin])
     path = os.path.join(out, "cases.csv")
     write_csv(path, ["case", "d", "gap", "min_bound_margin"], zip(*rows))
-    ok = violations == 0
     report = {
         "n_cases": cfg["n_cases"],
         "violations": int(violations),
         "worst_margin": worst_margin,
         "max_renorm_correction": max_correction,
-        "passed": bool(ok),
+        "checks": {"flow_bound": violations == 0},
     }
-    return [path], report, ok
+    return [path], report
 
 
 def scenario_alg2_verify(cfg, out, seed):
@@ -452,17 +457,16 @@ def scenario_alg2_verify(cfg, out, seed):
     )
     rate = float(success.mean())
     floor = (1.0 - cfg["epsilon"]) ** d - cfg["slack"]
-    ok = rate >= floor
     report = {
         "k_per_column": int(k_per_column),
         "minimal_gap": gap,
         "success_rate": rate,
         "required_rate": floor,
-        "passed": bool(ok),
+        "checks": {"success_rate": rate >= floor},
     }
     path = os.path.join(out, "successes.csv")
     write_csv(path, ["seed_index", "success"], [np.arange(success.size), success])
-    return [path], report, ok
+    return [path], report
 
 
 def scenario_spiking_validate(cfg, out, seed):
@@ -471,17 +475,13 @@ def scenario_spiking_validate(cfg, out, seed):
     if not cfg["thresholds"] or len(cfg["thresholds"]) != len(cfg["n_events"]):
         raise InvalidInputError("need one n_events per threshold, at least one of each")
     rows = []
-    ok = True
     rng = stream_for(seed)
     for thresh, n_events in zip(cfg["thresholds"], cfg["n_events"]):
         ids = spiking_mod.collect_triggers(lam, w, thresh, n_events, rng)
         freqs = np.bincount(ids, minlength=lam.size) / ids.size
         dev = float(np.abs(freqs - target).max())
-        ok = ok and dev <= cfg["tolerance"]
         rows.append([thresh, ids.size, dev] + list(freqs))
     mean, lo, hi = spiking_mod.centered_noise_stats(0.0, 1.0, cfg["noise_samples"], rng)
-    noise_ok = abs(mean) < 0.002 and lo >= -1.0 and hi <= 1.0
-    ok = ok and noise_ok
     path = os.path.join(out, "trigger_frequencies.csv")
     write_csv(
         path,
@@ -494,9 +494,12 @@ def scenario_spiking_validate(cfg, out, seed):
         "noise_mean": mean,
         "noise_min": lo,
         "noise_max": hi,
-        "passed": bool(ok),
+        "checks": {
+            "trigger_frequencies": all(dev <= cfg["tolerance"] for _, _, dev, *_ in rows),
+            "noise_centered": abs(mean) < 0.002 and lo >= -1.0 and hi <= 1.0,
+        },
     }
-    return [path], report, ok
+    return [path], report
 
 
 def scenario_mirror_compare(cfg, out, seed):
@@ -509,21 +512,20 @@ def scenario_mirror_compare(cfg, out, seed):
         p = rng.dirichlet(np.ones(cfg["d"]))
         sup = np.maximum(sup, mirror_mod.order_comparison(p, alphas))
     ratios = sup[:-1] / sup[1:]
-    ok = bool(np.all((ratios >= cfg["ratio_low"]) & (ratios <= cfg["ratio_high"])))
     path = os.path.join(out, "mirror.csv")
     write_csv(path, ["alpha", "sup_difference"], [alphas, sup])
-    report = {"ratios": list(ratios), "passed": ok}
-    return [path], report, ok
+    in_band = (ratios >= cfg["ratio_low"]) & (ratios <= cfg["ratio_high"])
+    return [path], {"ratios": list(ratios), "checks": {"ratio_band": in_band.all()}}
 
 
 def scenario_landscape_grid(cfg, out, seed):
     path = os.path.join(out, "landscape.csv")
     vals = _write_landscape(path, cfg["grid_step"], gamma=cfg["gamma"])
-    # the correlated landscape has no check, so it reports passed as null
-    passed = None
+    # the correlated landscape has no check yet
+    checks = {}
     if cfg["gamma"] is None:
-        passed = abs(float(vals.min()) - (-1.0 / 12.0)) <= 1e-5
-    return [path], {"min_value": float(vals.min()), "passed": passed}, passed is not False
+        checks["lattice_minimum"] = abs(float(vals.min()) - (-1.0 / 12.0)) <= 1e-5
+    return [path], {"min_value": float(vals.min()), "checks": checks}
 
 
 SCENARIOS = {
@@ -626,10 +628,16 @@ def main(argv=None):
         return 3
     started = time.time()
     try:
-        files, report, ok = SCENARIOS[args.scenario](cfg, out, args.seed)
+        files, report = SCENARIOS[args.scenario](cfg, out, args.seed)
     except InvalidInputError as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return 3
+    # the one verdict rule: a verification scenario passes when all of its
+    # named checks hold, and has no verdict when it names none
+    verifies = report is not None and "checks" in report
+    if verifies:
+        checks = {name: bool(ok) for name, ok in report["checks"].items()}
+        report.update(checks=checks, passed=all(checks.values()) if checks else None)
     if report is not None:
         report_path = os.path.join(out, "report.json")
         with open(report_path, "w") as fh:
@@ -655,12 +663,10 @@ def main(argv=None):
     # the run time varies between runs, so it is printed, not written to out
     summary = "%s: wrote %d file(s) to %s in %.3f s" % (
         args.scenario, len(files) + 1, out, time.time() - started)
-    if report is not None and "passed" in report:
+    if verifies:
         summary += "; passed=%s" % report["passed"]
     print(summary)
-    if not ok:
-        return 4
-    return 0
+    return 4 if verifies and report["passed"] is False else 0
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ class FlowTrajectory:
     times: np.ndarray
     states: np.ndarray
     renorm_corrections: np.ndarray
-    sum_squares: np.ndarray
 
 
 def integrate(spec):
@@ -65,23 +64,20 @@ def integrate(spec):
     rec = recorded_steps(n, spec.record_stride)
     states = np.empty((rec.size, p.size))
     corrections = np.empty(rec.size)
-    sumsq = np.empty(rec.size)
     run = _rk4 if _kernel.library() is None else _kernel.flow
-    left = run(p, gamma, spec.dt, n, rec, states, corrections, sumsq)
+    left = run(p, gamma, spec.dt, n, rec, states, corrections)
     if left is not None:
         raise IntegrationError(
             "state left the simplex at t=%.6g (min %.3g, max %.3g); reduce dt"
             % (left * spec.dt, p.min(), p.max())
         )
-    return FlowTrajectory(
-        times=rec * spec.dt, states=states, renorm_corrections=corrections, sum_squares=sumsq
-    )
+    return FlowTrajectory(times=rec * spec.dt, states=states, renorm_corrections=corrections)
 
 
-def _rk4(p, gamma, dt, n, rec, states, corrections, sumsq):
+def _rk4(p, gamma, dt, n, rec, states, corrections):
     """n RK4 steps of dt from p, updated in place: at each step in rec the
-    state, the last renormalization correction and sum(p * p) go to the
-    next row of states, corrections and sumsq. Returns the step after which
+    state and the last renormalization correction go to the next row of
+    states and corrections. Returns the step after which
     the state left the simplex, p then holding that unclipped state, or
     None. The reference of the compiled `_kernel.flow`, taken when the
     kernel does not load."""
@@ -97,7 +93,6 @@ def _rk4(p, gamma, dt, n, rec, states, corrections, sumsq):
             if pos < rec.size and rec[pos] == k:
                 states[pos] = p
                 corrections[pos] = correction
-                sumsq[pos] = (p * p).sum()
                 pos += 1
             if k == n:
                 return None

@@ -110,12 +110,12 @@ def test_landscape_grid_outputs(tmp_path):
 
 def test_correlated_landscape_grid_reports_no_verdict(tmp_path):
     """The correlated landscape has no check: the run exits 0 and its report
-    says passed is null, not true."""
+    names no check and says passed is null, not true."""
     gamma = "gamma=[[1,0.2,0.1],[0.2,1,0.3],[0.1,0.3,1]]"
     assert run(["landscape-grid", "--out", str(tmp_path), "--set", "grid_step=0.05",
                 "--set", gamma]) == 0
     report = json.loads((tmp_path / "landscape-grid" / "report.json").read_text())
-    assert report["passed"] is None
+    assert report["checks"] == {} and report["passed"] is None
 
 
 def test_config_file_and_set_override(tmp_path):
@@ -343,6 +343,9 @@ def test_recording_runs_do_not_import_numpy_ma():
     ["priming", "--set", "lam_first=[1]", "--set", "lam_second=[1]", "--set", "w0=[1]"],
     # a gamma that is no correlation matrix used to give a landscape
     ["landscape-grid", "--set", "gamma=[[1,2,0],[-1,1,0],[0,0,5]]", "--set", "grid_step=0.1"],
+    # without gamma the correlated figure used to write the cubic-quartic loss
+    # as its correlated landscape, next to an ensemble of independent triggers
+    ["correlated-figure", "--set", "gamma=null", "--set", "n_steps=10", "--set", "n_traj=2"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     # a run that does not end fails here instead of hanging the suite
@@ -403,6 +406,7 @@ def test_thm23_gate_fails_when_the_flow_runs_backwards(tmp_path, monkeypatch):
         [(_kernel, "library", lambda: None),
          (flow, "replicator_field", lambda p, fitness=None: -replicator_field(p, fitness))])
     assert code == 0 and plain["passed"] is True and plain["violations"] == 0
+    assert plain["checks"]["flow_bound"] is True and bad["checks"]["flow_bound"] is False
     assert bad_code == 4 and bad["passed"] is False
     assert bad["violations"] == 120 and bad["worst_margin"] < 0.0
 
@@ -423,4 +427,5 @@ def test_alg2_gate_fails_without_deflation(tmp_path, monkeypatch):
         [(multi, "_train_columns", undeflated)])
     assert code == 0 and plain["passed"] is True
     assert plain["success_rate"] >= plain["required_rate"]
+    assert plain["checks"]["success_rate"] is True and bad["checks"]["success_rate"] is False
     assert bad_code == 4 and bad["passed"] is False and bad["success_rate"] == 0.0

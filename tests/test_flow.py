@@ -37,11 +37,11 @@ def test_loss_decreases_along_flow():
 
 
 def test_sum_of_squares_nondecreasing():
-    # sum phi(p_i) is nondecreasing for convex phi; phi(x) = x^2 is tracked
+    # sum phi(p_i) is nondecreasing for convex phi; phi(x) = x^2 is checked
     traj = flow.integrate(
         flow.FlowSpec(p0=[0.1, 0.2, 0.3, 0.4], horizon=10.0, dt=1e-2, record_stride=10)
     )
-    assert np.all(np.diff(traj.sum_squares) >= -1e-14)
+    assert np.all(np.diff((traj.states ** 2).sum(axis=1)) >= -1e-14)
 
 
 def test_ordering_and_gaps_preserved():

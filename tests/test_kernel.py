@@ -508,7 +508,7 @@ def _integrated(spec):
         traj = flow.integrate(spec)
     except flow.IntegrationError as exc:
         return str(exc)
-    return [traj.times, traj.states, traj.renorm_corrections, traj.sum_squares]
+    return [traj.times, traj.states, traj.renorm_corrections]
 
 
 @settings(max_examples=80, deadline=None)
@@ -518,7 +518,7 @@ def _integrated(spec):
                        gamma=np.full((10, 10), 0.3) + 0.7 * np.eye(10), record_stride=7))
 def test_compiled_flow_matches_numpy_loop(spec):
     """The compiled RK4 flow against `flow._rk4`, bit for bit: times,
-    states, renormalization corrections and sums of squares."""
+    states and renormalization corrections."""
     _require_compiled_step()
     compiled = _integrated(spec)
     with _numpy_loop():
