@@ -1,7 +1,8 @@
 /*
  * Compiled loops of simplex_stdp: the step of dynamics.simulate, the joint
  * multi-output step of multi._joint_steps, the membrane of
- * spiking.simulate_membrane and the RK4 flow of flow.integrate.
+ * spiking.simulate_membrane and spiking.collect_triggers and the RK4 flow
+ * of flow.integrate.
  *
  * simplex_advance runs steps k0..k1-1 for every probability row of a batch,
  * drawing as it steps, with the same draws, arithmetic and order as
@@ -355,45 +356,33 @@ int64_t simplex_joint(const struct simplex_run *r, int64_t k0, int64_t k1, const
 }
 
 /*
- * The membrane of spiking.simulate_membrane over d presynaptic trains:
- * times[j] holds the sizes[j] spike times of neuron j, which must be finite
- * and nondecreasing from 0. The trains are merged as they are walked, the
- * smallest head time first and the lowest neuron index on ties (the order
- * of np.lexsort((ids, times))), and each event does
+ * The membrane of spiking.simulate_membrane and spiking.collect_triggers
+ * over one stream of n presynaptic events in time order: event e is a
+ * spike of neuron ids[e] at times[e]. From the potential state[0] at the
+ * time state[1], each event does
  *
  *   y = y * exp(t_prev - t);  y = y + w[j];  y >= threshold: spike, y = 0
  *
  * with libm's exp, the function math.exp calls. Only the spikes are
  * recorded: their times and trigger ids go to spike_times and trigger_ids
- * (cap entries each). Returns the number of spikes, -1 when a train is not
- * finite and nondecreasing from 0, -2 when more than cap spikes occur and
- * -3 when out of memory.
+ * (cap entries each). On return state holds (y, t_prev) after the last
+ * event walked, so a stream cut into blocks runs as one pass. Returns the
+ * number of spikes, -1 when a time is not finite or lies below the one
+ * before it, and -2 when more than cap spikes occur.
  */
-int64_t simplex_membrane(int64_t d, const double *const *times, const int64_t *sizes,
-                         const double *w, double threshold, int64_t cap,
-                         double *spike_times, int64_t *trigger_ids)
+int64_t simplex_membrane(int64_t n, const double *times, const int64_t *ids, const double *w,
+                         double threshold, double *state, int64_t cap, double *spike_times,
+                         int64_t *trigger_ids)
 {
-    int64_t *pos = calloc((size_t)d, sizeof(int64_t));
-    if (!pos)
-        return -3;
-    int64_t n_events = 0, n_spikes = 0;
-    for (int64_t j = 0; j < d; j++)
-        n_events += sizes[j];
-    double y = 0.0, t_prev = 0.0;
-    for (int64_t e = 0; e < n_events; e++) {
-        int64_t j = -1;
-        double t = 0.0;
-        for (int64_t k = 0; k < d; k++)
-            if (pos[k] < sizes[k] && (j < 0 || times[k][pos[k]] < t)) {
-                j = k;
-                t = times[k][pos[k]];
-            }
-        /* a NaN head is taken sooner or later and fails here too */
-        if (!isfinite(t) || !(t >= (pos[j] ? times[j][pos[j] - 1] : 0.0))) {
+    int64_t n_spikes = 0;
+    double y = state[0], t_prev = state[1];
+    for (int64_t e = 0; e < n; e++) {
+        const double t = times[e];
+        const int64_t j = ids[e];
+        if (!isfinite(t) || !(t >= t_prev)) {
             n_spikes = -1;
             break;
         }
-        pos[j]++;
         y = y * exp(t_prev - t);
         y = y + w[j];
         t_prev = t;
@@ -407,7 +396,8 @@ int64_t simplex_membrane(int64_t d, const double *const *times, const int64_t *s
             y = 0.0;
         }
     }
-    free(pos);
+    state[0] = y;
+    state[1] = t_prev;
     return n_spikes;
 }
 

@@ -1,7 +1,7 @@
 """Build, cache and load the compiled loops `_kernel.c`: the step of
 `dynamics.simulate`, the joint multi-output step of `multi._joint_steps`,
-the membrane of `spiking.simulate_membrane` and the RK4 flow of
-`flow.integrate`.
+the membrane of `spiking.simulate_membrane` and `spiking.collect_triggers`
+and the RK4 flow of `flow.integrate`.
 
 The library is built on first use with the C compiler on PATH and loaded
 through ctypes; importing this module builds and loads nothing. Builds are
@@ -11,9 +11,9 @@ and the source, and are written to a temporary file and renamed into place,
 so concurrent processes never load a partial file. Without a compiler, or
 when the build fails, `library()` returns None: `dynamics.simulate` then
 steps with `dynamics.numpy_step`, `multi._joint_steps` with
-`multi._joint_step`, `spiking.simulate_membrane` walks the events in
-Python and `flow.integrate` runs `flow._rk4`, which give the same results
-bit for bit.
+`multi._joint_step`, the membrane walks its events in Python
+(`spiking._membrane_loop`) and `flow.integrate` runs `flow._rk4`, which
+give the same results bit for bit.
 """
 
 import functools
@@ -32,6 +32,9 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off")
 # libm, for the membrane's exp; after the source, where the linker wants it
 LIBS = ("-lm",)
+# the membrane's errors, raised alike by the compiled and the Python walk
+TIME_ORDER = "event times must be finite and nondecreasing from the membrane's last event"
+OVER_CAP = "more than %d postsynaptic spikes, the most the events allow"
 
 
 def compiler():
@@ -102,8 +105,8 @@ def library():
     lib.simplex_advance.restype = i64
     lib.simplex_joint.argtypes = [ptr, i64, i64, ptr]  # run, k0, k1, lam
     lib.simplex_joint.restype = i64
-    # d, times, sizes, w, threshold, cap, spike_times, trigger_ids
-    lib.simplex_membrane.argtypes = [i64, ptr, ptr, ptr, f64, i64, ptr, ptr]
+    # n, times, ids, w, threshold, state, cap, spike_times, trigger_ids
+    lib.simplex_membrane.argtypes = [i64, ptr, ptr, ptr, f64, ptr, i64, ptr, ptr]
     lib.simplex_membrane.restype = i64
     # d, p, gamma, dt, n, rec, n_rec, states, corrections
     lib.simplex_flow.argtypes = [i64, ptr, ptr, f64, i64, ptr, i64, ptr, ptr]
@@ -212,29 +215,26 @@ def joint(x, alpha, streams, lam, gamma, tracker):
     return advance
 
 
-def membrane(times, w, threshold, cap):
-    """Run `simplex_membrane` over the trains `times` (d float64 arrays) with
-    the weights w (d,) and room for cap spikes; returns (spike_times,
-    trigger_ids), the membrane recording only its spikes. A train that is
-    not finite and nondecreasing from 0 raises InvalidInputError, more than
-    cap spikes RuntimeError."""
-    import ctypes
-
-    d = len(times)
-    trains = [np.ascontiguousarray(t, dtype=np.float64) for t in times]
+def membrane(times, ids, w, threshold, state, cap):
+    """Run `simplex_membrane` over the event stream of the times (n,) and
+    neuron ids (n,) in [0, d), which `spiking.membrane` checks, with the
+    weights w (d,), from the potential and last event time in state (2,),
+    updated in place, and with room for cap spikes; returns (spike_times,
+    trigger_ids). A time that is not finite or goes backwards raises
+    InvalidInputError, more than cap spikes RuntimeError."""
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
     w = np.ascontiguousarray(w, dtype=np.float64)
-    sizes = np.array([t.size for t in trains], dtype=np.int64)
-    spikes, ids = np.empty(cap), np.empty(cap, dtype=np.int64)
+    n, d = times.size, w.size
+    spikes, triggers = np.empty(cap), np.empty(cap, dtype=np.int64)
     count = library().simplex_membrane(
-        d, (ctypes.c_void_p * d)(*[t.ctypes.data for t in trains]), sizes.ctypes.data,
-        _data(w, np.float64, (d,)), threshold, cap, spikes.ctypes.data, ids.ctypes.data)
+        n, _data(times, np.float64, (n,)), _data(ids, np.int64, (n,)), _data(w, np.float64, (d,)),
+        threshold, _data(state, np.float64, (2,)), cap, spikes.ctypes.data, triggers.ctypes.data)
     if count == -1:
-        raise InvalidInputError("spike trains must be finite and nondecreasing from 0")
+        raise InvalidInputError(TIME_ORDER)
     if count == -2:
-        raise RuntimeError("more than %d postsynaptic spikes, the most the events allow" % cap)
-    if count < 0:
-        raise MemoryError("compiled membrane could not allocate its train positions")
-    return spikes[:count].copy(), ids[:count].copy()
+        raise RuntimeError(OVER_CAP % cap)
+    return spikes[:count].copy(), triggers[:count].copy()
 
 
 def flow(p, gamma, dt, n, rec, states, corrections):

@@ -212,7 +212,13 @@ def _train_columns(lam, w0, alpha, k_per_column, prefixes):
         w = np.tile(w0, (rows.size, 1))
         for col in columns:
             w[rows, np.argmax(col, axis=1)] = 0.0
-        p0 = [probabilities_from_weights(lam, row) for row in w]
+        p0 = np.array([probabilities_from_weights(lam, row) for row in w])
+        if j and (np.count_nonzero(p0, axis=1) == 1).all():
+            # a vertex is a fixed point of the rule: p * (1 + alpha * y)
+            # divided by its sum is p again, exactly. Column 0 always runs,
+            # so _drive still checks the rate and the step count.
+            columns.append(p0 / lam)
+            continue
         keys = [prefix + (j,) for prefix in prefixes]
         columns.append(simulate(p0, alpha, k_per_column, keys) / lam)
     return np.stack(columns, axis=2)

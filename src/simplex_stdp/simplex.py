@@ -205,10 +205,8 @@ def landscape_grid(grid_step):
     n = int(round(1.0 / grid_step))
     if n < 1:
         raise InvalidInputError("grid_step must be at most 1")
-    pts = []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            pts.append((i / n, j / n, (n - i - j) / n))
-    pts = np.array(pts)
+    # the pairs r <= c in row order are i = r, j = c - r with i + j <= n
+    r, c = np.triu_indices(n + 1)
+    pts = np.stack([r, c - r, n - c], axis=1) / n
     x, y = barycentric_embedding(pts)
     return pts, x, y, loss(pts)

@@ -8,11 +8,11 @@ the potential to zero. Between consecutive postsynaptic spikes the weights
 update multiplicatively from the pre/post timing kernel
 exp(-(t_next - tau)) - exp(-(tau - t_prev)) summed over the window's spikes.
 
-The membrane takes the presynaptic events in time order, the lower neuron
-index first on equal times (the order of np.lexsort((ids, times))). It runs
-in the compiled `_kernel.c` when the kernel loads, which merges the sorted
-trains as it walks them, and otherwise in Python over `merge_events`; both
-give the same record bit for bit.
+The membrane walks one time-ordered stream of presynaptic events and carries
+its potential and last event time from one call to the next, so a stream
+cut into blocks runs as one pass. It runs in the compiled `_kernel.c` when
+the kernel loads and otherwise in Python (`_membrane_loop`); both give the
+same record bit for bit.
 """
 
 import math
@@ -21,11 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
+from .dynamics import sample_triggers
 from .simplex import (InvalidInputError, as_float_array, probabilities_from_weights,
                       validate_intensities, validate_weights)
 
-# uniforms drawn at a time by centered_noise_stats
+# presynaptic events drawn at a time by collect_triggers: at 2^15
+# spiking-validate peaks about 1.2 MiB lower than at 2^16, in the same time
+EVENT_BLOCK = 1 << 15
+# the most uniforms centered_noise_stats draws at a time
 NOISE_BLOCK = 1 << 16
+# standard errors the noise mean may lie from zero in `noise_mean_bound`: a
+# centered kernel lands beyond them with probability about 6e-7
+NOISE_Z = 5.0
 
 
 @dataclass
@@ -34,29 +41,6 @@ class SpikeTrains:
 
     times: list  # list of 1-d arrays
     horizon: float
-
-
-def gen_poisson_trains(lam, horizon, rng):
-    """Independent Poisson spike trains with the given rates."""
-    lam = validate_intensities(lam)
-    if horizon <= 0:
-        raise InvalidInputError("horizon must be positive")
-    trains = []
-    for rate in lam:
-        blocks = []
-        t = 0.0
-        # draw gaps in blocks to keep the stream consumption predictable;
-        # cumsum adds them one after another, as a running t += gap would
-        while True:
-            gaps = rng.exponential(1.0 / rate, size=max(16, int(rate * horizon * 0.1) + 16))
-            ts = np.cumsum(np.concatenate(([t], gaps)))[1:]
-            kept = np.searchsorted(ts, horizon, side="right")
-            blocks.append(ts[:kept])
-            if kept < ts.size:
-                break
-            t = ts[-1]
-        trains.append(np.concatenate(blocks))
-    return SpikeTrains(times=trains, horizon=horizon)
 
 
 @dataclass
@@ -82,7 +66,8 @@ def merge_events(times):
 
 def simulate_membrane(config, trains):
     """Run the membrane over fixed spike trains with fixed weights, one
-    weight per train; each train must be finite and nondecreasing from 0.
+    weight per train, from the potential 0 at time 0; each train must be
+    finite and nondecreasing from 0. The trains are merged by `merge_events`.
 
     Postsynaptic spikes can only occur at presynaptic spike times; the
     potential never exceeds the threshold between events and resets to zero
@@ -93,15 +78,12 @@ def simulate_membrane(config, trains):
     if len(times) != w.size or any(t.ndim != 1 for t in times):
         raise InvalidInputError("need one 1-d spike train per weight: %d weights, %d trains"
                                 % (w.size, len(times)))
-    if _kernel.library() is None:
-        return _membrane_loop(config, w, times)
-    n_events = sum(t.size for t in times)
-    # y grows by at most max(w) per event, so a spike takes at least
-    # ceil(threshold / max(w)) events; one fewer leaves room for rounding in
-    # y. The ratio may overflow to inf; past n_events + 1 no spike fits.
-    ratio = min(config.threshold / float(w.max()), n_events + 2.0)
-    cap = n_events // max(math.ceil(ratio) - 1, 1)
-    spikes, triggers = _kernel.membrane(times, w, config.threshold, cap)
+    for t in times:
+        if t.size and not (t[0] >= 0 and np.isfinite(t[-1]) and np.all(t[1:] >= t[:-1])):
+            raise InvalidInputError("spike trains must be finite and nondecreasing from 0")
+    times, ids = merge_events(times)
+    spikes, triggers = membrane(times, ids, w, config.threshold, np.zeros(2),
+                                _spike_cap(times.size, w, config.threshold))
     return PostsynapticRecord(spike_times=spikes, trigger_ids=triggers)
 
 
@@ -110,55 +92,99 @@ def _check_threshold(threshold):
         raise InvalidInputError("threshold must be positive and finite, got %r" % (threshold,))
 
 
-def _membrane_loop(config, w, times):
-    """simulate_membrane in Python, over the merged events: the reference of
-    the compiled membrane, taken when the kernel does not load; w are the
-    checked weights."""
-    for t in times:
-        if t.size and not (t[0] >= 0 and np.isfinite(t[-1]) and np.all(t[1:] >= t[:-1])):
-            raise InvalidInputError("spike trains must be finite and nondecreasing from 0")
-    times, ids = merge_events(times)
+def _spike_cap(n_events, w, threshold):
+    """The most spikes n_events events can fire from a potential below the
+    threshold. The first may come at once; after each reset y grows by at
+    most max(w) per event, so a spike takes at least ceil(threshold /
+    max(w)) events, one fewer leaving room for rounding in y. The ratio may
+    overflow to inf; past n_events + 1 no second spike fits."""
+    ratio = min(threshold / float(w.max()), n_events + 2.0)
+    return 1 + n_events // max(math.ceil(ratio) - 1, 1)
+
+
+def membrane(times, ids, w, threshold, state, cap):
+    """Walk the event stream of the times (n,), in time order, and neuron
+    ids (n,) with the weights w, from the potential and last event time in
+    state (2,), which is updated in place; returns the (spike_times,
+    trigger_ids) of its at most cap spikes. A neuron id outside [0, d)
+    raises InvalidInputError before any event is walked. A time that is not
+    finite or goes backwards raises InvalidInputError, more than cap spikes
+    RuntimeError; state then holds the event before the one that failed, or
+    the one that fired the spike over cap."""
+    # both walks index w with the ids
+    ids = np.asarray(ids)
+    if ids.size and not (ids.min() >= 0 and ids.max() < len(w)):
+        raise InvalidInputError("neuron ids must lie in [0, %d)" % len(w))
+    if _kernel.library() is None:
+        return _membrane_loop(times, ids, w, threshold, state, cap)
+    return _kernel.membrane(times, ids, w, threshold, state, cap)
+
+
+def _membrane_loop(times, ids, w, threshold, state, cap):
+    """`membrane` in Python: the reference of the compiled membrane, taken
+    when the kernel does not load, with its results, state and errors."""
+    w = np.asarray(w, dtype=float).tolist()
+    y, t_prev = float(state[0]), float(state[1])
     spikes = []
     triggers = []
-    y = 0.0
-    t_prev = 0.0
-    for t, j in zip(times, ids):
-        y *= math.exp(t_prev - t)
-        y += w[j]
-        t_prev = t
-        if y >= config.threshold:
-            spikes.append(t)
-            triggers.append(j)
-            y = 0.0
-    return PostsynapticRecord(spike_times=np.array(spikes),
-                              trigger_ids=np.array(triggers, dtype=int))
+    try:
+        for t, j in zip(np.asarray(times, dtype=float).tolist(), np.asarray(ids).tolist()):
+            if not (math.isfinite(t) and t >= t_prev):
+                raise InvalidInputError(_kernel.TIME_ORDER)
+            y *= math.exp(t_prev - t)
+            y += w[j]
+            t_prev = t
+            if y >= threshold:
+                if len(spikes) == cap:
+                    raise RuntimeError(_kernel.OVER_CAP % cap)
+                spikes.append(t)
+                triggers.append(j)
+                y = 0.0
+    finally:
+        state[0], state[1] = y, t_prev
+    return np.array(spikes, dtype=np.float64), np.array(triggers, dtype=np.int64)
+
+
+def poisson_events(lam, start, size, rng):
+    """The next size events after the time start of independent Poisson
+    trains with the rates lam, as one stream (times, neuron ids). The gaps
+    are exponential with the rate sum(lam) and each event's neuron is drawn
+    by `sample_triggers` on lam / sum(lam): the law of the superposed
+    trains, with no merge or sort. The times are a running sum from start,
+    as t += gap would give them."""
+    rate = float(lam.sum())
+    times = rng.exponential(1.0 / rate, size)
+    times[0] += start
+    np.cumsum(times, out=times)
+    return times, sample_triggers(lam / rate, rng.random(size))
 
 
 def collect_triggers(lam, w, threshold, n_events, rng):
-    """Accumulate at least n_events postsynaptic trigger identities, generating
-    Poisson input in batches (the membrane restarts at zero between batches,
-    which does not affect the trigger-identity distribution)."""
+    """The trigger identities of the first n_events postsynaptic spikes of
+    a membrane driven by Poisson input of rates lam through the weights w.
+
+    The input is one stream drawn EVENT_BLOCK events at a time
+    (`poisson_events`). The membrane carries its state from block to block
+    and stops in the block that holds the n_events-th spike, so memory does
+    not grow with n_events beyond the identities returned."""
     lam = validate_intensities(lam)
     w = validate_weights(w)
+    if lam.size != w.size:
+        raise InvalidInputError("need one weight per intensity: %d weights, %d intensities"
+                                % (w.size, lam.size))
     if n_events < 1:
         raise InvalidInputError("n_events must be at least 1, got %r" % (n_events,))
-    # before the horizon, which a NaN or infinite threshold would make one too
     _check_threshold(threshold)
-    config = MembraneConfig(weights=w, threshold=threshold)
+    cap = _spike_cap(EVENT_BLOCK, w, threshold)
+    state = np.zeros(2)
     ids = []
     collected = 0
-    # first guess assumes every input spike contributes fully to the potential
-    horizon = 1.3 * n_events * threshold / float(np.dot(lam, w)) + 100.0
     while collected < n_events:
-        trains = gen_poisson_trains(lam, horizon, rng)
-        rec = simulate_membrane(config, trains)
-        ids.append(rec.trigger_ids)
-        got = rec.trigger_ids.size
-        collected += got
-        if collected < n_events:
-            rate = max(got / horizon, 1e-6)
-            horizon = 1.3 * (n_events - collected) / rate + 100.0
-    return np.concatenate(ids)[:n_events]
+        times, neurons = poisson_events(lam, state[1], EVENT_BLOCK, rng)
+        triggers = membrane(times, neurons, w, threshold, state, cap)[1][:n_events - collected]
+        ids.append(triggers)
+        collected += triggers.size
+    return np.concatenate(ids)
 
 
 def pair_kernel(tau, t_prev, t_next):
@@ -185,16 +211,37 @@ def centered_noise_stats(t_prev, t_next, n_samples, rng):
     """Monte Carlo mean and bounds of the pair kernel under a uniformly placed
     spike in the window; the mean is zero by antisymmetry.
 
-    The uniforms are drawn NOISE_BLOCK at a time, each taking one 64-bit
-    output as in a single draw, so only the kernel values grow with
-    n_samples and the statistics equal those of one draw of n_samples."""
+    The uniforms are drawn at most NOISE_BLOCK at a time, each taking one
+    64-bit output as in a single draw, and summed in numpy's pairwise tree
+    over all n_samples, so the statistics equal those of one draw of
+    n_samples while memory does not grow with it."""
     if n_samples < 1:
         raise InvalidInputError("n_samples must be at least 1, got %r" % (n_samples,))
-    vals = np.empty(n_samples)
-    for start in range(0, n_samples, NOISE_BLOCK):
-        block = vals[start:start + NOISE_BLOCK]
-        block[:] = pair_kernel(rng.uniform(t_prev, t_next, block.size), t_prev, t_next)
-    return float(vals.mean()), float(vals.min()), float(vals.max())
+    lo, hi = np.inf, -np.inf
+
+    def pairwise_sum(n):
+        # numpy's pairwise_sum splits n > 128 values at n2 below, and sums a
+        # leaf of NOISE_BLOCK or fewer by the same rule
+        nonlocal lo, hi
+        if n > NOISE_BLOCK:
+            n2 = n // 2 - (n // 2) % 8
+            return pairwise_sum(n2) + pairwise_sum(n - n2)
+        vals = pair_kernel(rng.uniform(t_prev, t_next, n), t_prev, t_next)
+        lo, hi = np.minimum(lo, vals.min()), np.maximum(hi, vals.max())
+        return vals.sum()
+
+    total = pairwise_sum(n_samples)
+    return float(total / n_samples), float(lo), float(hi)
+
+
+def noise_mean_bound(t_prev, t_next, n_samples):
+    """NOISE_Z standard errors of the mean of `centered_noise_stats`. With
+    tau uniform on a window of length L the kernel has mean zero and
+    variance E[e^(2(tau - t_next))] + E[e^(2(t_prev - tau))] - 2e^(-L)
+    = (1 - e^(-2L)) / L - 2e^(-L)."""
+    length = t_next - t_prev
+    var = -math.expm1(-2.0 * length) / length - 2.0 * math.exp(-length)
+    return NOISE_Z * math.sqrt(var / n_samples)
 
 
 @dataclass

@@ -7,12 +7,13 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import simplex_stdp
-from simplex_stdp import _kernel, cli, dynamics, flow, multi
+from simplex_stdp import _kernel, cli, dynamics, flow, multi, spiking
 from simplex_stdp.simplex import probabilities_from_weights, replicator_field
 
 # seconds a scenario that should stop at a precondition may run
@@ -244,6 +245,36 @@ def test_recording_runs_do_not_import_numpy_ma():
     assert done.stdout.split() == ["False"]
 
 
+def _traced_peak(run, n):
+    """Peak of the memory traced while run(n) runs, over what was traced
+    before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(n)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, n", [("collect_triggers", 300), ("centered_noise_stats", 10**5),
+                                     ("write_csv", 10**4)])
+def test_memory_does_not_grow_with_the_run(tmp_path, name, n):
+    # the Poisson input, the noise draws and the CSV text are made in
+    # blocks; only the returned trigger ids and write_csv's own input grow
+    columns = [np.arange(10 * n), np.linspace(0, 1, 10 * n), np.arange(10 * n) % 2 == 0]
+    runs = {
+        "collect_triggers": lambda k: spiking.collect_triggers(
+            [10.0, 7.5, 5.0], [1.0, 1.0, 1.0], 30.0, k, np.random.default_rng(7)),
+        "centered_noise_stats": lambda k: spiking.centered_noise_stats(
+            0.0, 1.0, k, np.random.default_rng(7)),
+        "write_csv": lambda k: cli.write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"],
+                                             [c[:k] for c in columns]),
+    }
+    small, large = _traced_peak(runs[name], n), _traced_peak(runs[name], 10 * n)
+    assert large - small < 1 << 20, (small, large)
+
+
 @pytest.mark.parametrize("args", [
     # a rate above 1/2 makes update factors negative; the run used to pass
     ["alg2-verify", "--set", "alpha=1.5", "--set", "n_seeds=4"],
@@ -409,6 +440,24 @@ def test_thm23_gate_fails_when_the_flow_runs_backwards(tmp_path, monkeypatch):
     assert plain["checks"]["flow_bound"] is True and bad["checks"]["flow_bound"] is False
     assert bad_code == 4 and bad["passed"] is False
     assert bad["violations"] == 120 and bad["worst_margin"] < 0.0
+
+
+def test_noise_gate_fails_on_an_off_centre_kernel(tmp_path, monkeypatch):
+    """A pair kernel whose depression term is 1% short has the mean
+    0.01 (1 - 1/e) = 0.0063 on the unit window, 3.5 times the bound at the
+    default 10^6 samples: the noise gate fails, the trigger gate holds."""
+    def short(tau, t_prev, t_next):
+        return np.exp(tau - t_next) - 0.99 * np.exp(t_prev - tau)
+
+    (code, plain), (bad_code, bad) = _planted(
+        tmp_path, monkeypatch,
+        ["spiking-validate", "--set", "n_events=[2000,1000]", "--set", "tolerance=0.05"],
+        [(spiking, "pair_kernel", short)])
+    assert code == 0 and plain["passed"] is True
+    assert abs(plain["noise_mean"]) < plain["noise_mean_bound"]
+    assert plain["checks"]["noise_centered"] is True
+    assert bad["checks"] == {"trigger_frequencies": True, "noise_centered": False}
+    assert bad_code == 4 and bad["passed"] is False
 
 
 def test_alg2_gate_fails_without_deflation(tmp_path, monkeypatch):

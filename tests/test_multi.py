@@ -86,6 +86,18 @@ def test_sequential_runs_are_checked(w0, alpha, match):
         multi.sequential_success_ensemble(lam, w0, alpha, 10, 2, 0)
 
 
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+def test_a_vertex_column_is_not_moved_by_the_rule(monkeypatch, path):
+    # the sequential scheme does not step a column whose rows are all
+    # vertices; stepping them returns them unchanged, bit for bit
+    if path == "numpy":
+        monkeypatch.setattr(_kernel, "library", lambda: None)
+    elif _kernel.library() is None:
+        pytest.skip("compiled step not available")
+    p0 = np.eye(3)[[2, 0, 1, 2]]
+    assert np.array_equal(dynamics.simulate(p0, 0.4, 5000, [(9, s, 2) for s in range(4)]), p0)
+
+
 def test_joint_increments_orthogonal_to_lower_columns(monkeypatch):
     cfg = multi.MultiRunConfig(
         lam=[10.0, 7.5, 5.0],

@@ -25,42 +25,14 @@ def _require_compiled_membrane():
 PATHS = {"compiled": contextlib.nullcontext, "python": _python_loop}
 
 
-def test_poisson_trains_rates():
-    rng = np.random.default_rng(0)
-    lam = np.array([10.0, 2.0])
-    trains = spiking.gen_poisson_trains(lam, 2000.0, rng)
-    for rate, ts in zip(lam, trains.times):
-        assert np.all(np.diff(ts) > 0)
-        assert ts.max() <= 2000.0
-        assert abs(ts.size / 2000.0 - rate) < 0.2 * rate
-
-
-def test_poisson_trains_equal_a_running_sum():
-    def running_sum(lam, horizon, rng):
-        trains = []
-        for rate in lam:
-            ts, t = [], 0.0
-            while t <= horizon:
-                for g in rng.exponential(1.0 / rate, size=max(16, int(rate * horizon * 0.1) + 16)):
-                    t += g
-                    if t > horizon:
-                        break
-                    ts.append(t)
-            trains.append(np.array(ts))
-        return trains
-
-    for seed, lam, horizon in [(0, [10.0, 7.5, 5.0], 300.0), (1, [0.01, 50.0], 2.0),
-                               (2, [3.0], 1e-3), (3, [200.0, 1.0], 40.0)]:
-        got = spiking.gen_poisson_trains(np.array(lam), horizon, np.random.default_rng(seed))
-        oracle = running_sum(lam, horizon, np.random.default_rng(seed))
-        for a, b in zip(got.times, oracle):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
 def test_membrane_spikes_only_at_input_times_and_resets():
     rng = np.random.default_rng(1)
     lam = np.array([10.0, 7.5, 5.0])
-    trains = spiking.gen_poisson_trains(lam, 200.0, rng)
+    times, ids = spiking.poisson_events(lam, 0.0, 4500, rng)
+    trains = spiking.SpikeTrains(times=[times[ids == j] for j in range(3)], horizon=times[-1])
+    # each neuron fires at its own rate, about 200 time units of input
+    assert np.all(np.abs([t.size / times[-1] - rate for t, rate in zip(trains.times, lam)])
+                  < 0.1 * lam)
     cfg = spiking.MembraneConfig(weights=np.ones(3), threshold=5.0)
     rec = spiking.simulate_membrane(cfg, trains)
     all_times = np.sort(np.concatenate(trains.times))
@@ -109,6 +81,58 @@ def test_compiled_membrane_matches_python_loop(case):
         assert compiled.spike_times.size == sum(t.size for t in times)
 
 
+@st.composite
+def stream_case(draw):
+    """A merged stream of membrane_case's trains, perhaps with one time sent
+    backwards or made NaN, the points where it is cut into blocks, and a
+    spike cap that may lie below the spikes fired."""
+    trains, w, threshold = draw(membrane_case())
+    times, ids = spiking.merge_events(trains)
+    if times.size and draw(st.sampled_from([False, False, True])):
+        times[draw(st.integers(0, times.size - 1))] = draw(st.sampled_from([-0.125, np.nan]))
+    cuts = sorted(draw(st.lists(st.integers(0, times.size), max_size=4)))
+    cap = draw(st.one_of(st.just(times.size + 1), st.integers(0, times.size)))
+    return times, ids, w, threshold, cuts, cap
+
+
+def _blocks(walk, times, ids, w, threshold, cuts, cap):
+    """The end state of walking the stream in the blocks between the cuts,
+    the cap shared by the blocks, and its error or its spikes."""
+    state, spikes, triggers = np.zeros(2), [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    try:
+        for a, b in zip([0] + cuts, cuts + [times.size]):
+            got = walk(times[a:b], ids[a:b], w, threshold, state, cap - sum(map(len, spikes)))
+            spikes.append(got[0])
+            triggers.append(got[1])
+    except (InvalidInputError, RuntimeError) as exc:
+        return state, type(exc)
+    return state, np.concatenate(spikes), np.concatenate(triggers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream_case())
+@example((np.array([0.25, 0.5, 0.75]), np.zeros(3, dtype=np.int64), np.array([1.0]), 0.5,
+          [1, 2], 2))  # over the cap in the last block
+@example((np.array([0.25, 0.5, 0.375]), np.zeros(3, dtype=np.int64), np.array([1.0]), 1.5,
+          [2], 3))  # backwards across a cut
+def test_blocked_stream_equals_one_pass(case):
+    # the state carried across any cuts gives one pass's spikes, end state
+    # and error (time backwards, over the cap), on both paths
+    times, ids, w, threshold, cuts, cap = case
+    walks = [spiking._membrane_loop]
+    if _kernel.library() is not None:
+        walks.append(_kernel.membrane)
+    results = [_blocks(walk, times, ids, w, threshold, c, cap)
+               for walk in walks for c in ([], cuts)]
+    for got in results[1:]:
+        assert len(got) == len(results[0])
+        for a, b in zip(got, results[0]):
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+            else:
+                assert a is b
+
+
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("weights, train", [
     (np.ones(2), np.array([0.5])),  # fewer weights than trains
@@ -146,10 +170,22 @@ def test_membrane_checks_its_weights_and_threshold():
 def test_full_spike_buffer_is_an_error():
     # every one of the three events fires; room for two spikes is refused
     _require_compiled_membrane()
-    times, w = [np.array([0.25, 0.5, 0.75])], np.array([1.0])
-    assert _kernel.membrane(times, w, 0.5, 3)[0].size == 3
+    times, ids, w = np.array([0.25, 0.5, 0.75]), np.zeros(3, dtype=np.int64), np.array([1.0])
+    assert _kernel.membrane(times, ids, w, 0.5, np.zeros(2), 3)[0].size == 3
     with pytest.raises(RuntimeError):
-        _kernel.membrane(times, w, 0.5, 2)
+        _kernel.membrane(times, ids, w, 0.5, np.zeros(2), 2)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_membrane_rejects_neuron_ids_out_of_range(path, bad):
+    # checked before either walk indexes w with them, the state untouched
+    if path == "compiled":
+        _require_compiled_membrane()
+    state = np.array([0.5, 0.25])
+    with PATHS[path](), pytest.raises(InvalidInputError, match="neuron ids"):
+        spiking.membrane(np.array([0.5, 0.75]), np.array([0, bad]), np.ones(2), 1.5, state, 4)
+    assert state.tolist() == [0.5, 0.25]
 
 
 def test_equal_weights_trigger_distribution():
@@ -178,6 +214,18 @@ def test_centered_noise_statistics():
     assert lo >= -1.0 and hi <= 1.0
     with pytest.raises(InvalidInputError):
         spiking.centered_noise_stats(0.0, 2.0, 0, rng)
+
+
+@pytest.mark.parametrize("length", [0.01, 1.0, 3.0])
+def test_noise_mean_bound_takes_the_kernel_variance(length):
+    # the closed form against the sample deviation of 10^6 draws, whose
+    # relative standard error is below 0.1%
+    rng = np.random.default_rng(12)
+    vals = spiking.pair_kernel(rng.uniform(2.0, 2.0 + length, 10**6), 2.0, 2.0 + length)
+    sd = spiking.noise_mean_bound(2.0, 2.0 + length, 1) / spiking.NOISE_Z
+    assert abs(vals.std() / sd - 1.0) < 0.01
+    assert spiking.noise_mean_bound(2.0, 2.0 + length, 100) == pytest.approx(
+        spiking.NOISE_Z * sd / 10.0)
 
 
 @pytest.mark.parametrize("n", [1, spiking.NOISE_BLOCK - 1, spiking.NOISE_BLOCK,
