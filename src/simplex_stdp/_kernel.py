@@ -1,7 +1,6 @@
 """Build, cache and load the compiled loops `_kernel.c`: the step of
 `dynamics.simulate`, the joint multi-output step of `multi._joint_steps`,
-the membrane of `spiking.simulate_membrane` and `spiking.collect_triggers`
-and the RK4 flow of `flow.integrate`.
+the membrane of `spiking.membrane` and the RK4 flow of `flow.integrate`.
 
 The library is built on first use with the C compiler on PATH and loaded
 through ctypes; importing this module builds and loads nothing. Builds are
@@ -32,9 +31,8 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off")
 # libm, for the membrane's exp; after the source, where the linker wants it
 LIBS = ("-lm",)
-# the membrane's errors, raised alike by the compiled and the Python walk
+# the membrane's error, raised alike by the compiled and the Python walk
 TIME_ORDER = "event times must be finite and nondecreasing from the membrane's last event"
-OVER_CAP = "more than %d postsynaptic spikes, the most the events allow"
 
 
 def compiler():
@@ -105,8 +103,8 @@ def library():
     lib.simplex_advance.restype = i64
     lib.simplex_joint.argtypes = [ptr, i64, i64, ptr]  # run, k0, k1, lam
     lib.simplex_joint.restype = i64
-    # n, times, ids, w, threshold, state, cap, spike_times, trigger_ids
-    lib.simplex_membrane.argtypes = [i64, ptr, ptr, ptr, f64, ptr, i64, ptr, ptr]
+    # n, times, ids, w, threshold, state, cap, spikes
+    lib.simplex_membrane.argtypes = [i64, ptr, ptr, ptr, f64, ptr, i64, ptr]
     lib.simplex_membrane.restype = i64
     # d, p, gamma, dt, n, rec, n_rec, states, corrections
     lib.simplex_flow.argtypes = [i64, ptr, ptr, f64, i64, ptr, i64, ptr, ptr]
@@ -219,22 +217,23 @@ def membrane(times, ids, w, threshold, state, cap):
     """Run `simplex_membrane` over the event stream of the times (n,) and
     neuron ids (n,) in [0, d), which `spiking.membrane` checks, with the
     weights w (d,), from the potential and last event time in state (2,),
-    updated in place, and with room for cap spikes; returns (spike_times,
-    trigger_ids). A time that is not finite or goes backwards raises
-    InvalidInputError, more than cap spikes RuntimeError."""
+    updated in place, until the cap-th spike (cap >= 1); returns
+    (spike_times, trigger_ids, walked), walked the number of events walked:
+    all n, or up to the cap-th spike's event. A time that is not finite or
+    goes backwards raises InvalidInputError."""
     times = np.ascontiguousarray(times, dtype=np.float64)
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     w = np.ascontiguousarray(w, dtype=np.float64)
     n, d = times.size, w.size
-    spikes, triggers = np.empty(cap), np.empty(cap, dtype=np.int64)
+    spikes = np.empty(cap, dtype=np.int64)
     count = library().simplex_membrane(
         n, _data(times, np.float64, (n,)), _data(ids, np.int64, (n,)), _data(w, np.float64, (d,)),
-        threshold, _data(state, np.float64, (2,)), cap, spikes.ctypes.data, triggers.ctypes.data)
-    if count == -1:
+        threshold, _data(state, np.float64, (2,)), cap, spikes.ctypes.data)
+    if count < 0:
         raise InvalidInputError(TIME_ORDER)
-    if count == -2:
-        raise RuntimeError(OVER_CAP % cap)
-    return spikes[:count].copy(), triggers[:count].copy()
+    spikes = spikes[:count]
+    walked = int(spikes[-1]) + 1 if count == cap else n
+    return times[spikes], ids[spikes], walked
 
 
 def flow(p, gamma, dt, n, rec, states, corrections):

@@ -30,8 +30,9 @@ from .simplex import (
     validate_weights,
 )
 
-# The longest segment `_drive` hands a step, which bounds the draws the numpy
-# step holds at once. The draws of a row do not depend on it.
+# The longest segment `_drive` hands a step; the numpy steps hold the draws of
+# about CHUNK row-steps at once (`Streams.segments`). The draws of a row do
+# not depend on it.
 CHUNK = 65536
 
 # Q, the bound of |B + Z| for a one-hot B and Z in [-1, 1]^d: every rate lies
@@ -60,8 +61,8 @@ class Streams:
     a correlated run, d uniforms g, one per coordinate of the trigger's
     column of C. The compiled step reads the streams through the bit
     generators' state `addresses` (n,) and their shared `next_double`, the
-    numpy steps through `segment`, so the draws of a row do not depend on
-    how a run is cut into segments."""
+    numpy steps through `segments`, so the draws of a row do not depend on
+    how a run is cut into segments or pieces."""
 
     def __init__(self, keys, d, correlated=False):
         import ctypes
@@ -73,17 +74,23 @@ class Streams:
         self.next_double = ctypes.cast(self.streams[0].bit_generator.ctypes.next_double,
                                        ctypes.c_void_p).value
 
-    def segment(self, s):
-        """The draws of the next s steps of every row: u (n, s), z (n, s, d)
-        and g (n, s, d), None unless correlated, all views of one array."""
-        d = self.d
-        draws = np.empty((len(self.streams), s, 1 + d + d * self.correlated))
-        for rng, row in zip(self.streams, draws):
-            rng.random(out=row)
-        z = draws[:, :, 1:1 + d]
-        z *= 2.0
-        z -= 1.0
-        return draws[:, :, 0], z, draws[:, :, 1 + d:] if self.correlated else None
+    def segments(self, s):
+        """The draws of the next s steps of every row, in pieces of at most
+        max(1, CHUNK // n) steps, so that a piece holds about CHUNK * (1 + d)
+        doubles (1 + 2d when correlated) whatever the n rows: each piece is
+        u (n, m), z (n, m, d) and g (n, m, d), None unless correlated, all
+        views of one array, which the next piece overwrites."""
+        n, d = len(self.streams), self.d
+        most = max(1, CHUNK // n)
+        buffer = np.empty((n, min(most, s), 1 + d + d * self.correlated))
+        for k in range(0, s, most):
+            draws = buffer[:, :min(most, s - k)]
+            for rng, row in zip(self.streams, draws):
+                rng.random(out=row)
+            z = draws[:, :, 1:1 + d]
+            z *= 2.0
+            z -= 1.0
+            yield draws[:, :, 0], z, draws[:, :, 1 + d:] if self.correlated else None
 
 
 def _rates(alpha):
@@ -253,21 +260,22 @@ def numpy_step(x, alpha, streams, lam, gamma, tracker):
     """The numpy reference of `_kernel.prepare`, with its arguments and its
     results bit for bit, taken when the kernel does not load: returns
     advance(k0, k1), which runs steps k0..k1-1 on the probability rows x in
-    place, drawing them from streams one segment at a time. The rows stay
-    on the simplex; lam is None, the single-neuron runs having no weights."""
+    place, drawing them from streams a piece at a time (`Streams.segments`).
+    The rows stay on the simplex; lam is None, the single-neuron runs having
+    no weights."""
     eye_rows = np.eye(x.shape[1])
 
     def advance(k0, k1):
-        u, z, g = streams.segment(k1 - k0)
-        for t in range(k1 - k0):
-            idx = sample_triggers(x, u[:, t])
-            sig = eye_rows[idx] if gamma is None else correlated_signals(idx, g[:, t], gamma)
-            y = sig + z[:, t]
-            x_next = x * (1.0 + alpha * y)
-            x_next /= x_next.sum(axis=1, keepdims=True)
-            if tracker is not None:
-                tracker.track(x, y, x_next, alpha, gamma)
-            x[:] = x_next
+        for u, z, g in streams.segments(k1 - k0):
+            for t in range(u.shape[1]):
+                idx = sample_triggers(x, u[:, t])
+                sig = eye_rows[idx] if gamma is None else correlated_signals(idx, g[:, t], gamma)
+                y = sig + z[:, t]
+                x_next = x * (1.0 + alpha * y)
+                x_next /= x_next.sum(axis=1, keepdims=True)
+                if tracker is not None:
+                    tracker.track(x, y, x_next, alpha, gamma)
+                x[:] = x_next
 
     return advance
 

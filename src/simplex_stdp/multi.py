@@ -121,16 +121,16 @@ def _joint_step(x, alpha, streams, lam, gamma, tracker):
     eye_rows = np.eye(d)
 
     def advance(k0, k1):
-        u, z, _ = streams.segment(k1 - k0)
-        u = u.reshape(w.shape[0], d_out, -1)
-        z = z.reshape(w.shape[0], d_out, -1, d)
-        for t in range(k1 - k0):
-            num, total = _weight_sums(lam, w)
-            idx = sample_triggers(num / total, u[:, :, t])
-            w_next = w + _deflated_increments(w, alpha, eye_rows[idx] + z[:, :, t])
-            if tracker is not None:
-                tracker.clip_events += int(np.count_nonzero(w_next < 0))
-            np.clip(w_next, 0.0, None, out=w)
+        for u, z, _ in streams.segments(k1 - k0):
+            u = u.reshape(w.shape[0], d_out, -1)
+            z = z.reshape(w.shape[0], d_out, -1, d)
+            for t in range(u.shape[-1]):
+                num, total = _weight_sums(lam, w)
+                idx = sample_triggers(num / total, u[:, :, t])
+                w_next = w + _deflated_increments(w, alpha, eye_rows[idx] + z[:, :, t])
+                if tracker is not None:
+                    tracker.clip_events += int(np.count_nonzero(w_next < 0))
+                np.clip(w_next, 0.0, None, out=w)
 
     return advance
 

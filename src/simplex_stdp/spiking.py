@@ -8,11 +8,13 @@ the potential to zero. Between consecutive postsynaptic spikes the weights
 update multiplicatively from the pre/post timing kernel
 exp(-(t_next - tau)) - exp(-(tau - t_prev)) summed over the window's spikes.
 
-The membrane walks one time-ordered stream of presynaptic events and carries
-its potential and last event time from one call to the next, so a stream
-cut into blocks runs as one pass. It runs in the compiled `_kernel.c` when
-the kernel loads and otherwise in Python (`_membrane_loop`); both give the
-same record bit for bit.
+The membrane (`membrane`) walks one time-ordered stream of presynaptic
+events (`poisson_events`) until a given number of spikes, and carries its
+potential and last event time from one call to the next, so a stream cut
+into blocks, or resumed where a walk stopped, runs as one pass. Both
+`collect_triggers` and the closed loop `spiking_learning_run` walk it. It
+runs in the compiled `_kernel.c` when the kernel loads and otherwise in
+Python (`_membrane_loop`); both give the same record bit for bit.
 """
 
 import math
@@ -22,12 +24,15 @@ import numpy as np
 
 from . import _kernel
 from .dynamics import sample_triggers
-from .simplex import (InvalidInputError, as_float_array, probabilities_from_weights,
-                      validate_intensities, validate_weights)
+from .simplex import InvalidInputError, validate_intensities, validate_weights
 
 # presynaptic events drawn at a time by collect_triggers: at 2^15
 # spiking-validate peaks about 1.2 MiB lower than at 2^16, in the same time
 EVENT_BLOCK = 1 << 15
+# the most events spiking_learning_run hands one membrane call: both walks
+# check, and the Python walk converts, every event they are handed, while a
+# call stops at the next spike, a few events on
+LEARN_WALK = 64
 # the most uniforms centered_noise_stats draws at a time
 NOISE_BLOCK = 1 << 16
 # standard errors the noise mean may lie from zero in `noise_mean_bound`: a
@@ -35,86 +40,35 @@ NOISE_BLOCK = 1 << 16
 NOISE_Z = 5.0
 
 
-@dataclass
-class SpikeTrains:
-    """Per-neuron spike times on [0, horizon]."""
-
-    times: list  # list of 1-d arrays
-    horizon: float
-
-
-@dataclass
-class MembraneConfig:
-    weights: np.ndarray
-    threshold: float
-
-
-@dataclass
-class PostsynapticRecord:
-    spike_times: np.ndarray
-    trigger_ids: np.ndarray
-
-
-def merge_events(times):
-    """All presynaptic events of the per-neuron spike times as (times,
-    neuron_ids), ordered by time with neuron index breaking ties."""
-    ids = np.concatenate([np.full(t.size, j, dtype=int) for j, t in enumerate(times)])
-    times = np.concatenate(times)
-    order = np.lexsort((ids, times))
-    return times[order], ids[order]
-
-
-def simulate_membrane(config, trains):
-    """Run the membrane over fixed spike trains with fixed weights, one
-    weight per train, from the potential 0 at time 0; each train must be
-    finite and nondecreasing from 0. The trains are merged by `merge_events`.
-
-    Postsynaptic spikes can only occur at presynaptic spike times; the
-    potential never exceeds the threshold between events and resets to zero
-    on each postsynaptic spike."""
-    w = validate_weights(config.weights)
-    _check_threshold(config.threshold)
-    times = [as_float_array(t, "spike train") for t in trains.times]
-    if len(times) != w.size or any(t.ndim != 1 for t in times):
-        raise InvalidInputError("need one 1-d spike train per weight: %d weights, %d trains"
-                                % (w.size, len(times)))
-    for t in times:
-        if t.size and not (t[0] >= 0 and np.isfinite(t[-1]) and np.all(t[1:] >= t[:-1])):
-            raise InvalidInputError("spike trains must be finite and nondecreasing from 0")
-    times, ids = merge_events(times)
-    spikes, triggers = membrane(times, ids, w, config.threshold, np.zeros(2),
-                                _spike_cap(times.size, w, config.threshold))
-    return PostsynapticRecord(spike_times=spikes, trigger_ids=triggers)
-
-
-def _check_threshold(threshold):
+def _inputs(lam, w, threshold):
+    """The intensities lam and weights w, checked, with one weight per
+    intensity and a positive, finite threshold."""
+    lam = validate_intensities(lam)
+    w = validate_weights(w)
+    if lam.size != w.size:
+        raise InvalidInputError("need one weight per intensity: %d weights, %d intensities"
+                                % (w.size, lam.size))
     if not 0 < threshold < math.inf:
         raise InvalidInputError("threshold must be positive and finite, got %r" % (threshold,))
-
-
-def _spike_cap(n_events, w, threshold):
-    """The most spikes n_events events can fire from a potential below the
-    threshold. The first may come at once; after each reset y grows by at
-    most max(w) per event, so a spike takes at least ceil(threshold /
-    max(w)) events, one fewer leaving room for rounding in y. The ratio may
-    overflow to inf; past n_events + 1 no second spike fits."""
-    ratio = min(threshold / float(w.max()), n_events + 2.0)
-    return 1 + n_events // max(math.ceil(ratio) - 1, 1)
+    return lam, w
 
 
 def membrane(times, ids, w, threshold, state, cap):
     """Walk the event stream of the times (n,), in time order, and neuron
     ids (n,) with the weights w, from the potential and last event time in
-    state (2,), which is updated in place; returns the (spike_times,
-    trigger_ids) of its at most cap spikes. A neuron id outside [0, d)
-    raises InvalidInputError before any event is walked. A time that is not
-    finite or goes backwards raises InvalidInputError, more than cap spikes
-    RuntimeError; state then holds the event before the one that failed, or
-    the one that fired the spike over cap."""
-    # both walks index w with the ids
+    state (2,), which is updated in place, and stop after the cap-th spike
+    or at the end of the stream; returns (spike_times, trigger_ids, walked),
+    walked the number of events walked, so that the stream resumes at
+    times[walked:]. A neuron id outside [0, d) or a cap below 1 raises
+    InvalidInputError before any event is walked. A time that is not finite
+    or goes backwards raises InvalidInputError; state then holds the event
+    before it."""
+    # both walks index w with the ids and the compiled one writes cap spikes
     ids = np.asarray(ids)
     if ids.size and not (ids.min() >= 0 and ids.max() < len(w)):
         raise InvalidInputError("neuron ids must lie in [0, %d)" % len(w))
+    if cap < 1:
+        raise InvalidInputError("cap must be at least 1, got %r" % (cap,))
     if _kernel.library() is None:
         return _membrane_loop(times, ids, w, threshold, state, cap)
     return _kernel.membrane(times, ids, w, threshold, state, cap)
@@ -127,6 +81,7 @@ def _membrane_loop(times, ids, w, threshold, state, cap):
     y, t_prev = float(state[0]), float(state[1])
     spikes = []
     triggers = []
+    walked = 0
     try:
         for t, j in zip(np.asarray(times, dtype=float).tolist(), np.asarray(ids).tolist()):
             if not (math.isfinite(t) and t >= t_prev):
@@ -134,15 +89,16 @@ def _membrane_loop(times, ids, w, threshold, state, cap):
             y *= math.exp(t_prev - t)
             y += w[j]
             t_prev = t
+            walked += 1
             if y >= threshold:
-                if len(spikes) == cap:
-                    raise RuntimeError(_kernel.OVER_CAP % cap)
                 spikes.append(t)
                 triggers.append(j)
                 y = 0.0
+                if len(spikes) == cap:
+                    break
     finally:
         state[0], state[1] = y, t_prev
-    return np.array(spikes, dtype=np.float64), np.array(triggers, dtype=np.int64)
+    return np.array(spikes, dtype=np.float64), np.array(triggers, dtype=np.int64), walked
 
 
 def poisson_events(lam, start, size, rng):
@@ -165,23 +121,19 @@ def collect_triggers(lam, w, threshold, n_events, rng):
 
     The input is one stream drawn EVENT_BLOCK events at a time
     (`poisson_events`). The membrane carries its state from block to block
-    and stops in the block that holds the n_events-th spike, so memory does
-    not grow with n_events beyond the identities returned."""
-    lam = validate_intensities(lam)
-    w = validate_weights(w)
-    if lam.size != w.size:
-        raise InvalidInputError("need one weight per intensity: %d weights, %d intensities"
-                                % (w.size, lam.size))
+    and stops at the n_events-th spike, so memory does not grow with
+    n_events beyond the identities returned."""
+    lam, w = _inputs(lam, w, threshold)
     if n_events < 1:
         raise InvalidInputError("n_events must be at least 1, got %r" % (n_events,))
-    _check_threshold(threshold)
-    cap = _spike_cap(EVENT_BLOCK, w, threshold)
     state = np.zeros(2)
     ids = []
     collected = 0
     while collected < n_events:
         times, neurons = poisson_events(lam, state[1], EVENT_BLOCK, rng)
-        triggers = membrane(times, neurons, w, threshold, state, cap)[1][:n_events - collected]
+        # at most one spike per event: the cap never passes the block
+        triggers = membrane(times, neurons, w, threshold, state,
+                            min(n_events - collected, times.size))[1]
         ids.append(triggers)
         collected += triggers.size
     return np.concatenate(ids)
@@ -195,16 +147,6 @@ def pair_kernel(tau, t_prev, t_next):
     uniformly placed spike contributes centered noise."""
     tau = np.asarray(tau, dtype=float)
     return np.exp(tau - t_next) - np.exp(t_prev - tau)
-
-
-def stdp_update(w_j, window_spikes, t_prev, t_next, alpha):
-    """Multiplicative weight update over one inter-postsynaptic window:
-    w_j * (1 + alpha * sum of pair kernels). Spikes must lie in (t_prev, t_next]."""
-    spikes = np.asarray(window_spikes, dtype=float)
-    if spikes.size and (spikes.min() <= t_prev or spikes.max() > t_next):
-        raise InvalidInputError("window spikes must lie in (t_prev, t_next]")
-    total = float(pair_kernel(spikes, t_prev, t_next).sum()) if spikes.size else 0.0
-    return w_j * (1.0 + alpha * total), total
 
 
 def centered_noise_stats(t_prev, t_next, n_samples, rng):
@@ -248,7 +190,8 @@ def noise_mean_bound(t_prev, t_next, n_samples):
 class LearningRunRecord:
     """Closed-loop run: probabilities lam*w / lam.w after each postsynaptic
     spike, winner identities, window durations, and per-window relative
-    weight increments (w_new/w_old - 1)."""
+    weight increments, alpha times each neuron's kernel sum over the
+    window."""
 
     probabilities: np.ndarray  # (n_spikes + 1, d)
     trigger_ids: np.ndarray
@@ -257,51 +200,63 @@ class LearningRunRecord:
     weights_final: np.ndarray
 
 
+def _spikes(lam, w, threshold, rng):
+    """The postsynaptic spikes of the membrane on `collect_triggers`'
+    stream, each as (time, trigger id, window), the window the (times, ids)
+    of the events walked since the previous spike, the spike's own event
+    included; it may span blocks. The membrane reads w at every call, so
+    the caller may change it in place between spikes."""
+    state = np.zeros(2)
+    window = []
+    while True:
+        times, ids = poisson_events(lam, state[1], EVENT_BLOCK, rng)
+        pos = 0
+        while pos < times.size:
+            end = pos + LEARN_WALK
+            spike, trigger, walked = membrane(times[pos:end], ids[pos:end], w, threshold,
+                                              state, 1)
+            window.append((times[pos:pos + walked], ids[pos:pos + walked]))
+            pos += walked
+            if trigger.size:
+                yield spike[0], trigger[0], [np.concatenate(a) for a in zip(*window)]
+                window = []
+
+
 def spiking_learning_run(lam, w0, threshold, alpha, n_spikes, rng):
     """Simulate the spiking model while the weights learn.
 
-    Presynaptic neurons spike as Poisson processes generated on the fly; at
-    each postsynaptic spike every weight is updated from the spikes its
-    neuron fired inside the closed window, and probabilities are re-read."""
-    lam = validate_intensities(lam)
-    w = validate_weights(w0).astype(float).copy()
-    d = lam.size
-    if alpha <= 0 or alpha >= 0.5:
+    The membrane walks `collect_triggers`' Poisson stream and stops at each
+    postsynaptic spike (`_spikes`). There every weight w_j is multiplied by
+    1 + alpha times the sum of `pair_kernel` over neuron j's events in the
+    closed window since the previous spike. A weight driven below zero
+    raises InvalidInputError at that spike."""
+    lam, w = _inputs(lam, w0, threshold)
+    if not 0 < alpha < 0.5:
         raise InvalidInputError("alpha must lie in (0, 1/2) for the bounded kernel")
-    probs = [probabilities_from_weights(lam, w)]
-    triggers = np.empty(n_spikes, dtype=int)
-    durations = np.empty(n_spikes)
+    if n_spikes < 0:
+        raise InvalidInputError("n_spikes must be nonnegative, got %r" % (n_spikes,))
+    d = lam.size
+    weights = np.empty((n_spikes + 1, d))
+    weights[0] = w
+    times = np.empty(n_spikes)
+    triggers = np.empty(n_spikes, dtype=np.int64)
     increments = np.empty((n_spikes, d))
-    next_spike = rng.exponential(1.0 / lam)
-    window = [[] for _ in range(d)]
-    y = 0.0
-    t_prev_event = 0.0
-    t_window_start = 0.0
-    spike_count = 0
-    while spike_count < n_spikes:
-        j = int(np.argmin(next_spike))
-        t = next_spike[j]
-        next_spike[j] = t + rng.exponential(1.0 / lam[j])
-        y *= math.exp(t_prev_event - t)
-        y += w[j]
-        t_prev_event = t
-        window[j].append(t)
-        if y >= threshold:
-            for i in range(d):
-                w_new, _ = stdp_update(w[i], window[i], t_window_start, t, alpha)
-                increments[spike_count, i] = w_new / w[i] - 1.0
-                w[i] = w_new
-                window[i] = []
-            triggers[spike_count] = j
-            durations[spike_count] = t - t_window_start
-            t_window_start = t
-            y = 0.0
-            probs.append(probabilities_from_weights(lam, w))
-            spike_count += 1
+    w = w.copy()
+    spikes = _spikes(lam, w, threshold, rng)
+    t_prev = 0.0
+    for k in range(n_spikes):
+        times[k], triggers[k], (tau, ids) = next(spikes)
+        increments[k] = alpha * np.bincount(ids, weights=pair_kernel(tau, t_prev, times[k]),
+                                            minlength=d)
+        w *= 1.0 + increments[k]
+        weights[k + 1] = validate_weights(w)
+        t_prev = times[k]
+    probs = lam * weights
+    probs /= probs.sum(axis=1, keepdims=True)
     return LearningRunRecord(
-        probabilities=np.array(probs),
+        probabilities=probs,
         trigger_ids=triggers,
-        window_durations=durations,
+        window_durations=np.diff(times, prepend=0.0),
         relative_increments=increments,
         weights_final=w,
     )

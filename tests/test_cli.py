@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -257,11 +258,20 @@ def _traced_peak(run, n):
         tracemalloc.stop()
 
 
+def _numpy_steps(n_traj):
+    """8000 steps of n_traj rows at d = 2 on the numpy step, as without a C
+    compiler: from 10 rows on, more than CHUNK // n_traj steps, so that one
+    segment would hold the draws of all n_traj * 8000 row-steps."""
+    with mock.patch.object(_kernel, "library", lambda: None):
+        dynamics.simulate(np.tile([0.6, 0.4], (n_traj, 1)), 0.01, 8000, list(range(n_traj)))
+
+
 @pytest.mark.parametrize("name, n", [("collect_triggers", 300), ("centered_noise_stats", 10**5),
-                                     ("write_csv", 10**4)])
+                                     ("write_csv", 10**4), ("numpy_steps", 10)])
 def test_memory_does_not_grow_with_the_run(tmp_path, name, n):
-    # the Poisson input, the noise draws and the CSV text are made in
-    # blocks; only the returned trigger ids and write_csv's own input grow
+    # the Poisson input, the noise draws, the CSV text and the numpy steps'
+    # draws are made in blocks; only the returned trigger ids, write_csv's
+    # own input and the rows and their streams grow
     columns = [np.arange(10 * n), np.linspace(0, 1, 10 * n), np.arange(10 * n) % 2 == 0]
     runs = {
         "collect_triggers": lambda k: spiking.collect_triggers(
@@ -270,6 +280,7 @@ def test_memory_does_not_grow_with_the_run(tmp_path, name, n):
             0.0, 1.0, k, np.random.default_rng(7)),
         "write_csv": lambda k: cli.write_csv(str(tmp_path / "t.csv"), ["a", "b", "c"],
                                              [c[:k] for c in columns]),
+        "numpy_steps": _numpy_steps,
     }
     small, large = _traced_peak(runs[name], n), _traced_peak(runs[name], 10 * n)
     assert large - small < 1 << 20, (small, large)

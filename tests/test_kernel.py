@@ -438,7 +438,7 @@ class _ScriptedStreams:
     """A stand-in for `dynamics.Streams` whose rows draw scripted uniforms in
     step order, per step u (n, s) for the trigger, then v (n, s, d) for the
     noise: the compiled step reads them through the ctypes callback
-    `next_double`, the numpy step through `segment`, which turns v into
+    `next_double`, the numpy step through `segments`, which turns v into
     noise as the kernel does."""
 
     def __init__(self, u, v):
@@ -453,8 +453,8 @@ class _ScriptedStreams:
             lambda address: next(draws[address]))
         self.next_double = ctypes.cast(self.callback, ctypes.c_void_p).value
 
-    def segment(self, s):
-        return self.u[:, :s], -1.0 + 2.0 * self.v[:, :s], None
+    def segments(self, s):
+        yield self.u[:, :s], -1.0 + 2.0 * self.v[:, :s], None
 
 
 def test_joint_step_caps_triggers_at_the_last_positive_probability():

@@ -1,6 +1,8 @@
 """Tests for the event-driven spiking model."""
 
 import contextlib
+import dataclasses
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,7 @@ from simplex_stdp.simplex import InvalidInputError
 
 
 def _python_loop():
-    """Run simulate_membrane as on a machine without the compiled kernel."""
+    """Run the membrane as on a machine without the compiled kernel."""
     return mock.patch.object(_kernel, "library", lambda: None)
 
 
@@ -29,151 +31,179 @@ def test_membrane_spikes_only_at_input_times_and_resets():
     rng = np.random.default_rng(1)
     lam = np.array([10.0, 7.5, 5.0])
     times, ids = spiking.poisson_events(lam, 0.0, 4500, rng)
-    trains = spiking.SpikeTrains(times=[times[ids == j] for j in range(3)], horizon=times[-1])
     # each neuron fires at its own rate, about 200 time units of input
-    assert np.all(np.abs([t.size / times[-1] - rate for t, rate in zip(trains.times, lam)])
-                  < 0.1 * lam)
-    cfg = spiking.MembraneConfig(weights=np.ones(3), threshold=5.0)
-    rec = spiking.simulate_membrane(cfg, trains)
-    all_times = np.sort(np.concatenate(trains.times))
-    assert np.all(np.isin(rec.spike_times, all_times))
+    rates = np.bincount(ids, minlength=3) / times[-1]
+    assert np.all(np.abs(rates - lam) < 0.1 * lam)
+    spikes, triggers, walked = spiking.membrane(times, ids, np.ones(3), 5.0, np.zeros(2),
+                                                times.size)
+    assert walked == times.size and spikes.size > 0
+    # each spike is an input event, with that event's neuron as its trigger
+    at = np.searchsorted(times, spikes)
+    assert np.array_equal(times[at], spikes) and np.array_equal(ids[at], triggers)
     # the potential restarts from zero after each spike and grows by at most
     # one weight per event, so each spike takes at least 5 events
-    events = np.diff(np.searchsorted(all_times, rec.spike_times, side="right"), prepend=0)
-    assert events.min() >= 5
-    assert rec.spike_times.size > 0
+    assert np.diff(at, prepend=-1).min() >= 5
 
 
 @st.composite
 def membrane_case(draw):
-    """Trains of dyadic times (ties across and within neurons, empty trains)
-    with weights that may be 0, and a threshold that may lie below every
-    weight, so that every event fires."""
+    """A stream of dyadic times in order (ties included) and neuron ids,
+    perhaps not every neuron firing, with weights that may be 0, a threshold
+    that may lie below every weight, so that every event fires, and a spike
+    cap that may stop the walk."""
     d = draw(st.sampled_from([1, 2, 3, 5]))
-    times = [np.sort(np.array(draw(st.lists(st.integers(0, 40), max_size=30)), dtype=float)) / 8
-             for _ in range(d)]
+    n = draw(st.integers(0, 60))
+    times = np.sort(np.array(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)),
+                             dtype=float)) / 8
+    ids = np.array(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)),
+                   dtype=np.int64)
     w = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0]),
                                min_size=d, max_size=d)))
     w[draw(st.integers(0, d - 1))] = draw(st.sampled_from([0.25, 1.0, 3.0]))
     threshold = draw(st.one_of(st.floats(0.01, 6.0), st.just(w[w > 0].min() / 2)))
-    return times, w, threshold
+    cap = draw(st.integers(1, n + 1))
+    return times, ids, w, threshold, cap
 
 
 @settings(max_examples=150, deadline=None)
 @given(membrane_case())
-@example(([np.array([0.0, 0.5, 0.5, 1.0]), np.array([0.5, 1.0]), np.array([])],
-          np.array([1.0, 2.0, 0.5]), 0.25))
-@example(([np.array([0.125, 0.25]), np.array([0.125, 0.25])], np.array([0.0, 1.0]), 1.5))
-@example(([np.array([0.25, 0.5]), np.array([0.5]), np.array([0.125])],
-          np.array([1.0, 9.0, 2.0, 9.0, 0.5, 9.0])[::2], 1.75))  # strided weights
+@example((np.array([0.0, 0.5, 0.5, 0.5, 1.0, 1.0]), np.array([0, 0, 0, 1, 0, 1]),
+          np.array([1.0, 2.0, 0.5]), 0.25, 7))
+@example((np.array([0.125, 0.125, 0.25, 0.25]), np.array([0, 1, 0, 1]), np.array([0.0, 1.0]),
+          1.5, 1))
+@example((np.array([0.125, 0.25, 0.5, 0.5]), np.array([2, 0, 0, 1]),
+          np.array([1.0, 9.0, 2.0, 9.0, 0.5, 9.0])[::2], 1.75, 2))  # strided weights
 def test_compiled_membrane_matches_python_loop(case):
+    # the same spikes, walk length and end state, stopped at the cap or not
     _require_compiled_membrane()
-    times, w, threshold = case
-    trains = spiking.SpikeTrains(times=times, horizon=5.0)
-    config = spiking.MembraneConfig(weights=w, threshold=threshold)
-    compiled = spiking.simulate_membrane(config, trains)
-    with _python_loop():
-        reference = spiking.simulate_membrane(config, trains)
-    for field in ("spike_times", "trigger_ids"):
-        a, b = getattr(compiled, field), getattr(reference, field)
+    times, ids, w, threshold, cap = case
+    results = []
+    for path in PATHS.values():
+        state = np.zeros(2)
+        with path():
+            results.append(spiking.membrane(times, ids, w, threshold, state, cap) + (state,))
+    (*compiled, end), (*reference, end_ref) = results
+    for a, b in zip(compiled[:2], reference[:2]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert compiled[2] == reference[2] and np.array_equal(end, end_ref)
     if threshold < w.min():
-        assert compiled.spike_times.size == sum(t.size for t in times)
+        assert compiled[0].size == min(cap, times.size) == compiled[2]
 
 
 @st.composite
 def stream_case(draw):
-    """A merged stream of membrane_case's trains, perhaps with one time sent
-    backwards or made NaN, the points where it is cut into blocks, and a
-    spike cap that may lie below the spikes fired."""
-    trains, w, threshold = draw(membrane_case())
-    times, ids = spiking.merge_events(trains)
+    """membrane_case's stream, perhaps with one time sent backwards or made
+    NaN, the points where it is cut into blocks and the caps the walks take
+    in turn."""
+    times, ids, w, threshold, _ = draw(membrane_case())
     if times.size and draw(st.sampled_from([False, False, True])):
         times[draw(st.integers(0, times.size - 1))] = draw(st.sampled_from([-0.125, np.nan]))
     cuts = sorted(draw(st.lists(st.integers(0, times.size), max_size=4)))
-    cap = draw(st.one_of(st.just(times.size + 1), st.integers(0, times.size)))
-    return times, ids, w, threshold, cuts, cap
+    caps = draw(st.lists(st.integers(1, times.size + 1), min_size=1, max_size=4))
+    return times, ids, w, threshold, cuts, caps
 
 
-def _blocks(walk, times, ids, w, threshold, cuts, cap):
+def _blocks(times, ids, w, threshold, cuts, caps):
     """The end state of walking the stream in the blocks between the cuts,
-    the cap shared by the blocks, and its error or its spikes."""
-    state, spikes, triggers = np.zeros(2), [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    each block resumed where a walk stopped, with the caps in turn, and the
+    error or the spikes and the number of events walked."""
+    state, spikes, triggers, walked = np.zeros(2), [np.empty(0)], [np.empty(0, np.int64)], 0
+    caps = itertools.cycle(caps)
     try:
         for a, b in zip([0] + cuts, cuts + [times.size]):
-            got = walk(times[a:b], ids[a:b], w, threshold, state, cap - sum(map(len, spikes)))
-            spikes.append(got[0])
-            triggers.append(got[1])
-    except (InvalidInputError, RuntimeError) as exc:
+            while a < b:
+                got = spiking.membrane(times[a:b], ids[a:b], w, threshold, state, next(caps))
+                spikes.append(got[0])
+                triggers.append(got[1])
+                walked += got[2]
+                a += got[2]
+    except InvalidInputError as exc:
         return state, type(exc)
-    return state, np.concatenate(spikes), np.concatenate(triggers)
+    return state, np.concatenate(spikes), np.concatenate(triggers), walked
 
 
 @settings(max_examples=150, deadline=None)
 @given(stream_case())
 @example((np.array([0.25, 0.5, 0.75]), np.zeros(3, dtype=np.int64), np.array([1.0]), 0.5,
-          [1, 2], 2))  # over the cap in the last block
+          [1, 2], [2]))  # stopped at the cap inside a block
 @example((np.array([0.25, 0.5, 0.375]), np.zeros(3, dtype=np.int64), np.array([1.0]), 1.5,
-          [2], 3))  # backwards across a cut
+          [2], [3]))  # backwards across a cut
 def test_blocked_stream_equals_one_pass(case):
-    # the state carried across any cuts gives one pass's spikes, end state
-    # and error (time backwards, over the cap), on both paths
-    times, ids, w, threshold, cuts, cap = case
-    walks = [spiking._membrane_loop]
+    # the state carried across any cuts and stops gives one pass's spikes,
+    # end state, events walked and error (time backwards or NaN), on both
+    # paths
+    times, ids, w, threshold, cuts, caps = case
+    paths = [PATHS["python"]]
     if _kernel.library() is not None:
-        walks.append(_kernel.membrane)
-    results = [_blocks(walk, times, ids, w, threshold, c, cap)
-               for walk in walks for c in ([], cuts)]
+        paths.append(PATHS["compiled"])
+    results = []
+    for path in paths:
+        with path():
+            for c, k in (([], [times.size + 1]), (cuts, caps)):
+                results.append(_blocks(times, ids, w, threshold, c, k))
     for got in results[1:]:
         assert len(got) == len(results[0])
         for a, b in zip(got, results[0]):
             if isinstance(a, np.ndarray):
                 assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
             else:
-                assert a is b
+                assert a == b
 
 
 @pytest.mark.parametrize("path", PATHS)
-@pytest.mark.parametrize("weights, train", [
-    (np.ones(2), np.array([0.5])),  # fewer weights than trains
-    (np.ones(4), np.array([0.5])),  # more weights than trains
-    (np.ones(3), np.array([0.5, 0.25])),  # unsorted
-    (np.ones(3), np.array([0.25, np.nan, 0.5])),
-    (np.ones(3), np.array([0.25, np.inf])),
-    (np.ones(3), np.array([-0.25, 0.5])),  # before the membrane starts at 0
-], ids=["short-weights", "long-weights", "unsorted", "nan", "inf", "negative"])
-def test_membrane_rejects_mismatched_or_bad_trains(path, weights, train):
+@pytest.mark.parametrize("times, ids", [
+    ([0.1, 0.2, 0.3], [0, 2, 1]),  # a neuron with no weight
+    ([0.1, 0.5, 0.25], [0, 1, 2]),  # unsorted
+    ([0.25, np.nan, 0.5], [0, 1, 2]),
+    ([0.25, np.inf], [0, 1]),
+    ([-0.25, 0.5], [0, 1]),  # before the membrane starts at 0
+], ids=["short-weights", "unsorted", "nan", "inf", "negative"])
+def test_membrane_rejects_mismatched_or_bad_trains(path, times, ids):
     if path == "compiled":
         _require_compiled_membrane()
-    trains = spiking.SpikeTrains(times=[np.array([0.1, 0.2]), train, np.array([0.3])],
-                                 horizon=1.0)
-    config = spiking.MembraneConfig(weights=weights, threshold=1.5)
     with PATHS[path](), pytest.raises(InvalidInputError):
-        spiking.simulate_membrane(config, trains)
+        spiking.membrane(np.array(times), np.array(ids), np.ones(2), 1.5, np.zeros(2), 3)
 
 
 def test_membrane_checks_its_weights_and_threshold():
-    # both paths check them before any event is walked
-    trains = spiking.SpikeTrains(times=[np.array([0.25]), np.array([0.5])], horizon=1.0)
-    config = spiking.MembraneConfig(weights=[1, 2], threshold=2.5)
+    # collect_triggers and the closed loop check them on both paths before
+    # any event is walked; a NaN threshold once left the closed loop
+    # walking forever
+    rng = np.random.default_rng(0)
+    runs = [lambda w, threshold: spiking.collect_triggers([1.0, 1.0], w, threshold, 2, rng),
+            lambda w, threshold: spiking.spiking_learning_run([1.0, 1.0], w, threshold, 0.1, 3,
+                                                              rng)]
     for path in PATHS.values():
         with path():
-            assert spiking.simulate_membrane(config, trains).trigger_ids.tolist() == [1]
-            assert config.weights == [1, 2]
-            for bad in (0.0, np.nan, np.inf):
-                with pytest.raises(InvalidInputError, match="threshold"):
-                    spiking.simulate_membrane(spiking.MembraneConfig([1.0, 1.0], bad), trains)
-            with pytest.raises(InvalidInputError, match="finite"):
-                spiking.simulate_membrane(spiking.MembraneConfig([1.0, np.nan], 1.0), trains)
+            for run in runs:
+                w = np.array([1.0, 2.0])
+                run(w, 1.5)
+                assert w.tolist() == [1.0, 2.0]
+                for bad in (0.0, -1.0, np.nan, np.inf):
+                    with pytest.raises(InvalidInputError, match="threshold"):
+                        run(w, bad)
+                with pytest.raises(InvalidInputError, match="finite"):
+                    run([1.0, np.nan], 1.0)
+                with pytest.raises(InvalidInputError, match="one weight per intensity"):
+                    run(np.ones(3), 1.0)
 
 
-def test_full_spike_buffer_is_an_error():
-    # every one of the three events fires; room for two spikes is refused
-    _require_compiled_membrane()
+@pytest.mark.parametrize("path", PATHS)
+def test_walk_stops_at_its_cap(path):
+    # every one of the three events fires: a cap of 2 stops the walk after
+    # the second, and the rest of the stream resumes from its state
+    if path == "compiled":
+        _require_compiled_membrane()
     times, ids, w = np.array([0.25, 0.5, 0.75]), np.zeros(3, dtype=np.int64), np.array([1.0])
-    assert _kernel.membrane(times, ids, w, 0.5, np.zeros(2), 3)[0].size == 3
-    with pytest.raises(RuntimeError):
-        _kernel.membrane(times, ids, w, 0.5, np.zeros(2), 2)
+    state = np.zeros(2)
+    with PATHS[path]():
+        spikes, triggers, walked = spiking.membrane(times, ids, w, 0.5, state, 2)
+        assert spikes.tolist() == [0.25, 0.5] and triggers.tolist() == [0, 0] and walked == 2
+        assert state.tolist() == [0.0, 0.5]
+        assert spiking.membrane(times[2:], ids[2:], w, 0.5, state, 2)[0].tolist() == [0.75]
+        with pytest.raises(InvalidInputError, match="cap"):
+            spiking.membrane(times, ids, w, 0.5, state, 0)
+    assert state.tolist() == [0.0, 0.75]
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -240,13 +270,9 @@ def test_blocked_noise_stats_equal_one_draw(n):
     assert got == expected
 
 
-def test_stdp_update_window_validation_and_trigger_term():
-    with pytest.raises(InvalidInputError):
-        spiking.stdp_update(1.0, [0.5], 1.0, 2.0, 0.01)
+def test_pair_kernel_trigger_term():
     # a single spike exactly at the window end contributes 1 - exp(-duration)
-    w, total = spiking.stdp_update(1.0, [2.0], 1.0, 2.0, 0.01)
-    assert abs(total - (1.0 - np.exp(-1.0))) < 1e-15
-    assert abs(w - (1.0 + 0.01 * total)) < 1e-15
+    assert abs(spiking.pair_kernel(2.0, 1.0, 2.0) - (1.0 - np.exp(-1.0))) < 1e-15
 
 
 def test_learning_run_probabilities_and_trigger_increment():
@@ -278,3 +304,42 @@ def test_learning_run_rejects_bad_rate():
     with pytest.raises(InvalidInputError):
         spiking.spiking_learning_run(np.ones(2), np.ones(2), 3.0, 0.7, 10,
                                      np.random.default_rng(0))
+    with pytest.raises(InvalidInputError, match="n_spikes"):
+        spiking.spiking_learning_run(np.ones(2), np.ones(2), 3.0, 0.1, -1,
+                                     np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_learning_run_windows_cross_blocks(path):
+    # one fixed stream served in blocks of 1, 3, 7 and whole gives the same
+    # record: a window's events are carried across block boundaries
+    if path == "compiled":
+        _require_compiled_membrane()
+    lam = np.array([10.0, 7.5, 5.0])
+    times, ids = spiking.poisson_events(lam, 0.0, 3000, np.random.default_rng(9))
+
+    def run(size):
+        blocks = ((times[a:a + size].copy(), ids[a:a + size].copy())
+                  for a in range(0, times.size, size))
+        with mock.patch.object(spiking, "poisson_events", lambda *args: next(blocks)):
+            return spiking.spiking_learning_run(lam, np.ones(3), 5.0, 0.2, 200, None)
+
+    with PATHS[path]():
+        records = [run(size) for size in (1, 3, 7, times.size)]
+    for record in records[1:]:
+        for field in dataclasses.fields(record):
+            a, b = getattr(record, field.name), getattr(records[0], field.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    # each window's increments are alpha times the per-neuron sums of the
+    # kernel over its events, up to the spike's own event
+    run = records[0]
+    cut = np.abs(times[:, None] - np.cumsum(run.window_durations)).argmin(axis=0) + 1
+    assert np.array_equal(ids[cut - 1], run.trigger_ids)
+    assert np.allclose(np.diff(times[cut - 1], prepend=0.0), run.window_durations, rtol=1e-12)
+    for k in (0, 1, 100, 199):
+        start = cut[k - 1] if k else 0
+        t_prev = times[start - 1] if k else 0.0
+        tau, j = times[start:cut[k]], ids[start:cut[k]]
+        hand = [sum(spiking.pair_kernel(tau[j == i], t_prev, times[cut[k] - 1]).tolist())
+                for i in range(3)]
+        assert run.relative_increments[k] == pytest.approx(0.2 * np.array(hand), rel=1e-12)
