@@ -11,12 +11,15 @@ exp(-(t_next - tau)) - exp(-(tau - t_prev)) summed over the window's spikes.
 The membrane (`membrane`) walks one time-ordered stream of presynaptic
 events (`poisson_events`) until a given number of spikes, and carries its
 potential and last event time from one call to the next, so a stream cut
-into blocks, or resumed where a walk stopped, runs as one pass. Both
-`collect_triggers` and the closed loop `spiking_learning_run` walk it. It
-runs in the compiled `_kernel.c` when the kernel loads and otherwise in
-Python (`_membrane_loop`); both give the same record bit for bit.
+into pieces, or resumed where a walk stopped, runs as one pass. Both
+`collect_triggers` and the closed loop `spiking_learning_run` walk it
+through `_walk`, which stops a threshold the potential never reaches after
+MAX_EVENTS_PER_SPIKE events. It runs in the compiled `_kernel.c` when the
+kernel loads and otherwise in Python (`_membrane_loop`); both give the same
+record bit for bit.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -26,15 +29,25 @@ from . import _kernel
 from .dynamics import sample_triggers
 from .simplex import InvalidInputError, validate_intensities, validate_weights
 
-# presynaptic events drawn at a time by collect_triggers: at 2^15
-# spiking-validate peaks about 1.2 MiB lower than at 2^16, in the same time
+# exponential gaps of the presynaptic stream drawn at a time; rng's stream
+# holds each block's gaps and then its uniforms, so this fixes the draws. At
+# 2^15 spiking-validate peaks about 1.2 MiB lower than at 2^16, in the same time
 EVENT_BLOCK = 1 << 15
+# events of a block whose uniforms and trigger ids are held at a time, and
+# the most events collect_triggers hands one membrane call; a divisor of
+# EVENT_BLOCK
+EVENT_PIECE = 1 << 12
+# events the membrane may walk with no spike before its threshold counts as
+# unreachable (about 0.7 s compiled); the defaults average about 360 events
+# per spike at threshold 30
+MAX_EVENTS_PER_SPIKE = 1 << 24
 # the most events spiking_learning_run hands one membrane call: both walks
 # check, and the Python walk converts, every event they are handed, while a
 # call stops at the next spike, a few events on
 LEARN_WALK = 64
-# the most uniforms centered_noise_stats draws at a time
-NOISE_BLOCK = 1 << 16
+# the most uniforms centered_noise_stats draws at a time; its emulation of
+# numpy's pairwise sum holds for any block of 128 or more
+NOISE_BLOCK = 1 << 13
 # standard errors the noise mean may lie from zero in `noise_mean_bound`: a
 # centered kernel lands beyond them with probability about 6e-7
 NOISE_Z = 5.0
@@ -101,42 +114,80 @@ def _membrane_loop(times, ids, w, threshold, state, cap):
     return np.array(spikes, dtype=np.float64), np.array(triggers, dtype=np.int64), walked
 
 
-def poisson_events(lam, start, size, rng):
-    """The next size events after the time start of independent Poisson
-    trains with the rates lam, as one stream (times, neuron ids). The gaps
-    are exponential with the rate sum(lam) and each event's neuron is drawn
-    by `sample_triggers` on lam / sum(lam): the law of the superposed
-    trains, with no merge or sort. The times are a running sum from start,
-    as t += gap would give them."""
+def poisson_events(lam, rng):
+    """Independent Poisson trains with the rates lam from time 0, as one
+    stream of events yielded EVENT_PIECE at a time as (times, neuron ids).
+    The gaps are exponential with the rate sum(lam), drawn EVENT_BLOCK at a
+    time, and each event's neuron is drawn by `sample_triggers` on
+    lam / sum(lam) from one uniform: the law of the superposed trains, with
+    no merge or sort. A block's uniforms follow its gaps in rng's stream and
+    are drawn a piece at a time; closed mid-block, the generator still draws
+    the rest of them, so rng is left where whole blocks leave it. The times
+    are a running sum, as t += gap would give them. The caller closes it."""
     rate = float(lam.sum())
-    times = rng.exponential(1.0 / rate, size)
-    times[0] += start
-    np.cumsum(times, out=times)
-    return times, sample_triggers(lam / rate, rng.random(size))
+    p = lam / rate
+    u = np.empty(EVENT_PIECE)
+    start = 0.0
+    while True:
+        times = rng.exponential(1.0 / rate, EVENT_BLOCK)
+        times[0] += start
+        np.cumsum(times, out=times)
+        start = times[-1]
+        undrawn = EVENT_BLOCK
+        try:
+            for a in range(0, EVENT_BLOCK, EVENT_PIECE):
+                rng.random(out=u)
+                undrawn -= EVENT_PIECE
+                yield times[a:a + EVENT_PIECE], sample_triggers(p, u)
+        finally:
+            for _ in range(0, undrawn, EVENT_PIECE):
+                rng.random(out=u)
+
+
+def _walk(lam, w, threshold, rng, step, cap):
+    """Walk the membrane over `poisson_events`' stream, handing each call at
+    most step events and the cap, and yield each call's (spike times,
+    trigger ids, times, ids), the last two the events it walked. The
+    membrane reads w at every call, so the caller may change it in place
+    between calls. More than MAX_EVENTS_PER_SPIKE events walked in calls
+    without a spike raise InvalidInputError: the potential does not reach
+    the threshold. The caller closes the walk."""
+    state = np.zeros(2)
+    quiet = 0
+    with contextlib.closing(poisson_events(lam, rng)) as events:
+        for times, ids in events:
+            pos = 0
+            while pos < times.size:
+                spikes, triggers, walked = membrane(times[pos:pos + step], ids[pos:pos + step], w,
+                                                    threshold, state, cap)
+                quiet = 0 if spikes.size else quiet + walked
+                if quiet > MAX_EVENTS_PER_SPIKE:
+                    raise InvalidInputError("no spike in %d events: threshold %r is not reached"
+                                            % (quiet, threshold))
+                yield spikes, triggers, times[pos:pos + walked], ids[pos:pos + walked]
+                pos += walked
 
 
 def collect_triggers(lam, w, threshold, n_events, rng):
     """The trigger identities of the first n_events postsynaptic spikes of
     a membrane driven by Poisson input of rates lam through the weights w.
 
-    The input is one stream drawn EVENT_BLOCK events at a time
-    (`poisson_events`). The membrane carries its state from block to block
-    and stops at the n_events-th spike, so memory does not grow with
-    n_events beyond the identities returned."""
+    The membrane walks the input stream (`_walk`) a piece at a time and
+    stops in the piece of the n_events-th spike, so memory does not grow
+    with n_events beyond the identities returned."""
     lam, w = _inputs(lam, w, threshold)
     if n_events < 1:
         raise InvalidInputError("n_events must be at least 1, got %r" % (n_events,))
-    state = np.zeros(2)
     ids = []
     collected = 0
-    while collected < n_events:
-        times, neurons = poisson_events(lam, state[1], EVENT_BLOCK, rng)
-        # at most one spike per event: the cap never passes the block
-        triggers = membrane(times, neurons, w, threshold, state,
-                            min(n_events - collected, times.size))[1]
-        ids.append(triggers)
-        collected += triggers.size
-    return np.concatenate(ids)
+    # at most one spike per event: a piece's spikes never pass the cap
+    with contextlib.closing(_walk(lam, w, threshold, rng, EVENT_PIECE, EVENT_PIECE)) as walk:
+        for _, triggers, _, _ in walk:
+            ids.append(triggers)
+            collected += triggers.size
+            if collected >= n_events:
+                break
+    return np.concatenate(ids)[:n_events]
 
 
 def pair_kernel(tau, t_prev, t_next):
@@ -204,19 +255,13 @@ def _spikes(lam, w, threshold, rng):
     """The postsynaptic spikes of the membrane on `collect_triggers`'
     stream, each as (time, trigger id, window), the window the (times, ids)
     of the events walked since the previous spike, the spike's own event
-    included; it may span blocks. The membrane reads w at every call, so
-    the caller may change it in place between spikes."""
-    state = np.zeros(2)
+    included; it may span pieces. The membrane reads w at every call, so
+    the caller may change it in place between spikes. The caller closes
+    it."""
     window = []
-    while True:
-        times, ids = poisson_events(lam, state[1], EVENT_BLOCK, rng)
-        pos = 0
-        while pos < times.size:
-            end = pos + LEARN_WALK
-            spike, trigger, walked = membrane(times[pos:end], ids[pos:end], w, threshold,
-                                              state, 1)
-            window.append((times[pos:pos + walked], ids[pos:pos + walked]))
-            pos += walked
+    with contextlib.closing(_walk(lam, w, threshold, rng, LEARN_WALK, 1)) as walk:
+        for spike, trigger, times, ids in walk:
+            window.append((times, ids))
             if trigger.size:
                 yield spike[0], trigger[0], [np.concatenate(a) for a in zip(*window)]
                 window = []
@@ -242,15 +287,15 @@ def spiking_learning_run(lam, w0, threshold, alpha, n_spikes, rng):
     triggers = np.empty(n_spikes, dtype=np.int64)
     increments = np.empty((n_spikes, d))
     w = w.copy()
-    spikes = _spikes(lam, w, threshold, rng)
     t_prev = 0.0
-    for k in range(n_spikes):
-        times[k], triggers[k], (tau, ids) = next(spikes)
-        increments[k] = alpha * np.bincount(ids, weights=pair_kernel(tau, t_prev, times[k]),
-                                            minlength=d)
-        w *= 1.0 + increments[k]
-        weights[k + 1] = validate_weights(w)
-        t_prev = times[k]
+    with contextlib.closing(_spikes(lam, w, threshold, rng)) as spikes:
+        for k in range(n_spikes):
+            times[k], triggers[k], (tau, ids) = next(spikes)
+            increments[k] = alpha * np.bincount(ids, weights=pair_kernel(tau, t_prev, times[k]),
+                                                minlength=d)
+            w *= 1.0 + increments[k]
+            weights[k + 1] = validate_weights(w)
+            t_prev = times[k]
     probs = lam * weights
     probs /= probs.sum(axis=1, keepdims=True)
     return LearningRunRecord(

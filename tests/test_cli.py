@@ -227,8 +227,11 @@ def test_importing_the_cli_freezes_the_import_time_objects():
 
 
 def test_recording_runs_do_not_import_numpy_ma():
-    """Recorded runs build their steps without np.unique, which imports
-    numpy.ma (1.7 MiB with numpy 2.4) into every process that records."""
+    """Recorded runs build and mark their steps without np.unique, which
+    imports numpy.ma (about 1.25 MB of peak RSS with numpy 2.4) into every
+    process that records. np.isin calls it from about 20 checkpoints on, so
+    the runs include fig2-ensemble's defaults (101 checkpoints) and
+    fig3-algorithm1's (401)."""
     root = os.path.dirname(os.path.dirname(simplex_stdp.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
@@ -240,10 +243,28 @@ def test_recording_runs_do_not_import_numpy_ma():
         "multi.joint_run(multi.MultiRunConfig(lam=[2.0, 1.0], w0=[[1.0, 0.5], [0.5, 1.0]],"
         " alphas=[0.1, 0.05], n_steps=10, record_stride=3), 0)\n"
         "flow.integrate(flow.FlowSpec(p0=[0.6, 0.4], horizon=1.0, dt=0.1, record_stride=3))\n"
+        "dynamics.run_trajectory(dynamics.DynamicsConfig(alpha=0.01, n_steps=2000,"
+        " p0=[0.3, 0.3, 0.4], record_stride=20), 0)\n"
+        "multi.joint_run(multi.MultiRunConfig(lam=[10.0, 7.5, 5.0], w0=[[1.0] * 3] * 3,"
+        " alphas=[1e-3, 7.5e-4, 5e-4], n_steps=40000, record_stride=100), 0)\n"
         "print('numpy.ma' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.split() == ["False"]
+
+
+def test_unreachable_threshold_exits_3(tmp_path):
+    # weights of 1 hold the potential near the summed rate, 22.5, far below
+    # the threshold: the walk once drew blocks forever and now stops at its
+    # event budget, about 0.7 s compiled and 3 s on the Python membrane
+    root = os.path.dirname(os.path.dirname(simplex_stdp.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "simplex_stdp.cli", "spiking-validate",
+                           "--set", "thresholds=[1e6]", "--set", "n_events=[10]",
+                           "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=LIMIT_S)
+    assert done.returncode == 3 and "not reached" in done.stderr
 
 
 def _traced_peak(run, n):

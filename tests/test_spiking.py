@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplex_stdp import _kernel, spiking
+from simplex_stdp.dynamics import sample_triggers
 from simplex_stdp.simplex import InvalidInputError
 
 
@@ -27,10 +29,17 @@ def _require_compiled_membrane():
 PATHS = {"compiled": contextlib.nullcontext, "python": _python_loop}
 
 
+def _stream(lam, n, rng):
+    """The first n events (times, ids) of `poisson_events`' stream."""
+    with contextlib.closing(spiking.poisson_events(lam, rng)) as events:
+        pieces = list(itertools.islice(events, -(-n // spiking.EVENT_PIECE)))
+    return tuple(np.concatenate(a)[:n] for a in zip(*pieces))
+
+
 def test_membrane_spikes_only_at_input_times_and_resets():
     rng = np.random.default_rng(1)
     lam = np.array([10.0, 7.5, 5.0])
-    times, ids = spiking.poisson_events(lam, 0.0, 4500, rng)
+    times, ids = _stream(lam, 4500, rng)
     # each neuron fires at its own rate, about 200 time units of input
     rates = np.bincount(ids, minlength=3) / times[-1]
     assert np.all(np.abs(rates - lam) < 0.1 * lam)
@@ -218,6 +227,80 @@ def test_membrane_rejects_neuron_ids_out_of_range(path, bad):
     assert state.tolist() == [0.5, 0.25]
 
 
+def _whole_blocks(lam, n, rng):
+    """The trigger ids of the first n events of the Poisson stream drawn in
+    whole blocks, each block's EVENT_BLOCK gaps and then its uniforms: the
+    stream's definition, without pieces."""
+    u = []
+    for _ in range(-(-n // spiking.EVENT_BLOCK)):
+        rng.exponential(1.0 / lam.sum(), spiking.EVENT_BLOCK)
+        u.append(rng.random(spiking.EVENT_BLOCK))
+    return sample_triggers(lam / lam.sum(), np.concatenate(u)[:n])
+
+
+# a threshold below every weight fires at every event, so the n-th spike is
+# the n-th event: these end mid-piece, at a piece's end, mid-block, at a
+# block's end and at the next block's first event
+ENDS = [lambda: 5, lambda: spiking.EVENT_PIECE, lambda: spiking.EVENT_PIECE + 5,
+        lambda: spiking.EVENT_BLOCK, lambda: spiking.EVENT_BLOCK + 1]
+LAM = np.array([10.0, 7.5, 5.0])
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("end", range(len(ENDS)))
+def test_collect_triggers_leaves_the_stream_where_whole_blocks_do(path, end):
+    # a walk that stops mid-block still draws the rest of the block's
+    # uniforms, so what follows in rng reads the stream from the same place
+    if path == "compiled":
+        _require_compiled_membrane()
+    n = ENDS[end]()
+    rng = np.random.default_rng(13)
+    with PATHS[path]():
+        ids = spiking.collect_triggers(LAM, np.ones(3), 0.5, n, rng)
+    reference = np.random.default_rng(13)
+    assert np.array_equal(ids, _whole_blocks(LAM, n, reference))
+    assert rng.random(3).tolist() == reference.random(3).tolist()
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("end", range(len(ENDS)))
+def test_learning_run_leaves_the_stream_where_whole_blocks_do(path, end):
+    # the same on the closed loop, with blocks of 64 events in pieces of 16;
+    # weights learn upwards only here, each window holding its own trigger
+    if path == "compiled":
+        _require_compiled_membrane()
+    with mock.patch.object(spiking, "EVENT_BLOCK", 64), \
+            mock.patch.object(spiking, "EVENT_PIECE", 16):
+        n = ENDS[end]()
+        rng = np.random.default_rng(14)
+        with PATHS[path]():
+            run = spiking.spiking_learning_run(LAM, np.ones(3), 0.5, 0.1, n, rng)
+        reference = np.random.default_rng(14)
+        assert np.array_equal(run.trigger_ids, _whole_blocks(LAM, n, reference))
+    assert rng.random(3).tolist() == reference.random(3).tolist()
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_unreachable_threshold_stops_at_the_event_budget(path):
+    # weights of 1 at a summed rate of 2 hold the potential near 2, so a
+    # threshold of 1e6 is never reached: both walks once drew blocks
+    # forever. Past the budget they raise, counting whole membrane calls.
+    if path == "compiled":
+        _require_compiled_membrane()
+    rng = np.random.default_rng(15)
+    runs = {spiking.EVENT_PIECE: lambda t: spiking.collect_triggers(np.ones(2), np.ones(2), t,
+                                                                    10, rng),
+            spiking.LEARN_WALK: lambda t: spiking.spiking_learning_run(np.ones(2), np.ones(2), t,
+                                                                       0.1, 10, rng)}
+    with PATHS[path](), mock.patch.object(spiking, "MAX_EVENTS_PER_SPIKE", 10000):
+        for step, run in runs.items():
+            run(5.0)
+            with pytest.raises(InvalidInputError, match="not reached") as raised:
+                run(1e6)
+            quiet = int(re.search(r"no spike in (\d+) events", str(raised.value)).group(1))
+            assert 10000 < quiet <= 10000 + step
+
+
 def test_equal_weights_trigger_distribution():
     rng = np.random.default_rng(2)
     lam = np.array([10.0, 7.5, 5.0])
@@ -258,8 +341,9 @@ def test_noise_mean_bound_takes_the_kernel_variance(length):
         spiking.NOISE_Z * sd / 10.0)
 
 
+# about 2^16 draws take eight blocks, three levels of the pairwise recursion
 @pytest.mark.parametrize("n", [1, spiking.NOISE_BLOCK - 1, spiking.NOISE_BLOCK,
-                               spiking.NOISE_BLOCK + 1, 10**6])
+                               spiking.NOISE_BLOCK + 1, 65535, 65536, 65537, 10**6])
 def test_blocked_noise_stats_equal_one_draw(n):
     rng = np.random.default_rng(11)
     tau = rng.uniform(1.5, 4.0, n)
@@ -316,12 +400,12 @@ def test_learning_run_windows_cross_blocks(path):
     if path == "compiled":
         _require_compiled_membrane()
     lam = np.array([10.0, 7.5, 5.0])
-    times, ids = spiking.poisson_events(lam, 0.0, 3000, np.random.default_rng(9))
+    times, ids = _stream(lam, 3000, np.random.default_rng(9))
 
     def run(size):
         blocks = ((times[a:a + size].copy(), ids[a:a + size].copy())
                   for a in range(0, times.size, size))
-        with mock.patch.object(spiking, "poisson_events", lambda *args: next(blocks)):
+        with mock.patch.object(spiking, "poisson_events", lambda *args: blocks):
             return spiking.spiking_learning_run(lam, np.ones(3), 5.0, 0.2, 200, None)
 
     with PATHS[path]():
