@@ -1,27 +1,26 @@
 """Scenario-driven command line front end.
 
-Usage: simplex-stdp <scenario> [--config FILE] [--seed N] [--out DIR]
-                    [--threads N] [--set key=value]...
+Usage: simplex-stdp <scenario> [--seed N] [--out DIR] [--threads N]
+                    [--set key=value]...
 
-Each scenario writes a manifest.json (config digest, seed, file list) and its
-CSV outputs. The eight verification scenarios (priming, thm22-verify,
-thm23-verify, thm-corr-verify, alg2-verify, spiking-validate, mirror-compare
-and landscape-grid) also write a report.json whose `checks` maps each check
-to true or false. Only main() turns them into the verdict: `passed` is true
-when every check holds, false when one fails, and null when the scenario
-names no check (landscape-grid with gamma set); the run exits 4 exactly when
-`passed` is false. Outputs are byte-identical across reruns. --threads is
-accepted and recorded in the manifest but has no effect: every ensemble runs
-as one batch in one thread. ROADMAP item 10 decides whether it runs row
-blocks in parallel or goes; on a 2-core VM, two threads over thm22-verify's
-rows measured the benchmark's gap-verify wall time -1.7% and CPU time +12.3%
-(6 alternating pairs), so it runs none. The package pins numpy's OpenBLAS
-to one thread as well (OPENBLAS_NUM_THREADS=1 unless already set), which
-works only when simplex_stdp is imported before numpy, as this command does;
-an idle OpenBLAS worker busy-waits for about 0.1 s of CPU per process
-otherwise. Ensemble member i uses the stream keyed by (seed, i), so single
-members of fig2-ensemble and correlated-figure can be reproduced in
-isolation with dynamics.run_trajectory(config, (seed, i)).
+Each scenario writes its CSV outputs and a manifest.json (config, digest,
+seed, file list) to DIR/<scenario>, by default in the current directory;
+--set overrides one key of the scenario's DEFAULTS. The eight verification
+scenarios (priming, thm22-verify, thm23-verify, thm-corr-verify,
+alg2-verify, spiking-validate, mirror-compare and landscape-grid) also write
+a report.json whose `checks` maps each check to true or false, next to the
+floors the checks compare against. The floors and their allowances are
+constants here, not config keys, so no run moves them. main() alone gives
+the verdict: `passed` is true when the report names a check and every
+check holds, and the run exits 4 exactly when it is false. Outputs are
+byte-identical across reruns. --threads is accepted and recorded in the
+manifest but has no effect: every ensemble runs as one batch in one thread.
+The package pins numpy's OpenBLAS to one thread as well
+(OPENBLAS_NUM_THREADS=1 unless already set), which works only when
+simplex_stdp is imported before numpy, as this command does.
+Ensemble member i uses the stream keyed by (seed, i), so single members of
+fig2-ensemble and correlated-figure can be reproduced in isolation with
+dynamics.run_trajectory(config, (seed, i)).
 
 Exit codes: 0 success, 2 configuration error (unknown scenario / override,
 a non-integral value for an integer key, --threads below 1), 3 precondition
@@ -123,7 +122,6 @@ DEFAULTS = {
         "epsilon": 0.2,
         "n_traj": 200,
         "settle_steps": 120000,
-        "slack": 0.05,
     },
     "thm22-verify": {
         "p0": [0.9, 0.1],
@@ -131,8 +129,6 @@ DEFAULTS = {
         "n_traj": 200,
         "n_steps": 200000,
         "checkpoints": [0, 50000, 100000, 150000, 200000],
-        "probability_slack": 0.05,
-        "bound_slack": 1.1,
     },
     "thm23-verify": {
         "n_cases": 100,
@@ -149,8 +145,6 @@ DEFAULTS = {
         "n_traj": 50,
         "n_steps": 2500000,
         "checkpoints": [0, 500000, 1000000, 1500000, 2000000, 2500000],
-        "probability_slack": 0.07,
-        "bound_slack": 1.1,
     },
     "alg2-verify": {
         "lam": [10.0, 7.5, 5.0],
@@ -159,7 +153,6 @@ DEFAULTS = {
         "epsilon": 0.2,
         "delta": 0.25,
         "n_seeds": 200,
-        "slack": 0.05,
     },
     "spiking-validate": {
         "lam": [10.0, 7.5, 5.0],
@@ -173,8 +166,6 @@ DEFAULTS = {
         "alphas": [1e-2, 1e-3, 1e-4],
         "n_points": 100,
         "d": 3,
-        "ratio_low": 80.0,
-        "ratio_high": 120.0,
     },
     "landscape-grid": {
         "grid_step": 0.005,
@@ -205,13 +196,13 @@ def _final_columns(finals):
 
 
 def _write_landscape(path, grid_step, gamma=None):
-    """Write the landscape values on the lattice and return them: the
-    cubic-quartic loss, or -1/2 p^T gamma p when gamma is given."""
+    """Write the landscape values on the lattice and return (points, values):
+    the cubic-quartic loss, or -1/2 p^T gamma p when gamma is given."""
     pts, x, y, vals = landscape_grid(grid_step)
     if gamma is not None:
         vals = -0.5 * np.einsum("ni,ij,nj->n", pts, validate_correlation(gamma, 3), pts)
     write_csv(path, ["x", "y", "value"], [x, y, vals])
-    return vals
+    return pts, vals
 
 
 def scenario_fig2_trajectories(cfg, out, seed):
@@ -295,6 +286,9 @@ def scenario_correlated_figure(cfg, out, seed):
     return files, None
 
 
+PRIMING_SLACK = 0.05  # the floor is 1 - 2 epsilon less this
+
+
 def scenario_priming(cfg, out, seed):
     lam_a, lam_b, w0 = _vectors(cfg, "lam_first", "lam_second", "w0")
     d = w0.size
@@ -310,11 +304,14 @@ def scenario_priming(cfg, out, seed):
             lam_a, lam_b, w0, cfg["alpha"], k_switch, k_switch + cfg["settle_steps"],
             cfg["n_traj"], seed,
         )
-    floor = 1.0 - 2.0 * eps - cfg["slack"]
+    floor = 1.0 - 2.0 * eps - PRIMING_SLACK
+    cap = theory.max_alpha(params)
     report = {
         "delta": delta,
         "k_star": int(k_star),
         "required_frequency": floor,
+        "theorem_alpha_cap": cap,
+        "within_theorem": cfg["alpha"] <= cap,
         "unprimed_fractions": list(results["unprimed"]),
         "primed_fractions": list(results["primed"]),
         "checks": {
@@ -328,7 +325,13 @@ def scenario_priming(cfg, out, seed):
     return [path], report
 
 
-def _gap_verify(cfg, out, seed):
+# how far the gap-event probability may fall below 1 - epsilon/2, further for
+# thm-corr-verify's 50 members than for thm22-verify's 200, and the factor by
+# which the on-event error may exceed the bound
+THM22_PROBABILITY_SLACK, THM_CORR_PROBABILITY_SLACK, BOUND_SLACK = 0.05, 0.07, 1.1
+
+
+def _gap_verify(cfg, out, seed, slack=THM22_PROBABILITY_SLACK):
     if not cfg["checkpoints"]:
         raise InvalidInputError("checkpoints must name at least one step")
     params = theory.GapParams(p0=cfg["p0"], gamma=cfg.get("gamma"), epsilon=cfg["epsilon"])
@@ -338,16 +341,17 @@ def _gap_verify(cfg, out, seed):
         checkpoints=cfg["checkpoints"],
     )
     report = theory.verification_report(params, alpha, tracker)
-    prob_floor = 1.0 - cfg["epsilon"] / 2.0 - cfg["probability_slack"]
+    prob_floor = 1.0 - cfg["epsilon"] / 2.0 - slack
     checks = {
         "gap_event_probability": report["empirical_gap_event_probability"] >= prob_floor,
         "bound_domination": all(
-            row["on_event_mean_l1_error"] <= cfg["bound_slack"] * row["bound"]
+            row["on_event_mean_l1_error"] <= BOUND_SLACK * row["bound"]
             for row in report["checkpoints"]
         ),
         "inclusion": tracker.ek_violations == 0,
     }
     report["probability_floor"] = prob_floor
+    report["bound_slack"] = BOUND_SLACK
     report["checks"] = checks
     path = os.path.join(out, "checkpoints.csv")
     write_csv(
@@ -362,7 +366,7 @@ def _gap_verify(cfg, out, seed):
 def scenario_thm_corr_verify(cfg, out, seed):
     if cfg["gamma"] is None:
         raise InvalidInputError("thm-corr-verify needs a correlation matrix gamma")
-    return _gap_verify(cfg, out, seed)
+    return _gap_verify(cfg, out, seed, THM_CORR_PROBABILITY_SLACK)
 
 
 # starts drawn per thm23-verify case before its min_gap counts as unreachable
@@ -424,6 +428,9 @@ def scenario_thm23_verify(cfg, out, seed):
     return [path], report
 
 
+ALG2_SLACK = 0.05  # the success-rate floor is (1 - epsilon)^d less this
+
+
 def scenario_alg2_verify(cfg, out, seed):
     lam, w0 = _vectors(cfg, "lam", "w0")
     w0 = validate_weights(w0)
@@ -435,21 +442,11 @@ def scenario_alg2_verify(cfg, out, seed):
         raise InvalidInputError(
             "delta=%g not below the admissible cap %g" % (cfg["delta"], delta_cap)
         )
-    # minimal leading gap across the sequence of deflated subproblems,
-    # assuming earlier columns landed on their axes
-    gaps = []
-    w = w0.copy()
-    for j in range(d):
-        num = lam * w
-        if not np.any(num > 0):
-            raise InvalidInputError("deflated subproblem %d of w0=%s has no weight left"
-                                    % (j, cfg["w0"]))
-        gap, star = flow_gap(num / num.sum())
-        gaps.append(gap)
-        w[star] = 0.0
-        if j == d - 2:
-            break
-    gap = min(gaps)
+    # Theorem 2.2 on each deflated subproblem: the smallest leading gap sets
+    # the iteration count, and the smallest cap the rate the theorem covers
+    params = [theory.GapParams(p0=p, epsilon=cfg["epsilon"])
+              for p in multi_mod.deflated_starts(lam, w0)]
+    gap = min(q.gap for q in params)
     k_per_column = multi_mod.required_iterations(
         d, cfg["alpha"], gap, cfg["epsilon"], cfg["delta"]
     )
@@ -457,12 +454,15 @@ def scenario_alg2_verify(cfg, out, seed):
         lam, w0, cfg["alpha"], k_per_column, cfg["n_seeds"], seed
     )
     rate = float(success.mean())
-    floor = (1.0 - cfg["epsilon"]) ** d - cfg["slack"]
+    floor = (1.0 - cfg["epsilon"]) ** d - ALG2_SLACK
+    cap = min(map(theory.max_alpha, params))
     report = {
         "k_per_column": int(k_per_column),
         "minimal_gap": gap,
         "success_rate": rate,
         "required_rate": floor,
+        "theorem_alpha_cap": cap,
+        "within_theorem": cfg["alpha"] <= cap,
         "checks": {"success_rate": rate >= floor},
     }
     path = os.path.join(out, "successes.csv")
@@ -505,6 +505,9 @@ def scenario_spiking_validate(cfg, out, seed):
     return [path], report
 
 
+RATIO_BAND = (80.0, 120.0)  # second-order agreement: a tenth the rate, a hundredth the difference
+
+
 def scenario_mirror_compare(cfg, out, seed):
     rng = stream_for(seed)
     alphas = as_float_array(cfg["alphas"], "alphas")
@@ -517,18 +520,20 @@ def scenario_mirror_compare(cfg, out, seed):
     ratios = sup[:-1] / sup[1:]
     path = os.path.join(out, "mirror.csv")
     write_csv(path, ["alpha", "sup_difference"], [alphas, sup])
-    in_band = (ratios >= cfg["ratio_low"]) & (ratios <= cfg["ratio_high"])
-    return [path], {"ratios": list(ratios), "checks": {"ratio_band": in_band.all()}}
+    in_band = (ratios >= RATIO_BAND[0]) & (ratios <= RATIO_BAND[1])
+    return [path], {"ratios": list(ratios), "ratio_band": list(RATIO_BAND),
+                    "checks": {"ratio_band": in_band.all()}}
 
 
 def scenario_landscape_grid(cfg, out, seed):
     path = os.path.join(out, "landscape.csv")
-    vals = _write_landscape(path, cfg["grid_step"], gamma=cfg["gamma"])
-    # the correlated landscape has no check yet
-    checks = {}
-    if cfg["gamma"] is None:
-        checks["lattice_minimum"] = abs(float(vals.min()) - (-1.0 / 12.0)) <= 1e-5
-    return [path], {"min_value": float(vals.min()), "checks": checks}
+    pts, vals = _write_landscape(path, cfg["grid_step"], gamma=cfg["gamma"])
+    # the minimum, which every vertex attains: -1/12, or -1/2 since
+    # p^T gamma p <= (sum p)^2 = 1 when gamma's entries lie in [0, 1]
+    low = -1.0 / 12.0 if cfg["gamma"] is None else -0.5
+    mask = pts.max(axis=1) == 1.0
+    ok = mask.sum() == 3 and vals.min() >= low - 1e-12 and vals[mask].max() <= low + 1e-12
+    return [path], {"min_value": float(vals.min()), "checks": {"lattice_minimum": ok}}
 
 
 SCENARIOS = {
@@ -545,17 +550,6 @@ SCENARIOS = {
     "mirror-compare": scenario_mirror_compare,
     "landscape-grid": scenario_landscape_grid,
 }
-
-
-def _parse_set(item):
-    if "=" not in item:
-        raise ValueError("--set expects key=value, got %r" % item)
-    key, _, raw = item.partition("=")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return key, value
 
 
 def _integral(key, value):
@@ -580,17 +574,20 @@ def _typed(key, value, default):
     return value
 
 
-def build_config(scenario, config_path, overrides):
+def build_config(scenario, items):
+    """The scenario's DEFAULTS with each --set KEY=VALUE of items applied,
+    VALUE read as JSON, or as a string when it is no JSON."""
     cfg = copy.deepcopy(DEFAULTS[scenario])
-    items = {}
-    if config_path:
-        with open(config_path) as fh:
-            items = json.load(fh)
-        if not isinstance(items, dict):
-            raise ValueError("config file %s must hold a JSON object" % config_path)
-    for key, value in list(items.items()) + list(overrides):
+    for item in items:
+        key, eq, raw = item.partition("=")
+        if not eq:
+            raise ValueError("--set expects key=value, got %r" % item)
         if key not in cfg:
             raise KeyError("unknown config key %r for %s" % (key, scenario))
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
         cfg[key] = _typed(key, value, DEFAULTS[scenario][key])
     return cfg
 
@@ -598,9 +595,8 @@ def build_config(scenario, config_path, overrides):
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="simplex-stdp", description=__doc__)
     parser.add_argument("scenario", help="one of: " + ", ".join(sorted(SCENARIOS)))
-    parser.add_argument("--config", help="JSON file with parameter overrides")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="accepted and recorded in the manifest; has no effect")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
@@ -613,13 +609,11 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     try:
-        overrides = [_parse_set(item) for item in args.set]
-        cfg = build_config(args.scenario, args.config, overrides)
-    except (ValueError, KeyError, OSError) as exc:
+        cfg = build_config(args.scenario, args.set)
+    except (ValueError, KeyError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2
-    out = args.out or os.environ.get("SIMPLEX_STDP_OUT") or "."
-    out = os.path.join(out, args.scenario)
+    out = os.path.join(args.out, args.scenario)
     try:
         os.makedirs(out, exist_ok=True)
         probe = os.path.join(out, ".write-probe")
@@ -635,12 +629,12 @@ def main(argv=None):
     except InvalidInputError as exc:
         print("precondition violated: %s" % exc, file=sys.stderr)
         return 3
-    # the one verdict rule: a verification scenario passes when all of its
-    # named checks hold, and has no verdict when it names none
+    # the one verdict rule: a verification scenario passes when it names a
+    # check and all of its named checks hold
     verifies = report is not None and "checks" in report
     if verifies:
         checks = {name: bool(ok) for name, ok in report["checks"].items()}
-        report.update(checks=checks, passed=all(checks.values()) if checks else None)
+        report.update(checks=checks, passed=bool(checks) and all(checks.values()))
     if report is not None:
         report_path = os.path.join(out, "report.json")
         with open(report_path, "w") as fh:
@@ -669,7 +663,7 @@ def main(argv=None):
     if verifies:
         summary += "; passed=%s" % report["passed"]
     print(summary)
-    return 4 if verifies and report["passed"] is False else 0
+    return 4 if verifies and not report["passed"] else 0
 
 
 if __name__ == "__main__":

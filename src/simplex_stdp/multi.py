@@ -57,6 +57,25 @@ def admissible_delta(lam):
     return kappa / (1.0 + kappa)
 
 
+def deflated_starts(lam, w0):
+    """The start of each column's subproblem in the sequential scheme but the
+    last, assuming every earlier column landed on its axis: the trigger
+    probabilities of w0 with those axes zeroed, leading coordinate first, the
+    form Theorem 2.2 takes."""
+    w = np.array(w0, dtype=float)
+    lam = _vector_of(lam, w.size, "intensities")
+    starts = []
+    for j in range(w.size - 1):
+        num = lam * w
+        if not np.any(num > 0):
+            raise InvalidInputError("deflated subproblem %d of w0=%s has no weight left" % (j, w0))
+        p = num / num.sum()
+        star = int(p.argmax())
+        starts.append(np.r_[p[star], np.delete(p, star)])
+        w[star] = 0.0
+    return starts
+
+
 @dataclass
 class MultiRunConfig:
     """Joint multi-output run: d_out columns, per-column rates alphas."""

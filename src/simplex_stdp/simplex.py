@@ -142,7 +142,8 @@ class CriticalPoint:
     """A critical point of `loss` on the simplex: uniform on a support set.
 
     support: 0-based coordinate indices carrying mass 1/len(support) each.
-    kind: "minimum" (singleton support, a vertex) or "saddle".
+    kind: "minimum" (a vertex), "maximum" (the full-support barycentre, for
+    d >= 2) or "saddle" (every other face's barycentre).
     """
 
     support: tuple
@@ -160,24 +161,37 @@ def critical_points(d):
 
     They are exactly the barycenters of coordinate faces: uniform on S for
     every nonempty S of {0, ..., d-1}; 2^d - 1 in total, listed in
-    lexicographic order of the support. Only the singletons (vertices) are
-    local minima; every other one is a saddle. The value on a support of
-    size n is -1/(12 n^2).
+    lexicographic order of the support. The value on a support of size n is
+    -1/(12 n^2).
+
+    The kind comes from the sign of `loss_hessian`'s curvature v^T H v along
+    the feasible directions: tangent e_i - e_j (i, j in S, -2/n) and outward
+    e_j - p (j outside S, (1 + 1/n)/n). A point is a minimum when every one
+    curves up, a maximum when every one curves down, and a saddle otherwise:
+    the vertices are the minima, the full-support barycentre is a maximum
+    (d >= 2, no outward direction) and every other point is a saddle. d = 1's
+    single point has no direction and is a minimum.
     """
     if d < 1:
         raise InvalidInputError("dimension must be >= 1")
     out = []
+    eye = np.eye(d)
     supports = sorted(chain.from_iterable(combinations(range(d), r) for r in range(1, d + 1)))
     for s in supports:
         n = len(s)
         point = np.zeros(d)
         point[list(s)] = 1.0 / n
+        h = loss_hessian(point)
+        dirs = [eye[i] - eye[j] for i, j in combinations(s, 2)]
+        dirs += [eye[j] - point for j in range(d) if j not in s]
+        curvatures = [v @ h @ v for v in dirs]
         out.append(
             CriticalPoint(
                 support=tuple(s),
                 point=point,
                 value=-1.0 / (12.0 * n * n),
-                kind="minimum" if n == 1 else "saddle",
+                kind="minimum" if all(c > 0 for c in curvatures)
+                else "maximum" if all(c < 0 for c in curvatures) else "saddle",
             )
         )
     return out

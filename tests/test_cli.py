@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import simplex_stdp
-from simplex_stdp import _kernel, cli, dynamics, flow, multi, spiking
-from simplex_stdp.simplex import probabilities_from_weights, replicator_field
+from simplex_stdp import _kernel, cli, dynamics, flow, multi, spiking, theory
+from simplex_stdp.simplex import landscape_grid, probabilities_from_weights, replicator_field
 
 # seconds a scenario that should stop at a precondition may run
 LIMIT_S = 120
@@ -41,11 +41,51 @@ def test_unknown_override_key_exits_2(tmp_path):
         assert run([scenario, "--out", str(tmp_path), "--set", "q_bound=2"]) == 2
 
 
-def test_config_file_that_is_no_object_exits_2(tmp_path):
-    # a JSON list used to end in an AttributeError traceback
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text("[1]")
-    assert run(["landscape-grid", "--out", str(tmp_path), "--config", str(cfg_file)]) == 2
+# criterion 13's sizes of the scenarios whose gates had config keys
+SMALL = {
+    "priming": ["--set", "settle_steps=2000", "--set", "n_traj=6"],
+    "thm22-verify": ["--set", "n_traj=8", "--set", "n_steps=2000",
+                     "--set", "checkpoints=[0,1000,2000]"],
+    "thm-corr-verify": ["--set", "n_traj=4", "--set", "n_steps=2000",
+                        "--set", "checkpoints=[0,2000]"],
+    "alg2-verify": ["--set", "alpha=0.05", "--set", "n_seeds=10"],
+    "mirror-compare": ["--set", "n_points=10"],
+}
+
+# a run whose success rate, 0.4, falls below the floor of 0.462 on sampling
+# alone; a slack of 0.5 would lower that floor to 0.012
+SEED_5_ALG2 = ["alg2-verify", "--seed", "5"] + SMALL["alg2-verify"]
+
+
+@pytest.mark.parametrize("args, code", [
+    pytest.param([scenario] + SMALL[scenario] + ["--set", "%s=%r" % (key, value)], 2,
+                 id="%s-%s" % (scenario, key))
+    for scenario, key, value in [
+        ("priming", "slack", 0.05),
+        ("thm22-verify", "probability_slack", 0.05),
+        ("thm22-verify", "bound_slack", 1.1),
+        ("thm-corr-verify", "probability_slack", 0.07),
+        ("thm-corr-verify", "bound_slack", 1.1),
+        ("alg2-verify", "slack", 0.05),
+        ("mirror-compare", "ratio_low", 80.0),
+        ("mirror-compare", "ratio_high", 120.0),
+    ]
+] + [
+    pytest.param(SEED_5_ALG2 + ["--set", "slack=0.5"], 2, id="seed-5-alg2-verify-slack"),
+    pytest.param(["landscape-grid", "--config", "cfg.json"], 2, id="config-file"),
+    pytest.param(SEED_5_ALG2, 4, id="seed-5-alg2-verify"),
+])
+def test_no_option_moves_a_gate(tmp_path, monkeypatch, args, code):
+    """The gate slacks and the mirror band are constants of the program, not
+    config keys, and no config file can be read: each of these exits 2, and
+    a failing gate still exits 4."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"grid_step": 0.5}))
+    try:
+        got = run(args + ["--out", str(tmp_path), "--threads", "1"])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -110,30 +150,34 @@ def test_landscape_grid_outputs(tmp_path):
     assert report["passed"] is True
 
 
-def test_correlated_landscape_grid_reports_no_verdict(tmp_path):
-    """The correlated landscape has no check: the run exits 0 and its report
-    names no check and says passed is null, not true."""
-    gamma = "gamma=[[1,0.2,0.1],[0.2,1,0.3],[0.1,0.3,1]]"
-    assert run(["landscape-grid", "--out", str(tmp_path), "--set", "grid_step=0.05",
-                "--set", gamma]) == 0
+def test_correlated_landscape_grid_checks_its_lattice_minimum(tmp_path, monkeypatch):
+    """-1/2 p^T gamma p is -1/2 at each vertex and above it elsewhere, and the
+    correlated landscape checks both. A lattice that drops the face p_3 = 0
+    keeps the minimum at the third vertex but loses the other two, and
+    fails."""
+    def faceless(grid_step):
+        pts, x, y, vals = landscape_grid(grid_step)
+        keep = pts[:, 2] > 0
+        return pts[keep], x[keep], y[keep], vals[keep]
+
+    (code, plain), (bad_code, bad) = _planted(
+        tmp_path, monkeypatch,
+        ["landscape-grid", "--set", "grid_step=0.05",
+         "--set", "gamma=[[1,0.2,0.1],[0.2,1,0.3],[0.1,0.3,1]]"],
+        [(cli, "landscape_grid", faceless)])
+    assert code == 0 and plain["checks"] == {"lattice_minimum": True} and plain["passed"] is True
+    assert plain["min_value"] == bad["min_value"] == -0.5
+    assert bad_code == 4 and bad["checks"] == {"lattice_minimum": False}
+
+
+def test_a_verdict_needs_a_named_check(tmp_path, monkeypatch):
+    """A verification report that names no check fails rather than passes:
+    there is no null verdict, and all() of nothing is no evidence."""
+    monkeypatch.setitem(cli.SCENARIOS, "landscape-grid",
+                        lambda cfg, out, seed: ([], {"checks": {}}))
+    assert run(["landscape-grid", "--out", str(tmp_path), "--threads", "1"]) == 4
     report = json.loads((tmp_path / "landscape-grid" / "report.json").read_text())
-    assert report["checks"] == {} and report["passed"] is None
-
-
-def test_config_file_and_set_override(tmp_path):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"grid_step": 0.5}))
-    assert run([
-        "landscape-grid", "--out", str(tmp_path / "a"), "--config", str(cfg_file),
-    ]) == 0
-    assert run([
-        "landscape-grid", "--out", str(tmp_path / "b"), "--config", str(cfg_file),
-        "--set", "grid_step=0.02",
-    ]) == 0
-    rows_a = (tmp_path / "a" / "landscape-grid" / "landscape.csv").read_text().count("\n")
-    rows_b = (tmp_path / "b" / "landscape-grid" / "landscape.csv").read_text().count("\n")
-    # the --set flag overrides the config file value
-    assert rows_b > rows_a
+    assert report["passed"] is False
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -146,12 +190,6 @@ def test_rerun_byte_identical(tmp_path):
     a = read_bytes(tmp_path / "x" / "fig2-ensemble" / "final_states.csv")
     b = read_bytes(tmp_path / "y" / "fig2-ensemble" / "final_states.csv")
     assert a == b
-
-
-def test_env_var_output_root(tmp_path, monkeypatch):
-    monkeypatch.setenv("SIMPLEX_STDP_OUT", str(tmp_path))
-    assert run(["mirror-compare", "--set", "n_points=10"]) == 0
-    assert (tmp_path / "mirror-compare" / "mirror.csv").exists()
 
 
 def test_verify_scenario_reports(tmp_path):
@@ -510,3 +548,20 @@ def test_alg2_gate_fails_without_deflation(tmp_path, monkeypatch):
     assert plain["success_rate"] >= plain["required_rate"]
     assert plain["checks"]["success_rate"] is True and bad["checks"]["success_rate"] is False
     assert bad_code == 4 and bad["passed"] is False and bad["success_rate"] == 0.0
+
+
+@pytest.mark.parametrize("scenario, cap", [("priming", 3.16e-6), ("alg2-verify", 4.35e-8)])
+def test_reports_say_whether_the_rate_is_within_the_theorem(tmp_path, scenario, cap):
+    """At their default rate, 1e-3, both gates run far above Theorem 2.2's
+    step-size cap on their subproblems, so their passes are empirical. The
+    cap of alg2-verify is its first subproblem's, (4/9, 1/3, 2/9); the
+    deflated second, (0.6, 0, 0.4), allows 3.7e-7."""
+    sizes = {"priming": ["--set", "settle_steps=2000", "--set", "n_traj=2"],
+             "alg2-verify": ["--set", "n_seeds=1"]}
+    assert run([scenario, "--out", str(tmp_path), "--threads", "1"] + sizes[scenario]) in (0, 4)
+    report = json.loads((tmp_path / scenario / "report.json").read_text())
+    assert report["theorem_alpha_cap"] == pytest.approx(cap, rel=2e-3)
+    assert report["within_theorem"] is False
+    params = theory.GapParams(p0=[4 / 9, 1 / 3, 2 / 9] if scenario == "alg2-verify"
+                              else [2 / 3, 1 / 3], epsilon=0.2)
+    assert report["theorem_alpha_cap"] == pytest.approx(theory.max_alpha(params), rel=1e-12)

@@ -41,6 +41,21 @@ def test_admissible_delta_and_weight_bound():
     assert delta / (kappa * (1.0 - delta)) < 1.0
 
 
+def test_deflated_starts_put_the_leading_coordinate_first():
+    """Column 0 starts at lam * w0 normalised; column 1 at the same with the
+    first column's axis zeroed, its lead moved first; the last column is no
+    subproblem. A column with no weight left is refused."""
+    starts = multi.deflated_starts([10.0, 7.5, 5.0], [1.0, 1.0, 1.0])
+    assert len(starts) == 2
+    assert np.allclose(starts[0], [4 / 9, 1 / 3, 2 / 9], rtol=0, atol=1e-15)
+    assert np.allclose(starts[1], [0.6, 0.0, 0.4], rtol=0, atol=1e-15)
+    # the lead of (0.2, 0.3, 0.5) is the third coordinate
+    assert np.allclose(multi.deflated_starts([1.0, 1.0, 1.0], [0.2, 0.3, 0.5])[0],
+                       [0.5, 0.2, 0.3], rtol=0, atol=1e-15)
+    with pytest.raises(InvalidInputError, match="no weight left"):
+        multi.deflated_starts([1.0, 1.0, 1.0], [1.0, 0.0, 0.0])
+
+
 def test_required_iterations_formula():
     k = multi.required_iterations(3, 1e-3, 1 / 9, 0.2, 0.25)
     manual = int(np.ceil(16 * 3 / (1e-3 * (1 / 9) * (4 + 3 / 9)) * np.log(4 / 0.05)))

@@ -5,7 +5,10 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import simplex_stdp
+from simplex_stdp import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +23,21 @@ def test_readme_code_references_resolve():
     missing = sorted("%s.%s" % ref for ref in refs
                      if not hasattr(importlib.import_module("simplex_stdp." + ref[0]), ref[1]))
     assert not missing, "README.md names what the package does not define: %s" % missing
+
+
+def _flags(text):
+    return set(re.findall(r"--[a-z][\w-]*", text))
+
+
+def test_cli_synopses_match_the_parser(capsys):
+    """The options in README's CLI synopsis and in the cli module's usage
+    line are those of the parser's own usage: none missing, none that it
+    does not take."""
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    parser_usage = capsys.readouterr().out.split("\n\n")[0]
+    readme = re.search(r"## CLI\s+```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    docstring = cli.__doc__.split("Usage:")[1].split("\n\n")[0]
+    assert "--set" in _flags(parser_usage)
+    assert _flags(readme) == _flags(parser_usage)
+    assert _flags(docstring) == _flags(parser_usage)

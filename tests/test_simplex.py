@@ -1,5 +1,8 @@
 """Tests for the simplex primitives and the cubic-quartic potential."""
 
+from itertools import combinations
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -70,14 +73,55 @@ def test_critical_point_count_grows_as_two_to_d_minus_one():
 
 
 def test_hessian_classification_saddle_directions():
-    # non-vertex critical points have a strictly negative in-simplex curvature
+    # saddles have a strictly negative in-face curvature; the barycentre is
+    # a maximum, which test_critical_point_kinds_match_curvature_signs covers
     for cp in simplex.critical_points(3):
         h = simplex.loss_hessian(cp.point)
-        if cp.kind == "saddle" and len(cp.support) >= 2:
+        if cp.kind == "saddle":
             i, j = cp.support[:2]
             v = np.zeros(3)
             v[i], v[j] = 1.0, -1.0
             assert v @ h @ v < 0
+
+
+def _curvature(p, v, h=1e-3):
+    """Second difference of `loss` along v at p: the quartic's curvature up
+    to about 1e-6, computed without `loss_hessian`."""
+    return (simplex.loss(p + h * v) - 2.0 * simplex.loss(p) + simplex.loss(p - h * v)) / h ** 2
+
+
+def _check_kinds(d):
+    """Assert that each critical point's kind is the one its curvature
+    signs give, along tangent e_i - e_j (i, j in the support) and outward
+    e_j - p (j outside it)."""
+    eye = np.eye(d)
+    for cp in simplex.critical_points(d):
+        tangent = [_curvature(cp.point, eye[i] - eye[j]) for i, j in combinations(cp.support, 2)]
+        outward = [_curvature(cp.point, eye[j] - cp.point) for j in range(d) if j not in cp.support]
+        down = bool(tangent) and all(c < 0 for c in tangent)
+        up = all(c > 0 for c in outward)
+        expected = ("minimum" if not tangent and up else "saddle" if down and outward and up
+                    else "maximum" if down and not outward else None)
+        assert expected is not None and cp.kind == expected, (d, cp.support, cp.kind)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_critical_point_kinds_match_curvature_signs(d):
+    """The vertices are the minima, the full-support barycentre is the one
+    maximum, and every other point is a saddle."""
+    _check_kinds(d)
+    kinds = {cp.support: cp.kind for cp in simplex.critical_points(d)}
+    assert [s for s, kind in kinds.items() if kind == "maximum"] == [tuple(range(d))]
+    assert [s for s, kind in kinds.items() if kind == "minimum"] == [(i,) for i in range(d)]
+    assert list(kinds.values()).count("saddle") == 2 ** d - d - 2
+
+
+def test_kind_check_fails_on_a_sign_flipped_hessian():
+    hessian = simplex.loss_hessian
+    with mock.patch.object(simplex, "loss_hessian", lambda p: -hessian(p)):
+        for d in (2, 3, 4, 5):
+            with pytest.raises(AssertionError):
+                _check_kinds(d)
 
 
 def test_loss_values_uniform_supports():

@@ -107,14 +107,14 @@ def test_gap_event_probability_check_can_fail_on_its_own():
     cfg = cli.DEFAULTS["thm22-verify"]
     p0, alpha, n_steps = [0.55, 0.45], 0.05, 5000
     params = theory.GapParams(p0=np.array(p0), epsilon=cfg["epsilon"])
-    floor = 1.0 - cfg["epsilon"] / 2.0 - cfg["probability_slack"]
+    floor = 1.0 - cfg["epsilon"] / 2.0 - cli.THM22_PROBABILITY_SLACK
     for seed in range(3):
         _, tracker = theory.run_gap_ensemble(p0, alpha, n_steps, 200, seed,
                                              checkpoints=[0, n_steps])
         report = theory.verification_report(params, alpha, tracker)
         assert report["empirical_gap_event_probability"] < floor
         assert report["inclusion_violations"] == 0
-        assert all(row["on_event_mean_l1_error"] <= cfg["bound_slack"] * row["bound"]
+        assert all(row["on_event_mean_l1_error"] <= cli.BOUND_SLACK * row["bound"]
                    for row in report["checkpoints"])
 
 
