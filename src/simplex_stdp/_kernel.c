@@ -1,8 +1,8 @@
 /*
- * Compiled loops of simplex_stdp: the step of dynamics.simulate, the joint
- * multi-output step of multi._joint_steps, the membrane of spiking.membrane,
- * which spiking.collect_triggers and spiking.spiking_learning_run walk, and
- * the RK4 flow of flow.integrate.
+ * The three compiled loops of simplex_stdp: the step of dynamics.simulate,
+ * the joint multi-output step of multi._joint_steps and the membrane of
+ * spiking.membrane, which spiking.collect_triggers and
+ * spiking.spiking_learning_run walk.
  *
  * simplex_advance runs steps k0..k1-1 for every probability row of a batch,
  * drawing as it steps, with the same draws, arithmetic and order as
@@ -17,12 +17,11 @@
  *   p    = p * (1 + alpha * y), divided by its sum
  *
  * simplex_joint does the same for the joint scheme, which steps weights,
- * with the arithmetic of its numpy reference `multi._joint_step`, and
- * simplex_flow for the RK4 loop of `flow._rk4`. In the joint scheme a weight
- * row whose sum(lam * x) leaves [2^-256, 2^256] is first scaled by a power
- * of two, as `dynamics.rescale` does, so the weights cannot overflow; the
- * scaling is exact while entries stay normal, so the probabilities do not
- * change.
+ * with the arithmetic of its numpy reference `multi._joint_step`. In the
+ * joint scheme a weight row whose sum(lam * x) leaves [2^-256, 2^256] is
+ * first scaled by a power of two, as `dynamics.rescale` does, so the weights
+ * cannot overflow; the scaling is exact while entries stay normal, so the
+ * probabilities do not change.
  *
  * Every row sum uses numpy's pairwise summation order, so results are bit
  * for bit those of the numpy steps. Build without FMA contraction or
@@ -396,83 +395,4 @@ int64_t simplex_membrane(int64_t n, const double *times, const int64_t *ids, con
     state[0] = y;
     state[1] = t_prev;
     return count;
-}
-
-/* k = q * (f - sum(q * f)) with f = q, or f = gamma @ q in gq:
- * simplex.replicator_field */
-static void replicator(const double *q, const double *gamma, int64_t d, double *gq, double *tmp,
-                       double *k)
-{
-    const double *f = q;
-    if (gamma) {
-        gamma_dot(gamma, q, d, tmp, gq);
-        f = gq;
-    }
-    for (int64_t j = 0; j < d; j++)
-        tmp[j] = q[j] * f[j];
-    const double dot = pairwise_sum(tmp, d);
-    for (int64_t j = 0; j < d; j++)
-        k[j] = q[j] * (f[j] - dot);
-}
-
-/*
- * The RK4 loop of flow._rk4, with its arithmetic and order: n classical
- * steps of dt from the state p (d,), updated in place, on the replicator
- * field with fitness p, or gamma @ p when gamma (d, d) is given. After
- * each step a state outside [-1e-9, 1 + 1e-9] (NaN included) stops the
- * run; otherwise it is clipped at 0 and divided by its sum s, and |s - 1|
- * is the step's correction. At each of the n_rec increasing steps rec,
- * the state goes to a row of states (n_rec, d) and the last correction (0
- * before the first step) to corrections. Returns 0, the step after which
- * the state left the range, with p holding that unclipped state, or -1
- * when out of memory.
- */
-int64_t simplex_flow(int64_t d, double *p, const double *gamma, double dt, int64_t n,
-                     const int64_t *rec, int64_t n_rec, double *states, double *corrections)
-{
-    double *buf = malloc(7 * (size_t)d * sizeof(double));
-    if (!buf)
-        return -1;
-    double *k1 = buf, *k2 = buf + d, *k3 = buf + 2 * d, *k4 = buf + 3 * d, *q = buf + 4 * d;
-    double *f = buf + 5 * d, *tmp = buf + 6 * d;
-    const double half = 0.5 * dt, sixth = dt / 6.0;
-    double correction = 0.0;
-    int64_t pos = 0, left = 0;
-    for (int64_t k = 0; k <= n; k++) {
-        if (pos < n_rec && rec[pos] == k) {
-            for (int64_t j = 0; j < d; j++)
-                states[pos * d + j] = p[j];
-            corrections[pos++] = correction;
-        }
-        if (k == n)
-            break;
-        replicator(p, gamma, d, f, tmp, k1);
-        for (int64_t j = 0; j < d; j++)
-            q[j] = p[j] + half * k1[j];
-        replicator(q, gamma, d, f, tmp, k2);
-        for (int64_t j = 0; j < d; j++)
-            q[j] = p[j] + half * k2[j];
-        replicator(q, gamma, d, f, tmp, k3);
-        for (int64_t j = 0; j < d; j++)
-            q[j] = p[j] + dt * k3[j];
-        replicator(q, gamma, d, f, tmp, k4);
-        int inside = 1;
-        for (int64_t j = 0; j < d; j++) {
-            p[j] = p[j] + sixth * (((k1[j] + 2.0 * k2[j]) + 2.0 * k3[j]) + k4[j]);
-            inside &= p[j] >= -1e-9 && p[j] <= 1.0 + 1e-9;
-        }
-        if (!inside) {
-            left = k + 1;
-            break;
-        }
-        /* np.clip(p, 0, None): -0.0 becomes 0.0 */
-        for (int64_t j = 0; j < d; j++)
-            p[j] = p[j] > 0.0 ? p[j] : 0.0;
-        const double s = pairwise_sum(p, d);
-        correction = fabs(s - 1.0);
-        for (int64_t j = 0; j < d; j++)
-            p[j] /= s;
-    }
-    free(buf);
-    return left;
 }

@@ -1,6 +1,6 @@
-"""Build, cache and load the compiled loops `_kernel.c`: the step of
-`dynamics.simulate`, the joint multi-output step of `multi._joint_steps`,
-the membrane of `spiking.membrane` and the RK4 flow of `flow.integrate`.
+"""Build, cache and load the three compiled loops of `_kernel.c`: the step
+of `dynamics.simulate`, the joint multi-output step of `multi._joint_steps`
+and the membrane of `spiking.membrane`.
 
 The library is built on first use with the C compiler on PATH and loaded
 through ctypes; importing this module builds and loads nothing. Builds are
@@ -10,9 +10,8 @@ and the source, and are written to a temporary file and renamed into place,
 so concurrent processes never load a partial file. Without a compiler, or
 when the build fails, `library()` returns None: `dynamics.simulate` then
 steps with `dynamics.numpy_step`, `multi._joint_steps` with
-`multi._joint_step`, the membrane walks its events in Python
-(`spiking._membrane_loop`) and `flow.integrate` runs `flow._rk4`, which
-give the same results bit for bit.
+`multi._joint_step` and the membrane walks its events in Python
+(`spiking._membrane_loop`), which give the same results bit for bit.
 """
 
 import functools
@@ -78,9 +77,9 @@ def _build(cc, directory):
 
 @functools.lru_cache(maxsize=None)
 def library():
-    """The kernel library, with `simplex_advance`, `simplex_joint`,
-    `simplex_membrane` and `simplex_flow` typed, built and loaded on first
-    call; None when there is no C compiler or the build fails."""
+    """The kernel library, with `simplex_advance`, `simplex_joint` and
+    `simplex_membrane` typed, built and loaded on first call; None when
+    there is no C compiler or the build fails."""
     import ctypes
 
     cc = compiler()
@@ -106,9 +105,6 @@ def library():
     # n, times, ids, w, threshold, state, cap, spikes
     lib.simplex_membrane.argtypes = [i64, ptr, ptr, ptr, f64, ptr, i64, ptr]
     lib.simplex_membrane.restype = i64
-    # d, p, gamma, dt, n, rec, n_rec, states, corrections
-    lib.simplex_flow.argtypes = [i64, ptr, ptr, f64, i64, ptr, i64, ptr, ptr]
-    lib.simplex_flow.restype = i64
     return lib
 
 
@@ -235,19 +231,3 @@ def membrane(times, ids, w, threshold, state, cap):
     walked = int(spikes[-1]) + 1 if count == cap else n
     return times[spikes], ids[spikes], walked
 
-
-def flow(p, gamma, dt, n, rec, states, corrections):
-    """The compiled `flow._rk4`, with its arguments and its results bit for
-    bit: n RK4 steps of dt from p (d,), updated in place, recording at the
-    steps rec into states and corrections; returns the step after
-    which the state left the simplex, p then holding that state, or None."""
-    d, n_rec = p.size, rec.size
-    if gamma is not None:
-        gamma = np.ascontiguousarray(gamma, dtype=np.float64)
-    left = library().simplex_flow(
-        d, _data(p, np.float64, (d,)), _data(gamma, np.float64, (d, d)), float(dt), n,
-        _data(rec, np.int64, (n_rec,)), n_rec, _data(states, np.float64, (n_rec, d)),
-        _data(corrections, np.float64, (n_rec,)))
-    if left < 0:
-        raise MemoryError("compiled flow could not allocate its stage buffers")
-    return left or None

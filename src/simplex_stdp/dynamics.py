@@ -170,9 +170,10 @@ def _weight_sums(lam, w):
 
 
 def _gamma_dot(p, gamma):
-    """gamma @ p for each row of p, summed in numpy's pairwise order rather
-    than through BLAS, whose order the compiled step cannot reproduce."""
-    return (p[:, None, :] * gamma).sum(axis=-1)
+    """gamma @ p along the last axis of p, summed in numpy's pairwise order
+    rather than through BLAS, whose order the compiled step cannot
+    reproduce."""
+    return (p[..., None, :] * gamma).sum(axis=-1)
 
 
 def _gap_of(v):

@@ -5,10 +5,9 @@ Every flow is the replicator equation dp/dt = p * (f - p.f 1)
 correlation matrix is given. With f = p it is the negative gradient flow of
 the cubic-quartic potential on the simplex. Integration is
 fixed-step classical RK4 with a post-step renormalization whose size is
-logged. `integrate` runs the steps in the compiled `_kernel.c` when the
-kernel loads, otherwise in `_rk4`, its reference: both sum in numpy's
-pairwise order rather than through BLAS, so their results agree bit for
-bit on every machine.
+logged, in numpy along the last axis, so one call integrates one start or a
+batch of them, each row as it would run alone. Sums are numpy's pairwise
+sums rather than BLAS, so the results are the same on every machine.
 """
 
 import math
@@ -16,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernel
 from .dynamics import _gamma_dot, validate_correlation
-from .simplex import InvalidInputError, as_probability_vector, recorded_steps, replicator_field
+from .simplex import (InvalidInputError, as_float_array, as_probability_vector, recorded_steps,
+                      replicator_field)
 
 
 class IntegrationError(InvalidInputError):
@@ -29,7 +28,7 @@ class IntegrationError(InvalidInputError):
 @dataclass
 class FlowSpec:
     """A flow on the simplex: fitness p (the replicator flow), or gamma @ p
-    when gamma is given."""
+    when gamma is given, from one start p0 (d,) or a batch of starts (n, d)."""
 
     p0: object
     horizon: float
@@ -40,32 +39,43 @@ class FlowSpec:
 
 @dataclass
 class FlowTrajectory:
-    """Integrated flow with per-recorded-step diagnostics."""
+    """Integrated flow with per-recorded-step diagnostics: states
+    (n_rec, [n,] d) and renorm_corrections (n_rec, [n]), with a batch axis
+    when the start was a batch."""
 
     times: np.ndarray
     states: np.ndarray
     renorm_corrections: np.ndarray
 
 
-def integrate(spec):
-    """Fixed-step RK4 integration of the specified flow.
-
-    After each step the state is renormalized to unit sum and the applied
-    correction |sum - 1| is logged. A state leaving [0, 1] by more than 1e-9,
-    or not finite, aborts with IntegrationError (step size too coarse for
-    the data).
-    """
+def schedule(spec):
+    """(n, rec): the number n of RK4 steps of spec and the steps rec that
+    it records (`simplex.recorded_steps`)."""
     if not (spec.dt > 0 and spec.horizon >= 0 and math.isfinite(spec.horizon / spec.dt)):
         raise InvalidInputError("need dt > 0 and a finite horizon >= 0, got dt=%r, horizon=%r"
                                 % (spec.dt, spec.horizon))
-    p = as_probability_vector(spec.p0).copy()
-    gamma = None if spec.gamma is None else validate_correlation(spec.gamma, p.size)
     n = int(round(spec.horizon / spec.dt))
-    rec = recorded_steps(n, spec.record_stride)
-    states = np.empty((rec.size, p.size))
-    corrections = np.empty(rec.size)
-    run = _rk4 if _kernel.library() is None else _kernel.flow
-    left = run(p, gamma, spec.dt, n, rec, states, corrections)
+    return n, recorded_steps(n, spec.record_stride)
+
+
+def integrate(spec):
+    """Fixed-step RK4 integration of the specified flow.
+
+    After each step every state is renormalized to unit sum and the applied
+    correction |sum - 1| is logged. A state leaving [0, 1] by more than 1e-9,
+    or not finite, aborts with IntegrationError (step size too coarse for
+    the data), in a batch at the first step where any row leaves.
+    """
+    n, rec = schedule(spec)
+    p0 = as_float_array(spec.p0, "p0")
+    if p0.ndim == 2 and len(p0):
+        p = np.stack([as_probability_vector(row) for row in p0])
+    else:
+        p = as_probability_vector(p0).copy()
+    gamma = None if spec.gamma is None else validate_correlation(spec.gamma, p.shape[-1])
+    states = np.empty(rec.shape + p.shape)
+    corrections = np.empty(rec.shape + p.shape[:-1])
+    left = _rk4(p, gamma, spec.dt, n, rec, states, corrections)
     if left is not None:
         raise IntegrationError(
             "state left the simplex at t=%.6g (min %.3g, max %.3g); reduce dt"
@@ -75,15 +85,14 @@ def integrate(spec):
 
 
 def _rk4(p, gamma, dt, n, rec, states, corrections):
-    """n RK4 steps of dt from p, updated in place: at each step in rec the
-    state and the last renormalization correction go to the next row of
-    states and corrections. Returns the step after which
-    the state left the simplex, p then holding that unclipped state, or
-    None. The reference of the compiled `_kernel.flow`, taken when the
-    kernel does not load."""
+    """n RK4 steps of dt from the state p (d,) or states (n, d), updated in
+    place: at each step in rec the state and the last renormalization
+    correction go to the next row of states and corrections. Returns the
+    step after which a state left the simplex, p then holding those
+    unclipped states, or None."""
 
     def rhs(q):
-        return replicator_field(q, q if gamma is None else _gamma_dot(q[None], gamma)[0])
+        return replicator_field(q, q if gamma is None else _gamma_dot(q, gamma))
 
     pos = 0
     correction = 0.0
@@ -105,8 +114,8 @@ def _rk4(p, gamma, dt, n, rec, states, corrections):
             if not np.all((p >= -1e-9) & (p <= 1.0 + 1e-9)):
                 return k + 1
             np.clip(p, 0.0, None, out=p)
-            s = p.sum()
-            correction = abs(s - 1.0)
+            s = p.sum(axis=-1, keepdims=True)
+            correction = np.abs(s[..., 0] - 1.0)
             p /= s
 
 

@@ -129,12 +129,12 @@ def loss_hessian(p):
 
 
 def replicator_field(p, fitness=None):
-    """Replicator vector field p * (f - p.f); with f = p this is -loss_gradient.
-    p.f is summed in numpy's pairwise order, as the compiled flow sums it,
+    """Replicator vector field p * (f - p.f) along the last axis of p; with
+    f = p this is -loss_gradient. p.f is summed in numpy's pairwise order,
     not through BLAS, whose order depends on the build."""
     p = np.asarray(p, dtype=float)
     f = p if fitness is None else np.asarray(fitness, dtype=float)
-    return p * (f - (p * f).sum())
+    return p * (f - (p * f).sum(axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)

@@ -317,8 +317,8 @@ VERIFIERS = {"priming", "thm22-verify", "thm23-verify", "thm-corr-verify", "alg2
 
 def _verdict(out_dir, scenario):
     """The report.json of a run, {} when it wrote none, after asserting the
-    one verdict rule on it: passed is all(checks), or null when checks is
-    empty."""
+    one verdict rule of `cli.main` on it: passed when the report names a
+    check and every check holds."""
     path = os.path.join(str(out_dir), scenario, "report.json")
     if not os.path.exists(path):
         return {}
@@ -326,7 +326,7 @@ def _verdict(out_dir, scenario):
         report = json.load(fh)
     if "checks" in report:
         checks = report["checks"]
-        assert report["passed"] == (all(checks.values()) if checks else None), scenario
+        assert report["passed"] == (bool(checks) and all(checks.values())), scenario
     return report
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import simplex_stdp
-from simplex_stdp import _kernel, cli, dynamics, flow, multi, spiking, theory
+from simplex_stdp import _kernel, cli, dynamics, flow, mirror, multi, simplex, spiking, theory
 from simplex_stdp.simplex import landscape_grid, probabilities_from_weights, replicator_field
 
 # seconds a scenario that should stop at a precondition may run
@@ -486,15 +486,15 @@ def test_weight_runs_past_the_old_overflow_step_finish(tmp_path, args, code):
             assert rows and all(math.isfinite(v) for v in values), name
 
 
-def _planted(tmp_path, monkeypatch, args, patches):
-    """The reports of args at seed 3, run as it is and then with the
+def _planted(tmp_path, monkeypatch, args, patches, seed=3):
+    """The reports of args at the seed, run as it is and then with the
     (module, name, replacement) patches applied."""
     reports = []
     for side in ("plain", "planted"):
         if side == "planted":
             for module, name, value in patches:
                 monkeypatch.setattr(module, name, value)
-        code = run(args + ["--seed", "3", "--out", str(tmp_path / side), "--threads", "1"])
+        code = run(args + ["--seed", str(seed), "--out", str(tmp_path / side), "--threads", "1"])
         reports.append((code, json.loads((tmp_path / side / args[0] / "report.json").read_text())))
     return reports
 
@@ -510,6 +510,75 @@ def test_thm23_gate_fails_when_the_flow_runs_backwards(tmp_path, monkeypatch):
     assert plain["checks"]["flow_bound"] is True and bad["checks"]["flow_bound"] is False
     assert bad_code == 4 and bad["passed"] is False
     assert bad["violations"] == 120 and bad["worst_margin"] < 0.0
+
+
+def test_thm23_batches_record_no_more_rows_per_call_than_one_start_may(tmp_path, monkeypatch):
+    """thm23-verify integrates its starts together, each call recording at
+    most MAX_RECORDED_ROWS rows over its starts. At the defaults the 100
+    starts record 101 rows each: one call, or two starts to a call under a
+    cap of 250 rows, with the same outputs."""
+    calls = []
+
+    def counted(spec):
+        traj = flow.integrate(spec)
+        calls.append(traj.renorm_corrections.size)
+        return traj
+
+    monkeypatch.setattr(cli, "integrate", counted)
+    outputs = []
+    for side, cap in (("one", simplex.MAX_RECORDED_ROWS), ("capped", 250)):
+        monkeypatch.setattr(simplex, "MAX_RECORDED_ROWS", cap)
+        del calls[:]
+        assert run(["thm23-verify", "--out", str(tmp_path / side)]) == 0
+        assert max(calls) <= cap
+        out = tmp_path / side / "thm23-verify"
+        outputs.append({name: read_bytes(out / name) for name in sorted(os.listdir(out))})
+    assert calls == [2 * 101] * 50
+    assert outputs[0] == outputs[1]
+
+
+def test_thm22_inclusion_gate_fails_above_the_rate_cap(tmp_path, monkeypatch):
+    """thm22-verify stepped at 0.45, far above Theorem 2.2's cap, from the
+    start (0.87, 0.13): at seed 316 the gap event ends with the martingales
+    still bounded 100 times, so the inclusion gate fails while the gap-event
+    probability, 0.75, still clears its floor of 0.70."""
+    (code, plain), (bad_code, bad) = _planted(
+        tmp_path, monkeypatch,
+        ["thm22-verify", "--set", "p0=[0.87,0.13]", "--set", "n_traj=4", "--set", "n_steps=100",
+         "--set", "checkpoints=[0,7,60,100]"],
+        [(theory, "max_alpha", lambda params: 0.45)], seed=316)
+    assert code == 0 and plain["passed"] is True and plain["inclusion_violations"] == 0
+    assert bad_code == 4 and bad["passed"] is False and bad["inclusion_violations"] == 100
+    assert bad["checks"] == {"gap_event_probability": True, "bound_domination": True,
+                             "inclusion": False}
+
+
+def test_priming_gate_fails_when_the_intensities_never_switch(tmp_path, monkeypatch):
+    """The priming runs without their switch to the second intensities: the
+    unprimed runs stay on the first coordinate rather than move to the last."""
+    def unswitched(*args, switch=None, **kwargs):
+        return dynamics.simulate(*args, **kwargs)
+
+    (code, plain), (bad_code, bad) = _planted(
+        tmp_path, monkeypatch, ["priming", "--set", "settle_steps=2000", "--set", "n_traj=6"],
+        [(theory, "simulate", unswitched)])
+    assert code == 0 and plain["passed"] is True and plain["unprimed_fractions"] == [0.0, 1.0]
+    assert bad_code == 4 and bad["passed"] is False and bad["unprimed_fractions"] == [1.0, 0.0]
+    assert bad["checks"] == {"unprimed_to_last": False, "primed_to_first": True}
+
+
+def test_mirror_gate_fails_when_the_surrogate_steps_at_twice_the_rate(tmp_path, monkeypatch):
+    """A multiplicative step at 2 alpha differs from the entropic step at
+    first order, so the gap falls only tenfold with the rate: the ratios
+    drop from about 99 to about 9.8, out of their band."""
+    step = mirror.multiplicative_step
+    (code, plain), (bad_code, bad) = _planted(
+        tmp_path, monkeypatch, ["mirror-compare", "--set", "n_points=10"],
+        [(mirror, "multiplicative_step", lambda p, alpha: step(p, 2.0 * alpha))])
+    assert code == 0 and plain["passed"] is True
+    assert all(95.0 < r < 105.0 for r in plain["ratios"])
+    assert bad_code == 4 and bad["checks"] == {"ratio_band": False}
+    assert all(9.0 < r < 11.0 for r in bad["ratios"])
 
 
 def test_noise_gate_fails_on_an_off_centre_kernel(tmp_path, monkeypatch):

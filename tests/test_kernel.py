@@ -1,9 +1,11 @@
-"""Property tests of the compiled loops: `dynamics.simulate`, the joint
-multi-output loop and the RK4 flow, each against its numpy loop."""
+"""Property tests of the compiled loops: `dynamics.simulate` and the joint
+multi-output loop, each against its numpy loop; and of the RK4 flow, whose
+batched rows are their starts integrated alone."""
 
 import contextlib
 import dataclasses
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -492,59 +494,54 @@ def test_joint_step_caps_triggers_at_the_last_positive_probability():
 
 @st.composite
 def flow_case(draw):
-    """A flow spec in d = 2..12 (past 8 the pairwise sums take their
-    unrolled branch), with or without gamma, recorded at every step or at a
-    stride, over 0 to 150 steps."""
+    """A flow spec from a batch of 1-4 starts in d = 2..12 (past 8 the
+    pairwise sums take their unrolled branch), with or without gamma,
+    recorded at every step or at a stride, over 0 to 150 steps."""
     d = draw(st.integers(min_value=2, max_value=12))
     dt = draw(st.sampled_from([1e-3, 0.01, 0.1, 0.5]))
+    starts = [draw(simplex_point(d)) for _ in range(draw(st.integers(1, 4)))]
     return flow.FlowSpec(
-        p0=draw(simplex_point(d)), horizon=draw(st.integers(0, 150)) * dt, dt=dt,
+        p0=np.stack(starts), horizon=draw(st.integers(0, 150)) * dt, dt=dt,
         gamma=draw(st.none() | correlation(d)), record_stride=draw(st.sampled_from([1, 3, 10])))
 
 
 def _integrated(spec):
-    """The trajectory fields of integrate(spec), or its error message."""
+    """The trajectory fields of integrate(spec), or the time in its
+    IntegrationError."""
     try:
         traj = flow.integrate(spec)
     except flow.IntegrationError as exc:
-        return str(exc)
+        return float(re.search(r"left the simplex at t=(\S+) ", str(exc)).group(1))
     return [traj.times, traj.states, traj.renorm_corrections]
 
 
 @settings(max_examples=80, deadline=None)
 @given(flow_case())
-@example(flow.FlowSpec(p0=np.full(12, 1 / 12), horizon=0.0, dt=0.01))
-@example(flow.FlowSpec(p0=np.arange(1.0, 11.0) / 55.0, horizon=2.0, dt=0.01,
-                       gamma=np.full((10, 10), 0.3) + 0.7 * np.eye(10), record_stride=7))
-def test_compiled_flow_matches_numpy_loop(spec):
-    """The compiled RK4 flow against `flow._rk4`, bit for bit: times,
-    states and renormalization corrections."""
-    _require_compiled_step()
-    compiled = _integrated(spec)
-    with _numpy_loop():
-        reference = _integrated(spec)
-    assert type(compiled) is type(reference)
-    if isinstance(compiled, str):
-        assert compiled == reference
-    else:
-        for a, b in zip(compiled, reference):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("spec", [
-    flow.FlowSpec(p0=[0.5, 0.3, 0.2], horizon=60.0, dt=20.0),
-    # overflows to NaN within the first step, which both p < lo and p > hi let through
-    flow.FlowSpec(p0=[0.5, 0.3, 0.2], horizon=2e30, dt=1e30, record_stride=1),
-], ids=["coarse", "nan"])
-def test_flow_leaving_the_simplex_fails_alike_on_both_paths(spec):
-    _require_compiled_step()
-    messages = []
-    for path in (contextlib.nullcontext, _numpy_loop):
-        with path(), pytest.raises(flow.IntegrationError,
-                                   match=r"left the simplex at t=") as info:
-            flow.integrate(spec)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
+@example(flow.FlowSpec(p0=np.full((2, 12), 1 / 12), horizon=0.0, dt=0.01))
+@example(flow.FlowSpec(p0=[np.arange(1.0, 11.0) / 55.0, np.arange(10.0, 0.0, -1.0) / 55.0],
+                       horizon=2.0, dt=0.01, gamma=np.full((10, 10), 0.3) + 0.7 * np.eye(10),
+                       record_stride=7))
+# the starts leave the simplex at t = 20, at t = 5 and never
+@example(flow.FlowSpec(p0=[[0.5, 0.3, 0.2], [0.6, 0.3, 0.1], [1.0, 0.0, 0.0]], horizon=30.0,
+                       dt=5.0))
+# the first start overflows to NaN within its first step, which both
+# p < lo and p > hi let through
+@example(flow.FlowSpec(p0=[[0.5, 0.3, 0.2], [1.0, 0.0, 0.0]], horizon=2e30, dt=1e30))
+def test_batched_flow_rows_equal_their_starts_alone(spec):
+    """Each row of a batched flow is its start integrated alone, bit for
+    bit: times, states and renormalization corrections. A batch leaves the
+    simplex exactly when one of its starts does alone, at the first such t."""
+    batch = _integrated(spec)
+    alone = [_integrated(dataclasses.replace(spec, p0=p0)) for p0 in spec.p0]
+    left = [t for t in alone if isinstance(t, float)]
+    if left:
+        assert batch == min(left)
+        return
+    times, states, corrections = batch
+    for i, (t, s, c) in enumerate(alone):
+        assert np.array_equal(times, t)
+        assert states.dtype == s.dtype and np.array_equal(states[:, i], s)
+        assert corrections.dtype == c.dtype and np.array_equal(corrections[:, i], c)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import simplex_stdp
-from simplex_stdp import cli
+from simplex_stdp import _kernel, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,6 +23,16 @@ def test_readme_code_references_resolve():
     missing = sorted("%s.%s" % ref for ref in refs
                      if not hasattr(importlib.import_module("simplex_stdp." + ref[0]), ref[1]))
     assert not missing, "README.md names what the package does not define: %s" % missing
+
+
+def test_readme_names_the_kernel_functions():
+    """The backticked `simplex_<name>` symbols of README.md, the package's
+    own name aside, are the functions that `_kernel.c` defines: none gone,
+    none left out."""
+    defined = set(re.findall(r"^\w[\w *]*?\b(simplex_\w+)\(", Path(_kernel.SOURCE).read_text(),
+                             re.M))
+    named = set(re.findall(r"`(simplex_\w+)`", README.read_text())) - {simplex_stdp.__name__}
+    assert defined and named == defined
 
 
 def _flags(text):
