@@ -16,10 +16,11 @@ into pieces, or resumed where a walk stopped, runs as one pass. Both
 through `_walk`, which stops a threshold the potential never reaches after
 MAX_EVENTS_PER_SPIKE events. It runs in the compiled `_kernel.c` when the
 kernel loads and otherwise in Python (`_membrane_loop`); both give the same
-record bit for bit.
+record bit for bit. The stream is drawn EVENT_PIECE events at a time, each
+piece's gaps and then its uniforms, so a walk leaves rng after the last
+piece it reached.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -29,13 +30,9 @@ from . import _kernel
 from .dynamics import sample_triggers
 from .simplex import InvalidInputError, validate_intensities, validate_weights
 
-# exponential gaps of the presynaptic stream drawn at a time; rng's stream
-# holds each block's gaps and then its uniforms, so this fixes the draws. At
-# 2^15 spiking-validate peaks about 1.2 MiB lower than at 2^16, in the same time
-EVENT_BLOCK = 1 << 15
-# events of a block whose uniforms and trigger ids are held at a time, and
-# the most events collect_triggers hands one membrane call; a divisor of
-# EVENT_BLOCK
+# events of the presynaptic stream drawn at a time; rng's stream holds each
+# piece's gaps and then its uniforms, so this fixes the draws. It is also the
+# most events collect_triggers hands one membrane call
 EVENT_PIECE = 1 << 12
 # events the membrane may walk with no spike before its threshold counts as
 # unreachable (about 0.7 s compiled); the defaults average about 360 events
@@ -45,8 +42,7 @@ MAX_EVENTS_PER_SPIKE = 1 << 24
 # check, and the Python walk converts, every event they are handed, while a
 # call stops at the next spike, a few events on
 LEARN_WALK = 64
-# the most uniforms centered_noise_stats draws at a time; its emulation of
-# numpy's pairwise sum holds for any block of 128 or more
+# the most uniforms centered_noise_stats draws at a time
 NOISE_BLOCK = 1 << 13
 # standard errors the noise mean may lie from zero in `noise_mean_bound`: a
 # centered kernel lands beyond them with probability about 6e-7
@@ -117,31 +113,20 @@ def _membrane_loop(times, ids, w, threshold, state, cap):
 def poisson_events(lam, rng):
     """Independent Poisson trains with the rates lam from time 0, as one
     stream of events yielded EVENT_PIECE at a time as (times, neuron ids).
-    The gaps are exponential with the rate sum(lam), drawn EVENT_BLOCK at a
-    time, and each event's neuron is drawn by `sample_triggers` on
-    lam / sum(lam) from one uniform: the law of the superposed trains, with
-    no merge or sort. A block's uniforms follow its gaps in rng's stream and
-    are drawn a piece at a time; closed mid-block, the generator still draws
-    the rest of them, so rng is left where whole blocks leave it. The times
-    are a running sum, as t += gap would give them. The caller closes it."""
+    Each piece draws its gaps, exponential with the rate sum(lam), and then
+    one uniform per event, from which `sample_triggers` draws the event's
+    neuron on lam / sum(lam): the law of the superposed trains, with no
+    merge or sort. The times are a running sum, as t += gap would give
+    them."""
     rate = float(lam.sum())
     p = lam / rate
-    u = np.empty(EVENT_PIECE)
     start = 0.0
     while True:
-        times = rng.exponential(1.0 / rate, EVENT_BLOCK)
+        times = rng.exponential(1.0 / rate, EVENT_PIECE)
         times[0] += start
         np.cumsum(times, out=times)
         start = times[-1]
-        undrawn = EVENT_BLOCK
-        try:
-            for a in range(0, EVENT_BLOCK, EVENT_PIECE):
-                rng.random(out=u)
-                undrawn -= EVENT_PIECE
-                yield times[a:a + EVENT_PIECE], sample_triggers(p, u)
-        finally:
-            for _ in range(0, undrawn, EVENT_PIECE):
-                rng.random(out=u)
+        yield times, sample_triggers(p, rng.random(EVENT_PIECE))
 
 
 def _walk(lam, w, threshold, rng, step, cap):
@@ -151,21 +136,20 @@ def _walk(lam, w, threshold, rng, step, cap):
     membrane reads w at every call, so the caller may change it in place
     between calls. More than MAX_EVENTS_PER_SPIKE events walked in calls
     without a spike raise InvalidInputError: the potential does not reach
-    the threshold. The caller closes the walk."""
+    the threshold."""
     state = np.zeros(2)
     quiet = 0
-    with contextlib.closing(poisson_events(lam, rng)) as events:
-        for times, ids in events:
-            pos = 0
-            while pos < times.size:
-                spikes, triggers, walked = membrane(times[pos:pos + step], ids[pos:pos + step], w,
-                                                    threshold, state, cap)
-                quiet = 0 if spikes.size else quiet + walked
-                if quiet > MAX_EVENTS_PER_SPIKE:
-                    raise InvalidInputError("no spike in %d events: threshold %r is not reached"
-                                            % (quiet, threshold))
-                yield spikes, triggers, times[pos:pos + walked], ids[pos:pos + walked]
-                pos += walked
+    for times, ids in poisson_events(lam, rng):
+        pos = 0
+        while pos < times.size:
+            spikes, triggers, walked = membrane(times[pos:pos + step], ids[pos:pos + step], w,
+                                                threshold, state, cap)
+            quiet = 0 if spikes.size else quiet + walked
+            if quiet > MAX_EVENTS_PER_SPIKE:
+                raise InvalidInputError("no spike in %d events: threshold %r is not reached"
+                                        % (quiet, threshold))
+            yield spikes, triggers, times[pos:pos + walked], ids[pos:pos + walked]
+            pos += walked
 
 
 def collect_triggers(lam, w, threshold, n_events, rng):
@@ -181,12 +165,11 @@ def collect_triggers(lam, w, threshold, n_events, rng):
     ids = []
     collected = 0
     # at most one spike per event: a piece's spikes never pass the cap
-    with contextlib.closing(_walk(lam, w, threshold, rng, EVENT_PIECE, EVENT_PIECE)) as walk:
-        for _, triggers, _, _ in walk:
-            ids.append(triggers)
-            collected += triggers.size
-            if collected >= n_events:
-                break
+    for _, triggers, _, _ in _walk(lam, w, threshold, rng, EVENT_PIECE, EVENT_PIECE):
+        ids.append(triggers)
+        collected += triggers.size
+        if collected >= n_events:
+            break
     return np.concatenate(ids)[:n_events]
 
 
@@ -205,25 +188,16 @@ def centered_noise_stats(t_prev, t_next, n_samples, rng):
     spike in the window; the mean is zero by antisymmetry.
 
     The uniforms are drawn at most NOISE_BLOCK at a time, each taking one
-    64-bit output as in a single draw, and summed in numpy's pairwise tree
-    over all n_samples, so the statistics equal those of one draw of
-    n_samples while memory does not grow with it."""
+    64-bit output as in a single draw, so memory does not grow with
+    n_samples; the mean is the sum of the blocks' sums over n_samples."""
     if n_samples < 1:
         raise InvalidInputError("n_samples must be at least 1, got %r" % (n_samples,))
-    lo, hi = np.inf, -np.inf
-
-    def pairwise_sum(n):
-        # numpy's pairwise_sum splits n > 128 values at n2 below, and sums a
-        # leaf of NOISE_BLOCK or fewer by the same rule
-        nonlocal lo, hi
-        if n > NOISE_BLOCK:
-            n2 = n // 2 - (n // 2) % 8
-            return pairwise_sum(n2) + pairwise_sum(n - n2)
-        vals = pair_kernel(rng.uniform(t_prev, t_next, n), t_prev, t_next)
+    total, lo, hi = 0.0, np.inf, -np.inf
+    for a in range(0, n_samples, NOISE_BLOCK):
+        tau = rng.uniform(t_prev, t_next, min(NOISE_BLOCK, n_samples - a))
+        vals = pair_kernel(tau, t_prev, t_next)
+        total += vals.sum()
         lo, hi = np.minimum(lo, vals.min()), np.maximum(hi, vals.max())
-        return vals.sum()
-
-    total = pairwise_sum(n_samples)
     return float(total / n_samples), float(lo), float(hi)
 
 
@@ -256,15 +230,13 @@ def _spikes(lam, w, threshold, rng):
     stream, each as (time, trigger id, window), the window the (times, ids)
     of the events walked since the previous spike, the spike's own event
     included; it may span pieces. The membrane reads w at every call, so
-    the caller may change it in place between spikes. The caller closes
-    it."""
+    the caller may change it in place between spikes."""
     window = []
-    with contextlib.closing(_walk(lam, w, threshold, rng, LEARN_WALK, 1)) as walk:
-        for spike, trigger, times, ids in walk:
-            window.append((times, ids))
-            if trigger.size:
-                yield spike[0], trigger[0], [np.concatenate(a) for a in zip(*window)]
-                window = []
+    for spike, trigger, times, ids in _walk(lam, w, threshold, rng, LEARN_WALK, 1):
+        window.append((times, ids))
+        if trigger.size:
+            yield spike[0], trigger[0], [np.concatenate(a) for a in zip(*window)]
+            window = []
 
 
 def spiking_learning_run(lam, w0, threshold, alpha, n_spikes, rng):
@@ -288,14 +260,14 @@ def spiking_learning_run(lam, w0, threshold, alpha, n_spikes, rng):
     increments = np.empty((n_spikes, d))
     w = w.copy()
     t_prev = 0.0
-    with contextlib.closing(_spikes(lam, w, threshold, rng)) as spikes:
-        for k in range(n_spikes):
-            times[k], triggers[k], (tau, ids) = next(spikes)
-            increments[k] = alpha * np.bincount(ids, weights=pair_kernel(tau, t_prev, times[k]),
-                                                minlength=d)
-            w *= 1.0 + increments[k]
-            weights[k + 1] = validate_weights(w)
-            t_prev = times[k]
+    spikes = _spikes(lam, w, threshold, rng)
+    for k in range(n_spikes):
+        times[k], triggers[k], (tau, ids) = next(spikes)
+        increments[k] = alpha * np.bincount(ids, weights=pair_kernel(tau, t_prev, times[k]),
+                                            minlength=d)
+        w *= 1.0 + increments[k]
+        weights[k + 1] = validate_weights(w)
+        t_prev = times[k]
     probs = lam * weights
     probs /= probs.sum(axis=1, keepdims=True)
     return LearningRunRecord(

@@ -599,6 +599,74 @@ def test_noise_gate_fails_on_an_off_centre_kernel(tmp_path, monkeypatch):
     assert bad_code == 4 and bad["passed"] is False
 
 
+@pytest.mark.parametrize("check", ["noise_centered", "trigger_frequencies"])
+def test_spiking_gate_fails_on_its_own_defect(tmp_path, monkeypatch, check):
+    """At criterion 13's sizes, a pair kernel raised by 0.05 moves the noise
+    mean by 0.05, past its bound of 0.018, and a membrane that hands each
+    spike to the next neuron moves the trigger frequencies about 0.2 off
+    their targets: each fails its own check, and only it."""
+    kernel, membrane = spiking.pair_kernel, spiking.membrane
+
+    def shifted(times, ids, w, threshold, state, cap):
+        spikes, triggers, walked = membrane(times, ids, w, threshold, state, cap)
+        return spikes, (triggers + 1) % len(w), walked
+
+    defects = {"noise_centered": ("pair_kernel", lambda *args: kernel(*args) + 0.05),
+               "trigger_frequencies": ("membrane", shifted)}
+    name, defect = defects[check]
+    (code, plain), (bad_code, bad) = _planted(
+        tmp_path, monkeypatch, ["spiking-validate", "--set", "n_events=[2000,1000]",
+                                "--set", "noise_samples=10000", "--set", "tolerance=0.05"],
+        [(spiking, name, defect)])
+    assert code == 0 and plain["checks"] == {"trigger_frequencies": True, "noise_centered": True}
+    assert bad_code == 4 and bad["passed"] is False
+    assert bad["checks"] == {key: key != check for key in plain["checks"]}
+    if check == "noise_centered":
+        assert bad["noise_mean"] == pytest.approx(plain["noise_mean"] + 0.05, abs=1e-12)
+
+
+def _unreset_membrane(times, ids, w, threshold, state, cap):
+    """`spiking._membrane_loop` without its reset to zero after a spike."""
+    y, t_prev = float(state[0]), float(state[1])
+    spikes, triggers, walked = [], [], 0
+    for t, j in zip(times.tolist(), ids.tolist()):
+        y = y * math.exp(t_prev - t) + w[j]
+        t_prev = t
+        walked += 1
+        if y >= threshold:
+            spikes.append(t)
+            triggers.append(j)
+            if len(spikes) == cap:
+                break
+    state[0], state[1] = y, t_prev
+    return np.array(spikes), np.array(triggers, dtype=np.int64), walked
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "trigger_frequencies cannot see the weights at its default w = (1, 1, 1), where "
+    "lam w / <lam, w> equals the raw input frequencies: a membrane that skips its reset, "
+    "or treats every weight as 1, still passes"))
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("defect", ["no_reset", "unit_weights"])
+def test_trigger_gate_fails_on_a_broken_membrane(tmp_path, monkeypatch, defect, seed):
+    """The Python walk with 20000 and 5000 triggers at criterion 13's
+    tolerance: the unpatched run passes, and a membrane that never resets,
+    or reads every weight as 1, should fail the trigger check."""
+    membrane = spiking.membrane
+    defects = {"no_reset": _unreset_membrane,
+               "unit_weights": lambda times, ids, w, *rest: membrane(times, ids, np.ones(len(w)),
+                                                                     *rest)}
+    monkeypatch.setattr(_kernel, "library", lambda: None)
+    (code, plain), (bad_code, bad) = _planted(
+        tmp_path, monkeypatch, ["spiking-validate", "--set", "n_events=[20000,5000]",
+                                "--set", "noise_samples=10000", "--set", "tolerance=0.05"],
+        [(spiking, "membrane", defects[defect])], seed=seed)
+    if code != 0:
+        # not an AssertionError, so the expected failure cannot hide it
+        pytest.fail("the unpatched run failed: %r" % plain["checks"])
+    assert bad_code == 4 and bad["checks"]["trigger_frequencies"] is False
+
+
 def test_alg2_gate_fails_without_deflation(tmp_path, monkeypatch):
     """Algorithm 2 with every column trained from w0 itself, no axis of a
     trained column zeroed: the columns find the same axis, so no member

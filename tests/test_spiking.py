@@ -227,30 +227,30 @@ def test_membrane_rejects_neuron_ids_out_of_range(path, bad):
     assert state.tolist() == [0.5, 0.25]
 
 
-def _whole_blocks(lam, n, rng):
+def _whole_pieces(lam, n, rng):
     """The trigger ids of the first n events of the Poisson stream drawn in
-    whole blocks, each block's EVENT_BLOCK gaps and then its uniforms: the
-    stream's definition, without pieces."""
+    whole pieces, each piece's EVENT_PIECE gaps and then its uniforms: the
+    stream's definition, without a membrane."""
     u = []
-    for _ in range(-(-n // spiking.EVENT_BLOCK)):
-        rng.exponential(1.0 / lam.sum(), spiking.EVENT_BLOCK)
-        u.append(rng.random(spiking.EVENT_BLOCK))
+    for _ in range(-(-n // spiking.EVENT_PIECE)):
+        rng.exponential(1.0 / lam.sum(), spiking.EVENT_PIECE)
+        u.append(rng.random(spiking.EVENT_PIECE))
     return sample_triggers(lam / lam.sum(), np.concatenate(u)[:n])
 
 
 # a threshold below every weight fires at every event, so the n-th spike is
-# the n-th event: these end mid-piece, at a piece's end, mid-block, at a
-# block's end and at the next block's first event
-ENDS = [lambda: 5, lambda: spiking.EVENT_PIECE, lambda: spiking.EVENT_PIECE + 5,
-        lambda: spiking.EVENT_BLOCK, lambda: spiking.EVENT_BLOCK + 1]
+# the n-th event: these end mid-piece, at a piece's end, at the next piece's
+# first event, at the second piece's end and mid-way through the third
+ENDS = [lambda: 5, lambda: spiking.EVENT_PIECE, lambda: spiking.EVENT_PIECE + 1,
+        lambda: 2 * spiking.EVENT_PIECE, lambda: 2 * spiking.EVENT_PIECE + 5]
 LAM = np.array([10.0, 7.5, 5.0])
 
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("end", range(len(ENDS)))
 def test_collect_triggers_leaves_the_stream_where_whole_blocks_do(path, end):
-    # a walk that stops mid-block still draws the rest of the block's
-    # uniforms, so what follows in rng reads the stream from the same place
+    # a walk draws no piece past the one it stops in, so what follows in rng
+    # reads the stream from the end of that piece
     if path == "compiled":
         _require_compiled_membrane()
     n = ENDS[end]()
@@ -258,25 +258,24 @@ def test_collect_triggers_leaves_the_stream_where_whole_blocks_do(path, end):
     with PATHS[path]():
         ids = spiking.collect_triggers(LAM, np.ones(3), 0.5, n, rng)
     reference = np.random.default_rng(13)
-    assert np.array_equal(ids, _whole_blocks(LAM, n, reference))
+    assert np.array_equal(ids, _whole_pieces(LAM, n, reference))
     assert rng.random(3).tolist() == reference.random(3).tolist()
 
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("end", range(len(ENDS)))
 def test_learning_run_leaves_the_stream_where_whole_blocks_do(path, end):
-    # the same on the closed loop, with blocks of 64 events in pieces of 16;
-    # weights learn upwards only here, each window holding its own trigger
+    # the same on the closed loop, with pieces of 16 events; weights learn
+    # upwards only here, each window holding its own trigger
     if path == "compiled":
         _require_compiled_membrane()
-    with mock.patch.object(spiking, "EVENT_BLOCK", 64), \
-            mock.patch.object(spiking, "EVENT_PIECE", 16):
+    with mock.patch.object(spiking, "EVENT_PIECE", 16):
         n = ENDS[end]()
         rng = np.random.default_rng(14)
         with PATHS[path]():
             run = spiking.spiking_learning_run(LAM, np.ones(3), 0.5, 0.1, n, rng)
         reference = np.random.default_rng(14)
-        assert np.array_equal(run.trigger_ids, _whole_blocks(LAM, n, reference))
+        assert np.array_equal(run.trigger_ids, _whole_pieces(LAM, n, reference))
     assert rng.random(3).tolist() == reference.random(3).tolist()
 
 
@@ -341,14 +340,16 @@ def test_noise_mean_bound_takes_the_kernel_variance(length):
         spiking.NOISE_Z * sd / 10.0)
 
 
-# about 2^16 draws take eight blocks, three levels of the pairwise recursion
+# about 2^16 draws take eight blocks; the mean is the sum of the blocks'
+# sums, while the bounds and rng's position are those of one draw
 @pytest.mark.parametrize("n", [1, spiking.NOISE_BLOCK - 1, spiking.NOISE_BLOCK,
                                spiking.NOISE_BLOCK + 1, 65535, 65536, 65537, 10**6])
 def test_blocked_noise_stats_equal_one_draw(n):
     rng = np.random.default_rng(11)
     tau = rng.uniform(1.5, 4.0, n)
     vals = np.exp(tau - 4.0) - np.exp(1.5 - tau)
-    expected = (float(vals.mean()), float(vals.min()), float(vals.max()), rng.random())
+    total = sum(vals[a:a + spiking.NOISE_BLOCK].sum() for a in range(0, n, spiking.NOISE_BLOCK))
+    expected = (float(total / n), float(vals.min()), float(vals.max()), rng.random())
     blocked = np.random.default_rng(11)
     got = spiking.centered_noise_stats(1.5, 4.0, n, blocked) + (blocked.random(),)
     assert got == expected
