@@ -13,8 +13,8 @@ floors the checks compare against. The floors and their allowances are
 constants here, not config keys, so no run moves them. main() alone gives
 the verdict: `passed` is true when the report names a check and every
 check holds, and the run exits 4 exactly when it is false. Outputs are
-byte-identical across reruns. --threads is accepted and recorded in the
-manifest but has no effect: every ensemble runs as one batch in one thread.
+byte-identical across reruns. --threads is accepted but has no effect and
+is not recorded: every ensemble runs as one batch in one thread.
 The package pins numpy's OpenBLAS to one thread as well
 (OPENBLAS_NUM_THREADS=1 unless already set), which works only when
 simplex_stdp is imported before numpy, as this command does.
@@ -43,8 +43,8 @@ import numpy as np
 from . import __version__, simplex
 from .simplex import (InvalidInputError, as_float_array, barycentric_embedding, landscape_grid,
                       probabilities_from_weights, validate_weights)
-from .dynamics import (DynamicsConfig, final_probabilities, run_trajectory, stream_for,
-                       validate_correlation)
+from .dynamics import (DynamicsConfig, check_rates, final_probabilities, run_trajectory,
+                       stream_for, validate_correlation)
 from . import theory
 from . import multi as multi_mod
 from . import mirror as mirror_mod
@@ -294,6 +294,10 @@ def scenario_priming(cfg, out, seed):
     lam_a, lam_b, w0 = _vectors(cfg, "lam_first", "lam_second", "w0")
     d = w0.size
     eps = cfg["epsilon"]
+    floor = 1.0 - 2.0 * eps - PRIMING_SLACK
+    if not floor > 0:
+        raise InvalidInputError("epsilon=%g sets the floor %g, not above 0: the gate "
+                                "could not fail" % (eps, floor))
     p_a = probabilities_from_weights(lam_a, w0)
     params = theory.GapParams(p0=p_a, epsilon=eps)
     delta = 0.99 * theory.priming_delta_max(lam_a, lam_b)
@@ -305,7 +309,6 @@ def scenario_priming(cfg, out, seed):
             lam_a, lam_b, w0, cfg["alpha"], k_switch, k_switch + cfg["settle_steps"],
             cfg["n_traj"], seed,
         )
-    floor = 1.0 - 2.0 * eps - PRIMING_SLACK
     cap = theory.max_alpha(params)
     report = {
         "delta": delta,
@@ -448,6 +451,10 @@ def scenario_alg2_verify(cfg, out, seed):
     d = lam.size
     if d < 2:
         raise InvalidInputError("alg2-verify needs at least two inputs, got %d" % d)
+    floor = (1.0 - cfg["epsilon"]) ** d - ALG2_SLACK
+    if not floor > 0:
+        raise InvalidInputError("epsilon=%g sets the floor %g, not above 0: the gate "
+                                "could not fail" % (cfg["epsilon"], floor))
     delta_cap = multi_mod.admissible_delta(lam)
     if not cfg["delta"] < delta_cap:
         raise InvalidInputError(
@@ -465,7 +472,6 @@ def scenario_alg2_verify(cfg, out, seed):
         lam, w0, cfg["alpha"], k_per_column, cfg["n_seeds"], seed
     )
     rate = float(success.mean())
-    floor = (1.0 - cfg["epsilon"]) ** d - ALG2_SLACK
     cap = min(map(theory.max_alpha, params))
     report = {
         "k_per_column": int(k_per_column),
@@ -486,6 +492,9 @@ def scenario_spiking_validate(cfg, out, seed):
     target = probabilities_from_weights(lam, w)
     if not cfg["thresholds"] or len(cfg["thresholds"]) != len(cfg["n_events"]):
         raise InvalidInputError("need one n_events per threshold, at least one of each")
+    if not 0 < cfg["tolerance"] < 1:
+        raise InvalidInputError("tolerance=%r outside (0, 1): the gate could not fail"
+                                % cfg["tolerance"])
     rows = []
     rng = stream_for(seed)
     for thresh, n_events in zip(cfg["thresholds"], cfg["n_events"]):
@@ -524,6 +533,7 @@ def scenario_mirror_compare(cfg, out, seed):
     alphas = as_float_array(cfg["alphas"], "alphas")
     if cfg["n_points"] < 1 or alphas.size < 2 or cfg["d"] < 2:
         raise InvalidInputError("need n_points >= 1, d >= 2 and two rates to compare")
+    check_rates(alphas)
     sup = np.zeros(alphas.size)
     for _ in range(cfg["n_points"]):
         p = rng.dirichlet(np.ones(cfg["d"]))
@@ -609,7 +619,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="accepted and recorded in the manifest; has no effect")
+                        help="accepted; has no effect")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     args = parser.parse_args(argv)
     if args.scenario not in SCENARIOS:
@@ -659,7 +669,6 @@ def main(argv=None):
     manifest = {
         "scenario": args.scenario,
         "seed": args.seed,
-        "threads": args.threads,
         "config": cfg,
         "config_digest": digest,
         "version": __version__,

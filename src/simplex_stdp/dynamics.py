@@ -93,11 +93,13 @@ class Streams:
             yield draws[:, :, 0], z, draws[:, :, 1 + d:] if self.correlated else None
 
 
-def _rates(alpha):
-    """alpha for a message: a rate, or the joint scheme's column of rates
-    printed flat."""
+def check_rates(alpha):
+    """Raise InvalidInputError unless every rate of alpha, a rate or the
+    joint scheme's column of rates, lies in (0, 1/Q), Q = `Q_BOUND`."""
     a = np.asarray(alpha, dtype=float)
-    return np.array2string(a.ravel() if a.ndim > 1 else a)
+    if not np.all((a > 0) & (a < 1.0 / Q_BOUND)):
+        raise InvalidInputError("alpha=%s outside (0, 1/2)"
+                                % np.array2string(a.ravel() if a.ndim > 1 else a))
 
 
 def _last_positive(p):
@@ -334,9 +336,7 @@ def _drive(step, state0, alpha, n_steps, keys, lam=None, gamma=None, record=None
     every multiple of `CHUNK`, and hands each segment to advance; the switch
     itself is applied here, between segments, for both paths. A row's draws
     follow its stream in step order, whatever the cuts."""
-    a = np.asarray(alpha, dtype=float)
-    if not np.all((a > 0) & (a < 1.0 / Q_BOUND)):
-        raise InvalidInputError("alpha=%s outside (0, 1/2)" % _rates(alpha))
+    check_rates(alpha)
     x = as_float_array(state0, "state")
     if x.ndim != 2 or len(x) < 1 or len(keys) != len(x):
         raise InvalidInputError("%d keys for a state of shape %s; a batch needs at least "

@@ -18,6 +18,7 @@ from .simplex import (InvalidInputError, as_float_array, probabilities_from_weig
                       recorded_steps, validate_intensities)
 from .dynamics import (Recorder, _drive, _vector_of, _weight_sums, probabilities,
                        sample_triggers, simulate)
+from .theory import _theorem22_steps
 
 
 def cosine_projection(w):
@@ -46,7 +47,7 @@ def required_iterations(d, alpha, gap, epsilon, delta):
     if not alpha > 0 or not 0 < gap < np.inf:
         raise InvalidInputError("need alpha > 0 and a finite positive gap, got alpha=%r, gap=%r"
                                 % (alpha, gap))
-    return int(np.ceil(16.0 * d / (alpha * gap * (4.0 + d * gap)) * np.log(4.0 / (epsilon * delta))))
+    return _theorem22_steps(d, alpha, gap, gap, 1.0, epsilon, delta)
 
 
 def admissible_delta(lam):

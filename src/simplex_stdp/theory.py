@@ -162,6 +162,13 @@ def error_bound(params, alpha, k):
     return 2.0 * (1.0 - params.p0[0]) * np.exp(-rate * k)
 
 
+def _theorem22_steps(d, alpha, gap, gap_gamma, tail, epsilon, delta):
+    """Theorem 2.2's step count, rounded up:
+    (16 d / (alpha gap_gamma (4 + d gap))) log(4 tail / (epsilon delta))."""
+    denom = alpha * gap_gamma * (4.0 + d * gap)
+    return int(np.ceil(16.0 * d / denom * np.log(4.0 * tail / (epsilon * delta))))
+
+
 def iterations_for(params, alpha, delta):
     """Steps sufficient for E[||p(k) - e_1||_1 on the gap event] <= eps*delta/2,
     i.e. k >= (16 d / (alpha gap_gamma (4 + d gap))) log(4 (1 - p_1(0)) / (eps delta)).
@@ -169,9 +176,8 @@ def iterations_for(params, alpha, delta):
     if not 0 < delta < 1 or not alpha > 0:
         raise InvalidInputError("need delta in (0, 1) and alpha > 0, got delta=%r, alpha=%r"
                                 % (delta, alpha))
-    arg = 4.0 * (1.0 - params.p0[0]) / (params.epsilon * delta)
-    denom = alpha * params.gap_gamma * (4.0 + params.d * params.gap)
-    return int(np.ceil(16.0 * params.d / denom * np.log(arg)))
+    return _theorem22_steps(params.d, alpha, params.gap, params.gap_gamma,
+                            1.0 - params.p0[0], params.epsilon, delta)
 
 
 def run_gap_ensemble(

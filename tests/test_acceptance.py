@@ -16,6 +16,7 @@ import pytest
 import scipy.stats
 
 from simplex_stdp import cli, dynamics, flow, mirror, multi, simplex, spiking, theory
+from small_runs import SMALL_OVERRIDES, small_args
 
 
 def _report(line):
@@ -290,24 +291,6 @@ def test_criterion_12_priming():
 
 # -- 13. determinism of every scenario ----------------------------------------
 
-SMALL_OVERRIDES = {
-    "fig2-trajectories": {"n_steps": 200, "grid_step": 0.1},
-    "fig2-ensemble": {"n_steps": 300, "n_traj": 6},
-    "fig3-algorithm1": {"n_steps": 500},
-    "correlated-figure": {"n_steps": 300, "n_traj": 6, "grid_step": 0.1},
-    "priming": {"settle_steps": 2000, "n_traj": 6},
-    "thm22-verify": {"n_traj": 8, "n_steps": 2000,
-                     "checkpoints": [0, 1000, 2000]},
-    "thm23-verify": {"n_cases": 6, "horizon": 2.0},
-    "thm-corr-verify": {"n_traj": 4, "n_steps": 2000,
-                        "checkpoints": [0, 2000]},
-    "alg2-verify": {"alpha": 0.05, "n_seeds": 10},
-    "spiking-validate": {"n_events": [2000, 1000], "noise_samples": 10000,
-                         "tolerance": 0.05},
-    "mirror-compare": {"n_points": 10},
-    "landscape-grid": {"grid_step": 0.05},
-}
-
 THREADED = {"fig2-ensemble", "priming", "thm22-verify", "alg2-verify"}
 
 # the scenarios whose report.json names its checks
@@ -331,27 +314,14 @@ def _verdict(out_dir, scenario):
 
 
 def _run_scenario(scenario, out_dir, threads):
-    args = [scenario, "--out", str(out_dir), "--seed", "3", "--threads",
-            str(threads)]
-    for key, value in SMALL_OVERRIDES[scenario].items():
-        args += ["--set", "%s=%s" % (key, json.dumps(value))]
-    rc = cli.main(args)
+    rc = cli.main(small_args(scenario) + ["--out", str(out_dir), "--threads", str(threads)])
     expected = 4 if _verdict(out_dir, scenario).get("passed") is False else 0
     assert rc == expected, "scenario %s exited %d, not %d" % (scenario, rc, expected)
     digests = {}
     root = os.path.join(str(out_dir), scenario)
     for name in sorted(os.listdir(root)):
-        path = os.path.join(root, name)
-        if name == "manifest.json":
-            with open(path) as fh:
-                manifest = json.load(fh)
-            # drop the fields that echo the invocation rather than results
-            manifest.pop("elapsed_seconds", None)
-            manifest.pop("threads", None)
-            digests[name] = json.dumps(manifest, sort_keys=True)
-        else:
-            with open(path, "rb") as fh:
-                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+        with open(os.path.join(root, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
     return digests
 
 

@@ -16,6 +16,7 @@ import pytest
 import simplex_stdp
 from simplex_stdp import _kernel, cli, dynamics, flow, mirror, multi, simplex, spiking, theory
 from simplex_stdp.simplex import landscape_grid, probabilities_from_weights, replicator_field
+from small_runs import small_args
 
 # seconds a scenario that should stop at a precondition may run
 LIMIT_S = 120
@@ -41,24 +42,13 @@ def test_unknown_override_key_exits_2(tmp_path):
         assert run([scenario, "--out", str(tmp_path), "--set", "q_bound=2"]) == 2
 
 
-# criterion 13's sizes of the scenarios whose gates had config keys
-SMALL = {
-    "priming": ["--set", "settle_steps=2000", "--set", "n_traj=6"],
-    "thm22-verify": ["--set", "n_traj=8", "--set", "n_steps=2000",
-                     "--set", "checkpoints=[0,1000,2000]"],
-    "thm-corr-verify": ["--set", "n_traj=4", "--set", "n_steps=2000",
-                        "--set", "checkpoints=[0,2000]"],
-    "alg2-verify": ["--set", "alpha=0.05", "--set", "n_seeds=10"],
-    "mirror-compare": ["--set", "n_points=10"],
-}
-
-# a run whose success rate, 0.4, falls below the floor of 0.462 on sampling
-# alone; a slack of 0.5 would lower that floor to 0.012
-SEED_5_ALG2 = ["alg2-verify", "--seed", "5"] + SMALL["alg2-verify"]
+# a run at criterion 13's size whose success rate, 0.4, falls below the
+# floor of 0.462 on sampling alone; a slack of 0.5 would lower that floor to 0.012
+SEED_5_ALG2 = small_args("alg2-verify", seed=5)
 
 
 @pytest.mark.parametrize("args, code", [
-    pytest.param([scenario] + SMALL[scenario] + ["--set", "%s=%r" % (key, value)], 2,
+    pytest.param(small_args(scenario) + ["--set", "%s=%r" % (key, value)], 2,
                  id="%s-%s" % (scenario, key))
     for scenario, key, value in [
         ("priming", "slack", 0.05),
@@ -162,8 +152,7 @@ def test_correlated_landscape_grid_checks_its_lattice_minimum(tmp_path, monkeypa
 
     (code, plain), (bad_code, bad) = _planted(
         tmp_path, monkeypatch,
-        ["landscape-grid", "--set", "grid_step=0.05",
-         "--set", "gamma=[[1,0.2,0.1],[0.2,1,0.3],[0.1,0.3,1]]"],
+        small_args("landscape-grid") + ["--set", "gamma=[[1,0.2,0.1],[0.2,1,0.3],[0.1,0.3,1]]"],
         [(cli, "landscape_grid", faceless)])
     assert code == 0 and plain["checks"] == {"lattice_minimum": True} and plain["passed"] is True
     assert plain["min_value"] == bad["min_value"] == -0.5
@@ -447,6 +436,14 @@ def test_memory_does_not_grow_with_the_run(tmp_path, name, n):
     # without gamma the correlated figure used to write the cubic-quartic loss
     # as its correlated landscape, next to an ensemble of independent triggers
     ["correlated-figure", "--set", "gamma=null", "--set", "n_steps=10", "--set", "n_traj=2"],
+    # rates outside (0, 1/2) used to pass the mirror comparison
+    ["mirror-compare", "--set", "alphas=[-0.01,-0.001,-0.0001]"],
+    ["mirror-compare", "--set", "alphas=[0.01,-0.001,0.0001]"],
+    # floors at or below 0, and a tolerance no deviation exceeds, used to pass
+    # whatever the runs did
+    ["priming", "--set", "epsilon=0.6"],
+    small_args("alg2-verify") + ["--set", "epsilon=0.7"],
+    ["spiking-validate", "--set", "tolerance=1"],
 ])
 def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     # a run that does not end fails here instead of hanging the suite
@@ -486,15 +483,15 @@ def test_weight_runs_past_the_old_overflow_step_finish(tmp_path, args, code):
             assert rows and all(math.isfinite(v) for v in values), name
 
 
-def _planted(tmp_path, monkeypatch, args, patches, seed=3):
-    """The reports of args at the seed, run as it is and then with the
-    (module, name, replacement) patches applied."""
+def _planted(tmp_path, monkeypatch, args, patches):
+    """The reports of args, run as it is and then with the (module, name,
+    replacement) patches applied."""
     reports = []
     for side in ("plain", "planted"):
         if side == "planted":
             for module, name, value in patches:
                 monkeypatch.setattr(module, name, value)
-        code = run(args + ["--seed", str(seed), "--out", str(tmp_path / side), "--threads", "1"])
+        code = run(args + ["--out", str(tmp_path / side), "--threads", "1"])
         reports.append((code, json.loads((tmp_path / side / args[0] / "report.json").read_text())))
     return reports
 
@@ -503,7 +500,7 @@ def test_thm23_gate_fails_when_the_flow_runs_backwards(tmp_path, monkeypatch):
     """The numpy flow with the replicator field negated: every recorded step
     of the 6 cases breaks the bound, and the gate fails."""
     (code, plain), (bad_code, bad) = _planted(
-        tmp_path, monkeypatch, ["thm23-verify", "--set", "n_cases=6", "--set", "horizon=2.0"],
+        tmp_path, monkeypatch, small_args("thm23-verify"),
         [(_kernel, "library", lambda: None),
          (flow, "replicator_field", lambda p, fitness=None: -replicator_field(p, fitness))])
     assert code == 0 and plain["passed"] is True and plain["violations"] == 0
@@ -544,9 +541,9 @@ def test_thm22_inclusion_gate_fails_above_the_rate_cap(tmp_path, monkeypatch):
     probability, 0.75, still clears its floor of 0.70."""
     (code, plain), (bad_code, bad) = _planted(
         tmp_path, monkeypatch,
-        ["thm22-verify", "--set", "p0=[0.87,0.13]", "--set", "n_traj=4", "--set", "n_steps=100",
-         "--set", "checkpoints=[0,7,60,100]"],
-        [(theory, "max_alpha", lambda params: 0.45)], seed=316)
+        ["thm22-verify", "--seed", "316", "--set", "p0=[0.87,0.13]", "--set", "n_traj=4",
+         "--set", "n_steps=100", "--set", "checkpoints=[0,7,60,100]"],
+        [(theory, "max_alpha", lambda params: 0.45)])
     assert code == 0 and plain["passed"] is True and plain["inclusion_violations"] == 0
     assert bad_code == 4 and bad["passed"] is False and bad["inclusion_violations"] == 100
     assert bad["checks"] == {"gap_event_probability": True, "bound_domination": True,
@@ -560,7 +557,7 @@ def test_priming_gate_fails_when_the_intensities_never_switch(tmp_path, monkeypa
         return dynamics.simulate(*args, **kwargs)
 
     (code, plain), (bad_code, bad) = _planted(
-        tmp_path, monkeypatch, ["priming", "--set", "settle_steps=2000", "--set", "n_traj=6"],
+        tmp_path, monkeypatch, small_args("priming"),
         [(theory, "simulate", unswitched)])
     assert code == 0 and plain["passed"] is True and plain["unprimed_fractions"] == [0.0, 1.0]
     assert bad_code == 4 and bad["passed"] is False and bad["unprimed_fractions"] == [1.0, 0.0]
@@ -573,7 +570,7 @@ def test_mirror_gate_fails_when_the_surrogate_steps_at_twice_the_rate(tmp_path, 
     drop from about 99 to about 9.8, out of their band."""
     step = mirror.multiplicative_step
     (code, plain), (bad_code, bad) = _planted(
-        tmp_path, monkeypatch, ["mirror-compare", "--set", "n_points=10"],
+        tmp_path, monkeypatch, small_args("mirror-compare"),
         [(mirror, "multiplicative_step", lambda p, alpha: step(p, 2.0 * alpha))])
     assert code == 0 and plain["passed"] is True
     assert all(95.0 < r < 105.0 for r in plain["ratios"])
@@ -590,7 +587,7 @@ def test_noise_gate_fails_on_an_off_centre_kernel(tmp_path, monkeypatch):
 
     (code, plain), (bad_code, bad) = _planted(
         tmp_path, monkeypatch,
-        ["spiking-validate", "--set", "n_events=[2000,1000]", "--set", "tolerance=0.05"],
+        small_args("spiking-validate") + ["--set", "noise_samples=1000000"],
         [(spiking, "pair_kernel", short)])
     assert code == 0 and plain["passed"] is True
     assert abs(plain["noise_mean"]) < plain["noise_mean_bound"]
@@ -615,9 +612,7 @@ def test_spiking_gate_fails_on_its_own_defect(tmp_path, monkeypatch, check):
                "trigger_frequencies": ("membrane", shifted)}
     name, defect = defects[check]
     (code, plain), (bad_code, bad) = _planted(
-        tmp_path, monkeypatch, ["spiking-validate", "--set", "n_events=[2000,1000]",
-                                "--set", "noise_samples=10000", "--set", "tolerance=0.05"],
-        [(spiking, name, defect)])
+        tmp_path, monkeypatch, small_args("spiking-validate"), [(spiking, name, defect)])
     assert code == 0 and plain["checks"] == {"trigger_frequencies": True, "noise_centered": True}
     assert bad_code == 4 and bad["passed"] is False
     assert bad["checks"] == {key: key != check for key in plain["checks"]}
@@ -658,9 +653,9 @@ def test_trigger_gate_fails_on_a_broken_membrane(tmp_path, monkeypatch, defect, 
                                                                      *rest)}
     monkeypatch.setattr(_kernel, "library", lambda: None)
     (code, plain), (bad_code, bad) = _planted(
-        tmp_path, monkeypatch, ["spiking-validate", "--set", "n_events=[20000,5000]",
-                                "--set", "noise_samples=10000", "--set", "tolerance=0.05"],
-        [(spiking, "membrane", defects[defect])], seed=seed)
+        tmp_path, monkeypatch,
+        small_args("spiking-validate", seed) + ["--set", "n_events=[20000,5000]"],
+        [(spiking, "membrane", defects[defect])])
     if code != 0:
         # not an AssertionError, so the expected failure cannot hide it
         pytest.fail("the unpatched run failed: %r" % plain["checks"])
@@ -679,7 +674,7 @@ def test_alg2_gate_fails_without_deflation(tmp_path, monkeypatch):
                          for j in range(len(w0))], axis=2)
 
     (code, plain), (bad_code, bad) = _planted(
-        tmp_path, monkeypatch, ["alg2-verify", "--set", "alpha=0.05", "--set", "n_seeds=10"],
+        tmp_path, monkeypatch, small_args("alg2-verify"),
         [(multi, "_train_columns", undeflated)])
     assert code == 0 and plain["passed"] is True
     assert plain["success_rate"] >= plain["required_rate"]
@@ -693,9 +688,9 @@ def test_reports_say_whether_the_rate_is_within_the_theorem(tmp_path, scenario, 
     step-size cap on their subproblems, so their passes are empirical. The
     cap of alg2-verify is its first subproblem's, (4/9, 1/3, 2/9); the
     deflated second, (0.6, 0, 0.4), allows 3.7e-7."""
-    sizes = {"priming": ["--set", "settle_steps=2000", "--set", "n_traj=2"],
-             "alg2-verify": ["--set", "n_seeds=1"]}
-    assert run([scenario, "--out", str(tmp_path), "--threads", "1"] + sizes[scenario]) in (0, 4)
+    # criterion 13's alg2-verify steps at 0.05, so this one keeps the default rate
+    runs = {"priming": small_args("priming"), "alg2-verify": [scenario, "--set", "n_seeds=1"]}
+    assert run(runs[scenario] + ["--out", str(tmp_path), "--threads", "1"]) in (0, 4)
     report = json.loads((tmp_path / scenario / "report.json").read_text())
     assert report["theorem_alpha_cap"] == pytest.approx(cap, rel=2e-3)
     assert report["within_theorem"] is False

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from simplex_stdp import _kernel, cli, dynamics, flow, multi, theory
 from simplex_stdp.simplex import as_probability_vector
+from small_runs import SMALL_OVERRIDES, small_args
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -589,25 +590,12 @@ def test_failed_build_falls_back_with_the_compiler_message(fresh_loader, monkeyp
 
 
 def test_no_compiler_gives_identical_outputs(fresh_loader, tmp_path, monkeypatch):
+    """Every scenario at criterion 13's size exits 0 and writes the same
+    bytes on the compiled steps and on the numpy steps."""
     if _kernel.compiler() is None:
         pytest.skip("no C compiler on PATH")
-    runs = [
-        ["thm22-verify", "--set", "n_traj=6", "--set", "n_steps=3000",
-         "--set", "checkpoints=[0,1000,3000]"],
-        ["thm-corr-verify", "--set", "n_traj=4", "--set", "n_steps=2000",
-         "--set", "checkpoints=[0,2000]"],
-        # 14 of 20 members succeed at seed 5, 4 more than the 0.462 floor needs
-        ["alg2-verify", "--set", "alpha=0.05", "--set", "n_seeds=20"],
-        ["fig2-ensemble", "--set", "n_traj=5", "--set", "n_steps=300"],
-        ["fig2-trajectories", "--set", "n_steps=200", "--set", "grid_step=0.1"],
-        ["priming", "--set", "settle_steps=2000", "--set", "n_traj=6"],
-        ["fig3-algorithm1", "--set", "n_steps=500"],
-        ["correlated-figure", "--set", "n_steps=300", "--set", "n_traj=6",
-         "--set", "grid_step=0.1"],
-        ["spiking-validate", "--set", "n_events=[2000,1000]", "--set", "tolerance=0.05"],
-        ["thm23-verify", "--set", "n_cases=6", "--set", "horizon=2.0"],
-    ]
-    outputs = {}
+    assert set(SMALL_OVERRIDES) == set(cli.SCENARIOS)
+    codes, outputs = {}, {}
     for side in ("compiled", "numpy"):
         if side == "numpy":
             monkeypatch.setattr(_kernel, "compiler", lambda: None)
@@ -615,13 +603,13 @@ def test_no_compiler_gives_identical_outputs(fresh_loader, tmp_path, monkeypatch
             assert _kernel.library() is None
         else:
             assert _kernel.library() is not None
-        for args in runs:
-            assert cli.main(args + ["--seed", "5", "--out", str(tmp_path / side)]) == 0
-        # manifest.json included: it holds no run time
+        codes[side] = {scenario: cli.main(small_args(scenario) + ["--out", str(tmp_path / side)])
+                       for scenario in sorted(SMALL_OVERRIDES)}
         outputs[side] = {
             p.relative_to(tmp_path / side): p.read_bytes()
             for p in sorted((tmp_path / side).rglob("*")) if p.is_file()
         }
+    assert codes["compiled"] == codes["numpy"] == dict.fromkeys(cli.SCENARIOS, 0)
     assert outputs["compiled"] == outputs["numpy"]
 
 
