@@ -585,9 +585,14 @@ def _integral(key, value):
 
 def _typed(key, value, default):
     """value for a key with this default: an int default, or a list of ints,
-    takes integers only (`_integral`); other values pass unchanged."""
+    takes integers only (`_integral`); a float default takes an int or a
+    float, not a bool; other values pass unchanged."""
     if type(default) is int:
         return _integral(key, value)
+    if type(default) is float:
+        if type(value) not in (int, float):
+            raise ValueError("%s must be a number, got %r" % (key, value))
+        return value
     if isinstance(default, list) and default and all(type(v) is int for v in default):
         if not isinstance(value, list):
             raise ValueError("%s must be a list of integers, got %r" % (key, value))

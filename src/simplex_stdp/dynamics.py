@@ -26,6 +26,7 @@ from .simplex import (
     as_float_array,
     as_probability_vector,
     recorded_steps,
+    replicator_field,
     validate_intensities,
     validate_weights,
 )
@@ -185,11 +186,11 @@ def _gap_of(v):
 
 def _increments(p, y, gamma):
     """(s, drift, xi) of the probability steps p, y of shape (n, d): s = p.y,
-    drift = p (m - p.m) and the martingale increment xi = drift - p (y - s),
-    with m = E[Y | p], that is p, or gamma @ p for correlated triggers."""
+    the replicator drift p (m - p.m) and the martingale increment
+    xi = drift - p (y - s), with m = E[Y | p], that is p, or gamma @ p for
+    correlated triggers."""
     s = (p * y).sum(axis=1, keepdims=True)
-    m = p if gamma is None else _gamma_dot(p, gamma)
-    drift = p * (m - (p * m).sum(axis=1, keepdims=True))
+    drift = replicator_field(p, None if gamma is None else _gamma_dot(p, gamma))
     return s, drift, drift - p * (y - s)
 
 

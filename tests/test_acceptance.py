@@ -6,13 +6,11 @@ each on a 2-core VM; everything else takes a few seconds or less.
 """
 
 import hashlib
-import itertools
 import json
 import os
 from unittest import mock
 
 import numpy as np
-import pytest
 import scipy.stats
 
 from simplex_stdp import cli, dynamics, flow, mirror, multi, simplex, spiking, theory
@@ -291,8 +289,6 @@ def test_criterion_12_priming():
 
 # -- 13. determinism of every scenario ----------------------------------------
 
-THREADED = {"fig2-ensemble", "priming", "thm22-verify", "alg2-verify"}
-
 # the scenarios whose report.json names its checks
 VERIFIERS = {"priming", "thm22-verify", "thm23-verify", "thm-corr-verify", "alg2-verify",
              "spiking-validate", "mirror-compare", "landscape-grid"}
@@ -313,8 +309,8 @@ def _verdict(out_dir, scenario):
     return report
 
 
-def _run_scenario(scenario, out_dir, threads):
-    rc = cli.main(small_args(scenario) + ["--out", str(out_dir), "--threads", str(threads)])
+def _run_scenario(scenario, out_dir):
+    rc = cli.main(small_args(scenario) + ["--out", str(out_dir)])
     expected = 4 if _verdict(out_dir, scenario).get("passed") is False else 0
     assert rc == expected, "scenario %s exited %d, not %d" % (scenario, rc, expected)
     digests = {}
@@ -329,15 +325,12 @@ def test_criterion_13_determinism(tmp_path):
     scenarios = sorted(SMALL_OVERRIDES)
     assert set(scenarios) == set(cli.SCENARIOS)
     for scenario in scenarios:
-        runs = [_run_scenario(scenario, tmp_path / (scenario + "-a"), 1),
-                _run_scenario(scenario, tmp_path / (scenario + "-b"), 1)]
-        if scenario in THREADED:
-            runs.append(_run_scenario(scenario, tmp_path / (scenario + "-c"), 3))
-        for other in runs[1:]:
-            assert other == runs[0], "%s not deterministic" % scenario
+        first = _run_scenario(scenario, tmp_path / (scenario + "-a"))
+        assert _run_scenario(scenario, tmp_path / (scenario + "-b")) == first, \
+            "%s not deterministic" % scenario
     assert {s for s in scenarios if "checks" in _verdict(tmp_path / (s + "-a"), s)} == VERIFIERS
-    _report("criterion 13 PASS: all %d scenarios byte-identical across "
-            "reruns and thread counts" % len(scenarios))
+    _report("criterion 13 PASS: all %d scenarios byte-identical across reruns"
+            % len(scenarios))
 
 
 class _ReadKeys(dict):
@@ -364,7 +357,7 @@ def test_every_config_key_is_read(tmp_path):
     for scenario in sorted(SMALL_OVERRIDES):
         read = set()
         with mock.patch.object(cli, "build_config", lambda *a: _ReadKeys(build(*a), read)):
-            _run_scenario(scenario, tmp_path / scenario, 1)
+            _run_scenario(scenario, tmp_path / scenario)
         missing = sorted(set(cli.DEFAULTS[scenario]) - read)
         if missing:
             unread[scenario] = missing
@@ -376,7 +369,7 @@ def test_outputs_do_not_depend_on_the_segment_length(tmp_path):
     segments of at most 7 steps, not `dynamics.CHUNK`, changes no output
     file of any scenario."""
     for scenario in sorted(SMALL_OVERRIDES):
-        default = _run_scenario(scenario, tmp_path / (scenario + "-default"), 1)
+        default = _run_scenario(scenario, tmp_path / (scenario + "-default"))
         with mock.patch.object(dynamics, "CHUNK", 7):
-            short = _run_scenario(scenario, tmp_path / (scenario + "-short"), 1)
+            short = _run_scenario(scenario, tmp_path / (scenario + "-short"))
         assert short == default, "%s depends on the segment length" % scenario

@@ -8,14 +8,14 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 
 import simplex_stdp
-from simplex_stdp import _kernel, cli, dynamics, flow, mirror, multi, simplex, spiking, theory
+from simplex_stdp import cli, dynamics, flow, mirror, multi, simplex, spiking, theory
 from simplex_stdp.simplex import landscape_grid, probabilities_from_weights, replicator_field
+from paths import reference
 from small_runs import small_args
 
 # seconds a scenario that should stop at a precondition may run
@@ -72,7 +72,7 @@ def test_no_option_moves_a_gate(tmp_path, monkeypatch, args, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"grid_step": 0.5}))
     try:
-        got = run(args + ["--out", str(tmp_path), "--threads", "1"])
+        got = run(args + ["--out", str(tmp_path)])
     except SystemExit as exc:
         got = exc.code
     assert got == code
@@ -93,7 +93,7 @@ def test_threads_below_one_exit_2(tmp_path, threads):
 def test_integral_numbers_are_taken_for_integer_keys(tmp_path, scenario, sets):
     written = []
     for number in ("1000", "1e3", "1000.0"):
-        args = [scenario, "--out", str(tmp_path / number), "--threads", "1"]
+        args = [scenario, "--out", str(tmp_path / number)]
         for item in sets:
             args += ["--set", item.format(number)]
         assert run(args) in (0, 4)
@@ -108,6 +108,20 @@ def test_non_integral_values_for_integer_keys_exit_2(tmp_path, value):
     assert run(["thm22-verify", "--out", str(tmp_path), "--set", "n_traj=" + value]) == 2
     assert run(["thm22-verify", "--out", str(tmp_path),
                 "--set", "checkpoints=[0,%s]" % value]) == 2
+
+
+@pytest.mark.parametrize("scenario, item", [
+    ("priming", "alpha=abc"),
+    ("spiking-validate", "tolerance=abc"),
+    ("thm22-verify", "epsilon=abc"),
+    ("landscape-grid", "grid_step=abc"),
+    ("alg2-verify", "alpha=true"),
+])
+def test_non_numbers_for_float_keys_exit_2(tmp_path, scenario, item):
+    # the words used to end in TypeError tracebacks (exit 1), and true ran
+    # as the rate 1.0 and exited 3
+    assert run([scenario, "--out", str(tmp_path), "--set", item]) == 2
+    assert not (tmp_path / scenario).exists()
 
 
 def test_precondition_violation_exits_3(tmp_path):
@@ -164,7 +178,7 @@ def test_a_verdict_needs_a_named_check(tmp_path, monkeypatch):
     there is no null verdict, and all() of nothing is no evidence."""
     monkeypatch.setitem(cli.SCENARIOS, "landscape-grid",
                         lambda cfg, out, seed: ([], {"checks": {}}))
-    assert run(["landscape-grid", "--out", str(tmp_path), "--threads", "1"]) == 4
+    assert run(["landscape-grid", "--out", str(tmp_path)]) == 4
     report = json.loads((tmp_path / "landscape-grid" / "report.json").read_text())
     assert report["passed"] is False
 
@@ -173,7 +187,6 @@ def test_rerun_byte_identical(tmp_path):
     for sub in ("x", "y"):
         assert run([
             "fig2-ensemble", "--seed", "7", "--out", str(tmp_path / sub),
-            "--threads", "1" if sub == "x" else "3",
             "--set", "n_traj=8", "--set", "n_steps=200",
         ]) == 0
     a = read_bytes(tmp_path / "x" / "fig2-ensemble" / "final_states.csv")
@@ -310,7 +323,7 @@ def _numpy_steps(n_traj):
     """8000 steps of n_traj rows at d = 2 on the numpy step, as without a C
     compiler: from 10 rows on, more than CHUNK // n_traj steps, so that one
     segment would hold the draws of all n_traj * 8000 row-steps."""
-    with mock.patch.object(_kernel, "library", lambda: None):
+    with reference():
         dynamics.simulate(np.tile([0.6, 0.4], (n_traj, 1)), 0.01, 8000, list(range(n_traj)))
 
 
@@ -453,7 +466,7 @@ def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(LIMIT_S)
     try:
-        assert run(args + ["--out", str(tmp_path), "--threads", "1"]) == 3
+        assert run(args + ["--out", str(tmp_path)]) == 3
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -471,7 +484,7 @@ def test_invalid_rate_or_overflow_exits_3(tmp_path, args):
       "--set", "record_stride=1200"], 0),
 ])
 def test_weight_runs_past_the_old_overflow_step_finish(tmp_path, args, code):
-    assert run(args + ["--out", str(tmp_path), "--threads", "1"]) == code
+    assert run(args + ["--out", str(tmp_path)]) == code
     out = tmp_path / args[0]
     for name in sorted(os.listdir(out)):
         if name.endswith(".csv"):
@@ -491,7 +504,7 @@ def _planted(tmp_path, monkeypatch, args, patches):
         if side == "planted":
             for module, name, value in patches:
                 monkeypatch.setattr(module, name, value)
-        code = run(args + ["--out", str(tmp_path / side), "--threads", "1"])
+        code = run(args + ["--out", str(tmp_path / side)])
         reports.append((code, json.loads((tmp_path / side / args[0] / "report.json").read_text())))
     return reports
 
@@ -501,8 +514,7 @@ def test_thm23_gate_fails_when_the_flow_runs_backwards(tmp_path, monkeypatch):
     of the 6 cases breaks the bound, and the gate fails."""
     (code, plain), (bad_code, bad) = _planted(
         tmp_path, monkeypatch, small_args("thm23-verify"),
-        [(_kernel, "library", lambda: None),
-         (flow, "replicator_field", lambda p, fitness=None: -replicator_field(p, fitness))])
+        [(flow, "replicator_field", lambda p, fitness=None: -replicator_field(p, fitness))])
     assert code == 0 and plain["passed"] is True and plain["violations"] == 0
     assert plain["checks"]["flow_bound"] is True and bad["checks"]["flow_bound"] is False
     assert bad_code == 4 and bad["passed"] is False
@@ -651,11 +663,11 @@ def test_trigger_gate_fails_on_a_broken_membrane(tmp_path, monkeypatch, defect, 
     defects = {"no_reset": _unreset_membrane,
                "unit_weights": lambda times, ids, w, *rest: membrane(times, ids, np.ones(len(w)),
                                                                      *rest)}
-    monkeypatch.setattr(_kernel, "library", lambda: None)
-    (code, plain), (bad_code, bad) = _planted(
-        tmp_path, monkeypatch,
-        small_args("spiking-validate", seed) + ["--set", "n_events=[20000,5000]"],
-        [(spiking, "membrane", defects[defect])])
+    with reference():
+        (code, plain), (bad_code, bad) = _planted(
+            tmp_path, monkeypatch,
+            small_args("spiking-validate", seed) + ["--set", "n_events=[20000,5000]"],
+            [(spiking, "membrane", defects[defect])])
     if code != 0:
         # not an AssertionError, so the expected failure cannot hide it
         pytest.fail("the unpatched run failed: %r" % plain["checks"])
@@ -690,7 +702,7 @@ def test_reports_say_whether_the_rate_is_within_the_theorem(tmp_path, scenario, 
     deflated second, (0.6, 0, 0.4), allows 3.7e-7."""
     # criterion 13's alg2-verify steps at 0.05, so this one keeps the default rate
     runs = {"priming": small_args("priming"), "alg2-verify": [scenario, "--set", "n_seeds=1"]}
-    assert run(runs[scenario] + ["--out", str(tmp_path), "--threads", "1"]) in (0, 4)
+    assert run(runs[scenario] + ["--out", str(tmp_path)]) in (0, 4)
     report = json.loads((tmp_path / scenario / "report.json").read_text())
     assert report["theorem_alpha_cap"] == pytest.approx(cap, rel=2e-3)
     assert report["within_theorem"] is False

@@ -7,22 +7,6 @@ from simplex_stdp import flow
 from simplex_stdp.simplex import InvalidInputError, loss
 
 
-def test_exact_solution_against_integrator():
-    spec = flow.FlowSpec(p0=[0.75, 0.25], horizon=10.0, dt=1e-3, record_stride=100)
-    traj = flow.integrate(spec)
-    exact = flow.exact_d2(0.75, traj.times)
-    assert np.abs(traj.states[:, 0] - exact).max() < 1e-6
-
-
-def test_integrator_fourth_order():
-    # measured where truncation error dominates rounding
-    errs = []
-    for dt in (0.2, 0.1):
-        traj = flow.integrate(flow.FlowSpec(p0=[0.75, 0.25], horizon=10.0, dt=dt))
-        errs.append(np.abs(traj.states[:, 0] - flow.exact_d2(0.75, traj.times)).max())
-    assert errs[0] / errs[1] >= 12.0
-
-
 def test_sum_conservation_before_renormalization():
     traj = flow.integrate(flow.FlowSpec(p0=[0.2, 0.3, 0.5], horizon=5.0, dt=1e-3))
     assert traj.renorm_corrections.max() < 1e-12

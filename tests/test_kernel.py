@@ -2,7 +2,6 @@
 multi-output loop, each against its numpy loop; and of the RK4 flow, whose
 batched rows are their starts integrated alone."""
 
-import contextlib
 import dataclasses
 import itertools
 import re
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 
 from simplex_stdp import _kernel, cli, dynamics, flow, multi, theory
 from simplex_stdp.simplex import as_probability_vector
+from paths import labelled, on_each_path, require_compiled
 from small_runs import SMALL_OVERRIDES, small_args
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -193,30 +193,24 @@ def test_rescaling_between_chunks_prevents_overflow():
     [2^-256, 2^256], so at every chunk length they finish with finite
     probabilities, the same bit for bit on the compiled and numpy paths."""
     lam, runs = _overflow_runs()
-    paths = [_numpy_loop] + ([] if _kernel.library() is None else [contextlib.nullcontext])
     for run, chunk in itertools.product(runs, (dynamics.CHUNK, 256, 16)):
-        finals = []
-        for path in paths:
-            with path(), mock.patch.object(dynamics, "CHUNK", chunk):
-                finals.append(run(None))
-        assert np.all(np.isfinite(dynamics.probabilities(lam, finals[0])))
-        assert np.array_equal(finals[0], finals[-1])
+        with mock.patch.object(dynamics, "CHUNK", chunk):
+            compiled, reference = on_each_path(lambda: run(None))
+        assert np.all(np.isfinite(dynamics.probabilities(lam, reference)))
+        assert np.array_equal(compiled, reference)
 
 
-@pytest.mark.parametrize("path", ["compiled", "numpy"])
+@labelled("numpy")
 def test_runs_stop_at_the_first_state_that_is_not_finite(path):
     """No joint-scheme state is non-finite any more, so no run stops: the
     one-column run used to stop at step 2014. Recorded every step, each now
     reaches step 3000 with finite lam * w sums and ends where its unrecorded
     run ends."""
-    if path == "compiled":
-        _require_compiled_step()
     lam, runs = _overflow_runs()
     for run in runs:
         recorder = dynamics.Recorder(range(3001))
-        with (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
-            run(recorder)
-            final = run(None)
+        run(recorder)
+        final = run(None)
         assert len(recorder.states) == 3001
         assert np.all(np.isfinite((lam * np.stack(recorder.states)).sum(axis=-1)))
         assert np.array_equal(recorder.states[-1], final.reshape(recorder.states[-1].shape))
@@ -280,17 +274,6 @@ def test_joint_recordings_do_not_depend_on_the_stride(case):
     assert np.array_equal(every.probabilities[shared], strided.probabilities)
     assert every.clip_events == strided.clip_events
     assert np.array_equal(strided.weights[-1], final.T)
-
-
-def _numpy_loop():
-    """Run simulate and the joint scheme as on a machine without the
-    compiled steps."""
-    return mock.patch.object(_kernel, "library", lambda: None)
-
-
-def _require_compiled_step():
-    if _kernel.library() is None:
-        pytest.skip("compiled step not available")
 
 
 @st.composite
@@ -397,10 +380,8 @@ VIOLATING = {"d": 2, "n": 4, "n_steps": 100, "alpha": 0.45, "seed": 316, "chunk"
 @example({"d": 3, "n": 3, "n_steps": 120, "alpha": 0.3, "seed": 9, "chunk": 16, "gamma": None,
           "p0": np.array([0.6, 0.4, 0.0]), "checkpoints": [0, 64, 120]})
 def test_compiled_step_matches_numpy_loop(case):
-    _require_compiled_step()
-    compiled = _run_case(case)
-    with _numpy_loop():
-        reference = _run_case(case)
+    require_compiled()
+    compiled, reference = on_each_path(lambda: _run_case(case))
     for a, b in zip(compiled, reference):
         assert np.array_equal(a, b)
 
@@ -419,7 +400,7 @@ def test_compiled_joint_step_matches_numpy_loop(case, n_runs):
     """The compiled joint step against `multi._joint_step`, bit for bit: a
     batch of runs recorded at a stride with its clipped entries counted, its
     final columns, and a single run recorded at every step."""
-    _require_compiled_step()
+    require_compiled()
     config, seed, chunk, stride = case
 
     def run():
@@ -430,9 +411,7 @@ def test_compiled_joint_step_matches_numpy_loop(case, n_runs):
         return [final, np.stack(recorder.states), recorder.clip_events, single.weights,
                 single.probabilities, single.clip_events]
 
-    compiled = run()
-    with _numpy_loop():
-        reference = run()
+    compiled, reference = on_each_path(run)
     for a, b in zip(compiled, reference):
         assert np.array_equal(a, b)
 
@@ -468,7 +447,7 @@ def test_joint_step_caps_triggers_at_the_last_positive_probability():
     runs at d = 4 and, for the compiled step's own instantiations, at d = 2
     and at d = 3 with a trailing zero. The d = 2 and d = 3 weights are a row
     of default_rng(0).random((1000, 2)); about one row in twenty sums so."""
-    _require_compiled_step()
+    require_compiled()
     u = np.nextafter(1.0, 0.0)
     a, b = 0.8097107759127777, 0.5604759520061858
     for w, last in [([16.0, 4.0, 4.0, 0.0], 2), ([a, b], 1), ([a, b, 0.0], 1)]:
@@ -617,7 +596,7 @@ def test_compiled_runs_hold_no_chunk_of_draws():
     """Peak traced memory of compiled runs over two chunks stays far below
     one chunk of pre-drawn randomness (n x CHUNK x (1 + d) doubles, 1 + 2d
     when correlated, 315 MB for the first run): the step draws as it steps."""
-    _require_compiled_step()
+    require_compiled()
     n_steps = 2 * dynamics.CHUNK
     gamma = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.0], [0.1, 0.0, 1.0]])
     lam = np.array([3.0, 2.0, 1.0])
@@ -707,7 +686,7 @@ CORRELATED = {
 }
 
 
-@pytest.mark.parametrize("path", ["compiled", "numpy"])
+@labelled("numpy")
 @pytest.mark.parametrize("chunk", [1, 7, 16])
 @pytest.mark.parametrize("form", ["probability", "weight", *CORRELATED])
 def test_draws_follow_the_stream_layout(path, chunk, form):
@@ -717,8 +696,6 @@ def test_draws_follow_the_stream_layout(path, chunk, form):
     change them. The weight form starts from the probabilities of weights
     under intensities and switches them at step 17, as a priming run does;
     the correlated forms run at d = 2, 3 and 4."""
-    if path == "compiled":
-        _require_compiled_step()
     n, n_steps, alpha = 3, 40, 0.3
     keys = [(11, i) for i in range(n)]
     kwargs = {}
@@ -735,8 +712,7 @@ def test_draws_follow_the_stream_layout(path, chunk, form):
     config = dynamics.DynamicsConfig(alpha=alpha, n_steps=n_steps, p0=state0[0],
                                      gamma=kwargs.get("gamma"))
     states, _ = _layout_oracle(state0, alpha, n_steps, keys, **kwargs)
-    with mock.patch.object(dynamics, "CHUNK", chunk), \
-            (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
+    with mock.patch.object(dynamics, "CHUNK", chunk):
         recorder = dynamics.Recorder(range(n_steps + 1))
         final = dynamics.simulate(state0, alpha, n_steps, keys, record=recorder, **kwargs)
         rec = dynamics.run_trajectory(config, keys[0])
@@ -747,7 +723,7 @@ def test_draws_follow_the_stream_layout(path, chunk, form):
     assert np.array_equal(rec.states[:k], states[:k, 0])
 
 
-@pytest.mark.parametrize("path", ["compiled", "numpy"])
+@labelled("numpy")
 # the gap event ends for member 3 alone in the independent case; in the
 # correlated one it ends for members 0, 1 and 3, for member 1 through the
 # gamma @ p condition alone
@@ -765,8 +741,6 @@ def test_gap_tracker_matches_step_oracle(path, case):
     every step rebuilt by `_layout_oracle`, xi from `decompose_steps_batch`,
     and alpha * xi summed while the half-gap conditions (on gamma @ p too
     when correlated) held at every step so far."""
-    if path == "compiled":
-        _require_compiled_step()
     n, d, alpha, gamma, p0 = case["n"], case["d"], case["alpha"], case["gamma"], case["p0"]
     keys = [(case["seed"], i) for i in range(n)]
     gap_of = lambda v: v[..., 0] - v[..., 1:].max(axis=-1)
@@ -774,8 +748,7 @@ def test_gap_tracker_matches_step_oracle(path, case):
     if gamma is not None:
         gap_gamma = gap_of(gamma @ p0)
         threshold = 0.25 * min(gap_of(p0), gap_gamma / np.abs(gamma).sum(axis=1).max())
-    with (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
-        res = _run_case(case)
+    res = _run_case(case)
     states, ys = _layout_oracle(np.tile(p0, (n, 1)), alpha, case["n_steps"], keys, gamma=gamma)
     mart, max_abs = np.zeros((n, d)), np.zeros((n, d))
     alive, violations, marts = np.ones(n, dtype=bool), 0, [mart]
@@ -794,7 +767,7 @@ def test_gap_tracker_matches_step_oracle(path, case):
     assert res[4] == violations
 
 
-@pytest.mark.parametrize("path", ["compiled", "numpy"])
+@labelled("numpy")
 @pytest.mark.parametrize("form", ["independent", "correlated"])
 def test_gap_tracking_leaves_the_trajectory_alone(path, form):
     """The states the `GapTracker` of `theory.run_gap_ensemble` records are,
@@ -802,15 +775,12 @@ def test_gap_tracking_leaves_the_trajectory_alone(path, form):
     with the same keys and checkpoints, and so are the final states: the
     tracking reads the steps and changes none. At the rate 0.3 the gap event
     ends for some members."""
-    if path == "compiled":
-        _require_compiled_step()
     p0, gamma = np.array([0.5, 0.3, 0.2]), None
     if form == "correlated":
         p0, gamma = (np.array(v) for v in CORRELATED["correlated"])
     n, n_steps, alpha, seed, checkpoints = 4, 120, 0.3, 13, [0, 7, 60, 120]
     recorder = dynamics.Recorder(checkpoints)
-    with mock.patch.object(dynamics, "CHUNK", 16), \
-            (_numpy_loop() if path == "numpy" else contextlib.nullcontext()):
+    with mock.patch.object(dynamics, "CHUNK", 16):
         final, tracker = theory.run_gap_ensemble(p0, alpha, n_steps, n, seed, gamma=gamma,
                                                  checkpoints=checkpoints)
         plain = dynamics.simulate(np.tile(p0, (n, 1)), alpha, n_steps,

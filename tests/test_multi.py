@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from simplex_stdp import _kernel, dynamics, multi
+from simplex_stdp import dynamics, multi
 from simplex_stdp.simplex import InvalidInputError
+from paths import labelled, reference
 
 
 def test_cosine_projection():
@@ -101,14 +102,10 @@ def test_sequential_runs_are_checked(w0, alpha, match):
         multi.sequential_success_ensemble(lam, w0, alpha, 10, 2, 0)
 
 
-@pytest.mark.parametrize("path", ["compiled", "numpy"])
-def test_a_vertex_column_is_not_moved_by_the_rule(monkeypatch, path):
+@labelled("numpy")
+def test_a_vertex_column_is_not_moved_by_the_rule(path):
     # the sequential scheme does not step a column whose rows are all
     # vertices; stepping them returns them unchanged, bit for bit
-    if path == "numpy":
-        monkeypatch.setattr(_kernel, "library", lambda: None)
-    elif _kernel.library() is None:
-        pytest.skip("compiled step not available")
     p0 = np.eye(3)[[2, 0, 1, 2]]
     assert np.array_equal(dynamics.simulate(p0, 0.4, 5000, [(9, s, 2) for s in range(4)]), p0)
 
@@ -137,8 +134,8 @@ def test_joint_increments_orthogonal_to_lower_columns(monkeypatch):
 
     monkeypatch.setattr(multi, "_deflated_increments", spy)
     # the spy sees the numpy step; test_kernel checks the compiled one against it
-    monkeypatch.setattr(_kernel, "library", lambda: None)
-    rec = multi.joint_run(cfg, 11)
+    with reference():
+        rec = multi.joint_run(cfg, 11)
     assert calls == 2000
     assert violation < 1e-10
     assert rec.probabilities[-1].sum(axis=0) == pytest.approx(np.ones(3))

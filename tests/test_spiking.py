@@ -11,22 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simplex_stdp import _kernel, spiking
+from simplex_stdp import spiking
 from simplex_stdp.dynamics import sample_triggers
 from simplex_stdp.simplex import InvalidInputError
-
-
-def _python_loop():
-    """Run the membrane as on a machine without the compiled kernel."""
-    return mock.patch.object(_kernel, "library", lambda: None)
-
-
-def _require_compiled_membrane():
-    if _kernel.library() is None:
-        pytest.skip("compiled membrane not available")
-
-
-PATHS = {"compiled": contextlib.nullcontext, "python": _python_loop}
+from paths import labelled, on_each_path, require_compiled
 
 
 def _stream(lam, n, rng):
@@ -84,14 +72,14 @@ def membrane_case(draw):
           np.array([1.0, 9.0, 2.0, 9.0, 0.5, 9.0])[::2], 1.75, 2))  # strided weights
 def test_compiled_membrane_matches_python_loop(case):
     # the same spikes, walk length and end state, stopped at the cap or not
-    _require_compiled_membrane()
+    require_compiled()
     times, ids, w, threshold, cap = case
-    results = []
-    for path in PATHS.values():
+
+    def run():
         state = np.zeros(2)
-        with path():
-            results.append(spiking.membrane(times, ids, w, threshold, state, cap) + (state,))
-    (*compiled, end), (*reference, end_ref) = results
+        return spiking.membrane(times, ids, w, threshold, state, cap) + (state,)
+
+    (*compiled, end), (*reference, end_ref) = on_each_path(run)
     for a, b in zip(compiled[:2], reference[:2]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert compiled[2] == reference[2] and np.array_equal(end, end_ref)
@@ -142,14 +130,12 @@ def test_blocked_stream_equals_one_pass(case):
     # end state, events walked and error (time backwards or NaN), on both
     # paths
     times, ids, w, threshold, cuts, caps = case
-    paths = [PATHS["python"]]
-    if _kernel.library() is not None:
-        paths.append(PATHS["compiled"])
-    results = []
-    for path in paths:
-        with path():
-            for c, k in (([], [times.size + 1]), (cuts, caps)):
-                results.append(_blocks(times, ids, w, threshold, c, k))
+
+    def run():
+        return [_blocks(times, ids, w, threshold, c, k)
+                for c, k in (([], [times.size + 1]), (cuts, caps))]
+
+    results = [got for side in on_each_path(run) for got in side]
     for got in results[1:]:
         assert len(got) == len(results[0])
         for a, b in zip(got, results[0]):
@@ -159,7 +145,7 @@ def test_blocked_stream_equals_one_pass(case):
                 assert a == b
 
 
-@pytest.mark.parametrize("path", PATHS)
+@labelled("python")
 @pytest.mark.parametrize("times, ids", [
     ([0.1, 0.2, 0.3], [0, 2, 1]),  # a neuron with no weight
     ([0.1, 0.5, 0.25], [0, 1, 2]),  # unsorted
@@ -168,9 +154,7 @@ def test_blocked_stream_equals_one_pass(case):
     ([-0.25, 0.5], [0, 1]),  # before the membrane starts at 0
 ], ids=["short-weights", "unsorted", "nan", "inf", "negative"])
 def test_membrane_rejects_mismatched_or_bad_trains(path, times, ids):
-    if path == "compiled":
-        _require_compiled_membrane()
-    with PATHS[path](), pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError):
         spiking.membrane(np.array(times), np.array(ids), np.ones(2), 1.5, np.zeros(2), 3)
 
 
@@ -182,47 +166,44 @@ def test_membrane_checks_its_weights_and_threshold():
     runs = [lambda w, threshold: spiking.collect_triggers([1.0, 1.0], w, threshold, 2, rng),
             lambda w, threshold: spiking.spiking_learning_run([1.0, 1.0], w, threshold, 0.1, 3,
                                                               rng)]
-    for path in PATHS.values():
-        with path():
-            for run in runs:
-                w = np.array([1.0, 2.0])
-                run(w, 1.5)
-                assert w.tolist() == [1.0, 2.0]
-                for bad in (0.0, -1.0, np.nan, np.inf):
-                    with pytest.raises(InvalidInputError, match="threshold"):
-                        run(w, bad)
-                with pytest.raises(InvalidInputError, match="finite"):
-                    run([1.0, np.nan], 1.0)
-                with pytest.raises(InvalidInputError, match="one weight per intensity"):
-                    run(np.ones(3), 1.0)
+
+    def check():
+        for run in runs:
+            w = np.array([1.0, 2.0])
+            run(w, 1.5)
+            assert w.tolist() == [1.0, 2.0]
+            for bad in (0.0, -1.0, np.nan, np.inf):
+                with pytest.raises(InvalidInputError, match="threshold"):
+                    run(w, bad)
+            with pytest.raises(InvalidInputError, match="finite"):
+                run([1.0, np.nan], 1.0)
+            with pytest.raises(InvalidInputError, match="one weight per intensity"):
+                run(np.ones(3), 1.0)
+
+    on_each_path(check)
 
 
-@pytest.mark.parametrize("path", PATHS)
+@labelled("python")
 def test_walk_stops_at_its_cap(path):
     # every one of the three events fires: a cap of 2 stops the walk after
     # the second, and the rest of the stream resumes from its state
-    if path == "compiled":
-        _require_compiled_membrane()
     times, ids, w = np.array([0.25, 0.5, 0.75]), np.zeros(3, dtype=np.int64), np.array([1.0])
     state = np.zeros(2)
-    with PATHS[path]():
-        spikes, triggers, walked = spiking.membrane(times, ids, w, 0.5, state, 2)
-        assert spikes.tolist() == [0.25, 0.5] and triggers.tolist() == [0, 0] and walked == 2
-        assert state.tolist() == [0.0, 0.5]
-        assert spiking.membrane(times[2:], ids[2:], w, 0.5, state, 2)[0].tolist() == [0.75]
-        with pytest.raises(InvalidInputError, match="cap"):
-            spiking.membrane(times, ids, w, 0.5, state, 0)
+    spikes, triggers, walked = spiking.membrane(times, ids, w, 0.5, state, 2)
+    assert spikes.tolist() == [0.25, 0.5] and triggers.tolist() == [0, 0] and walked == 2
+    assert state.tolist() == [0.0, 0.5]
+    assert spiking.membrane(times[2:], ids[2:], w, 0.5, state, 2)[0].tolist() == [0.75]
+    with pytest.raises(InvalidInputError, match="cap"):
+        spiking.membrane(times, ids, w, 0.5, state, 0)
     assert state.tolist() == [0.0, 0.75]
 
 
-@pytest.mark.parametrize("path", PATHS)
+@labelled("python")
 @pytest.mark.parametrize("bad", [-1, 2])
 def test_membrane_rejects_neuron_ids_out_of_range(path, bad):
     # checked before either walk indexes w with them, the state untouched
-    if path == "compiled":
-        _require_compiled_membrane()
     state = np.array([0.5, 0.25])
-    with PATHS[path](), pytest.raises(InvalidInputError, match="neuron ids"):
+    with pytest.raises(InvalidInputError, match="neuron ids"):
         spiking.membrane(np.array([0.5, 0.75]), np.array([0, bad]), np.ones(2), 1.5, state, 4)
     assert state.tolist() == [0.5, 0.25]
 
@@ -246,52 +227,44 @@ ENDS = [lambda: 5, lambda: spiking.EVENT_PIECE, lambda: spiking.EVENT_PIECE + 1,
 LAM = np.array([10.0, 7.5, 5.0])
 
 
-@pytest.mark.parametrize("path", PATHS)
+@labelled("python")
 @pytest.mark.parametrize("end", range(len(ENDS)))
 def test_collect_triggers_leaves_the_stream_where_whole_blocks_do(path, end):
     # a walk draws no piece past the one it stops in, so what follows in rng
     # reads the stream from the end of that piece
-    if path == "compiled":
-        _require_compiled_membrane()
     n = ENDS[end]()
     rng = np.random.default_rng(13)
-    with PATHS[path]():
-        ids = spiking.collect_triggers(LAM, np.ones(3), 0.5, n, rng)
+    ids = spiking.collect_triggers(LAM, np.ones(3), 0.5, n, rng)
     reference = np.random.default_rng(13)
     assert np.array_equal(ids, _whole_pieces(LAM, n, reference))
     assert rng.random(3).tolist() == reference.random(3).tolist()
 
 
-@pytest.mark.parametrize("path", PATHS)
+@labelled("python")
 @pytest.mark.parametrize("end", range(len(ENDS)))
 def test_learning_run_leaves_the_stream_where_whole_blocks_do(path, end):
     # the same on the closed loop, with pieces of 16 events; weights learn
     # upwards only here, each window holding its own trigger
-    if path == "compiled":
-        _require_compiled_membrane()
     with mock.patch.object(spiking, "EVENT_PIECE", 16):
         n = ENDS[end]()
         rng = np.random.default_rng(14)
-        with PATHS[path]():
-            run = spiking.spiking_learning_run(LAM, np.ones(3), 0.5, 0.1, n, rng)
+        run = spiking.spiking_learning_run(LAM, np.ones(3), 0.5, 0.1, n, rng)
         reference = np.random.default_rng(14)
         assert np.array_equal(run.trigger_ids, _whole_pieces(LAM, n, reference))
     assert rng.random(3).tolist() == reference.random(3).tolist()
 
 
-@pytest.mark.parametrize("path", PATHS)
+@labelled("python")
 def test_unreachable_threshold_stops_at_the_event_budget(path):
     # weights of 1 at a summed rate of 2 hold the potential near 2, so a
     # threshold of 1e6 is never reached: both walks once drew blocks
     # forever. Past the budget they raise, counting whole membrane calls.
-    if path == "compiled":
-        _require_compiled_membrane()
     rng = np.random.default_rng(15)
     runs = {spiking.EVENT_PIECE: lambda t: spiking.collect_triggers(np.ones(2), np.ones(2), t,
                                                                     10, rng),
             spiking.LEARN_WALK: lambda t: spiking.spiking_learning_run(np.ones(2), np.ones(2), t,
                                                                        0.1, 10, rng)}
-    with PATHS[path](), mock.patch.object(spiking, "MAX_EVENTS_PER_SPIKE", 10000):
+    with mock.patch.object(spiking, "MAX_EVENTS_PER_SPIKE", 10000):
         for step, run in runs.items():
             run(5.0)
             with pytest.raises(InvalidInputError, match="not reached") as raised:
@@ -394,12 +367,10 @@ def test_learning_run_rejects_bad_rate():
                                      np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("path", PATHS)
+@labelled("python")
 def test_learning_run_windows_cross_blocks(path):
     # one fixed stream served in blocks of 1, 3, 7 and whole gives the same
     # record: a window's events are carried across block boundaries
-    if path == "compiled":
-        _require_compiled_membrane()
     lam = np.array([10.0, 7.5, 5.0])
     times, ids = _stream(lam, 3000, np.random.default_rng(9))
 
@@ -409,8 +380,7 @@ def test_learning_run_windows_cross_blocks(path):
         with mock.patch.object(spiking, "poisson_events", lambda *args: blocks):
             return spiking.spiking_learning_run(lam, np.ones(3), 5.0, 0.2, 200, None)
 
-    with PATHS[path]():
-        records = [run(size) for size in (1, 3, 7, times.size)]
+    records = [run(size) for size in (1, 3, 7, times.size)]
     for record in records[1:]:
         for field in dataclasses.fields(record):
             a, b = getattr(record, field.name), getattr(records[0], field.name)
